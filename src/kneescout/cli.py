@@ -53,6 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -152,7 +159,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("batch", help="identify a directory of capacity CSVs")
     p.add_argument("--dir", required=True)
     p.add_argument("--methods", default="curvature,baconwatts")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_pipeline_flags(p)
     p.add_argument("--out", required=True, help="table .csv path or report directory")
 

@@ -1,10 +1,14 @@
 """Self-join matrix profile of a real series under z-normalized distance.
 
-MASS computes one query's distance profile with an FFT sliding dot product
-and running window statistics; STAMP folds all distance profiles into the
-matrix profile P and its index I with an element-wise minimum. The merge is
-associative and commutative, and ties are broken toward the smallest index,
-so the result does not depend on evaluation order.
+Every length-L window is z-normalized once (``sliding_window_view``), and
+every distance is the Euclidean norm of the difference of two z-normalized
+windows, measured by one helper that ``mass`` and ``stamp`` share. MASS is
+the one-query case: the distances from one query window to every window.
+STAMP finds each window's nearest neighbour from blocks of the Gram matrix
+``Z @ Z.T``: for z-normalized windows ``d^2 = 2L - 2 * dot``, so the
+nearest neighbour is the largest dot product. ``argmax`` takes the first
+maximum, so ties go to the smallest index and the result does not depend on
+evaluation order. P is then measured directly from the chosen pair.
 
 Conventions that the rest of the pipeline relies on:
 
@@ -12,7 +16,10 @@ Conventions that the rest of the pipeline relies on:
   diagonal (masked to +inf in distance profiles);
 * two windows whose standard deviation is below 1e-12 are treated as the
   same (constant) shape at distance 0; a constant window against a varying
-  one is at distance sqrt(L).
+  one is at distance sqrt(L). A flat window z-normalizes to a zero row, and
+  in the Gram search a flat candidate scores L/2 (distance sqrt(L)), or L
+  (distance 0) when the query window is flat too;
+* a window with no candidate outside its band keeps I = -1 and P = 2 sqrt(L).
 """
 
 from __future__ import annotations
@@ -22,16 +29,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateWindow, SeriesTooShort, WindowTooLarge
 
 FLAT_STD = 1e-12
 
-# Distances below this are recomputed by direct z-normalized subtraction.
-# The dot-product formulation's absolute error grows like 1/distance (and
-# with 1/window-variance), so small distances need the direct difference,
-# which is exact to machine precision there.
-REFINE_BELOW = 0.5
+# Rows of the Gram matrix formed at a time; the working set is
+# _BLOCK_ROWS x (number of windows) floats.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -55,33 +61,22 @@ class MatrixProfile:
         return len(self.P)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
+def _znormalize(windows: np.ndarray):
+    """z-normalized windows (last axis) and their flat mask; flat rows are 0."""
+    mu = windows.mean(axis=-1, keepdims=True)
+    sigma = windows.std(axis=-1, keepdims=True)
+    flat = sigma < FLAT_STD
+    z = np.where(flat, 0.0, (windows - mu) / np.where(flat, 1.0, sigma))
+    return z, flat[..., 0]
 
 
-def _sliding_stats(series: np.ndarray, L: int):
-    """Running mean and population std of every length-L window."""
-    csum = np.cumsum(np.concatenate(([0.0], series)))
-    csq = np.cumsum(np.concatenate(([0.0], series * series)))
-    mu = (csum[L:] - csum[:-L]) / L
-    var = (csq[L:] - csq[:-L]) / L - mu * mu
-    sigma = np.sqrt(np.maximum(var, 0.0))
-    return mu, sigma
+def _distance(za, zb, flat_a, flat_b, L: int) -> np.ndarray:
+    """Distance between z-normalized windows, with the flat-window rules.
 
-
-def _distance_from_dot(qt, mu_q, sigma_q, mu, sigma, L):
-    """Distances from sliding dot products, with the flat-window rules."""
-    q_flat = sigma_q < FLAT_STD
-    s_flat = sigma < FLAT_STD
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (qt - L * mu_q * mu) / (L * sigma_q * sigma)
-    rho = np.clip(rho, -1.0, 1.0)
-    dist = np.sqrt(2.0 * L * (1.0 - rho))
-    if q_flat:
-        dist = np.where(s_flat, 0.0, math.sqrt(L))
-    else:
-        dist = np.where(s_flat, math.sqrt(L), dist)
-    return dist
+    Two flat windows are zero rows, so their distance is already 0.
+    """
+    dist = np.sqrt(np.sum((za - zb) ** 2, axis=-1))
+    return np.where(flat_a ^ flat_b, math.sqrt(L), dist)
 
 
 def mass(
@@ -103,10 +98,9 @@ def mass(
     if L > M:
         raise WindowTooLarge(f"window {L} exceeds series length {M}")
 
-    nfft = _next_pow2(2 * M)
-    series_fft = np.fft.rfft(series, nfft)
-    mu, sigma = _sliding_stats(series, L)
-    dist = _mass_with_precomputed(query, series, series_fft, mu, sigma, L, M, nfft)
+    zq, q_flat = _znormalize(query)
+    Z, flat = _znormalize(sliding_window_view(series, L))
+    dist = _distance(zq, Z, q_flat, flat, L)
 
     if query_start is not None:
         radius = (
@@ -114,35 +108,16 @@ def mass(
         )
         lo = max(0, query_start - radius)
         hi = min(len(dist), query_start + radius + 1)
-        dist = dist.copy()
         dist[lo:hi] = np.inf
     return DistanceProfile(query_start=query_start, distances=dist)
-
-
-def _mass_with_precomputed(query, series, series_fft, mu, sigma, L, M, nfft):
-    mu_q = float(np.mean(query))
-    sigma_q = float(np.sqrt(max(np.mean(query * query) - mu_q * mu_q, 0.0)))
-    qr_fft = np.fft.rfft(query[::-1], nfft)
-    qt = np.fft.irfft(series_fft * qr_fft, nfft)[L - 1 : M]
-    dist = _distance_from_dot(qt, mu_q, sigma_q, mu, sigma, L)
-
-    if sigma_q >= FLAT_STD:
-        near = np.nonzero((dist < REFINE_BELOW) & (sigma >= FLAT_STD))[0]
-        if len(near):
-            zq = (query - mu_q) / sigma_q
-            windows = series[near[:, None] + np.arange(L)]
-            zw = (windows - mu[near, None]) / sigma[near, None]
-            dist[near] = np.sqrt(np.sum((zw - zq) ** 2, axis=1))
-    return dist
 
 
 def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     """All-pairs nearest-neighbor search over every length-L window.
 
-    P and I are the element-wise minimum over all self-join distance
-    profiles; the diagonal band of radius ceil(L/2) is excluded. Ties go to
-    the smaller candidate index, which makes I deterministic under any
-    processing order.
+    I[j] is the window outside the band of radius ceil(L/2) around j with the
+    largest Gram entry, the smallest index on ties; P[j] is the distance to
+    it. A window with no candidate keeps I = -1 and P = 2 sqrt(L).
     """
     series = np.asarray(series, dtype=np.float64)
     M = len(series)
@@ -154,24 +129,23 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
             f"series length {M} < L + exclusion + 1 = {L + radius + 1}"
         )
 
-    n = M - L + 1
-    nfft = _next_pow2(2 * M)
-    series_fft = np.fft.rfft(series, nfft)
-    mu, sigma = _sliding_stats(series, L)
-
-    P = np.full(n, np.inf)
+    Z, flat = _znormalize(sliding_window_view(series, L))
+    n = len(Z)
+    cols = np.arange(n)
     I = np.full(n, -1, dtype=np.int64)
-    for j in range(n):
-        dist = _mass_with_precomputed(
-            series[j : j + L], series, series_fft, mu, sigma, L, M, nfft
-        )
-        lo = max(0, j - radius)
-        hi = min(n, j + radius + 1)
-        dist[lo:hi] = np.inf
-        finite = np.isfinite(dist)
-        better = finite & ((dist < P) | ((dist == P) & (j < I)))
-        P = np.where(better, dist, P)
-        I = np.where(better, j, I)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        rows = cols[start:stop]
+        gram = Z[start:stop] @ Z.T
+        gram[:, flat] = np.where(flat[rows, None], float(L), L / 2.0)
+        band = (cols >= rows[:, None] - radius) & (cols <= rows[:, None] + radius)
+        gram[band] = -np.inf
+        best = np.argmax(gram, axis=1)
+        found = gram[np.arange(len(rows)), best] > -np.inf
+        I[rows[found]] = best[found]
 
-    P = np.minimum(P, 2.0 * math.sqrt(L))
+    P = np.full(n, 2.0 * math.sqrt(L))
+    j = np.nonzero(I >= 0)[0]
+    k = I[j]
+    P[j] = np.minimum(_distance(Z[j], Z[k], flat[j], flat[k], L), P[j])
     return MatrixProfile(P=P, I=I, L=L, exclusion_radius=radius)

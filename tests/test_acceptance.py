@@ -156,7 +156,7 @@ def test_criterion_4_bacon_watts_failure_onset():
         "baseline's second transition is initialized at 90% of the cycle range, "
         "which is always adjacent to the terminal plunge of any ground-truth-"
         "valid synthetic curve, so its knee estimate stays within ~half a plunge "
-        "of the truth. See the decisions ledger."
+        "of the truth. See DECISIONS.md, criterion 4."
     ),
 )
 def test_criterion_4_bacon_watts_failure_knee():

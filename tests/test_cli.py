@@ -161,6 +161,15 @@ class TestBatch:
         assert (out / "scatter_curvature_rea_knee.csv").exists()
         assert (out / "scatter_double_bacon_watts_onset.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, synth_dir, tmp_path, capsys, jobs):
+        out = tmp_path / "table.csv"
+        assert run_cli(
+            "batch", "--dir", str(synth_dir), "--jobs", jobs, "--out", str(out)
+        ) == 1
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_sorted_by_cell_id(self, synth_dir, tmp_path):
         out = tmp_path / "table.csv"
         run_cli("batch", "--dir", str(synth_dir), "--methods", "curvature",

@@ -89,7 +89,7 @@ class TestMass:
         profile = mass(3.0 * sub + 2.0, series)
         assert profile.distances[10] == pytest.approx(0.0, abs=1e-7)
 
-    def test_fft_matches_naive(self):
+    def test_matches_naive(self):
         rng = np.random.default_rng(2)
         series = np.cumsum(rng.normal(0, 1, 64))
         query = series[20:28]
@@ -146,8 +146,10 @@ class TestStamp:
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
-        series = np.cumsum(rng.normal(0, 1, 120))
-        for L in (3, 8, 20):
+        walk = np.cumsum(rng.normal(0, 1, 120))
+        # constant runs after varying data must count as flat windows
+        runs = np.concatenate([np.full(30, 2.0), np.sin(np.arange(40)), np.full(30, 5.0)])
+        for series, L in ((walk, 3), (walk, 8), (walk, 20), (runs, 4)):
             mp = stamp(series, L)
             P, I = naive_matrix_profile(series, L)
             assert np.max(np.abs(mp.P - P)) < 1e-9
@@ -206,6 +208,20 @@ class TestStamp:
         np.testing.assert_array_equal(capped, mp.P)
         np.testing.assert_array_equal(I, mp.I)
 
+    def test_rows_without_candidate_at_minimum_length(self):
+        # at M = L + ceil(L/2) + 1 the middle windows have no candidate
+        # outside their exclusion band: they keep I = -1 and P = 2 sqrt(L)
+        rng = np.random.default_rng(11)
+        for L in (2, 3, 4, 8):
+            series = rng.normal(0, 1, L + math.ceil(L / 2) + 1)
+            mp = stamp(series, L)
+            P, I = naive_matrix_profile(series, L)
+            assert np.any(I == -1)
+            np.testing.assert_array_equal(mp.I, I)
+            lonely = I == -1
+            assert np.all(mp.P[lonely] == 2 * math.sqrt(L))
+            assert np.max(np.abs(mp.P[~lonely] - P[~lonely])) < 1e-9
+
     def test_distances_bounded(self):
         rng = np.random.default_rng(10)
         series = rng.normal(0, 1, 200)
@@ -230,15 +246,17 @@ class TestStamp:
 class TestOracleScale:
     def test_index_agreement_at_full_scale(self):
         # where the nearest neighbor is unique by a 1e-6 margin, the index
-        # must match the all-pairs oracle even at the largest contract size
-        rng = np.random.default_rng(77)
-        series = np.cumsum(rng.normal(0, 1, 300))
-        for L in (3, 8, 20):
-            mp = stamp(series, L)
-            D = allpairs_distance_matrix(series, L)
-            oracle_P = D.min(axis=1)
-            oracle_I = D.argmin(axis=1)
-            assert np.max(np.abs(mp.P - oracle_P)) < 1e-9
-            two = np.partition(D, 1, axis=1)[:, 1]
-            unique = two - oracle_P > 1e-6
-            np.testing.assert_array_equal(mp.I[unique], oracle_I[unique])
+        # must match the all-pairs oracle, at the contract size and on long
+        # series
+        for seed, m in ((77, 300), (77, 2000), (78, 2000), (79, 2000)):
+            rng = np.random.default_rng(seed)
+            series = np.cumsum(rng.normal(0, 1, m))
+            for L in (3, 8, 20):
+                mp = stamp(series, L)
+                D = allpairs_distance_matrix(series, L)
+                oracle_P = D.min(axis=1)
+                oracle_I = D.argmin(axis=1)
+                assert np.max(np.abs(mp.P - oracle_P)) < 1e-9
+                two = np.partition(D, 1, axis=1)[:, 1]
+                unique = two - oracle_P > 1e-6
+                np.testing.assert_array_equal(mp.I[unique], oracle_I[unique])
