@@ -28,7 +28,7 @@ from .earlypredict import (
     load_cycle_detail_csv,
     sensitivity_sweep,
 )
-from .errors import InputError, KneeScoutError
+from .errors import InputError, KneeScoutError, MalformedRow
 from .ingest import load_capacity_csv
 from .report import batch_report, format_batch_csv, write_report_dir
 from .segmentation import KneeReport, identify_knees
@@ -402,16 +402,24 @@ def _read_feature_csv(path):
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv.reader(fh)
-        header = next(reader)
         expected = ["cell_id", *FEATURE_NAMES]
-        if [h.strip() for h in header] != expected:
+        if [h.strip() for h in next(reader, [])] != expected:
             raise InputError(f"{path}: expected header {','.join(expected)!r}")
         ids, rows = [], []
         for row in reader:
             if not row:
                 continue
+            try:
+                values = [float(v) for v in row[1:]]
+            except ValueError:
+                values = None
+            if values is None or len(values) != len(FEATURE_NAMES):
+                raise MalformedRow(
+                    f"{path}: line {reader.line_num}: expected {len(FEATURE_NAMES)}"
+                    f" numeric features, got {','.join(row[1:])!r}"
+                )
             ids.append(row[0])
-            rows.append([float(v) for v in row[1:]])
+            rows.append(values)
     return ids, np.array(rows)
 
 

@@ -28,7 +28,9 @@ from .errors import (
     EmptyTrainingSet,
     FeatureCountMismatch,
     InvalidDischargeCurve,
+    InvalidModel,
     LengthMismatch,
+    MalformedRow,
     MissingColumn,
     MissingCycle,
     NonFiniteFeature,
@@ -118,12 +120,19 @@ def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
-            cyc = int(float(row[0]))
+            try:
+                cyc = int(float(row[0]))
+                point = (float(row[1]), float(row[2]))
+            except (ValueError, IndexError, OverflowError):
+                raise MalformedRow(
+                    f"{path.name}: line {reader.line_num}: expected three numbers,"
+                    f" got {','.join(row)!r}"
+                ) from None
             if cyc != last_cycle and cyc in groups:
                 raise MissingColumn(
                     f"{path.name}: rows for cycle {cyc} are not contiguous"
                 )
-            groups.setdefault(cyc, []).append((float(row[1]), float(row[2])))
+            groups.setdefault(cyc, []).append(point)
             last_cycle = cyc
     records = {}
     for cyc, rows in groups.items():
@@ -273,88 +282,128 @@ class GBRTModel:
 
     @staticmethod
     def from_json(text: str) -> "GBRTModel":
-        obj = json.loads(text)
-        trees = [
-            [
-                TreeNode(
-                    feature=int(n["feature"]),
-                    threshold=float(n["threshold"]),
-                    left=int(n["left"]),
-                    right=int(n["right"]),
-                    value=float(n["value"]),
-                )
-                for n in tree
+        try:
+            obj = json.loads(text)
+            trees = [
+                [
+                    TreeNode(
+                        feature=int(n["feature"]),
+                        threshold=float(n["threshold"]),
+                        left=int(n["left"]),
+                        right=int(n["right"]),
+                        value=float(n["value"]),
+                    )
+                    for n in tree
+                ]
+                for tree in obj["trees"]
             ]
-            for tree in obj["trees"]
-        ]
-        return GBRTModel(
-            init_value=float(obj["init_value"]),
-            learning_rate=float(obj["learning_rate"]),
-            n_features=int(obj["n_features"]),
-            trees=trees,
-        )
-
-
-def _best_split(X, r, idx, min_leaf):
-    """Greedy variance-reduction split over node samples ``idx``.
-
-    Returns (feature, threshold, sse) or None. Ties break toward the lower
-    feature index, then the lower threshold (strict improvement required).
-    """
-    best = None
-    r_node = r[idx]
-    n = len(idx)
-    for f in range(X.shape[1]):
-        order = np.argsort(X[idx, f], kind="stable")
-        v = X[idx[order], f]
-        rs = r_node[order]
-        c1 = np.cumsum(rs)
-        c2 = np.cumsum(rs * rs)
-        tot1, tot2 = c1[-1], c2[-1]
-        for k in range(min_leaf - 1, n - min_leaf):
-            if v[k] == v[k + 1]:
-                continue
-            nl = k + 1
-            nr = n - nl
-            sse = (c2[k] - c1[k] ** 2 / nl) + (
-                (tot2 - c2[k]) - (tot1 - c1[k]) ** 2 / nr
+            return GBRTModel(
+                init_value=float(obj["init_value"]),
+                learning_rate=float(obj["learning_rate"]),
+                n_features=int(obj["n_features"]),
+                trees=trees,
             )
-            if best is None or sse < best[2]:
-                best = (f, (v[k] + v[k + 1]) / 2.0, sse)
-    return best
+        except KeyError as exc:
+            raise InvalidModel(f"model JSON lacks field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidModel(f"malformed model JSON: {exc}") from None
 
 
-def _fit_tree(X, r, idx, max_depth, min_leaf) -> List[TreeNode]:
+def _split_sse(c1, c2, tot1, tot2, nl, nr):
+    """SSE of splitting a sorted node after its first ``nl`` rows."""
+    return (c2 - c1 ** 2 / nl) + ((tot2 - c2) - (tot1 - c1) ** 2 / nr)
+
+
+def _best_split(Xt, r, order, min_leaf):
+    """Greedy variance-reduction split of the node whose rows ``order`` holds.
+
+    ``order[f]`` lists the node's rows sorted by feature ``f``. Every
+    candidate of every feature is scored in one ``(features x thresholds)``
+    table, and the first minimum in feature-major order wins: ties break
+    toward the lower feature index, then the lower threshold (strict
+    improvement required). Returns (feature, threshold) or None.
+
+    NumPy squares an array with a multiply but a scalar with libm ``pow``,
+    and the two may differ by one ulp. Every term of the SSE is at most the
+    node's total sum of squares, so scores within ``tie`` of the minimum
+    are re-scored from scalars, the arithmetic the split is defined by.
+    """
+    n = order.shape[1]
+    v = Xt[np.arange(len(order))[:, None], order]
+    rs = r[order]
+    c1 = rs.cumsum(axis=1)
+    c2 = (rs * rs).cumsum(axis=1)
+    lo, hi = min_leaf - 1, n - min_leaf
+    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    sse = _split_sse(c1[:, lo:hi], c2[:, lo:hi], c1[:, -1:], c2[:, -1:], nl, n - nl)
+    sse[v[:, lo:hi] == v[:, lo + 1:hi + 1]] = np.inf
+    best_sse = sse.min()
+    if best_sse == np.inf:
+        return None
+    tie = 64 * np.finfo(np.float64).eps * c2[:, -1].max()
+    best = None
+    for f, j in zip(*np.unravel_index(np.flatnonzero(sse <= best_sse + tie), sse.shape)):
+        k = lo + int(j)
+        score = _split_sse(c1[f, k], c2[f, k], c1[f, -1], c2[f, -1], k + 1, n - k - 1)
+        if best is None or score < best[2]:
+            best = (int(f), (v[f, k] + v[f, k + 1]) / 2.0, score)
+    return best[:2]
+
+
+def _fit_tree(Xt, order, r, max_depth, min_leaf) -> Tuple[List[TreeNode], np.ndarray]:
+    """Grow one tree on residuals ``r``; return it and its value at each row.
+
+    ``order`` is the per-feature stable sort of all rows. A child keeps the
+    parent's order filtered to its own rows, which equals a stable sort of
+    the child alone, so no node sorts.
+    """
     nodes: List[TreeNode] = []
+    fitted = np.empty(len(r))
 
-    def build(sample_idx, depth) -> int:
+    def build(rows, order, depth) -> int:
         pos = len(nodes)
-        nodes.append(TreeNode(-1, 0.0, -1, -1, float(np.mean(r[sample_idx]))))
-        if depth >= max_depth or len(sample_idx) < 2 * min_leaf:
-            return pos
-        split = _best_split(X, r, sample_idx, min_leaf)
+        split = None
+        if depth < max_depth and len(rows) >= 2 * min_leaf:
+            split = _best_split(Xt, r, order, min_leaf)
         if split is None:
+            value = float(r[rows].sum() / len(rows))  # np.mean's arithmetic
+            nodes.append(TreeNode(-1, 0.0, -1, -1, value))
+            fitted[rows] = value
             return pos
-        f, thr, _ = split
-        mask = X[sample_idx, f] <= thr
-        left = build(sample_idx[mask], depth + 1)
-        right = build(sample_idx[~mask], depth + 1)
+        f, thr = split
+        nodes.append(TreeNode(f, thr, -1, -1, 0.0))
+        goes_left = Xt[f] <= thr
+        row_left, order_left = goes_left[rows], goes_left[order]
+        left = build(rows[row_left], order[order_left].reshape(len(order), -1), depth + 1)
+        right = build(rows[~row_left], order[~order_left].reshape(len(order), -1), depth + 1)
         nodes[pos] = TreeNode(f, thr, left, right, 0.0)
         return pos
 
-    build(idx, 0)
-    return nodes
+    build(np.arange(len(r)), order, 0)
+    return nodes, fitted
 
 
-def _tree_predict(nodes: List[TreeNode], X) -> np.ndarray:
-    out = np.empty(len(X))
-    for i, row in enumerate(X):
-        pos = 0
-        while nodes[pos].feature >= 0:
-            node = nodes[pos]
-            pos = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = nodes[pos].value
-    return out
+def _leaf_values(trees: List[List[TreeNode]], X) -> np.ndarray:
+    """Leaf value of every tree at every row of ``X``, shape (trees, rows)."""
+    sizes = [len(tree) for tree in trees]
+    starts = np.cumsum([0] + sizes[:-1])
+    base = np.repeat(starts, sizes)
+    flat = [node for tree in trees for node in tree]
+    feature = np.array([node.feature for node in flat])
+    threshold = np.array([node.threshold for node in flat], dtype=np.float64)
+    left = np.array([node.left for node in flat]) + base
+    right = np.array([node.right for node in flat]) + base
+    value = np.array([node.value for node in flat], dtype=np.float64)
+
+    pos = np.repeat(starts[:, None], len(X), axis=1)
+    rows = np.arange(len(X))
+    while True:
+        f = feature[pos]
+        inner = f >= 0
+        if not inner.any():
+            return value[pos]
+        goes_left = X[rows, np.where(inner, f, 0)] <= threshold[pos]
+        pos = np.where(inner, np.where(goes_left, left[pos], right[pos]), pos)
 
 
 def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
@@ -368,15 +417,16 @@ def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NonFiniteFeature("training data contains non-finite values")
 
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1, kind="stable")
     init = float(np.mean(y))
     pred = np.full(len(y), init)
-    idx = np.arange(len(y))
     trees: List[List[TreeNode]] = []
     rmse = [float(np.sqrt(np.mean((y - pred) ** 2)))]
     for _ in range(hyper.n_trees):
         residual = y - pred
-        tree = _fit_tree(X, residual, idx, hyper.max_depth, hyper.min_leaf)
-        pred = pred + hyper.learning_rate * _tree_predict(tree, X)
+        tree, fitted = _fit_tree(Xt, order, residual, hyper.max_depth, hyper.min_leaf)
+        pred = pred + hyper.learning_rate * fitted
         trees.append(tree)
         rmse.append(float(np.sqrt(np.mean((y - pred) ** 2))))
     return GBRTModel(
@@ -395,8 +445,9 @@ def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
             f"model expects {model.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
         )
     out = np.full(len(X), model.init_value)
-    for tree in model.trees:
-        out = out + model.learning_rate * _tree_predict(tree, X)
+    if model.trees:
+        for contribution in model.learning_rate * _leaf_values(model.trees, X):
+            out = out + contribution
     return out
 
 

@@ -45,6 +45,10 @@ class LengthMismatch(InputError):
     pass
 
 
+class MalformedRow(InputError):
+    """A CSV row with a missing or non-numeric field."""
+
+
 # --- preprocess -----------------------------------------------------------
 
 class EvenWindow(InputError):
@@ -131,6 +135,10 @@ class FeatureCountMismatch(InputError):
 
 class ZeroTrueValue(InputError):
     pass
+
+
+class InvalidModel(InputError):
+    """A model JSON that lacks a field or holds a value of the wrong type."""
 
 
 # --- report ---------------------------------------------------------------

@@ -10,6 +10,7 @@ zone. The first boundary is the knee onset, the second the knee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -20,6 +21,7 @@ from .errors import (
     IndexOutOfRange,
     InsufficientUnmaskedRegion,
     LengthMismatch,
+    SeriesTooShort,
 )
 from .ingest import CapacityFadeSeries, find_eol, normalize, resample_even
 from .matrixprofile import stamp
@@ -160,6 +162,14 @@ def identify_knees(
         # 0 selects the floor(N/5) segmentation window of the method's
         # parameter table, relative to the curvature series length
         mp_window = max(2, len(curvature) // 5)
+    # every window needs a neighbour outside its ceil(L/2) exclusion band,
+    # or the arc curve would get index entries of -1
+    needed = mp_window + 2 * math.ceil(mp_window / 2) + 1
+    if len(curvature) < needed:
+        raise SeriesTooShort(
+            f"curvature series length {len(curvature)} < L + 2*ceil(L/2) + 1"
+            f" = {needed} for matrix-profile window L = {mp_window}"
+        )
     profile = stamp(curvature.values, mp_window)
     curves = compute_arc_curves(profile.I)
     corrected = curves.cac

@@ -90,6 +90,24 @@ class TestIdentify:
                        "--out", str(out)) == 1
 
 
+    @pytest.mark.parametrize("n_cycles", [22, 24, 26])
+    def test_short_curve_is_series_too_short(self, tmp_path, capsys, n_cycles):
+        # the curvature series is two points shorter than the curve; below
+        # L + 2*ceil(L/2) + 1 = 25 some windows have no neighbour at L = 12
+        p = tmp_path / "short.csv"
+        p.write_text("cycle,discharge_capacity_ah\n" + "".join(
+            f"{i},{1.1 - 0.002 * i - 0.0004 * max(0, i - n_cycles // 2) ** 2}\n"
+            for i in range(1, n_cycles + 1)
+        ))
+        code = run_cli("--json-errors", "identify", "--input", str(p), "--q-nom", "1.1",
+                       "--sg-window", "5", "--cac-window", "12", "--exclusion", "1",
+                       "--out", str(tmp_path / "r.json"))
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "SeriesTooShort"
+        assert "= 25" in payload["message"]
+        assert code == 2
+
+
 class TestBaconWatts:
     def test_short_series_is_numerical_failure(self, tmp_path, capsys):
         p = tmp_path / "short.csv"
@@ -210,6 +228,45 @@ class TestPredictionPipeline:
         lines = sweep.read_text().strip().split("\n")
         assert lines[0] == "budget,mean_rmse,mean_mape"
         assert len(lines) == 3
+
+
+class TestPredictionInputErrors:
+    def json_error(self, capsys, *argv):
+        code = run_cli("--json-errors", *argv)
+        payload = json.loads(capsys.readouterr().err)
+        assert code == payload["exit_code"] == 1
+        return payload
+
+    def test_features_non_numeric_row(self, tmp_path, capsys):
+        p = tmp_path / "cell.cycles.csv"
+        p.write_text("cycle,voltage_v,discharge_capacity_ah\n2,abc,0.1\n")
+        payload = self.json_error(capsys, "features", "--cycles", str(p),
+                                  "--out", str(tmp_path / "f.csv"))
+        assert payload["error"] == "MalformedRow"
+        assert "cell.cycles.csv: line 2" in payload["message"]
+
+    def test_predict_model_without_trees(self, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_text("cell_id,min_dq,var_dq,skew_dq,kurt_dq,q2,q_max_minus_2\n"
+                         "a,0,0,0,0,1,0\n")
+        model = tmp_path / "m.json"
+        model.write_text('{"init_value": 1.0, "learning_rate": 0.1, "n_features": 6}')
+        payload = self.json_error(capsys, "predict", "--model", str(model),
+                                  "--features", str(feats))
+        assert payload["error"] == "InvalidModel"
+        assert "trees" in payload["message"]
+
+    def test_predict_non_numeric_feature(self, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_text("cell_id,min_dq,var_dq,skew_dq,kurt_dq,q2,q_max_minus_2\n"
+                         "a,0,0,0,0,1,0\nb,0,oops,0,0,1,0\n")
+        model = tmp_path / "m.json"
+        model.write_text('{"init_value": 1.0, "learning_rate": 0.1, "n_features": 6,'
+                         ' "trees": []}')
+        payload = self.json_error(capsys, "predict", "--model", str(model),
+                                  "--features", str(feats))
+        assert payload["error"] == "MalformedRow"
+        assert "line 3" in payload["message"]
 
 
 class TestEntryPoint:

@@ -8,6 +8,8 @@ from kneescout.errors import (
     EmptyTrainingSet,
     FeatureCountMismatch,
     InvalidDischargeCurve,
+    InvalidModel,
+    MalformedRow,
     MissingCycle,
     NonFiniteFeature,
     NoVoltageOverlap,
@@ -251,6 +253,174 @@ class TestGbrt:
             gbrt_train(X, y)
 
 
+# --- scalar reference ---------------------------------------------------------
+# The scalar definition of the tree code: a sort per node and feature, a
+# loop over thresholds, and a walk per row. Training and prediction must
+# match it bit for bit.
+
+def _reference_best_split(X, r, idx, min_leaf):
+    best = None
+    r_node = r[idx]
+    n = len(idx)
+    for f in range(X.shape[1]):
+        order = np.argsort(X[idx, f], kind="stable")
+        v = X[idx[order], f]
+        rs = r_node[order]
+        c1 = np.cumsum(rs)
+        c2 = np.cumsum(rs * rs)
+        tot1, tot2 = c1[-1], c2[-1]
+        for k in range(min_leaf - 1, n - min_leaf):
+            if v[k] == v[k + 1]:
+                continue
+            nl = k + 1
+            nr = n - nl
+            sse = (c2[k] - c1[k] ** 2 / nl) + (
+                (tot2 - c2[k]) - (tot1 - c1[k]) ** 2 / nr
+            )
+            if best is None or sse < best[2]:
+                best = (f, (v[k] + v[k + 1]) / 2.0, sse)
+    return best
+
+
+def _reference_fit_tree(X, r, idx, max_depth, min_leaf):
+    nodes = []
+
+    def build(sample_idx, depth):
+        pos = len(nodes)
+        nodes.append(TreeNode(-1, 0.0, -1, -1, float(np.mean(r[sample_idx]))))
+        if depth >= max_depth or len(sample_idx) < 2 * min_leaf:
+            return pos
+        split = _reference_best_split(X, r, sample_idx, min_leaf)
+        if split is None:
+            return pos
+        f, thr, _ = split
+        mask = X[sample_idx, f] <= thr
+        left = build(sample_idx[mask], depth + 1)
+        right = build(sample_idx[~mask], depth + 1)
+        nodes[pos] = TreeNode(f, thr, left, right, 0.0)
+        return pos
+
+    build(idx, 0)
+    return nodes
+
+
+def _reference_tree_predict(nodes, X):
+    out = np.empty(len(X))
+    for i, row in enumerate(X):
+        pos = 0
+        while nodes[pos].feature >= 0:
+            node = nodes[pos]
+            pos = node.left if row[node.feature] <= node.threshold else node.right
+        out[i] = nodes[pos].value
+    return out
+
+
+def reference_train(X, y, hyper):
+    init = float(np.mean(y))
+    pred = np.full(len(y), init)
+    idx = np.arange(len(y))
+    trees = []
+    rmse = [float(np.sqrt(np.mean((y - pred) ** 2)))]
+    for _ in range(hyper.n_trees):
+        tree = _reference_fit_tree(X, y - pred, idx, hyper.max_depth, hyper.min_leaf)
+        pred = pred + hyper.learning_rate * _reference_tree_predict(tree, X)
+        trees.append(tree)
+        rmse.append(float(np.sqrt(np.mean((y - pred) ** 2))))
+    return GBRTModel(init, hyper.learning_rate, X.shape[1], trees, rmse)
+
+
+def reference_predict(model, X):
+    out = np.full(len(X), model.init_value)
+    for tree in model.trees:
+        out = out + model.learning_rate * _reference_tree_predict(tree, X)
+    return out
+
+
+@st.composite
+def boosting_problems(draw):
+    """Small training sets rich in duplicate values and cross-feature ties.
+
+    Besides fresh integer-grid columns, a feature may copy an earlier one,
+    rescale it (same order, so tied split scores), or refine it (same
+    partitions at the coarse boundaries, another order inside each group,
+    so scores that tie up to rounding).
+    """
+    n = draw(st.integers(2, 24))
+    grid = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["fresh", "copy", "rescale", "refine"])) if cols else "fresh"
+        if kind == "fresh":
+            cols.append(grid * np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=float))
+            continue
+        src = cols[draw(st.integers(0, len(cols) - 1))]
+        if kind == "copy":
+            cols.append(src.copy())
+        elif kind == "rescale":
+            cols.append(3.0 * src - 1.0)
+        else:
+            jitter = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+            cols.append(10.0 * src + jitter)
+    X = np.column_stack(cols)
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    y = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    hyper = GBRTHyper(
+        n_trees=draw(st.integers(0, 6)),
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        max_depth=draw(st.integers(0, 4)),
+        min_leaf=draw(st.integers(1, 4)),
+    )
+    return X, y, hyper
+
+
+class TestGbrtMatchesScalarReference:
+    @settings(max_examples=200, deadline=None)
+    @given(boosting_problems())
+    def test_train_and_predict_bitwise(self, problem):
+        X, y, hyper = problem
+        ref = reference_train(X, y, hyper)
+        model = gbrt_train(X, y, hyper)
+        assert model.to_json() == ref.to_json()
+        assert model.train_rmse == ref.train_rmse
+        probe = np.vstack([X, X[::-1] + 0.05])
+        assert np.array_equal(gbrt_predict(model, probe), reference_predict(ref, probe))
+
+    def test_pow_rounding_near_tie(self):
+        # both features split the seven rows 4 | 3, summed in different
+        # orders; NumPy squares arrays by multiplying and scalars with
+        # libm pow, and with glibc the multiply picks feature 1 here while
+        # the reference picks feature 0
+        X = np.array([[3.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, 3.0],
+                      [4.0, 4.0], [6.0, 5.0], [5.0, 6.0]])
+        y = np.array([-2852.6219027560874, -1012.846232942019, -325.5934478097083,
+                      -2557.4454935283334, 670.0666199277154, -258.3067837957847,
+                      1248.7462490105406])
+        hyper = GBRTHyper(n_trees=1, max_depth=1, min_leaf=1)
+        assert gbrt_train(X, y, hyper).to_json() == reference_train(X, y, hyper).to_json()
+
+    def test_fleet_sized_fit(self):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((80, 6))
+        y = rng.uniform(100, 400, 80)
+        hyper = GBRTHyper(n_trees=40)
+        ref = reference_train(X, y, hyper)
+        model = gbrt_train(X, y, hyper)
+        assert model.to_json() == ref.to_json()
+        assert model.train_rmse == ref.train_rmse
+        X_test = rng.standard_normal((20, 6))
+        assert np.array_equal(gbrt_predict(model, X_test), reference_predict(ref, X_test))
+
+
+class TestModelJson:
+    @pytest.mark.parametrize("text", [
+        '{"init_value": 1.0, "learning_rate": 0.1, "n_features": 6}',
+        "not json", '{"init_value": "x"}', "[]",
+    ])
+    def test_malformed_is_input_error(self, text):
+        with pytest.raises(InvalidModel):
+            GBRTModel.from_json(text)
+
+
 class TestEvaluate:
     def test_perfect_prediction(self):
         scores = evaluate([100.0, 200.0], [100.0, 200.0])
@@ -304,3 +474,10 @@ class TestLoadCycleDetailCsv:
         assert set(loaded) == set(records)
         for cyc in records:
             np.testing.assert_array_equal(loaded[cyc].q_ah, records[cyc].q_ah)
+
+    @pytest.mark.parametrize("row", ["2,abc,0.1", "2,3.4", "x,3.4,0.1", "inf,3.4,0.1"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        p = tmp_path / "bad.cycles.csv"
+        p.write_text("cycle,voltage_v,discharge_capacity_ah\n2,3.5,0.0\n" + row + "\n")
+        with pytest.raises(MalformedRow, match="bad.cycles.csv: line 3"):
+            load_cycle_detail_csv(p)
