@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -78,14 +78,22 @@ def dbw_model(x, p: DBWParams):
     if p.gamma <= 0:
         raise FitDiverged(f"gamma must be positive, got {p.gamma}")
     x = np.asarray(x, dtype=np.float64)
-    d0 = x - p.x0
-    d2 = x - p.x2
-    return (
-        p.alpha0
-        + p.alpha1 * d0
-        + p.alpha2 * d0 * np.tanh(d0 / p.gamma)
-        + p.alpha3 * d2 * np.tanh(d2 / p.gamma)
+    return _dbw_rows(
+        x, p.alpha0, p.alpha1, p.alpha2, p.alpha3, p.x0, p.x2, p.gamma
     )
+
+
+def _dbw_rows(x, a0, a1, a2, a3, x0, x2, gamma):
+    """The model expression, shared by single and stacked evaluations.
+
+    Each parameter is a scalar or a ``(rows, 1)`` column broadcast against
+    the abscissas ``x``. Either way every element sees the same operations
+    in the same order, so a stacked row is bit-identical to a single
+    evaluation with that row's parameters.
+    """
+    d0 = x - x0
+    d2 = x - x2
+    return a0 + a1 * d0 + a2 * d0 * np.tanh(d0 / gamma) + a3 * d2 * np.tanh(d2 / gamma)
 
 
 def lm_optimize(
@@ -94,6 +102,8 @@ def lm_optimize(
     tol: float = 1e-10,
     max_iter: int = 1000,
     lambda0: float = 1e-3,
+    *,
+    stacked_residuals: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> LMResult:
     """Damped Gauss-Newton least squares with a central-difference Jacobian.
 
@@ -103,7 +113,16 @@ def lm_optimize(
     both the relative step size and the relative cost decrease to fall
     below ``tol``. Hitting ``max_iter`` returns converged=False rather
     than raising, so callers can inspect the partial result.
+
+    ``stacked_residuals`` maps a ``(k, m)`` stack of parameter vectors to
+    the ``(k, n)`` stack of their residuals; it must give the same bits as
+    ``residuals`` row by row. It serves the Jacobian's 2m perturbed points
+    in one call. By default it calls ``residuals`` once per row.
     """
+    if stacked_residuals is None:
+        def stacked_residuals(rows):
+            return np.stack([np.asarray(residuals(q), dtype=np.float64) for q in rows])
+
     p = np.asarray(init, dtype=np.float64).copy()
     r = np.asarray(residuals(p), dtype=np.float64)
     if not np.all(np.isfinite(r)):
@@ -116,7 +135,7 @@ def lm_optimize(
     converged = False
 
     for n_iter in range(1, max_iter + 1):
-        J = _central_jacobian(residuals, p, r)
+        J = _central_jacobian(stacked_residuals, p)
         JtJ = J.T @ J
         Jtr = J.T @ r
         diag = np.diag(JtJ).copy()
@@ -159,16 +178,40 @@ def lm_optimize(
     )
 
 
-def _central_jacobian(residuals, p, r0):
-    n, m = len(r0), len(p)
-    J = np.empty((n, m))
-    for k in range(m):
-        h = 1e-6 * max(abs(p[k]), 1.0)
-        up, dn = p.copy(), p.copy()
-        up[k] += h
-        dn[k] -= h
-        J[:, k] = (residuals(up) - residuals(dn)) / (2.0 * h)
+def _central_jacobian(stacked_residuals, p):
+    """Central differences, all 2m perturbed points in one stacked call.
+
+    Row k of the stack is p with h_k added to p[k] and row m + k is p with
+    h_k subtracted, h_k = 1e-6 * max(|p[k]|, 1). J is C-ordered (n, m), the
+    layout whose ``J.T @ J`` summation order the LM iterates depend on.
+    """
+    m = len(p)
+    h = 1e-6 * np.maximum(np.abs(p), 1.0)
+    rows = np.tile(p, (2 * m, 1))
+    k = np.arange(m)
+    rows[k, k] += h
+    rows[m + k, k] -= h
+    r = stacked_residuals(rows)
+    J = np.empty((r.shape[1], m))
+    np.divide(r[:m] - r[m:], (2.0 * h)[:, None], out=J.T)
     return J
+
+
+def _dbw_residuals(x, y, gamma):
+    """Residuals of the model against ``y``, at one and at a stack of free vectors.
+
+    A single evaluation goes through ``dbw_model``, which also rejects a
+    non-positive gamma; the stack goes straight to ``_dbw_rows``.
+    """
+
+    def residuals(free):
+        return dbw_model(x, DBWParams.from_array(free, gamma)) - y
+
+    def stacked_residuals(rows):
+        columns = (rows[:, k, None] for k in range(rows.shape[1]))
+        return _dbw_rows(x, *columns, gamma) - y
+
+    return residuals, stacked_residuals
 
 
 def fit_dbw(
@@ -196,10 +239,11 @@ def fit_dbw(
          x[0] + x0_frac * span, x[0] + x2_frac * span]
     )
 
-    def residuals(free):
-        return dbw_model(x, DBWParams.from_array(free, gamma)) - y
-
-    result = lm_optimize(residuals, init, tol=tol, max_iter=max_iter)
+    residuals, stacked_residuals = _dbw_residuals(x, y, gamma)
+    result = lm_optimize(
+        residuals, init, tol=tol, max_iter=max_iter,
+        stacked_residuals=stacked_residuals,
+    )
     params = DBWParams.from_array(result.params, gamma)
     if not np.all(np.isfinite(result.params)):
         raise FitDiverged("fit produced non-finite parameters")

@@ -9,9 +9,12 @@ All file outputs are written atomically (temp file, then rename).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +63,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _read_input_text(path, encoding: str = "utf-8") -> str:
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {path}: {reason}") from None
+
+
 def _atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -90,7 +101,7 @@ def _report_json(report: KneeReport, params: PipelineParams) -> str:
 
 def _read_config(path) -> dict:
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_input_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -119,7 +130,14 @@ def _resolve_params(args, config: dict) -> PipelineParams:
             kwargs[key] = flag
         elif key in config:
             cast = int if key in _INT_KEYS else float
-            kwargs[key] = cast(config[key])
+            try:
+                kwargs[key] = cast(config[key])
+            except ValueError:
+                raise InputError(
+                    f"config key {key}: expected {cast.__name__}, got {config[key]!r}"
+                ) from None
+    if kwargs.get("max_iter", 1) < 1:
+        raise _UsageError(f"config key max_iter: must be >= 1, got {kwargs['max_iter']}")
     return PipelineParams(**kwargs)
 
 
@@ -152,7 +170,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q-nom", type=float, default=None)
     p.add_argument("--cell-id", default=None)
     p.add_argument("--gamma", dest="gamma", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    p.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
     _add_pipeline_flags(p)
     p.add_argument("--out", required=True)
 
@@ -180,7 +198,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the knee-onset predictor")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--n-trees", type=int, default=None)
+    p.add_argument("--n-trees", type=_positive_int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--min-leaf", type=int, default=None)
@@ -397,57 +415,65 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _read_feature_csv(path):
-    import csv as _csv
+def _csv_rows(path):
+    """A csv reader over a whole input file; a missing file is an InputError."""
+    return csv.reader(io.StringIO(_read_input_text(path, "utf-8-sig"), newline=""))
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv.reader(fh)
-        expected = ["cell_id", *FEATURE_NAMES]
-        if [h.strip() for h in next(reader, [])] != expected:
-            raise InputError(f"{path}: expected header {','.join(expected)!r}")
-        ids, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                values = None
-            if values is None or len(values) != len(FEATURE_NAMES):
-                raise MalformedRow(
-                    f"{path}: line {reader.line_num}: expected {len(FEATURE_NAMES)}"
-                    f" numeric features, got {','.join(row[1:])!r}"
-                )
-            ids.append(row[0])
-            rows.append(values)
+
+def _read_feature_csv(path):
+    reader = _csv_rows(path)
+    expected = ["cell_id", *FEATURE_NAMES]
+    if [h.strip() for h in next(reader, [])] != expected:
+        raise InputError(f"{path}: expected header {','.join(expected)!r}")
+    ids, rows = [], []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            values = None
+        if values is None or len(values) != len(FEATURE_NAMES):
+            raise MalformedRow(
+                f"{path}: line {reader.line_num}: expected {len(FEATURE_NAMES)}"
+                f" numeric features, got {','.join(row[1:])!r}"
+            )
+        ids.append(row[0])
+        rows.append(values)
     return ids, np.array(rows)
 
 
-def _cmd_train(args) -> int:
-    import csv as _csv
-
-    ids, X = _read_feature_csv(args.features)
+def _read_labels_csv(path) -> dict:
+    reader = _csv_rows(path)
+    if [h.strip() for h in next(reader, [])] != ["cell_id", "onset_cycle"]:
+        raise InputError(f"{path}: expected header 'cell_id,onset_cycle'")
     labels = {}
-    with open(args.labels, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if header != ["cell_id", "onset_cycle"]:
-            raise InputError(f"{args.labels}: expected header 'cell_id,onset_cycle'")
-        for row in reader:
-            if row:
-                labels[row[0]] = float(row[1])
+    for row in reader:
+        if not row:
+            continue
+        try:
+            cell_id, onset = row
+            labels[cell_id] = float(onset)
+        except ValueError:
+            raise MalformedRow(
+                f"{path}: line {reader.line_num}: expected cell_id and a numeric"
+                f" onset_cycle, got {','.join(row)!r}"
+            ) from None
+    return labels
+
+
+_HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
+
+
+def _cmd_train(args) -> int:
+    ids, X = _read_feature_csv(args.features)
+    labels = _read_labels_csv(args.labels)
     missing = [i for i in ids if i not in labels]
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")
     y = np.array([labels[i] for i in ids])
-    hyper = GBRTHyper(
-        n_trees=args.n_trees if args.n_trees is not None else GBRTHyper.n_trees,
-        learning_rate=args.learning_rate
-        if args.learning_rate is not None
-        else GBRTHyper.learning_rate,
-        max_depth=args.max_depth if args.max_depth is not None else GBRTHyper.max_depth,
-        min_leaf=args.min_leaf if args.min_leaf is not None else GBRTHyper.min_leaf,
-    )
+    flags = {k: getattr(args, k) for k in _HYPER_FLAGS if getattr(args, k) is not None}
+    hyper = replace(GBRTHyper(), **flags)
     with _NumericalPhase():
         model = gbrt_train(X, y, hyper)
     _atomic_write_text(args.out, model.to_json() + "\n")
@@ -456,7 +482,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     ids, X = _read_feature_csv(args.features)
-    model = GBRTModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+    model = GBRTModel.from_json(_read_input_text(args.model))
     with _NumericalPhase():
         preds = gbrt_predict(model, X)
     lines = ["cell_id,predicted_onset_cycle"]

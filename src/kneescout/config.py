@@ -2,18 +2,41 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
+
+from .errors import InvalidHyperparameter
 
 
 @dataclass(frozen=True)
 class GBRTHyper:
-    """Hyperparameters of the boosted-tree knee-onset predictor."""
+    """Hyperparameters of the boosted-tree knee-onset predictor.
+
+    Zero trees is valid and gives a model that predicts the training mean.
+    """
 
     n_trees: int = 300
     learning_rate: float = 0.05
     max_depth: int = 3
     min_leaf: int = 2
+
+    def __post_init__(self):
+        problems = [
+            f"{name} must be >= {low}, got {value}"
+            for name, value, low in (
+                ("n_trees", self.n_trees, 0),
+                ("max_depth", self.max_depth, 0),
+                ("min_leaf", self.min_leaf, 1),
+            )
+            if value < low
+        ]
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            problems.append(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if problems:
+            raise InvalidHyperparameter("; ".join(problems))
 
 
 @dataclass(frozen=True)

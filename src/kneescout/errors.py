@@ -141,6 +141,10 @@ class InvalidModel(InputError):
     """A model JSON that lacks a field or holds a value of the wrong type."""
 
 
+class InvalidHyperparameter(InputError):
+    """A boosted-tree hyperparameter outside its valid range."""
+
+
 # --- report ---------------------------------------------------------------
 
 class ConstantInput(InputError):

@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kneescout import baconwatts
 from kneescout.baconwatts import (
     BaconWattsFit,
     DBWParams,
+    _central_jacobian,
+    _dbw_residuals,
     dbw_knee_report,
     dbw_model,
     fit_dbw,
     lm_optimize,
     transition_cycles,
 )
-from kneescout.errors import NonFiniteResidual, TooShort
-from kneescout.ingest import CapacityFadeSeries
+from kneescout.errors import FitDiverged, NonFiniteResidual, TooShort
+from kneescout.ingest import CapacityFadeSeries, resample_even
+from kneescout.synthgen import generate_fleet
 
 
 def make_params(**kw):
@@ -146,3 +152,94 @@ class TestFitDbw:
         report = dbw_knee_report(series)
         assert report.method == "double_bacon_watts"
         assert report.onset_cycle < report.knee_cycle
+
+
+def loop_jacobian(residuals, p, r0):
+    """Reference: one pair of residual calls per parameter, column by column."""
+    n, m = len(r0), len(p)
+    J = np.empty((n, m))
+    for k in range(m):
+        h = 1e-6 * max(abs(p[k]), 1.0)
+        up, dn = p.copy(), p.copy()
+        up[k] += h
+        dn[k] -= h
+        J[:, k] = (residuals(up) - residuals(dn)) / (2.0 * h)
+    return J
+
+
+def reference_lm(monkeypatch, residuals, init, **kw):
+    """lm_optimize with the column-loop Jacobian in place of the stacked one."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            baconwatts, "_central_jacobian",
+            lambda _stacked, p: loop_jacobian(residuals, p, residuals(p)),
+        )
+        return lm_optimize(residuals, init, **kw)
+
+
+free_vectors = st.tuples(
+    st.floats(0.5, 1.5),
+    *(st.floats(-1e-2, 1e-2) for _ in range(3)),
+    st.floats(-200.0, 3000.0),
+    st.floats(-200.0, 3000.0),
+).map(np.array)
+
+
+class TestStackedJacobian:
+    @given(
+        free=free_vectors,
+        n=st.integers(10, 600),
+        start=st.integers(0, 500),
+        gamma=st.floats(0.5, 50.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_column_loop(self, free, n, start, gamma, seed):
+        x = np.arange(start, start + n, dtype=np.float64)
+        y = np.random.default_rng(seed).uniform(0.8, 1.2, n)
+        residuals, stacked = _dbw_residuals(x, y, gamma)
+        J = _central_jacobian(stacked, free)
+        assert np.array_equal(J, loop_jacobian(residuals, free, residuals(free)))
+        assert J.flags.c_contiguous and J.shape == (n, 6)
+
+    def test_default_stacking_matches_reference_lm(self, monkeypatch):
+        X = np.column_stack([np.ones(30), np.linspace(-1, 2, 30), np.linspace(0, 3, 30) ** 2])
+        y = 0.5 * np.sin(np.arange(30.0))
+
+        def residuals(p):
+            return np.tanh(X @ p) - y
+
+        init = np.array([0.3, -1.7, 2e-3])
+        result = lm_optimize(residuals, init)
+        reference = reference_lm(monkeypatch, residuals, init)
+        assert result.cost_history == reference.cost_history
+        assert np.array_equal(result.params, reference.params)
+        assert result.iterations > 1
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_fits_match_reference_lm(self, monkeypatch, seed):
+        for series, _ in generate_fleet(2, seed=seed, n_cycles=900):
+            runs = []
+            real_lm = baconwatts.lm_optimize
+
+            def recording(residuals, init, **kw):
+                runs.append((residuals, init, kw, real_lm(residuals, init, **kw)))
+                return runs[-1][-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(baconwatts, "lm_optimize", recording)
+                fit = fit_dbw(resample_even(series))
+            [(residuals, init, kw, result)] = runs
+            kw.pop("stacked_residuals")
+            reference = reference_lm(monkeypatch, residuals, init, **kw)
+
+            assert result.cost_history == reference.cost_history
+            assert np.array_equal(result.params, reference.params)
+            assert fit.params == DBWParams.from_array(reference.params, 10.0)
+            assert fit.iterations == reference.iterations > 1
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_non_positive_gamma_diverges(self, gamma):
+        series = synth_dbw_series(make_params(), n=200)
+        with pytest.raises(FitDiverged, match="gamma must be positive"):
+            fit_dbw(series, gamma=gamma)

@@ -75,6 +75,16 @@ class TestIdentify:
         assert payload["params"]["sg_window"] == 81  # from config
         assert payload["params"]["exclusion_radius"] == 20  # flag wins
 
+    def test_non_numeric_config_value_is_input_error(self, synth_dir, tmp_path, capsys):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("sg_window = wide\n")
+        assert run_cli("--json-errors", "--config", str(cfg), "identify", "--input",
+                       str(src), "--out", str(tmp_path / "r.json")) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "InputError"
+        assert "sg_window" in payload["message"]
+
     def test_cac_window_sentinel_accepted(self, synth_dir, tmp_path):
         src = sorted(synth_dir.glob("fleet-*.csv"))[0]
         out = tmp_path / "r.json"
@@ -125,6 +135,15 @@ class TestBaconWatts:
         out = tmp_path / "bw.json"
         assert run_cli("baconwatts", "--input", str(src), "--out", str(out)) == 0
         assert json.loads(out.read_text())["method"] == "double_bacon_watts"
+
+    @pytest.mark.parametrize("max_iter", ["0", "-4"])
+    def test_max_iter_below_one_is_usage_error(self, synth_dir, tmp_path, capsys, max_iter):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        out = tmp_path / "bw.json"
+        assert run_cli("baconwatts", "--input", str(src), "--max-iter", max_iter,
+                       "--out", str(out)) == 1
+        assert "--max-iter: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:
@@ -188,6 +207,15 @@ class TestBatch:
         assert "--jobs: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_max_iter_below_one_is_usage_error(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("max_iter = 0\n")
+        out = tmp_path / "table.csv"
+        assert run_cli("--config", str(cfg), "batch", "--dir", str(synth_dir),
+                       "--methods", "baconwatts", "--out", str(out)) == 1
+        assert "max_iter: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_sorted_by_cell_id(self, synth_dir, tmp_path):
         out = tmp_path / "table.csv"
         run_cli("batch", "--dir", str(synth_dir), "--methods", "curvature",
@@ -230,6 +258,10 @@ class TestPredictionPipeline:
         assert len(lines) == 3
 
 
+FEATURES_CSV = ("cell_id,min_dq,var_dq,skew_dq,kurt_dq,q2,q_max_minus_2\n"
+                "a,0,0,0,0,1,0\nb,1,0,0,0,1,0\nc,2,0,0,0,1,0\n")
+
+
 class TestPredictionInputErrors:
     def json_error(self, capsys, *argv):
         code = run_cli("--json-errors", *argv)
@@ -267,6 +299,56 @@ class TestPredictionInputErrors:
                                   "--features", str(feats))
         assert payload["error"] == "MalformedRow"
         assert "line 3" in payload["message"]
+
+    def train(self, capsys, tmp_path, labels, *flags):
+        feats, label_csv = tmp_path / "f.csv", tmp_path / "labels.csv"
+        feats.write_text(FEATURES_CSV)
+        label_csv.write_text(labels)
+        out = tmp_path / "m.json"
+        payload = self.json_error(capsys, "train", "--features", str(feats),
+                                  "--labels", str(label_csv), *flags, "--out", str(out))
+        assert not out.exists()
+        return payload
+
+    @pytest.mark.parametrize("row", ["b,abc", "b", "b,1,2"])
+    def test_train_malformed_label_row(self, tmp_path, capsys, row):
+        labels = f"cell_id,onset_cycle\na,100\n{row}\nc,300\n"
+        payload = self.train(capsys, tmp_path, labels)
+        assert payload["error"] == "MalformedRow"
+        assert "labels.csv: line 3" in payload["message"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--min-leaf", "0"), ("--max-depth", "-1"),
+        ("--learning-rate", "0"), ("--learning-rate", "nan"),
+    ])
+    def test_train_bad_hyperparameter(self, tmp_path, capsys, flag, value):
+        labels = "cell_id,onset_cycle\na,100\nb,200\nc,300\n"
+        payload = self.train(capsys, tmp_path, labels, flag, value)
+        assert payload["error"] == "InvalidHyperparameter"
+        assert flag[2:].replace("-", "_") in payload["message"]
+
+    @pytest.mark.parametrize("n_trees", ["0", "-5"])
+    def test_train_n_trees_below_one_is_usage_error(self, tmp_path, capsys, n_trees):
+        feats, labels = tmp_path / "f.csv", tmp_path / "labels.csv"
+        feats.write_text(FEATURES_CSV)
+        labels.write_text("cell_id,onset_cycle\na,100\nb,200\nc,300\n")
+        out = tmp_path / "m.json"
+        assert run_cli("train", "--features", str(feats), "--labels", str(labels),
+                       "--n-trees", n_trees, "--out", str(out)) == 1
+        assert "--n-trees: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["model", "features"])
+    def test_predict_missing_file(self, tmp_path, capsys, missing):
+        paths = {"model": tmp_path / "m.json", "features": tmp_path / "f.csv"}
+        paths["model"].write_text('{"init_value": 1.0, "learning_rate": 0.1,'
+                                  ' "n_features": 6, "trees": []}')
+        paths["features"].write_text(FEATURES_CSV)
+        paths[missing].unlink()
+        payload = self.json_error(capsys, "predict", "--model", str(paths["model"]),
+                                  "--features", str(paths["features"]))
+        assert payload["error"] == "InputError"
+        assert f"cannot read {paths[missing]}" in payload["message"]
 
 
 class TestEntryPoint:

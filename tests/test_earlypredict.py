@@ -8,6 +8,7 @@ from kneescout.errors import (
     EmptyTrainingSet,
     FeatureCountMismatch,
     InvalidDischargeCurve,
+    InvalidHyperparameter,
     InvalidModel,
     MalformedRow,
     MissingCycle,
@@ -193,6 +194,15 @@ class TestGbrt:
         X = rng.uniform(0, 1, (40, 3))
         y = 100 + 50 * X[:, 0] - 30 * X[:, 1] ** 2 + 5 * X[:, 2]
         return X, y
+
+    @pytest.mark.parametrize("bad", [
+        dict(n_trees=-1), dict(min_leaf=0), dict(max_depth=-1),
+        dict(learning_rate=0.0), dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+    ])
+    def test_invalid_hyperparameters_rejected(self, bad):
+        with pytest.raises(InvalidHyperparameter, match=next(iter(bad))):
+            GBRTHyper(**bad)
 
     def test_zero_trees_predicts_mean(self):
         X, y = self.toy_data()
