@@ -27,9 +27,10 @@ from .errors import (
     SingularNormalEquations,
     TooShort,
 )
-from .ingest import CapacityFadeSeries, find_eol, normalize, resample_even
-from .preprocess import clip_window, savgol_smooth
-from .segmentation import KneeReport
+# find_eol, normalize, resample_even, savgol_smooth: unused, kept for perfbench's tracer
+from .ingest import CapacityFadeSeries, find_eol, normalize, resample_even  # noqa: F401
+from .preprocess import savgol_smooth  # noqa: F401
+from .segmentation import KneeReport, prepare
 
 # Initial slopes for the transition terms, in Ah/cycle.
 INIT_SLOPE = -1e-4
@@ -270,14 +271,9 @@ def dbw_knee_report(
     series: CapacityFadeSeries, params: PipelineParams = DEFAULT_PARAMS
 ) -> KneeReport:
     """KneeReport from the double Bacon-Watts baseline, with EoL attached."""
-    series = resample_even(series)
-    fit = fit_dbw(series, gamma=params.gamma, max_iter=params.max_iter)
+    resampled, _, _, eol = prepare(series, params)
+    fit = fit_dbw(resampled, gamma=params.gamma, max_iter=params.max_iter)
     onset, knee = transition_cycles(fit)
-
-    normalized = normalize(series)
-    sg_window = clip_window(params.sg_window, len(normalized))
-    smoothed = savgol_smooth(normalized, window=sg_window, order=params.sg_order)
-    eol = find_eol(smoothed, params.eol_threshold)
 
     slope_scale = max(abs(fit.params.alpha1), 1e-12)
     identifiable = (

@@ -9,13 +9,13 @@ All file outputs are written atomically (temp file, then rename).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .earlypredict import (
     load_cycle_detail_csv,
     sensitivity_sweep,
 )
-from .errors import InputError, KneeScoutError, MalformedRow
-from .ingest import load_capacity_csv
+from .errors import InputError, KneeScoutError
+from .ingest import load_capacity_csv, parse_json, read_csv, read_text
 from .report import batch_report, format_batch_csv, write_report_dir
 from .segmentation import KneeReport, identify_knees
 from .synthgen import generate_convex_family, generate_fleet, simulate_cycle_records
@@ -45,15 +45,15 @@ METHOD_ALIASES = {
 }
 
 
-class _UsageError(Exception):
-    pass
+class UsageError(Exception):
+    """A bad command line: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exit code 1, not 2."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
 def _positive_int(text: str) -> int:
@@ -61,14 +61,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _read_input_text(path, encoding: str = "utf-8") -> str:
-    try:
-        return Path(path).read_text(encoding=encoding)
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise InputError(f"cannot read {path}: {reason}") from None
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -87,12 +79,9 @@ def _report_json(report: KneeReport, params: PipelineParams) -> str:
         "knee_cycle": report.knee_cycle,
         "eol_cycle": report.eol_cycle,
         "params": {
-            "sg_window": params.sg_window,
-            "sg_order": params.sg_order,
-            "curv_window": params.curv_window,
-            "mp_window": params.mp_window,
-            "cac_window": params.cac_window,
-            "exclusion_radius": params.exclusion_radius,
+            key: getattr(params, key)
+            for key in ("sg_window", "sg_order", "curv_window", "mp_window",
+                        "cac_window", "exclusion_radius")
         },
         "diagnostics": report.diagnostics,
     }
@@ -101,7 +90,7 @@ def _report_json(report: KneeReport, params: PipelineParams) -> str:
 
 def _read_config(path) -> dict:
     values = {}
-    for lineno, raw in enumerate(_read_input_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -112,24 +101,24 @@ def _read_config(path) -> dict:
     return values
 
 
-_INT_KEYS = {
-    "sg_window", "sg_order", "curv_window", "mp_window", "cac_window",
-    "exclusion_radius", "max_iter", "seed",
+_HINTS = get_type_hints(PipelineParams)
+# every PipelineParams field is a config key, read as int or float
+_CONFIG_CASTS = {
+    f.name: int if _HINTS[f.name] in (int, Optional[int]) else float
+    for f in fields(PipelineParams)
 }
-_FLOAT_KEYS = {"eol_threshold", "gamma"}
 
 
 def _resolve_params(args, config: dict) -> PipelineParams:
-    unknown = set(config) - _INT_KEYS - _FLOAT_KEYS
+    unknown = set(config) - set(_CONFIG_CASTS)
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {}
-    for key in (*_INT_KEYS, *_FLOAT_KEYS):
+    for key, cast in _CONFIG_CASTS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             kwargs[key] = flag
         elif key in config:
-            cast = int if key in _INT_KEYS else float
             try:
                 kwargs[key] = cast(config[key])
             except ValueError:
@@ -137,7 +126,7 @@ def _resolve_params(args, config: dict) -> PipelineParams:
                     f"config key {key}: expected {cast.__name__}, got {config[key]!r}"
                 ) from None
     if kwargs.get("max_iter", 1) < 1:
-        raise _UsageError(f"config key max_iter: must be >= 1, got {kwargs['max_iter']}")
+        raise InputError(f"config key max_iter: must be >= 1, got {kwargs['max_iter']}")
     return PipelineParams(**kwargs)
 
 
@@ -220,20 +209,18 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # known before parsing, so that argparse errors honour it too
+    json_errors = "--json-errors" in argv
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    json_errors = getattr(args, "json_errors", False)
-    try:
         if args.command is None:
-            raise _UsageError(parser.format_usage())
+            raise UsageError(parser.format_usage())
         config = _read_config(args.config) if args.config else {}
         return _dispatch(args, config)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
+    except UsageError as exc:
+        _emit_error(exc, 1, json_errors)
         return 1
     except KneeScoutError as exc:
         numerical = not isinstance(exc, InputError) or getattr(exc, "_numerical", False)
@@ -250,25 +237,21 @@ def _emit_error(exc: Exception, code: int, as_json: bool) -> None:
             ),
             file=sys.stderr,
         )
+    elif isinstance(exc, UsageError):
+        print(str(exc), file=sys.stderr)
     else:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
-class _NumericalPhase:
-    """Inside this block, any pipeline error is a numerical failure (exit 2).
-
-    Precondition errors surfaced mid-computation (a fit rejecting a short
-    series, say) count as numerical failures even though their class sits
-    under InputError.
-    """
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, KneeScoutError):
-            exc._numerical = True
-        return False
+@contextmanager
+def _numerical_phase():
+    """Inside this block, any pipeline error is a numerical failure (exit 2),
+    even a precondition (a fit rejecting a short series) under InputError."""
+    try:
+        yield
+    except KneeScoutError as exc:
+        exc._numerical = True
+        raise
 
 
 def _dispatch(args, config: dict) -> int:
@@ -276,27 +259,16 @@ def _dispatch(args, config: dict) -> int:
     if cmd == "identify" or cmd == "baconwatts":
         params = _resolve_params(args, config)
         series = load_capacity_csv(args.input, cell_id=args.cell_id, q_nom_ah=args.q_nom)
-        with _NumericalPhase():
-            if cmd == "identify":
-                report = identify_knees(series, params)
-            else:
-                report = dbw_knee_report(series, params)
+        with _numerical_phase():
+            pipeline = identify_knees if cmd == "identify" else dbw_knee_report
+            report = pipeline(series, params)
         _atomic_write_text(args.out, _report_json(report, params))
         return 0
-
     if cmd == "batch":
         return _cmd_batch(args, config)
-    if cmd == "synth":
-        return _cmd_synth(args)
-    if cmd == "features":
-        return _cmd_features(args)
-    if cmd == "train":
-        return _cmd_train(args)
-    if cmd == "predict":
-        return _cmd_predict(args)
-    if cmd == "sensitivity":
-        return _cmd_sensitivity(args)
-    raise _UsageError(f"unknown subcommand {cmd!r}")
+    commands = {"synth": _cmd_synth, "features": _cmd_features, "train": _cmd_train,
+                "predict": _cmd_predict, "sensitivity": _cmd_sensitivity}
+    return commands[cmd](args)
 
 
 def _capacity_files(directory) -> list:
@@ -316,9 +288,9 @@ def _cmd_batch(args, config: dict) -> int:
     try:
         methods = tuple(METHOD_ALIASES[m.strip()] for m in args.methods.split(","))
     except KeyError as exc:
-        raise _UsageError(f"unknown method {exc.args[0]!r}") from None
+        raise UsageError(f"unknown method {exc.args[0]!r}") from None
     series_list = [load_capacity_csv(p) for p in _capacity_files(args.dir)]
-    with _NumericalPhase():
+    with _numerical_phase():
         rows, correlations = batch_report(
             series_list, methods=methods, params=params, jobs=args.jobs
         )
@@ -407,7 +379,7 @@ def _cmd_features(args) -> int:
     lines = ["cell_id," + ",".join(FEATURE_NAMES)]
     for path in _cycle_files(args.cycles):
         records = load_cycle_detail_csv(path)
-        with _NumericalPhase():
+        with _numerical_phase():
             feats = extract_features(records, budget=args.budget)
         values = ",".join(repr(float(v)) for v in feats.as_array())
         lines.append(f"{_cell_id_of(path)},{values}")
@@ -415,75 +387,33 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _csv_rows(path):
-    """A csv reader over a whole input file; a missing file is an InputError."""
-    return csv.reader(io.StringIO(_read_input_text(path, "utf-8-sig"), newline=""))
-
-
-def _read_feature_csv(path):
-    reader = _csv_rows(path)
-    expected = ["cell_id", *FEATURE_NAMES]
-    if [h.strip() for h in next(reader, [])] != expected:
-        raise InputError(f"{path}: expected header {','.join(expected)!r}")
-    ids, rows = [], []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError:
-            values = None
-        if values is None or len(values) != len(FEATURE_NAMES):
-            raise MalformedRow(
-                f"{path}: line {reader.line_num}: expected {len(FEATURE_NAMES)}"
-                f" numeric features, got {','.join(row[1:])!r}"
-            )
-        ids.append(row[0])
-        rows.append(values)
-    return ids, np.array(rows)
-
-
-def _read_labels_csv(path) -> dict:
-    reader = _csv_rows(path)
-    if [h.strip() for h in next(reader, [])] != ["cell_id", "onset_cycle"]:
-        raise InputError(f"{path}: expected header 'cell_id,onset_cycle'")
-    labels = {}
-    for row in reader:
-        if not row:
-            continue
-        try:
-            cell_id, onset = row
-            labels[cell_id] = float(onset)
-        except ValueError:
-            raise MalformedRow(
-                f"{path}: line {reader.line_num}: expected cell_id and a numeric"
-                f" onset_cycle, got {','.join(row)!r}"
-            ) from None
-    return labels
+FEATURES_HEADER = ("cell_id", *FEATURE_NAMES)
+LABELS_HEADER = ("cell_id", "onset_cycle")
 
 
 _HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
 
 
 def _cmd_train(args) -> int:
-    ids, X = _read_feature_csv(args.features)
-    labels = _read_labels_csv(args.labels)
+    ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
+    label_ids, onsets, _ = read_csv(args.labels, LABELS_HEADER, ids=True)
+    labels = dict(zip(label_ids, onsets[:, 0].tolist()))
     missing = [i for i in ids if i not in labels]
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")
     y = np.array([labels[i] for i in ids])
     flags = {k: getattr(args, k) for k in _HYPER_FLAGS if getattr(args, k) is not None}
     hyper = replace(GBRTHyper(), **flags)
-    with _NumericalPhase():
+    with _numerical_phase():
         model = gbrt_train(X, y, hyper)
     _atomic_write_text(args.out, model.to_json() + "\n")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    ids, X = _read_feature_csv(args.features)
-    model = GBRTModel.from_json(_read_input_text(args.model))
-    with _NumericalPhase():
+    ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
+    model = GBRTModel.from_json(read_text(args.model))
+    with _numerical_phase():
         preds = gbrt_predict(model, X)
     lines = ["cell_id,predicted_onset_cycle"]
     lines += [f"{i},{float(p)!r}" for i, p in zip(ids, preds)]
@@ -507,7 +437,7 @@ def _parse_budgets(spec: str) -> range:
             return range(int(parts[0]), int(parts[1]) + 1, int(parts[2]))
     except ValueError:
         pass
-    raise _UsageError(f"cannot parse --budgets {spec!r} (expected LO:HI)")
+    raise UsageError(f"cannot parse --budgets {spec!r} (expected LO:HI)")
 
 
 def _cmd_sensitivity(args) -> int:
@@ -517,15 +447,21 @@ def _cmd_sensitivity(args) -> int:
         truth_path = path.with_name(path.name.replace(".cycles.csv", ".truth.json"))
         if not truth_path.exists():
             raise InputError(f"missing {truth_path.name} next to {path.name}")
-        truth = json.loads(truth_path.read_text(encoding="utf-8"))
-        gt = truth.get("ground_truth")
-        if not gt:
+        truth = parse_json(read_text(truth_path), truth_path)
+        try:
+            gt = truth.get("ground_truth")
+            onset = float(gt["onset_cycle"]) if gt else None
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+            raise InputError(
+                f"{truth_path}: expected {{\"ground_truth\": {{\"onset_cycle\": number}}}}"
+            ) from None
+        if onset is None:
             continue
         cells.append(load_cycle_detail_csv(path))
-        labels.append(float(gt["onset_cycle"]))
+        labels.append(onset)
     if not cells:
         raise InputError(f"no labeled cycle data found in {args.dir}")
-    with _NumericalPhase():
+    with _numerical_phase():
         table = sensitivity_sweep(
             cells,
             labels,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidHyperparameter
@@ -59,11 +59,6 @@ class PipelineParams:
     eol_threshold: float = 0.8
     gamma: float = 10.0
     max_iter: int = 1000
-    gbrt: GBRTHyper = field(default_factory=GBRTHyper)
-    seed: int = 42
-
-    def with_overrides(self, **kwargs) -> "PipelineParams":
-        return replace(self, **kwargs)
 
 
 DEFAULT_PARAMS = PipelineParams()

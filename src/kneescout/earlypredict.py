@@ -14,11 +14,9 @@ lower threshold.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,12 +29,12 @@ from .errors import (
     InvalidModel,
     LengthMismatch,
     MalformedRow,
-    MissingColumn,
     MissingCycle,
     NonFiniteFeature,
     NoVoltageOverlap,
     ZeroTrueValue,
 )
+from .ingest import cycle_column, parse_json, read_csv
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 FEATURE_NAMES = ("min_dq", "var_dq", "skew_dq", "kurt_dq", "q2", "q_max_minus_2")
@@ -102,43 +100,24 @@ class FeatureVector:
 
 
 def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
-    """Read a ``cycle,voltage_v,discharge_capacity_ah`` CSV, grouped by cycle."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise MissingColumn(f"{path.name}: empty file") from None
-        if header != CYCLE_DETAIL_HEADER:
-            raise MissingColumn(
-                f"{path.name}: expected header {','.join(CYCLE_DETAIL_HEADER)!r},"
-                f" got {','.join(header)!r}"
-            )
-        groups: Dict[int, list] = {}
-        last_cycle = None
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                cyc = int(float(row[0]))
-                point = (float(row[1]), float(row[2]))
-            except (ValueError, IndexError, OverflowError):
-                raise MalformedRow(
-                    f"{path.name}: line {reader.line_num}: expected three numbers,"
-                    f" got {','.join(row)!r}"
-                ) from None
-            if cyc != last_cycle and cyc in groups:
-                raise MissingColumn(
-                    f"{path.name}: rows for cycle {cyc} are not contiguous"
-                )
-            groups.setdefault(cyc, []).append(point)
-            last_cycle = cyc
-    records = {}
-    for cyc, rows in groups.items():
-        v, q = zip(*rows)
-        records[cyc] = CycleRecord(cycle=cyc, voltage_v=np.array(v), q_ah=np.array(q))
-    return records
+    """Read a ``cycle,voltage_v,discharge_capacity_ah`` CSV, grouped by cycle.
+
+    The rows of one cycle must be contiguous.
+    """
+    _, values, lines = read_csv(path, CYCLE_DETAIL_HEADER)
+    cycles = cycle_column(path, values[:, 0], lines)
+    starts = np.flatnonzero(np.diff(cycles, prepend=cycles[:1] - 1))
+    _, first = np.unique(cycles[starts], return_index=True)
+    if len(first) < len(starts):
+        k = starts[np.setdiff1d(np.arange(len(starts)), first)[0]]
+        raise MalformedRow(
+            f"{path}: line {lines[k]}: rows for cycle {cycles[k]} are not contiguous"
+        )
+    voltage, q = np.ascontiguousarray(values[:, 1:].T)
+    return {
+        int(cycles[a]): CycleRecord(cycle=int(cycles[a]), voltage_v=voltage[a:b], q_ah=q[a:b])
+        for a, b in zip(starts, [*starts[1:], len(cycles)])
+    }
 
 
 def delta_q(
@@ -282,8 +261,8 @@ class GBRTModel:
 
     @staticmethod
     def from_json(text: str) -> "GBRTModel":
+        obj = parse_json(text, "model JSON", InvalidModel)
         try:
-            obj = json.loads(text)
             trees = [
                 [
                     TreeNode(
@@ -305,7 +284,7 @@ class GBRTModel:
             )
         except KeyError as exc:
             raise InvalidModel(f"model JSON lacks field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidModel(f"malformed model JSON: {exc}") from None
 
 

@@ -7,7 +7,6 @@ first cycle index of the input is authoritative and is never renumbered.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import (
+    InputError,
     LengthMismatch,
+    MalformedRow,
     MissingColumn,
     NonMonotonicCycles,
     NonPositiveCapacity,
@@ -78,6 +79,89 @@ class NormalizedSeries:
         return len(self.cycles)
 
 
+def read_text(path) -> str:
+    """The text of an input file; an unreadable file is an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {path}: {reason}") from None
+
+
+def parse_json(text: str, source, error=InputError):
+    """Parse JSON text; malformed JSON raises ``error`` naming ``source``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{source}: malformed JSON: {exc}") from None
+
+
+def _fields(rows, usecols=None) -> np.ndarray:
+    return np.loadtxt(
+        rows, dtype=object, delimiter=",", comments=None, quotechar='"',
+        usecols=usecols, ndmin=2,
+    )
+
+
+# a row of only these is blank: str.isspace characters (none lies above
+# U+3000), the delimiter and the quote
+_BLANK = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ',"'
+
+
+def _parse_rows(rows, width: int, ids: bool):
+    if not rows:
+        return [] if ids else None, np.empty((0, width - ids))
+    fields = _fields(rows, None if ids else range(width))
+    if fields.shape[1] != width:
+        raise ValueError(f"{fields.shape[1]} fields")
+    first = fields[:, 0].tolist() if ids else None
+    # float() on each cell, so a cell parses exactly as Python reads it
+    return first, fields[:, int(ids):].astype(np.float64)
+
+
+def read_csv(path, header, *, ids: bool = False):
+    """Read a headed CSV file (UTF-8, optional BOM) with one ``np.loadtxt`` parse.
+
+    The first line must hold ``header``, fields stripped. Rows whose fields
+    are all empty or whitespace are skipped. A file of per-cell rows
+    (``ids``) has a cell id first and exactly the header's columns; other
+    files hold only numbers and ignore columns past the header. Returns
+    ``(ids, values, lines)``: the ids (or None), the numbers as float64
+    (rows, columns) parsed as ``float`` does, and each row's line number.
+    A short, long or non-numeric row is MalformedRow naming file and line.
+    """
+    lines = read_text(path).split("\n")
+    got = tuple(h.strip() for h in _fields(lines[:1])[0]) if lines[0].strip(_BLANK) else ()
+    if got != tuple(header):
+        raise MissingColumn(
+            f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
+        )
+    numbers = [k for k, line in enumerate(lines[1:], 2) if line.strip(_BLANK)]
+    rows = [lines[k - 1] for k in numbers]
+    try:
+        first, values = _parse_rows(rows, len(header), ids)
+    except ValueError:
+        # the bulk parse does not say which line failed: find the first one
+        for number, row in zip(numbers, rows):
+            try:
+                _parse_rows([row], len(header), ids)
+            except ValueError:
+                raise MalformedRow(
+                    f"{path}: line {number}: cannot read {row!r} as {','.join(header)}"
+                ) from None
+        raise MalformedRow(f"{path}: a quoted field runs across lines") from None
+    return first, values, np.array(numbers, dtype=np.int64)
+
+
+def cycle_column(path, column: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Cycle indices truncated toward zero, as ``int(float(x))`` does."""
+    bad = ~(np.abs(column) < 2.0**63)  # NaN fails the comparison too
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise MalformedRow(f"{path}: line {lines[k]}: cycle {column[k]} is not a finite index")
+    return np.trunc(column).astype(np.int64)
+
+
 def load_capacity_csv(
     path,
     cell_id: Optional[str] = None,
@@ -91,7 +175,10 @@ def load_capacity_csv(
     needs the cell's rating, not a value inferred from the data.
     """
     path = Path(path)
-    meta = _read_sidecar(path)
+    sidecar = path.with_suffix(".meta.json")
+    meta = parse_json(read_text(sidecar), sidecar) if sidecar.exists() else {}
+    if not isinstance(meta, dict):
+        raise InputError(f"{sidecar}: expected a JSON object")
     if cell_id is None:
         cell_id = meta.get("cell_id", path.stem)
     if q_nom_ah is None:
@@ -100,41 +187,18 @@ def load_capacity_csv(
         raise NonPositiveNominal(
             f"no q_nom_ah for {path.name}: provide a sidecar {path.stem}.meta.json or an override"
         )
+    try:
+        q_nom_ah = float(q_nom_ah)
+    except (TypeError, ValueError, OverflowError):
+        raise NonPositiveNominal(f"{path.name}: q_nom_ah={q_nom_ah!r} is not a number") from None
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path.name}: empty file") from None
-        header = tuple(h.strip() for h in header)
-        if header != CAPACITY_HEADER:
-            raise MissingColumn(
-                f"{path.name}: expected header {','.join(CAPACITY_HEADER)!r}, got {','.join(header)!r}"
-            )
-        cycles, capacity = [], []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise MissingColumn(f"{path.name}: short row {row!r}")
-            cycles.append(int(float(row[0])))
-            capacity.append(float(row[1]))
-
+    _, values, lines = read_csv(path, CAPACITY_HEADER)
     return CapacityFadeSeries(
         cell_id=cell_id,
-        cycles=np.array(cycles, dtype=np.int64),
-        capacity_ah=np.array(capacity, dtype=np.float64),
-        q_nom_ah=float(q_nom_ah),
+        cycles=cycle_column(path, values[:, 0], lines),
+        capacity_ah=values[:, 1],
+        q_nom_ah=q_nom_ah,
     )
-
-
-def _read_sidecar(path: Path) -> dict:
-    sidecar = path.with_suffix(".meta.json")
-    if not sidecar.exists():
-        return {}
-    with open(sidecar, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def resample_even(series: CapacityFadeSeries) -> CapacityFadeSeries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,10 +22,11 @@ from .errors import (
     InsufficientUnmaskedRegion,
     LengthMismatch,
     SeriesTooShort,
+    TooShort,
 )
 from .ingest import CapacityFadeSeries, find_eol, normalize, resample_even
 from .matrixprofile import stamp
-from .preprocess import approximate_curvature, clip_window, savgol_smooth
+from .preprocess import SmoothedSeries, approximate_curvature, clip_window, savgol_smooth
 
 # CAC dynamic range below which the three-state assumption looks violated
 # (an essentially featureless arc curve has no credible boundaries).
@@ -136,22 +137,42 @@ def rea(
     )
 
 
+def prepare(
+    series: CapacityFadeSeries, params: PipelineParams = DEFAULT_PARAMS
+) -> Tuple[CapacityFadeSeries, SmoothedSeries, int, Optional[int]]:
+    """Resample to a unit cycle grid, normalize, smooth and find EoL.
+
+    Returns the resampled series, the smoothed series, the Savitzky-Golay
+    window after clipping to the series length, and the EoL cycle, read
+    off the smoothed curve so a single noisy sample cannot trigger it. A
+    series so short that the clipped window cannot exceed ``sg_order`` is
+    TooShort.
+    """
+    series = resample_even(series)
+    normalized = normalize(series)
+    sg_window = clip_window(params.sg_window, len(normalized))
+    if sg_window <= params.sg_order and len(normalized) < params.sg_window:
+        raise TooShort(
+            f"{len(normalized)} cycles leave a smoothing window of {sg_window},"
+            f" which must exceed sg_order {params.sg_order}"
+        )
+    smoothed = savgol_smooth(normalized, window=sg_window, order=params.sg_order)
+    return series, smoothed, sg_window, find_eol(smoothed, params.eol_threshold)
+
+
 def identify_knees(
     series: CapacityFadeSeries, params: PipelineParams = DEFAULT_PARAMS
 ) -> KneeReport:
     """Run the full curvature pipeline and report knee onset and knee.
 
-    Resamples to a unit cycle grid, normalizes by nominal capacity, smooths,
-    takes the discrete curvature, computes the matrix profile and corrected
-    arc curve, and extracts two regime boundaries. Boundary positions are
-    mapped back to cycle numbers by adding the curvature index offset and
-    the half-width of the matrix-profile window. An edge band of one
-    exclusion radius at each end of the CAC is never selected.
+    Prepares the series (see ``prepare``), takes the discrete curvature,
+    computes the matrix profile and corrected arc curve, and extracts two
+    regime boundaries. Boundary positions are mapped back to cycle numbers
+    by adding the curvature index offset and the half-width of the
+    matrix-profile window. An edge band of one exclusion radius at each end
+    of the CAC is never selected.
     """
-    series = resample_even(series)
-    normalized = normalize(series)
-    sg_window = clip_window(params.sg_window, len(normalized))
-    smoothed = savgol_smooth(normalized, window=sg_window, order=params.sg_order)
+    _, smoothed, sg_window, eol = prepare(series, params)
     curvature = approximate_curvature(smoothed, ws=params.curv_window)
 
     if params.cac_window is None:
@@ -186,7 +207,6 @@ def identify_knees(
     onset_cycle = offset + onset_pos
     knee_cycle = offset + knee_pos
 
-    eol = find_eol(smoothed, params.eol_threshold)
     cac_interior = corrected[1:-1] if len(corrected) > 2 else corrected
     # mirror padding leaves a structural curvature artifact within half a
     # smoothing window of each end, so flatness is judged on the interior

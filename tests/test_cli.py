@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from kneescout import cli
 from kneescout.cli import main
+from kneescout.config import PipelineParams
 
 
 def run_cli(*argv):
@@ -174,6 +178,58 @@ class TestUsageErrors:
             run_cli("--version")
         assert exc.value.code == 0
         assert "knee-scout" in capsys.readouterr().out
+
+    def usage_json(self, capsys, *argv):
+        code = run_cli("--json-errors", *argv)
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        payload = json.loads(err)
+        assert code == payload["exit_code"] == 1
+        return payload
+
+    def test_argparse_error_honours_json_errors(self, capsys):
+        payload = self.usage_json(capsys, "identify", "--input", "x.csv", "--out",
+                                  "r.json", "--nope")
+        assert payload["error"] == "UsageError"
+        assert "unrecognized arguments: --nope" in payload["message"]
+
+    def test_usage_error_honours_json_errors(self, synth_dir, tmp_path, capsys):
+        payload = self.usage_json(capsys, "batch", "--dir", str(synth_dir),
+                                  "--methods", "nope", "--out", str(tmp_path / "t.csv"))
+        assert payload["error"] == "UsageError"
+        assert "unknown method 'nope'" in payload["message"]
+
+    def test_config_max_iter_honours_json_errors(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("max_iter = 0\n")
+        payload = self.usage_json(capsys, "--config", str(cfg), "batch", "--dir",
+                                  str(synth_dir), "--out", str(tmp_path / "t.csv"))
+        assert "max_iter: must be >= 1" in payload["message"]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("field", dataclasses.fields(PipelineParams),
+                             ids=lambda f: f.name)
+    def test_every_pipeline_field_is_a_config_key(self, synth_dir, tmp_path, field):
+        value = "7" if field.name.endswith("window") else "0.5" if field.type == "float" else "1"
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text(f"{field.name} = {value}\n")
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        params = cli._resolve_params(
+            cli._build_parser().parse_args(["identify", "--input", str(src), "--out", "x"]),
+            cli._read_config(cfg),
+        )
+        assert getattr(params, field.name) == float(value)
+
+    def test_seed_key_rejected(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("seed = 42\n")
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        assert run_cli("--json-errors", "--config", str(cfg), "identify", "--input",
+                       str(src), "--out", str(tmp_path / "r.json")) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "InputError"
+        assert payload["message"] == "unknown config keys: seed"
 
 
 class TestBatch:
@@ -359,3 +415,75 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "knee-scout" in proc.stdout
+
+    def test_package_invocation(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kneescout", "--version"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "knee-scout" in proc.stdout
+
+
+CAPACITY_CSV = "cycle,discharge_capacity_ah\n" + "".join(
+    f"{i},{1.1 - 0.001 * i}\n" for i in range(1, 61)
+)
+
+
+class TestInputBoundary:
+    """Every malformed input ends in one JSON error line with its exit code."""
+
+    def json_error(self, capsys, *argv):
+        code = run_cli("--json-errors", *argv)
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        payload = json.loads(err)
+        assert code == payload["exit_code"]
+        return payload
+
+    @pytest.mark.parametrize("row", ["2,abc", "inf,0.9", "nan,0.9", "-inf,0.9", "2"])
+    def test_malformed_capacity_row(self, tmp_path, capsys, row):
+        p = tmp_path / "cell.csv"
+        p.write_text("cycle,discharge_capacity_ah\n\n1,1.0\n" + row + "\n3,0.8\n4,0.7\n")
+        payload = self.json_error(capsys, "identify", "--input", str(p), "--q-nom", "1.0",
+                                  "--out", str(tmp_path / "r.json"))
+        assert (payload["error"], payload["exit_code"]) == ("MalformedRow", 1)
+        assert "cell.csv: line 4" in payload["message"]
+
+    def test_malformed_sidecar(self, tmp_path, capsys):
+        (tmp_path / "cell.csv").write_text(CAPACITY_CSV)
+        (tmp_path / "cell.meta.json").write_text("{bad")
+        payload = self.json_error(capsys, "identify", "--input", str(tmp_path / "cell.csv"),
+                                  "--out", str(tmp_path / "r.json"))
+        assert (payload["error"], payload["exit_code"]) == ("InputError", 1)
+        assert "cell.meta.json: malformed JSON" in payload["message"]
+
+    @pytest.mark.parametrize("meta", ['["x"]', '{"q_nom_ah": "abc"}', '{"q_nom_ah": [1]}'])
+    def test_sidecar_of_wrong_shape(self, tmp_path, capsys, meta):
+        (tmp_path / "cell.csv").write_text(CAPACITY_CSV)
+        (tmp_path / "cell.meta.json").write_text(meta)
+        payload = self.json_error(capsys, "identify", "--input", str(tmp_path / "cell.csv"),
+                                  "--out", str(tmp_path / "r.json"))
+        assert payload["exit_code"] == 1
+
+    @pytest.mark.parametrize("truth", ["{bad", "[]", '{"ground_truth": {"onset": 3}}'])
+    def test_malformed_truth_file(self, synth_dir, tmp_path, capsys, truth):
+        cell = sorted(synth_dir.glob("*.cycles.csv"))[0]
+        shutil.copy(cell, tmp_path / cell.name)
+        truth_path = tmp_path / cell.name.replace(".cycles.csv", ".truth.json")
+        truth_path.write_text(truth)
+        payload = self.json_error(capsys, "sensitivity", "--dir", str(tmp_path),
+                                  "--budgets", "15", "--repeats", "1",
+                                  "--out", str(tmp_path / "s.csv"))
+        assert (payload["error"], payload["exit_code"]) == ("InputError", 1)
+        assert truth_path.name in payload["message"]
+
+    def test_batch_with_a_four_point_cell(self, synth_dir, tmp_path, capsys):
+        for p in sorted(synth_dir.glob("fleet-*"))[:8]:
+            shutil.copy(p, tmp_path / p.name)
+        (tmp_path / "tiny.csv").write_text(
+            "cycle,discharge_capacity_ah\n1,1.0\n2,0.9\n3,0.8\n4,0.7\n")
+        (tmp_path / "tiny.meta.json").write_text('{"q_nom_ah": 1.0}')
+        payload = self.json_error(capsys, "batch", "--dir", str(tmp_path),
+                                  "--out", str(tmp_path / "t.csv"))
+        assert (payload["error"], payload["exit_code"]) == ("TooShort", 2)

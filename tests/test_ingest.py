@@ -1,9 +1,25 @@
+import argparse
+import csv
+import io
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kneescout import cli
+from kneescout.earlypredict import (
+    CYCLE_DETAIL_HEADER,
+    FEATURE_NAMES,
+    CycleRecord,
+    load_cycle_detail_csv,
+)
 from kneescout.errors import (
+    InputError,
+    KneeScoutError,
+    MalformedRow,
     MissingColumn,
     NonMonotonicCycles,
     NonPositiveCapacity,
@@ -11,11 +27,13 @@ from kneescout.errors import (
     TooShort,
 )
 from kneescout.ingest import (
+    CAPACITY_HEADER,
     CapacityFadeSeries,
     NormalizedSeries,
     find_eol,
     load_capacity_csv,
     normalize,
+    read_csv,
     resample_even,
 )
 
@@ -217,3 +235,349 @@ class TestFindEol:
         hi = find_eol(series, threshold_hi)
         if lo is not None:
             assert hi is not None and hi <= lo
+
+
+# --- the input boundary -----------------------------------------------------
+#
+# The csv-module loops below are the readers this package used before one
+# np.loadtxt reader served every input file. They stay here as the reference
+# the shared reader must match, value for value and bit for bit.
+
+
+def reference_capacity(path, q_nom_ah=1.0):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingColumn(f"{path.name}: empty file") from None
+        header = tuple(h.strip() for h in header)
+        if header != CAPACITY_HEADER:
+            raise MissingColumn(f"{path.name}: expected header")
+        cycles, capacity = [], []
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < 2:
+                raise MissingColumn(f"{path.name}: short row {row!r}")
+            cycles.append(int(float(row[0])))
+            capacity.append(float(row[1]))
+    return CapacityFadeSeries(
+        cell_id=path.stem,
+        cycles=np.array(cycles, dtype=np.int64),
+        capacity_ah=np.array(capacity, dtype=np.float64),
+        q_nom_ah=float(q_nom_ah),
+    )
+
+
+def reference_cycle_detail(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(h.strip() for h in next(reader))
+        except StopIteration:
+            raise MissingColumn(f"{path.name}: empty file") from None
+        if header != CYCLE_DETAIL_HEADER:
+            raise MissingColumn(f"{path.name}: expected header")
+        groups, last_cycle = {}, None
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                cyc = int(float(row[0]))
+                point = (float(row[1]), float(row[2]))
+            except (ValueError, IndexError, OverflowError):
+                raise MalformedRow(f"{path.name}: line {reader.line_num}") from None
+            if cyc != last_cycle and cyc in groups:
+                raise MissingColumn(f"{path.name}: rows for cycle {cyc} are not contiguous")
+            groups.setdefault(cyc, []).append(point)
+            last_cycle = cyc
+    records = {}
+    for cyc, rows in groups.items():
+        v, q = zip(*rows)
+        records[cyc] = CycleRecord(cycle=cyc, voltage_v=np.array(v), q_ah=np.array(q))
+    return records
+
+
+def _csv_rows(path):
+    return csv.reader(io.StringIO(path.read_text(encoding="utf-8-sig"), newline=""))
+
+
+def reference_features(path):
+    reader = _csv_rows(path)
+    expected = ["cell_id", *FEATURE_NAMES]
+    if [h.strip() for h in next(reader, [])] != expected:
+        raise InputError(f"{path}: expected header")
+    ids, rows = [], []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            values = None
+        if values is None or len(values) != len(FEATURE_NAMES):
+            raise MalformedRow(f"{path}: line {reader.line_num}")
+        ids.append(row[0])
+        rows.append(values)
+    return ids, np.array(rows)
+
+
+def reference_labels(path):
+    reader = _csv_rows(path)
+    if [h.strip() for h in next(reader, [])] != ["cell_id", "onset_cycle"]:
+        raise InputError(f"{path}: expected header")
+    labels = {}
+    for row in reader:
+        if not row:
+            continue
+        try:
+            cell_id, onset = row
+            labels[cell_id] = float(onset)
+        except ValueError:
+            raise MalformedRow(f"{path}: line {reader.line_num}") from None
+    return labels
+
+
+def drop_blank_rows(path):
+    """Remove rows of empty fields, which the old features and labels loops
+    rejected but the shared reader skips in every file."""
+    text = path.read_text(encoding="utf-8-sig")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    kept = [ln for ln in lines if any(f.strip() for f in next(csv.reader([ln]), []))]
+    path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+
+
+def outcome(fn, path):
+    try:
+        return fn(path), None
+    except Exception as exc:  # the reference lets raw errors escape
+        return None, exc
+
+
+def expected_error(exc):
+    """The class the shared reader raises where a reference loop raised ``exc``."""
+    row_level = isinstance(exc, MissingColumn) and (
+        "short row" in str(exc) or "not contiguous" in str(exc)
+    )
+    if row_level or not isinstance(exc, KneeScoutError):
+        return MalformedRow
+    return type(exc)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def new_features(path):
+    ids, X, _ = read_csv(path, cli.FEATURES_HEADER, ids=True)
+    return ids, X
+
+
+def new_labels(path):
+    ids, onsets, _ = read_csv(path, cli.LABELS_HEADER, ids=True)
+    return dict(zip(ids, onsets[:, 0].tolist()))
+
+
+def same_capacity(new, old):
+    return same_bits(new.cycles, old.cycles) and same_bits(new.capacity_ah, old.capacity_ah)
+
+
+def same_cycle_detail(new, old):
+    return list(new) == list(old) and all(
+        type(k) is int and new[k].cycle == old[k].cycle
+        and same_bits(new[k].voltage_v, old[k].voltage_v)
+        and same_bits(new[k].q_ah, old[k].q_ah)
+        for k in old
+    )
+
+
+def same_features(new, old):
+    (new_ids, new_X), (old_ids, old_X) = new, old
+    return new_ids == old_ids and same_bits(new_X, old_X.reshape(-1, len(FEATURE_NAMES)))
+
+
+def same_labels(new, old):
+    return list(new) == list(old) and same_bits(list(new.values()), list(old.values()))
+
+
+FORMATS = {
+    "capacity": (
+        CAPACITY_HEADER, lambda p: load_capacity_csv(p, q_nom_ah=1.0),
+        reference_capacity, same_capacity,
+    ),
+    "cycle_detail": (
+        CYCLE_DETAIL_HEADER, load_cycle_detail_csv, reference_cycle_detail,
+        same_cycle_detail,
+    ),
+    "features": (("cell_id", *FEATURE_NAMES), new_features, reference_features, same_features),
+    "labels": (("cell_id", "onset_cycle"), new_labels, reference_labels, same_labels),
+}
+
+BAD_TOKENS = ["", " ", "abc", "nan", "inf", "-inf", "NaN", "1e400", "1_0", "١٢",
+              "0x10", "+.5", "5.", "-0.0", "1e3", "Infinity", "1e19"]
+BLANK_LINES = ["", " ", "\t", ",", " , ,", '"",""', '""', "\xa0,"]
+PADS = ["", " ", "\t", "\xa0"]
+
+
+@st.composite
+def field(draw, text):
+    """``text`` padded with whitespace and perhaps quoted."""
+    left, right = draw(st.sampled_from(PADS)), draw(st.sampled_from(PADS))
+    if draw(st.booleans()):
+        return f'"{left}{text}{right}"'
+    return f"{left}{text}{right}"
+
+
+def number_text(lo, hi):
+    return st.one_of(
+        st.floats(lo, hi).map(repr), st.floats(lo, hi).map(lambda x: f"{x:.3f}"),
+        st.integers(math.ceil(lo), math.floor(hi)).map(str),
+    )
+
+
+def cell_id_text(text):
+    return '"' + text.replace('"', '""') + '"' if ("," in text or '"' in text) else text
+
+
+@st.composite
+def csv_text(draw, fmt):
+    """A file of the given format: BOM or not, LF, CRLF or CR line ends, blank
+    and whitespace-only rows, padded and quoted fields, fractional and
+    negative cycles; extra columns in half the capacity and cycle files, and
+    in half of all files one damaged row."""
+    header = FORMATS[fmt][0]
+    n = draw(st.integers(0, 10))
+    damaged = draw(st.integers(-n, n - 1)) if n else -1
+    extra = fmt in ("capacity", "cycle_detail") and draw(st.booleans())
+    rows, cycles = [], [draw(st.integers(-2, 30))]
+    for i in range(n):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(draw(st.sampled_from(BLANK_LINES)))
+        # a cycle-detail file keeps each cycle to at least two contiguous rows
+        if fmt != "cycle_detail":
+            cycles.append(cycles[-1] + 1)
+        elif i < 2 or i == n - 1 or cycles[-1] != cycles[-2]:
+            cycles.append(cycles[-1])
+        else:
+            cycles.append(cycles[-1] + draw(st.sampled_from([0, 1, 1])))
+        # fractional cycles truncate toward zero, as int(float(x)) does
+        cycle = f"{cycles[-1]}{draw(st.sampled_from(['', '.0', '.25', '.99']))}"
+        if fmt == "capacity":
+            texts = [cycle, draw(number_text(0.5, 1.2))]
+        elif fmt == "cycle_detail":
+            texts = [cycle, repr(4.0 - 0.01 * i), repr(0.01 * i)]
+        else:
+            ident = cell_id_text(draw(st.text(alphabet="ab1-_ ,\"", max_size=3)))
+            texts = [ident] + [draw(number_text(-1e3, 1e3)) for _ in header[1:]]
+        fields = [texts[0] if fmt in ("features", "labels") else draw(field(texts[0]))]
+        fields += [draw(field(t)) for t in texts[1:]]
+        if extra:
+            fields += [draw(field(draw(number_text(0, 9))))]
+        if i == damaged:
+            kind = draw(st.sampled_from(["token", "token", "short", "long", "quote", "revisit"]))
+            k = draw(st.integers(0, len(fields) - 1))
+            if kind == "token":
+                fields[k] = draw(st.sampled_from(BAD_TOKENS))
+            elif kind == "short":
+                fields = fields[:k]
+            elif kind == "long":
+                fields += ["1", "2"]
+            elif kind == "quote":  # a quote after a space is a literal character
+                fields[k] = f' "{texts[min(k, len(texts) - 1)]}"'
+            else:  # a cycle seen before: non-contiguous in a cycle-detail file
+                fields[0] = str(cycles[0] - 1 if fmt == "capacity" else cycles[0])
+        rows.append(",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    tail = draw(st.sampled_from(["", eol, eol + eol]))
+    return bom + eol.join([",".join(header), *rows]) + tail
+
+
+class TestSharedReaderMatchesReference:
+    """The shared reader keeps the old readers' accepted inputs and values."""
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_values_or_same_error_class(self, fmt, data, tmp_path_factory):
+        _, new, reference, same = FORMATS[fmt]
+        path = tmp_path_factory.mktemp(fmt) / "cell.csv"
+        path.write_bytes(data.draw(csv_text(fmt)).encode("utf-8"))
+        got, error = outcome(new, path)
+        if fmt in ("features", "labels"):
+            drop_blank_rows(path)
+        want, old_error = outcome(reference, path)
+        if old_error is None:
+            assert error is None, f"shared reader rejected an accepted input: {error!r}"
+            assert same(got, want)
+        else:
+            assert type(error) is expected_error(old_error), (error, old_error)
+
+
+FUZZ_ALPHABET = ',"\n\r \t\xa0﻿\x00{}[]:=#0123456789.-+eEinfaINFA_x'
+
+
+def fuzz_bytes(header=None):
+    """Arbitrary bytes, CSV-like text, and CSV-like text under a valid header."""
+    text = st.text(alphabet=FUZZ_ALPHABET, max_size=200)
+    options = [st.binary(max_size=200), text.map(str.encode)]
+    if header:
+        options.append(text.map(lambda t: (",".join(header) + "\n" + t).encode()))
+    return st.one_of(*options)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["cell_id", "q_nom_ah", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+SIDECAR_BYTES = st.one_of(
+    fuzz_bytes(), JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.builds(lambda c, q: json.dumps({"cell_id": c, "q_nom_ah": q}).encode(),
+              JSON_VALUES, JSON_VALUES),
+)
+CONFIG_KEYS = sorted(cli._CONFIG_CASTS) + ["seed", "gbrt", ""]
+CONFIG_BYTES = st.one_of(
+    fuzz_bytes(),
+    st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.text(alphabet=FUZZ_ALPHABET, max_size=8)),
+             max_size=4).map(lambda kv: "\n".join(f"{k} = {v}" for k, v in kv).encode()),
+)
+CAPACITY_OK = "cycle,discharge_capacity_ah\n1,1.0\n2,0.99\n3,0.98\n"
+
+
+def load_with_sidecar(path):
+    path.write_text(CAPACITY_OK)
+    return load_capacity_csv(path)
+
+
+def load_config(path):
+    return cli._resolve_params(argparse.Namespace(), cli._read_config(path))
+
+
+FUZZ_TARGETS = {
+    "capacity": (fuzz_bytes(CAPACITY_HEADER), "cell.csv", lambda p: load_capacity_csv(p, q_nom_ah=1.0)),
+    "cycle_detail": (fuzz_bytes(CYCLE_DETAIL_HEADER), "cell.cycles.csv", load_cycle_detail_csv),
+    "features": (fuzz_bytes(cli.FEATURES_HEADER), "features.csv", new_features),
+    "labels": (fuzz_bytes(cli.LABELS_HEADER), "labels.csv", new_labels),
+    "sidecar": (SIDECAR_BYTES, "cell.meta.json", lambda p: load_with_sidecar(p.with_name("cell.csv"))),
+    "config": (CONFIG_BYTES, "knee.cfg", load_config),
+}
+
+
+class TestInputFuzz:
+    """Any input file either parses or raises a KneeScoutError, nothing else."""
+
+    @pytest.mark.parametrize("target", sorted(FUZZ_TARGETS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_parses_or_raises_kneescout_error(self, target, data, tmp_path_factory):
+        strategy, name, load = FUZZ_TARGETS[target]
+        path = tmp_path_factory.mktemp(target) / name
+        path.write_bytes(data.draw(strategy))
+        try:
+            load(path)
+        except KneeScoutError:
+            pass

@@ -4,13 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneescout.config import PipelineParams
+from kneescout.baconwatts import dbw_knee_report
 from kneescout.errors import (
     IndexOutOfRange,
     InsufficientUnmaskedRegion,
     LengthMismatch,
+    OrderTooHigh,
+    TooShort,
 )
-from kneescout.ingest import CapacityFadeSeries
-from kneescout.segmentation import arc_curve, cac, iac, identify_knees, rea
+from kneescout.ingest import CapacityFadeSeries, find_eol, normalize, resample_even
+from kneescout.preprocess import savgol_smooth
+from kneescout.segmentation import arc_curve, cac, iac, identify_knees, prepare, rea
 from kneescout.synthgen import SyntheticSpec, generate
 
 
@@ -230,3 +234,32 @@ class TestIdentifyKnees:
         series, _ = self.pinned_series()
         report = identify_knees(series, PipelineParams(cac_window=0))
         assert report.onset_cycle < report.knee_cycle
+
+
+class TestPrepare:
+    def cell(self, n, start=1, step=1):
+        cycles = np.arange(start, start + step * n, step)
+        return CapacityFadeSeries("c", cycles, 1.1 - 1e-5 * (cycles - start) ** 1.5, 1.1)
+
+    def test_matches_the_stages_it_runs(self):
+        series = self.cell(300, start=5, step=3)  # uneven: resampled
+        resampled, smoothed, window, eol = prepare(series, PipelineParams(sg_window=41))
+        assert resampled.cycles.tolist() == list(range(5, 5 + 3 * 299 + 1))
+        expected = savgol_smooth(normalize(resample_even(series)), window=41, order=3)
+        assert np.array_equal(smoothed.values, expected.values)
+        assert window == 41
+        assert eol == find_eol(expected, 0.8)
+
+    def test_window_clipped_to_length(self):
+        _, smoothed, window, _ = prepare(self.cell(10))
+        assert (window, len(smoothed)) == (9, 10)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_too_short_for_any_window_above_order(self, n):
+        for pipeline in (prepare, identify_knees, dbw_knee_report):
+            with pytest.raises(TooShort, match="must exceed sg_order 3"):
+                pipeline(self.cell(n))
+
+    def test_order_not_below_window_stays_order_too_high(self):
+        with pytest.raises(OrderTooHigh):
+            prepare(self.cell(100), PipelineParams(sg_window=5, sg_order=5))
