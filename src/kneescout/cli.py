@@ -1,19 +1,18 @@
 """knee-scout command line: identification, baselines, synthesis, prediction.
 
-Exit codes: 0 success, 1 input/usage error, 2 numerical failure. Errors
-raised while loading inputs map to 1; anything the numerical pipeline
-raises (including short-series preconditions surfaced mid-fit) maps to 2.
-All file outputs are written atomically (temp file, then rename).
+Each command loads its inputs, computes, then writes its outputs. An
+error's exit code is set by the phase it is raised in, not by its class:
+1 while parsing the command line, loading or writing (an unwritable output
+path too), 2 while computing (a fit rejecting a too-short series too).
+Outputs are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -23,7 +22,11 @@ from . import __version__
 from .baconwatts import dbw_knee_report
 from .config import GBRTHyper, PipelineParams
 from .earlypredict import (
-    FEATURE_NAMES,
+    CYCLE_DETAIL_HEADER,
+    FEATURES_HEADER,
+    LABELS_HEADER,
+    PREDICTIONS_HEADER,
+    SENSITIVITY_HEADER,
     GBRTModel,
     extract_features,
     gbrt_predict,
@@ -32,7 +35,15 @@ from .earlypredict import (
     sensitivity_sweep,
 )
 from .errors import InputError, KneeScoutError
-from .ingest import load_capacity_csv, parse_json, read_csv, read_text
+from .ingest import (
+    CAPACITY_HEADER,
+    csv_text,
+    load_capacity_csv,
+    parse_json,
+    read_csv,
+    read_text,
+    write_text,
+)
 from .report import batch_report, format_batch_csv, write_report_dir
 from .segmentation import KneeReport, identify_knees
 from .synthgen import generate_convex_family, generate_fleet, simulate_cycle_records
@@ -61,14 +72,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _report_json(report: KneeReport, params: PipelineParams) -> str:
@@ -125,9 +128,12 @@ def _resolve_params(args, config: dict) -> PipelineParams:
                 raise InputError(
                     f"config key {key}: expected {cast.__name__}, got {config[key]!r}"
                 ) from None
-    if kwargs.get("max_iter", 1) < 1:
-        raise InputError(f"config key max_iter: must be >= 1, got {kwargs['max_iter']}")
-    return PipelineParams(**kwargs)
+    params = PipelineParams(**kwargs)
+    if params.max_iter < 1:
+        raise InputError(f"config key max_iter: must be >= 1, got {params.max_iter}")
+    if not 0 < params.eol_threshold < 1:
+        raise InputError(f"eol_threshold: must be in (0, 1), got {params.eol_threshold}")
+    return params
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -212,63 +218,41 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # known before parsing, so that argparse errors honour it too
     json_errors = "--json-errors" in argv
-    parser = _build_parser()
+    code = 1  # the phase decides: computing is 2, parsing, loading and writing 1
     try:
+        parser = _build_parser()
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage())
-        config = _read_config(args.config) if args.config else {}
-        return _dispatch(args, config)
-    except UsageError as exc:
-        _emit_error(exc, 1, json_errors)
-        return 1
-    except KneeScoutError as exc:
-        numerical = not isinstance(exc, InputError) or getattr(exc, "_numerical", False)
-        code = 2 if numerical else 1
+        load, compute, write = COMMANDS[args.command]
+        inputs = load(args, _read_config(args.config) if args.config else {})
+        code = 2
+        result = compute(*inputs)
+        code = 1
+        write(args, inputs, result)
+        return 0
+    except (UsageError, KneeScoutError) as exc:
         _emit_error(exc, code, json_errors)
         return code
 
 
 def _emit_error(exc: Exception, code: int, as_json: bool) -> None:
     if as_json:
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-            ),
-            file=sys.stderr,
-        )
+        text = json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code})
     elif isinstance(exc, UsageError):
-        print(str(exc), file=sys.stderr)
+        text = str(exc)
     else:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        text = f"error: {type(exc).__name__}: {exc}"
+    print(text, file=sys.stderr)
 
 
-@contextmanager
-def _numerical_phase():
-    """Inside this block, any pipeline error is a numerical failure (exit 2),
-    even a precondition (a fit rejecting a short series) under InputError."""
-    try:
-        yield
-    except KneeScoutError as exc:
-        exc._numerical = True
-        raise
+def _load_cell(args, config: dict):
+    params = _resolve_params(args, config)
+    return load_capacity_csv(args.input, cell_id=args.cell_id, q_nom_ah=args.q_nom), params
 
 
-def _dispatch(args, config: dict) -> int:
-    cmd = args.command
-    if cmd == "identify" or cmd == "baconwatts":
-        params = _resolve_params(args, config)
-        series = load_capacity_csv(args.input, cell_id=args.cell_id, q_nom_ah=args.q_nom)
-        with _numerical_phase():
-            pipeline = identify_knees if cmd == "identify" else dbw_knee_report
-            report = pipeline(series, params)
-        _atomic_write_text(args.out, _report_json(report, params))
-        return 0
-    if cmd == "batch":
-        return _cmd_batch(args, config)
-    commands = {"synth": _cmd_synth, "features": _cmd_features, "train": _cmd_train,
-                "predict": _cmd_predict, "sensitivity": _cmd_sensitivity}
-    return commands[cmd](args)
+def _write_report(args, inputs, report: KneeReport) -> None:
+    write_text(args.out, _report_json(report, params=inputs[1]))
 
 
 def _capacity_files(directory) -> list:
@@ -283,79 +267,62 @@ def _capacity_files(directory) -> list:
     return files
 
 
-def _cmd_batch(args, config: dict) -> int:
+def _load_batch(args, config: dict):
     params = _resolve_params(args, config)
     try:
         methods = tuple(METHOD_ALIASES[m.strip()] for m in args.methods.split(","))
     except KeyError as exc:
         raise UsageError(f"unknown method {exc.args[0]!r}") from None
     series_list = [load_capacity_csv(p) for p in _capacity_files(args.dir)]
-    with _numerical_phase():
-        rows, correlations = batch_report(
-            series_list, methods=methods, params=params, jobs=args.jobs
-        )
-    out = Path(args.out)
-    if out.suffix == ".csv":
-        _atomic_write_text(out, format_batch_csv(rows, correlations))
+    return series_list, methods, params, args.jobs
+
+
+def _write_batch(args, inputs, result) -> None:
+    if Path(args.out).suffix == ".csv":
+        write_text(args.out, format_batch_csv(*result))
     else:
-        write_report_dir(rows, correlations, out, _atomic_write_text)
-    return 0
+        write_report_dir(*result, args.out)
 
 
-def _cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _load_synth(args, config: dict):
     if args.convex:
         curves = generate_convex_family(args.count, seed=args.seed)
     else:
         curves = generate_fleet(args.count, seed=args.seed, n_cycles=args.n_cycles)
-    for series, truth in curves:
-        lines = ["cycle,discharge_capacity_ah"]
-        lines += [
-            f"{c},{float(q)!r}" for c, q in zip(series.cycles, series.capacity_ah)
-        ]
-        _atomic_write_text(out_dir / f"{series.cell_id}.csv", "\n".join(lines) + "\n")
-        _atomic_write_text(
-            out_dir / f"{series.cell_id}.meta.json",
-            json.dumps(
-                {"cell_id": series.cell_id, "q_nom_ah": series.q_nom_ah},
-                sort_keys=True,
-            )
-            + "\n",
-        )
-        truth_obj = (
-            None
-            if truth is None
-            else {
-                "onset_cycle": truth.onset_cycle,
-                "knee_cycle": truth.knee_cycle,
-                "definition": truth.definition,
-            }
-        )
-        _atomic_write_text(
-            out_dir / f"{series.cell_id}.truth.json",
-            json.dumps({"cell_id": series.cell_id, "ground_truth": truth_obj},
-                       indent=2, sort_keys=True) + "\n",
-        )
-        if args.with_cycle_data and truth is not None:
-            records = simulate_cycle_records(
-                truth.onset_cycle, seed=_records_seed(series.cell_id)
-            )
-            rows = ["cycle,voltage_v,discharge_capacity_ah"]
-            for cyc in sorted(records):
-                rec = records[cyc]
-                rows += [
-                    f"{cyc},{float(v)!r},{float(q)!r}"
-                    for v, q in zip(rec.voltage_v, rec.q_ah)
-                ]
-            _atomic_write_text(
-                out_dir / f"{series.cell_id}.cycles.csv", "\n".join(rows) + "\n"
-            )
-    return 0
+    return curves, args.with_cycle_data
 
 
 def _records_seed(cell_id: str) -> int:
     return sum(ord(ch) for ch in cell_id) * 7919 % (2**31)
+
+
+def _with_cycle_records(curves, with_cycle_data: bool) -> list:
+    """Each (series, truth) with its simulated cycle records, or None."""
+    return [
+        (series, truth, simulate_cycle_records(
+            truth.onset_cycle, seed=_records_seed(series.cell_id)
+        ) if with_cycle_data and truth is not None else None)
+        for series, truth in curves
+    ]
+
+
+def _write_synth(args, inputs, cells) -> None:
+    out_dir = Path(args.out_dir)
+    for series, truth, records in cells:
+        name = series.cell_id
+        write_text(out_dir / f"{name}.csv",
+                   csv_text(CAPACITY_HEADER, zip(series.cycles, series.capacity_ah)))
+        meta = {"cell_id": name, "q_nom_ah": series.q_nom_ah}
+        write_text(out_dir / f"{name}.meta.json", json.dumps(meta, sort_keys=True) + "\n")
+        truth_obj = {"cell_id": name, "ground_truth": None if truth is None else asdict(truth)}
+        write_text(out_dir / f"{name}.truth.json",
+                   json.dumps(truth_obj, indent=2, sort_keys=True) + "\n")
+        if records is not None:
+            write_text(out_dir / f"{name}.cycles.csv", csv_text(
+                CYCLE_DETAIL_HEADER,
+                ((cyc, v, q) for cyc in sorted(records)
+                 for v, q in zip(records[cyc].voltage_v, records[cyc].q_ah)),
+            ))
 
 
 def _cycle_files(path) -> list:
@@ -375,26 +342,24 @@ def _cell_id_of(path: Path) -> str:
     return path.stem
 
 
-def _cmd_features(args) -> int:
-    lines = ["cell_id," + ",".join(FEATURE_NAMES)]
-    for path in _cycle_files(args.cycles):
-        records = load_cycle_detail_csv(path)
-        with _numerical_phase():
-            feats = extract_features(records, budget=args.budget)
-        values = ",".join(repr(float(v)) for v in feats.as_array())
-        lines.append(f"{_cell_id_of(path)},{values}")
-    _atomic_write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+def _load_features(args, config: dict):
+    files = _cycle_files(args.cycles)
+    cells = [load_cycle_detail_csv(path) for path in files]
+    return [_cell_id_of(path) for path in files], cells, args.budget
 
 
-FEATURES_HEADER = ("cell_id", *FEATURE_NAMES)
-LABELS_HEADER = ("cell_id", "onset_cycle")
+def _feature_rows(ids, cells, budget: int) -> list:
+    return [
+        (cell_id, *extract_features(records, budget=budget).as_array())
+        for cell_id, records in zip(ids, cells)
+    ]
 
 
-_HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
+def _write_features(args, inputs, rows) -> None:
+    write_text(args.out, csv_text(FEATURES_HEADER, rows))
 
 
-def _cmd_train(args) -> int:
+def _load_training(args, config: dict):
     ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
     label_ids, onsets, _ = read_csv(args.labels, LABELS_HEADER, ids=True)
     labels = dict(zip(label_ids, onsets[:, 0].tolist()))
@@ -402,27 +367,29 @@ def _cmd_train(args) -> int:
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")
     y = np.array([labels[i] for i in ids])
-    flags = {k: getattr(args, k) for k in _HYPER_FLAGS if getattr(args, k) is not None}
-    hyper = replace(GBRTHyper(), **flags)
-    with _numerical_phase():
-        model = gbrt_train(X, y, hyper)
-    _atomic_write_text(args.out, model.to_json() + "\n")
-    return 0
+    flags = {f.name: getattr(args, f.name) for f in fields(GBRTHyper)}  # train's flags
+    return X, y, GBRTHyper(**{k: v for k, v in flags.items() if v is not None})
 
 
-def _cmd_predict(args) -> int:
+def _write_model(args, inputs, model: GBRTModel) -> None:
+    write_text(args.out, model.to_json() + "\n")
+
+
+def _load_prediction(args, config: dict):
     ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
-    model = GBRTModel.from_json(read_text(args.model))
-    with _numerical_phase():
-        preds = gbrt_predict(model, X)
-    lines = ["cell_id,predicted_onset_cycle"]
-    lines += [f"{i},{float(p)!r}" for i, p in zip(ids, preds)]
-    text = "\n".join(lines) + "\n"
+    return ids, GBRTModel.from_json(read_text(args.model)), X
+
+
+def _prediction_rows(ids, model: GBRTModel, X) -> list:
+    return list(zip(ids, gbrt_predict(model, X)))
+
+
+def _write_predictions(args, inputs, rows) -> None:
+    text = csv_text(PREDICTIONS_HEADER, rows)
     if args.out:
-        _atomic_write_text(args.out, text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _parse_budgets(spec: str) -> range:
@@ -440,10 +407,9 @@ def _parse_budgets(spec: str) -> range:
     raise UsageError(f"cannot parse --budgets {spec!r} (expected LO:HI)")
 
 
-def _cmd_sensitivity(args) -> int:
-    files = _cycle_files(args.dir)
+def _load_sensitivity(args, config: dict):
     cells, labels = [], []
-    for path in files:
+    for path in _cycle_files(args.dir):
         truth_path = path.with_name(path.name.replace(".cycles.csv", ".truth.json"))
         if not truth_path.exists():
             raise InputError(f"missing {truth_path.name} next to {path.name}")
@@ -461,21 +427,27 @@ def _cmd_sensitivity(args) -> int:
         labels.append(onset)
     if not cells:
         raise InputError(f"no labeled cycle data found in {args.dir}")
-    with _numerical_phase():
-        table = sensitivity_sweep(
-            cells,
-            labels,
-            budgets=_parse_budgets(args.budgets),
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    lines = ["budget,mean_rmse,mean_mape"]
-    lines += [
-        f"{int(row['budget'])},{row['mean_rmse']!r},{row['mean_mape']!r}"
-        for row in table
-    ]
-    _atomic_write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return cells, labels, _parse_budgets(args.budgets), args.repeats, args.seed
+
+
+def _write_sensitivity(args, inputs, table) -> None:
+    write_text(args.out, csv_text(SENSITIVITY_HEADER, [
+        (int(row["budget"]), row["mean_rmse"], row["mean_mape"]) for row in table
+    ]))
+
+
+# Each command is (load, compute, write): load(args, config) returns the
+# arguments of compute, and write(args, inputs, result) writes its outputs.
+COMMANDS = {
+    "identify": (_load_cell, identify_knees, _write_report),
+    "baconwatts": (_load_cell, dbw_knee_report, _write_report),
+    "batch": (_load_batch, batch_report, _write_batch),
+    "synth": (_load_synth, _with_cycle_records, _write_synth),
+    "features": (_load_features, _feature_rows, _write_features),
+    "train": (_load_training, gbrt_train, _write_model),
+    "predict": (_load_prediction, _prediction_rows, _write_predictions),
+    "sensitivity": (_load_sensitivity, sensitivity_sweep, _write_sensitivity),
+}
 
 
 if __name__ == "__main__":

@@ -38,6 +38,10 @@ from .ingest import cycle_column, parse_json, read_csv
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 FEATURE_NAMES = ("min_dq", "var_dq", "skew_dq", "kurt_dq", "q2", "q_max_minus_2")
+FEATURES_HEADER = ("cell_id", *FEATURE_NAMES)
+LABELS_HEADER = ("cell_id", "onset_cycle")
+PREDICTIONS_HEADER = ("cell_id", "predicted_onset_cycle")
+SENSITIVITY_HEADER = ("budget", "mean_rmse", "mean_mape")
 
 # Knee-onset grading thresholds in cycles: early < 150, late > 270.
 CLASS_EDGES = (150.0, 270.0)
@@ -325,8 +329,10 @@ def _best_split(Xt, r, order, min_leaf):
         k = lo + int(j)
         score = _split_sse(c1[f, k], c2[f, k], c1[f, -1], c2[f, -1], k + 1, n - k - 1)
         if best is None or score < best[2]:
-            best = (int(f), (v[f, k] + v[f, k + 1]) / 2.0, score)
-    return best[:2]
+            best = (int(f), k, score)
+    f, k, _ = best
+    thr = (v[f, k] + v[f, k + 1]) / 2.0
+    return f, thr if thr < v[f, k + 1] else v[f, k]  # adjacent floats may round up
 
 
 def _fit_tree(Xt, order, r, max_depth, min_leaf) -> Tuple[List[TreeNode], np.ndarray]:

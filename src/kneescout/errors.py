@@ -1,9 +1,9 @@
 """Exception hierarchy shared by all knee-scout modules.
 
-Two branches matter for the CLI exit-code contract: ``InputError`` maps to
-exit code 1, ``NumericalError`` to exit code 2. Errors raised while fitting
-or segmenting are numerical failures even when the proximate cause is a
-short series, so some classes appear under both phases at the call sites.
+``InputError`` marks bad input data or parameters and ``NumericalError`` a
+procedure that found no valid result. The command line's exit code follows
+the phase an error is raised in, not its class; the ``kneescout.cli``
+module docstring states the rule.
 """
 
 
@@ -90,10 +90,6 @@ class NonFiniteResidual(NumericalError):
 
 
 class SingularNormalEquations(NumericalError):
-    pass
-
-
-class MaxIterationsReached(NumericalError):
     pass
 
 

@@ -8,6 +8,7 @@ first cycle index of the input is authoritative and is never renumbered.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -88,6 +89,42 @@ def read_text(path) -> str:
         raise InputError(f"cannot read {path}: {reason}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` atomically (a temp file beside ``path``, then a rename).
+    A failed write leaves no temp file and is an InputError naming the path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.exists():
+            tmp.unlink()
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(header, rows) -> str:
+    """CSV text that ``read_csv`` reads back value for value.
+
+    Floats are written as ``repr(float(x))``, so they parse back bit for bit
+    (NaN as NaN); integers as ``str``; None as an empty field. A string is
+    quoted, with ``""`` for a quote inside, only when it holds ``,`` or ``"``.
+    """
+    return "".join(",".join(map(_field, row)) + "\n" for row in (header, *rows))
+
+
 def parse_json(text: str, source, error=InputError):
     """Parse JSON text; malformed JSON raises ``error`` naming ``source``."""
     try:
@@ -103,7 +140,7 @@ def _fields(rows, usecols=None) -> np.ndarray:
     )
 
 
-# a row of only these is blank: str.isspace characters (none lies above
+# a row of only these may be blank: str.isspace characters (none lies above
 # U+3000), the delimiter and the quote
 _BLANK = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ',"'
 
@@ -136,7 +173,9 @@ def read_csv(path, header, *, ids: bool = False):
         raise MissingColumn(
             f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
         )
-    numbers = [k for k, line in enumerate(lines[1:], 2) if line.strip(_BLANK)]
+    # a row of only _BLANK characters may still hold text, such as a quoted ","
+    numbers = [k for k, line in enumerate(lines[1:], 2) if line.strip(_BLANK)
+               or '"' in line and any(f.strip() for f in _fields([line])[0])]
     rows = [lines[k - 1] for k in numbers]
     try:
         first, values = _parse_rows(rows, len(header), ids)
@@ -181,6 +220,8 @@ def load_capacity_csv(
         raise InputError(f"{sidecar}: expected a JSON object")
     if cell_id is None:
         cell_id = meta.get("cell_id", path.stem)
+        if not isinstance(cell_id, str):
+            raise InputError(f"{sidecar}: cell_id must be a string, got {cell_id!r}")
     if q_nom_ah is None:
         q_nom_ah = meta.get("q_nom_ah")
     if q_nom_ah is None:
@@ -240,7 +281,7 @@ def find_eol(series, threshold: float = 0.8) -> Optional[int]:
     trigger the crossing.
     """
     if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+        raise InputError(f"eol_threshold must be in (0, 1), got {threshold}")
     below = np.nonzero(series.values <= threshold)[0]
     if len(below) == 0:
         return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -11,11 +12,12 @@ import numpy as np
 from .baconwatts import dbw_knee_report
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import ConstantInput, LengthMismatch
-from .ingest import CapacityFadeSeries
+from .ingest import CapacityFadeSeries, csv_text, write_text
 from .segmentation import KneeReport, identify_knees
 
 METHODS = ("curvature_rea", "double_bacon_watts")
-BATCH_HEADER = "cell_id,method,onset_cycle,knee_cycle,eol_cycle,gap"
+BATCH_HEADER = ("cell_id", "method", "onset_cycle", "knee_cycle", "eol_cycle", "gap")
+SCATTER_HEADER = ("onset_or_knee_cycle", "eol_cycle")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ def batch_report(
     their rows are still emitted); a constant input degenerates the
     correlation to None with a note rather than failing the batch.
     """
-    rows: List[BatchRow] = []
     series_list = sorted(inputs, key=lambda s: s.cell_id)
     tasks = [(series, method) for series in series_list for method in methods]
     if jobs > 1:
@@ -87,17 +88,11 @@ def batch_report(
             )
     else:
         reports = [_report_for(s, m, params) for s, m in tasks]
-    for (series, method), rep in zip(tasks, reports):
-        rows.append(
-            BatchRow(
-                cell_id=rep.cell_id,
-                method=method,
-                onset_cycle=rep.onset_cycle,
-                knee_cycle=rep.knee_cycle,
-                eol_cycle=rep.eol_cycle,
-                gap=rep.knee_cycle - rep.onset_cycle,
-            )
-        )
+    rows = [
+        BatchRow(rep.cell_id, method, rep.onset_cycle, rep.knee_cycle, rep.eol_cycle,
+                 rep.knee_cycle - rep.onset_cycle)
+        for (_, method), rep in zip(tasks, reports)
+    ]
 
     correlations: Dict[str, CorrelationReport] = {}
     for method in methods:
@@ -136,12 +131,7 @@ def format_batch_csv(
     rows: List[BatchRow], correlations: Dict[str, CorrelationReport]
 ) -> str:
     """Batch table plus correlation footer lines (comment-prefixed)."""
-    lines = [BATCH_HEADER]
-    for r in rows:
-        eol = "" if r.eol_cycle is None else str(r.eol_cycle)
-        lines.append(
-            f"{r.cell_id},{r.method},{r.onset_cycle},{r.knee_cycle},{eol},{r.gap}"
-        )
+    footer = []
     for method, rep in correlations.items():
         parts = [f"# method={method}"]
         parts.append(f"pearson_onset_eol={_fmt(rep.r_onset_eol)}")
@@ -151,7 +141,7 @@ def format_batch_csv(
         parts.append(f"mean_gap={rep.mean_gap:.2f}")
         if rep.note:
             parts.append(f"note={rep.note!r}")
-        lines.append(" ".join(parts))
+        footer.append(" ".join(parts) + "\n")
     if all(m in correlations for m in METHODS):
         new = correlations["curvature_rea"]
         old = correlations["double_bacon_watts"]
@@ -159,10 +149,10 @@ def format_batch_csv(
             r_new = getattr(new, f"r_{kind}_eol")
             r_old = getattr(old, f"r_{kind}_eol")
             if r_new is not None and r_old not in (None, 0.0):
-                lines.append(
-                    f"# improvement_{kind}_pct={improvement_pct(r_new, r_old):.1f}"
+                footer.append(
+                    f"# improvement_{kind}_pct={improvement_pct(r_new, r_old):.1f}\n"
                 )
-    return "\n".join(lines) + "\n"
+    return csv_text(BATCH_HEADER, map(attrgetter(*BATCH_HEADER), rows)) + "".join(footer)
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -173,30 +163,22 @@ def format_scatter_csv(rows: List[BatchRow], method: str, kind: str) -> str:
     """Plot-ready ``onset_or_knee_cycle,eol_cycle`` pairs for one method."""
     if kind not in ("onset", "knee"):
         raise ValueError(f"kind must be onset or knee, got {kind!r}")
-    lines = ["onset_or_knee_cycle,eol_cycle"]
-    for r in rows:
-        if r.method != method or r.eol_cycle is None:
-            continue
-        cyc = r.onset_cycle if kind == "onset" else r.knee_cycle
-        lines.append(f"{cyc},{r.eol_cycle}")
-    return "\n".join(lines) + "\n"
+    return csv_text(SCATTER_HEADER, [
+        (r.onset_cycle if kind == "onset" else r.knee_cycle, r.eol_cycle)
+        for r in rows if r.method == method and r.eol_cycle is not None
+    ])
 
 
 def write_report_dir(
-    rows: List[BatchRow],
-    correlations: Dict[str, CorrelationReport],
-    out_dir,
-    write_text,
+    rows: List[BatchRow], correlations: Dict[str, CorrelationReport], out_dir
 ) -> List[Path]:
-    """Emit table.csv plus per-method scatter files via ``write_text``."""
+    """Write table.csv plus per-method scatter files, each atomically."""
     out_dir = Path(out_dir)
-    written = []
-    table = out_dir / "table.csv"
-    write_text(table, format_batch_csv(rows, correlations))
-    written.append(table)
+    files = {out_dir / "table.csv": format_batch_csv(rows, correlations)}
     for method in correlations:
         for kind in ("onset", "knee"):
-            p = out_dir / f"scatter_{method}_{kind}.csv"
-            write_text(p, format_scatter_csv(rows, method, kind))
-            written.append(p)
-    return written
+            name = f"scatter_{method}_{kind}.csv"
+            files[out_dir / name] = format_scatter_csv(rows, method, kind)
+    for path, text in files.items():
+        write_text(path, text)
+    return list(files)

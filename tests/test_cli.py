@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import shutil
@@ -487,3 +488,64 @@ class TestInputBoundary:
         payload = self.json_error(capsys, "batch", "--dir", str(tmp_path),
                                   "--out", str(tmp_path / "t.csv"))
         assert (payload["error"], payload["exit_code"]) == ("TooShort", 2)
+
+
+class TestPhaseExitCodes:
+    """An error in loading or writing exits 1 with one JSON line, whatever its class."""
+
+    def json_error(self, capsys, *argv):
+        code = run_cli("--json-errors", *argv)
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        payload = json.loads(err)
+        assert code == payload["exit_code"] == 1
+        return payload
+
+    def test_eol_threshold_flag_out_of_range(self, synth_dir, tmp_path, capsys):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, "identify", "--input", str(src),
+                                  "--eol-threshold", "1.5", "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert "eol_threshold: must be in (0, 1), got 1.5" in payload["message"]
+        assert not out.exists()
+
+    def test_eol_threshold_config_key_out_of_range(self, synth_dir, tmp_path, capsys):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("eol_threshold = 1.5\n")
+        payload = self.json_error(capsys, "--config", str(cfg), "baconwatts", "--input",
+                                  str(src), "--out", str(tmp_path / "r.json"))
+        assert payload["error"] == "InputError"
+        assert "eol_threshold" in payload["message"]
+
+    def test_batch_with_a_non_string_sidecar_cell_id(self, tmp_path, capsys):
+        for name, meta in (("a", '{"cell_id": "a", "q_nom_ah": 1.1}'),
+                           ("b", '{"cell_id": 7, "q_nom_ah": 1.1}')):
+            (tmp_path / f"{name}.csv").write_text(CAPACITY_CSV)
+            (tmp_path / f"{name}.meta.json").write_text(meta)
+        payload = self.json_error(capsys, "batch", "--dir", str(tmp_path),
+                                  "--out", str(tmp_path / "t.csv"))
+        assert payload["error"] == "InputError"
+        assert "b.meta.json: cell_id must be a string" in payload["message"]
+
+    def test_out_naming_a_directory(self, synth_dir, tmp_path, capsys):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        out = tmp_path / "taken"
+        out.mkdir()
+        payload = self.json_error(capsys, "identify", "--input", str(src), "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert f"cannot write {out}" in payload["message"]
+        assert not list(tmp_path.glob(".*.tmp*"))
+
+    def test_batch_quotes_a_cell_id_holding_a_comma(self, synth_dir, tmp_path):
+        for name in ("fleet-5-000.csv", "fleet-5-001.csv", "fleet-5-001.meta.json"):
+            shutil.copy(synth_dir / name, tmp_path / name)
+        (tmp_path / "fleet-5-000.meta.json").write_text('{"cell_id": "a,b", "q_nom_ah": 1.1}')
+        out = tmp_path / "table.csv"
+        assert run_cli("batch", "--dir", str(tmp_path), "--methods", "curvature",
+                       "--out", str(out)) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        rows = list(csv.reader(lines))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert [row[0] for row in rows] == ["cell_id", "a,b", "fleet-5-001"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneescout import cli
+from kneescout import cli, ingest
 from kneescout.earlypredict import (
     CYCLE_DETAIL_HEADER,
     FEATURE_NAMES,
@@ -149,6 +149,14 @@ class TestLoadCapacityCsv:
         with pytest.raises(NonPositiveCapacity):
             load_capacity_csv(p, q_nom_ah=1.0)
 
+    @pytest.mark.parametrize("cell_id", ["7", "null", "[\"a\"]", "{}"])
+    def test_sidecar_cell_id_must_be_a_string(self, tmp_path, cell_id):
+        p = tmp_path / "h.csv"
+        p.write_text("cycle,discharge_capacity_ah\n1,1.0\n2,0.9\n3,0.8\n")
+        (tmp_path / "h.meta.json").write_text(f'{{"cell_id": {cell_id}, "q_nom_ah": 1.1}}')
+        with pytest.raises(InputError, match="h.meta.json: cell_id must be a string"):
+            load_capacity_csv(p)
+
 
 class TestResampleEven:
     def test_identity_on_unit_spacing(self):
@@ -235,6 +243,12 @@ class TestFindEol:
         hi = find_eol(series, threshold_hi)
         if lo is not None:
             assert hi is not None and hi <= lo
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_threshold_outside_unit_interval_is_input_error(self, threshold):
+        series = NormalizedSeries(np.arange(5), np.full(5, 0.95))
+        with pytest.raises(InputError, match="eol_threshold must be in"):
+            find_eol(series, threshold)
 
 
 # --- the input boundary -----------------------------------------------------
@@ -581,3 +595,63 @@ class TestInputFuzz:
             load(path)
         except KneeScoutError:
             pass
+
+
+# --- the output side ----------------------------------------------------------
+
+# a cell id may hold anything but a line break
+CSV_IDS = st.one_of(
+    st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)),
+            max_size=8),
+    st.sampled_from(["a,b", 'say "hi"', " padded ", '"', ",", "", ' "x']),
+)
+CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308]),
+)
+
+
+class TestCsvText:
+    """The writer's output reads back through the reader value for value."""
+
+    @given(rows=st.lists(st.tuples(CSV_IDS, CSV_FLOATS, CSV_FLOATS), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_read_csv_reads_back_ids_and_float_bits(self, rows, tmp_path_factory):
+        header = ("cell_id", "x", "y")
+        path = tmp_path_factory.mktemp("written") / "rows.csv"
+        ingest.write_text(path, ingest.csv_text(header, rows))
+        ids, values, _ = read_csv(path, header, ids=True)
+        expected = np.array([row[1:] for row in rows], dtype=np.float64).reshape(-1, 2)
+        assert ids == [row[0] for row in rows]
+        nan = np.isnan(expected)
+        assert same_bits(np.isnan(values), nan)
+        assert same_bits(values[~nan], expected[~nan])
+
+    def test_field_forms(self):
+        rows = [("x,y", 1.5, 3), ('say "hi"', None, np.int64(-2)), ("plain", np.float64(-0.0), None)]
+        assert ingest.csv_text(("cell_id", "a", "b"), rows) == (
+            'cell_id,a,b\n"x,y",1.5,3\n"say ""hi""",,-2\nplain,-0.0,\n'
+        )
+
+    def test_failed_write_names_the_path_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(InputError, match=f"cannot write {target}"):
+            ingest.write_text(target, "text\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+class TestBlankRows:
+    @pytest.mark.parametrize("row", ['","', '""""', ' "', '"",","'])
+    def test_quoted_text_is_not_a_blank_row(self, tmp_path, row):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"cell_id,onset_cycle\na,1\n{row}\n")
+        with pytest.raises(MalformedRow, match="line 3"):
+            read_csv(path, cli.LABELS_HEADER, ids=True)
+
+    @pytest.mark.parametrize("row", ["", " ", ",", '"",""', '" ",""'])
+    def test_blank_row_is_skipped(self, tmp_path, row):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"cell_id,onset_cycle\na,1\n{row}\nb,2\n")
+        ids, onsets, lines = read_csv(path, cli.LABELS_HEADER, ids=True)
+        assert (ids, onsets[:, 0].tolist(), lines.tolist()) == (["a", "b"], [1.0, 2.0], [2, 4])
