@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -238,12 +238,16 @@ def main(argv=None) -> int:
 
 def _emit_error(exc: Exception, code: int, as_json: bool) -> None:
     if as_json:
-        text = json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code})
+        print(
+            json.dumps(
+                {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+            ),
+            file=sys.stderr,
+        )
     elif isinstance(exc, UsageError):
-        text = str(exc)
+        print(str(exc), file=sys.stderr)
     else:
-        text = f"error: {type(exc).__name__}: {exc}"
-    print(text, file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 def _load_cell(args, config: dict):
@@ -359,6 +363,9 @@ def _write_features(args, inputs, rows) -> None:
     write_text(args.out, csv_text(FEATURES_HEADER, rows))
 
 
+_HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
+
+
 def _load_training(args, config: dict):
     ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
     label_ids, onsets, _ = read_csv(args.labels, LABELS_HEADER, ids=True)
@@ -367,8 +374,8 @@ def _load_training(args, config: dict):
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")
     y = np.array([labels[i] for i in ids])
-    flags = {f.name: getattr(args, f.name) for f in fields(GBRTHyper)}  # train's flags
-    return X, y, GBRTHyper(**{k: v for k, v in flags.items() if v is not None})
+    flags = {k: getattr(args, k) for k in _HYPER_FLAGS if getattr(args, k) is not None}
+    return X, y, replace(GBRTHyper(), **flags)
 
 
 def _write_model(args, inputs, model: GBRTModel) -> None:

@@ -329,10 +329,8 @@ def _best_split(Xt, r, order, min_leaf):
         k = lo + int(j)
         score = _split_sse(c1[f, k], c2[f, k], c1[f, -1], c2[f, -1], k + 1, n - k - 1)
         if best is None or score < best[2]:
-            best = (int(f), k, score)
-    f, k, _ = best
-    thr = (v[f, k] + v[f, k + 1]) / 2.0
-    return f, thr if thr < v[f, k + 1] else v[f, k]  # adjacent floats may round up
+            best = (int(f), (v[f, k] + v[f, k + 1]) / 2.0, score)
+    return best[:2]
 
 
 def _fit_tree(Xt, order, r, max_depth, min_leaf) -> Tuple[List[TreeNode], np.ndarray]:

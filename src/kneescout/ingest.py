@@ -98,10 +98,11 @@ def write_text(path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:  # UnicodeError: a lone surrogate
         if tmp.exists():
             tmp.unlink()
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot write {path}: {reason}") from None
 
 
 def _field(value) -> str:

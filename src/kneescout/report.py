@@ -77,6 +77,7 @@ def batch_report(
     their rows are still emitted); a constant input degenerates the
     correlation to None with a note rather than failing the batch.
     """
+    rows: List[BatchRow] = []
     series_list = sorted(inputs, key=lambda s: s.cell_id)
     tasks = [(series, method) for series in series_list for method in methods]
     if jobs > 1:
@@ -88,11 +89,17 @@ def batch_report(
             )
     else:
         reports = [_report_for(s, m, params) for s, m in tasks]
-    rows = [
-        BatchRow(rep.cell_id, method, rep.onset_cycle, rep.knee_cycle, rep.eol_cycle,
-                 rep.knee_cycle - rep.onset_cycle)
-        for (_, method), rep in zip(tasks, reports)
-    ]
+    for (series, method), rep in zip(tasks, reports):
+        rows.append(
+            BatchRow(
+                cell_id=rep.cell_id,
+                method=method,
+                onset_cycle=rep.onset_cycle,
+                knee_cycle=rep.knee_cycle,
+                eol_cycle=rep.eol_cycle,
+                gap=rep.knee_cycle - rep.onset_cycle,
+            )
+        )
 
     correlations: Dict[str, CorrelationReport] = {}
     for method in methods:
@@ -170,15 +177,19 @@ def format_scatter_csv(rows: List[BatchRow], method: str, kind: str) -> str:
 
 
 def write_report_dir(
-    rows: List[BatchRow], correlations: Dict[str, CorrelationReport], out_dir
+    rows: List[BatchRow],
+    correlations: Dict[str, CorrelationReport],
+    out_dir,
 ) -> List[Path]:
     """Write table.csv plus per-method scatter files, each atomically."""
     out_dir = Path(out_dir)
-    files = {out_dir / "table.csv": format_batch_csv(rows, correlations)}
+    written = []
+    table = out_dir / "table.csv"
+    write_text(table, format_batch_csv(rows, correlations))
+    written.append(table)
     for method in correlations:
         for kind in ("onset", "knee"):
-            name = f"scatter_{method}_{kind}.csv"
-            files[out_dir / name] = format_scatter_csv(rows, method, kind)
-    for path, text in files.items():
-        write_text(path, text)
-    return list(files)
+            p = out_dir / f"scatter_{method}_{kind}.csv"
+            write_text(p, format_scatter_csv(rows, method, kind))
+            written.append(p)
+    return written

@@ -538,6 +538,18 @@ class TestPhaseExitCodes:
         assert f"cannot write {out}" in payload["message"]
         assert not list(tmp_path.glob(".*.tmp*"))
 
+    def test_batch_with_an_unencodable_sidecar_cell_id(self, synth_dir, tmp_path, capsys):
+        for name in ("fleet-5-000.csv", "fleet-5-001.csv", "fleet-5-001.meta.json"):
+            shutil.copy(synth_dir / name, tmp_path / name)
+        # a JSON escape for a lone surrogate, which UTF-8 cannot encode
+        (tmp_path / "fleet-5-000.meta.json").write_text('{"cell_id": "\\ud800", "q_nom_ah": 1.1}')
+        out = tmp_path / "report"
+        payload = self.json_error(capsys, "batch", "--dir", str(tmp_path), "--methods",
+                                  "curvature", "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert f"cannot write {out / 'table.csv'}" in payload["message"]
+        assert not list(out.glob(".*.tmp*"))
+
     def test_batch_quotes_a_cell_id_holding_a_comma(self, synth_dir, tmp_path):
         for name in ("fleet-5-000.csv", "fleet-5-001.csv", "fleet-5-001.meta.json"):
             shutil.copy(synth_dir / name, tmp_path / name)

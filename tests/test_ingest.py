@@ -640,6 +640,12 @@ class TestCsvText:
             ingest.write_text(target, "text\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
+    def test_unencodable_text_names_the_path_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "t.csv"
+        with pytest.raises(InputError, match=f"cannot write {target}: .*surrogates"):
+            ingest.write_text(target, "cell_id\n\ud800\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBlankRows:
     @pytest.mark.parametrize("row", ['","', '""""', ' "', '"",","'])
