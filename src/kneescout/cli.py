@@ -37,6 +37,7 @@ from .earlypredict import (
 from .errors import InputError, KneeScoutError
 from .ingest import (
     CAPACITY_HEADER,
+    check_cell_id,
     csv_text,
     load_capacity_csv,
     parse_json,
@@ -341,9 +342,8 @@ def _cycle_files(path) -> list:
 
 def _cell_id_of(path: Path) -> str:
     name = path.name
-    if name.endswith(".cycles.csv"):
-        return name[: -len(".cycles.csv")]
-    return path.stem
+    stem = name[: -len(".cycles.csv")] if name.endswith(".cycles.csv") else path.stem
+    return check_cell_id(stem, path)
 
 
 def _load_features(args, config: dict):

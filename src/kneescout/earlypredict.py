@@ -297,6 +297,18 @@ def _split_sse(c1, c2, tot1, tot2, nl, nr):
     return (c2 - c1 ** 2 / nl) + ((tot2 - c2) - (tot1 - c1) ** 2 / nr)
 
 
+def _threshold(lower, upper) -> float:
+    """The midpoint of two adjacent distinct values, or ``lower`` where it fails.
+
+    Between adjacent floats the midpoint can round up to ``upper``, and for
+    huge values it can overflow to +-inf; either would send every row to
+    one side. ``lower`` splits the two values apart under ``x <= thr``.
+    """
+    lower, upper = float(lower), float(upper)  # Python floats overflow silently
+    mid = (lower + upper) / 2.0
+    return mid if lower <= mid < upper else lower
+
+
 def _best_split(Xt, r, order, min_leaf):
     """Greedy variance-reduction split of the node whose rows ``order`` holds.
 
@@ -329,7 +341,7 @@ def _best_split(Xt, r, order, min_leaf):
         k = lo + int(j)
         score = _split_sse(c1[f, k], c2[f, k], c1[f, -1], c2[f, -1], k + 1, n - k - 1)
         if best is None or score < best[2]:
-            best = (int(f), (v[f, k] + v[f, k + 1]) / 2.0, score)
+            best = (int(f), _threshold(v[f, k], v[f, k + 1]), score)
     return best[:2]
 
 

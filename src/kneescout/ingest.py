@@ -202,6 +202,15 @@ def cycle_column(path, column: np.ndarray, lines: np.ndarray) -> np.ndarray:
     return np.trunc(column).astype(np.int64)
 
 
+def check_cell_id(cell_id, source) -> str:
+    """``cell_id`` if it is a string that fits on one CSV line; else InputError."""
+    if not isinstance(cell_id, str):
+        raise InputError(f"{source}: cell_id must be a string, got {cell_id!r}")
+    if "\n" in cell_id or "\r" in cell_id:
+        raise InputError(f"{source}: cell_id {cell_id!r} holds a line break")
+    return cell_id
+
+
 def load_capacity_csv(
     path,
     cell_id: Optional[str] = None,
@@ -220,9 +229,8 @@ def load_capacity_csv(
     if not isinstance(meta, dict):
         raise InputError(f"{sidecar}: expected a JSON object")
     if cell_id is None:
-        cell_id = meta.get("cell_id", path.stem)
-        if not isinstance(cell_id, str):
-            raise InputError(f"{sidecar}: cell_id must be a string, got {cell_id!r}")
+        source = sidecar if "cell_id" in meta else path
+        cell_id = check_cell_id(meta.get("cell_id", path.stem), source)
     if q_nom_ah is None:
         q_nom_ah = meta.get("q_nom_ah")
     if q_nom_ah is None:

@@ -4,11 +4,14 @@ Every length-L window is z-normalized once (``sliding_window_view``), and
 every distance is the Euclidean norm of the difference of two z-normalized
 windows, measured by one helper that ``mass`` and ``stamp`` share. MASS is
 the one-query case: the distances from one query window to every window.
-STAMP finds each window's nearest neighbour from blocks of the Gram matrix
-``Z @ Z.T``: for z-normalized windows ``d^2 = 2L - 2 * dot``, so the
-nearest neighbour is the largest dot product. ``argmax`` takes the first
-maximum, so ties go to the smallest index and the result does not depend on
-evaluation order. P is then measured directly from the chosen pair.
+STAMP finds each window's nearest neighbour from blocks of full rows of the
+Gram matrix ``Z @ Z.T``: for z-normalized windows ``d^2 = 2L - 2 * dot``, so
+the nearest neighbour is the largest dot product. The exclusion band of a
+block only reaches the columns within ceil(L/2) of its rows, so it is
+written through one local mask built once per call. ``argmax`` takes the
+first maximum, so ties go to the smallest index and the result does not
+depend on evaluation order. P is then measured directly from the chosen
+pair.
 
 Conventions that the rest of the pipeline relies on:
 
@@ -36,7 +39,8 @@ from .errors import DegenerateWindow, SeriesTooShort, WindowTooLarge
 FLAT_STD = 1e-12
 
 # Rows of the Gram matrix formed at a time; the working set is
-# _BLOCK_ROWS x (number of windows) floats.
+# _BLOCK_ROWS x (number of windows) floats, and the band mask
+# _BLOCK_ROWS x (_BLOCK_ROWS + 2 ceil(L/2)) booleans.
 _BLOCK_ROWS = 64
 
 
@@ -118,6 +122,13 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     I[j] is the window outside the band of radius ceil(L/2) around j with the
     largest Gram entry, the smallest index on ties; P[j] is the distance to
     it. A window with no candidate keeps I = -1 and P = 2 sqrt(L).
+
+    Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows, and the
+    band is set to -inf only in the columns ``start - r .. stop + r`` around
+    the block, through a slice of one ``(_BLOCK_ROWS, _BLOCK_ROWS + 2r)``
+    mask (r = ceil(L/2)). The rows stay full because a column-sliced or
+    symmetric product can round differently under some BLAS builds, and a
+    changed bit can move an argmax tie.
     """
     series = np.asarray(series, dtype=np.float64)
     M = len(series)
@@ -131,18 +142,22 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
 
     Z, flat = _znormalize(sliding_window_view(series, L))
     n = len(Z)
-    cols = np.arange(n)
+    # band[i, c]: column start - radius + c lies within radius of row start + i
+    shift = np.arange(_BLOCK_ROWS + 2 * radius) - np.arange(_BLOCK_ROWS)[:, None]
+    band = (shift >= 0) & (shift <= 2 * radius)
+    any_flat = bool(flat.any())
     I = np.full(n, -1, dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        rows = cols[start:stop]
+        stop = min(start + _BLOCK_ROWS, n)
         gram = Z[start:stop] @ Z.T
-        gram[:, flat] = np.where(flat[rows, None], float(L), L / 2.0)
-        band = (cols >= rows[:, None] - radius) & (cols <= rows[:, None] + radius)
-        gram[band] = -np.inf
+        if any_flat:
+            gram[:, flat] = np.where(flat[start:stop, None], float(L), L / 2.0)
+        lo, hi = max(start - radius, 0), min(stop + radius, n)
+        skip = lo - (start - radius)
+        gram[:, lo:hi][band[: stop - start, skip : skip + hi - lo]] = -np.inf
         best = np.argmax(gram, axis=1)
-        found = gram[np.arange(len(rows)), best] > -np.inf
-        I[rows[found]] = best[found]
+        found = gram[np.arange(stop - start), best] > -np.inf
+        I[start:stop][found] = best[found]
 
     P = np.full(n, 2.0 * math.sqrt(L))
     j = np.nonzero(I >= 0)[0]

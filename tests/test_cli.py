@@ -550,6 +550,31 @@ class TestPhaseExitCodes:
         assert f"cannot write {out / 'table.csv'}" in payload["message"]
         assert not list(out.glob(".*.tmp*"))
 
+    @pytest.mark.parametrize("escape", ["\\n", "\\r"], ids=["newline", "return"])
+    def test_batch_with_a_line_break_in_a_sidecar_cell_id(self, synth_dir, tmp_path, capsys,
+                                                          escape):
+        for name in ("fleet-5-000.csv", "fleet-5-001.csv", "fleet-5-001.meta.json"):
+            shutil.copy(synth_dir / name, tmp_path / name)
+        (tmp_path / "fleet-5-000.meta.json").write_text(
+            '{"cell_id": "a%sb", "q_nom_ah": 1.1}' % escape)
+        out = tmp_path / "table.csv"
+        payload = self.json_error(capsys, "batch", "--dir", str(tmp_path), "--methods",
+                                  "curvature", "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert "fleet-5-000.meta.json: cell_id 'a%sb' holds a line break" % escape \
+            in payload["message"]
+        assert not out.exists()
+
+    def test_features_with_a_line_break_in_a_file_name(self, synth_dir, tmp_path, capsys):
+        shutil.copy(synth_dir / "fleet-5-000.cycles.csv", tmp_path / "fleet-5-000.cycles.csv")
+        shutil.copy(synth_dir / "fleet-5-001.cycles.csv", tmp_path / "a\nb.cycles.csv")
+        out = tmp_path / "f.csv"
+        payload = self.json_error(capsys, "features", "--cycles", str(tmp_path),
+                                  "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert "cell_id 'a\\nb' holds a line break" in payload["message"]
+        assert not out.exists()
+
     def test_batch_quotes_a_cell_id_holding_a_comma(self, synth_dir, tmp_path):
         for name in ("fleet-5-000.csv", "fleet-5-001.csv", "fleet-5-001.meta.json"):
             shutil.copy(synth_dir / name, tmp_path / name)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,7 +290,9 @@ def _reference_best_split(X, r, idx, min_leaf):
                 (tot2 - c2[k]) - (tot1 - c1[k]) ** 2 / nr
             )
             if best is None or sse < best[2]:
-                best = (f, (v[k] + v[k + 1]) / 2.0, sse)
+                # a midpoint that rounds up to v[k + 1] or overflows splits at v[k]
+                mid = (v[k] + v[k + 1]) / 2.0
+                best = (f, mid if v[k] <= mid < v[k + 1] else v[k], sse)
     return best
 
 
@@ -407,6 +411,23 @@ class TestGbrtMatchesScalarReference:
                       1248.7462490105406])
         hyper = GBRTHyper(n_trees=1, max_depth=1, min_leaf=1)
         assert gbrt_train(X, y, hyper).to_json() == reference_train(X, y, hyper).to_json()
+
+    @pytest.mark.parametrize("a, b", [
+        (3.9999999999999996, 4.0),  # adjacent floats: the midpoint rounds up to b
+        (1.6e308, 1.7e308),  # the sum overflows to +inf
+        (-1.7e308, -1.6e308),  # the sum overflows to -inf
+    ])
+    def test_split_between_values_whose_midpoint_fails(self, a, b):
+        X = np.array([[a], [b], [a], [b]])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        hyper = GBRTHyper(n_trees=1, learning_rate=1.0, max_depth=1, min_leaf=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = gbrt_train(X, y, hyper)
+            assert model.trees[0][0].threshold == a
+            np.testing.assert_array_equal(gbrt_predict(model, X), y)
+        with np.errstate(over="ignore"):  # the reference sums NumPy scalars
+            assert model.to_json() == reference_train(X, y, hyper).to_json()
 
     def test_fleet_sized_fit(self):
         rng = np.random.default_rng(11)

@@ -157,6 +157,21 @@ class TestLoadCapacityCsv:
         with pytest.raises(InputError, match="h.meta.json: cell_id must be a string"):
             load_capacity_csv(p)
 
+    @pytest.mark.parametrize("cell_id", ["a\\nb", "a\\rb", "\\r\\n"])
+    def test_sidecar_cell_id_must_fit_on_one_line(self, tmp_path, cell_id):
+        p = tmp_path / "h.csv"
+        p.write_text("cycle,discharge_capacity_ah\n1,1.0\n2,0.9\n3,0.8\n")
+        (tmp_path / "h.meta.json").write_text(f'{{"cell_id": "{cell_id}", "q_nom_ah": 1.1}}')
+        with pytest.raises(InputError, match="h.meta.json: cell_id .* holds a line break"):
+            load_capacity_csv(p)
+
+    def test_file_name_cell_id_must_fit_on_one_line(self, tmp_path):
+        p = tmp_path / "a\rb.csv"
+        p.write_text("cycle,discharge_capacity_ah\n1,1.0\n2,0.9\n3,0.8\n")
+        with pytest.raises(InputError, match="holds a line break"):
+            load_capacity_csv(p, q_nom_ah=1.1)
+        assert load_capacity_csv(p, cell_id="ab", q_nom_ah=1.1).cell_id == "ab"
+
 
 class TestResampleEven:
     def test_identity_on_unit_spacing(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from kneescout.errors import DegenerateWindow, SeriesTooShort, WindowTooLarge
-from kneescout.matrixprofile import FLAT_STD, mass, stamp
+from kneescout.matrixprofile import FLAT_STD, _distance, _znormalize, mass, stamp
 
 
 def znorm_distance_oracle(u, w):
@@ -72,6 +72,63 @@ def naive_matrix_profile(series, L):
                 P[j] = d
                 I[j] = k
     return P, I
+
+
+def _reference_stamp(series, L):
+    """The block loop ``stamp`` used before its local band: a full (64, n)
+    band mask built for every block of 64 rows. Returns (P, I)."""
+    series = np.asarray(series, dtype=np.float64)
+    radius = math.ceil(L / 2)
+    Z, flat = _znormalize(np.lib.stride_tricks.sliding_window_view(series, L))
+    n = len(Z)
+    cols = np.arange(n)
+    I = np.full(n, -1, dtype=np.int64)
+    for start in range(0, n, 64):
+        rows = cols[start : start + 64]
+        gram = Z[start : start + 64] @ Z.T
+        gram[:, flat] = np.where(flat[rows, None], float(L), L / 2.0)
+        band = (cols >= rows[:, None] - radius) & (cols <= rows[:, None] + radius)
+        gram[band] = -np.inf
+        best = np.argmax(gram, axis=1)
+        found = gram[np.arange(len(rows)), best] > -np.inf
+        I[rows[found]] = best[found]
+    P = np.full(n, 2.0 * math.sqrt(L))
+    j = np.nonzero(I >= 0)[0]
+    k = I[j]
+    P[j] = np.minimum(_distance(Z[j], Z[k], flat[j], flat[k], L), P[j])
+    return P, I
+
+
+@st.composite
+def block_edge_series(draw):
+    """Series whose window count n sits near a 64-row block edge.
+
+    n lies within 2 ceil(L/2) of 64 k (k = 1..3) or below 64 + ceil(L/2).
+    Values may be rounded to a coarse grid or tiled from a short integer
+    pattern (equal windows, so argmax ties), and a flat run may cross a
+    block edge.
+    """
+    L = draw(st.integers(2, 40))
+    r = math.ceil(L / 2)
+    if draw(st.booleans()):
+        n = 64 * draw(st.integers(1, 3)) + draw(st.integers(-2 * r, 2 * r))
+    else:
+        n = draw(st.integers(r + 2, 64 + r - 1))
+    m = n + L - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["walk", "rounded", "tiled"]))
+    if kind == "walk":
+        series = np.cumsum(rng.normal(0, 1, m))
+    elif kind == "rounded":
+        series = np.round(np.cumsum(rng.normal(0, 1, m)) * 2) / 2
+    else:
+        series = np.tile(rng.integers(-2, 3, draw(st.integers(1, 9))), m)[:m].astype(float)
+    if draw(st.booleans()):
+        edge = 64 * draw(st.integers(0, max(n // 64, 1)))
+        lo = min(max(edge - draw(st.integers(0, L + r)), 0), m - 1)
+        hi = min(edge + draw(st.integers(1, 2 * L + r)), m)
+        series[lo:hi] = series[lo]
+    return series, L
 
 
 class TestMass:
@@ -241,6 +298,28 @@ class TestStamp:
         mp = stamp(series, L)
         P, _ = naive_matrix_profile(series, L)
         assert np.max(np.abs(mp.P - P)) < 1e-9
+
+
+class TestLocalBandMatchesFullMask:
+    @given(block_edge_series())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise(self, case):
+        series, L = case
+        mp = stamp(series, L)
+        P, I = _reference_stamp(series, L)
+        assert mp.P.tobytes() == P.tobytes()
+        np.testing.assert_array_equal(mp.I, I)
+
+    @pytest.mark.parametrize("n", [65, 128, 2500])
+    def test_fixed_sizes_with_flat_runs(self, n):
+        rng = np.random.default_rng(n)
+        L = 12
+        series = np.cumsum(rng.normal(0, 1, n + L - 1))
+        series[50:90] = series[50]
+        mp = stamp(series, L)
+        P, I = _reference_stamp(series, L)
+        assert mp.P.tobytes() == P.tobytes()
+        np.testing.assert_array_equal(mp.I, I)
 
 
 class TestOracleScale:
