@@ -46,11 +46,6 @@ class DBWParams:
     x2: float
     gamma: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.alpha0, self.alpha1, self.alpha2, self.alpha3, self.x0, self.x2]
-        )
-
     @staticmethod
     def from_array(free: np.ndarray, gamma: float) -> "DBWParams":
         a0, a1, a2, a3, x0, x2 = (float(v) for v in free)

@@ -45,16 +45,12 @@ from .ingest import (
     read_text,
     write_text,
 )
-from .report import batch_report, format_batch_csv, write_report_dir
+from .report import batch_report, check_methods, format_batch_csv, write_report_dir
 from .segmentation import KneeReport, identify_knees
 from .synthgen import generate_convex_family, generate_fleet, simulate_cycle_records
 
-METHOD_ALIASES = {
-    "curvature": "curvature_rea",
-    "curvature_rea": "curvature_rea",
-    "baconwatts": "double_bacon_watts",
-    "double_bacon_watts": "double_bacon_watts",
-}
+# short names for --methods; the canonical names are report.METHODS
+METHOD_ALIASES = {"curvature": "curvature_rea", "baconwatts": "double_bacon_watts"}
 
 
 class UsageError(Exception):
@@ -76,18 +72,11 @@ def _positive_int(text: str) -> int:
 
 
 def _report_json(report: KneeReport, params: PipelineParams) -> str:
-    payload = {
-        "cell_id": report.cell_id,
-        "method": report.method,
-        "onset_cycle": report.onset_cycle,
-        "knee_cycle": report.knee_cycle,
-        "eol_cycle": report.eol_cycle,
-        "params": {
-            key: getattr(params, key)
-            for key in ("sg_window", "sg_order", "curv_window", "mp_window",
-                        "cac_window", "exclusion_radius")
-        },
-        "diagnostics": report.diagnostics,
+    payload = asdict(report)
+    payload["params"] = {
+        key: getattr(params, key)
+        for key in ("sg_window", "sg_order", "curv_window", "mp_window",
+                    "cac_window", "exclusion_radius")
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -208,7 +197,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sensitivity", help="cycle-budget sensitivity sweep")
     p.add_argument("--dir", required=True)
     p.add_argument("--budgets", default="15:35")
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
 
@@ -274,10 +263,11 @@ def _capacity_files(directory) -> list:
 
 def _load_batch(args, config: dict):
     params = _resolve_params(args, config)
+    methods = tuple(METHOD_ALIASES.get(m.strip(), m.strip()) for m in args.methods.split(","))
     try:
-        methods = tuple(METHOD_ALIASES[m.strip()] for m in args.methods.split(","))
-    except KeyError as exc:
-        raise UsageError(f"unknown method {exc.args[0]!r}") from None
+        check_methods(methods)
+    except InputError as exc:
+        raise UsageError(str(exc)) from None
     series_list = [load_capacity_csv(p) for p in _capacity_files(args.dir)]
     return series_list, methods, params, args.jobs
 
@@ -400,18 +390,15 @@ def _write_predictions(args, inputs, rows) -> None:
 
 
 def _parse_budgets(spec: str) -> range:
-    parts = spec.split(":")
     try:
-        if len(parts) == 1:
-            v = int(parts[0])
-            return range(v, v + 1)
-        if len(parts) == 2:
-            return range(int(parts[0]), int(parts[1]) + 1)
-        if len(parts) == 3:
-            return range(int(parts[0]), int(parts[1]) + 1, int(parts[2]))
-    except ValueError:
-        pass
-    raise UsageError(f"cannot parse --budgets {spec!r} (expected LO:HI)")
+        bounds = [int(part) for part in spec.split(":")]
+        lo, hi, *step = bounds * 2 if len(bounds) == 1 else bounds  # LO is LO:LO
+        budgets = range(lo, hi + 1, *step)  # a fourth part is a TypeError
+    except (TypeError, ValueError):
+        raise UsageError(f"cannot parse --budgets {spec!r} (expected LO:HI)") from None
+    if not budgets:
+        raise UsageError(f"--budgets {spec!r} selects no budget")
+    return budgets
 
 
 def _load_sensitivity(args, config: dict):

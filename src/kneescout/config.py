@@ -43,9 +43,10 @@ class GBRTHyper:
 class PipelineParams:
     """Knobs of the identification pipeline.
 
-    ``curv_window`` and ``mp_window`` default to 3 cycles. ``cac_window``
-    is an optional second subsequence length: when set, segmentation runs
-    on a matrix profile computed with that window instead of ``mp_window``.
+    ``curv_window`` and ``mp_window`` default to 3 cycles. ``cac_window``,
+    when set, replaces ``mp_window`` as the window of the one matrix
+    profile that segmentation runs on; 0 selects one fifth of the curvature
+    length, and a negative value is rejected.
     ``exclusion_radius`` is the REA masking half-width in cycles and also
     the width of the edge band excluded from boundary selection.
     """

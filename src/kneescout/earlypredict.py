@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .config import GBRTHyper
 from .errors import (
     EmptyTrainingSet,
     FeatureCountMismatch,
+    InputError,
     InvalidDischargeCurve,
     InvalidModel,
     LengthMismatch,
@@ -37,8 +38,6 @@ from .errors import (
 from .ingest import cycle_column, parse_json, read_csv
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
-FEATURE_NAMES = ("min_dq", "var_dq", "skew_dq", "kurt_dq", "q2", "q_max_minus_2")
-FEATURES_HEADER = ("cell_id", *FEATURE_NAMES)
 LABELS_HEADER = ("cell_id", "onset_cycle")
 PREDICTIONS_HEADER = ("cell_id", "predicted_onset_cycle")
 SENSITIVITY_HEADER = ("budget", "mean_rmse", "mean_mape")
@@ -97,10 +96,11 @@ class FeatureVector:
             raise NonFiniteFeature(f"negative variance {self.var_dq!r}")
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.min_dq, self.var_dq, self.skew_dq, self.kurt_dq, self.q2,
-             self.q_max_minus_2]
-        )
+        return np.array([getattr(self, name) for name in FEATURE_NAMES])
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+FEATURES_HEADER = ("cell_id", *FEATURE_NAMES)
 
 
 def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
@@ -231,6 +231,10 @@ class TreeNode:
     value: float
 
 
+# each TreeNode field and the type its JSON value is cast to
+_NODE_CASTS = get_type_hints(TreeNode)
+
+
 @dataclass(frozen=True)
 class GBRTModel:
     init_value: float
@@ -245,19 +249,7 @@ class GBRTModel:
                 "init_value": self.init_value,
                 "learning_rate": self.learning_rate,
                 "n_features": self.n_features,
-                "trees": [
-                    [
-                        {
-                            "feature": n.feature,
-                            "threshold": n.threshold,
-                            "left": n.left,
-                            "right": n.right,
-                            "value": n.value,
-                        }
-                        for n in tree
-                    ]
-                    for tree in self.trees
-                ],
+                "trees": [[asdict(n) for n in tree] for tree in self.trees],
             },
             indent=2,
             sort_keys=True,
@@ -268,16 +260,7 @@ class GBRTModel:
         obj = parse_json(text, "model JSON", InvalidModel)
         try:
             trees = [
-                [
-                    TreeNode(
-                        feature=int(n["feature"]),
-                        threshold=float(n["threshold"]),
-                        left=int(n["left"]),
-                        right=int(n["right"]),
-                        value=float(n["value"]),
-                    )
-                    for n in tree
-                ]
+                [TreeNode(**{k: cast(n[k]) for k, cast in _NODE_CASTS.items()}) for n in tree]
                 for tree in obj["trees"]
             ]
             return GBRTModel(
@@ -439,6 +422,8 @@ def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
         raise FeatureCountMismatch(
             f"model expects {model.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
         )
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteFeature("prediction features contain non-finite values")
     out = np.full(len(X), model.init_value)
     if model.trees:
         for contribution in model.learning_rate * _leaf_values(model.trees, X):
@@ -476,6 +461,10 @@ def sensitivity_sweep(
     """
     if len(cells) != len(labels):
         raise LengthMismatch(f"{len(cells)} cells vs {len(labels)} labels")
+    if repeats < 1:
+        raise InputError(f"repeats must be >= 1, got {repeats}")
+    if len(budgets) == 0:
+        raise InputError("no cycle budgets to sweep")
     y = np.asarray(labels, dtype=np.float64)
     table = []
     for budget in budgets:

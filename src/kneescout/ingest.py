@@ -65,7 +65,8 @@ class CapacityFadeSeries:
 
 @dataclass(frozen=True)
 class NormalizedSeries:
-    """Dimensionless capacity fraction on a unit-spaced cycle grid."""
+    """Dimensionless capacity fraction on a unit-spaced cycle grid, raw or
+    smoothed (``preprocess.SmoothedSeries`` names the same class)."""
 
     cycles: np.ndarray
     values: np.ndarray

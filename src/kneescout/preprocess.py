@@ -18,18 +18,8 @@ from scipy.signal import savgol_filter
 from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, WindowTooLarge
 from .ingest import NormalizedSeries
 
-
-@dataclass(frozen=True)
-class SmoothedSeries:
-    cycles: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "cycles", np.asarray(self.cycles, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.cycles)
+# a smoothed series is the same (cycles, values) record on the unit grid
+SmoothedSeries = NormalizedSeries
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -11,12 +10,12 @@ import numpy as np
 
 from .baconwatts import dbw_knee_report
 from .config import PipelineParams, DEFAULT_PARAMS
-from .errors import ConstantInput, LengthMismatch
+from .errors import ConstantInput, InputError, LengthMismatch
 from .ingest import CapacityFadeSeries, csv_text, write_text
 from .segmentation import KneeReport, identify_knees
 
-METHODS = ("curvature_rea", "double_bacon_watts")
-BATCH_HEADER = ("cell_id", "method", "onset_cycle", "knee_cycle", "eol_cycle", "gap")
+# each method's report function; the first is curvature, the second its baseline
+METHODS = {"curvature_rea": identify_knees, "double_bacon_watts": dbw_knee_report}
 SCATTER_HEADER = ("onset_or_knee_cycle", "eol_cycle")
 
 
@@ -28,6 +27,9 @@ class BatchRow:
     knee_cycle: int
     eol_cycle: Optional[int]
     gap: int
+
+
+BATCH_HEADER = tuple(f.name for f in fields(BatchRow))
 
 
 @dataclass(frozen=True)
@@ -58,16 +60,21 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _report_for(series: CapacityFadeSeries, method: str, params: PipelineParams) -> KneeReport:
-    if method == "curvature_rea":
-        return identify_knees(series, params)
-    if method == "double_bacon_watts":
-        return dbw_knee_report(series, params)
-    raise ValueError(f"unknown method {method!r}")
+    return METHODS[method](series, params)
+
+
+def check_methods(methods: Sequence[str]) -> None:
+    """InputError naming the first method that is unknown or repeated."""
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise InputError(f"unknown method {method!r} (known: {', '.join(METHODS)})")
+        if method in methods[:i]:
+            raise InputError(f"method {method!r} given more than once")
 
 
 def batch_report(
     inputs: Iterable[CapacityFadeSeries],
-    methods: Sequence[str] = METHODS,
+    methods: Sequence[str] = tuple(METHODS),
     params: PipelineParams = DEFAULT_PARAMS,
     jobs: int = 1,
 ) -> Tuple[List[BatchRow], Dict[str, CorrelationReport]]:
@@ -75,8 +82,11 @@ def batch_report(
 
     Cells without a defined EoL are excluded from the correlations (but
     their rows are still emitted); a constant input degenerates the
-    correlation to None with a note rather than failing the batch.
+    correlation to None with a note rather than failing the batch. An
+    unknown or repeated method is an InputError.
     """
+    methods = tuple(methods)
+    check_methods(methods)
     rows: List[BatchRow] = []
     series_list = sorted(inputs, key=lambda s: s.cell_id)
     tasks = [(series, method) for series in series_list for method in methods]
@@ -150,8 +160,7 @@ def format_batch_csv(
             parts.append(f"note={rep.note!r}")
         footer.append(" ".join(parts) + "\n")
     if all(m in correlations for m in METHODS):
-        new = correlations["curvature_rea"]
-        old = correlations["double_bacon_watts"]
+        new, old = (correlations[m] for m in METHODS)
         for kind in ("onset", "knee"):
             r_new = getattr(new, f"r_{kind}_eol")
             r_old = getattr(old, f"r_{kind}_eol")
@@ -159,7 +168,7 @@ def format_batch_csv(
                 footer.append(
                     f"# improvement_{kind}_pct={improvement_pct(r_new, r_old):.1f}\n"
                 )
-    return csv_text(BATCH_HEADER, map(attrgetter(*BATCH_HEADER), rows)) + "".join(footer)
+    return csv_text(BATCH_HEADER, map(astuple, rows)) + "".join(footer)
 
 
 def _fmt(value: Optional[float]) -> str:

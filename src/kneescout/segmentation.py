@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import (
+    DegenerateWindow,
     IndexOutOfRange,
     InsufficientUnmaskedRegion,
     LengthMismatch,
@@ -170,8 +171,10 @@ def identify_knees(
     regime boundaries. Boundary positions are mapped back to cycle numbers
     by adding the curvature index offset and the half-width of the
     matrix-profile window. An edge band of one exclusion radius at each end
-    of the CAC is never selected.
+    of the CAC is never selected. A negative ``cac_window`` is DegenerateWindow.
     """
+    if params.cac_window is not None and params.cac_window < 0:
+        raise DegenerateWindow(f"cac_window must be >= 0, got {params.cac_window}")
     _, smoothed, sg_window, eol = prepare(series, params)
     curvature = approximate_curvature(smoothed, ws=params.curv_window)
 

@@ -28,6 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .earlypredict import CycleRecord
 from .errors import DegenerateSpec
 from .ingest import CapacityFadeSeries
 
@@ -81,18 +82,23 @@ def _trend(spec: SyntheticSpec, cycles: np.ndarray) -> np.ndarray:
     return 1.0 - fade - knee
 
 
+def _truncated_trend(spec: SyntheticSpec) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Cycles and noiseless trend up to the first cycle below the floor,
+    and whether the trend reached the floor at all."""
+    cycles = np.arange(1, spec.n_cycles + 1, dtype=np.int64)
+    trend = _trend(spec, cycles)
+    keep = trend >= TRUNCATE_AT
+    if keep.all():
+        return cycles, trend, False
+    cut = int(np.argmin(keep))  # first cycle below the floor
+    return cycles[:cut], trend[:cut], True
+
+
 def generate(
     spec: SyntheticSpec, q_nom_ah: float = DEFAULT_Q_NOM, cell_id: Optional[str] = None
 ) -> Tuple[CapacityFadeSeries, Optional[GroundTruth]]:
     """Generate one seeded curve and its ground truth (None when kneeless)."""
-    cycles = np.arange(1, spec.n_cycles + 1, dtype=np.int64)
-    trend = _trend(spec, cycles)
-
-    keep = trend >= TRUNCATE_AT
-    if not keep.all():
-        cut = int(np.argmin(keep))  # first cycle below the floor
-        cycles, trend = cycles[:cut], trend[:cut]
-
+    cycles, trend, _ = _truncated_trend(spec)
     rng = np.random.default_rng(spec.seed)
     values = trend + rng.normal(0.0, spec.noise_sigma, size=len(trend))
     values = np.maximum(values, 1e-6)  # capacities must stay positive
@@ -110,13 +116,7 @@ def ground_truth(spec: SyntheticSpec) -> Optional[GroundTruth]:
     """Knee onset and knee of the noiseless trend, per the fixed rule."""
     if spec.b == 0.0 or spec.c == 0.0:
         return None
-    cycles = np.arange(1, spec.n_cycles + 1, dtype=np.int64)
-    trend = _trend(spec, cycles)
-    keep = trend >= TRUNCATE_AT
-    truncated = not keep.all()
-    if truncated:
-        cut = int(np.argmin(keep))
-        cycles, trend = cycles[:cut], trend[:cut]
+    cycles, trend, truncated = _truncated_trend(spec)
     if len(trend) < 3:
         return None
 
@@ -203,8 +203,6 @@ def simulate_cycle_records(
     proportional to the onset cycle. Smooth per-cycle measurement
     disturbances are added and monotonicity of Q(V) is enforced.
     """
-    from .earlypredict import CycleRecord  # local import to avoid a cycle
-
     if onset_cycle <= 0:
         raise DegenerateSpec(f"onset_cycle must be positive, got {onset_cycle}")
     rng = np.random.default_rng(seed)

@@ -586,3 +586,75 @@ class TestPhaseExitCodes:
         rows = list(csv.reader(lines))
         assert [len(row) for row in rows] == [6, 6, 6]
         assert [row[0] for row in rows] == ["cell_id", "a,b", "fleet-5-001"]
+
+
+class TestRejectedValues:
+    """Values that once ran to a wrong or empty output now stop with one JSON line."""
+
+    def json_error(self, capsys, code, *argv):
+        assert run_cli("--json-errors", *argv) == code
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        payload = json.loads(err)
+        assert payload["exit_code"] == code
+        return payload
+
+    @pytest.mark.parametrize("methods,repeated", [
+        ("curvature,curvature", "curvature_rea"),
+        ("curvature,curvature_rea", "curvature_rea"),
+        ("baconwatts,curvature,double_bacon_watts", "double_bacon_watts"),
+    ])
+    def test_batch_repeated_method(self, synth_dir, tmp_path, capsys, methods, repeated):
+        out = tmp_path / "t.csv"
+        payload = self.json_error(capsys, 1, "batch", "--dir", str(synth_dir),
+                                  "--methods", methods, "--out", str(out))
+        assert payload["error"] == "UsageError"
+        assert f"method {repeated!r} given more than once" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_sensitivity_repeats_below_one(self, synth_dir, tmp_path, capsys, repeats):
+        out = tmp_path / "s.csv"
+        payload = self.json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
+                                  "--budgets", "15", "--repeats", repeats, "--out", str(out))
+        assert payload["error"] == "UsageError"
+        assert "--repeats: must be >= 1" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budgets", ["20:15", "16:15:1"])
+    def test_sensitivity_empty_budget_range(self, synth_dir, tmp_path, capsys, budgets):
+        out = tmp_path / "s.csv"
+        payload = self.json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
+                                  "--budgets", budgets, "--out", str(out))
+        assert payload["error"] == "UsageError"
+        assert f"--budgets {budgets!r} selects no budget" in payload["message"]
+        assert not out.exists()
+
+    def test_identify_negative_cac_window_flag(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 2, "identify", "--input",
+                                  str(synth_dir / "fleet-5-000.csv"),
+                                  "--cac-window", "-5", "--out", str(out))
+        assert payload["error"] == "DegenerateWindow"
+        assert "cac_window must be >= 0, got -5" in payload["message"]
+        assert not out.exists()
+
+    def test_identify_negative_cac_window_config_key(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("cac_window = -5\n")
+        payload = self.json_error(capsys, 2, "--config", str(cfg), "identify", "--input",
+                                  str(synth_dir / "fleet-5-000.csv"),
+                                  "--out", str(tmp_path / "r.json"))
+        assert payload["error"] == "DegenerateWindow"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_predict_non_finite_feature(self, tmp_path, capsys, bad):
+        feats, model = tmp_path / "f.csv", tmp_path / "m.json"
+        feats.write_text(FEATURES_CSV.replace("b,1,0,", f"b,{bad},0,"))
+        model.write_text('{"init_value": 1.0, "learning_rate": 0.1, "n_features": 6,'
+                         ' "trees": []}')
+        out = tmp_path / "p.csv"
+        payload = self.json_error(capsys, 2, "predict", "--model", str(model),
+                                  "--features", str(feats), "--out", str(out))
+        assert payload["error"] == "NonFiniteFeature"
+        assert not out.exists()

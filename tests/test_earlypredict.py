@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from kneescout.config import GBRTHyper
 from kneescout.errors import (
     EmptyTrainingSet,
+    InputError,
     FeatureCountMismatch,
     InvalidDischargeCurve,
     InvalidHyperparameter,
@@ -19,6 +21,7 @@ from kneescout.errors import (
     ZeroTrueValue,
 )
 from kneescout.earlypredict import (
+    FEATURES_HEADER,
     CycleRecord,
     GBRTModel,
     TreeNode,
@@ -264,6 +267,14 @@ class TestGbrt:
         with pytest.raises(NonFiniteFeature):
             gbrt_train(X, y)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_prediction_rejected(self, bad):
+        X, y = self.toy_data()
+        model = gbrt_train(X, y, GBRTHyper(n_trees=3))
+        X[5, 1] = bad
+        with pytest.raises(NonFiniteFeature):
+            gbrt_predict(model, X)
+
 
 # --- scalar reference ---------------------------------------------------------
 # The scalar definition of the tree code: a sort per node and feature, a
@@ -451,6 +462,49 @@ class TestModelJson:
         with pytest.raises(InvalidModel):
             GBRTModel.from_json(text)
 
+    STUMP = [TreeNode(0, 0.5, 1, 2, 0.0), TreeNode(-1, 0.0, -1, -1, -2.0),
+             TreeNode(-1, 0.0, -1, -1, 4.0)]
+
+    def test_round_trip_restores_every_field(self):
+        X = np.random.default_rng(4).uniform(0, 1, (30, 3))
+        model = gbrt_train(X, X[:, 0] - X[:, 2], GBRTHyper(n_trees=10))
+        text = model.to_json()
+        restored = GBRTModel.from_json(text)
+        assert restored.trees == model.trees
+        assert (restored.init_value, restored.learning_rate, restored.n_features) == (
+            model.init_value, model.learning_rate, model.n_features)
+        assert restored.to_json() == text
+
+    def test_node_keys_and_types(self):
+        model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
+        node = {"feature": 0, "left": 1, "right": 2, "threshold": 0.5, "value": 0.0}
+        assert json.loads(model.to_json())["trees"][0][0] == node
+        text = json.dumps({"init_value": 1, "learning_rate": 0.5, "n_features": 1,
+                           "trees": [[{**node, "threshold": 1, "value": "0.25"}]]})
+        (restored,) = GBRTModel.from_json(text).trees[0]
+        assert restored == TreeNode(0, 1.0, 1, 2, 0.25)
+        assert [type(v) for v in vars(restored).values()] == [int, float, int, int, float]
+
+    @pytest.mark.parametrize("key", ["feature", "threshold", "left", "right", "value"])
+    def test_node_without_a_field_names_it(self, key):
+        model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
+        obj = json.loads(model.to_json())
+        del obj["trees"][0][1][key]
+        with pytest.raises(InvalidModel, match=f"lacks field '{key}'"):
+            GBRTModel.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("value", [None, "x", [1], 1e400])
+    def test_node_field_of_the_wrong_type(self, value):
+        model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
+        obj = json.loads(model.to_json())
+        obj["trees"][0][0]["left"] = value
+        with pytest.raises(InvalidModel, match="malformed model JSON"):
+            GBRTModel.from_json(json.dumps(obj))
+
+
+def test_features_header():
+    assert ",".join(FEATURES_HEADER) == "cell_id,min_dq,var_dq,skew_dq,kurt_dq,q2,q_max_minus_2"
+
 
 class TestEvaluate:
     def test_perfect_prediction(self):
@@ -485,6 +539,13 @@ class TestSensitivitySweep:
         cells, onsets = self.small_fleet(n=15, seed=3)
         kw = dict(budgets=(15,), repeats=1, seed=5, hyper=GBRTHyper(n_trees=20))
         assert sensitivity_sweep(cells, onsets, **kw) == sensitivity_sweep(cells, onsets, **kw)
+
+    @pytest.mark.parametrize("kw", [dict(repeats=0), dict(repeats=-2), dict(budgets=()),
+                                    dict(budgets=range(20, 15))])
+    def test_empty_sweep_is_input_error(self, kw):
+        cells, onsets = self.small_fleet(n=10, seed=1)
+        with pytest.raises(InputError):
+            sensitivity_sweep(cells, onsets, **{"budgets": (15,), "repeats": 1, **kw})
 
     def test_budget_below_11_propagates(self):
         cells, onsets = self.small_fleet(n=10, seed=1)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneescout.config import PipelineParams
-from kneescout.errors import ConstantInput, LengthMismatch
+from kneescout.errors import ConstantInput, InputError, LengthMismatch
 from kneescout.report import (
+    BATCH_HEADER,
     batch_report,
     format_batch_csv,
     format_scatter_csv,
@@ -132,3 +133,24 @@ class TestCsvFormats:
         assert len(lines) == 1 + sum(
             r.eol_cycle is not None and r.method == "curvature_rea" for r in rows
         )
+
+
+def test_batch_header():
+    assert ",".join(BATCH_HEADER) == "cell_id,method,onset_cycle,knee_cycle,eol_cycle,gap"
+
+
+class TestMethodChecks:
+    def untouched_inputs(self):
+        yield from ()
+        raise AssertionError("the inputs were read before the methods were checked")
+
+    @pytest.mark.parametrize("methods,named", [
+        (("curvature",), "'curvature'"),
+        (("curvature_rea", "nope"), "'nope'"),
+        (("curvature_rea", "curvature_rea"), "'curvature_rea' given more than once"),
+        (("double_bacon_watts", "curvature_rea", "double_bacon_watts"),
+         "'double_bacon_watts' given more than once"),
+    ])
+    def test_unknown_or_repeated_method(self, methods, named):
+        with pytest.raises(InputError, match=named):
+            batch_report(self.untouched_inputs(), methods=methods)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kneescout.config import PipelineParams
 from kneescout.baconwatts import dbw_knee_report
 from kneescout.errors import (
+    DegenerateWindow,
     IndexOutOfRange,
     InsufficientUnmaskedRegion,
     LengthMismatch,
@@ -234,6 +235,12 @@ class TestIdentifyKnees:
         series, _ = self.pinned_series()
         report = identify_knees(series, PipelineParams(cac_window=0))
         assert report.onset_cycle < report.knee_cycle
+
+    @pytest.mark.parametrize("cac_window", [-1, -5])
+    def test_negative_cac_window_rejected(self, cac_window):
+        series, _ = self.pinned_series()
+        with pytest.raises(DegenerateWindow, match=f"cac_window must be >= 0, got {cac_window}"):
+            identify_knees(series, PipelineParams(cac_window=cac_window))
 
 
 class TestPrepare:
