@@ -74,22 +74,12 @@ def dbw_model(x, p: DBWParams):
     if p.gamma <= 0:
         raise FitDiverged(f"gamma must be positive, got {p.gamma}")
     x = np.asarray(x, dtype=np.float64)
-    return _dbw_rows(
-        x, p.alpha0, p.alpha1, p.alpha2, p.alpha3, p.x0, p.x2, p.gamma
+    d0 = x - p.x0
+    d2 = x - p.x2
+    return (
+        p.alpha0 + p.alpha1 * d0 + p.alpha2 * d0 * np.tanh(d0 / p.gamma)
+        + p.alpha3 * d2 * np.tanh(d2 / p.gamma)
     )
-
-
-def _dbw_rows(x, a0, a1, a2, a3, x0, x2, gamma):
-    """The model expression, shared by single and stacked evaluations.
-
-    Each parameter is a scalar or a ``(rows, 1)`` column broadcast against
-    the abscissas ``x``. Either way every element sees the same operations
-    in the same order, so a stacked row is bit-identical to a single
-    evaluation with that row's parameters.
-    """
-    d0 = x - x0
-    d2 = x - x2
-    return a0 + a1 * d0 + a2 * d0 * np.tanh(d0 / gamma) + a3 * d2 * np.tanh(d2 / gamma)
 
 
 def lm_optimize(
@@ -110,10 +100,13 @@ def lm_optimize(
     below ``tol``. Hitting ``max_iter`` returns converged=False rather
     than raising, so callers can inspect the partial result.
 
-    ``stacked_residuals`` maps a ``(k, m)`` stack of parameter vectors to
-    the ``(k, n)`` stack of their residuals; it must give the same bits as
-    ``residuals`` row by row. It serves the Jacobian's 2m perturbed points
-    in one call. By default it calls ``residuals`` once per row.
+    ``stacked_residuals`` maps the ``(2m, m)`` stack that
+    ``_central_jacobian`` builds to the ``(2m, n)`` stack of its residuals;
+    it must give the same bits as ``residuals`` row by row. It serves the
+    Jacobian's 2m perturbed points in one call and may rely on the stack's
+    row layout (row k moves only p[k] up, row m + k moves it down), as the
+    Bacon-Watts evaluator does. By default it calls ``residuals`` once per
+    row.
     """
     if stacked_residuals is None:
         def stacked_residuals(rows):
@@ -178,8 +171,10 @@ def _central_jacobian(stacked_residuals, p):
     """Central differences, all 2m perturbed points in one stacked call.
 
     Row k of the stack is p with h_k added to p[k] and row m + k is p with
-    h_k subtracted, h_k = 1e-6 * max(|p[k]|, 1). J is C-ordered (n, m), the
-    layout whose ``J.T @ J`` summation order the LM iterates depend on.
+    h_k subtracted, h_k = 1e-6 * max(|p[k]|, 1). The stacked evaluator of
+    ``_dbw_residuals`` depends on that row layout, so keep the two in step.
+    J is C-ordered (n, m), the layout whose ``J.T @ J`` summation order the
+    LM iterates depend on.
     """
     m = len(p)
     h = 1e-6 * np.maximum(np.abs(p), 1.0)
@@ -193,19 +188,68 @@ def _central_jacobian(stacked_residuals, p):
     return J
 
 
+# The stacked evaluator in _dbw_residuals depends on the row layout of the
+# stack that _central_jacobian builds over the free vector
+# (a0, a1, a2, a3, x0, x2): row k moves only p[k], up by h_k, and row 6 + k
+# moves it down. Row 0 moves only a0, which no subterm reads, so it holds
+# the base value of every subterm. x - x0 and its tanh take 3 distinct
+# values (rows 0, 4 and 10), and likewise x - x2 (rows 0, 5 and 11).
+_X0_ROWS = [0, 4, 10]
+_X2_ROWS = [0, 5, 11]
+
+
+def _term_rows(coef, abscissa):
+    """``(pick, at)`` for the subterm ``a_coef * (x - abscissa) [* tanh]``.
+
+    ``pick`` lists the stack rows holding its 5 distinct values: the base,
+    then the coefficient and the abscissa each moved up and down. Stack row
+    i takes the value at position ``at[i]`` of ``pick``.
+    """
+    pick = np.array([0, coef, 6 + coef, abscissa, 6 + abscissa])
+    at = np.zeros(12, dtype=np.intp)
+    at[pick[1:]] = np.arange(1, 5)
+    return pick, at
+
+
+# Position in _X0_ROWS (or _X2_ROWS) of each row that _term_rows picks.
+_ABSCISSA_AT = [0, 0, 0, 1, 2]
+_T1 = _term_rows(1, 4)  # a1 * (x - x0)
+_T2 = _term_rows(2, 4)  # a2 * (x - x0) * tanh((x - x0) / g)
+_T3 = _term_rows(3, 5)  # a3 * (x - x2) * tanh((x - x2) / g)
+
+
 def _dbw_residuals(x, y, gamma):
-    """Residuals of the model against ``y``, at one and at a stack of free vectors.
+    """Residuals of the model against ``y``, at one free vector and at a Jacobian stack.
 
     A single evaluation goes through ``dbw_model``, which also rejects a
-    non-positive gamma; the stack goes straight to ``_dbw_rows``.
+    non-positive gamma. The stacked evaluation takes only the ``(12, 6)``
+    stack that ``_central_jacobian`` builds and depends on its row layout.
+    It computes each subterm once per distinct row, reading every base and
+    perturbed value from the stack itself, then gathers the 12 rows of
+    ``((a0 + T1) + T2) + T3 - y``. Each element sees the operations of
+    ``dbw_model`` in the same order, so every row has the bits of a single
+    evaluation at that row's free vector.
     """
 
     def residuals(free):
         return dbw_model(x, DBWParams.from_array(free, gamma)) - y
 
     def stacked_residuals(rows):
-        columns = (rows[:, k, None] for k in range(rows.shape[1]))
-        return _dbw_rows(x, *columns, gamma) - y
+        d0 = x - rows[_X0_ROWS, 4, None]
+        d2 = x - rows[_X2_ROWS, 5, None]
+        tanh0 = np.tanh(d0 / gamma)[_ABSCISSA_AT]
+        tanh2 = np.tanh(d2 / gamma)[_ABSCISSA_AT]
+        d0 = d0[_ABSCISSA_AT]
+        d2 = d2[_ABSCISSA_AT]
+
+        pick, at = _T1
+        out = rows[:, 0, None] + (rows[pick, 1, None] * d0)[at]
+        pick, at = _T2
+        out += (rows[pick, 2, None] * d0 * tanh0)[at]
+        pick, at = _T3
+        out += (rows[pick, 3, None] * d2 * tanh2)[at]
+        out -= y
+        return out
 
     return residuals, stacked_residuals
 

@@ -263,7 +263,7 @@ class GBRTModel:
                 [TreeNode(**{k: cast(n[k]) for k, cast in _NODE_CASTS.items()}) for n in tree]
                 for tree in obj["trees"]
             ]
-            return GBRTModel(
+            model = GBRTModel(
                 init_value=float(obj["init_value"]),
                 learning_rate=float(obj["learning_rate"]),
                 n_features=int(obj["n_features"]),
@@ -273,6 +273,34 @@ class GBRTModel:
             raise InvalidModel(f"model JSON lacks field {exc.args[0]!r}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidModel(f"malformed model JSON: {exc}") from None
+        for t, tree in enumerate(model.trees):
+            _check_tree(t, tree, model.n_features)
+        return model
+
+
+def _check_tree(t: int, tree: List[TreeNode], n_features: int) -> None:
+    """Raise ``InvalidModel`` unless every walk down tree ``t`` ends at a leaf.
+
+    The tree is not empty; an inner node splits on a feature in
+    ``[0, n_features)`` and both its children come after it and inside the
+    tree; a leaf has feature -1 and children -1.
+    """
+    if not tree:
+        raise InvalidModel(f"model JSON tree {t} is empty")
+    for i, node in enumerate(tree):
+        where = f"model JSON tree {t} node {i}"
+        if node.feature == -1:
+            if node.left != -1 or node.right != -1:
+                raise InvalidModel(f"{where}: a leaf's children must be -1")
+        elif not 0 <= node.feature < n_features:
+            raise InvalidModel(
+                f"{where}: feature {node.feature} is outside [0, {n_features})"
+            )
+        elif not (i < node.left < len(tree) and i < node.right < len(tree)):
+            raise InvalidModel(
+                f"{where}: children {node.left}, {node.right} must come after "
+                f"it and inside the tree's {len(tree)} nodes"
+            )
 
 
 def _split_sse(c1, c2, tot1, tot2, nl, nr):

@@ -177,12 +177,31 @@ def reference_lm(monkeypatch, residuals, init, **kw):
         return lm_optimize(residuals, init, **kw)
 
 
+def broadcast_stack(x, y, gamma, rows):
+    """Reference: the residual stack with each parameter a ``(rows, 1)`` column."""
+    a0, a1, a2, a3, x0, x2 = (rows[:, k, None] for k in range(6))
+    d0 = x - x0
+    d2 = x - x2
+    return a0 + a1 * d0 + a2 * d0 * np.tanh(d0 / gamma) + a3 * d2 * np.tanh(d2 / gamma) - y
+
+
 free_vectors = st.tuples(
     st.floats(0.5, 1.5),
     *(st.floats(-1e-2, 1e-2) for _ in range(3)),
     st.floats(-200.0, 3000.0),
     st.floats(-200.0, 3000.0),
 ).map(np.array)
+
+
+@st.composite
+def fleet_free_vectors(draw):
+    """Free vectors for fleet-length curves, with shared abscissas and zero coefficients."""
+    free = draw(free_vectors)
+    if draw(st.booleans()):
+        free[5] = free[4]
+    for k in draw(st.sets(st.integers(0, 3), max_size=2)):
+        free[k] = 0.0
+    return free
 
 
 class TestStackedJacobian:
@@ -201,6 +220,31 @@ class TestStackedJacobian:
         J = _central_jacobian(stacked, free)
         assert np.array_equal(J, loop_jacobian(residuals, free, residuals(free)))
         assert J.flags.c_contiguous and J.shape == (n, 6)
+
+    @given(
+        free=fleet_free_vectors(),
+        n=st.integers(10, 2600),
+        start=st.integers(-500, 3500),
+        gamma=st.floats(0.5, 50.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_broadcast_reference(self, free, n, start, gamma, seed):
+        # start in [-500, 3500] puts x0 and x2 inside, before and after the grid
+        x = np.arange(start, start + n, dtype=np.float64)
+        y = np.random.default_rng(seed).uniform(0.8, 1.2, n)
+        _, stacked = _dbw_residuals(x, y, gamma)
+        seen = []
+
+        def both(rows):
+            seen.append((rows.copy(), stacked(rows)))
+            return seen[-1][1]
+
+        _central_jacobian(both, free)
+        [(rows, got)] = seen
+        expected = broadcast_stack(x, y, gamma, rows)
+        assert got.shape == expected.shape == (12, n)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_default_stacking_matches_reference_lm(self, monkeypatch):
         X = np.column_stack([np.ones(30), np.linspace(-1, 2, 30), np.linspace(0, 3, 30) ** 2])

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -406,6 +408,48 @@ class TestPredictionInputErrors:
                                   "--features", str(paths["features"]))
         assert payload["error"] == "InputError"
         assert f"cannot read {paths[missing]}" in payload["message"]
+
+
+LEAF = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 1.0}
+
+
+def split(feature, left, right):
+    return {**LEAF, "feature": feature, "left": left, "right": right}
+
+
+class TestModelTreeStructure:
+    """A malformed tree ends ``predict`` with one InvalidModel line.
+
+    Each case runs in a subprocess with a timeout: a node that is its own
+    child once made ``predict`` loop forever.
+    """
+
+    @pytest.mark.parametrize("trees,fragment", [
+        ([[split(0, 0, 0)]], "node 0: children 0, 0 must come after it"),
+        ([[split(0, 1, 2), split(0, 0, 2), LEAF]], "node 1: children 0, 2"),
+        ([[split(0, 1, 5), LEAF]], "node 0: children 1, 5"),
+        ([[split(9, 1, 2), LEAF, LEAF]], "node 0: feature 9 is outside [0, 6)"),
+        ([[split(-2, 1, 2), LEAF, LEAF]], "node 0: feature -2 is outside [0, 6)"),
+        ([[LEAF], []], "tree 1 is empty"),
+        ([[{**LEAF, "left": 0}]], "node 0: a leaf's children must be -1"),
+    ])
+    def test_predict_rejects_malformed_tree(self, tmp_path, trees, fragment):
+        feats, model = tmp_path / "f.csv", tmp_path / "m.json"
+        feats.write_text(FEATURES_CSV)
+        model.write_text(json.dumps({"init_value": 1.0, "learning_rate": 0.1,
+                                     "n_features": 6, "trees": trees}))
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kneescout", "--json-errors", "predict",
+             "--model", str(model), "--features", str(feats)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        [line] = proc.stderr.splitlines()
+        payload = json.loads(line)
+        assert proc.returncode == payload["exit_code"] == 1
+        assert payload["error"] == "InvalidModel"
+        assert fragment in payload["message"]
 
 
 class TestEntryPoint:

@@ -478,10 +478,11 @@ class TestModelJson:
     def test_node_keys_and_types(self):
         model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
         node = {"feature": 0, "left": 1, "right": 2, "threshold": 0.5, "value": 0.0}
-        assert json.loads(model.to_json())["trees"][0][0] == node
+        [written, *leaves] = json.loads(model.to_json())["trees"][0]
+        assert written == node
         text = json.dumps({"init_value": 1, "learning_rate": 0.5, "n_features": 1,
-                           "trees": [[{**node, "threshold": 1, "value": "0.25"}]]})
-        (restored,) = GBRTModel.from_json(text).trees[0]
+                           "trees": [[{**node, "threshold": 1, "value": "0.25"}, *leaves]]})
+        restored = GBRTModel.from_json(text).trees[0][0]
         assert restored == TreeNode(0, 1.0, 1, 2, 0.25)
         assert [type(v) for v in vars(restored).values()] == [int, float, int, int, float]
 
