@@ -413,7 +413,7 @@ class TestPredictionInputErrors:
 LEAF = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 1.0}
 
 
-def split(feature, left, right):
+def inner(feature, left, right):
     return {**LEAF, "feature": feature, "left": left, "right": right}
 
 
@@ -425,11 +425,11 @@ class TestModelTreeStructure:
     """
 
     @pytest.mark.parametrize("trees,fragment", [
-        ([[split(0, 0, 0)]], "node 0: children 0, 0 must come after it"),
-        ([[split(0, 1, 2), split(0, 0, 2), LEAF]], "node 1: children 0, 2"),
-        ([[split(0, 1, 5), LEAF]], "node 0: children 1, 5"),
-        ([[split(9, 1, 2), LEAF, LEAF]], "node 0: feature 9 is outside [0, 6)"),
-        ([[split(-2, 1, 2), LEAF, LEAF]], "node 0: feature -2 is outside [0, 6)"),
+        ([[inner(0, 0, 0)]], "node 0: children 0, 0 must come after it"),
+        ([[inner(0, 1, 2), inner(0, 0, 2), LEAF]], "node 1: children 0, 2"),
+        ([[inner(0, 1, 5), LEAF]], "node 0: children 1, 5"),
+        ([[inner(9, 1, 2), LEAF, LEAF]], "node 0: feature 9 is outside [0, 6)"),
+        ([[inner(-2, 1, 2), LEAF, LEAF]], "node 0: feature -2 is outside [0, 6)"),
         ([[LEAF], []], "tree 1 is empty"),
         ([[{**LEAF, "left": 0}]], "node 0: a leaf's children must be -1"),
     ])
