@@ -273,6 +273,14 @@ class GBRTModel:
             raise InvalidModel(f"model JSON lacks field {exc.args[0]!r}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidModel(f"malformed model JSON: {exc}") from None
+        # json reads the literals NaN and Infinity
+        if not (math.isfinite(model.init_value) and math.isfinite(model.learning_rate)):
+            raise InvalidModel(
+                f"model JSON init_value {model.init_value} and learning_rate "
+                f"{model.learning_rate} must be finite"
+            )
+        if model.n_features < 0:
+            raise InvalidModel(f"model JSON n_features {model.n_features} is negative")
         for t, tree in enumerate(model.trees):
             _check_tree(t, tree, model.n_features)
         return model
@@ -281,14 +289,18 @@ class GBRTModel:
 def _check_tree(t: int, tree: List[TreeNode], n_features: int) -> None:
     """Raise ``InvalidModel`` unless every walk down tree ``t`` ends at a leaf.
 
-    The tree is not empty; an inner node splits on a feature in
-    ``[0, n_features)`` and both its children come after it and inside the
-    tree; a leaf has feature -1 and children -1.
+    The tree is not empty; every threshold and value is finite; an inner
+    node splits on a feature in ``[0, n_features)`` and both its children
+    come after it and inside the tree; a leaf has feature -1 and children -1.
     """
     if not tree:
         raise InvalidModel(f"model JSON tree {t} is empty")
     for i, node in enumerate(tree):
         where = f"model JSON tree {t} node {i}"
+        if not (math.isfinite(node.threshold) and math.isfinite(node.value)):
+            raise InvalidModel(
+                f"{where}: threshold {node.threshold} and value {node.value} must be finite"
+            )
         if node.feature == -1:
             if node.left != -1 or node.right != -1:
                 raise InvalidModel(f"{where}: a leaf's children must be -1")

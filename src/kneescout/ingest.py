@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     InputError,
@@ -158,6 +157,25 @@ def _parse_rows(rows, width: int, ids: bool):
     return first, fields[:, int(ids):].astype(np.float64)
 
 
+# ASCII separators that np.loadtxt strips from a number and float() does not
+_LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_numbers(text: str, body, width: int):
+    """The body's numbers from one float64 ``np.loadtxt`` parse, or None
+    unless that parse gives one row per line and reads as ``float`` does."""
+    if not body or "" in body or any(c in text for c in _LOADTXT_SPACE):
+        return None  # loadtxt skips empty lines and warns on no data
+    try:
+        values = np.loadtxt(
+            body, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+            usecols=range(width), ndmin=2,
+        )
+    except ValueError:
+        return None
+    return values if len(values) == len(body) else None  # a quote joins lines
+
+
 def read_csv(path, header, *, ids: bool = False):
     """Read a headed CSV file (UTF-8, optional BOM) with one ``np.loadtxt`` parse.
 
@@ -168,13 +186,20 @@ def read_csv(path, header, *, ids: bool = False):
     ``(ids, values, lines)``: the ids (or None), the numbers as float64
     (rows, columns) parsed as ``float`` does, and each row's line number.
     A short, long or non-numeric row is MalformedRow naming file and line.
+    A file of numbers first tries a float64 parse; any other file, and any
+    that this parse may read otherwise than ``float``, is parsed as text.
     """
-    lines = read_text(path).split("\n")
+    text = read_text(path)
+    lines = text.split("\n")
     got = tuple(h.strip() for h in _fields(lines[:1])[0]) if lines[0].strip(_BLANK) else ()
     if got != tuple(header):
         raise MissingColumn(
             f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
         )
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
+    values = None if ids else _parse_numbers(text, body, len(header))
+    if values is not None:
+        return None, values, np.arange(2, len(body) + 2, dtype=np.int64)
     # a row of only _BLANK characters may still hold text, such as a quoted ","
     numbers = [k for k, line in enumerate(lines[1:], 2) if line.strip(_BLANK)
                or '"' in line and any(f.strip() for f in _fields([line])[0])]
@@ -262,6 +287,8 @@ def resample_even(series: CapacityFadeSeries) -> CapacityFadeSeries:
         return series
     if len(cycles) < 4:
         raise TooShort("cubic resampling of uneven cycles needs at least 4 points")
+    from scipy.interpolate import CubicSpline  # only uneven grids need it; slow to import
+
     spline = CubicSpline(
         cycles.astype(np.float64), series.capacity_ah, bc_type="natural"
     )

@@ -6,14 +6,20 @@ The curvature proxy at interior index i is
 
 for an odd window ``ws``. On a unit-spaced grid it is zero for any straight
 line, negative where three points form a knee, and positive for an elbow.
+
+Smoothing equals ``scipy.signal.savgol_filter(values, window, order,
+mode="mirror")`` bit for bit; it makes the filter's two calls itself, so that
+importing the package does not import ``scipy.signal``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import savgol_filter
+from scipy.linalg import lstsq
+from scipy.ndimage import convolve1d
 
 from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, WindowTooLarge
 from .ingest import NormalizedSeries
@@ -64,8 +70,25 @@ def savgol_smooth(
         raise WindowTooLarge(f"window {window} outside [3, {n}]")
     if not 0 <= order < window:
         raise OrderTooHigh(f"order {order} must satisfy 0 <= order < window {window}")
-    smoothed = savgol_filter(series.values, window, order, mode="mirror")
+    smoothed = convolve1d(series.values, savgol_coeffs(window, order), mode="mirror")
     return SmoothedSeries(cycles=series.cycles, values=smoothed)
+
+
+@lru_cache
+def savgol_coeffs(window: int, order: int) -> np.ndarray:
+    """Read-only convolution weights of the centred Savitzky-Golay smoother.
+
+    The minimum-norm least-squares solution on the design matrix, with the
+    rank cutoff, that ``scipy.signal.savgol_coeffs(window, order)`` uses.
+    """
+    half = window // 2
+    x = np.arange(-half, window - half, dtype=np.float64)[::-1]
+    A = x ** np.arange(order + 1, dtype=np.float64).reshape(-1, 1)
+    e0 = np.zeros(order + 1)
+    e0[0] = 1.0
+    coeffs = lstsq(A, e0, cond=np.finfo(np.float64).eps * max(A.shape))[0]
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def clip_window(window: int, n: int) -> int:

@@ -347,6 +347,23 @@ class TestPredictionInputErrors:
         assert payload["error"] == "InvalidModel"
         assert "trees" in payload["message"]
 
+    def test_predict_model_with_nan_init_value(self, tmp_path, capsys):
+        # json reads the literal NaN; such a model once predicted "a,nan"
+        feats = tmp_path / "f.csv"
+        feats.write_text(FEATURES_CSV)
+        model = tmp_path / "m.json"
+        model.write_text('{"init_value": NaN, "learning_rate": 0.1, "n_features": 6,'
+                         ' "trees": []}')
+        code = run_cli("--json-errors", "predict", "--model", str(model),
+                       "--features", str(feats))
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert code == payload["exit_code"] == 1
+        assert payload["error"] == "InvalidModel"
+        assert "init_value nan" in payload["message"]
+        assert out == ""
+
     def test_predict_non_numeric_feature(self, tmp_path, capsys):
         feats = tmp_path / "f.csv"
         feats.write_text("cell_id,min_dq,var_dq,skew_dq,kurt_dq,q2,q_max_minus_2\n"

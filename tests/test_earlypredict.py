@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -501,6 +502,30 @@ class TestModelJson:
         obj["trees"][0][0]["left"] = value
         with pytest.raises(InvalidModel, match="malformed model JSON"):
             GBRTModel.from_json(json.dumps(obj))
+
+    # json.dumps writes nan and inf as the literals NaN and Infinity, which
+    # json.loads reads back
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda obj: obj.update(init_value=float("nan")), "init_value nan"),
+        (lambda obj: obj.update(init_value=-float("inf")), "init_value -inf"),
+        (lambda obj: obj.update(learning_rate=float("inf")), "learning_rate inf"),
+        (lambda obj: obj["trees"][0][1].update(value=float("inf")), "node 1: threshold 0.0 and value inf"),
+        (lambda obj: obj["trees"][0][0].update(threshold=float("nan")), "node 0: threshold nan"),
+        (lambda obj: obj["trees"][0][2].update(threshold=-float("inf")), "node 2: threshold -inf"),
+        (lambda obj: obj.update(n_features=-1), "n_features -1 is negative"),
+    ], ids=["nan-init", "inf-init", "inf-rate", "inf-leaf", "nan-threshold",
+            "inf-leaf-threshold", "negative-features"])
+    def test_bad_number_is_invalid_model(self, edit, fragment):
+        model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
+        obj = json.loads(model.to_json())
+        edit(obj)
+        with pytest.raises(InvalidModel, match=re.escape(fragment)):
+            GBRTModel.from_json(json.dumps(obj))
+
+    def test_zero_features_and_no_trees_load(self):
+        model = GBRTModel.from_json(
+            '{"init_value": 2.5, "learning_rate": 0.1, "n_features": 0, "trees": []}')
+        assert gbrt_predict(model, np.empty((3, 0))).tolist() == [2.5, 2.5, 2.5]
 
 
 def test_features_header():

@@ -3,6 +3,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,7 +452,7 @@ FORMATS = {
     "labels": (("cell_id", "onset_cycle"), new_labels, reference_labels, same_labels),
 }
 
-BAD_TOKENS = ["", " ", "abc", "nan", "inf", "-inf", "NaN", "1e400", "1_0", "١٢",
+BAD_TOKENS = ["", " ", "abc", "nan", "inf", "-inf", "NaN", "1e400", "1_0", "١٢", "\x1c1",
               "0x10", "+.5", "5.", "-0.0", "1e3", "Infinity", "1e19"]
 BLANK_LINES = ["", " ", "\t", ",", " , ,", '"",""', '""', "\xa0,"]
 PADS = ["", " ", "\t", "\xa0"]
@@ -692,3 +697,88 @@ class TestBlankRows:
         path.write_text(f"cell_id,onset_cycle\na,1\n{row}\nb,2\n")
         ids, onsets, lines = read_csv(path, cli.LABELS_HEADER, ids=True)
         assert (ids, onsets[:, 0].tolist(), lines.tolist()) == (["a", "b"], [1.0, 2.0], [2, 4])
+
+
+class TestFloatParse:
+    """A file of numbers is parsed as float64 when that parse reads as float()."""
+
+    def body(self, text):
+        lines = text.split("\n")
+        return lines[1:-1] if lines[-1] == "" else lines[1:]
+
+    def test_plain_file_takes_the_float64_parse(self, tmp_path):
+        text = "cycle,discharge_capacity_ah\n1,1.0\n2, 0.99\n3,\"0.98\",x\n"
+        assert ingest._parse_numbers(text, self.body(text), 2) is not None
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        _, values, lines = read_csv(path, CAPACITY_HEADER)
+        assert values.tolist() == [[1.0, 1.0], [2.0, 0.99], [3.0, 0.98]]
+        assert lines.tolist() == [2, 3, 4]
+
+    @pytest.mark.parametrize("token,value", [("1_0", 10.0), ("١", 1.0)])
+    def test_float_only_spellings_take_the_text_parse(self, tmp_path, token, value):
+        text = f"cycle,discharge_capacity_ah\n1,{token}\n2,0.5\n"
+        assert ingest._parse_numbers(text, self.body(text), 2) is None
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        _, values, lines = read_csv(path, CAPACITY_HEADER)
+        assert values.tolist() == [[1.0, value], [2.0, 0.5]]
+        assert lines.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_that_float_rejects_stays_malformed(self, tmp_path, sep):
+        # np.loadtxt strips these around a number; float() does not
+        text = f"cycle,discharge_capacity_ah\n1,1.0\n2,{sep}0.5\n"
+        assert ingest._parse_numbers(text, self.body(text), 2) is None
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRow, match="line 3"):
+            read_csv(path, CAPACITY_HEADER)
+
+    def test_blank_line_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("cycle,discharge_capacity_ah\n1,1.0\n\n2,0.5\n")
+        _, values, lines = read_csv(path, CAPACITY_HEADER)
+        assert (values.tolist(), lines.tolist()) == ([[1.0, 1.0], [2.0, 0.5]], [2, 4])
+
+    def test_quote_across_lines_takes_the_text_parse(self):
+        text = 'cycle,discharge_capacity_ah\n1,"1\n2",3\n'
+        assert ingest._parse_numbers(text, self.body(text), 2) is None
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n", "\n \n"])
+    def test_no_rows_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_text("cycle,discharge_capacity_ah" + text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, values, lines = read_csv(path, CAPACITY_HEADER)
+        assert values.shape == (0, 2) and len(lines) == 0
+
+
+COLD_START = """
+import json, sys
+import kneescout
+from kneescout.ingest import CapacityFadeSeries, resample_even
+loaded = [m for m in ("scipy.signal", "scipy.interpolate", "scipy.stats") if m in sys.modules]
+series = CapacityFadeSeries("cell", [0, 1, 3, 4, 7], [1.0, 2.0, 10.0, 17.0, 20.0], 1.1)
+out = resample_even(series)
+print(json.dumps({"loaded": loaded, "interpolate": "scipy.interpolate" in sys.modules,
+                  "cycles": out.cycles.tolist(), "capacity": out.capacity_ah.tolist()}))
+"""
+
+
+class TestColdStart:
+    def test_import_loads_no_signal_interpolate_or_stats(self):
+        src = str(Path(ingest.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["loaded"] == []
+        assert got["interpolate"]  # the first uneven grid imports it
+        assert got["cycles"] == list(range(8))
+        x, y = [0, 1, 3, 4, 7], [1.0, 2.0, 10.0, 17.0, 20.0]
+        want = [natural_spline_eval(x, y, t) for t in range(8)]
+        np.testing.assert_allclose(got["capacity"], want, rtol=0, atol=1e-9)

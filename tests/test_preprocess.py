@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import savgol_coeffs
+from scipy.signal import savgol_coeffs, savgol_filter
 
+from kneescout import preprocess
 from kneescout.errors import EvenWindow, OrderTooHigh, SeriesTooShort, WindowTooLarge
 from kneescout.ingest import NormalizedSeries
 from kneescout.preprocess import (
@@ -91,6 +92,34 @@ class TestSavgolSmooth:
     def test_order_too_high(self):
         with pytest.raises(OrderTooHigh):
             savgol_smooth(norm_series(np.ones(30)), window=5, order=5)
+
+
+class TestMatchesScipySavgol:
+    """Smoothing is ``scipy.signal.savgol_filter(mode="mirror")``, bit for bit."""
+
+    def test_every_odd_window_and_order(self):
+        # windows 179-201 at order 7 include the cases where scipy's rank
+        # cutoff drops the top power, so the cutoff must match too
+        rng = np.random.default_rng(11)
+        cases = mismatched = 0
+        for window in range(3, 202, 2):
+            for order in range(min(window - 1, 7) + 1):
+                assert preprocess.savgol_coeffs(window, order).tobytes() == (
+                    savgol_coeffs(window, order).tobytes()), (window, order)
+                for n in (window, window + 7, 900):
+                    values = 1.0 - np.cumsum(rng.uniform(0, 1e-3, n)) + rng.normal(0, 1e-3, n)
+                    got = savgol_smooth(norm_series(values), window, order).values
+                    want = savgol_filter(values, window, order, mode="mirror")
+                    cases += 1
+                    mismatched += got.tobytes() != want.tobytes()
+        assert (cases, mismatched) == (2373, 0)
+
+    def test_cached_coefficients_are_read_only(self):
+        coeffs = preprocess.savgol_coeffs(21, 3)
+        assert preprocess.savgol_coeffs(21, 3) is coeffs
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
 
 
 class TestClipWindow:
