@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -87,30 +88,25 @@ def lm_optimize(
     init: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    lambda0: float = 1e-3,
     *,
-    stacked_residuals: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> LMResult:
     """Damped Gauss-Newton least squares with a central-difference Jacobian.
 
-    The damping factor multiplies diag(J^T J) (Marquardt scaling, which
-    keeps badly scaled parameters workable) and adapts multiplicatively:
-    x10 on a rejected step, /10 on an accepted one. Convergence requires
-    both the relative step size and the relative cost decrease to fall
-    below ``tol``. Hitting ``max_iter`` returns converged=False rather
-    than raising, so callers can inspect the partial result.
+    The damping factor starts at 1e-3, multiplies diag(J^T J) (Marquardt
+    scaling, which keeps badly scaled parameters workable) and adapts
+    multiplicatively: x10 on a rejected step, /10 on an accepted one.
+    Convergence requires both the relative step size and the relative cost
+    decrease to fall below ``tol``. Hitting ``max_iter`` returns
+    converged=False rather than raising, so callers can inspect the partial
+    result.
 
-    ``stacked_residuals`` maps the ``(2m, m)`` stack that
-    ``_central_jacobian`` builds to the ``(2m, n)`` stack of its residuals;
-    it must give the same bits as ``residuals`` row by row. It serves the
-    Jacobian's 2m perturbed points in one call and may rely on the stack's
-    row layout (row k moves only p[k] up, row m + k moves it down), as the
-    Bacon-Watts evaluator does. By default it calls ``residuals`` once per
-    row.
+    ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
+    ``residuals`` at ``p``; the LM iterates depend on its bits. By default
+    it is ``_central_jacobian``'s column-by-column central difference.
     """
-    if stacked_residuals is None:
-        def stacked_residuals(rows):
-            return np.stack([np.asarray(residuals(q), dtype=np.float64) for q in rows])
+    if jacobian is None:
+        jacobian = partial(_central_jacobian, residuals)
 
     p = np.asarray(init, dtype=np.float64).copy()
     r = np.asarray(residuals(p), dtype=np.float64)
@@ -118,13 +114,13 @@ def lm_optimize(
         raise NonFiniteResidual("residuals are not finite at the initial point")
 
     cost = float(r @ r)
-    lam = lambda0
+    lam = 1e-3
     history = [cost]
     n_iter = 0
     converged = False
 
     for n_iter in range(1, max_iter + 1):
-        J = _central_jacobian(stacked_residuals, p)
+        J = jacobian(p)
         JtJ = J.T @ J
         Jtr = J.T @ r
         diag = np.diag(JtJ).copy()
@@ -167,91 +163,73 @@ def lm_optimize(
     )
 
 
-def _central_jacobian(stacked_residuals, p):
-    """Central differences, all 2m perturbed points in one stacked call.
+def _steps(p):
+    """Central-difference steps h_k = 1e-6 * max(|p[k]|, 1)."""
+    return 1e-6 * np.maximum(np.abs(p), 1.0)
 
-    Row k of the stack is p with h_k added to p[k] and row m + k is p with
-    h_k subtracted, h_k = 1e-6 * max(|p[k]|, 1). The stacked evaluator of
-    ``_dbw_residuals`` depends on that row layout, so keep the two in step.
-    J is C-ordered (n, m), the layout whose ``J.T @ J`` summation order the
-    LM iterates depend on.
+
+def _central_jacobian(residuals, p):
+    """Central differences, one pair of residual calls per parameter.
+
+    Column k is ``(residuals(p + h_k e_k) - residuals(p - h_k e_k)) / (2 h_k)``
+    in a C-ordered ``(n, m)`` J.
     """
-    m = len(p)
-    h = 1e-6 * np.maximum(np.abs(p), 1.0)
-    rows = np.tile(p, (2 * m, 1))
-    k = np.arange(m)
-    rows[k, k] += h
-    rows[m + k, k] -= h
-    r = stacked_residuals(rows)
-    J = np.empty((r.shape[1], m))
-    np.divide(r[:m] - r[m:], (2.0 * h)[:, None], out=J.T)
-    return J
-
-
-# The stacked evaluator in _dbw_residuals depends on the row layout of the
-# stack that _central_jacobian builds over the free vector
-# (a0, a1, a2, a3, x0, x2): row k moves only p[k], up by h_k, and row 6 + k
-# moves it down. Row 0 moves only a0, which no subterm reads, so it holds
-# the base value of every subterm. x - x0 and its tanh take 3 distinct
-# values (rows 0, 4 and 10), and likewise x - x2 (rows 0, 5 and 11).
-_X0_ROWS = [0, 4, 10]
-_X2_ROWS = [0, 5, 11]
-
-
-def _term_rows(coef, abscissa):
-    """``(pick, at)`` for the subterm ``a_coef * (x - abscissa) [* tanh]``.
-
-    ``pick`` lists the stack rows holding its 5 distinct values: the base,
-    then the coefficient and the abscissa each moved up and down. Stack row
-    i takes the value at position ``at[i]`` of ``pick``.
-    """
-    pick = np.array([0, coef, 6 + coef, abscissa, 6 + abscissa])
-    at = np.zeros(12, dtype=np.intp)
-    at[pick[1:]] = np.arange(1, 5)
-    return pick, at
-
-
-# Position in _X0_ROWS (or _X2_ROWS) of each row that _term_rows picks.
-_ABSCISSA_AT = [0, 0, 0, 1, 2]
-_T1 = _term_rows(1, 4)  # a1 * (x - x0)
-_T2 = _term_rows(2, 4)  # a2 * (x - x0) * tanh((x - x0) / g)
-_T3 = _term_rows(3, 5)  # a3 * (x - x2) * tanh((x - x2) / g)
+    h = _steps(p)
+    columns = []
+    for k, h_k in enumerate(h):
+        up, down = p.copy(), p.copy()
+        up[k] += h_k
+        down[k] -= h_k
+        columns.append(
+            (np.asarray(residuals(up), dtype=np.float64)
+             - np.asarray(residuals(down), dtype=np.float64)) / (2.0 * h_k)
+        )
+    return np.column_stack(columns)
 
 
 def _dbw_residuals(x, y, gamma):
-    """Residuals of the model against ``y``, at one free vector and at a Jacobian stack.
+    """Residuals of the model against ``y`` and their central-difference Jacobian.
 
-    A single evaluation goes through ``dbw_model``, which also rejects a
-    non-positive gamma. The stacked evaluation takes only the ``(12, 6)``
-    stack that ``_central_jacobian`` builds and depends on its row layout.
-    It computes each subterm once per distinct row, reading every base and
-    perturbed value from the stack itself, then gathers the 12 rows of
-    ``((a0 + T1) + T2) + T3 - y``. Each element sees the operations of
-    ``dbw_model`` in the same order, so every row has the bits of a single
-    evaluation at that row's free vector.
+    ``residuals`` goes through ``dbw_model``, which also rejects a
+    non-positive gamma. ``jacobian`` gives ``_central_jacobian``'s bits
+    without calling it: it computes ``x - x0``, ``x - x2`` and their tanh
+    once at each of their three values (base, moved up, moved down) and
+    each subterm once at the base, then writes the 12 perturbed residuals
+    ``((a0 + T1) + T2) + T3 - y``, the operation order of ``dbw_model``,
+    into one ``(2, 6, n)`` array: up then down, one row per moved parameter.
     """
 
     def residuals(free):
         return dbw_model(x, DBWParams.from_array(free, gamma)) - y
 
-    def stacked_residuals(rows):
-        d0 = x - rows[_X0_ROWS, 4, None]
-        d2 = x - rows[_X2_ROWS, 5, None]
-        tanh0 = np.tanh(d0 / gamma)[_ABSCISSA_AT]
-        tanh2 = np.tanh(d2 / gamma)[_ABSCISSA_AT]
-        d0 = d0[_ABSCISSA_AT]
-        d2 = d2[_ABSCISSA_AT]
+    def jacobian(free):
+        a0, a1, a2, a3, x0, x2 = free
+        h = _steps(free)
+        up, down = free + h, free - h
+        d0 = x - np.array([[x0], [up[4]], [down[4]]])
+        d2 = x - np.array([[x2], [up[5]], [down[5]]])
+        tanh0 = np.tanh(d0 / gamma)
+        tanh2 = np.tanh(d2 / gamma)
+        t1 = a1 * d0[0]
+        t2 = a2 * d0[0] * tanh0[0]
+        t3 = a3 * d2[0] * tanh2[0]
+        a0_t1 = a0 + t1
+        a0_t12 = a0_t1 + t2
+        moved = np.stack([up, down])[:, :, None]  # moved[:, k]: p[k] up and down
 
-        pick, at = _T1
-        out = rows[:, 0, None] + (rows[pick, 1, None] * d0)[at]
-        pick, at = _T2
-        out += (rows[pick, 2, None] * d0 * tanh0)[at]
-        pick, at = _T3
-        out += (rows[pick, 3, None] * d2 * tanh2)[at]
-        out -= y
-        return out
+        r = np.empty((2, 6, len(x)))
+        r[:, 0] = moved[:, 0] + t1 + t2 + t3
+        r[:, 1] = a0 + moved[:, 1] * d0[0] + t2 + t3
+        r[:, 2] = a0_t1 + moved[:, 2] * d0[0] * tanh0[0] + t3
+        r[:, 3] = a0_t12 + moved[:, 3] * d2[0] * tanh2[0]
+        r[:, 4] = a0 + a1 * d0[1:] + a2 * d0[1:] * tanh0[1:] + t3
+        r[:, 5] = a0_t12 + a3 * d2[1:] * tanh2[1:]
+        r -= y
+        J = np.empty((len(x), 6))
+        np.divide(r[0] - r[1], 2.0 * h[:, None], out=J.T)
+        return J
 
-    return residuals, stacked_residuals
+    return residuals, jacobian
 
 
 def fit_dbw(
@@ -279,11 +257,8 @@ def fit_dbw(
          x[0] + x0_frac * span, x[0] + x2_frac * span]
     )
 
-    residuals, stacked_residuals = _dbw_residuals(x, y, gamma)
-    result = lm_optimize(
-        residuals, init, tol=tol, max_iter=max_iter,
-        stacked_residuals=stacked_residuals,
-    )
+    residuals, jacobian = _dbw_residuals(x, y, gamma)
+    result = lm_optimize(residuals, init, tol=tol, max_iter=max_iter, jacobian=jacobian)
     params = DBWParams.from_array(result.params, gamma)
     if not np.all(np.isfinite(result.params)):
         raise FitDiverged("fit produced non-finite parameters")

@@ -359,7 +359,11 @@ _HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
 def _load_training(args, config: dict):
     ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
     label_ids, onsets, _ = read_csv(args.labels, LABELS_HEADER, ids=True)
-    labels = dict(zip(label_ids, onsets[:, 0].tolist()))
+    labels = {}
+    for cell_id, onset in zip(label_ids, onsets[:, 0].tolist()):
+        if cell_id in labels:
+            raise InputError(f"{args.labels}: cell {cell_id!r} is labelled more than once")
+        labels[cell_id] = onset
     missing = [i for i in ids if i not in labels]
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")

@@ -128,9 +128,8 @@ def delta_q(
     records: Dict[int, CycleRecord],
     early: int = 10,
     late: int = 30,
-    grid_points: int = 1000,
 ) -> np.ndarray:
-    """Q(V) difference (late - early) on a uniform grid over the overlap."""
+    """Q(V) difference (late - early) on a uniform 1000-point grid over the overlap."""
     for cyc in (early, late):
         if cyc not in records:
             raise MissingCycle(f"cycle {cyc} not present")
@@ -141,7 +140,7 @@ def delta_q(
         raise NoVoltageOverlap(
             f"cycles {early} and {late} share no voltage range ({lo:.3f} >= {hi:.3f})"
         )
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 1000)
     q_e = np.interp(grid, r_e.voltage_v[::-1], r_e.q_ah[::-1])
     q_l = np.interp(grid, r_l.voltage_v[::-1], r_l.q_ah[::-1])
     return q_l - q_e
@@ -163,15 +162,13 @@ def _moments(x: np.ndarray) -> Tuple[float, float, float]:
     return m2, m3 / m2**1.5, m4 / m2**2
 
 
-def extract_features(
-    records: Dict[int, CycleRecord], budget: int = 30, grid_points: int = 1000
-) -> FeatureVector:
+def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> FeatureVector:
     """Six-number feature vector from the first ``budget`` cycles."""
     if budget < 11:
         raise MissingCycle(f"budget {budget} < 11: capacity-difference anchor needs cycle 10")
     if 2 not in records:
         raise MissingCycle("cycle 2 not present")
-    dq = delta_q(records, early=10, late=budget, grid_points=grid_points)
+    dq = delta_q(records, early=10, late=budget)
     var, skew, kurt = _moments(dq)
     q2 = records[2].total_capacity_ah
     q_max = max(

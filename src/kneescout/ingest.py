@@ -185,7 +185,8 @@ def read_csv(path, header, *, ids: bool = False):
     files hold only numbers and ignore columns past the header. Returns
     ``(ids, values, lines)``: the ids (or None), the numbers as float64
     (rows, columns) parsed as ``float`` does, and each row's line number.
-    A short, long or non-numeric row is MalformedRow naming file and line.
+    A short, long or non-numeric row is MalformedRow naming file and line,
+    and so, without a line, is a quoted field that runs across lines.
     A file of numbers first tries a float64 parse; any other file, and any
     that this parse may read otherwise than ``float``, is parsed as text.
     """
@@ -216,6 +217,8 @@ def read_csv(path, header, *, ids: bool = False):
                     f"{path}: line {number}: cannot read {row!r} as {','.join(header)}"
                 ) from None
         raise MalformedRow(f"{path}: a quoted field runs across lines") from None
+    if len(values) != len(rows):  # a quote joined lines into one row
+        raise MalformedRow(f"{path}: a quoted field runs across lines")
     return first, values, np.array(numbers, dtype=np.int64)
 
 

@@ -87,12 +87,11 @@ def mass(
     query: np.ndarray,
     series: np.ndarray,
     query_start: Optional[int] = None,
-    exclusion_radius: Optional[int] = None,
 ) -> DistanceProfile:
     """Distance profile of ``query`` against all windows of ``series``.
 
     When ``query_start`` is given the profile is a self-join row and the
-    trivial-match band around it is masked to +inf.
+    trivial-match band of radius ceil(L/2) around it is masked to +inf.
     """
     query = np.asarray(query, dtype=np.float64)
     series = np.asarray(series, dtype=np.float64)
@@ -107,9 +106,7 @@ def mass(
     dist = _distance(zq, Z, q_flat, flat, L)
 
     if query_start is not None:
-        radius = (
-            math.ceil(L / 2) if exclusion_radius is None else exclusion_radius
-        )
+        radius = math.ceil(L / 2)
         lo = max(0, query_start - radius)
         hi = min(len(dist), query_start + radius + 1)
         dist[lo:hi] = np.inf

@@ -90,10 +90,12 @@ def batch_report(
     rows: List[BatchRow] = []
     series_list = sorted(inputs, key=lambda s: s.cell_id)
     tasks = [(series, method) for series in series_list for method in methods]
-    if jobs > 1:
+    # a forking pool starts all its workers up front: start no more than there are tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(
                 pool.map(_report_for, *zip(*((s, m, params) for s, m in tasks)))
             )

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from kneescout import baconwatts
 from kneescout.baconwatts import (
     BaconWattsFit,
     DBWParams,
-    _central_jacobian,
     _dbw_residuals,
     dbw_knee_report,
     dbw_model,
@@ -67,6 +67,12 @@ class TestDbwModel:
 
 
 class TestLmOptimize:
+    def test_parameters(self):
+        # the damping starts at 1e-3; the Jacobian is the one hook
+        assert list(inspect.signature(lm_optimize).parameters) == [
+            "residuals", "init", "tol", "max_iter", "jacobian"
+        ]
+
     def test_linear_matches_normal_equations(self):
         rng = np.random.default_rng(0)
         X = np.column_stack([np.ones(40), np.linspace(0, 1, 40), np.linspace(0, 1, 40) ** 2])
@@ -167,22 +173,11 @@ def loop_jacobian(residuals, p, r0):
     return J
 
 
-def reference_lm(monkeypatch, residuals, init, **kw):
-    """lm_optimize with the column-loop Jacobian in place of the stacked one."""
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            baconwatts, "_central_jacobian",
-            lambda _stacked, p: loop_jacobian(residuals, p, residuals(p)),
-        )
-        return lm_optimize(residuals, init, **kw)
-
-
-def broadcast_stack(x, y, gamma, rows):
-    """Reference: the residual stack with each parameter a ``(rows, 1)`` column."""
-    a0, a1, a2, a3, x0, x2 = (rows[:, k, None] for k in range(6))
-    d0 = x - x0
-    d2 = x - x2
-    return a0 + a1 * d0 + a2 * d0 * np.tanh(d0 / gamma) + a3 * d2 * np.tanh(d2 / gamma) - y
+def reference_lm(residuals, init, **kw):
+    """lm_optimize with the column-loop Jacobian."""
+    return lm_optimize(
+        residuals, init, jacobian=lambda p: loop_jacobian(residuals, p, residuals(p)), **kw
+    )
 
 
 free_vectors = st.tuples(
@@ -216,8 +211,8 @@ class TestStackedJacobian:
     def test_equals_column_loop(self, free, n, start, gamma, seed):
         x = np.arange(start, start + n, dtype=np.float64)
         y = np.random.default_rng(seed).uniform(0.8, 1.2, n)
-        residuals, stacked = _dbw_residuals(x, y, gamma)
-        J = _central_jacobian(stacked, free)
+        residuals, jacobian = _dbw_residuals(x, y, gamma)
+        J = jacobian(free)
         assert np.array_equal(J, loop_jacobian(residuals, free, residuals(free)))
         assert J.flags.c_contiguous and J.shape == (n, 6)
 
@@ -229,24 +224,27 @@ class TestStackedJacobian:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=100, deadline=None)
-    def test_stack_equals_broadcast_reference(self, free, n, start, gamma, seed):
+    def test_equals_column_loop_at_fleet_lengths(self, free, n, start, gamma, seed):
         # start in [-500, 3500] puts x0 and x2 inside, before and after the grid
         x = np.arange(start, start + n, dtype=np.float64)
         y = np.random.default_rng(seed).uniform(0.8, 1.2, n)
-        _, stacked = _dbw_residuals(x, y, gamma)
-        seen = []
+        residuals, jacobian = _dbw_residuals(x, y, gamma)
+        J = jacobian(free)
+        expected = loop_jacobian(residuals, free, residuals(free))
+        assert J.shape == expected.shape == (n, 6)
+        assert np.array_equal(J.view(np.int64), expected.view(np.int64))
 
-        def both(rows):
-            seen.append((rows.copy(), stacked(rows)))
-            return seen[-1][1]
+    def test_jacobian_does_not_evaluate_the_model(self, monkeypatch):
+        x = np.arange(1.0, 301.0)
+        residuals, jacobian = _dbw_residuals(x, np.ones(300), 10.0)
+        free = np.array([1.0, -1e-4, -1e-4, -1e-4, 210.0, 270.0])
+        expected = loop_jacobian(residuals, free, residuals(free))
+        with monkeypatch.context() as patch:
+            patch.setattr(baconwatts, "dbw_model", None)
+            J = jacobian(free)
+        assert np.array_equal(J, expected)
 
-        _central_jacobian(both, free)
-        [(rows, got)] = seen
-        expected = broadcast_stack(x, y, gamma, rows)
-        assert got.shape == expected.shape == (12, n)
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-
-    def test_default_stacking_matches_reference_lm(self, monkeypatch):
+    def test_default_jacobian_matches_reference_lm(self):
         X = np.column_stack([np.ones(30), np.linspace(-1, 2, 30), np.linspace(0, 3, 30) ** 2])
         y = 0.5 * np.sin(np.arange(30.0))
 
@@ -255,7 +253,7 @@ class TestStackedJacobian:
 
         init = np.array([0.3, -1.7, 2e-3])
         result = lm_optimize(residuals, init)
-        reference = reference_lm(monkeypatch, residuals, init)
+        reference = reference_lm(residuals, init)
         assert result.cost_history == reference.cost_history
         assert np.array_equal(result.params, reference.params)
         assert result.iterations > 1
@@ -274,8 +272,8 @@ class TestStackedJacobian:
                 patch.setattr(baconwatts, "lm_optimize", recording)
                 fit = fit_dbw(resample_even(series))
             [(residuals, init, kw, result)] = runs
-            kw.pop("stacked_residuals")
-            reference = reference_lm(monkeypatch, residuals, init, **kw)
+            kw.pop("jacobian")
+            reference = reference_lm(residuals, init, **kw)
 
             assert result.cost_history == reference.cost_history
             assert np.array_equal(result.params, reference.params)

@@ -275,6 +275,38 @@ class TestBatch:
         assert "max_iter: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jobs_start_no_more_workers_than_tasks(self, synth_dir, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            """Records max_workers and maps in this process, starting none."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cells = tmp_path / "cells"
+        cells.mkdir()
+        for path in sorted(synth_dir.glob("fleet-5-00[0-2].*")):
+            if not path.name.endswith((".cycles.csv", ".truth.json")):
+                shutil.copy(path, cells)
+        out = tmp_path / "table.csv"
+        assert run_cli("batch", "--dir", str(cells), "--methods", "curvature",
+                       "--sg-window", "81", "--cac-window", "12", "--jobs", "500",
+                       "--out", str(out)) == 0
+        assert started == [3]
+
     def test_rows_sorted_by_cell_id(self, synth_dir, tmp_path):
         out = tmp_path / "table.csv"
         run_cli("batch", "--dir", str(synth_dir), "--methods", "curvature",
@@ -392,6 +424,12 @@ class TestPredictionInputErrors:
         payload = self.train(capsys, tmp_path, labels)
         assert payload["error"] == "MalformedRow"
         assert "labels.csv: line 3" in payload["message"]
+
+    def test_train_repeated_label_id(self, tmp_path, capsys):
+        labels = "cell_id,onset_cycle\na,100\nb,200\nc,300\nb,250\n"
+        payload = self.train(capsys, tmp_path, labels)
+        assert payload["error"] == "InputError"
+        assert "'b'" in payload["message"] and "more than once" in payload["message"]
 
     @pytest.mark.parametrize("flag,value", [
         ("--min-leaf", "0"), ("--max-depth", "-1"),

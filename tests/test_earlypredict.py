@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import warnings
@@ -83,6 +84,13 @@ class TestDeltaQ:
         }
         with pytest.raises(NoVoltageOverlap):
             delta_q(records)
+
+    def test_fixed_grid(self):
+        # the grid size is no parameter; features are defined on 1000 points
+        records = {10: make_record(10), 30: make_record(30)}
+        assert len(delta_q(records)) == 1000
+        assert list(inspect.signature(delta_q).parameters) == ["records", "early", "late"]
+        assert list(inspect.signature(extract_features).parameters) == ["records", "budget"]
 
 
 class TestMoments:

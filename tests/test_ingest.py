@@ -18,6 +18,7 @@ from kneescout import cli, ingest
 from kneescout.earlypredict import (
     CYCLE_DETAIL_HEADER,
     FEATURE_NAMES,
+    LABELS_HEADER,
     CycleRecord,
     load_cycle_detail_csv,
 )
@@ -744,6 +745,25 @@ class TestFloatParse:
     def test_quote_across_lines_takes_the_text_parse(self):
         text = 'cycle,discharge_capacity_ah\n1,"1\n2",3\n'
         assert ingest._parse_numbers(text, self.body(text), 2) is None
+
+    def test_quoted_field_across_lines_is_malformed(self, tmp_path, capsys):
+        rows = [f"{k},{1.0 - k * 1e-3!r}" for k in range(1, 80)]
+        rows[59] = '60,"1.0\n4",x'
+        path = tmp_path / "cell.csv"
+        path.write_text("cycle,discharge_capacity_ah\n" + "\n".join(rows) + "\n")
+        with pytest.raises(MalformedRow, match="a quoted field runs across lines"):
+            read_csv(path, CAPACITY_HEADER)
+        out = tmp_path / "r.json"
+        assert cli.main(["identify", "--input", str(path), "--q-nom", "1.0",
+                         "--out", str(out)]) == 1
+        assert "a quoted field runs across lines" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quoted_id_file_field_across_lines_is_malformed(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text('cell_id,onset_cycle\na,100\nb,"2\n00"\nc,300\n')
+        with pytest.raises(MalformedRow, match="a quoted field runs across lines"):
+            read_csv(path, LABELS_HEADER, ids=True)
 
     @pytest.mark.parametrize("text", ["", "\n", "\n\n", "\n \n"])
     def test_no_rows_warns_nothing(self, tmp_path, text):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -132,6 +133,12 @@ def block_edge_series(draw):
 
 
 class TestMass:
+    def test_band_radius_is_half_the_window(self):
+        series = np.random.default_rng(1).normal(0, 1, 40)
+        dist = mass(series[13:19], series, query_start=13).distances
+        assert np.isinf(dist[10:17]).all() and np.isfinite(dist[[9, 17]]).all()
+        assert list(inspect.signature(mass).parameters) == ["query", "series", "query_start"]
+
     def test_self_match_is_zero(self):
         rng = np.random.default_rng(0)
         series = rng.normal(0, 1, 40)
