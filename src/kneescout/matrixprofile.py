@@ -66,12 +66,18 @@ class MatrixProfile:
 
 
 def _znormalize(windows: np.ndarray):
-    """z-normalized windows (last axis) and their flat mask; flat rows are 0."""
-    mu = windows.mean(axis=-1, keepdims=True)
-    sigma = windows.std(axis=-1, keepdims=True)
+    """z-normalized windows (last axis) and their flat mask; flat rows are 0.
+
+    The deviations are computed once; sigma is ``np.std``'s own arithmetic
+    on them, so z has the bits of ``(windows - mean) / std``.
+    """
+    dev = windows - windows.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(np.square(dev).sum(axis=-1, keepdims=True) / windows.shape[-1])
     flat = sigma < FLAT_STD
-    z = np.where(flat, 0.0, (windows - mu) / np.where(flat, 1.0, sigma))
-    return z, flat[..., 0]
+    dev /= np.where(flat, 1.0, sigma)
+    flat = flat[..., 0]
+    dev[flat] = 0.0
+    return dev, flat
 
 
 def _distance(za, zb, flat_a, flat_b, L: int) -> np.ndarray:

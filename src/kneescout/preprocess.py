@@ -8,8 +8,10 @@ for an odd window ``ws``. On a unit-spaced grid it is zero for any straight
 line, negative where three points form a knee, and positive for an elbow.
 
 Smoothing equals ``scipy.signal.savgol_filter(values, window, order,
-mode="mirror")`` bit for bit; it makes the filter's two calls itself, so that
-importing the package does not import ``scipy.signal``.
+mode="mirror")`` bit for bit with NumPy alone: the weights are the same
+``gelsd`` least-squares solution, and the convolution adds its products in
+the order of ``scipy.ndimage.convolve1d(mode="mirror")``. Importing the
+package imports no SciPy module.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lstsq
-from scipy.ndimage import convolve1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, WindowTooLarge
 from .ingest import NormalizedSeries
@@ -70,7 +71,7 @@ def savgol_smooth(
         raise WindowTooLarge(f"window {window} outside [3, {n}]")
     if not 0 <= order < window:
         raise OrderTooHigh(f"order {order} must satisfy 0 <= order < window {window}")
-    smoothed = convolve1d(series.values, savgol_coeffs(window, order), mode="mirror")
+    smoothed = _mirror_convolve(series.values, savgol_coeffs(window, order))
     return SmoothedSeries(cycles=series.cycles, values=smoothed)
 
 
@@ -78,17 +79,58 @@ def savgol_smooth(
 def savgol_coeffs(window: int, order: int) -> np.ndarray:
     """Read-only convolution weights of the centred Savitzky-Golay smoother.
 
-    The minimum-norm least-squares solution on the design matrix, with the
-    rank cutoff, that ``scipy.signal.savgol_coeffs(window, order)`` uses.
+    The minimum-norm least-squares solution (LAPACK ``gelsd``) on the design
+    matrix, with the rank cutoff, that ``scipy.signal.savgol_coeffs(window,
+    order)`` uses.
     """
     half = window // 2
     x = np.arange(-half, window - half, dtype=np.float64)[::-1]
     A = x ** np.arange(order + 1, dtype=np.float64).reshape(-1, 1)
     e0 = np.zeros(order + 1)
     e0[0] = 1.0
-    coeffs = lstsq(A, e0, cond=np.finfo(np.float64).eps * max(A.shape))[0]
+    coeffs = np.linalg.lstsq(A, e0, rcond=np.finfo(np.float64).eps * max(A.shape))[0]
     coeffs.flags.writeable = False
     return coeffs
+
+
+def _mirror_convolve(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``scipy.ndimage.convolve1d(values, weights, mode="mirror")``, bit for bit.
+
+    ``weights`` has odd length 2h + 1 <= 2 len(values) - 1. Convolution is
+    correlation with the reversed weights ``fw`` over the series mirrored by
+    h samples at each end (reflected about the edge sample, which is not
+    repeated). Like ndimage's ``NI_Correlate1D``, the weights are symmetric
+    or antisymmetric when every pair differs by at most ``DBL_EPSILON``
+    (absolute), and out[i] adds its products in ndimage's order:
+
+    - symmetric: x[i] fw[h], then (x[i-j] + x[i+j]) fw[h-j] for j = h .. 1;
+    - antisymmetric: the same with x[i-j] - x[i+j];
+    - otherwise: x[i+h] fw[2h], then x[i+k-h] fw[k] for k = 0 .. 2h-1.
+
+    Each step adds one term to every output at once. A ``(terms, n)`` table
+    summed over its rows gives the same bits, but on long series it leaves
+    the cache and runs slower than this loop.
+    """
+    fw = weights[::-1]
+    h = len(fw) // 2
+    padded = np.concatenate([values[h:0:-1], values, values[-2 : -h - 2 : -1]])
+    x = sliding_window_view(padded, len(values))  # x[k, i] = values[i + k - h]
+    # rows j = h .. 1: x[i - j], x[i + j] and the weights fw[h - j], fw[h + j]
+    left, right, w_left, w_right = x[:h], x[2 * h : h : -1], fw[:h], fw[2 * h : h : -1]
+    eps = np.finfo(np.float64).eps
+    if not np.any(np.abs(w_right - w_left) > eps):
+        pair = np.add
+    elif not np.any(np.abs(w_right + w_left) > eps):
+        pair = np.subtract
+    else:
+        out = x[2 * h] * fw[2 * h]
+        for k in range(2 * h):
+            out += x[k] * fw[k]
+        return out
+    out = x[h] * fw[h]
+    for k in range(h):
+        out += pair(left[k], right[k]) * w_left[k]
+    return out
 
 
 def clip_window(window: int, n: int) -> int:

@@ -43,7 +43,11 @@ class CorrelationReport:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient, clipped to [-1, 1].
+
+    Rounding can put the quotient just outside the interval (1 + 2**-52 for
+    some perfectly correlated inputs); ``scipy.stats.pearsonr`` clips too.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
@@ -56,7 +60,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     sy = float(np.sqrt(np.sum(dy * dy)))
     if sx == 0.0 or sy == 0.0:
         raise ConstantInput("correlation undefined for a constant input")
-    return float(np.sum(dx * dy) / (sx * sy))
+    return min(max(float(np.sum(dx * dy) / (sx * sy)), -1.0), 1.0)
 
 
 def _report_for(series: CapacityFadeSeries, method: str, params: PipelineParams) -> KneeReport:

@@ -43,6 +43,9 @@ GROUND_TRUTH_RULE = (
 )
 
 
+MIN_CYCLES = 10
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_cycles: int
@@ -55,7 +58,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_cycles < 10:
+        if self.n_cycles < MIN_CYCLES:
             raise DegenerateSpec(f"n_cycles={self.n_cycles} too small")
         if self.a < 0 or self.b < 0 or self.c < 0:
             raise DegenerateSpec("a, b, c must be >= 0")
@@ -237,6 +240,8 @@ def generate_fleet(
     """
     if count < 1:
         raise DegenerateSpec(f"count must be >= 1, got {count}")
+    if n_cycles < MIN_CYCLES:  # before the knee draw, whose range it would empty
+        raise DegenerateSpec(f"n_cycles={n_cycles} too small")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):

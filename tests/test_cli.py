@@ -746,6 +746,15 @@ class TestRejectedValues:
                                   "--out", str(tmp_path / "r.json"))
         assert payload["error"] == "DegenerateWindow"
 
+    @pytest.mark.parametrize("n_cycles", ["-5", "0"])
+    def test_synth_too_few_cycles(self, tmp_path, capsys, n_cycles):
+        out_dir = tmp_path / "fleet"
+        payload = self.json_error(capsys, 1, "synth", "--count", "2", "--n-cycles", n_cycles,
+                                  "--out-dir", str(out_dir))
+        assert payload["error"] == "DegenerateSpec"
+        assert f"n_cycles={n_cycles} too small" in payload["message"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_predict_non_finite_feature(self, tmp_path, capsys, bad):
         feats, model = tmp_path / "f.csv", tmp_path / "m.json"

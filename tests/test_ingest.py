@@ -779,16 +779,20 @@ COLD_START = """
 import json, sys
 import kneescout
 from kneescout.ingest import CapacityFadeSeries, resample_even
-loaded = [m for m in ("scipy.signal", "scipy.interpolate", "scipy.stats") if m in sys.modules]
+from kneescout.synthgen import generate_fleet
+(cell, _), = generate_fleet(1, seed=3, n_cycles=600)
+report = kneescout.identify_knees(cell)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 series = CapacityFadeSeries("cell", [0, 1, 3, 4, 7], [1.0, 2.0, 10.0, 17.0, 20.0], 1.1)
 out = resample_even(series)
-print(json.dumps({"loaded": loaded, "interpolate": "scipy.interpolate" in sys.modules,
+print(json.dumps({"loaded": loaded, "onset": report.onset_cycle,
+                  "interpolate": "scipy.interpolate" in sys.modules,
                   "cycles": out.cycles.tolist(), "capacity": out.capacity_ah.tolist()}))
 """
 
 
 class TestColdStart:
-    def test_import_loads_no_signal_interpolate_or_stats(self):
+    def test_import_and_even_grid_identify_load_no_scipy(self):
         src = str(Path(ingest.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", COLD_START], capture_output=True, text=True,
@@ -797,6 +801,7 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
         assert got["loaded"] == []
+        assert got["onset"] > 0
         assert got["interpolate"]  # the first uneven grid imports it
         assert got["cycles"] == list(range(8))
         x, y = [0, 1, 3, 4, 7], [1.0, 2.0, 10.0, 17.0, 20.0]

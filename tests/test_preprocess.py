@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import convolve1d
 from scipy.signal import savgol_coeffs, savgol_filter
 
 from kneescout import preprocess
@@ -120,6 +121,46 @@ class TestMatchesScipySavgol:
         assert not coeffs.flags.writeable
         with pytest.raises(ValueError):
             coeffs[0] = 0.0
+
+
+def paired_weights(rng, h, sign, ulps):
+    """2h + 1 weights with w[h + j] = sign * w[h - j] + (0 to ulps) * 2**-53.
+
+    The pairs lie in [0.5, 1) in magnitude, where 2**-53 is one unit in the
+    last place, so ulps = 2 puts some pairs exactly DBL_EPSILON apart (still
+    symmetric to ndimage) and ulps = 3 some just beyond it.
+    """
+    left = rng.uniform(0.5, 1.0, h) * rng.choice([-1.0, 1.0], h)
+    right = sign * left + rng.integers(-ulps, ulps + 1, h) * 2.0**-53
+    return np.concatenate([left[::-1], [rng.normal()], right])
+
+
+class TestMirrorConvolution:
+    """The smoothing kernel is ``scipy.ndimage.convolve1d(mode="mirror")``, bit for bit."""
+
+    @given(
+        data=st.data(),
+        h=st.integers(1, 100),
+        kind=st.sampled_from(["symmetric", "antisymmetric", "general"]),
+        ulps=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.integers(-12, 12),
+        signed_zeros=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_ndimage(self, data, h, kind, ulps, seed, scale, signed_zeros):
+        n = data.draw(st.integers(2 * h + 1, 3000), label="n")
+        rng = np.random.default_rng(seed)
+        if kind == "general":
+            weights = rng.normal(size=2 * h + 1)
+        else:
+            weights = paired_weights(rng, h, 1.0 if kind == "symmetric" else -1.0, ulps)
+        values = rng.normal(size=n) * 10.0**scale
+        if signed_zeros:
+            values[rng.random(n) < 0.3] = 0.0
+            values[rng.random(n) < 0.3] = -0.0
+        got = preprocess._mirror_convolve(values, weights)
+        assert got.tobytes() == convolve1d(values, weights, mode="mirror").tobytes()
 
 
 class TestClipWindow:

@@ -63,6 +63,21 @@ class TestPearson:
         y = rng.normal(0, 1, 25)
         assert pearson(-2.0 * x, y) == pytest.approx(-pearson(x, y), abs=1e-12)
 
+    def test_clipped_to_unit_interval(self):
+        # the unclipped quotient is 1 + 2**-52 for this vector
+        x = np.array([2355.0, 2703.0, 2245.0, 2869.0, 1963.0])
+        assert pearson(x, x) == 1.0
+        assert pearson(x, -x) == -1.0
+
+    @given(st.lists(st.integers(-10_000, 10_000), min_size=2, max_size=12),
+           st.integers(-3, 3).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_within_unit_interval(self, xs, scale):
+        x = np.array(xs, dtype=float)
+        if np.all(x == x[0]):
+            return
+        assert -1.0 <= pearson(x, scale * x + 7.0) <= 1.0
+
 
 class TestImprovementPct:
     def test_lfp_style_knee_improvement(self):

@@ -137,6 +137,12 @@ class TestFleet:
             assert truth is not None
             assert series.cell_id.startswith("fleet-2-")
 
+    @pytest.mark.parametrize("n_cycles", [-5, -1, 0, 9])
+    def test_too_few_cycles_rejected_before_drawing(self, n_cycles):
+        # a negative length empties the knee-cycle draw's range
+        with pytest.raises(DegenerateSpec, match=f"n_cycles={n_cycles} too small"):
+            generate_fleet(2, seed=1, n_cycles=n_cycles)
+
 
 class TestSimulateCycleRecords:
     def test_deterministic(self):
