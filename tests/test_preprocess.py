@@ -124,7 +124,7 @@ class TestMatchesScipySavgol:
 
 
 def paired_weights(rng, h, sign, ulps):
-    """2h + 1 weights with w[h + j] = sign * w[h - j] + (0 to ulps) * 2**-53.
+    """2h + 1 weights with w[h + j] = sign * w[h - j] + k * 2**-53, |k| <= ulps.
 
     The pairs lie in [0.5, 1) in magnitude, where 2**-53 is one unit in the
     last place, so ulps = 2 puts some pairs exactly DBL_EPSILON apart (still
