@@ -35,6 +35,9 @@ from .segmentation import KneeReport, prepare
 
 # Initial slopes for the transition terms, in Ah/cycle.
 INIT_SLOPE = -1e-4
+# Initial x0 and x2 as fractions of the observed cycle range.
+INIT_X0_FRAC = 0.7
+INIT_X2_FRAC = 0.9
 
 
 @dataclass(frozen=True)
@@ -235,17 +238,15 @@ def _dbw_residuals(x, y, gamma):
 def fit_dbw(
     series: CapacityFadeSeries,
     gamma: float = 10.0,
-    tol: float = 1e-10,
     max_iter: int = 1000,
-    x0_frac: float = 0.7,
-    x2_frac: float = 0.9,
 ) -> BaconWattsFit:
     """Fit the double Bacon-Watts model to raw capacity in Ah.
 
     Initial values: alpha0 = 1 Ah, alpha1 = alpha2 = alpha3 = -1e-4
     Ah/cycle, x0 at 70% and x2 at 90% of the observed cycle range. The
     reported onset/knee are order-normalized, so swapping the two
-    transition initializations changes nothing downstream.
+    transition initializations changes nothing downstream. The fit runs
+    ``lm_optimize`` at its default tolerance.
     """
     if len(series) < 10:
         raise TooShort(f"double Bacon-Watts fit needs >= 10 points, got {len(series)}")
@@ -254,11 +255,11 @@ def fit_dbw(
     span = x[-1] - x[0]
     init = np.array(
         [1.0, INIT_SLOPE, INIT_SLOPE, INIT_SLOPE,
-         x[0] + x0_frac * span, x[0] + x2_frac * span]
+         x[0] + INIT_X0_FRAC * span, x[0] + INIT_X2_FRAC * span]
     )
 
     residuals, jacobian = _dbw_residuals(x, y, gamma)
-    result = lm_optimize(residuals, init, tol=tol, max_iter=max_iter, jacobian=jacobian)
+    result = lm_optimize(residuals, init, max_iter=max_iter, jacobian=jacobian)
     params = DBWParams.from_array(result.params, gamma)
     if not np.all(np.isfinite(result.params)):
         raise FitDiverged("fit produced non-finite parameters")
@@ -284,16 +285,23 @@ def transition_cycles(fit: BaconWattsFit) -> tuple:
 def dbw_knee_report(
     series: CapacityFadeSeries, params: PipelineParams = DEFAULT_PARAMS
 ) -> KneeReport:
-    """KneeReport from the double Bacon-Watts baseline, with EoL attached."""
+    """KneeReport from the double Bacon-Watts baseline, with EoL attached.
+
+    ``transitions_identifiable`` is 1.0 when at least one tanh term has a
+    slope change above 1% of the base slope and both x0 and x2 lie within
+    the fitted series' first-to-last cycle range; the reported cycles are
+    the rounded x0 and x2 either way.
+    """
     resampled, _, _, eol = prepare(series, params)
     fit = fit_dbw(resampled, gamma=params.gamma, max_iter=params.max_iter)
     onset, knee = transition_cycles(fit)
 
     slope_scale = max(abs(fit.params.alpha1), 1e-12)
+    first, last = resampled.cycles[0], resampled.cycles[-1]
     identifiable = (
         abs(fit.params.alpha2) > 0.01 * slope_scale
         or abs(fit.params.alpha3) > 0.01 * slope_scale
-    )
+    ) and all(first <= v <= last for v in (fit.params.x0, fit.params.x2))
     return KneeReport(
         cell_id=series.cell_id,
         onset_cycle=onset,

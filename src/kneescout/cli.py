@@ -140,7 +140,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="knee-scout", description=__doc__)
     parser.add_argument("--version", action="version", version=f"knee-scout {__version__}")
     parser.add_argument("--json-errors", action="store_true")
-    parser.add_argument("--config", default=None, help="key=value parameter file")
+    parser.add_argument("--config", default=None,
+                        help="key=value parameter file (identify, baconwatts, batch)")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("identify", help="curvature-based knee identification")
@@ -214,8 +215,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage())
+        if args.config is not None and args.command not in CONFIG_COMMANDS:
+            raise UsageError(f"--config applies to {', '.join(CONFIG_COMMANDS)} only,"
+                             f" not {args.command}")
         load, compute, write = COMMANDS[args.command]
-        inputs = load(args, _read_config(args.config) if args.config else {})
+        inputs = load(args, _read_config(args.config) if args.config is not None else {})
         code = 2
         result = compute(*inputs)
         code = 1
@@ -446,6 +450,8 @@ COMMANDS = {
     "predict": (_load_prediction, _prediction_rows, _write_predictions),
     "sensitivity": (_load_sensitivity, sensitivity_sweep, _write_sensitivity),
 }
+# the commands whose load reads the --config file
+CONFIG_COMMANDS = ("identify", "baconwatts", "batch")
 
 
 if __name__ == "__main__":

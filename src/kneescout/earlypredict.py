@@ -488,13 +488,12 @@ def sensitivity_sweep(
     repeats: int = 5,
     seed: int = 42,
     hyper: GBRTHyper = GBRTHyper(),
-    train_frac: float = 0.8,
 ) -> List[Dict[str, float]]:
     """Mean test RMSE/MAPE per cycle budget over repeated stratified splits.
 
     The capacity-difference late anchor and the maximum-capacity window both
-    follow the budget. Split r of a budget uses seed ``seed + r``, so the
-    whole table is deterministic.
+    follow the budget. Split r of a budget is ``stratified_split``'s default
+    80/20 split with seed ``seed + r``, so the whole table is deterministic.
     """
     if len(cells) != len(labels):
         raise LengthMismatch(f"{len(cells)} cells vs {len(labels)} labels")
@@ -508,7 +507,7 @@ def sensitivity_sweep(
         X = np.vstack([extract_features(rec, budget=budget).as_array() for rec in cells])
         rmses, mapes = [], []
         for r in range(repeats):
-            train_idx, test_idx = stratified_split(y, train_frac, seed=seed + r)
+            train_idx, test_idx = stratified_split(y, seed=seed + r)
             if len(test_idx) == 0:
                 raise EmptyTrainingSet("stratified split produced an empty test set")
             model = gbrt_train(X[train_idx], y[train_idx], hyper)

@@ -306,8 +306,6 @@ def resample_even(series: CapacityFadeSeries) -> CapacityFadeSeries:
 
 def normalize(series: CapacityFadeSeries) -> NormalizedSeries:
     """Divide capacities by the cell's initial nominal capacity."""
-    if series.q_nom_ah <= 0:
-        raise NonPositiveNominal(f"q_nom_ah={series.q_nom_ah!r}")
     return NormalizedSeries(
         cycles=series.cycles, values=series.capacity_ah / series.q_nom_ah
     )

@@ -13,6 +13,11 @@ first maximum, so ties go to the smallest index and the result does not
 depend on evaluation order. P is then measured directly from the chosen
 pair.
 
+A series of length M has n = M - L + 1 windows, and every window has a
+candidate outside its band exactly when n >= 2 ceil(L/2) + 2, that is
+M >= L + 2 ceil(L/2) + 1. ``stamp`` rejects anything shorter, so every
+window has a nearest neighbour.
+
 Conventions that the rest of the pipeline relies on:
 
 * trivial matches are excluded in a band of radius ceil(L/2) around the
@@ -21,8 +26,7 @@ Conventions that the rest of the pipeline relies on:
   same (constant) shape at distance 0; a constant window against a varying
   one is at distance sqrt(L). A flat window z-normalizes to a zero row, and
   in the Gram search a flat candidate scores L/2 (distance sqrt(L)), or L
-  (distance 0) when the query window is flat too;
-* a window with no candidate outside its band keeps I = -1 and P = 2 sqrt(L).
+  (distance 0) when the query window is flat too.
 """
 
 from __future__ import annotations
@@ -42,14 +46,6 @@ FLAT_STD = 1e-12
 # _BLOCK_ROWS x (number of windows) floats, and the band mask
 # _BLOCK_ROWS x (_BLOCK_ROWS + 2 ceil(L/2)) booleans.
 _BLOCK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """z-normalized distances from one query window to every window."""
-
-    query_start: Optional[int]
-    distances: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,8 @@ def mass(
     query: np.ndarray,
     series: np.ndarray,
     query_start: Optional[int] = None,
-) -> DistanceProfile:
-    """Distance profile of ``query`` against all windows of ``series``.
+) -> np.ndarray:
+    """z-normalized distances from ``query`` to every window of ``series``.
 
     When ``query_start`` is given the profile is a self-join row and the
     trivial-match band of radius ceil(L/2) around it is masked to +inf.
@@ -116,7 +112,7 @@ def mass(
         lo = max(0, query_start - radius)
         hi = min(len(dist), query_start + radius + 1)
         dist[lo:hi] = np.inf
-    return DistanceProfile(query_start=query_start, distances=dist)
+    return dist
 
 
 def stamp(series: np.ndarray, L: int) -> MatrixProfile:
@@ -124,7 +120,9 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
 
     I[j] is the window outside the band of radius ceil(L/2) around j with the
     largest Gram entry, the smallest index on ties; P[j] is the distance to
-    it. A window with no candidate keeps I = -1 and P = 2 sqrt(L).
+    it, capped at 2 sqrt(L). A series shorter than L + 2 ceil(L/2) + 1 is
+    SeriesTooShort: some window would have no candidate. A non-finite value
+    is DegenerateWindow, since its windows have no z-normalized distance.
 
     Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows, and the
     band is set to -inf only in the columns ``start - r .. stop + r`` around
@@ -138,10 +136,14 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     if L < 2:
         raise DegenerateWindow("z-normalization needs window length >= 2")
     radius = math.ceil(L / 2)
-    if M < L + radius + 1:
+    needed = L + 2 * radius + 1
+    if M < needed:
         raise SeriesTooShort(
-            f"series length {M} < L + exclusion + 1 = {L + radius + 1}"
+            f"series length {M} < L + 2*ceil(L/2) + 1 = {needed}"
+            f" for matrix-profile window L = {L}"
         )
+    if not np.isfinite(series).all():
+        raise DegenerateWindow("series holds non-finite values")
 
     Z, flat = _znormalize(sliding_window_view(series, L))
     n = len(Z)
@@ -149,7 +151,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     shift = np.arange(_BLOCK_ROWS + 2 * radius) - np.arange(_BLOCK_ROWS)[:, None]
     band = (shift >= 0) & (shift <= 2 * radius)
     any_flat = bool(flat.any())
-    I = np.full(n, -1, dtype=np.int64)
+    I = np.empty(n, dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         gram = Z[start:stop] @ Z.T
@@ -158,12 +160,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
         lo, hi = max(start - radius, 0), min(stop + radius, n)
         skip = lo - (start - radius)
         gram[:, lo:hi][band[: stop - start, skip : skip + hi - lo]] = -np.inf
-        best = np.argmax(gram, axis=1)
-        found = gram[np.arange(stop - start), best] > -np.inf
-        I[start:stop][found] = best[found]
+        I[start:stop] = np.argmax(gram, axis=1)
 
-    P = np.full(n, 2.0 * math.sqrt(L))
-    j = np.nonzero(I >= 0)[0]
-    k = I[j]
-    P[j] = np.minimum(_distance(Z[j], Z[k], flat[j], flat[k], L), P[j])
+    P = np.minimum(_distance(Z, Z[I], flat, flat[I], L), 2.0 * math.sqrt(L))
     return MatrixProfile(P=P, I=I, L=L, exclusion_radius=radius)

@@ -10,7 +10,6 @@ zone. The first boundary is the knee onset, the second the knee.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -22,7 +21,6 @@ from .errors import (
     IndexOutOfRange,
     InsufficientUnmaskedRegion,
     LengthMismatch,
-    SeriesTooShort,
     TooShort,
 )
 from .ingest import CapacityFadeSeries, find_eol, normalize, resample_even
@@ -40,12 +38,6 @@ class ArcCurveSet:
     ac: np.ndarray
     iac: np.ndarray
     cac: np.ndarray
-
-
-@dataclass(frozen=True)
-class RegimeBoundaries:
-    boundaries: List[int]
-    exclusion_radius: int
 
 
 @dataclass(frozen=True)
@@ -107,14 +99,11 @@ def compute_arc_curves(index: np.ndarray) -> ArcCurveSet:
     return ArcCurveSet(ac=ac, iac=ideal, cac=cac(ac, ideal))
 
 
-def rea(
-    cac_values: np.ndarray, n_boundaries: int, exclusion_radius: int
-) -> RegimeBoundaries:
+def rea(cac_values: np.ndarray, n_boundaries: int, exclusion_radius: int) -> List[int]:
     """Iteratively select CAC minima, masking +-exclusion_radius after each.
 
-    Ties at equal CAC go to the smaller index. Boundaries are returned in
-    ascending order and are pairwise separated by more than the exclusion
-    radius.
+    Ties at equal CAC go to the smaller index. Returns the boundaries in
+    ascending order, pairwise separated by more than the exclusion radius.
     """
     values = np.asarray(cac_values, dtype=np.float64).copy()
     n = len(values)
@@ -133,9 +122,7 @@ def rea(
         lo = max(0, b - exclusion_radius)
         hi = min(n, b + exclusion_radius + 1)
         values[lo:hi] = np.inf
-    return RegimeBoundaries(
-        boundaries=sorted(picked), exclusion_radius=exclusion_radius
-    )
+    return sorted(picked)
 
 
 def prepare(
@@ -171,7 +158,9 @@ def identify_knees(
     regime boundaries. Boundary positions are mapped back to cycle numbers
     by adding the curvature index offset and the half-width of the
     matrix-profile window. An edge band of one exclusion radius at each end
-    of the CAC is never selected. A negative ``cac_window`` is DegenerateWindow.
+    of the CAC is never selected. A negative ``cac_window`` is DegenerateWindow,
+    and a curvature series too short for the matrix-profile window is
+    ``stamp``'s SeriesTooShort.
     """
     if params.cac_window is not None and params.cac_window < 0:
         raise DegenerateWindow(f"cac_window must be >= 0, got {params.cac_window}")
@@ -186,14 +175,6 @@ def identify_knees(
         # 0 selects the floor(N/5) segmentation window of the method's
         # parameter table, relative to the curvature series length
         mp_window = max(2, len(curvature) // 5)
-    # every window needs a neighbour outside its ceil(L/2) exclusion band,
-    # or the arc curve would get index entries of -1
-    needed = mp_window + 2 * math.ceil(mp_window / 2) + 1
-    if len(curvature) < needed:
-        raise SeriesTooShort(
-            f"curvature series length {len(curvature)} < L + 2*ceil(L/2) + 1"
-            f" = {needed} for matrix-profile window L = {mp_window}"
-        )
     profile = stamp(curvature.values, mp_window)
     curves = compute_arc_curves(profile.I)
     corrected = curves.cac
@@ -203,14 +184,13 @@ def identify_knees(
     if guard > 0 and len(guarded) > 2 * guard:
         guarded[:guard] = np.inf
         guarded[-guard:] = np.inf
-    boundaries = rea(guarded, 2, params.exclusion_radius)
+    onset_pos, knee_pos = rea(guarded, 2, params.exclusion_radius)
 
     offset = curvature.first_cycle + (mp_window - 1) // 2
-    onset_pos, knee_pos = boundaries.boundaries
     onset_cycle = offset + onset_pos
     knee_cycle = offset + knee_pos
 
-    cac_interior = corrected[1:-1] if len(corrected) > 2 else corrected
+    cac_interior = corrected[1:-1]
     # mirror padding leaves a structural curvature artifact within half a
     # smoothing window of each end, so flatness is judged on the interior
     edge = sg_window // 2

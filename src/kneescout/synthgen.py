@@ -34,7 +34,8 @@ from .ingest import CapacityFadeSeries
 
 TRUNCATE_AT = 0.6
 ONSET_FACTOR = 10.0
-DEFAULT_Q_NOM = 1.1
+DEFAULT_Q_NOM = 1.1  # nominal capacity of every synthetic cell, in Ah
+GRID_POINTS = 120  # voltage samples per simulated discharge curve
 
 GROUND_TRUTH_RULE = (
     "onset: first cycle >= n_k with |second difference| > 10x state-1 median; "
@@ -98,7 +99,7 @@ def _truncated_trend(spec: SyntheticSpec) -> Tuple[np.ndarray, np.ndarray, bool]
 
 
 def generate(
-    spec: SyntheticSpec, q_nom_ah: float = DEFAULT_Q_NOM, cell_id: Optional[str] = None
+    spec: SyntheticSpec, cell_id: Optional[str] = None
 ) -> Tuple[CapacityFadeSeries, Optional[GroundTruth]]:
     """Generate one seeded curve and its ground truth (None when kneeless)."""
     cycles, trend, _ = _truncated_trend(spec)
@@ -109,8 +110,8 @@ def generate(
     series = CapacityFadeSeries(
         cell_id=cell_id if cell_id is not None else f"synth-{spec.seed:04d}",
         cycles=cycles,
-        capacity_ah=values * q_nom_ah,
-        q_nom_ah=q_nom_ah,
+        capacity_ah=values * DEFAULT_Q_NOM,
+        q_nom_ah=DEFAULT_Q_NOM,
     )
     return series, ground_truth(spec)
 
@@ -195,8 +196,6 @@ def simulate_cycle_records(
     onset_cycle: int,
     n_early_cycles: int = 35,
     seed: int = 0,
-    q_nom_ah: float = DEFAULT_Q_NOM,
-    grid_points: int = 120,
 ):
     """Early-cycle discharge curves whose drift encodes the knee onset.
 
@@ -209,11 +208,11 @@ def simulate_cycle_records(
     if onset_cycle <= 0:
         raise DegenerateSpec(f"onset_cycle must be positive, got {onset_cycle}")
     rng = np.random.default_rng(seed)
-    v = np.linspace(3.5, 2.0, grid_points)
+    v = np.linspace(3.5, 2.0, GRID_POINTS)
     z = (3.5 - v) / 1.5
     base_frac = z**0.8
     bump = np.exp(-(((v - 2.35) / 0.18) ** 2))
-    q2_base = q_nom_ah * 0.985 * (1.0 + rng.normal(0.0, 0.004))
+    q2_base = DEFAULT_Q_NOM * 0.985 * (1.0 + rng.normal(0.0, 0.004))
     rate = 0.09 / onset_cycle  # Ah per cycle of low-voltage capacity shift
     fade = 2e-5
 

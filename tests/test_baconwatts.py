@@ -139,9 +139,19 @@ class TestFitDbw:
     def test_swapped_inits_same_onset_knee(self):
         truth = make_params(x0=620.0, x2=880.0)
         series = synth_dbw_series(truth, seed=5)
-        fit_a = fit_dbw(series, x0_frac=0.7, x2_frac=0.9)
-        fit_b = fit_dbw(series, x0_frac=0.9, x2_frac=0.7)
-        assert transition_cycles(fit_a) == transition_cycles(fit_b)
+        fit = fit_dbw(series)
+        x = series.cycles.astype(np.float64)
+        span = x[-1] - x[0]
+        slope = baconwatts.INIT_SLOPE
+        swapped = np.array([1.0, slope, slope, slope,
+                            x[0] + baconwatts.INIT_X2_FRAC * span,
+                            x[0] + baconwatts.INIT_X0_FRAC * span])
+        residuals, jacobian = _dbw_residuals(x, series.capacity_ah, 10.0)
+        result = lm_optimize(residuals, swapped, jacobian=jacobian)
+        fit_b = BaconWattsFit(DBWParams.from_array(result.params, 10.0),
+                              result.residual_norm, result.iterations, result.converged)
+        assert fit_b.params.x0 > fit_b.params.x2
+        assert transition_cycles(fit) == transition_cycles(fit_b)
 
     def test_rounding_ties_toward_later_cycle(self):
         fit = BaconWattsFit(
@@ -158,6 +168,23 @@ class TestFitDbw:
         report = dbw_knee_report(series)
         assert report.method == "double_bacon_watts"
         assert report.onset_cycle < report.knee_cycle
+
+    def test_in_range_transitions_stay_identifiable(self):
+        series = synth_dbw_series(make_params(), seed=9)
+        diag = dbw_knee_report(series).diagnostics
+        for v in (diag["x0"], diag["x2"]):
+            assert series.cycles[0] <= v <= series.cycles[-1]
+        assert diag["transitions_identifiable"] == 1.0
+
+    def test_transition_beyond_the_data_is_not_identifiable(self):
+        # this fleet cell ends at cycle 538 but its fit puts x2 near 30465;
+        # the reported knee stays the rounded x2
+        series, _ = generate_fleet(8, seed=7, n_cycles=1500)[7]
+        report = dbw_knee_report(series)
+        assert series.cycles[-1] == 538
+        assert report.knee_cycle == 30465
+        assert report.diagnostics["converged"] == 1.0
+        assert report.diagnostics["transitions_identifiable"] == 0.0
 
 
 def loop_jacobian(residuals, p, r0):

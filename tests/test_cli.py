@@ -209,6 +209,23 @@ class TestUsageErrors:
                                   str(synth_dir), "--out", str(tmp_path / "t.csv"))
         assert "max_iter: must be >= 1" in payload["message"]
 
+    @pytest.mark.parametrize("command", [
+        ("synth", "--count", "1", "--out-dir", "d"),
+        ("features", "--cycles", "c", "--out", "f.csv"),
+        ("train", "--features", "f.csv", "--labels", "l.csv", "--out", "m.json"),
+        ("predict", "--model", "m.json", "--features", "f.csv"),
+        ("sensitivity", "--dir", "d", "--out", "s.csv"),
+    ], ids=lambda c: c[0])
+    def test_config_on_a_command_that_ignores_it(self, tmp_path, capsys, command):
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("bogus_key = 3\n")
+        argv = [a if a.startswith("-") or a.isdigit() else str(tmp_path / a) for a in command[1:]]
+        payload = self.usage_json(capsys, "--config", str(cfg), command[0], *argv)
+        assert payload["error"] == "UsageError"
+        assert f"--config applies to identify, baconwatts, batch only, not {command[0]}" \
+            in payload["message"]
+        assert not list(tmp_path.glob("d*")) and len(list(tmp_path.iterdir())) == 1
+
 
 class TestConfigKeys:
     @pytest.mark.parametrize("field", dataclasses.fields(PipelineParams),

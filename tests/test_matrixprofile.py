@@ -104,7 +104,9 @@ def _reference_stamp(series, L):
 def block_edge_series(draw):
     """Series whose window count n sits near a 64-row block edge.
 
-    n lies within 2 ceil(L/2) of 64 k (k = 1..3) or below 64 + ceil(L/2).
+    n lies within 2 ceil(L/2) of 64 k (k = 1..3) or below 64 + ceil(L/2),
+    and is at least 2 ceil(L/2) + 2, the fewest windows that all have a
+    neighbour outside their band.
     Values may be rounded to a coarse grid or tiled from a short integer
     pattern (equal windows, so argmax ties), and a flat run may cross a
     block edge.
@@ -112,9 +114,9 @@ def block_edge_series(draw):
     L = draw(st.integers(2, 40))
     r = math.ceil(L / 2)
     if draw(st.booleans()):
-        n = 64 * draw(st.integers(1, 3)) + draw(st.integers(-2 * r, 2 * r))
+        n = max(64 * draw(st.integers(1, 3)) + draw(st.integers(-2 * r, 2 * r)), 2 * r + 2)
     else:
-        n = draw(st.integers(r + 2, 64 + r - 1))
+        n = draw(st.integers(2 * r + 2, 64 + r - 1))
     m = n + L - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["walk", "rounded", "tiled"]))
@@ -135,7 +137,7 @@ def block_edge_series(draw):
 class TestMass:
     def test_band_radius_is_half_the_window(self):
         series = np.random.default_rng(1).normal(0, 1, 40)
-        dist = mass(series[13:19], series, query_start=13).distances
+        dist = mass(series[13:19], series, query_start=13)
         assert np.isinf(dist[10:17]).all() and np.isfinite(dist[[9, 17]]).all()
         assert list(inspect.signature(mass).parameters) == ["query", "series", "query_start"]
 
@@ -144,20 +146,20 @@ class TestMass:
         series = rng.normal(0, 1, 40)
         k = 13
         profile = mass(series[k : k + 6], series)
-        assert profile.distances[k] == pytest.approx(0.0, abs=1e-7)
+        assert profile[k] == pytest.approx(0.0, abs=1e-7)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
         series = rng.normal(0, 1, 50)
         sub = series[10:18]
         profile = mass(3.0 * sub + 2.0, series)
-        assert profile.distances[10] == pytest.approx(0.0, abs=1e-7)
+        assert profile[10] == pytest.approx(0.0, abs=1e-7)
 
     def test_matches_naive(self):
         rng = np.random.default_rng(2)
         series = np.cumsum(rng.normal(0, 1, 64))
         query = series[20:28]
-        got = mass(query, series).distances
+        got = mass(query, series)
         expected = naive_distance_profile(query, series)
         assert np.max(np.abs(got - expected)) < 1e-9
 
@@ -166,8 +168,8 @@ class TestMass:
         series = rng.normal(0, 1, 40)
         profile = mass(series[10:16], series, query_start=10)
         radius = math.ceil(6 / 2)
-        assert np.all(np.isinf(profile.distances[10 - radius : 10 + radius + 1]))
-        outside = np.delete(profile.distances, np.s_[10 - radius : 10 + radius + 1])
+        assert np.all(np.isinf(profile[10 - radius : 10 + radius + 1]))
+        outside = np.delete(profile, np.s_[10 - radius : 10 + radius + 1])
         assert np.all(np.isfinite(outside))
 
     def test_degenerate_window(self):
@@ -180,7 +182,7 @@ class TestMass:
 
     def test_flat_window_rules(self):
         series = np.concatenate([np.full(10, 2.0), np.sin(np.arange(10))])
-        profile = mass(np.full(4, 7.0), series).distances
+        profile = mass(np.full(4, 7.0), series)
         assert profile[0] == 0.0  # flat query vs flat window
         assert profile[12] == pytest.approx(2.0)  # flat query vs varying window
 
@@ -207,6 +209,15 @@ class TestStamp:
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):
             stamp(np.ones(8), 8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        # a window holding nan or inf has no z-normalized distance, so no
+        # index entry would be meaningful
+        series = np.cumsum(np.random.default_rng(12).normal(0, 1, 60))
+        series[30] = bad
+        with pytest.raises(DegenerateWindow, match="non-finite"):
+            stamp(series, 4)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
@@ -263,7 +274,7 @@ class TestStamp:
         I = np.full(n, -1, dtype=np.int64)
         order = rng.permutation(n)
         for j in order:
-            dist = mass(series[j : j + L], series, query_start=j).distances.copy()
+            dist = mass(series[j : j + L], series, query_start=j)
             finite = np.isfinite(dist)
             better = finite & ((dist < P) | ((dist == P) & (j < I)))
             P = np.where(better, dist, P)
@@ -272,19 +283,32 @@ class TestStamp:
         np.testing.assert_array_equal(capped, mp.P)
         np.testing.assert_array_equal(I, mp.I)
 
-    def test_rows_without_candidate_at_minimum_length(self):
-        # at M = L + ceil(L/2) + 1 the middle windows have no candidate
-        # outside their exclusion band: they keep I = -1 and P = 2 sqrt(L)
-        rng = np.random.default_rng(11)
-        for L in (2, 3, 4, 8):
-            series = rng.normal(0, 1, L + math.ceil(L / 2) + 1)
-            mp = stamp(series, L)
-            P, I = naive_matrix_profile(series, L)
-            assert np.any(I == -1)
-            np.testing.assert_array_equal(mp.I, I)
-            lonely = I == -1
-            assert np.all(mp.P[lonely] == 2 * math.sqrt(L))
-            assert np.max(np.abs(mp.P[~lonely] - P[~lonely])) < 1e-9
+    @given(data=st.data(), L=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_neighbour_rule_around_minimum_length(self, data, L, seed):
+        # below M = L + 2 ceil(L/2) + 1 some window has no candidate outside
+        # its band; from there on every window has a neighbour
+        r = math.ceil(L / 2)
+        needed = L + 2 * r + 1
+        M = data.draw(st.integers(L + r + 1, needed + 2))
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans()):
+            series = rng.normal(0, 1, M)
+        else:  # equal and flat windows: argmax ties and the flat-window rules
+            series = np.tile(rng.integers(-1, 2, data.draw(st.integers(1, 5))), M)[:M].astype(float)
+        if M < needed:
+            with pytest.raises(SeriesTooShort, match=rf"L \+ 2\*ceil\(L/2\) \+ 1 = {needed}\b"):
+                stamp(series, L)
+            return
+        mp = stamp(series, L)
+        j = np.arange(M - L + 1)
+        assert np.all(np.abs(mp.I - j) > r)
+        Z, flat = _znormalize(np.lib.stride_tricks.sliding_window_view(series, L))
+        for row, k in zip(j, mp.I):
+            d = min(_distance(Z[row], Z[k], flat[row], flat[k], L), 2.0 * math.sqrt(L))
+            assert mp.P[row] == d
+        P, _ = naive_matrix_profile(series, L)
+        assert np.max(np.abs(mp.P - P)) < 1e-9
 
     def test_distances_bounded(self):
         rng = np.random.default_rng(10)

@@ -111,17 +111,17 @@ class TestRea:
 
     def test_two_minima(self):
         out = rea(self.build_cac(), 2, 15)
-        assert out.boundaries == [100, 400]
+        assert out == [100, 400]
 
     def test_masking_excludes_neighbors(self):
         values = self.build_cac()
         values[105] = 0.15  # second-lowest globally, but inside the exclusion zone
         out = rea(values, 2, 15)
-        assert out.boundaries == [100, 400]  # next-lowest outside the zone wins
-        assert 105 not in out.boundaries
+        assert out == [100, 400]  # next-lowest outside the zone wins
+        assert 105 not in out
 
     def test_zero_boundaries(self):
-        assert rea(self.build_cac(), 0, 15).boundaries == []
+        assert rea(self.build_cac(), 0, 15) == []
 
     def test_insufficient_region(self):
         with pytest.raises(InsufficientUnmaskedRegion):
@@ -132,15 +132,14 @@ class TestRea:
         values[70] = 0.5
         values[30] = 0.5
         out = rea(values, 1, 5)
-        assert out.boundaries == [30]
+        assert out == [30]
 
     @given(seed=st.integers(0, 9999), excl=st.integers(0, 12))
     @settings(max_examples=50, deadline=None)
     def test_separation_property(self, seed, excl):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0, 1, 200)
-        out = rea(values, 3, excl)
-        b = out.boundaries
+        b = rea(values, 3, excl)
         assert all(b[i + 1] - b[i] > excl for i in range(len(b) - 1))
 
 
