@@ -17,12 +17,9 @@ from .preprocess import (
 )
 from .matrixprofile import MatrixProfile, mass, stamp
 from .segmentation import (
-    ArcCurveSet,
     KneeReport,
     arc_curve,
-    cac,
     compute_arc_curves,
-    iac,
     identify_knees,
     rea,
 )
@@ -62,7 +59,6 @@ from .report import BatchRow, CorrelationReport, batch_report, pearson
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcCurveSet",
     "BaconWattsFit",
     "BatchRow",
     "CapacityFadeSeries",
@@ -84,7 +80,6 @@ __all__ = [
     "approximate_curvature",
     "arc_curve",
     "batch_report",
-    "cac",
     "compute_arc_curves",
     "convex_family_specs",
     "dbw_knee_report",
@@ -100,7 +95,6 @@ __all__ = [
     "generate_convex_family",
     "generate_fleet",
     "ground_truth",
-    "iac",
     "identify_knees",
     "lm_optimize",
     "load_capacity_csv",

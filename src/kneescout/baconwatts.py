@@ -86,6 +86,7 @@ def dbw_model(x, p: DBWParams):
     )
 
 
+@np.errstate(over="ignore")  # an overflowing cost is handled, not warned about
 def lm_optimize(
     residuals: Callable[[np.ndarray], np.ndarray],
     init: np.ndarray,
@@ -102,7 +103,9 @@ def lm_optimize(
     Convergence requires both the relative step size and the relative cost
     decrease to fall below ``tol``. Hitting ``max_iter`` returns
     converged=False rather than raising, so callers can inspect the partial
-    result.
+    result. A cost ``r @ r`` that overflows at the initial point is
+    NonFiniteResidual; a trial step whose cost is not finite is rejected.
+    Overflow raises no RuntimeWarning inside the fit.
 
     ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
     ``residuals`` at ``p``; the LM iterates depend on its bits. By default
@@ -115,8 +118,10 @@ def lm_optimize(
     r = np.asarray(residuals(p), dtype=np.float64)
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residuals are not finite at the initial point")
-
     cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise NonFiniteResidual("residual sum of squares overflows at the initial point")
+
     lam = 1e-3
     history = [cost]
     n_iter = 0
@@ -140,7 +145,7 @@ def lm_optimize(
                 r_trial = np.asarray(residuals(trial), dtype=np.float64)
                 if np.all(np.isfinite(r_trial)):
                     cost_trial = float(r_trial @ r_trial)
-                    if cost_trial <= cost:
+                    if cost_trial <= cost:  # cost is finite, so inf fails
                         break
             lam *= 10.0
             if lam > 1e12:

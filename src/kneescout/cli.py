@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -75,8 +75,8 @@ def _report_json(report: KneeReport, params: PipelineParams) -> str:
     payload = asdict(report)
     payload["params"] = {
         key: getattr(params, key)
-        for key in ("sg_window", "sg_order", "curv_window", "mp_window",
-                    "cac_window", "exclusion_radius")
+        for key in ("sg_window", "sg_order", "curv_window", "cac_window",
+                    "exclusion_radius")
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -94,12 +94,8 @@ def _read_config(path) -> dict:
     return values
 
 
-_HINTS = get_type_hints(PipelineParams)
-# every PipelineParams field is a config key, read as int or float
-_CONFIG_CASTS = {
-    f.name: int if _HINTS[f.name] in (int, Optional[int]) else float
-    for f in fields(PipelineParams)
-}
+# every PipelineParams field is a config key, read as its type: int or float
+_CONFIG_CASTS = get_type_hints(PipelineParams)
 
 
 def _resolve_params(args, config: dict) -> PipelineParams:
@@ -130,7 +126,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sg-window", dest="sg_window", type=int, default=None)
     p.add_argument("--sg-order", dest="sg_order", type=int, default=None)
     p.add_argument("--curv-window", dest="curv_window", type=int, default=None)
-    p.add_argument("--mp-window", dest="mp_window", type=int, default=None)
     p.add_argument("--cac-window", dest="cac_window", type=int, default=None)
     p.add_argument("--exclusion", dest="exclusion_radius", type=int, default=None)
     p.add_argument("--eol-threshold", dest="eol_threshold", type=float, default=None)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidHyperparameter
 
@@ -43,10 +42,10 @@ class GBRTHyper:
 class PipelineParams:
     """Knobs of the identification pipeline.
 
-    ``curv_window`` and ``mp_window`` default to 3 cycles. ``cac_window``,
-    when set, replaces ``mp_window`` as the window of the one matrix
-    profile that segmentation runs on; 0 selects one fifth of the curvature
-    length, and a negative value is rejected.
+    ``curv_window`` defaults to 3 cycles. ``cac_window`` is the window of
+    the one matrix profile that segmentation runs on, 3 cycles by default;
+    0 selects one fifth of the curvature length, and a negative value is
+    rejected.
     ``exclusion_radius`` is the REA masking half-width in cycles and also
     the width of the edge band excluded from boundary selection.
     """
@@ -54,8 +53,7 @@ class PipelineParams:
     sg_window: int = 21
     sg_order: int = 3
     curv_window: int = 3
-    mp_window: int = 3
-    cac_window: Optional[int] = None
+    cac_window: int = 3
     exclusion_radius: int = 15
     eol_threshold: float = 0.8
     gamma: float = 10.0

@@ -8,6 +8,7 @@ first cycle index of the input is authoritative and is never renumbered.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +58,11 @@ class CapacityFadeSeries:
             raise NonPositiveCapacity("capacities must be finite and > 0")
         if not np.isfinite(self.q_nom_ah) or self.q_nom_ah <= 0:
             raise NonPositiveNominal(f"q_nom_ah={self.q_nom_ah!r}")
+        # Python floats: an overflowing quotient is inf, without a warning
+        if not math.isfinite(float(capacity.max()) / float(self.q_nom_ah)):
+            raise InputError(
+                f"q_nom_ah={self.q_nom_ah!r} makes capacity / q_nom_ah overflow"
+            )
 
     def __len__(self) -> int:
         return len(self.cycles)

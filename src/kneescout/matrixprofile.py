@@ -50,15 +50,10 @@ _BLOCK_ROWS = 64
 
 @dataclass(frozen=True)
 class MatrixProfile:
-    """Nearest-neighbor distance P and neighbor start index I for window L."""
+    """Nearest-neighbor distance P and neighbor start index I of each window."""
 
     P: np.ndarray
     I: np.ndarray
-    L: int
-    exclusion_radius: int
-
-    def __len__(self) -> int:
-        return len(self.P)
 
 
 def _znormalize(windows: np.ndarray):
@@ -163,4 +158,4 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
         I[start:stop] = np.argmax(gram, axis=1)
 
     P = np.minimum(_distance(Z, Z[I], flat, flat[I], L), 2.0 * math.sqrt(L))
-    return MatrixProfile(P=P, I=I, L=L, exclusion_radius=radius)
+    return MatrixProfile(P=P, I=I)

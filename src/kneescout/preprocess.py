@@ -33,13 +33,13 @@ SmoothedSeries = NormalizedSeries
 class CurvatureSeries:
     """Second-difference curvature values with index bookkeeping.
 
-    ``values[k]`` is the curvature at cycle ``first_cycle + k``; the series
-    is shorter than its input by ``ws - 1`` samples ((ws-1)/2 per edge).
+    ``values[k]`` is the curvature at cycle ``first_cycle + k``; a window
+    of ``ws`` cycles leaves it ``ws - 1`` samples shorter than its input
+    ((ws-1)/2 per edge).
     """
 
     values: np.ndarray
     first_cycle: int
-    ws: int
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -134,11 +134,12 @@ def _mirror_convolve(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def clip_window(window: int, n: int) -> int:
-    """Largest odd window <= min(window, n), never below 3."""
+    """Largest odd window <= min(window, n), which is >= 3 when window is
+    odd and both are >= 3."""
     w = min(window, n)
     if w % 2 == 0:
         w -= 1
-    return max(w, 3)
+    return w
 
 
 def approximate_curvature(series: SmoothedSeries, ws: int = 3) -> CurvatureSeries:
@@ -151,6 +152,4 @@ def approximate_curvature(series: SmoothedSeries, ws: int = 3) -> CurvatureSerie
     half = (ws - 1) // 2
     y = series.values
     values = y[: n - 2 * half] + y[2 * half :] - 2.0 * y[half : n - half]
-    return CurvatureSeries(
-        values=values, first_cycle=int(series.cycles[0]) + half, ws=ws
-    )
+    return CurvatureSeries(values=values, first_cycle=int(series.cycles[0]) + half)

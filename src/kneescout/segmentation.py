@@ -18,10 +18,11 @@ import numpy as np
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import (
     DegenerateWindow,
+    EvenWindow,
     IndexOutOfRange,
     InsufficientUnmaskedRegion,
-    LengthMismatch,
     TooShort,
+    WindowTooLarge,
 )
 from .ingest import CapacityFadeSeries, find_eol, normalize, resample_even
 from .matrixprofile import stamp
@@ -31,13 +32,6 @@ from .preprocess import SmoothedSeries, approximate_curvature, clip_window, savg
 # (an essentially featureless arc curve has no credible boundaries).
 FLAT_CAC_RANGE = 0.05
 FLAT_CURVATURE = 1e-9
-
-
-@dataclass(frozen=True)
-class ArcCurveSet:
-    ac: np.ndarray
-    iac: np.ndarray
-    cac: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -72,31 +66,19 @@ def arc_curve(index: np.ndarray) -> np.ndarray:
     return np.cumsum(mark[:-1])
 
 
-def iac(n: int) -> np.ndarray:
-    """Idealized arc curve: parabola of height n/2, zero at position 0."""
-    if n < 2:
-        raise IndexOutOfRange(f"need length >= 2, got {n}")
-    i = np.arange(n, dtype=np.float64)
-    return 2.0 * i * (n - i) / n
+def compute_arc_curves(index: np.ndarray) -> np.ndarray:
+    """Corrected arc curve of a matrix profile index.
 
-
-def cac(ac: np.ndarray, iac_curve: np.ndarray) -> np.ndarray:
-    """Corrected arc curve: min(ac/iac, 1), with 1 where the parabola is 0."""
-    ac = np.asarray(ac, dtype=np.float64)
-    iac_curve = np.asarray(iac_curve, dtype=np.float64)
-    if ac.shape != iac_curve.shape:
-        raise LengthMismatch(f"ac length {len(ac)} != iac length {len(iac_curve)}")
-    out = np.ones_like(ac)
-    nz = iac_curve > 0
-    out[nz] = np.minimum(ac[nz] / iac_curve[nz], 1.0)
-    return out
-
-
-def compute_arc_curves(index: np.ndarray) -> ArcCurveSet:
-    """All three arc curves of a matrix profile index."""
+    The arc curve divided by the idealized one, the parabola
+    2 i (n - i) / n, and clamped at 1. The parabola is 0 at position 0,
+    where the corrected value is 1.
+    """
     ac = arc_curve(index)
-    ideal = iac(len(ac))
-    return ArcCurveSet(ac=ac, iac=ideal, cac=cac(ac, ideal))
+    n = len(ac)
+    i = np.arange(1, n, dtype=np.float64)
+    out = np.ones(n)
+    out[1:] = np.minimum(ac[1:] / (2.0 * i * (n - i) / n), 1.0)
+    return out
 
 
 def rea(cac_values: np.ndarray, n_boundaries: int, exclusion_radius: int) -> List[int]:
@@ -133,9 +115,14 @@ def prepare(
     Returns the resampled series, the smoothed series, the Savitzky-Golay
     window after clipping to the series length, and the EoL cycle, read
     off the smoothed curve so a single noisy sample cannot trigger it. A
-    series so short that the clipped window cannot exceed ``sg_order`` is
-    TooShort.
+    window below 3 is WindowTooLarge and an even one EvenWindow, as in
+    ``savgol_smooth``; a series so short that the clipped window cannot
+    exceed ``sg_order`` is TooShort.
     """
+    if params.sg_window < 3:
+        raise WindowTooLarge(f"sg_window must be >= 3, got {params.sg_window}")
+    if params.sg_window % 2 == 0:
+        raise EvenWindow(f"sg_window must be odd, got {params.sg_window}")
     series = resample_even(series)
     normalized = normalize(series)
     sg_window = clip_window(params.sg_window, len(normalized))
@@ -162,22 +149,16 @@ def identify_knees(
     and a curvature series too short for the matrix-profile window is
     ``stamp``'s SeriesTooShort.
     """
-    if params.cac_window is not None and params.cac_window < 0:
+    if params.cac_window < 0:
         raise DegenerateWindow(f"cac_window must be >= 0, got {params.cac_window}")
     _, smoothed, sg_window, eol = prepare(series, params)
     curvature = approximate_curvature(smoothed, ws=params.curv_window)
 
-    if params.cac_window is None:
-        mp_window = params.mp_window
-    elif params.cac_window > 0:
-        mp_window = params.cac_window
-    else:
-        # 0 selects the floor(N/5) segmentation window of the method's
-        # parameter table, relative to the curvature series length
-        mp_window = max(2, len(curvature) // 5)
+    # 0 selects the floor(N/5) segmentation window of the method's
+    # parameter table, relative to the curvature series length
+    mp_window = params.cac_window or max(2, len(curvature) // 5)
     profile = stamp(curvature.values, mp_window)
-    curves = compute_arc_curves(profile.I)
-    corrected = curves.cac
+    corrected = compute_arc_curves(profile.I)
 
     guarded = corrected.copy()
     guard = params.exclusion_radius

@@ -94,6 +94,23 @@ class TestLmOptimize:
         with pytest.raises(NonFiniteResidual):
             lm_optimize(lambda p: np.array([float("nan")]), np.array([0.0]))
 
+    def test_overflowing_initial_cost_rejected(self):
+        # finite residuals whose sum of squares overflows; RuntimeWarnings
+        # are errors in this suite, so the overflow must not warn either
+        with pytest.raises(NonFiniteResidual, match="overflows"):
+            lm_optimize(lambda p: np.full(3, 1e200) + p, np.array([0.0]))
+
+    def test_trial_step_with_overflowing_cost_rejected(self):
+        # the undamped Gauss-Newton step from 1 lands at 50.5, where the
+        # cost overflows; damping shortens it until the cost is finite
+        def residuals(p):
+            return np.array([p[0] ** 2 - 100.0, 1e160 if p[0] > 20.0 else 0.0])
+
+        result = lm_optimize(residuals, np.array([1.0]))
+        assert result.converged
+        assert all(math.isfinite(c) for c in result.cost_history)
+        np.testing.assert_allclose(result.params, [10.0], atol=1e-8)
+
     def test_accepted_costs_never_increase(self):
         def residuals(p):
             a, b = p

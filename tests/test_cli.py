@@ -56,7 +56,8 @@ class TestIdentify:
         payload = json.loads(out1.read_text())
         assert payload["method"] == "curvature_rea"
         assert payload["onset_cycle"] < payload["knee_cycle"]
-        assert payload["params"]["mp_window"] == 3
+        assert payload["params"]["cac_window"] == 3
+        assert "mp_window" not in payload["params"]
 
     def test_pipeline_flags_respected(self, synth_dir, tmp_path):
         src = sorted(synth_dir.glob("fleet-*.csv"))[0]
@@ -762,6 +763,71 @@ class TestRejectedValues:
                                   str(synth_dir / "fleet-5-000.csv"),
                                   "--out", str(tmp_path / "r.json"))
         assert payload["error"] == "DegenerateWindow"
+
+    def test_mp_window_flag_is_gone(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 1, "identify", "--input",
+                                  str(synth_dir / "fleet-5-000.csv"),
+                                  "--mp-window", "5", "--out", str(out))
+        assert payload["error"] == "UsageError"
+        assert "unrecognized arguments: --mp-window 5" in payload["message"]
+        assert not out.exists()
+
+    def test_mp_window_config_key_is_gone(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("mp_window = 5\n")
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 1, "--config", str(cfg), "identify", "--input",
+                                  str(synth_dir / "fleet-5-000.csv"), "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert payload["message"] == "unknown config keys: mp_window"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,error", [
+        (("--sg-window", "0"), "WindowTooLarge"),
+        (("--sg-window", "-7"), "WindowTooLarge"),
+        (("--sg-window", "4", "--sg-order", "1"), "EvenWindow"),
+    ])
+    def test_identify_sg_window_savgol_rejects(self, synth_dir, tmp_path, capsys,
+                                               flags, error):
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 2, "identify", "--input",
+                                  str(synth_dir / "fleet-5-000.csv"), *flags,
+                                  "--out", str(out))
+        assert payload["error"] == error
+        assert "sg_window must be" in payload["message"]
+        assert not out.exists()
+
+    def scaled_capacity_csv(self, synth_dir, tmp_path, factor):
+        src = (synth_dir / "fleet-5-000.csv").read_text().splitlines()
+        p = tmp_path / "scaled.csv"
+        p.write_text("\n".join([src[0]] + [
+            f"{cycle},{float(q) * factor!r}"
+            for cycle, q in (line.split(",") for line in src[1:])
+        ]) + "\n")
+        return p
+
+    @pytest.mark.parametrize("command", ["identify", "baconwatts"])
+    def test_normalization_overflow_is_input_error(self, synth_dir, tmp_path, capsys,
+                                                   command):
+        # ~1e306 Ah over 1e-300 Ah overflows; RuntimeWarnings are errors here
+        p = self.scaled_capacity_csv(synth_dir, tmp_path, 1e306)
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 1, command, "--input", str(p),
+                                  "--q-nom", "1e-300", "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert "q_nom_ah=1e-300" in payload["message"]
+        assert not out.exists()
+
+    def test_baconwatts_overflowing_cost_is_non_finite_residual(self, synth_dir,
+                                                               tmp_path, capsys):
+        # residuals of ~1e200 Ah are finite, their sum of squares is not
+        p = self.scaled_capacity_csv(synth_dir, tmp_path, 1e200)
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 2, "baconwatts", "--input", str(p),
+                                  "--q-nom", "1.1e200", "--out", str(out))
+        assert payload["error"] == "NonFiniteResidual"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_cycles", ["-5", "0"])
     def test_synth_too_few_cycles(self, tmp_path, capsys, n_cycles):

@@ -100,6 +100,13 @@ class TestCapacityFadeSeries:
         with pytest.raises(NonPositiveNominal):
             make_series([1, 2, 3], [1.0, 1.0, 1.0], q_nom=0.0)
 
+    def test_nominal_whose_quotient_overflows(self):
+        # rejected without the overflow RuntimeWarning, an error in this suite
+        with pytest.raises(InputError, match="q_nom_ah=1e-300"):
+            make_series([1, 2, 3], [1e306, 1.0, 1.0], q_nom=1e-300)
+        fits = make_series([1, 2, 3], [1e8, 1.0, 1.0], q_nom=1e-300)
+        assert np.isfinite(normalize(fits).values).all()
+
 
 class TestLoadCapacityCsv:
     def test_basic_parse(self, tmp_path):

@@ -233,7 +233,7 @@ class TestStamp:
                 d_second = sorted(
                     znorm_distance_oracle(series[j : j + L], series[k : k + L])
                     for k in range(len(P))
-                    if abs(k - j) > mp.exclusion_radius and k != I[j]
+                    if abs(k - j) > math.ceil(L / 2) and k != I[j]
                 )
                 if d_second and d_second[0] - P[j] > 1e-6:
                     assert mp.I[j] == I[j]
@@ -250,7 +250,7 @@ class TestStamp:
         series = np.cumsum(rng.normal(0, 1, 100))
         mp = stamp(series, 6)
         j = np.arange(len(mp.I))
-        assert np.all(np.abs(mp.I - j) > mp.exclusion_radius)
+        assert np.all(np.abs(mp.I - j) > math.ceil(6 / 2))
 
     def test_profile_value_matches_indexed_pair(self):
         rng = np.random.default_rng(8)
@@ -269,7 +269,6 @@ class TestStamp:
         L = 4
         mp = stamp(series, L)
         n = len(series) - L + 1
-        radius = mp.exclusion_radius
         P = np.full(n, np.inf)
         I = np.full(n, -1, dtype=np.int64)
         order = rng.permutation(n)

@@ -7,15 +7,16 @@ from kneescout.config import PipelineParams
 from kneescout.baconwatts import dbw_knee_report
 from kneescout.errors import (
     DegenerateWindow,
+    EvenWindow,
     IndexOutOfRange,
     InsufficientUnmaskedRegion,
-    LengthMismatch,
     OrderTooHigh,
     TooShort,
+    WindowTooLarge,
 )
 from kneescout.ingest import CapacityFadeSeries, find_eol, normalize, resample_even
 from kneescout.preprocess import savgol_smooth
-from kneescout.segmentation import arc_curve, cac, iac, identify_knees, prepare, rea
+from kneescout.segmentation import arc_curve, compute_arc_curves, identify_knees, prepare, rea
 from kneescout.synthgen import SyntheticSpec, generate
 
 
@@ -60,46 +61,66 @@ class TestArcCurve:
         np.testing.assert_array_equal(arc_curve(index), crossing_count_oracle(index))
 
 
+def single_arc_index(n):
+    """Self-arcs but one arc from 0 to n - 1, which crosses 1 .. n - 2 once."""
+    index = np.arange(n)
+    index[0] = n - 1
+    return index
+
+
 class TestIac:
+    """The idealized arc curve 2 i (n - i) / n that compute_arc_curves divides by."""
+
     def test_center_height_even_n(self):
         n = 10
-        assert iac(n)[n // 2] == pytest.approx(n / 2)
+        # one crossing over the parabola's height n/2
+        assert compute_arc_curves(single_arc_index(n))[n // 2] == pytest.approx(2 / n)
 
     def test_zero_at_origin(self):
-        assert iac(7)[0] == 0.0
+        # the parabola is 0 at position 0, where the corrected curve is 1
+        assert compute_arc_curves(single_arc_index(7))[0] == 1.0
 
     def test_symmetry(self):
         n = 9
-        curve = iac(n)
-        for i in range(1, n):
-            assert curve[i] == pytest.approx(2.0 * (n - i) * i / n)
-            assert curve[i] == pytest.approx(curve[n - i] if n - i < n else 0.0)
+        curve = compute_arc_curves(single_arc_index(n))
+        for i in range(1, n - 1):
+            assert curve[i] == pytest.approx(n / (2.0 * i * (n - i)))
+        # the arc ends at n - 1, so the crossings are symmetric on 2 .. n - 2
+        np.testing.assert_allclose(curve[2 : n - 1], curve[2 : n - 1][::-1])
 
 
 class TestCac:
+    """The corrected arc curve that compute_arc_curves returns."""
+
     def test_clamped_to_one(self):
-        ac = np.array([10.0, 10.0, 10.0, 10.0])
-        out = cac(ac, iac(4))
+        # the mirror index crosses positions 1 and 2 twice, above the parabola
+        out = compute_arc_curves(np.array([3, 2, 1, 0]))
         assert np.all(out <= 1.0)
         assert out[2] == 1.0
 
     def test_zero_crossings_zero(self):
-        ac = np.array([3.0, 0.0, 3.0, 3.0])
-        assert cac(ac, iac(4))[1] == 0.0
+        assert compute_arc_curves(np.array([2, 1, 0, 3]))[3] == 0.0
+        assert compute_arc_curves(np.arange(4))[1] == 0.0
 
     def test_edge_convention(self):
-        out = cac(np.zeros(5), iac(5))
+        rng = np.random.default_rng(1)
+        out = compute_arc_curves(rng.integers(0, 5, 5))
         assert out[0] == 1.0  # IAC is zero there
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            cac(np.zeros(4), iac(5))
 
     def test_range_invariant(self):
         rng = np.random.default_rng(0)
-        ac = rng.integers(0, 50, 100).astype(float)
-        out = cac(ac, iac(100))
+        out = compute_arc_curves(rng.integers(0, 100, 100))
         assert np.all((out >= 0.0) & (out <= 1.0))
+
+    @given(seed=st.integers(0, 99999), n=st.integers(2, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_formula(self, seed, n):
+        index = np.random.default_rng(seed).integers(0, n, size=n)
+        i = np.arange(1, n)
+        expected = np.minimum(arc_curve(index)[1:] / (2.0 * i * (n - i) / n), 1.0)
+        out = compute_arc_curves(index)
+        assert out[0] == 1.0
+        np.testing.assert_array_equal(out[1:], expected)
 
 
 class TestRea:
@@ -257,6 +278,7 @@ class TestPrepare:
         assert eol == find_eol(expected, 0.8)
 
     def test_window_clipped_to_length(self):
+        # an even length steps the clipped window down to the odd one below
         _, smoothed, window, _ = prepare(self.cell(10))
         assert (window, len(smoothed)) == (9, 10)
 
@@ -265,6 +287,16 @@ class TestPrepare:
         for pipeline in (prepare, identify_knees, dbw_knee_report):
             with pytest.raises(TooShort, match="must exceed sg_order 3"):
                 pipeline(self.cell(n))
+
+    @pytest.mark.parametrize("window, error", [
+        (0, WindowTooLarge), (-7, WindowTooLarge), (1, WindowTooLarge),
+        (4, EvenWindow), (22, EvenWindow),
+    ])
+    def test_window_savgol_would_reject_fails_before_clipping(self, window, error):
+        # 22 would clip to the odd 9 on 10 cycles; it is rejected as given
+        for pipeline in (prepare, identify_knees, dbw_knee_report):
+            with pytest.raises(error, match=f"sg_window must be .*, got {window}"):
+                pipeline(self.cell(10), PipelineParams(sg_window=window, sg_order=1))
 
     def test_order_not_below_window_stays_order_too_high(self):
         with pytest.raises(OrderTooHigh):
