@@ -75,8 +75,8 @@ class LMResult:
 
 def dbw_model(x, p: DBWParams):
     """Evaluate the double Bacon-Watts expression."""
-    if p.gamma <= 0:
-        raise FitDiverged(f"gamma must be positive, got {p.gamma}")
+    if not 0 < p.gamma < math.inf:
+        raise FitDiverged(f"gamma must be positive and finite, got {p.gamma}")
     x = np.asarray(x, dtype=np.float64)
     d0 = x - p.x0
     d2 = x - p.x2
@@ -199,12 +199,13 @@ def _dbw_residuals(x, y, gamma):
     """Residuals of the model against ``y`` and their central-difference Jacobian.
 
     ``residuals`` goes through ``dbw_model``, which also rejects a
-    non-positive gamma. ``jacobian`` gives ``_central_jacobian``'s bits
-    without calling it: it computes ``x - x0``, ``x - x2`` and their tanh
-    once at each of their three values (base, moved up, moved down) and
-    each subterm once at the base, then writes the 12 perturbed residuals
-    ``((a0 + T1) + T2) + T3 - y``, the operation order of ``dbw_model``,
-    into one ``(2, 6, n)`` array: up then down, one row per moved parameter.
+    non-positive or non-finite gamma. ``jacobian`` gives
+    ``_central_jacobian``'s bits without calling it: it computes ``x - x0``,
+    ``x - x2`` and their tanh once at each of their three values (base,
+    moved up, moved down) and each subterm once at the base, then writes
+    the 12 perturbed residuals ``((a0 + T1) + T2) + T3 - y``, the operation
+    order of ``dbw_model``, into one ``(2, 6, n)`` array: up then down, one
+    row per moved parameter.
     """
 
     def residuals(free):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -119,6 +120,8 @@ def _resolve_params(args, config: dict) -> PipelineParams:
         raise InputError(f"config key max_iter: must be >= 1, got {params.max_iter}")
     if not 0 < params.eol_threshold < 1:
         raise InputError(f"eol_threshold: must be in (0, 1), got {params.eol_threshold}")
+    if not 0 < params.gamma < math.inf:
+        raise InputError(f"gamma: must be positive and finite, got {params.gamma}")
     return params
 
 

@@ -48,7 +48,7 @@ CLASS_EDGES = (150.0, 270.0)
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """One cycle's discharge curve: capacity vs strictly decreasing voltage."""
+    """One cycle's discharge curve: finite capacity vs strictly decreasing voltage."""
 
     cycle: int
     voltage_v: np.ndarray
@@ -65,11 +65,15 @@ class CycleRecord:
             )
         if len(v) < 2:
             raise InvalidDischargeCurve(f"cycle {self.cycle}: need >= 2 samples")
-        if np.any(np.diff(v) >= 0):
+        if not (np.isfinite(v).all() and np.isfinite(q).all()):
+            raise InvalidDischargeCurve(
+                f"cycle {self.cycle}: voltages and capacities must be finite"
+            )
+        if (v[1:] >= v[:-1]).any():
             raise InvalidDischargeCurve(
                 f"cycle {self.cycle}: voltage must be strictly decreasing"
             )
-        if np.any(np.diff(q) < -1e-12):
+        if (q[1:] - q[:-1] < -1e-12).any():
             raise InvalidDischargeCurve(
                 f"cycle {self.cycle}: discharge capacity must be nondecreasing"
             )
@@ -312,6 +316,10 @@ def _check_tree(t: int, tree: List[TreeNode], n_features: int) -> None:
             )
 
 
+# split scores closer than this times the node's total sum of squares tie
+_TIE_ULPS = 64 * np.finfo(np.float64).eps
+
+
 def _split_sse(c1, c2, tot1, tot2, nl, nr):
     """SSE of splitting a sorted node after its first ``nl`` rows."""
     return (c2 - c1 ** 2 / nl) + ((tot2 - c2) - (tot1 - c1) ** 2 / nr)
@@ -329,72 +337,100 @@ def _threshold(lower, upper) -> float:
     return mid if lower <= mid < upper else lower
 
 
-def _best_split(Xt, r, order, min_leaf):
-    """Greedy variance-reduction split of the node whose rows ``order`` holds.
+def _best_split(v, rs, counts, min_leaf):
+    """Greedy variance-reduction split of a node; (feature, threshold) or None.
 
-    ``order[f]`` lists the node's rows sorted by feature ``f``. Every
-    candidate of every feature is scored in one ``(features x thresholds)``
-    table, and the first minimum in feature-major order wins: ties break
-    toward the lower feature index, then the lower threshold (strict
-    improvement required). Returns (feature, threshold) or None.
+    Row ``f`` of ``v`` holds the node's values of feature ``f`` in sorted
+    order, and row ``f`` of ``rs`` the residuals in that order; ``rs`` is
+    squared in place. ``counts`` is ``1, 2, 3, ...``, at least as long as
+    the node, so its prefix is the left-hand count of every cut. Every cut
+    of every feature is scored in one contiguous ``(features x rows)``
+    table; cuts that leave fewer than ``min_leaf`` rows on a side or fall
+    between equal values score +inf. The first minimum in feature-major
+    order wins: ties break toward the lower feature index, then the lower
+    threshold (strict improvement required).
 
     NumPy squares an array with a multiply but a scalar with libm ``pow``,
     and the two may differ by one ulp. Every term of the SSE is at most the
-    node's total sum of squares, so scores within ``tie`` of the minimum
-    are re-scored from scalars, the arithmetic the split is defined by.
+    node's total sum of squares, so the scores within ``tie`` of the
+    minimum are the candidates. A lone candidate is the table's first
+    minimum and wins as it is; two or more are re-scored from scalars, the
+    arithmetic the split is defined by.
     """
-    n = order.shape[1]
-    v = Xt[np.arange(len(order))[:, None], order]
-    rs = r[order]
-    c1 = rs.cumsum(axis=1)
-    c2 = (rs * rs).cumsum(axis=1)
-    lo, hi = min_leaf - 1, n - min_leaf
-    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    sse = _split_sse(c1[:, lo:hi], c2[:, lo:hi], c1[:, -1:], c2[:, -1:], nl, n - nl)
-    sse[v[:, lo:hi] == v[:, lo + 1:hi + 1]] = np.inf
-    best_sse = sse.min()
-    if best_sse == np.inf:
+    n = v.shape[1]
+    c1 = np.add.accumulate(rs, axis=1)
+    rs *= rs
+    c2 = np.add.accumulate(rs, axis=1)
+    nl = counts[:n]
+    nr = n - nl
+    nr[-1] = 1.0  # the last cut leaves no row on the right; it is masked below
+    sse = _split_sse(c1, c2, c1[:, -1:], c2[:, -1:], nl, nr)
+    sse[:, n - min_leaf:] = np.inf
+    sse[:, :min_leaf - 1] = np.inf
+    # in the flat table, the one pair of values from two features sits on a
+    # feature's last cut, masked already
+    sse = sse.ravel()
+    flat = v.ravel()
+    sse[:-1][flat[:-1] == flat[1:]] = np.inf
+    first = int(sse.argmin())
+    if sse[first] == np.inf:
         return None
-    tie = 64 * np.finfo(np.float64).eps * c2[:, -1].max()
+    tie = _TIE_ULPS * max(c2[:, -1].tolist())
+    near = (sse <= sse[first] + tie).nonzero()[0]
+    if len(near) == 1:
+        f, k = divmod(first, n)
+        return f, _threshold(v[f, k], v[f, k + 1])
     best = None
-    for f, j in zip(*np.unravel_index(np.flatnonzero(sse <= best_sse + tie), sse.shape)):
-        k = lo + int(j)
+    for i in near.tolist():
+        f, k = divmod(i, n)
         score = _split_sse(c1[f, k], c2[f, k], c1[f, -1], c2[f, -1], k + 1, n - k - 1)
         if best is None or score < best[2]:
-            best = (int(f), _threshold(v[f, k], v[f, k + 1]), score)
+            best = (f, _threshold(v[f, k], v[f, k + 1]), score)
     return best[:2]
 
 
-def _fit_tree(Xt, order, r, max_depth, min_leaf) -> Tuple[List[TreeNode], np.ndarray]:
+def _fit_tree(
+    Xt, order, v, counts, r, max_depth, min_leaf
+) -> Tuple[List[TreeNode], np.ndarray]:
     """Grow one tree on residuals ``r``; return it and its value at each row.
 
-    ``order`` is the per-feature stable sort of all rows. A child keeps the
-    parent's order filtered to its own rows, which equals a stable sort of
-    the child alone, so no node sorts.
+    ``order`` is the per-feature stable sort of all rows and ``v`` holds
+    the sorted values, ``Xt`` taken along ``order``. A child that may split
+    keeps its parent's ``order`` and ``v`` filtered to its own rows, which
+    equals a stable sort of the child alone, so no node sorts or gathers
+    from ``Xt``; a child that is a leaf by depth or size filters nothing.
+    ``counts`` is ``1, 2, ..., len(r)`` for ``_best_split``.
     """
     nodes: List[TreeNode] = []
     fitted = np.empty(len(r))
 
-    def build(rows, order, depth) -> int:
+    def build(rows, order, v, side, depth) -> int:
+        # ``order`` and ``v`` are the parent's, and ``side`` marks this
+        # node's rows among all rows; at the root they are its own and
+        # ``side`` is None
         pos = len(nodes)
         split = None
         if depth < max_depth and len(rows) >= 2 * min_leaf:
-            split = _best_split(Xt, r, order, min_leaf)
+            if side is not None:
+                kept = side[order]
+                order = order[kept].reshape(len(order), -1)
+                v = v[kept].reshape(len(v), -1)
+            split = _best_split(v, r[order], counts, min_leaf)
         if split is None:
-            value = float(r[rows].sum() / len(rows))  # np.mean's arithmetic
+            value = float(np.add.reduce(r[rows]) / len(rows))  # np.mean's arithmetic
             nodes.append(TreeNode(-1, 0.0, -1, -1, value))
             fitted[rows] = value
             return pos
         f, thr = split
-        nodes.append(TreeNode(f, thr, -1, -1, 0.0))
+        nodes.append(None)  # filled in once the children have their places
         goes_left = Xt[f] <= thr
-        row_left, order_left = goes_left[rows], goes_left[order]
-        left = build(rows[row_left], order[order_left].reshape(len(order), -1), depth + 1)
-        right = build(rows[~row_left], order[~order_left].reshape(len(order), -1), depth + 1)
+        row_left = goes_left[rows]
+        left = build(rows[row_left], order, v, goes_left, depth + 1)
+        right = build(rows[~row_left], order, v, ~goes_left, depth + 1)
         nodes[pos] = TreeNode(f, thr, left, right, 0.0)
         return pos
 
-    build(np.arange(len(r)), order, 0)
+    build(np.arange(len(r)), order, v, None, 0)
     return nodes, fitted
 
 
@@ -434,16 +470,21 @@ def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
 
     Xt = np.ascontiguousarray(X.T)
     order = np.argsort(Xt, axis=1, kind="stable")
+    v = np.take_along_axis(Xt, order, axis=1)
+    counts = np.arange(1, len(y) + 1, dtype=np.float64)
     init = float(np.mean(y))
     pred = np.full(len(y), init)
+    residual = y - pred
     trees: List[List[TreeNode]] = []
-    rmse = [float(np.sqrt(np.mean((y - pred) ** 2)))]
+    rmse = [float(np.sqrt(np.mean(residual ** 2)))]
     for _ in range(hyper.n_trees):
-        residual = y - pred
-        tree, fitted = _fit_tree(Xt, order, residual, hyper.max_depth, hyper.min_leaf)
+        tree, fitted = _fit_tree(
+            Xt, order, v, counts, residual, hyper.max_depth, hyper.min_leaf
+        )
         pred = pred + hyper.learning_rate * fitted
+        residual = y - pred
         trees.append(tree)
-        rmse.append(float(np.sqrt(np.mean((y - pred) ** 2))))
+        rmse.append(float(np.sqrt(np.mean(residual ** 2))))
     return GBRTModel(
         init_value=init,
         learning_rate=hyper.learning_rate,

@@ -144,8 +144,10 @@ def clip_window(window: int, n: int) -> int:
 
 def approximate_curvature(series: SmoothedSeries, ws: int = 3) -> CurvatureSeries:
     """Second-difference curvature over a sliding window of ``ws`` cycles."""
-    if ws % 2 == 0 or ws < 3:
-        raise EvenWindow(f"ws must be odd and >= 3, got {ws}")
+    if ws % 2 == 0:
+        raise EvenWindow(f"ws must be odd, got {ws}")
+    if ws < 3:
+        raise WindowTooLarge(f"ws must be >= 3, got {ws}")
     n = len(series)
     if n < ws:
         raise SeriesTooShort(f"need at least ws={ws} points, got {n}")

@@ -329,3 +329,9 @@ class TestStackedJacobian:
         series = synth_dbw_series(make_params(), n=200)
         with pytest.raises(FitDiverged, match="gamma must be positive"):
             fit_dbw(series, gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_diverges(self, gamma):
+        series = synth_dbw_series(make_params(), n=200)
+        with pytest.raises(FitDiverged, match="gamma must be positive and finite"):
+            fit_dbw(series, gamma=gamma)

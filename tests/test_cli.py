@@ -386,6 +386,25 @@ class TestPredictionInputErrors:
         assert payload["error"] == "MalformedRow"
         assert "cell.cycles.csv: line 2" in payload["message"]
 
+    @pytest.mark.parametrize("column, value", [(1, "nan"), (1, "inf"), (2, "nan")])
+    def test_features_non_finite_cycle_value(self, tmp_path, capsys, column, value):
+        assert run_cli("synth", "--count", "1", "--seed", "3", "--n-cycles", "900",
+                       "--out-dir", str(tmp_path), "--with-cycle-data") == 0
+        capsys.readouterr()
+        (cycles,) = tmp_path.glob("*.cycles.csv")
+        lines = cycles.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith("2,"))
+        fields = lines[k].split(",")
+        fields[column] = value
+        lines[k] = ",".join(fields)
+        cycles.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "f.csv"
+        payload = self.json_error(capsys, "features", "--cycles", str(cycles),
+                                  "--budget", "30", "--out", str(out))
+        assert payload["error"] == "InvalidDischargeCurve"
+        assert payload["message"] == "cycle 2: voltages and capacities must be finite"
+        assert not out.exists()
+
     def test_predict_model_without_trees(self, tmp_path, capsys):
         feats = tmp_path / "f.csv"
         feats.write_text("cell_id,min_dq,var_dq,skew_dq,kurt_dq,q2,q_max_minus_2\n"
@@ -636,6 +655,29 @@ class TestPhaseExitCodes:
         assert payload["error"] == "InputError"
         assert "eol_threshold" in payload["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_gamma_flag_not_positive_and_finite(self, synth_dir, tmp_path, capsys, value):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, "baconwatts", "--input", str(src),
+                                  "--gamma", value, "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert payload["message"] == f"gamma: must be positive and finite, got {float(value)}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_gamma_config_key_not_positive_and_finite(self, synth_dir, tmp_path, capsys,
+                                                      value):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text(f"gamma = {value}\n")
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, "--config", str(cfg), "baconwatts", "--input",
+                                  str(src), "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert payload["message"] == f"gamma: must be positive and finite, got {float(value)}"
+        assert not out.exists()
+
     def test_batch_with_a_non_string_sidecar_cell_id(self, tmp_path, capsys):
         for name, meta in (("a", '{"cell_id": "a", "q_nom_ah": 1.1}'),
                            ("b", '{"cell_id": 7, "q_nom_ah": 1.1}')):
@@ -796,6 +838,21 @@ class TestRejectedValues:
                                   "--out", str(out))
         assert payload["error"] == error
         assert "sg_window must be" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window, error", [
+        ("1", "WindowTooLarge"),
+        ("-1", "WindowTooLarge"),
+        ("4", "EvenWindow"),
+    ])
+    def test_identify_curv_window_rejects(self, synth_dir, tmp_path, capsys, window,
+                                          error):
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 2, "identify", "--input",
+                                  str(synth_dir / "fleet-5-000.csv"),
+                                  "--curv-window", window, "--out", str(out))
+        assert payload["error"] == error
+        assert "ws must be" in payload["message"]
         assert not out.exists()
 
     def scaled_capacity_csv(self, synth_dir, tmp_path, factor):

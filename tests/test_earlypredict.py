@@ -56,6 +56,20 @@ class TestCycleRecord:
         with pytest.raises(InvalidDischargeCurve):
             CycleRecord(1, np.array([3.5, 3.0, 2.0]), np.array([0.0, 0.5, 0.4]))
 
+    @pytest.mark.parametrize("v, q", [
+        ([3.5, np.nan, 2.0], [0.0, 0.5, 1.0]),
+        ([np.inf, np.inf, 3.0], [0.0, 0.5, 1.0]),  # np.diff gives nan, not >= 0
+        ([np.inf, 3.0, 2.0], [0.0, 0.5, 1.0]),  # strictly decreasing all the same
+        ([3.5, 3.0, -np.inf], [0.0, 0.5, 1.0]),
+        ([3.5, 3.0, 2.0], [0.0, np.nan, 1.0]),
+        ([3.5, 3.0, 2.0], [0.0, 0.5, np.inf]),
+    ])
+    def test_non_finite_values_rejected(self, v, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDischargeCurve, match="cycle 7: .* must be finite"):
+                CycleRecord(7, np.array(v), np.array(q))
+
     def test_total_capacity(self):
         rec = make_record(1)
         assert rec.total_capacity_ah == pytest.approx(rec.q_ah[-1])

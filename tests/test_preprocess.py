@@ -217,6 +217,16 @@ class TestApproximateCurvature:
         with pytest.raises(EvenWindow):
             approximate_curvature(smooth_series(np.ones(10)), ws=4)
 
+    @pytest.mark.parametrize("ws", [2, 0])
+    def test_even_window_below_3_is_even(self, ws):
+        with pytest.raises(EvenWindow, match="ws must be odd"):
+            approximate_curvature(smooth_series(np.ones(10)), ws=ws)
+
+    @pytest.mark.parametrize("ws", [1, -1, -7])
+    def test_odd_window_below_3_rejected(self, ws):
+        with pytest.raises(WindowTooLarge, match="ws must be >= 3"):
+            approximate_curvature(smooth_series(np.ones(10)), ws=ws)
+
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):
             approximate_curvature(smooth_series(np.ones(4)), ws=5)
