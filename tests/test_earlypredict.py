@@ -58,7 +58,7 @@ class TestCycleRecord:
 
     @pytest.mark.parametrize("v, q", [
         ([3.5, np.nan, 2.0], [0.0, 0.5, 1.0]),
-        ([np.inf, np.inf, 3.0], [0.0, 0.5, 1.0]),  # np.diff gives nan, not >= 0
+        ([np.inf, np.inf, 3.0], [0.0, 0.5, 1.0]),  # inf - inf would be nan and warn
         ([np.inf, 3.0, 2.0], [0.0, 0.5, 1.0]),  # strictly decreasing all the same
         ([3.5, 3.0, -np.inf], [0.0, 0.5, 1.0]),
         ([3.5, 3.0, 2.0], [0.0, np.nan, 1.0]),
