@@ -9,12 +9,7 @@ from .ingest import (
     normalize,
     resample_even,
 )
-from .preprocess import (
-    CurvatureSeries,
-    SmoothedSeries,
-    approximate_curvature,
-    savgol_smooth,
-)
+from .preprocess import approximate_curvature, savgol_smooth
 from .matrixprofile import MatrixProfile, mass, stamp
 from .segmentation import (
     KneeReport,
@@ -63,7 +58,6 @@ __all__ = [
     "BatchRow",
     "CapacityFadeSeries",
     "CorrelationReport",
-    "CurvatureSeries",
     "CycleRecord",
     "DBWParams",
     "DEFAULT_PARAMS",
@@ -75,7 +69,6 @@ __all__ = [
     "MatrixProfile",
     "NormalizedSeries",
     "PipelineParams",
-    "SmoothedSeries",
     "SyntheticSpec",
     "approximate_curvature",
     "arc_curve",

@@ -73,12 +73,7 @@ def _positive_int(text: str) -> int:
 
 
 def _report_json(report: KneeReport, params: PipelineParams) -> str:
-    payload = asdict(report)
-    payload["params"] = {
-        key: getattr(params, key)
-        for key in ("sg_window", "sg_order", "curv_window", "cac_window",
-                    "exclusion_radius")
-    }
+    payload = {**asdict(report), "params": asdict(params)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Dataclass configuration shared by the pipeline, the CLI, and the scripts."""
+"""Dataclass configuration shared by the pipeline and the CLI."""
 
 from __future__ import annotations
 

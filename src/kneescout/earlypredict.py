@@ -32,6 +32,7 @@ from .errors import (
     MalformedRow,
     MissingCycle,
     NonFiniteFeature,
+    NonFiniteResidual,
     NoVoltageOverlap,
     ZeroTrueValue,
 )
@@ -457,6 +458,23 @@ def _leaf_values(trees: List[List[TreeNode]], X) -> np.ndarray:
         pos = np.where(inner, np.where(goes_left, left[pos], right[pos]), pos)
 
 
+def _rmse(residual: np.ndarray, trees: int, hyper: GBRTHyper) -> float:
+    """Root mean square of the residuals after ``trees`` trees.
+
+    Every term that ``_best_split`` forms is at most n * sum(r**2), so a
+    fit whose n * sum(r**2) overflows is NonFiniteResidual.
+    """
+    mean_square = np.mean(residual ** 2)
+    n = len(residual)
+    if not math.isfinite(n * n * float(mean_square)):
+        raise NonFiniteResidual(
+            f"the residuals after {trees} of {hyper.n_trees} trees (learning_rate"
+            f" {hyper.learning_rate}) overflow: n * sum(r**2) is not finite"
+        )
+    return float(np.sqrt(mean_square))
+
+
+@np.errstate(over="ignore")  # an overflowing fit is raised, not warned about
 def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
     """Stagewise least-squares boosting; each tree fits current residuals."""
     X = np.asarray(X, dtype=np.float64)
@@ -476,15 +494,15 @@ def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
     pred = np.full(len(y), init)
     residual = y - pred
     trees: List[List[TreeNode]] = []
-    rmse = [float(np.sqrt(np.mean(residual ** 2)))]
-    for _ in range(hyper.n_trees):
+    rmse = [_rmse(residual, 0, hyper)]
+    for t in range(1, hyper.n_trees + 1):
         tree, fitted = _fit_tree(
             Xt, order, v, counts, residual, hyper.max_depth, hyper.min_leaf
         )
         pred = pred + hyper.learning_rate * fitted
         residual = y - pred
         trees.append(tree)
-        rmse.append(float(np.sqrt(np.mean(residual ** 2))))
+        rmse.append(_rmse(residual, t, hyper))
     return GBRTModel(
         init_value=init,
         learning_rate=hyper.learning_rate,

@@ -70,8 +70,8 @@ class CapacityFadeSeries:
 
 @dataclass(frozen=True)
 class NormalizedSeries:
-    """Dimensionless capacity fraction on a unit-spaced cycle grid, raw or
-    smoothed (``preprocess.SmoothedSeries`` names the same class)."""
+    """Values on a unit-spaced cycle grid: the normalized capacity fraction,
+    its smoothing or its curvature."""
 
     cycles: np.ndarray
     values: np.ndarray

@@ -16,7 +16,6 @@ package imports no SciPy module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,36 +24,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, WindowTooLarge
 from .ingest import NormalizedSeries
 
-# a smoothed series is the same (cycles, values) record on the unit grid
-SmoothedSeries = NormalizedSeries
-
-
-@dataclass(frozen=True)
-class CurvatureSeries:
-    """Second-difference curvature values with index bookkeeping.
-
-    ``values[k]`` is the curvature at cycle ``first_cycle + k``; a window
-    of ``ws`` cycles leaves it ``ws - 1`` samples shorter than its input
-    ((ws-1)/2 per edge).
-    """
-
-    values: np.ndarray
-    first_cycle: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def cycles(self) -> np.ndarray:
-        return self.first_cycle + np.arange(len(self.values), dtype=np.int64)
-
 
 def savgol_smooth(
     series: NormalizedSeries, window: int = 21, order: int = 3
-) -> SmoothedSeries:
+) -> NormalizedSeries:
     """Smooth with a local least-squares polynomial of the given order.
 
     Each output point is the center evaluation of the polynomial fitted
@@ -72,7 +45,7 @@ def savgol_smooth(
     if not 0 <= order < window:
         raise OrderTooHigh(f"order {order} must satisfy 0 <= order < window {window}")
     smoothed = _mirror_convolve(series.values, savgol_coeffs(window, order))
-    return SmoothedSeries(cycles=series.cycles, values=smoothed)
+    return NormalizedSeries(cycles=series.cycles, values=smoothed)
 
 
 @lru_cache
@@ -142,8 +115,9 @@ def clip_window(window: int, n: int) -> int:
     return w
 
 
-def approximate_curvature(series: SmoothedSeries, ws: int = 3) -> CurvatureSeries:
-    """Second-difference curvature over a sliding window of ``ws`` cycles."""
+def approximate_curvature(series: NormalizedSeries, ws: int = 3) -> NormalizedSeries:
+    """Second-difference curvature over a sliding window of ``ws`` cycles,
+    at the input's cycles less (ws-1)/2 at each end."""
     if ws % 2 == 0:
         raise EvenWindow(f"ws must be odd, got {ws}")
     if ws < 3:
@@ -154,4 +128,4 @@ def approximate_curvature(series: SmoothedSeries, ws: int = 3) -> CurvatureSerie
     half = (ws - 1) // 2
     y = series.values
     values = y[: n - 2 * half] + y[2 * half :] - 2.0 * y[half : n - half]
-    return CurvatureSeries(values=values, first_cycle=int(series.cycles[0]) + half)
+    return NormalizedSeries(cycles=series.cycles[half : n - half], values=values)

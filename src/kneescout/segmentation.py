@@ -24,9 +24,9 @@ from .errors import (
     TooShort,
     WindowTooLarge,
 )
-from .ingest import CapacityFadeSeries, find_eol, normalize, resample_even
+from .ingest import CapacityFadeSeries, NormalizedSeries, find_eol, normalize, resample_even
 from .matrixprofile import stamp
-from .preprocess import SmoothedSeries, approximate_curvature, clip_window, savgol_smooth
+from .preprocess import approximate_curvature, clip_window, savgol_smooth
 
 # CAC dynamic range below which the three-state assumption looks violated
 # (an essentially featureless arc curve has no credible boundaries).
@@ -109,7 +109,7 @@ def rea(cac_values: np.ndarray, n_boundaries: int, exclusion_radius: int) -> Lis
 
 def prepare(
     series: CapacityFadeSeries, params: PipelineParams = DEFAULT_PARAMS
-) -> Tuple[CapacityFadeSeries, SmoothedSeries, int, Optional[int]]:
+) -> Tuple[CapacityFadeSeries, NormalizedSeries, int, Optional[int]]:
     """Resample to a unit cycle grid, normalize, smooth and find EoL.
 
     Returns the resampled series, the smoothed series, the Savitzky-Golay
@@ -167,7 +167,7 @@ def identify_knees(
         guarded[-guard:] = np.inf
     onset_pos, knee_pos = rea(guarded, 2, params.exclusion_radius)
 
-    offset = curvature.first_cycle + (mp_window - 1) // 2
+    offset = int(curvature.cycles[0]) + (mp_window - 1) // 2
     onset_cycle = offset + onset_pos
     knee_cycle = offset + knee_pos
 

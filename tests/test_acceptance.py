@@ -24,9 +24,9 @@ from kneescout.earlypredict import (
     gbrt_train,
     stratified_split,
 )
-from kneescout.ingest import CapacityFadeSeries, load_capacity_csv
+from kneescout.ingest import CapacityFadeSeries, NormalizedSeries, load_capacity_csv
 from kneescout.matrixprofile import stamp
-from kneescout.preprocess import SmoothedSeries, approximate_curvature
+from kneescout.preprocess import approximate_curvature
 from kneescout.report import batch_report, pearson
 from kneescout.segmentation import identify_knees
 from kneescout.synthgen import (
@@ -84,11 +84,11 @@ def test_criterion_2_curvature_correctness():
     """Affine in, zero out; three-point knee/elbow give -0.1/+0.1."""
     cycles = np.arange(200)
     affine = 1.25 - cycles / 512.0  # dyadic slope: every step is exact
-    curv = approximate_curvature(SmoothedSeries(cycles, affine), ws=3)
+    curv = approximate_curvature(NormalizedSeries(cycles, affine), ws=3)
     affine_zero = bool(np.all(curv.values == 0.0))
 
-    knee = approximate_curvature(SmoothedSeries(np.arange(3), [1.0, 1.0, 0.9]), ws=3)
-    elbow = approximate_curvature(SmoothedSeries(np.arange(3), [1.0, 0.9, 0.9]), ws=3)
+    knee = approximate_curvature(NormalizedSeries(np.arange(3), [1.0, 1.0, 0.9]), ws=3)
+    elbow = approximate_curvature(NormalizedSeries(np.arange(3), [1.0, 0.9, 0.9]), ws=3)
     knee_ok = knee.values[0] < 0 and knee.values[0] == pytest.approx(-0.1, abs=1e-15)
     elbow_ok = elbow.values[0] > 0 and elbow.values[0] == pytest.approx(0.1, abs=1e-15)
 

@@ -12,6 +12,8 @@ import pytest
 from kneescout import cli
 from kneescout.cli import main
 from kneescout.config import PipelineParams
+from kneescout.ingest import load_capacity_csv
+from kneescout.synthgen import generate_convex_family
 
 
 def run_cli(*argv):
@@ -45,6 +47,24 @@ class TestSynth:
         for p in sorted(synth_dir.glob("*")):
             assert (again / p.name).read_bytes() == p.read_bytes()
 
+    def test_convex_family_ignores_n_cycles(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("synth", "--convex", "--count", "2", "--seed", "3",
+                       "--out-dir", str(a)) == 0
+        assert run_cli("synth", "--convex", "--count", "2", "--seed", "3",
+                       "--n-cycles", "50", "--out-dir", str(b)) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == [f"convex-00{i}.{ext}" for i in range(2)
+                         for ext in ("csv", "meta.json", "truth.json")]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        [(series, truth), _] = generate_convex_family(2, seed=3)
+        loaded = load_capacity_csv(a / "convex-000.csv")
+        assert loaded.cycles.tolist() == series.cycles.tolist()
+        assert loaded.capacity_ah.tolist() == series.capacity_ah.tolist()
+        written = json.loads((a / "convex-000.truth.json").read_text())["ground_truth"]
+        assert written["onset_cycle"] == truth.onset_cycle
+
 
 class TestIdentify:
     def test_smoke_and_determinism(self, synth_dir, tmp_path):
@@ -69,6 +89,14 @@ class TestIdentify:
         payload = json.loads(out.read_text())
         assert payload["params"]["sg_window"] == 81
         assert payload["params"]["cac_window"] == 12
+
+    def test_params_echo_every_pipeline_field(self, synth_dir, tmp_path):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        out = tmp_path / "r.json"
+        assert run_cli("identify", "--input", str(src), "--eol-threshold", "0.7",
+                       "--out", str(out)) == 0
+        params = json.loads(out.read_text())["params"]
+        assert params == dataclasses.asdict(PipelineParams(eol_threshold=0.7))
 
     def test_config_file_defaults_and_flag_override(self, synth_dir, tmp_path):
         src = sorted(synth_dir.glob("fleet-*.csv"))[0]
@@ -143,6 +171,14 @@ class TestBaconWatts:
         out = tmp_path / "bw.json"
         assert run_cli("baconwatts", "--input", str(src), "--out", str(out)) == 0
         assert json.loads(out.read_text())["method"] == "double_bacon_watts"
+
+    def test_params_echo_gamma_and_max_iter(self, synth_dir, tmp_path):
+        src = sorted(synth_dir.glob("fleet-*.csv"))[0]
+        out = tmp_path / "bw.json"
+        assert run_cli("baconwatts", "--input", str(src), "--gamma", "5",
+                       "--max-iter", "50", "--out", str(out)) == 0
+        params = json.loads(out.read_text())["params"]
+        assert (params["gamma"], params["max_iter"]) == (5.0, 50)
 
     @pytest.mark.parametrize("max_iter", ["0", "-4"])
     def test_max_iter_below_one_is_usage_error(self, synth_dir, tmp_path, capsys, max_iter):
@@ -275,6 +311,38 @@ class TestBatch:
         assert (out / "scatter_curvature_rea_knee.csv").exists()
         assert (out / "scatter_double_bacon_watts_onset.csv").exists()
 
+    @pytest.mark.parametrize("target,message", [
+        ("file", "is not a directory"),
+        ("empty", "no capacity CSVs found in"),
+    ])
+    def test_dir_without_capacity_csvs(self, synth_dir, tmp_path, capsys, target, message):
+        given = tmp_path / "given"
+        if target == "file":
+            shutil.copy(synth_dir / "fleet-5-000.csv", given)
+        else:
+            given.mkdir()  # cycle-detail files are not capacity CSVs
+            shutil.copy(synth_dir / "fleet-5-000.cycles.csv", given)
+        out = tmp_path / "table.csv"
+        assert run_cli("--json-errors", "batch", "--dir", str(given),
+                       "--out", str(out)) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "InputError"
+        assert message in payload["message"]
+        assert not out.exists()
+
+    def test_footer_notes_too_few_cells_with_eol(self, synth_dir, tmp_path):
+        cells = tmp_path / "cells"
+        cells.mkdir()
+        for name in ("fleet-5-000.csv", "fleet-5-000.meta.json"):
+            shutil.copy(synth_dir / name, cells)
+        out = tmp_path / "table.csv"
+        assert run_cli("batch", "--dir", str(cells), "--methods", "curvature",
+                       "--out", str(out)) == 0
+        [footer] = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+        assert ("pearson_onset_eol=nan pearson_knee_eol=nan n_cells=1 n_excluded=0"
+                in footer)
+        assert footer.endswith(" note='only 1 cells with EoL; correlation undefined'")
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_usage_error(self, synth_dir, tmp_path, capsys, jobs):
         out = tmp_path / "table.csv"
@@ -365,6 +433,16 @@ class TestPredictionPipeline:
         lines = sweep.read_text().strip().split("\n")
         assert lines[0] == "budget,mean_rmse,mean_mape"
         assert len(lines) == 3
+
+    def test_predict_without_out_writes_stdout(self, tmp_path, capsys):
+        feats, model = tmp_path / "f.csv", tmp_path / "m.json"
+        feats.write_text(FEATURES_CSV)
+        model.write_text('{"init_value": 1.5, "learning_rate": 0.1, "n_features": 6,'
+                         ' "trees": []}')
+        assert run_cli("predict", "--model", str(model), "--features", str(feats)) == 0
+        assert capsys.readouterr().out == (
+            "cell_id,predicted_onset_cycle\na,1.5\nb,1.5\nc,1.5\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "m.json"]
 
 
 FEATURES_CSV = ("cell_id,min_dq,var_dq,skew_dq,kurt_dq,q2,q_max_minus_2\n"
@@ -467,6 +545,56 @@ class TestPredictionInputErrors:
         payload = self.train(capsys, tmp_path, labels)
         assert payload["error"] == "InputError"
         assert "'b'" in payload["message"] and "more than once" in payload["message"]
+
+    def test_train_labels_lack_a_cell(self, tmp_path, capsys):
+        payload = self.train(capsys, tmp_path, "cell_id,onset_cycle\na,100\nb,200\n")
+        assert payload["error"] == "InputError"
+        assert payload["message"] == "labels file lacks cells: c"
+
+    def test_features_directory_without_cycle_files(self, synth_dir, tmp_path, capsys):
+        shutil.copy(synth_dir / "fleet-5-000.csv", tmp_path)
+        out = tmp_path / "f.csv"
+        payload = self.json_error(capsys, "features", "--cycles", str(tmp_path),
+                                  "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert payload["message"] == f"no *.cycles.csv files in {tmp_path}"
+        assert not out.exists()
+
+    def sweep_dir(self, synth_dir, tmp_path, names):
+        d = tmp_path / "sweep"
+        d.mkdir()
+        for name in names:
+            shutil.copy(synth_dir / name, d)
+        return d
+
+    @pytest.mark.parametrize("truth,message", [
+        (None, "missing fleet-5-000.truth.json next to fleet-5-000.cycles.csv"),
+        ('{"cell_id": "fleet-5-000", "ground_truth": null}', "no labeled cycle data found"),
+    ], ids=["missing-truth", "no-labelled-cell"])
+    def test_sensitivity_without_labels(self, synth_dir, tmp_path, capsys, truth, message):
+        d = self.sweep_dir(synth_dir, tmp_path, ["fleet-5-000.cycles.csv"])
+        if truth is not None:
+            (d / "fleet-5-000.truth.json").write_text(truth)
+        out = tmp_path / "s.csv"
+        payload = self.json_error(capsys, "sensitivity", "--dir", str(d), "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert message in payload["message"]
+        assert not out.exists()
+
+    def test_sensitivity_skips_a_cell_without_ground_truth(self, synth_dir, tmp_path):
+        names = [p.name for p in sorted(synth_dir.glob("*.cycles.csv"))
+                 + sorted(synth_dir.glob("*.truth.json"))]
+        d = self.sweep_dir(synth_dir, tmp_path, names)
+        (d / "fleet-5-000.truth.json").write_text(
+            '{"cell_id": "fleet-5-000", "ground_truth": null}')
+        flags = ("--budgets", "20", "--repeats", "1")
+        assert run_cli("sensitivity", "--dir", str(d), *flags,
+                       "--out", str(tmp_path / "null.csv")) == 0
+        for name in ("fleet-5-000.cycles.csv", "fleet-5-000.truth.json"):
+            (d / name).unlink()
+        assert run_cli("sensitivity", "--dir", str(d), *flags,
+                       "--out", str(tmp_path / "without.csv")) == 0
+        assert (tmp_path / "null.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
     @pytest.mark.parametrize("flag,value", [
         ("--min-leaf", "0"), ("--max-depth", "-1"),
@@ -789,6 +917,14 @@ class TestRejectedValues:
         assert f"--budgets {budgets!r} selects no budget" in payload["message"]
         assert not out.exists()
 
+    def test_sensitivity_unparseable_budgets(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        payload = self.json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
+                                  "--budgets", "a:b", "--out", str(out))
+        assert payload["error"] == "UsageError"
+        assert "cannot parse --budgets 'a:b' (expected LO:HI)" in payload["message"]
+        assert not out.exists()
+
     def test_identify_negative_cac_window_flag(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "r.json"
         payload = self.json_error(capsys, 2, "identify", "--input",
@@ -805,6 +941,15 @@ class TestRejectedValues:
                                   str(synth_dir / "fleet-5-000.csv"),
                                   "--out", str(tmp_path / "r.json"))
         assert payload["error"] == "DegenerateWindow"
+
+    def test_identify_negative_exclusion(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 2, "identify", "--input",
+                                  str(synth_dir / "fleet-5-000.csv"),
+                                  "--exclusion", "-1", "--out", str(out))
+        assert payload["error"] == "IndexOutOfRange"
+        assert "exclusion_radius must be >= 0" in payload["message"]
+        assert not out.exists()
 
     def test_mp_window_flag_is_gone(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -884,6 +1029,26 @@ class TestRejectedValues:
         payload = self.json_error(capsys, 2, "baconwatts", "--input", str(p),
                                   "--q-nom", "1.1e200", "--out", str(out))
         assert payload["error"] == "NonFiniteResidual"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels,flags,message", [
+        (("1e308", "-1e308", "1e308", "-1e308"), ("--min-leaf", "1"),
+         "after 0 of 300 trees (learning_rate 0.05)"),
+        (("100", "200", "300", "400"), ("--learning-rate", "3", "--n-trees", "2000"),
+         "after 504 of 2000 trees (learning_rate 3.0)"),
+        (("100", "200", "300", "400"), ("--learning-rate", "1e300"),
+         "after 1 of 300 trees (learning_rate 1e+300)"),
+    ], ids=["huge-labels", "diverging-rate", "huge-rate"])
+    def test_train_overflowing_residuals(self, tmp_path, capsys, labels, flags, message):
+        feats, labels_csv = tmp_path / "f.csv", tmp_path / "l.csv"
+        feats.write_text(FEATURES_CSV + "d,3,0,0,0,1,0\n")
+        labels_csv.write_text("cell_id,onset_cycle\n" + "".join(
+            f"{cell},{label}\n" for cell, label in zip("abcd", labels)))
+        out = tmp_path / "m.json"
+        payload = self.json_error(capsys, 2, "train", "--features", str(feats),
+                                  "--labels", str(labels_csv), *flags, "--out", str(out))
+        assert payload["error"] == "NonFiniteResidual"
+        assert message in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("n_cycles", ["-5", "0"])

@@ -19,6 +19,7 @@ from kneescout.errors import (
     MalformedRow,
     MissingCycle,
     NonFiniteFeature,
+    NonFiniteResidual,
     NoVoltageOverlap,
     ZeroTrueValue,
 )
@@ -289,6 +290,26 @@ class TestGbrt:
         X[0, 0] = float("nan")
         with pytest.raises(NonFiniteFeature):
             gbrt_train(X, y)
+
+    @pytest.mark.parametrize("y,hyper,after", [
+        ([1e308, -1e308, 1e308, -1e308], GBRTHyper(min_leaf=1), 0),
+        ([100.0, 200.0, 300.0, 400.0], GBRTHyper(learning_rate=3, n_trees=2000), 504),
+        ([100.0, 200.0, 300.0, 400.0], GBRTHyper(learning_rate=1e300), 1),
+        ([100.0, 200.0, 300.0, 400.0], GBRTHyper(learning_rate=1e300, n_trees=1), 1),
+    ], ids=["huge-labels", "diverging-rate", "huge-rate", "after-the-last-tree"])
+    def test_overflowing_residuals_rejected(self, y, hyper, after):
+        # RuntimeWarnings are errors here: the overflow is raised, not warned about
+        X = np.arange(4.0).reshape(-1, 1)
+        expected = (f"the residuals after {after} of {hyper.n_trees} trees"
+                    f" (learning_rate {hyper.learning_rate}) overflow")
+        with pytest.raises(NonFiniteResidual, match=re.escape(expected)):
+            gbrt_train(X, y, hyper)
+
+    def test_large_finite_residuals_train(self):
+        # n * sum(r**2) = 16e306 is finite, so every split score is too
+        X = np.arange(4.0).reshape(-1, 1)
+        model = gbrt_train(X, [1e153, -1e153, 1e153, -1e153], GBRTHyper(min_leaf=1))
+        assert all(np.isfinite(model.train_rmse))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_prediction_rejected(self, bad):

@@ -8,12 +8,7 @@ from scipy.signal import savgol_coeffs, savgol_filter
 from kneescout import preprocess
 from kneescout.errors import EvenWindow, OrderTooHigh, SeriesTooShort, WindowTooLarge
 from kneescout.ingest import NormalizedSeries
-from kneescout.preprocess import (
-    SmoothedSeries,
-    approximate_curvature,
-    clip_window,
-    savgol_smooth,
-)
+from kneescout.preprocess import approximate_curvature, clip_window, savgol_smooth
 
 
 def local_lsq_smooth(values, window, order):
@@ -179,7 +174,7 @@ def curvature_three_point_oracle(values):
 
 def smooth_series(values, start=0):
     values = np.asarray(values, dtype=float)
-    return SmoothedSeries(np.arange(start, start + len(values)), values)
+    return NormalizedSeries(np.arange(start, start + len(values)), values)
 
 
 class TestApproximateCurvature:
@@ -202,8 +197,10 @@ class TestApproximateCurvature:
         assert out.values[0] > 0
 
     def test_index_offset_bookkeeping(self):
-        out = approximate_curvature(smooth_series(np.ones(11), start=5), ws=5)
-        assert out.first_cycle == 7
+        series = smooth_series(np.ones(11), start=5)
+        out = approximate_curvature(series, ws=5)
+        assert isinstance(out, NormalizedSeries)
+        assert np.shares_memory(out.cycles, series.cycles)  # a view of the input grid
         assert len(out) == 11 - 4
         assert out.cycles.tolist() == list(range(7, 14))
 
