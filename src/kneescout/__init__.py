@@ -10,7 +10,7 @@ from .ingest import (
     resample_even,
 )
 from .preprocess import approximate_curvature, savgol_smooth
-from .matrixprofile import MatrixProfile, mass, stamp
+from .matrixprofile import MatrixProfile, stamp
 from .segmentation import (
     KneeReport,
     arc_curve,
@@ -92,7 +92,6 @@ __all__ = [
     "lm_optimize",
     "load_capacity_csv",
     "load_cycle_detail_csv",
-    "mass",
     "normalize",
     "pearson",
     "rea",

@@ -155,16 +155,22 @@ def _moments(x: np.ndarray) -> Tuple[float, float, float]:
     """Population variance, skewness, and non-excess kurtosis.
 
     A constant input has zero variance; skewness and kurtosis are zero by
-    convention in that case.
+    convention in that case. Moments that overflow come back as inf or NaN,
+    without a warning, for the caller's finiteness check; so do skewness and
+    kurtosis when a power of a finite variance overflows.
     """
-    mu = float(np.mean(x))
-    dev = x - mu
-    m2 = float(np.mean(dev * dev))
-    if math.sqrt(m2) < 1e-12 * max(1.0, abs(mu)):
-        return m2, 0.0, 0.0
-    m3 = float(np.mean(dev**3))
-    m4 = float(np.mean(dev**4))
-    return m2, m3 / m2**1.5, m4 / m2**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.mean(x))
+        dev = x - mu
+        m2 = float(np.mean(dev * dev))
+        if math.sqrt(m2) < 1e-12 * max(1.0, abs(mu)):
+            return m2, 0.0, 0.0
+        m3 = float(np.mean(dev**3))
+        m4 = float(np.mean(dev**4))
+    try:
+        return m2, m3 / m2**1.5, m4 / m2**2
+    except OverflowError:  # Python float powers raise where NumPy's give inf
+        return m2, math.nan, math.nan
 
 
 def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> FeatureVector:

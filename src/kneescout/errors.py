@@ -67,6 +67,10 @@ class SeriesTooShort(InputError):
     pass
 
 
+class SmoothingOverflow(NumericalError):
+    pass
+
+
 # --- matrix profile -------------------------------------------------------
 
 class DegenerateWindow(InputError):

@@ -7,6 +7,7 @@ first cycle index of the input is authoritative and is never renumbered.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -140,29 +141,6 @@ def parse_json(text: str, source, error=InputError):
         raise error(f"{source}: malformed JSON: {exc}") from None
 
 
-def _fields(rows, usecols=None) -> np.ndarray:
-    return np.loadtxt(
-        rows, dtype=object, delimiter=",", comments=None, quotechar='"',
-        usecols=usecols, ndmin=2,
-    )
-
-
-# a row of only these may be blank: str.isspace characters (none lies above
-# U+3000), the delimiter and the quote
-_BLANK = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ',"'
-
-
-def _parse_rows(rows, width: int, ids: bool):
-    if not rows:
-        return [] if ids else None, np.empty((0, width - ids))
-    fields = _fields(rows, None if ids else range(width))
-    if fields.shape[1] != width:
-        raise ValueError(f"{fields.shape[1]} fields")
-    first = fields[:, 0].tolist() if ids else None
-    # float() on each cell, so a cell parses exactly as Python reads it
-    return first, fields[:, int(ids):].astype(np.float64)
-
-
 # ASCII separators that np.loadtxt strips from a number and float() does not
 _LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"
 
@@ -183,49 +161,58 @@ def _parse_numbers(text: str, body, width: int):
 
 
 def read_csv(path, header, *, ids: bool = False):
-    """Read a headed CSV file (UTF-8, optional BOM) with one ``np.loadtxt`` parse.
+    """Read a headed CSV file (UTF-8, optional BOM) in one ``csv.reader`` pass.
 
-    The first line must hold ``header``, fields stripped. Rows whose fields
-    are all empty or whitespace are skipped. A file of per-cell rows
-    (``ids``) has a cell id first and exactly the header's columns; other
-    files hold only numbers and ignore columns past the header. Returns
-    ``(ids, values, lines)``: the ids (or None), the numbers as float64
-    (rows, columns) parsed as ``float`` does, and each row's line number.
-    A short, long or non-numeric row is MalformedRow naming file and line,
-    and so, without a line, is a quoted field that runs across lines.
-    A file of numbers first tries a float64 parse; any other file, and any
-    that this parse may read otherwise than ``float``, is parsed as text.
+    The first line, read on its own, must hold ``header``, fields stripped.
+    Rows whose fields are all empty or whitespace are skipped. A file of
+    per-cell rows (``ids``) has a cell id first and exactly the header's
+    columns; other files hold only numbers and ignore columns past the
+    header. Returns ``(ids, values, lines)``: the ids (or None), the numbers
+    as float64 (rows, columns) parsed as ``float`` does, and each row's line
+    number. A short, long or non-numeric row, a quoted field that runs
+    across lines and a row that ``csv`` cannot read (a field over its size
+    limit) are MalformedRow naming file and line. A file of numbers first
+    tries a float64 parse; any other file, and any that this parse may read
+    otherwise than ``float``, is parsed as text.
     """
     text = read_text(path)
     lines = text.split("\n")
-    got = tuple(h.strip() for h in _fields(lines[:1])[0]) if lines[0].strip(_BLANK) else ()
+    if lines[-1] == "":
+        lines.pop()
+    try:  # line 1 alone, so a quote there cannot run on into the rows
+        got = tuple(h.strip() for h in next(csv.reader(lines[:1]), ()))
+    except csv.Error:
+        got = ()
     if got != tuple(header):
         raise MissingColumn(
             f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
         )
-    body = lines[1:-1] if lines[-1] == "" else lines[1:]
-    values = None if ids else _parse_numbers(text, body, len(header))
+    width = len(header)
+    values = None if ids else _parse_numbers(text, lines[1:], width)
     if values is not None:
-        return None, values, np.arange(2, len(body) + 2, dtype=np.int64)
-    # a row of only _BLANK characters may still hold text, such as a quoted ","
-    numbers = [k for k, line in enumerate(lines[1:], 2) if line.strip(_BLANK)
-               or '"' in line and any(f.strip() for f in _fields([line])[0])]
-    rows = [lines[k - 1] for k in numbers]
+        return None, values, np.arange(2, len(lines) + 1, dtype=np.int64)
+    first, rows, numbers = [], [], []
+    reader = csv.reader(lines[1:])
     try:
-        first, values = _parse_rows(rows, len(header), ids)
-    except ValueError:
-        # the bulk parse does not say which line failed: find the first one
-        for number, row in zip(numbers, rows):
+        for line, row in enumerate(reader, 2):
+            if reader.line_num + 1 != line:
+                raise MalformedRow(f"{path}: line {line}: a quoted field runs across lines")
+            if not any(f.strip() for f in row):
+                continue
             try:
-                _parse_rows([row], len(header), ids)
+                if len(row) < width or ids and len(row) > width:
+                    raise ValueError
+                rows.append([float(f) for f in row[ids:width]])
             except ValueError:
                 raise MalformedRow(
-                    f"{path}: line {number}: cannot read {row!r} as {','.join(header)}"
+                    f"{path}: line {line}: cannot read {lines[line - 1]!r} as {','.join(header)}"
                 ) from None
-        raise MalformedRow(f"{path}: a quoted field runs across lines") from None
-    if len(values) != len(rows):  # a quote joined lines into one row
-        raise MalformedRow(f"{path}: a quoted field runs across lines")
-    return first, values, np.array(numbers, dtype=np.int64)
+            first.append(row[0])
+            numbers.append(line)
+    except csv.Error as exc:
+        raise MalformedRow(f"{path}: line {reader.line_num + 1}: {exc}") from None
+    values = np.array(rows, dtype=np.float64).reshape(-1, width - ids)
+    return first if ids else None, values, np.array(numbers, dtype=np.int64)
 
 
 def cycle_column(path, column: np.ndarray, lines: np.ndarray) -> np.ndarray:

@@ -2,16 +2,14 @@
 
 Every length-L window is z-normalized once (``sliding_window_view``), and
 every distance is the Euclidean norm of the difference of two z-normalized
-windows, measured by one helper that ``mass`` and ``stamp`` share. MASS is
-the one-query case: the distances from one query window to every window.
-STAMP finds each window's nearest neighbour from blocks of full rows of the
-Gram matrix ``Z @ Z.T``: for z-normalized windows ``d^2 = 2L - 2 * dot``, so
-the nearest neighbour is the largest dot product. The exclusion band of a
-block only reaches the columns within ceil(L/2) of its rows, so it is
-written through one local mask built once per call. ``argmax`` takes the
-first maximum, so ties go to the smallest index and the result does not
-depend on evaluation order. P is then measured directly from the chosen
-pair.
+windows. ``stamp`` finds each window's nearest neighbour from blocks of
+full rows of the Gram matrix ``Z @ Z.T``: for z-normalized windows
+``d^2 = 2L - 2 * dot``, so the nearest neighbour is the largest dot
+product. The exclusion band of a block only reaches the columns within
+ceil(L/2) of its rows, so it is written through one local mask built once
+per call. ``argmax`` takes the first maximum, so ties go to the smallest
+index and the result does not depend on evaluation order. P is then
+measured directly from the chosen pair.
 
 A series of length M has n = M - L + 1 windows, and every window has a
 candidate outside its band exactly when n >= 2 ceil(L/2) + 2, that is
@@ -21,7 +19,7 @@ window has a nearest neighbour.
 Conventions that the rest of the pipeline relies on:
 
 * trivial matches are excluded in a band of radius ceil(L/2) around the
-  diagonal (masked to +inf in distance profiles);
+  diagonal;
 * two windows whose standard deviation is below 1e-12 are treated as the
   same (constant) shape at distance 0; a constant window against a varying
   one is at distance sqrt(L). A flat window z-normalizes to a zero row, and
@@ -33,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateWindow, SeriesTooShort, WindowTooLarge
+from .errors import DegenerateWindow, SeriesTooShort
 
 FLAT_STD = 1e-12
 
@@ -78,36 +75,6 @@ def _distance(za, zb, flat_a, flat_b, L: int) -> np.ndarray:
     """
     dist = np.sqrt(np.sum((za - zb) ** 2, axis=-1))
     return np.where(flat_a ^ flat_b, math.sqrt(L), dist)
-
-
-def mass(
-    query: np.ndarray,
-    series: np.ndarray,
-    query_start: Optional[int] = None,
-) -> np.ndarray:
-    """z-normalized distances from ``query`` to every window of ``series``.
-
-    When ``query_start`` is given the profile is a self-join row and the
-    trivial-match band of radius ceil(L/2) around it is masked to +inf.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    series = np.asarray(series, dtype=np.float64)
-    L, M = len(query), len(series)
-    if L < 2:
-        raise DegenerateWindow("z-normalization needs window length >= 2")
-    if L > M:
-        raise WindowTooLarge(f"window {L} exceeds series length {M}")
-
-    zq, q_flat = _znormalize(query)
-    Z, flat = _znormalize(sliding_window_view(series, L))
-    dist = _distance(zq, Z, q_flat, flat, L)
-
-    if query_start is not None:
-        radius = math.ceil(L / 2)
-        lo = max(0, query_start - radius)
-        hi = min(len(dist), query_start + radius + 1)
-        dist[lo:hi] = np.inf
-    return dist
 
 
 def stamp(series: np.ndarray, L: int) -> MatrixProfile:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, WindowTooLarge
+from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, SmoothingOverflow, WindowTooLarge
 from .ingest import NormalizedSeries
 
 
@@ -35,7 +35,8 @@ def savgol_smooth(
     sample, which is not repeated), keeping the output length equal to the
     input length. Polynomials up to the filter order are reproduced exactly
     on the interior; the mirrored extension is not polynomial, so the first
-    and last half-windows deviate.
+    and last half-windows deviate. A smoothed value that overflows float64
+    is SmoothingOverflow.
     """
     n = len(series)
     if window % 2 == 0:
@@ -44,7 +45,10 @@ def savgol_smooth(
         raise WindowTooLarge(f"window {window} outside [3, {n}]")
     if not 0 <= order < window:
         raise OrderTooHigh(f"order {order} must satisfy 0 <= order < window {window}")
-    smoothed = _mirror_convolve(series.values, savgol_coeffs(window, order))
+    with np.errstate(over="ignore", invalid="ignore"):
+        smoothed = _mirror_convolve(series.values, savgol_coeffs(window, order))
+    if not np.isfinite(smoothed).all():
+        raise SmoothingOverflow("the smoothed series overflows float64")
     return NormalizedSeries(cycles=series.cycles, values=smoothed)
 
 

@@ -145,12 +145,12 @@ def identify_knees(
     regime boundaries. Boundary positions are mapped back to cycle numbers
     by adding the curvature index offset and the half-width of the
     matrix-profile window. An edge band of one exclusion radius at each end
-    of the CAC is never selected. A negative ``cac_window`` is DegenerateWindow,
-    and a curvature series too short for the matrix-profile window is
-    ``stamp``'s SeriesTooShort.
+    of the CAC is never selected. A ``cac_window`` that is negative or 1 is
+    DegenerateWindow, and a curvature series too short for the
+    matrix-profile window is ``stamp``'s SeriesTooShort.
     """
-    if params.cac_window < 0:
-        raise DegenerateWindow(f"cac_window must be >= 0, got {params.cac_window}")
+    if params.cac_window < 0 or params.cac_window == 1:
+        raise DegenerateWindow(f"cac_window must be 0 or >= 2, got {params.cac_window}")
     _, smoothed, sg_window, eol = prepare(series, params)
     curvature = approximate_curvature(smoothed, ws=params.curv_window)
 

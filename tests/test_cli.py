@@ -925,13 +925,14 @@ class TestRejectedValues:
         assert "cannot parse --budgets 'a:b' (expected LO:HI)" in payload["message"]
         assert not out.exists()
 
-    def test_identify_negative_cac_window_flag(self, synth_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["-5", "1"])
+    def test_identify_negative_cac_window_flag(self, synth_dir, tmp_path, capsys, value):
         out = tmp_path / "r.json"
         payload = self.json_error(capsys, 2, "identify", "--input",
                                   str(synth_dir / "fleet-5-000.csv"),
-                                  "--cac-window", "-5", "--out", str(out))
+                                  "--cac-window", value, "--out", str(out))
         assert payload["error"] == "DegenerateWindow"
-        assert "cac_window must be >= 0, got -5" in payload["message"]
+        assert f"cac_window must be 0 or >= 2, got {value}" in payload["message"]
         assert not out.exists()
 
     def test_identify_negative_cac_window_config_key(self, synth_dir, tmp_path, capsys):
@@ -1070,4 +1071,35 @@ class TestRejectedValues:
         payload = self.json_error(capsys, 2, "predict", "--model", str(model),
                                   "--features", str(feats), "--out", str(out))
         assert payload["error"] == "NonFiniteFeature"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [4e300, 1e110])
+    def test_features_overflowing_moments(self, synth_dir, tmp_path, capsys, scale):
+        # 4e300 overflows the moments themselves, 1e110 only the powers of
+        # a finite variance in skewness and kurtosis
+        lines = (synth_dir / "fleet-5-000.cycles.csv").read_text().splitlines()
+        rows = [lines[0]]
+        for line in lines[1:]:
+            cycle, voltage, capacity = line.split(",")
+            if cycle == "30":
+                capacity = repr(float(capacity) * scale)
+            rows.append(",".join([cycle, voltage, capacity]))
+        cycles = tmp_path / "big.cycles.csv"
+        cycles.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "f.csv"
+        payload = self.json_error(capsys, 2, "features", "--cycles", str(cycles),
+                                  "--out", str(out))
+        assert payload["error"] == "NonFiniteFeature"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["identify", "baconwatts"])
+    def test_smoothing_that_overflows(self, tmp_path, capsys, command):
+        cell = tmp_path / "cell.csv"
+        cell.write_text("cycle,discharge_capacity_ah\n" + "".join(
+            f"{k},{1.0e308 if k % 2 else 1.7e308!r}\n" for k in range(1, 41)))
+        out = tmp_path / "r.json"
+        payload = self.json_error(capsys, 2, command, "--input", str(cell), "--q-nom", "1",
+                                  "--out", str(out))
+        assert payload["error"] == "SmoothingOverflow"
+        assert "the smoothed series overflows" in payload["message"]
         assert not out.exists()

@@ -281,9 +281,9 @@ class TestFindEol:
 
 # --- the input boundary -----------------------------------------------------
 #
-# The csv-module loops below are the readers this package used before one
-# np.loadtxt reader served every input file. They stay here as the reference
-# the shared reader must match, value for value and bit for bit.
+# The csv-module loops below are the per-format readers this package used
+# before one shared reader served every input file. They stay here as the
+# reference the shared reader must match, value for value and bit for bit.
 
 
 def reference_capacity(path, q_nom_ah=1.0):
@@ -758,7 +758,7 @@ class TestFloatParse:
         rows[59] = '60,"1.0\n4",x'
         path = tmp_path / "cell.csv"
         path.write_text("cycle,discharge_capacity_ah\n" + "\n".join(rows) + "\n")
-        with pytest.raises(MalformedRow, match="a quoted field runs across lines"):
+        with pytest.raises(MalformedRow, match="line 61: a quoted field runs across lines"):
             read_csv(path, CAPACITY_HEADER)
         out = tmp_path / "r.json"
         assert cli.main(["identify", "--input", str(path), "--q-nom", "1.0",
@@ -769,8 +769,28 @@ class TestFloatParse:
     def test_quoted_id_file_field_across_lines_is_malformed(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text('cell_id,onset_cycle\na,100\nb,"2\n00"\nc,300\n')
-        with pytest.raises(MalformedRow, match="a quoted field runs across lines"):
+        with pytest.raises(MalformedRow, match="line 3: a quoted field runs across lines"):
             read_csv(path, LABELS_HEADER, ids=True)
+
+    def test_header_quote_into_line_2_is_rejected(self, tmp_path):
+        # read across lines, the header would be cycle,discharge_capacity_ah
+        path = tmp_path / "c.csv"
+        path.write_text('cycle,"discharge_\ncapacity_ah"\n1,1.0\n2,0.5\n')
+        with pytest.raises(MissingColumn, match="got 'cycle,discharge_'"):
+            read_csv(path, CAPACITY_HEADER)
+
+    def test_field_over_csv_size_limit_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "cell.csv"
+        path.write_text(f"cycle,discharge_capacity_ah\n1,1.0\n2,{'x' * 200_000}\n3,0.9\n")
+        with pytest.raises(MalformedRow, match="line 3: field larger than field limit"):
+            read_csv(path, CAPACITY_HEADER)
+        out = tmp_path / "r.json"
+        assert cli.main(["--json-errors", "identify", "--input", str(path), "--q-nom", "1.0",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 1000
+        assert json.loads(err)["error"] == "MalformedRow"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["", "\n", "\n\n", "\n \n"])
     def test_no_rows_warns_nothing(self, tmp_path, text):

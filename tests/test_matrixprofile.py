@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -7,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from kneescout.errors import DegenerateWindow, SeriesTooShort, WindowTooLarge
-from kneescout.matrixprofile import FLAT_STD, _distance, _znormalize, mass, stamp
+from kneescout.errors import DegenerateWindow, SeriesTooShort
+from kneescout.matrixprofile import FLAT_STD, _distance, _znormalize, stamp
 
 
 def znorm_distance_oracle(u, w):
@@ -24,13 +23,6 @@ def znorm_distance_oracle(u, w):
     zu = (u - u.mean()) / su
     zw = (w - w.mean()) / sw
     return float(np.linalg.norm(zu - zw))
-
-
-def naive_distance_profile(query, series):
-    L, M = len(query), len(series)
-    return np.array(
-        [znorm_distance_oracle(query, series[k : k + L]) for k in range(M - L + 1)]
-    )
 
 
 def allpairs_distance_matrix(series, L):
@@ -134,59 +126,6 @@ def block_edge_series(draw):
     return series, L
 
 
-class TestMass:
-    def test_band_radius_is_half_the_window(self):
-        series = np.random.default_rng(1).normal(0, 1, 40)
-        dist = mass(series[13:19], series, query_start=13)
-        assert np.isinf(dist[10:17]).all() and np.isfinite(dist[[9, 17]]).all()
-        assert list(inspect.signature(mass).parameters) == ["query", "series", "query_start"]
-
-    def test_self_match_is_zero(self):
-        rng = np.random.default_rng(0)
-        series = rng.normal(0, 1, 40)
-        k = 13
-        profile = mass(series[k : k + 6], series)
-        assert profile[k] == pytest.approx(0.0, abs=1e-7)
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(1)
-        series = rng.normal(0, 1, 50)
-        sub = series[10:18]
-        profile = mass(3.0 * sub + 2.0, series)
-        assert profile[10] == pytest.approx(0.0, abs=1e-7)
-
-    def test_matches_naive(self):
-        rng = np.random.default_rng(2)
-        series = np.cumsum(rng.normal(0, 1, 64))
-        query = series[20:28]
-        got = mass(query, series)
-        expected = naive_distance_profile(query, series)
-        assert np.max(np.abs(got - expected)) < 1e-9
-
-    def test_trivial_match_masked_when_self_join(self):
-        rng = np.random.default_rng(3)
-        series = rng.normal(0, 1, 40)
-        profile = mass(series[10:16], series, query_start=10)
-        radius = math.ceil(6 / 2)
-        assert np.all(np.isinf(profile[10 - radius : 10 + radius + 1]))
-        outside = np.delete(profile, np.s_[10 - radius : 10 + radius + 1])
-        assert np.all(np.isfinite(outside))
-
-    def test_degenerate_window(self):
-        with pytest.raises(DegenerateWindow):
-            mass(np.array([1.0]), np.ones(10))
-
-    def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
-            mass(np.ones(11), np.ones(10))
-
-    def test_flat_window_rules(self):
-        series = np.concatenate([np.full(10, 2.0), np.sin(np.arange(10))])
-        profile = mass(np.full(4, 7.0), series)
-        assert profile[0] == 0.0  # flat query vs flat window
-        assert profile[12] == pytest.approx(2.0)  # flat query vs varying window
-
-
 class TestStamp:
     def test_repeated_motif(self):
         rng = np.random.default_rng(4)
@@ -271,9 +210,12 @@ class TestStamp:
         n = len(series) - L + 1
         P = np.full(n, np.inf)
         I = np.full(n, -1, dtype=np.int64)
+        Z, flat = _znormalize(np.lib.stride_tricks.sliding_window_view(series, L))
+        radius = math.ceil(L / 2)
         order = rng.permutation(n)
         for j in order:
-            dist = mass(series[j : j + L], series, query_start=j)
+            dist = _distance(Z[j], Z, flat[j], flat, L)
+            dist[max(0, j - radius) : j + radius + 1] = np.inf
             finite = np.isfinite(dist)
             better = finite & ((dist < P) | ((dist == P) & (j < I)))
             P = np.where(better, dist, P)

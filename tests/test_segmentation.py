@@ -256,10 +256,10 @@ class TestIdentifyKnees:
         report = identify_knees(series, PipelineParams(cac_window=0))
         assert report.onset_cycle < report.knee_cycle
 
-    @pytest.mark.parametrize("cac_window", [-1, -5])
+    @pytest.mark.parametrize("cac_window", [-1, -5, 1])
     def test_negative_cac_window_rejected(self, cac_window):
         series, _ = self.pinned_series()
-        with pytest.raises(DegenerateWindow, match=f"cac_window must be >= 0, got {cac_window}"):
+        with pytest.raises(DegenerateWindow, match=f"cac_window must be 0 or >= 2, got {cac_window}"):
             identify_knees(series, PipelineParams(cac_window=cac_window))
 
 
