@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -65,11 +64,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _report_json(report: KneeReport, params: PipelineParams) -> str:
@@ -110,14 +112,7 @@ def _resolve_params(args, config: dict) -> PipelineParams:
                 raise InputError(
                     f"config key {key}: expected {cast.__name__}, got {config[key]!r}"
                 ) from None
-    params = PipelineParams(**kwargs)
-    if params.max_iter < 1:
-        raise InputError(f"config key max_iter: must be >= 1, got {params.max_iter}")
-    if not 0 < params.eol_threshold < 1:
-        raise InputError(f"eol_threshold: must be in (0, 1), got {params.eol_threshold}")
-    if not 0 < params.gamma < math.inf:
-        raise InputError(f"gamma: must be positive and finite, got {params.gamma}")
-    return params
+    return PipelineParams(**kwargs)
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -149,20 +144,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--q-nom", type=float, default=None)
     p.add_argument("--cell-id", default=None)
     p.add_argument("--gamma", dest="gamma", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     _add_pipeline_flags(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("batch", help="identify a directory of capacity CSVs")
     p.add_argument("--dir", required=True)
     p.add_argument("--methods", default="curvature,baconwatts")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     _add_pipeline_flags(p)
     p.add_argument("--out", required=True, help="table .csv path or report directory")
 
     p = sub.add_parser("synth", help="generate synthetic capacity curves")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
     p.add_argument("--n-cycles", type=int, default=2000,
                    help="fleet curve length (ignored with --convex)")
     p.add_argument("--convex", action="store_true")
@@ -177,7 +172,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the knee-onset predictor")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--n-trees", type=_positive_int, default=None)
+    p.add_argument("--n-trees", type=_int_at_least(1), default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--min-leaf", type=int, default=None)
@@ -191,8 +186,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sensitivity", help="cycle-budget sensitivity sweep")
     p.add_argument("--dir", required=True)
     p.add_argument("--budgets", default="15:35")
-    p.add_argument("--repeats", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--repeats", type=_int_at_least(1), default=5)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
     p.add_argument("--out", required=True)
 
     return parser
@@ -340,10 +335,13 @@ def _load_features(args, config: dict):
 
 
 def _feature_rows(ids, cells, budget: int) -> list:
-    return [
-        (cell_id, *extract_features(records, budget=budget).as_array())
-        for cell_id, records in zip(ids, cells)
-    ]
+    rows = []
+    for cell_id, records in zip(ids, cells):
+        try:
+            rows.append((cell_id, *extract_features(records, budget=budget).as_array()))
+        except KneeScoutError as exc:
+            raise type(exc)(f"cell {cell_id}: {exc}") from None
+    return rows
 
 
 def _write_features(args, inputs, rows) -> None:

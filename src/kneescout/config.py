@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidHyperparameter
+from .errors import (DegenerateWindow, EvenWindow, IndexOutOfRange, InputError,
+                     InvalidHyperparameter, OrderTooHigh, WindowTooLarge)
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,18 @@ class GBRTHyper:
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Knobs of the identification pipeline.
+    """Knobs of the identification pipeline, each checked on construction.
 
-    ``curv_window`` defaults to 3 cycles. ``cac_window`` is the window of
-    the one matrix profile that segmentation runs on, 3 cycles by default;
-    0 selects one fifth of the curvature length, and a negative value is
-    rejected.
-    ``exclusion_radius`` is the REA masking half-width in cycles and also
-    the width of the edge band excluded from boundary selection.
+    - ``sg_window``, ``curv_window``: odd (else EvenWindow) and >= 3 (else
+      WindowTooLarge). ``prepare`` clips ``sg_window`` to the curve length.
+    - ``sg_order``: 0 <= ``sg_order`` < ``sg_window``, else OrderTooHigh.
+    - ``cac_window``: the window of the one matrix profile that segmentation
+      runs on, >= 2; 0 selects one fifth of the curvature length. A negative
+      value or 1 is DegenerateWindow.
+    - ``exclusion_radius``: the REA masking half-width in cycles and the edge
+      band excluded from boundary selection, >= 0, else IndexOutOfRange.
+    - ``eol_threshold`` in (0, 1), ``gamma`` positive and finite, ``max_iter``
+      >= 1: else InputError.
     """
 
     sg_window: int = 21
@@ -58,6 +63,27 @@ class PipelineParams:
     eol_threshold: float = 0.8
     gamma: float = 10.0
     max_iter: int = 1000
+
+    def __post_init__(self):
+        for name in ("sg_window", "curv_window"):
+            window = getattr(self, name)
+            if window < 3:
+                raise WindowTooLarge(f"{name} must be >= 3, got {window}")
+            if window % 2 == 0:
+                raise EvenWindow(f"{name} must be odd, got {window}")
+        if not 0 <= self.sg_order < self.sg_window:
+            raise OrderTooHigh(f"sg_order {self.sg_order} must satisfy"
+                               f" 0 <= sg_order < sg_window {self.sg_window}")
+        if self.cac_window < 0 or self.cac_window == 1:
+            raise DegenerateWindow(f"cac_window must be 0 or >= 2, got {self.cac_window}")
+        if self.exclusion_radius < 0:
+            raise IndexOutOfRange(f"exclusion_radius must be >= 0, got {self.exclusion_radius}")
+        if not 0 < self.eol_threshold < 1:
+            raise InputError(f"eol_threshold: must be in (0, 1), got {self.eol_threshold}")
+        if not 0 < self.gamma < math.inf:
+            raise InputError(f"gamma: must be positive and finite, got {self.gamma}")
+        if self.max_iter < 1:
+            raise InputError(f"max_iter: must be >= 1, got {self.max_iter}")
 
 
 DEFAULT_PARAMS = PipelineParams()

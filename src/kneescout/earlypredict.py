@@ -94,9 +94,10 @@ class FeatureVector:
     q_max_minus_2: float
 
     def __post_init__(self):
-        vals = self.as_array()
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteFeature(f"non-finite feature in {vals!r}")
+        bad = [f"{name}={value}" for name, value in zip(FEATURE_NAMES, self.as_array().tolist())
+               if not math.isfinite(value)]
+        if bad:
+            raise NonFiniteFeature(f"non-finite feature: {', '.join(bad)}")
         if self.var_dq < 0:
             raise NonFiniteFeature(f"negative variance {self.var_dq!r}")
 

@@ -16,14 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import PipelineParams, DEFAULT_PARAMS
-from .errors import (
-    DegenerateWindow,
-    EvenWindow,
-    IndexOutOfRange,
-    InsufficientUnmaskedRegion,
-    TooShort,
-    WindowTooLarge,
-)
+from .errors import IndexOutOfRange, InsufficientUnmaskedRegion, TooShort
 from .ingest import CapacityFadeSeries, NormalizedSeries, find_eol, normalize, resample_even
 from .matrixprofile import stamp
 from .preprocess import approximate_curvature, clip_window, savgol_smooth
@@ -115,18 +108,13 @@ def prepare(
     Returns the resampled series, the smoothed series, the Savitzky-Golay
     window after clipping to the series length, and the EoL cycle, read
     off the smoothed curve so a single noisy sample cannot trigger it. A
-    window below 3 is WindowTooLarge and an even one EvenWindow, as in
-    ``savgol_smooth``; a series so short that the clipped window cannot
-    exceed ``sg_order`` is TooShort.
+    series so short that the clipped window cannot exceed ``sg_order`` is
+    TooShort.
     """
-    if params.sg_window < 3:
-        raise WindowTooLarge(f"sg_window must be >= 3, got {params.sg_window}")
-    if params.sg_window % 2 == 0:
-        raise EvenWindow(f"sg_window must be odd, got {params.sg_window}")
     series = resample_even(series)
     normalized = normalize(series)
     sg_window = clip_window(params.sg_window, len(normalized))
-    if sg_window <= params.sg_order and len(normalized) < params.sg_window:
+    if sg_window <= params.sg_order:
         raise TooShort(
             f"{len(normalized)} cycles leave a smoothing window of {sg_window},"
             f" which must exceed sg_order {params.sg_order}"
@@ -145,12 +133,9 @@ def identify_knees(
     regime boundaries. Boundary positions are mapped back to cycle numbers
     by adding the curvature index offset and the half-width of the
     matrix-profile window. An edge band of one exclusion radius at each end
-    of the CAC is never selected. A ``cac_window`` that is negative or 1 is
-    DegenerateWindow, and a curvature series too short for the
+    of the CAC is never selected. A curvature series too short for the
     matrix-profile window is ``stamp``'s SeriesTooShort.
     """
-    if params.cac_window < 0 or params.cac_window == 1:
-        raise DegenerateWindow(f"cac_window must be 0 or >= 2, got {params.cac_window}")
     _, smoothed, sg_window, eol = prepare(series, params)
     curvature = approximate_curvature(smoothed, ws=params.curv_window)
 

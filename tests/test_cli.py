@@ -182,11 +182,14 @@ class TestBaconWatts:
 
     @pytest.mark.parametrize("max_iter", ["0", "-4"])
     def test_max_iter_below_one_is_usage_error(self, synth_dir, tmp_path, capsys, max_iter):
+        # the flag and the config key share PipelineParams' check and message
         src = sorted(synth_dir.glob("fleet-*.csv"))[0]
         out = tmp_path / "bw.json"
-        assert run_cli("baconwatts", "--input", str(src), "--max-iter", max_iter,
-                       "--out", str(out)) == 1
-        assert "--max-iter: must be >= 1" in capsys.readouterr().err
+        assert run_cli("--json-errors", "baconwatts", "--input", str(src),
+                       "--max-iter", max_iter, "--out", str(out)) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["error"], payload["exit_code"]) == ("InputError", 1)
+        assert payload["message"] == f"max_iter: must be >= 1, got {max_iter}"
         assert not out.exists()
 
 
@@ -690,6 +693,27 @@ class TestEntryPoint:
         assert "knee-scout" in proc.stdout
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestQuickStart:
+    def test_readme_block_runs(self, tmp_path):
+        # the README's quick-start block as written, in bash, with knee-scout
+        # run as `python -m kneescout` on this interpreter
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        script = ('set -e\npython() { "$KS_PYTHON" "$@"; }\n'
+                  'knee-scout() { python -m kneescout "$@"; }\n' + block)
+        env = {**os.environ, "KS_PYTHON": sys.executable, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(["bash", "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("report.json", "baseline.json", "report/table.csv", "features.csv",
+                     "labels.csv", "model.json", "preds.csv", "sweep.csv"):
+            assert (tmp_path / name).is_file(), name
+
+
 CAPACITY_CSV = "cycle,discharge_capacity_ah\n" + "".join(
     f"{i},{1.1 - 0.001 * i}\n" for i in range(1, 61)
 )
@@ -928,7 +952,7 @@ class TestRejectedValues:
     @pytest.mark.parametrize("value", ["-5", "1"])
     def test_identify_negative_cac_window_flag(self, synth_dir, tmp_path, capsys, value):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 2, "identify", "--input",
+        payload = self.json_error(capsys, 1, "identify", "--input",
                                   str(synth_dir / "fleet-5-000.csv"),
                                   "--cac-window", value, "--out", str(out))
         assert payload["error"] == "DegenerateWindow"
@@ -938,14 +962,14 @@ class TestRejectedValues:
     def test_identify_negative_cac_window_config_key(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "knee.cfg"
         cfg.write_text("cac_window = -5\n")
-        payload = self.json_error(capsys, 2, "--config", str(cfg), "identify", "--input",
+        payload = self.json_error(capsys, 1, "--config", str(cfg), "identify", "--input",
                                   str(synth_dir / "fleet-5-000.csv"),
                                   "--out", str(tmp_path / "r.json"))
         assert payload["error"] == "DegenerateWindow"
 
     def test_identify_negative_exclusion(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 2, "identify", "--input",
+        payload = self.json_error(capsys, 1, "identify", "--input",
                                   str(synth_dir / "fleet-5-000.csv"),
                                   "--exclusion", "-1", "--out", str(out))
         assert payload["error"] == "IndexOutOfRange"
@@ -979,7 +1003,7 @@ class TestRejectedValues:
     def test_identify_sg_window_savgol_rejects(self, synth_dir, tmp_path, capsys,
                                                flags, error):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 2, "identify", "--input",
+        payload = self.json_error(capsys, 1, "identify", "--input",
                                   str(synth_dir / "fleet-5-000.csv"), *flags,
                                   "--out", str(out))
         assert payload["error"] == error
@@ -994,11 +1018,11 @@ class TestRejectedValues:
     def test_identify_curv_window_rejects(self, synth_dir, tmp_path, capsys, window,
                                           error):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 2, "identify", "--input",
+        payload = self.json_error(capsys, 1, "identify", "--input",
                                   str(synth_dir / "fleet-5-000.csv"),
                                   "--curv-window", window, "--out", str(out))
         assert payload["error"] == error
-        assert "ws must be" in payload["message"]
+        assert "curv_window must be" in payload["message"]
         assert not out.exists()
 
     def scaled_capacity_csv(self, synth_dir, tmp_path, factor):
@@ -1090,7 +1114,36 @@ class TestRejectedValues:
         payload = self.json_error(capsys, 2, "features", "--cycles", str(cycles),
                                   "--out", str(out))
         assert payload["error"] == "NonFiniteFeature"
+        bad = "var_dq=inf, skew_dq=nan, kurt_dq=nan" if scale > 1e300 else "skew_dq=nan, kurt_dq=nan"
+        assert payload["message"] == f"cell big: non-finite feature: {bad}"
         assert not out.exists()
+
+    def test_features_missing_cycle_names_the_cell(self, synth_dir, tmp_path, capsys):
+        for name in ("fleet-5-000.cycles.csv", "fleet-5-001.cycles.csv"):
+            lines = (synth_dir / name).read_text().splitlines(keepends=True)
+            if name.startswith("fleet-5-001"):  # the second cell lacks cycle 10
+                lines = [ln for ln in lines if not ln.startswith("10,")]
+            (tmp_path / name).write_text("".join(lines))
+        out = tmp_path / "f.csv"
+        payload = self.json_error(capsys, 2, "features", "--cycles", str(tmp_path),
+                                  "--out", str(out))
+        assert payload["error"] == "MissingCycle"
+        assert payload["message"] == "cell fleet-5-001: cycle 10 not present"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("synth", ("--count", "2", "--seed", "-1")),
+        ("synth", ("--convex", "--count", "2", "--seed", "-3")),
+        ("sensitivity", ("--budgets", "15", "--seed", "-1")),
+    ], ids=["synth", "synth-convex", "sensitivity"])
+    def test_negative_seed_is_usage_error(self, synth_dir, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        where = ("--out-dir", str(out)) if command == "synth" else (
+            "--dir", str(synth_dir), "--out", str(out))
+        payload = self.json_error(capsys, 1, command, *flags, *where)
+        assert payload["error"] == "UsageError"
+        assert f"argument --seed: must be >= 0, got {flags[-1]}" in payload["message"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["identify", "baconwatts"])
     def test_smoothing_that_overflows(self, tmp_path, capsys, command):
@@ -1103,3 +1156,52 @@ class TestRejectedValues:
         assert payload["error"] == "SmoothingOverflow"
         assert "the smoothed series overflows" in payload["message"]
         assert not out.exists()
+
+
+# each window, order and exclusion value that PipelineParams rejects, and its class
+INVALID_PARAMS = [
+    ("sg_window", "0", "WindowTooLarge"), ("sg_window", "1", "WindowTooLarge"),
+    ("sg_window", "-7", "WindowTooLarge"), ("sg_window", "4", "EvenWindow"),
+    ("sg_order", "-1", "OrderTooHigh"), ("sg_order", "21", "OrderTooHigh"),
+    ("curv_window", "1", "WindowTooLarge"), ("curv_window", "-1", "WindowTooLarge"),
+    ("curv_window", "4", "EvenWindow"),
+    ("cac_window", "-5", "DegenerateWindow"), ("cac_window", "1", "DegenerateWindow"),
+    ("exclusion_radius", "-1", "IndexOutOfRange"),
+]
+FLAGS = {"sg_window": "--sg-window", "sg_order": "--sg-order", "curv_window": "--curv-window",
+         "cac_window": "--cac-window", "exclusion_radius": "--exclusion"}
+
+
+class TestInvalidParamsAtLoad:
+    """Every command that reads PipelineParams rejects a bad value at load, exit 1,
+    whether it uses that parameter or not."""
+
+    @pytest.mark.parametrize("key, value, error", INVALID_PARAMS)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["identify", "baconwatts", "batch"])
+    def test_exits_1_and_writes_nothing(self, synth_dir, tmp_path, capsys, command, source,
+                                        key, value, error):
+        if command == "batch":
+            argv = [command, "--dir", str(synth_dir), "--methods", "baconwatts"]
+        else:
+            argv = [command, "--input", str(synth_dir / "fleet-5-000.csv")]
+        if source == "flag":
+            argv += [FLAGS[key], value]
+        else:
+            (tmp_path / "knee.cfg").write_text(f"{key} = {value}\n")
+            argv = ["--config", str(tmp_path / "knee.cfg"), *argv]
+        out = tmp_path / ("t.csv" if command == "batch" else "r.json")
+        assert run_cli("--json-errors", *argv, "--out", str(out)) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["error"], payload["exit_code"]) == (error, 1)
+        assert f"{key} " in payload["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ([] if source == "flag" else ["knee.cfg"])
+
+    def test_checked_before_the_input_is_read(self, tmp_path, capsys):
+        assert run_cli("--json-errors", "baconwatts", "--input", str(tmp_path / "absent.csv"),
+                       "--exclusion", "-1", "--cac-window", "-5", "--curv-window", "4",
+                       "--out", str(tmp_path / "r.json")) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["error"], payload["message"]) == ("EvenWindow",
+                                                          "curv_window must be odd, got 4")
+        assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kneescout.config import PipelineParams
@@ -9,15 +9,17 @@ from kneescout.errors import (
     DegenerateWindow,
     EvenWindow,
     IndexOutOfRange,
+    InputError,
     InsufficientUnmaskedRegion,
     OrderTooHigh,
+    SeriesTooShort,
     TooShort,
     WindowTooLarge,
 )
 from kneescout.ingest import CapacityFadeSeries, find_eol, normalize, resample_even
 from kneescout.preprocess import savgol_smooth
 from kneescout.segmentation import arc_curve, compute_arc_curves, identify_knees, prepare, rea
-from kneescout.synthgen import SyntheticSpec, generate
+from kneescout.synthgen import SyntheticSpec, generate, generate_fleet
 
 
 def crossing_count_oracle(index):
@@ -301,3 +303,60 @@ class TestPrepare:
     def test_order_not_below_window_stays_order_too_high(self):
         with pytest.raises(OrderTooHigh):
             prepare(self.cell(100), PipelineParams(sg_window=5, sg_order=5))
+
+
+# odd windows of 3 and more construct; the integers add the invalid ones
+WINDOWS = st.one_of(st.integers(1, 100).map(lambda k: 2 * k + 1), st.integers(-3, 400))
+FLEET_CELL = generate_fleet(1, seed=3, n_cycles=300)[0][0]
+
+
+class TestPipelineParams:
+    @pytest.mark.parametrize("bad, error, message", [
+        (dict(sg_window=1), WindowTooLarge, "sg_window must be >= 3, got 1"),
+        (dict(sg_window=22), EvenWindow, "sg_window must be odd, got 22"),
+        (dict(curv_window=-1), WindowTooLarge, "curv_window must be >= 3, got -1"),
+        (dict(curv_window=4), EvenWindow, "curv_window must be odd, got 4"),
+        (dict(sg_order=-1), OrderTooHigh,
+         "sg_order -1 must satisfy 0 <= sg_order < sg_window 21"),
+        (dict(sg_window=5, sg_order=5), OrderTooHigh,
+         "sg_order 5 must satisfy 0 <= sg_order < sg_window 5"),
+        (dict(cac_window=-5), DegenerateWindow, "cac_window must be 0 or >= 2, got -5"),
+        (dict(cac_window=1), DegenerateWindow, "cac_window must be 0 or >= 2, got 1"),
+        (dict(exclusion_radius=-1), IndexOutOfRange, "exclusion_radius must be >= 0, got -1"),
+        (dict(eol_threshold=1.0), InputError, "eol_threshold: must be in (0, 1), got 1.0"),
+        (dict(eol_threshold=float("nan")), InputError,
+         "eol_threshold: must be in (0, 1), got nan"),
+        (dict(gamma=0.0), InputError, "gamma: must be positive and finite, got 0.0"),
+        (dict(gamma=float("inf")), InputError, "gamma: must be positive and finite, got inf"),
+        (dict(max_iter=0), InputError, "max_iter: must be >= 1, got 0"),
+    ])
+    def test_each_invalid_field_raises_its_class(self, bad, error, message):
+        with pytest.raises(InputError) as info:
+            PipelineParams(**bad)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize("valid", [
+        dict(sg_window=3, sg_order=0), dict(sg_window=3, sg_order=2), dict(curv_window=3),
+        dict(cac_window=0), dict(cac_window=2), dict(exclusion_radius=0),
+        dict(eol_threshold=0.999), dict(gamma=1e-300), dict(max_iter=1),
+    ])
+    def test_boundary_values_construct(self, valid):
+        params = PipelineParams(**valid)
+        assert {key: getattr(params, key) for key in valid} == valid
+
+    @settings(max_examples=200, deadline=None)
+    @given(sg_window=WINDOWS, sg_order=st.integers(-1, 12), curv_window=WINDOWS,
+           cac_window=st.integers(-2, 100), exclusion_radius=st.integers(-2, 200),
+           eol_threshold=st.floats(0, 1))
+    def test_constructed_params_fail_only_on_the_data(self, **kw):
+        # a fixed 300-cycle fleet cell: only errors that depend on its
+        # length may remain once the parameters construct
+        try:
+            params = PipelineParams(**kw)
+        except InputError:
+            assume(False)
+        try:
+            identify_knees(FLEET_CELL, params)
+        except (TooShort, SeriesTooShort, InsufficientUnmaskedRegion):
+            pass
+
