@@ -108,8 +108,10 @@ def lm_optimize(
     Overflow raises no RuntimeWarning inside the fit.
 
     ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
-    ``residuals`` at ``p``; the LM iterates depend on its bits. By default
-    it is ``_central_jacobian``'s column-by-column central difference.
+    ``residuals`` at ``p``; the LM iterates depend on its bits. It may
+    return the same array on every call, overwritten: each Jacobian is read
+    only before the next call. By default it is ``_central_jacobian``'s
+    column-by-column central difference.
     """
     if jacobian is None:
         jacobian = partial(_central_jacobian, residuals)
@@ -130,23 +132,24 @@ def lm_optimize(
     for n_iter in range(1, max_iter + 1):
         J = jacobian(p)
         JtJ = J.T @ J
-        Jtr = J.T @ r
-        diag = np.diag(JtJ).copy()
+        neg_Jtr = -(J.T @ r)
+        diag = JtJ.diagonal().copy()
         diag[diag <= 0.0] = 1e-12
+        D = np.diag(diag)
 
         step = None
         while True:
             try:
-                step = np.linalg.solve(JtJ + lam * np.diag(diag), -Jtr)
+                step = np.linalg.solve(JtJ + lam * D, neg_Jtr)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and np.all(np.isfinite(step)):
                 trial = p + step
                 r_trial = np.asarray(residuals(trial), dtype=np.float64)
-                if np.all(np.isfinite(r_trial)):
-                    cost_trial = float(r_trial @ r_trial)
-                    if cost_trial <= cost:  # cost is finite, so inf fails
-                        break
+                cost_trial = float(r_trial @ r_trial)
+                # cost is finite, so a non-finite residual (cost inf or NaN) fails
+                if cost_trial <= cost:
+                    break
             lam *= 10.0
             if lam > 1e12:
                 raise SingularNormalEquations(
@@ -206,7 +209,17 @@ def _dbw_residuals(x, y, gamma):
     the 12 perturbed residuals ``((a0 + T1) + T2) + T3 - y``, the operation
     order of ``dbw_model``, into one ``(2, 6, n)`` array: up then down, one
     row per moved parameter.
+
+    Its working arrays are allocated once here and filled with ``out=``
+    ufuncs on every call, so ``jacobian`` returns the same ``(n, 6)`` array
+    each time, overwritten.
     """
+    n = len(x)
+    d0, d2 = np.empty((3, n)), np.empty((3, n))  # base, x0 or x2 up, down
+    tanh0, tanh2 = np.empty((3, n)), np.empty((3, n))
+    t1, t2, t3, a0_t1, a0_t12 = np.empty((5, n))
+    r = np.empty((2, 6, n))
+    J = np.empty((n, 6))
 
     def residuals(free):
         return dbw_model(x, DBWParams.from_array(free, gamma)) - y
@@ -215,27 +228,48 @@ def _dbw_residuals(x, y, gamma):
         a0, a1, a2, a3, x0, x2 = free
         h = _steps(free)
         up, down = free + h, free - h
-        d0 = x - np.array([[x0], [up[4]], [down[4]]])
-        d2 = x - np.array([[x2], [up[5]], [down[5]]])
-        tanh0 = np.tanh(d0 / gamma)
-        tanh2 = np.tanh(d2 / gamma)
-        t1 = a1 * d0[0]
-        t2 = a2 * d0[0] * tanh0[0]
-        t3 = a3 * d2[0] * tanh2[0]
-        a0_t1 = a0 + t1
-        a0_t12 = a0_t1 + t2
+        np.subtract(x, np.array([[x0], [up[4]], [down[4]]]), out=d0)
+        np.subtract(x, np.array([[x2], [up[5]], [down[5]]]), out=d2)
+        np.tanh(np.divide(d0, gamma, out=tanh0), out=tanh0)
+        np.tanh(np.divide(d2, gamma, out=tanh2), out=tanh2)
+        np.multiply(a1, d0[0], out=t1)
+        np.multiply(np.multiply(a2, d0[0], out=t2), tanh0[0], out=t2)
+        np.multiply(np.multiply(a3, d2[0], out=t3), tanh2[0], out=t3)
+        np.add(a0, t1, out=a0_t1)
+        np.add(a0_t1, t2, out=a0_t12)
         moved = np.stack([up, down])[:, :, None]  # moved[:, k]: p[k] up and down
 
-        r = np.empty((2, 6, len(x)))
-        r[:, 0] = moved[:, 0] + t1 + t2 + t3
-        r[:, 1] = a0 + moved[:, 1] * d0[0] + t2 + t3
-        r[:, 2] = a0_t1 + moved[:, 2] * d0[0] * tanh0[0] + t3
-        r[:, 3] = a0_t12 + moved[:, 3] * d2[0] * tanh2[0]
-        r[:, 4] = a0 + a1 * d0[1:] + a2 * d0[1:] * tanh0[1:] + t3
-        r[:, 5] = a0_t12 + a3 * d2[1:] * tanh2[1:]
-        r -= y
-        J = np.empty((len(x), 6))
-        np.divide(r[0] - r[1], 2.0 * h[:, None], out=J.T)
+        # Each row keeps dbw_model's grouping; a sum or product of two terms
+        # rounds the same in either order. Rows 4 and 5 form their moved tanh
+        # terms in place in the moved rows of d0 and d2, which nothing reads
+        # afterwards.
+        r0, r1, r2, r3, r4, r5 = r.transpose(1, 0, 2)
+        np.add(moved[:, 0], t1, out=r0)
+        r0 += t2
+        r0 += t3
+        np.multiply(moved[:, 1], d0[0], out=r1)
+        r1 += a0
+        r1 += t2
+        r1 += t3
+        np.multiply(moved[:, 2], d0[0], out=r2)
+        r2 *= tanh0[0]
+        r2 += a0_t1
+        r2 += t3
+        np.multiply(moved[:, 3], d2[0], out=r3)
+        r3 *= tanh2[0]
+        r3 += a0_t12
+        np.multiply(a1, d0[1:], out=r4)
+        r4 += a0
+        t2_moved, t3_moved = d0[1:], d2[1:]
+        t2_moved *= a2
+        t2_moved *= tanh0[1:]
+        r4 += t2_moved
+        r4 += t3
+        t3_moved *= a3
+        t3_moved *= tanh2[1:]
+        np.add(a0_t12, t3_moved, out=r5)
+        np.subtract(r, y, out=r)
+        np.divide(np.subtract(r[0], r[1], out=r[0]), 2.0 * h[:, None], out=J.T)
         return J
 
     return residuals, jacobian

@@ -25,6 +25,7 @@ from .earlypredict import (
     CYCLE_DETAIL_HEADER,
     FEATURES_HEADER,
     LABELS_HEADER,
+    MIN_BUDGET,
     PREDICTIONS_HEADER,
     SENSITIVITY_HEADER,
     GBRTModel,
@@ -166,7 +167,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("features", help="extract early-prediction features")
     p.add_argument("--cycles", required=True, help="cycle-detail CSV or directory")
-    p.add_argument("--budget", type=int, default=30)
+    p.add_argument("--budget", type=_int_at_least(MIN_BUDGET), default=30)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the knee-onset predictor")
@@ -397,10 +398,14 @@ def _parse_budgets(spec: str) -> range:
         raise UsageError(f"cannot parse --budgets {spec!r} (expected LO:HI)") from None
     if not budgets:
         raise UsageError(f"--budgets {spec!r} selects no budget")
+    if min(budgets) < MIN_BUDGET:
+        raise UsageError(f"--budgets {spec!r} selects budget {min(budgets)}:"
+                         f" every budget must be >= {MIN_BUDGET}")
     return budgets
 
 
 def _load_sensitivity(args, config: dict):
+    budgets = _parse_budgets(args.budgets)  # before any file is read
     cells, labels = [], []
     for path in _cycle_files(args.dir):
         truth_path = path.with_name(path.name.replace(".cycles.csv", ".truth.json"))
@@ -420,7 +425,7 @@ def _load_sensitivity(args, config: dict):
         labels.append(onset)
     if not cells:
         raise InputError(f"no labeled cycle data found in {args.dir}")
-    return cells, labels, _parse_budgets(args.budgets), args.repeats, args.seed
+    return cells, labels, budgets, args.repeats, args.seed
 
 
 def _write_sensitivity(args, inputs, table) -> None:

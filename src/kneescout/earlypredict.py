@@ -42,6 +42,8 @@ CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 LABELS_HEADER = ("cell_id", "onset_cycle")
 PREDICTIONS_HEADER = ("cell_id", "predicted_onset_cycle")
 SENSITIVITY_HEADER = ("budget", "mean_rmse", "mean_mape")
+# the smallest cycle budget: the capacity difference is taken against cycle 10
+MIN_BUDGET = 11
 
 # Knee-onset grading thresholds in cycles: early < 150, late > 270.
 CLASS_EDGES = (150.0, 270.0)
@@ -176,8 +178,10 @@ def _moments(x: np.ndarray) -> Tuple[float, float, float]:
 
 def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> FeatureVector:
     """Six-number feature vector from the first ``budget`` cycles."""
-    if budget < 11:
-        raise MissingCycle(f"budget {budget} < 11: capacity-difference anchor needs cycle 10")
+    if budget < MIN_BUDGET:
+        raise MissingCycle(
+            f"budget {budget} < {MIN_BUDGET}: capacity-difference anchor needs cycle 10"
+        )
     if 2 not in records:
         raise MissingCycle("cycle 2 not present")
     dq = delta_q(records, early=10, late=budget)

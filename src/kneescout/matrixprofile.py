@@ -41,7 +41,8 @@ FLAT_STD = 1e-12
 
 # Rows of the Gram matrix formed at a time; the working set is
 # _BLOCK_ROWS x (number of windows) floats, and the band mask
-# _BLOCK_ROWS x (_BLOCK_ROWS + 2 ceil(L/2)) booleans.
+# _BLOCK_ROWS x (_BLOCK_ROWS + 2 ceil(L/2)) booleans. Changing it can
+# change Gram bits, so it is part of stamp's bit contract.
 _BLOCK_ROWS = 64
 
 
@@ -86,12 +87,15 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     SeriesTooShort: some window would have no candidate. A non-finite value
     is DegenerateWindow, since its windows have no z-normalized distance.
 
-    Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows, and the
-    band is set to -inf only in the columns ``start - r .. stop + r`` around
-    the block, through a slice of one ``(_BLOCK_ROWS, _BLOCK_ROWS + 2r)``
-    mask (r = ceil(L/2)). The rows stay full because a column-sliced or
+    Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows in one
+    ``(_BLOCK_ROWS, n)`` buffer allocated once per call, and the band is set
+    to -inf only in the columns ``start - r .. stop + r`` around the block,
+    through a slice of one ``(_BLOCK_ROWS, _BLOCK_ROWS + 2r)`` mask
+    (r = ceil(L/2)). The rows stay full because a column-sliced or
     symmetric product can round differently under some BLAS builds, and a
-    changed bit can move an argmax tie.
+    changed bit can move an argmax tie. ``_BLOCK_ROWS`` is part of that
+    bit contract too: under OpenBLAS the Gram bits depend on the row count
+    of the product, so another block size changes them (see DECISIONS.md).
     """
     series = np.asarray(series, dtype=np.float64)
     M = len(series)
@@ -114,9 +118,10 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     band = (shift >= 0) & (shift <= 2 * radius)
     any_flat = bool(flat.any())
     I = np.empty(n, dtype=np.int64)
+    buf = np.empty((min(_BLOCK_ROWS, n), n))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        gram = Z[start:stop] @ Z.T
+        gram = np.matmul(Z[start:stop], Z.T, out=buf[: stop - start])
         if any_flat:
             gram[:, flat] = np.where(flat[start:stop, None], float(L), L / 2.0)
         lo, hi = max(start - radius, 0), min(stop + radius, n)

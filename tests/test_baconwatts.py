@@ -1,5 +1,6 @@
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kneescout import baconwatts
 from kneescout.baconwatts import (
     BaconWattsFit,
     DBWParams,
+    LMResult,
     _dbw_residuals,
     dbw_knee_report,
     dbw_model,
@@ -17,7 +19,12 @@ from kneescout.baconwatts import (
     lm_optimize,
     transition_cycles,
 )
-from kneescout.errors import FitDiverged, NonFiniteResidual, TooShort
+from kneescout.errors import (
+    FitDiverged,
+    NonFiniteResidual,
+    SingularNormalEquations,
+    TooShort,
+)
 from kneescout.ingest import CapacityFadeSeries, resample_even
 from kneescout.synthgen import generate_fleet
 
@@ -243,6 +250,98 @@ def fleet_free_vectors(draw):
     return free
 
 
+@np.errstate(over="ignore")
+def allocating_lm_optimize(residuals, init, tol=1e-10, max_iter=1000, *, jacobian=None):
+    """lm_optimize's loop as it was before it reused its working arrays,
+    kept verbatim (type annotations and docstring aside) as the reference.
+
+    It forms diag(diag) and -Jtr on every damping trial and checks each
+    trial residual with isfinite before taking its cost.
+    """
+    if jacobian is None:
+        jacobian = partial(baconwatts._central_jacobian, residuals)
+
+    p = np.asarray(init, dtype=np.float64).copy()
+    r = np.asarray(residuals(p), dtype=np.float64)
+    if not np.all(np.isfinite(r)):
+        raise NonFiniteResidual("residuals are not finite at the initial point")
+    cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise NonFiniteResidual("residual sum of squares overflows at the initial point")
+
+    lam = 1e-3
+    history = [cost]
+    n_iter = 0
+    converged = False
+
+    for n_iter in range(1, max_iter + 1):
+        J = jacobian(p)
+        JtJ = J.T @ J
+        Jtr = J.T @ r
+        diag = np.diag(JtJ).copy()
+        diag[diag <= 0.0] = 1e-12
+
+        step = None
+        while True:
+            try:
+                step = np.linalg.solve(JtJ + lam * np.diag(diag), -Jtr)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                trial = p + step
+                r_trial = np.asarray(residuals(trial), dtype=np.float64)
+                if np.all(np.isfinite(r_trial)):
+                    cost_trial = float(r_trial @ r_trial)
+                    if cost_trial <= cost:  # cost is finite, so inf fails
+                        break
+            lam *= 10.0
+            if lam > 1e12:
+                raise SingularNormalEquations(
+                    "no descent step found even at maximal damping"
+                )
+
+        rel_step = np.max(np.abs(step) / np.maximum(np.abs(p), 1.0))
+        rel_decrease = (cost - cost_trial) / max(cost, 1e-300)
+        p, r, cost = trial, r_trial, cost_trial
+        history.append(cost)
+        lam = max(lam / 10.0, 1e-12)
+        if rel_step < tol and rel_decrease < tol:
+            converged = True
+            break
+
+    return LMResult(
+        params=p,
+        residual_norm=math.sqrt(cost),
+        iterations=n_iter,
+        converged=converged,
+        cost_history=history,
+    )
+
+
+def recorded_fit(monkeypatch, series):
+    """fit_dbw on the resampled series, and its one lm_optimize call:
+    (fit, (residuals, init, keywords, result))."""
+    runs = []
+    real_lm = baconwatts.lm_optimize
+
+    def recording(residuals, init, **kw):
+        runs.append((residuals, init, kw, real_lm(residuals, init, **kw)))
+        return runs[-1][-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(baconwatts, "lm_optimize", recording)
+        fit = fit_dbw(resample_even(series))
+    [run] = runs
+    return fit, run
+
+
+def assert_same_run(result, reference):
+    assert result.cost_history == reference.cost_history
+    assert result.params.tobytes() == reference.params.tobytes()
+    assert result.iterations == reference.iterations
+    assert result.converged == reference.converged
+
+
 class TestStackedJacobian:
     @given(
         free=free_vectors,
@@ -305,17 +404,7 @@ class TestStackedJacobian:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_fits_match_reference_lm(self, monkeypatch, seed):
         for series, _ in generate_fleet(2, seed=seed, n_cycles=900):
-            runs = []
-            real_lm = baconwatts.lm_optimize
-
-            def recording(residuals, init, **kw):
-                runs.append((residuals, init, kw, real_lm(residuals, init, **kw)))
-                return runs[-1][-1]
-
-            with monkeypatch.context() as patch:
-                patch.setattr(baconwatts, "lm_optimize", recording)
-                fit = fit_dbw(resample_even(series))
-            [(residuals, init, kw, result)] = runs
+            fit, (residuals, init, kw, result) = recorded_fit(monkeypatch, series)
             kw.pop("jacobian")
             reference = reference_lm(residuals, init, **kw)
 
@@ -335,3 +424,56 @@ class TestStackedJacobian:
         series = synth_dbw_series(make_params(), n=200)
         with pytest.raises(FitDiverged, match="gamma must be positive and finite"):
             fit_dbw(series, gamma=gamma)
+
+
+class TestLoopMatchesReference:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_fleet_fits(self, monkeypatch, seed):
+        for series, _ in generate_fleet(3, seed=seed, n_cycles=1200):
+            _, (residuals, init, kw, result) = recorded_fit(monkeypatch, series)
+            assert_same_run(result, allocating_lm_optimize(residuals, init, **kw))
+            assert result.iterations > 1
+
+    def test_trial_with_nan_residual(self):
+        # the undamped step from 1 lands at 50.5, where one residual is NaN
+        # though nothing overflows; the NaN cost fails cost_trial <= cost
+        nan_trials = []
+
+        def residuals(p):
+            if p[0] > 20.0:
+                nan_trials.append(p[0])
+            return np.array([p[0] ** 2 - 100.0, math.nan if p[0] > 20.0 else 0.0])
+
+        result = lm_optimize(residuals, np.array([1.0]))
+        seen = len(nan_trials)
+        assert seen > 0
+        assert_same_run(result, allocating_lm_optimize(residuals, np.array([1.0])))
+        assert len(nan_trials) == 2 * seen
+        assert result.converged
+        np.testing.assert_allclose(result.params, [10.0], atol=1e-8)
+
+    def test_reused_jacobian_at_two_points(self):
+        x = np.arange(100.0, 1300.0)
+        y = np.random.default_rng(4).uniform(0.8, 1.2, len(x))
+        residuals, jacobian = _dbw_residuals(x, y, 10.0)
+        first = np.array([1.0, -1e-4, -2e-4, -3e-4, 940.0, 1180.0])
+        second = np.array([0.9, 3e-5, -1e-3, 0.0, 1300.0, 1300.0])
+        J = jacobian(first)
+        assert np.array_equal(J, loop_jacobian(residuals, first, residuals(first)))
+        assert jacobian(second) is J  # the same array, overwritten
+        assert np.array_equal(J, loop_jacobian(residuals, second, residuals(second)))
+
+    def test_interleaved_instances(self):
+        rng = np.random.default_rng(8)
+        cells = []
+        for start, n, gamma in ((1, 300, 10.0), (-40, 2500, 3.5)):
+            x = np.arange(start, start + n, dtype=np.float64)
+            cells.append((x, *_dbw_residuals(x, rng.uniform(0.8, 1.2, n), gamma)))
+        for step in range(3):
+            for x, residuals, jacobian in cells:
+                span = x[-1] - x[0]
+                free = np.array([1.0, -1e-4, -1e-4 * step, 2e-4,
+                                 x[0] + 0.3 * step * span, x[0] + 0.9 * span])
+                J = jacobian(free)
+                expected = loop_jacobian(residuals, free, residuals(free))
+                assert np.array_equal(J.view(np.int64), expected.view(np.int64))

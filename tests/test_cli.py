@@ -949,6 +949,36 @@ class TestRejectedValues:
         assert "cannot parse --budgets 'a:b' (expected LO:HI)" in payload["message"]
         assert not out.exists()
 
+    # the directories do not exist, so exit 1 with a UsageError shows that
+    # the budget is rejected before any file is read
+    @pytest.mark.parametrize("command, flags, message", [
+        ("features", ("--cycles", "missing", "--budget", "5"),
+         "argument --budget: must be >= 11, got 5"),
+        ("features", ("--cycles", "missing", "--budget", "10"),
+         "argument --budget: must be >= 11, got 10"),
+        ("sensitivity", ("--dir", "missing", "--budgets", "5:6"),
+         "--budgets '5:6' selects budget 5: every budget must be >= 11"),
+        ("sensitivity", ("--dir", "missing", "--budgets", "18:6:-4"),
+         "--budgets '18:6:-4' selects budget 10: every budget must be >= 11"),
+    ], ids=["features-5", "features-10", "sensitivity-5:6", "sensitivity-descending"])
+    def test_budget_below_eleven_is_usage_error(self, tmp_path, capsys, command, flags,
+                                                message):
+        out = tmp_path / "out.csv"
+        argv = (command, *flags, "--out", str(out))
+        payload = self.json_error(capsys, 1, *argv)
+        assert payload["error"] == "UsageError"
+        assert message in payload["message"]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and not err.startswith("{")
+        assert not out.exists()
+
+    def test_budget_eleven_is_accepted(self, synth_dir, tmp_path):
+        out = tmp_path / "f.csv"
+        assert run_cli("features", "--cycles", str(synth_dir), "--budget", "11",
+                       "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 13
+
     @pytest.mark.parametrize("value", ["-5", "1"])
     def test_identify_negative_cac_window_flag(self, synth_dir, tmp_path, capsys, value):
         out = tmp_path / "r.json"
