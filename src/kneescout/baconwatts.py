@@ -210,9 +210,9 @@ def _dbw_residuals(x, y, gamma):
     order of ``dbw_model``, into one ``(2, 6, n)`` array: up then down, one
     row per moved parameter.
 
-    Its working arrays are allocated once here and filled with ``out=``
-    ufuncs on every call, so ``jacobian`` returns the same ``(n, 6)`` array
-    each time, overwritten.
+    Its working arrays are allocated once here and filled in place on every
+    call, so ``jacobian`` returns the same ``(n, 6)`` array each time,
+    overwritten.
     """
     n = len(x)
     d0, d2 = np.empty((3, n)), np.empty((3, n))  # base, x0 or x2 up, down
