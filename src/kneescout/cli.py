@@ -22,6 +22,7 @@ from . import __version__
 from .baconwatts import dbw_knee_report
 from .config import GBRTHyper, PipelineParams
 from .earlypredict import (
+    CLASS_EDGES,
     CYCLE_DETAIL_HEADER,
     FEATURES_HEADER,
     LABELS_HEADER,
@@ -33,9 +34,11 @@ from .earlypredict import (
     gbrt_predict,
     gbrt_train,
     load_cycle_detail_csv,
+    onset_class,
     sensitivity_sweep,
+    stratified_split,
 )
-from .errors import InputError, KneeScoutError
+from .errors import EmptyTrainingSet, InputError, KneeScoutError
 from .ingest import (
     CAPACITY_HEADER,
     check_cell_id,
@@ -406,7 +409,7 @@ def _parse_budgets(spec: str) -> range:
 
 def _load_sensitivity(args, config: dict):
     budgets = _parse_budgets(args.budgets)  # before any file is read
-    cells, labels = [], []
+    paths, labels = [], []
     for path in _cycle_files(args.dir):
         truth_path = path.with_name(path.name.replace(".cycles.csv", ".truth.json"))
         if not truth_path.exists():
@@ -421,10 +424,20 @@ def _load_sensitivity(args, config: dict):
             ) from None
         if onset is None:
             continue
-        cells.append(load_cycle_detail_csv(path))
+        paths.append(path)
         labels.append(onset)
-    if not cells:
+    if not labels:
         raise InputError(f"no labeled cycle data found in {args.dir}")
+    # split sizes do not depend on the seed, so one split checks every repeat
+    if len(stratified_split(labels)[1]) == 0:
+        sizes = np.bincount([onset_class(v) for v in labels], minlength=len(CLASS_EDGES) + 1)
+        raise EmptyTrainingSet(
+            f"{len(labels)} labelled cells leave no test cell: the onset classes"
+            f" (< {CLASS_EDGES[0]:g}, {CLASS_EDGES[0]:g}-{CLASS_EDGES[1]:g},"
+            f" > {CLASS_EDGES[1]:g} cycles) hold {', '.join(map(str, sizes))} cells,"
+            " and a class of k cells keeps k - ceil(0.8 k) for testing"
+        )
+    cells = [load_cycle_detail_csv(path) for path in paths]
     return cells, labels, budgets, args.repeats, args.seed
 
 

@@ -142,8 +142,9 @@ def delta_q(
         if cyc not in records:
             raise MissingCycle(f"cycle {cyc} not present")
     r_e, r_l = records[early], records[late]
-    lo = max(r_e.voltage_v.min(), r_l.voltage_v.min())
-    hi = min(r_e.voltage_v.max(), r_l.voltage_v.max())
+    # a CycleRecord's voltage strictly falls: its end samples are its min and max
+    lo = max(r_e.voltage_v[-1], r_l.voltage_v[-1])
+    hi = min(r_e.voltage_v[0], r_l.voltage_v[0])
     if lo >= hi:
         raise NoVoltageOverlap(
             f"cycles {early} and {late} share no voltage range ({lo:.3f} >= {hi:.3f})"
@@ -157,19 +158,26 @@ def delta_q(
 def _moments(x: np.ndarray) -> Tuple[float, float, float]:
     """Population variance, skewness, and non-excess kurtosis.
 
+    The third and fourth central moments are built from the squared
+    deviations by multiplication, not by array powers: products are exactly
+    rounded, so the bits do not depend on the CPU or the NumPy build. Each
+    mean is ``np.mean``'s arithmetic, one pairwise sum divided by the count.
+
     A constant input has zero variance; skewness and kurtosis are zero by
     convention in that case. Moments that overflow come back as inf or NaN,
     without a warning, for the caller's finiteness check; so do skewness and
     kurtosis when a power of a finite variance overflows.
     """
+    n = len(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = float(np.mean(x))
+        mu = float(np.add.reduce(x)) / n
         dev = x - mu
-        m2 = float(np.mean(dev * dev))
+        sq = dev * dev
+        m2 = float(np.add.reduce(sq)) / n
         if math.sqrt(m2) < 1e-12 * max(1.0, abs(mu)):
             return m2, 0.0, 0.0
-        m3 = float(np.mean(dev**3))
-        m4 = float(np.mean(dev**4))
+        m3 = float(np.add.reduce(sq * dev)) / n
+        m4 = float(np.add.reduce(sq * sq)) / n
     try:
         return m2, m3 / m2**1.5, m4 / m2**2
     except OverflowError:  # Python float powers raise where NumPy's give inf
@@ -191,7 +199,7 @@ def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> Featu
         rec.total_capacity_ah for cyc, rec in records.items() if cyc <= budget
     )
     return FeatureVector(
-        min_dq=float(np.min(dq)),
+        min_dq=float(dq.min()),
         var_dq=var,
         skew_dq=skew,
         kurt_dq=kurt,

@@ -599,6 +599,23 @@ class TestPredictionInputErrors:
                        "--out", str(tmp_path / "without.csv")) == 0
         assert (tmp_path / "null.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
+    def test_sensitivity_without_a_test_cell(self, tmp_path, capsys):
+        # onsets 220-317: no cell below 150, two in 150-270 and four above,
+        # and a class of k cells keeps k - ceil(0.8 k) cells for testing
+        d = tmp_path / "six"
+        assert run_cli("synth", "--count", "6", "--seed", "5", "--n-cycles", "600",
+                       "--with-cycle-data", "--out-dir", str(d)) == 0
+        out = tmp_path / "s.csv"
+        payload = self.json_error(capsys, "sensitivity", "--dir", str(d), "--budgets", "15:16",
+                                  "--repeats", "1", "--out", str(out))
+        assert payload["error"] == "EmptyTrainingSet"
+        assert payload["message"] == (
+            "6 labelled cells leave no test cell: the onset classes (< 150, 150-270,"
+            " > 270 cycles) hold 0, 2, 4 cells, and a class of k cells keeps"
+            " k - ceil(0.8 k) for testing"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--min-leaf", "0"), ("--max-depth", "-1"),
         ("--learning-rate", "0"), ("--learning-rate", "nan"),

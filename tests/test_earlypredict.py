@@ -5,7 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.stats
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kneescout.config import GBRTHyper
@@ -97,8 +98,30 @@ class TestDeltaQ:
             10: make_record(10, v_hi=3.5, v_lo=3.0),
             30: make_record(30, v_hi=2.9, v_lo=2.0),
         }
-        with pytest.raises(NoVoltageOverlap):
+        with pytest.raises(NoVoltageOverlap,
+                           match=r"^cycles 10 and 30 share no voltage range \(3\.000 >= 2\.900\)$"):
             delta_q(records)
+
+    @pytest.mark.parametrize("early, late", [
+        ((3.5, 2.0), (3.6, 2.1)),  # hi from early, lo from late
+        ((3.6, 2.1), (3.5, 2.0)),  # hi from late, lo from early
+        ((3.5, 2.1), (3.6, 2.0)),  # both from early
+        ((3.6, 2.0), (3.5, 2.1)),  # both from late
+    ])
+    def test_end_samples_are_the_overlap(self, early, late):
+        # uneven voltage steps, so the reductions scan real data
+        def record(cycle, v_hi, v_lo, n):
+            z = np.linspace(0.0, 1.0, n) ** 1.7
+            return CycleRecord(cycle, v_hi - (v_hi - v_lo) * z, 1.1 * z**0.8)
+
+        records = {10: record(10, *early, 61), 30: record(30, *late, 47)}
+        r_e, r_l = records[10], records[30]
+        lo = max(r_e.voltage_v.min(), r_l.voltage_v.min())
+        hi = min(r_e.voltage_v.max(), r_l.voltage_v.max())
+        grid = np.linspace(lo, hi, 1000)
+        expected = (np.interp(grid, r_l.voltage_v[::-1], r_l.q_ah[::-1])
+                    - np.interp(grid, r_e.voltage_v[::-1], r_e.q_ah[::-1]))
+        assert delta_q(records).tobytes() == expected.tobytes()
 
     def test_fixed_grid(self):
         # the grid size is no parameter; features are defined on 1000 points
@@ -132,6 +155,35 @@ class TestMoments:
         var, _, _ = _moments(x)
         assert var == pytest.approx(float(np.var(x)), rel=1e-9, abs=1e-12)
 
+    @staticmethod
+    def spread_out(x):
+        """True unless x is near enough constant to take the zero convention."""
+        return float(np.std(x)) > 1e-6 * max(1.0, abs(float(np.mean(x))))
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=1200))
+    @settings(max_examples=200, deadline=None)
+    def test_product_formula_bitwise(self, data):
+        # the third and fourth moments are products of the squared deviations,
+        # each mean np.mean's arithmetic; array powers differ in the last bits
+        # between CPUs and NumPy builds
+        x = np.asarray(data)
+        assume(self.spread_out(x))
+        dev = x - float(np.mean(x))
+        sq = dev * dev
+        m2, m3, m4 = (float(np.mean(p)) for p in (sq, sq * dev, sq * sq))
+        expected = (m2, m3 / m2**1.5, m4 / m2**2)
+        assert [v.hex() for v in _moments(x)] == [v.hex() for v in expected]
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=1200))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy(self, data):
+        x = np.asarray(data)
+        assume(self.spread_out(x))
+        _, skew, kurt = _moments(x)
+        assert skew == pytest.approx(scipy.stats.skew(x, bias=True), rel=1e-12)
+        assert kurt == pytest.approx(
+            scipy.stats.kurtosis(x, fisher=False, bias=True), rel=1e-12)
+
 
 class TestExtractFeatures:
     def fleet_records(self, onset=250, seed=0):
@@ -141,11 +193,8 @@ class TestExtractFeatures:
         records = self.fleet_records()
         feats = extract_features(records, budget=30)
         dq = delta_q(records, early=10, late=30)
-        assert feats.min_dq == pytest.approx(float(np.min(dq)))
-        var, skew, kurt = _moments(dq)
-        assert feats.var_dq == pytest.approx(var)
-        assert feats.skew_dq == pytest.approx(skew)
-        assert feats.kurt_dq == pytest.approx(kurt)
+        assert feats.min_dq == float(np.min(dq))
+        assert (feats.var_dq, feats.skew_dq, feats.kurt_dq) == _moments(dq)
 
     def test_q2_and_qmax_features(self):
         records = self.fleet_records()
