@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -355,14 +356,21 @@ def _write_features(args, inputs, rows) -> None:
 _HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
 
 
+def _check_onset(onset: float, where: str) -> float:
+    """``onset``, unless it is NaN or an infinity: then an InputError naming ``where``."""
+    if not math.isfinite(onset):
+        raise InputError(f"{where}: onset_cycle {onset} is not a finite number")
+    return onset
+
+
 def _load_training(args, config: dict):
     ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
-    label_ids, onsets, _ = read_csv(args.labels, LABELS_HEADER, ids=True)
+    label_ids, onsets, lines = read_csv(args.labels, LABELS_HEADER, ids=True)
     labels = {}
-    for cell_id, onset in zip(label_ids, onsets[:, 0].tolist()):
+    for cell_id, onset, line in zip(label_ids, onsets[:, 0].tolist(), lines.tolist()):
         if cell_id in labels:
             raise InputError(f"{args.labels}: cell {cell_id!r} is labelled more than once")
-        labels[cell_id] = onset
+        labels[cell_id] = _check_onset(onset, f"{args.labels}: line {line}")
     missing = [i for i in ids if i not in labels]
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")
@@ -425,7 +433,7 @@ def _load_sensitivity(args, config: dict):
         if onset is None:
             continue
         paths.append(path)
-        labels.append(onset)
+        labels.append(_check_onset(onset, truth_path))
     if not labels:
         raise InputError(f"no labeled cycle data found in {args.dir}")
     # split sizes do not depend on the seed, so one split checks every repeat

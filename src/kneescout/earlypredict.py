@@ -96,7 +96,7 @@ class FeatureVector:
     q_max_minus_2: float
 
     def __post_init__(self):
-        bad = [f"{name}={value}" for name, value in zip(FEATURE_NAMES, self.as_array().tolist())
+        bad = [f"{name}={value}" for name, value in vars(self).items()
                if not math.isfinite(value)]
         if bad:
             raise NonFiniteFeature(f"non-finite feature: {', '.join(bad)}")
@@ -195,9 +195,7 @@ def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> Featu
     dq = delta_q(records, early=10, late=budget)
     var, skew, kurt = _moments(dq)
     q2 = records[2].total_capacity_ah
-    q_max = max(
-        rec.total_capacity_ah for cyc, rec in records.items() if cyc <= budget
-    )
+    q_max = float(max(rec.q_ah[-1] for cyc, rec in records.items() if cyc <= budget))
     return FeatureVector(
         min_dq=float(dq.min()),
         var_dq=var,
@@ -336,15 +334,6 @@ def _check_tree(t: int, tree: List[TreeNode], n_features: int) -> None:
             )
 
 
-# split scores closer than this times the node's total sum of squares tie
-_TIE_ULPS = 64 * np.finfo(np.float64).eps
-
-
-def _split_sse(c1, c2, tot1, tot2, nl, nr):
-    """SSE of splitting a sorted node after its first ``nl`` rows."""
-    return (c2 - c1 ** 2 / nl) + ((tot2 - c2) - (tot1 - c1) ** 2 / nr)
-
-
 def _threshold(lower, upper) -> float:
     """The midpoint of two adjacent distinct values, or ``lower`` where it fails.
 
@@ -370,12 +359,11 @@ def _best_split(v, rs, counts, min_leaf):
     order wins: ties break toward the lower feature index, then the lower
     threshold (strict improvement required).
 
-    NumPy squares an array with a multiply but a scalar with libm ``pow``,
-    and the two may differ by one ulp. Every term of the SSE is at most the
-    node's total sum of squares, so the scores within ``tie`` of the
-    minimum are the candidates. A lone candidate is the table's first
-    minimum and wins as it is; two or more are re-scored from scalars, the
-    arithmetic the split is defined by.
+    With ``c1``, ``c2`` the left-hand sums of the residuals and their
+    squares, ``tot1``, ``tot2`` the node's, and ``d = tot1 - c1``, the cut
+    after the first ``nl`` rows scores ``(c2 - c1*c1/nl) + ((tot2 - c2) -
+    d*d/nr)``. Squares are products, never powers: products are exactly
+    rounded, so the table is the definition on any IEEE-754 machine.
     """
     n = v.shape[1]
     c1 = np.add.accumulate(rs, axis=1)
@@ -384,7 +372,8 @@ def _best_split(v, rs, counts, min_leaf):
     nl = counts[:n]
     nr = n - nl
     nr[-1] = 1.0  # the last cut leaves no row on the right; it is masked below
-    sse = _split_sse(c1, c2, c1[:, -1:], c2[:, -1:], nl, nr)
+    d = c1[:, -1:] - c1
+    sse = (c2 - c1 * c1 / nl) + ((c2[:, -1:] - c2) - d * d / nr)
     sse[:, n - min_leaf:] = np.inf
     sse[:, :min_leaf - 1] = np.inf
     # in the flat table, the one pair of values from two features sits on a
@@ -395,18 +384,8 @@ def _best_split(v, rs, counts, min_leaf):
     first = int(sse.argmin())
     if sse[first] == np.inf:
         return None
-    tie = _TIE_ULPS * max(c2[:, -1].tolist())
-    near = (sse <= sse[first] + tie).nonzero()[0]
-    if len(near) == 1:
-        f, k = divmod(first, n)
-        return f, _threshold(v[f, k], v[f, k + 1])
-    best = None
-    for i in near.tolist():
-        f, k = divmod(i, n)
-        score = _split_sse(c1[f, k], c2[f, k], c1[f, -1], c2[f, -1], k + 1, n - k - 1)
-        if best is None or score < best[2]:
-            best = (f, _threshold(v[f, k], v[f, k + 1]), score)
-    return best[:2]
+    f, k = divmod(first, n)
+    return f, _threshold(v[f, k], v[f, k + 1])
 
 
 def _fit_tree(

@@ -549,6 +549,14 @@ class TestPredictionInputErrors:
         assert payload["error"] == "InputError"
         assert "'b'" in payload["message"] and "more than once" in payload["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_train_non_finite_label(self, tmp_path, capsys, value):
+        labels = f"cell_id,onset_cycle\na,100\nb,{value}\nc,300\n"
+        payload = self.train(capsys, tmp_path, labels)
+        assert payload["error"] == "InputError"
+        assert payload["message"] == (
+            f"{tmp_path / 'labels.csv'}: line 3: onset_cycle {float(value)} is not a finite number")
+
     def test_train_labels_lack_a_cell(self, tmp_path, capsys):
         payload = self.train(capsys, tmp_path, "cell_id,onset_cycle\na,100\nb,200\n")
         assert payload["error"] == "InputError"
@@ -582,6 +590,22 @@ class TestPredictionInputErrors:
         payload = self.json_error(capsys, "sensitivity", "--dir", str(d), "--out", str(out))
         assert payload["error"] == "InputError"
         assert message in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_sensitivity_non_finite_label(self, synth_dir, tmp_path, capsys, value):
+        # a NaN onset that fell in the test split would make the sweep write "20,nan,nan"
+        names = [p.name for p in sorted(synth_dir.glob("*.cycles.csv"))
+                 + sorted(synth_dir.glob("*.truth.json"))]
+        d = self.sweep_dir(synth_dir, tmp_path, names)
+        truth = d / "fleet-5-003.truth.json"
+        truth.write_text('{"cell_id": "fleet-5-003", "ground_truth": {"onset_cycle": %s}}' % value)
+        out = tmp_path / "s.csv"
+        payload = self.json_error(capsys, "sensitivity", "--dir", str(d), "--budgets", "20",
+                                  "--repeats", "1", "--out", str(out))
+        assert payload["error"] == "InputError"
+        assert payload["message"] == (
+            f"{truth}: onset_cycle {json.loads(value)} is not a finite number")
         assert not out.exists()
 
     def test_sensitivity_skips_a_cell_without_ground_truth(self, synth_dir, tmp_path):

@@ -390,9 +390,8 @@ def _reference_best_split(X, r, idx, min_leaf):
                 continue
             nl = k + 1
             nr = n - nl
-            sse = (c2[k] - c1[k] ** 2 / nl) + (
-                (tot2 - c2[k]) - (tot1 - c1[k]) ** 2 / nr
-            )
+            d = tot1 - c1[k]
+            sse = (c2[k] - c1[k] * c1[k] / nl) + ((tot2 - c2[k]) - d * d / nr)
             if best is None or sse < best[2]:
                 # a midpoint that rounds up to v[k + 1] or overflows splits at v[k]
                 mid = (v[k] + v[k + 1]) / 2.0
@@ -503,18 +502,19 @@ class TestGbrtMatchesScalarReference:
         probe = np.vstack([X, X[::-1] + 0.05])
         assert np.array_equal(gbrt_predict(model, probe), reference_predict(ref, probe))
 
-    def test_pow_rounding_near_tie(self):
+    def test_split_scores_square_by_products(self):
         # both features split the seven rows 4 | 3, summed in different
-        # orders; NumPy squares arrays by multiplying and scalars with
-        # libm pow, and with glibc the multiply picks feature 1 here while
-        # the reference picks feature 0
+        # orders; squared by products the scores pick feature 1, where
+        # libm pow on the scalar sums would pick feature 0
         X = np.array([[3.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, 3.0],
                       [4.0, 4.0], [6.0, 5.0], [5.0, 6.0]])
         y = np.array([-2852.6219027560874, -1012.846232942019, -325.5934478097083,
                       -2557.4454935283334, 670.0666199277154, -258.3067837957847,
                       1248.7462490105406])
         hyper = GBRTHyper(n_trees=1, max_depth=1, min_leaf=1)
-        assert gbrt_train(X, y, hyper).to_json() == reference_train(X, y, hyper).to_json()
+        model = gbrt_train(X, y, hyper)
+        assert model.trees[0][0].feature == 1
+        assert model.to_json() == reference_train(X, y, hyper).to_json()
 
     @pytest.mark.parametrize("a, b", [
         (3.9999999999999996, 4.0),  # adjacent floats: the midpoint rounds up to b
