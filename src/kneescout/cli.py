@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -23,7 +22,6 @@ from . import __version__
 from .baconwatts import dbw_knee_report
 from .config import GBRTHyper, PipelineParams
 from .earlypredict import (
-    CLASS_EDGES,
     CYCLE_DETAIL_HEADER,
     FEATURES_HEADER,
     LABELS_HEADER,
@@ -31,15 +29,14 @@ from .earlypredict import (
     PREDICTIONS_HEADER,
     SENSITIVITY_HEADER,
     GBRTModel,
-    extract_features,
+    check_test_split,
+    feature_matrix,
     gbrt_predict,
     gbrt_train,
     load_cycle_detail_csv,
-    onset_class,
     sensitivity_sweep,
-    stratified_split,
 )
-from .errors import EmptyTrainingSet, InputError, KneeScoutError
+from .errors import InputError, KneeScoutError
 from .ingest import (
     CAPACITY_HEADER,
     check_cell_id,
@@ -77,11 +74,6 @@ def _int_at_least(low: int):
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
-
-
-def _report_json(report: KneeReport, params: PipelineParams) -> str:
-    payload = {**asdict(report), "params": asdict(params)}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _read_config(path) -> dict:
@@ -225,12 +217,8 @@ def main(argv=None) -> int:
 
 def _emit_error(exc: Exception, code: int, as_json: bool) -> None:
     if as_json:
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-            ),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code}),
+              file=sys.stderr)
     elif isinstance(exc, UsageError):
         print(str(exc), file=sys.stderr)
     else:
@@ -243,7 +231,8 @@ def _load_cell(args, config: dict):
 
 
 def _write_report(args, inputs, report: KneeReport) -> None:
-    write_text(args.out, _report_json(report, params=inputs[1]))
+    payload = {**asdict(report), "params": asdict(inputs[1])}
+    write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _capacity_files(directory) -> list:
@@ -333,34 +322,27 @@ def _cell_id_of(path: Path) -> str:
     return check_cell_id(stem, path)
 
 
+def _load_cells(paths) -> dict:
+    return {_cell_id_of(path): load_cycle_detail_csv(path) for path in paths}
+
+
 def _load_features(args, config: dict):
-    files = _cycle_files(args.cycles)
-    cells = [load_cycle_detail_csv(path) for path in files]
-    return [_cell_id_of(path) for path in files], cells, args.budget
+    return _load_cells(_cycle_files(args.cycles)), args.budget
 
 
-def _feature_rows(ids, cells, budget: int) -> list:
-    rows = []
-    for cell_id, records in zip(ids, cells):
-        try:
-            rows.append((cell_id, *extract_features(records, budget=budget).as_array()))
-        except KneeScoutError as exc:
-            raise type(exc)(f"cell {cell_id}: {exc}") from None
-    return rows
-
-
-def _write_features(args, inputs, rows) -> None:
-    write_text(args.out, csv_text(FEATURES_HEADER, rows))
+def _write_features(args, inputs, X) -> None:
+    write_text(args.out, csv_text(FEATURES_HEADER, ((i, *row) for i, row in zip(inputs[0], X))))
 
 
 _HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
 
 
-def _check_onset(onset: float, where: str) -> float:
-    """``onset``, unless it is NaN or an infinity: then an InputError naming ``where``."""
-    if not math.isfinite(onset):
-        raise InputError(f"{where}: onset_cycle {onset} is not a finite number")
-    return onset
+def _check_onset(onset, where: str) -> float:
+    """``onset`` as a float if it is a number, not a bool, finite and > 0, else an InputError."""
+    if (isinstance(onset, bool) or not isinstance(onset, (int, float))
+            or not 0 < onset <= sys.float_info.max):
+        raise InputError(f"{where}: onset_cycle {onset!r} is not a finite number > 0")
+    return float(onset)
 
 
 def _load_training(args, config: dict):
@@ -425,28 +407,19 @@ def _load_sensitivity(args, config: dict):
         truth = parse_json(read_text(truth_path), truth_path)
         try:
             gt = truth.get("ground_truth")
-            onset = float(gt["onset_cycle"]) if gt else None
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+            if gt is None:
+                continue  # a kneeless cell has no onset to learn
+            onset = gt["onset_cycle"]
+        except (AttributeError, KeyError, TypeError):
             raise InputError(
                 f"{truth_path}: expected {{\"ground_truth\": {{\"onset_cycle\": number}}}}"
             ) from None
-        if onset is None:
-            continue
         paths.append(path)
         labels.append(_check_onset(onset, truth_path))
     if not labels:
         raise InputError(f"no labeled cycle data found in {args.dir}")
-    # split sizes do not depend on the seed, so one split checks every repeat
-    if len(stratified_split(labels)[1]) == 0:
-        sizes = np.bincount([onset_class(v) for v in labels], minlength=len(CLASS_EDGES) + 1)
-        raise EmptyTrainingSet(
-            f"{len(labels)} labelled cells leave no test cell: the onset classes"
-            f" (< {CLASS_EDGES[0]:g}, {CLASS_EDGES[0]:g}-{CLASS_EDGES[1]:g},"
-            f" > {CLASS_EDGES[1]:g} cycles) hold {', '.join(map(str, sizes))} cells,"
-            " and a class of k cells keeps k - ceil(0.8 k) for testing"
-        )
-    cells = [load_cycle_detail_csv(path) for path in paths]
-    return cells, labels, budgets, args.repeats, args.seed
+    check_test_split(labels)  # before any cycle CSV is read
+    return _load_cells(paths), labels, budgets, args.repeats, args.seed
 
 
 def _write_sensitivity(args, inputs, table) -> None:
@@ -462,7 +435,7 @@ COMMANDS = {
     "baconwatts": (_load_cell, dbw_knee_report, _write_report),
     "batch": (_load_batch, batch_report, _write_batch),
     "synth": (_load_synth, _with_cycle_records, _write_synth),
-    "features": (_load_features, _feature_rows, _write_features),
+    "features": (_load_features, feature_matrix, _write_features),
     "train": (_load_training, gbrt_train, _write_model),
     "predict": (_load_prediction, _prediction_rows, _write_predictions),
     "sensitivity": (_load_sensitivity, sensitivity_sweep, _write_sensitivity),

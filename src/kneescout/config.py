@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateWindow, EvenWindow, IndexOutOfRange, InputError,
                      InvalidHyperparameter, OrderTooHigh, WindowTooLarge)
+from .preprocess import check_savgol_design
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,8 @@ class PipelineParams:
 
     - ``sg_window``, ``curv_window``: odd (else EvenWindow) and >= 3 (else
       WindowTooLarge). ``prepare`` clips ``sg_window`` to the curve length.
-    - ``sg_order``: 0 <= ``sg_order`` < ``sg_window``, else OrderTooHigh.
+    - ``sg_order``: 0 <= ``sg_order`` < ``sg_window``, with a smoothing design
+      matrix finite in float64 (``check_savgol_design``), else OrderTooHigh.
     - ``cac_window``: the window of the one matrix profile that segmentation
       runs on, >= 2; 0 selects one fifth of the curvature length. A negative
       value or 1 is DegenerateWindow.
@@ -74,6 +76,7 @@ class PipelineParams:
         if not 0 <= self.sg_order < self.sg_window:
             raise OrderTooHigh(f"sg_order {self.sg_order} must satisfy"
                                f" 0 <= sg_order < sg_window {self.sg_window}")
+        check_savgol_design(self.sg_window, self.sg_order)
         if self.cac_window < 0 or self.cac_window == 1:
             raise DegenerateWindow(f"cac_window must be 0 or >= 2, got {self.cac_window}")
         if self.exclusion_radius < 0:

@@ -28,6 +28,7 @@ from .errors import (
     InputError,
     InvalidDischargeCurve,
     InvalidModel,
+    KneeScoutError,
     LengthMismatch,
     MalformedRow,
     MissingCycle,
@@ -206,6 +207,18 @@ def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> Featu
     )
 
 
+def feature_matrix(cells: Dict[str, Dict[int, CycleRecord]], budget: int) -> np.ndarray:
+    """``extract_features`` of each cell by id, one row per cell in key order; a
+    cell's ``KneeScoutError`` is raised again as its class, prefixed ``cell <id>: ``."""
+    X = np.empty((len(cells), len(FEATURE_NAMES)))
+    for row, (cell_id, records) in zip(X, cells.items()):
+        try:
+            row[:] = extract_features(records, budget=budget).as_array()
+        except KneeScoutError as exc:
+            raise type(exc)(f"cell {cell_id}: {exc}") from None
+    return X
+
+
 def onset_class(label: float) -> int:
     if label < CLASS_EDGES[0]:
         return 0
@@ -235,6 +248,18 @@ def stratified_split(
         train.extend(idx[perm[:n_train]])
         test.extend(idx[perm[n_train:]])
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(test), dtype=np.int64)
+
+
+def check_test_split(onset_labels: Sequence[float]) -> None:
+    """``EmptyTrainingSet`` if ``stratified_split`` keeps no test cell, whatever the seed."""
+    if len(stratified_split(onset_labels)[1]) == 0:
+        sizes = np.bincount([onset_class(v) for v in onset_labels], minlength=len(CLASS_EDGES) + 1)
+        raise EmptyTrainingSet(
+            f"{len(onset_labels)} labelled cells leave no test cell: the onset classes"
+            f" (< {CLASS_EDGES[0]:g}, {CLASS_EDGES[0]:g}-{CLASS_EDGES[1]:g},"
+            f" > {CLASS_EDGES[1]:g} cycles) hold {', '.join(map(str, sizes))} cells,"
+            " and a class of k cells keeps k - ceil(0.8 k) for testing"
+        )
 
 
 # --- boosted trees ----------------------------------------------------------
@@ -539,7 +564,7 @@ def evaluate(y, y_hat) -> Dict[str, float]:
 
 
 def sensitivity_sweep(
-    cells: List[Dict[int, CycleRecord]],
+    cells: Dict[str, Dict[int, CycleRecord]],
     labels: Sequence[float],
     budgets: Sequence[int] = range(15, 36),
     repeats: int = 5,
@@ -548,7 +573,8 @@ def sensitivity_sweep(
 ) -> List[Dict[str, float]]:
     """Mean test RMSE/MAPE per cycle budget over repeated stratified splits.
 
-    The capacity-difference late anchor and the maximum-capacity window both
+    ``labels`` holds the onsets in the key order of ``cells``. The
+    capacity-difference late anchor and the maximum-capacity window both
     follow the budget. Split r of a budget is ``stratified_split``'s default
     80/20 split with seed ``seed + r``, so the whole table is deterministic.
     """
@@ -558,24 +584,18 @@ def sensitivity_sweep(
         raise InputError(f"repeats must be >= 1, got {repeats}")
     if len(budgets) == 0:
         raise InputError("no cycle budgets to sweep")
+    check_test_split(labels)
     y = np.asarray(labels, dtype=np.float64)
     table = []
     for budget in budgets:
-        X = np.vstack([extract_features(rec, budget=budget).as_array() for rec in cells])
+        X = feature_matrix(cells, budget)
         rmses, mapes = [], []
         for r in range(repeats):
             train_idx, test_idx = stratified_split(y, seed=seed + r)
-            if len(test_idx) == 0:
-                raise EmptyTrainingSet("stratified split produced an empty test set")
             model = gbrt_train(X[train_idx], y[train_idx], hyper)
             scores = evaluate(y[test_idx], gbrt_predict(model, X[test_idx]))
             rmses.append(scores["rmse"])
             mapes.append(scores["mape"])
-        table.append(
-            {
-                "budget": float(budget),
-                "mean_rmse": float(np.mean(rmses)),
-                "mean_mape": float(np.mean(mapes)),
-            }
-        )
+        table.append({"budget": float(budget), "mean_rmse": float(np.mean(rmses)),
+                      "mean_mape": float(np.mean(mapes))})
     return table

@@ -16,6 +16,7 @@ package imports no SciPy module.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -52,14 +53,25 @@ def savgol_smooth(
     return NormalizedSeries(cycles=series.cycles, values=smoothed)
 
 
+def check_savgol_design(window: int, order: int) -> None:
+    """``OrderTooHigh`` if the design matrix, whose largest entry is ``(window // 2)
+    ** order``, overflows: ``lstsq`` then fails, first at window 163, order 162."""
+    try:
+        math.pow(window // 2, order)
+    except OverflowError:
+        raise OrderTooHigh(f"order {order} at window {window}: the Savitzky-Golay design"
+                           f" matrix overflows float64 ({window // 2}**{order})") from None
+
+
 @lru_cache
 def savgol_coeffs(window: int, order: int) -> np.ndarray:
     """Read-only convolution weights of the centred Savitzky-Golay smoother.
 
     The minimum-norm least-squares solution (LAPACK ``gelsd``) on the design
     matrix, with the rank cutoff, that ``scipy.signal.savgol_coeffs(window,
-    order)`` uses.
+    order)`` uses. A design matrix that overflows is ``OrderTooHigh``.
     """
+    check_savgol_design(window, order)
     half = window // 2
     x = np.arange(-half, window - half, dtype=np.float64)[::-1]
     A = x ** np.arange(order + 1, dtype=np.float64).reshape(-1, 1)

@@ -91,7 +91,6 @@ def batch_report(
     """
     methods = tuple(methods)
     check_methods(methods)
-    rows: List[BatchRow] = []
     series_list = sorted(inputs, key=lambda s: s.cell_id)
     tasks = [(series, method) for series in series_list for method in methods]
     # a forking pool starts all its workers up front: start no more than there are tasks
@@ -105,17 +104,9 @@ def batch_report(
             )
     else:
         reports = [_report_for(s, m, params) for s, m in tasks]
-    for (series, method), rep in zip(tasks, reports):
-        rows.append(
-            BatchRow(
-                cell_id=rep.cell_id,
-                method=method,
-                onset_cycle=rep.onset_cycle,
-                knee_cycle=rep.knee_cycle,
-                eol_cycle=rep.eol_cycle,
-                gap=rep.knee_cycle - rep.onset_cycle,
-            )
-        )
+    rows = [BatchRow(rep.cell_id, method, rep.onset_cycle, rep.knee_cycle, rep.eol_cycle,
+                     gap=rep.knee_cycle - rep.onset_cycle)
+            for (_, method), rep in zip(tasks, reports)]
 
     correlations: Dict[str, CorrelationReport] = {}
     for method in methods:
@@ -156,12 +147,9 @@ def format_batch_csv(
     """Batch table plus correlation footer lines (comment-prefixed)."""
     footer = []
     for method, rep in correlations.items():
-        parts = [f"# method={method}"]
-        parts.append(f"pearson_onset_eol={_fmt(rep.r_onset_eol)}")
-        parts.append(f"pearson_knee_eol={_fmt(rep.r_knee_eol)}")
-        parts.append(f"n_cells={rep.n_cells}")
-        parts.append(f"n_excluded={rep.n_excluded}")
-        parts.append(f"mean_gap={rep.mean_gap:.2f}")
+        parts = [f"# method={method}", f"pearson_onset_eol={_fmt(rep.r_onset_eol)}",
+                 f"pearson_knee_eol={_fmt(rep.r_knee_eol)}", f"n_cells={rep.n_cells}",
+                 f"n_excluded={rep.n_excluded}", f"mean_gap={rep.mean_gap:.2f}"]
         if rep.note:
             parts.append(f"note={rep.note!r}")
         footer.append(" ".join(parts) + "\n")

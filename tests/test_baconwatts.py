@@ -342,7 +342,12 @@ def assert_same_run(result, reference):
     assert result.converged == reference.converged
 
 
+@pytest.mark.floors
 class TestStackedJacobian:
+    """Marked floors: the Jacobian, filled through ``out=`` ufuncs, must equal the column-
+    by-column central difference at the oldest NumPy too.
+    """
+
     @given(
         free=free_vectors,
         n=st.integers(10, 600),

@@ -20,6 +20,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def json_error(capsys, code, *argv):
+    """Run the CLI with ``--json-errors``, check that it exits ``code`` with one
+    JSON line on stderr, and return that line's payload."""
+    assert run_cli("--json-errors", *argv) == code
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["exit_code"] == code
+    return payload
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fleet")
@@ -222,31 +233,23 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert "knee-scout" in capsys.readouterr().out
 
-    def usage_json(self, capsys, *argv):
-        code = run_cli("--json-errors", *argv)
-        err = capsys.readouterr().err.strip()
-        assert "\n" not in err
-        payload = json.loads(err)
-        assert code == payload["exit_code"] == 1
-        return payload
-
     def test_argparse_error_honours_json_errors(self, capsys):
-        payload = self.usage_json(capsys, "identify", "--input", "x.csv", "--out",
-                                  "r.json", "--nope")
+        payload = json_error(capsys, 1, "identify", "--input", "x.csv", "--out",
+                             "r.json", "--nope")
         assert payload["error"] == "UsageError"
         assert "unrecognized arguments: --nope" in payload["message"]
 
     def test_usage_error_honours_json_errors(self, synth_dir, tmp_path, capsys):
-        payload = self.usage_json(capsys, "batch", "--dir", str(synth_dir),
-                                  "--methods", "nope", "--out", str(tmp_path / "t.csv"))
+        payload = json_error(capsys, 1, "batch", "--dir", str(synth_dir),
+                             "--methods", "nope", "--out", str(tmp_path / "t.csv"))
         assert payload["error"] == "UsageError"
         assert "unknown method 'nope'" in payload["message"]
 
     def test_config_max_iter_honours_json_errors(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "knee.cfg"
         cfg.write_text("max_iter = 0\n")
-        payload = self.usage_json(capsys, "--config", str(cfg), "batch", "--dir",
-                                  str(synth_dir), "--out", str(tmp_path / "t.csv"))
+        payload = json_error(capsys, 1, "--config", str(cfg), "batch", "--dir",
+                             str(synth_dir), "--out", str(tmp_path / "t.csv"))
         assert "max_iter: must be >= 1" in payload["message"]
 
     @pytest.mark.parametrize("command", [
@@ -260,7 +263,7 @@ class TestUsageErrors:
         cfg = tmp_path / "knee.cfg"
         cfg.write_text("bogus_key = 3\n")
         argv = [a if a.startswith("-") or a.isdigit() else str(tmp_path / a) for a in command[1:]]
-        payload = self.usage_json(capsys, "--config", str(cfg), command[0], *argv)
+        payload = json_error(capsys, 1, "--config", str(cfg), command[0], *argv)
         assert payload["error"] == "UsageError"
         assert f"--config applies to identify, baconwatts, batch only, not {command[0]}" \
             in payload["message"]
@@ -453,17 +456,11 @@ FEATURES_CSV = ("cell_id,min_dq,var_dq,skew_dq,kurt_dq,q2,q_max_minus_2\n"
 
 
 class TestPredictionInputErrors:
-    def json_error(self, capsys, *argv):
-        code = run_cli("--json-errors", *argv)
-        payload = json.loads(capsys.readouterr().err)
-        assert code == payload["exit_code"] == 1
-        return payload
-
     def test_features_non_numeric_row(self, tmp_path, capsys):
         p = tmp_path / "cell.cycles.csv"
         p.write_text("cycle,voltage_v,discharge_capacity_ah\n2,abc,0.1\n")
-        payload = self.json_error(capsys, "features", "--cycles", str(p),
-                                  "--out", str(tmp_path / "f.csv"))
+        payload = json_error(capsys, 1, "features", "--cycles", str(p),
+                             "--out", str(tmp_path / "f.csv"))
         assert payload["error"] == "MalformedRow"
         assert "cell.cycles.csv: line 2" in payload["message"]
 
@@ -480,8 +477,8 @@ class TestPredictionInputErrors:
         lines[k] = ",".join(fields)
         cycles.write_text("\n".join(lines) + "\n")
         out = tmp_path / "f.csv"
-        payload = self.json_error(capsys, "features", "--cycles", str(cycles),
-                                  "--budget", "30", "--out", str(out))
+        payload = json_error(capsys, 1, "features", "--cycles", str(cycles),
+                             "--budget", "30", "--out", str(out))
         assert payload["error"] == "InvalidDischargeCurve"
         assert payload["message"] == "cycle 2: voltages and capacities must be finite"
         assert not out.exists()
@@ -492,8 +489,8 @@ class TestPredictionInputErrors:
                          "a,0,0,0,0,1,0\n")
         model = tmp_path / "m.json"
         model.write_text('{"init_value": 1.0, "learning_rate": 0.1, "n_features": 6}')
-        payload = self.json_error(capsys, "predict", "--model", str(model),
-                                  "--features", str(feats))
+        payload = json_error(capsys, 1, "predict", "--model", str(model),
+                             "--features", str(feats))
         assert payload["error"] == "InvalidModel"
         assert "trees" in payload["message"]
 
@@ -521,8 +518,8 @@ class TestPredictionInputErrors:
         model = tmp_path / "m.json"
         model.write_text('{"init_value": 1.0, "learning_rate": 0.1, "n_features": 6,'
                          ' "trees": []}')
-        payload = self.json_error(capsys, "predict", "--model", str(model),
-                                  "--features", str(feats))
+        payload = json_error(capsys, 1, "predict", "--model", str(model),
+                             "--features", str(feats))
         assert payload["error"] == "MalformedRow"
         assert "line 3" in payload["message"]
 
@@ -531,8 +528,8 @@ class TestPredictionInputErrors:
         feats.write_text(FEATURES_CSV)
         label_csv.write_text(labels)
         out = tmp_path / "m.json"
-        payload = self.json_error(capsys, "train", "--features", str(feats),
-                                  "--labels", str(label_csv), *flags, "--out", str(out))
+        payload = json_error(capsys, 1, "train", "--features", str(feats),
+                             "--labels", str(label_csv), *flags, "--out", str(out))
         assert not out.exists()
         return payload
 
@@ -549,13 +546,13 @@ class TestPredictionInputErrors:
         assert payload["error"] == "InputError"
         assert "'b'" in payload["message"] and "more than once" in payload["message"]
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
     def test_train_non_finite_label(self, tmp_path, capsys, value):
         labels = f"cell_id,onset_cycle\na,100\nb,{value}\nc,300\n"
         payload = self.train(capsys, tmp_path, labels)
         assert payload["error"] == "InputError"
-        assert payload["message"] == (
-            f"{tmp_path / 'labels.csv'}: line 3: onset_cycle {float(value)} is not a finite number")
+        assert payload["message"] == (f"{tmp_path / 'labels.csv'}: line 3: onset_cycle"
+                                      f" {float(value)} is not a finite number > 0")
 
     def test_train_labels_lack_a_cell(self, tmp_path, capsys):
         payload = self.train(capsys, tmp_path, "cell_id,onset_cycle\na,100\nb,200\n")
@@ -565,8 +562,8 @@ class TestPredictionInputErrors:
     def test_features_directory_without_cycle_files(self, synth_dir, tmp_path, capsys):
         shutil.copy(synth_dir / "fleet-5-000.csv", tmp_path)
         out = tmp_path / "f.csv"
-        payload = self.json_error(capsys, "features", "--cycles", str(tmp_path),
-                                  "--out", str(out))
+        payload = json_error(capsys, 1, "features", "--cycles", str(tmp_path),
+                             "--out", str(out))
         assert payload["error"] == "InputError"
         assert payload["message"] == f"no *.cycles.csv files in {tmp_path}"
         assert not out.exists()
@@ -587,12 +584,13 @@ class TestPredictionInputErrors:
         if truth is not None:
             (d / "fleet-5-000.truth.json").write_text(truth)
         out = tmp_path / "s.csv"
-        payload = self.json_error(capsys, "sensitivity", "--dir", str(d), "--out", str(out))
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(d), "--out", str(out))
         assert payload["error"] == "InputError"
         assert message in payload["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", '"300"', "0",
+                                       "-5", "null"])
     def test_sensitivity_non_finite_label(self, synth_dir, tmp_path, capsys, value):
         # a NaN onset that fell in the test split would make the sweep write "20,nan,nan"
         names = [p.name for p in sorted(synth_dir.glob("*.cycles.csv"))
@@ -601,11 +599,25 @@ class TestPredictionInputErrors:
         truth = d / "fleet-5-003.truth.json"
         truth.write_text('{"cell_id": "fleet-5-003", "ground_truth": {"onset_cycle": %s}}' % value)
         out = tmp_path / "s.csv"
-        payload = self.json_error(capsys, "sensitivity", "--dir", str(d), "--budgets", "20",
-                                  "--repeats", "1", "--out", str(out))
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(d), "--budgets", "20",
+                             "--repeats", "1", "--out", str(out))
         assert payload["error"] == "InputError"
         assert payload["message"] == (
-            f"{truth}: onset_cycle {json.loads(value)} is not a finite number")
+            f"{truth}: onset_cycle {json.loads(value)!r} is not a finite number > 0")
+        assert not out.exists()
+
+    def test_sensitivity_names_the_failing_cell(self, synth_dir, tmp_path, capsys):
+        names = [p.name for p in sorted(synth_dir.glob("*.cycles.csv"))
+                 + sorted(synth_dir.glob("*.truth.json"))]
+        d = self.sweep_dir(synth_dir, tmp_path, names)
+        cycles = d / "fleet-5-003.cycles.csv"
+        lines = cycles.read_text().splitlines(keepends=True)
+        cycles.write_text("".join(line for line in lines if not line.startswith("10,")))
+        out = tmp_path / "s.csv"
+        payload = json_error(capsys, 2, "sensitivity", "--dir", str(d), "--budgets", "20",
+                             "--repeats", "1", "--out", str(out))
+        assert payload["error"] == "MissingCycle"
+        assert payload["message"] == "cell fleet-5-003: cycle 10 not present"
         assert not out.exists()
 
     def test_sensitivity_skips_a_cell_without_ground_truth(self, synth_dir, tmp_path):
@@ -630,8 +642,8 @@ class TestPredictionInputErrors:
         assert run_cli("synth", "--count", "6", "--seed", "5", "--n-cycles", "600",
                        "--with-cycle-data", "--out-dir", str(d)) == 0
         out = tmp_path / "s.csv"
-        payload = self.json_error(capsys, "sensitivity", "--dir", str(d), "--budgets", "15:16",
-                                  "--repeats", "1", "--out", str(out))
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(d), "--budgets", "15:16",
+                             "--repeats", "1", "--out", str(out))
         assert payload["error"] == "EmptyTrainingSet"
         assert payload["message"] == (
             "6 labelled cells leave no test cell: the onset classes (< 150, 150-270,"
@@ -668,8 +680,8 @@ class TestPredictionInputErrors:
                                   ' "n_features": 6, "trees": []}')
         paths["features"].write_text(FEATURES_CSV)
         paths[missing].unlink()
-        payload = self.json_error(capsys, "predict", "--model", str(paths["model"]),
-                                  "--features", str(paths["features"]))
+        payload = json_error(capsys, 1, "predict", "--model", str(paths["model"]),
+                             "--features", str(paths["features"]))
         assert payload["error"] == "InputError"
         assert f"cannot read {paths[missing]}" in payload["message"]
 
@@ -737,7 +749,12 @@ class TestEntryPoint:
 REPO = Path(__file__).resolve().parents[1]
 
 
+@pytest.mark.floors
 class TestQuickStart:
+    """Marked floors: the quick start runs every command end to end at the oldest NumPy and
+    SciPy too.
+    """
+
     def test_readme_block_runs(self, tmp_path):
         # the README's quick-start block as written, in bash, with knee-scout
         # run as `python -m kneescout` on this interpreter
@@ -763,28 +780,20 @@ CAPACITY_CSV = "cycle,discharge_capacity_ah\n" + "".join(
 class TestInputBoundary:
     """Every malformed input ends in one JSON error line with its exit code."""
 
-    def json_error(self, capsys, *argv):
-        code = run_cli("--json-errors", *argv)
-        err = capsys.readouterr().err.strip()
-        assert "\n" not in err
-        payload = json.loads(err)
-        assert code == payload["exit_code"]
-        return payload
-
     @pytest.mark.parametrize("row", ["2,abc", "inf,0.9", "nan,0.9", "-inf,0.9", "2"])
     def test_malformed_capacity_row(self, tmp_path, capsys, row):
         p = tmp_path / "cell.csv"
         p.write_text("cycle,discharge_capacity_ah\n\n1,1.0\n" + row + "\n3,0.8\n4,0.7\n")
-        payload = self.json_error(capsys, "identify", "--input", str(p), "--q-nom", "1.0",
-                                  "--out", str(tmp_path / "r.json"))
+        payload = json_error(capsys, 1, "identify", "--input", str(p), "--q-nom", "1.0",
+                             "--out", str(tmp_path / "r.json"))
         assert (payload["error"], payload["exit_code"]) == ("MalformedRow", 1)
         assert "cell.csv: line 4" in payload["message"]
 
     def test_malformed_sidecar(self, tmp_path, capsys):
         (tmp_path / "cell.csv").write_text(CAPACITY_CSV)
         (tmp_path / "cell.meta.json").write_text("{bad")
-        payload = self.json_error(capsys, "identify", "--input", str(tmp_path / "cell.csv"),
-                                  "--out", str(tmp_path / "r.json"))
+        payload = json_error(capsys, 1, "identify", "--input", str(tmp_path / "cell.csv"),
+                             "--out", str(tmp_path / "r.json"))
         assert (payload["error"], payload["exit_code"]) == ("InputError", 1)
         assert "cell.meta.json: malformed JSON" in payload["message"]
 
@@ -792,19 +801,20 @@ class TestInputBoundary:
     def test_sidecar_of_wrong_shape(self, tmp_path, capsys, meta):
         (tmp_path / "cell.csv").write_text(CAPACITY_CSV)
         (tmp_path / "cell.meta.json").write_text(meta)
-        payload = self.json_error(capsys, "identify", "--input", str(tmp_path / "cell.csv"),
-                                  "--out", str(tmp_path / "r.json"))
+        payload = json_error(capsys, 1, "identify", "--input", str(tmp_path / "cell.csv"),
+                             "--out", str(tmp_path / "r.json"))
         assert payload["exit_code"] == 1
 
-    @pytest.mark.parametrize("truth", ["{bad", "[]", '{"ground_truth": {"onset": 3}}'])
+    @pytest.mark.parametrize("truth", ["{bad", "[]", '{"ground_truth": {"onset": 3}}',
+                                       '{"ground_truth": 0}', '{"ground_truth": {}}'])
     def test_malformed_truth_file(self, synth_dir, tmp_path, capsys, truth):
         cell = sorted(synth_dir.glob("*.cycles.csv"))[0]
         shutil.copy(cell, tmp_path / cell.name)
         truth_path = tmp_path / cell.name.replace(".cycles.csv", ".truth.json")
         truth_path.write_text(truth)
-        payload = self.json_error(capsys, "sensitivity", "--dir", str(tmp_path),
-                                  "--budgets", "15", "--repeats", "1",
-                                  "--out", str(tmp_path / "s.csv"))
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(tmp_path),
+                             "--budgets", "15", "--repeats", "1",
+                             "--out", str(tmp_path / "s.csv"))
         assert (payload["error"], payload["exit_code"]) == ("InputError", 1)
         assert truth_path.name in payload["message"]
 
@@ -814,27 +824,19 @@ class TestInputBoundary:
         (tmp_path / "tiny.csv").write_text(
             "cycle,discharge_capacity_ah\n1,1.0\n2,0.9\n3,0.8\n4,0.7\n")
         (tmp_path / "tiny.meta.json").write_text('{"q_nom_ah": 1.0}')
-        payload = self.json_error(capsys, "batch", "--dir", str(tmp_path),
-                                  "--out", str(tmp_path / "t.csv"))
+        payload = json_error(capsys, 2, "batch", "--dir", str(tmp_path),
+                             "--out", str(tmp_path / "t.csv"))
         assert (payload["error"], payload["exit_code"]) == ("TooShort", 2)
 
 
 class TestPhaseExitCodes:
     """An error in loading or writing exits 1 with one JSON line, whatever its class."""
 
-    def json_error(self, capsys, *argv):
-        code = run_cli("--json-errors", *argv)
-        err = capsys.readouterr().err.strip()
-        assert "\n" not in err
-        payload = json.loads(err)
-        assert code == payload["exit_code"] == 1
-        return payload
-
     def test_eol_threshold_flag_out_of_range(self, synth_dir, tmp_path, capsys):
         src = sorted(synth_dir.glob("fleet-*.csv"))[0]
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, "identify", "--input", str(src),
-                                  "--eol-threshold", "1.5", "--out", str(out))
+        payload = json_error(capsys, 1, "identify", "--input", str(src),
+                             "--eol-threshold", "1.5", "--out", str(out))
         assert payload["error"] == "InputError"
         assert "eol_threshold: must be in (0, 1), got 1.5" in payload["message"]
         assert not out.exists()
@@ -843,8 +845,8 @@ class TestPhaseExitCodes:
         src = sorted(synth_dir.glob("fleet-*.csv"))[0]
         cfg = tmp_path / "knee.cfg"
         cfg.write_text("eol_threshold = 1.5\n")
-        payload = self.json_error(capsys, "--config", str(cfg), "baconwatts", "--input",
-                                  str(src), "--out", str(tmp_path / "r.json"))
+        payload = json_error(capsys, 1, "--config", str(cfg), "baconwatts", "--input",
+                             str(src), "--out", str(tmp_path / "r.json"))
         assert payload["error"] == "InputError"
         assert "eol_threshold" in payload["message"]
 
@@ -852,8 +854,8 @@ class TestPhaseExitCodes:
     def test_gamma_flag_not_positive_and_finite(self, synth_dir, tmp_path, capsys, value):
         src = sorted(synth_dir.glob("fleet-*.csv"))[0]
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, "baconwatts", "--input", str(src),
-                                  "--gamma", value, "--out", str(out))
+        payload = json_error(capsys, 1, "baconwatts", "--input", str(src),
+                             "--gamma", value, "--out", str(out))
         assert payload["error"] == "InputError"
         assert payload["message"] == f"gamma: must be positive and finite, got {float(value)}"
         assert not out.exists()
@@ -865,8 +867,8 @@ class TestPhaseExitCodes:
         cfg = tmp_path / "knee.cfg"
         cfg.write_text(f"gamma = {value}\n")
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, "--config", str(cfg), "baconwatts", "--input",
-                                  str(src), "--out", str(out))
+        payload = json_error(capsys, 1, "--config", str(cfg), "baconwatts", "--input",
+                             str(src), "--out", str(out))
         assert payload["error"] == "InputError"
         assert payload["message"] == f"gamma: must be positive and finite, got {float(value)}"
         assert not out.exists()
@@ -876,8 +878,8 @@ class TestPhaseExitCodes:
                            ("b", '{"cell_id": 7, "q_nom_ah": 1.1}')):
             (tmp_path / f"{name}.csv").write_text(CAPACITY_CSV)
             (tmp_path / f"{name}.meta.json").write_text(meta)
-        payload = self.json_error(capsys, "batch", "--dir", str(tmp_path),
-                                  "--out", str(tmp_path / "t.csv"))
+        payload = json_error(capsys, 1, "batch", "--dir", str(tmp_path),
+                             "--out", str(tmp_path / "t.csv"))
         assert payload["error"] == "InputError"
         assert "b.meta.json: cell_id must be a string" in payload["message"]
 
@@ -885,7 +887,7 @@ class TestPhaseExitCodes:
         src = sorted(synth_dir.glob("fleet-*.csv"))[0]
         out = tmp_path / "taken"
         out.mkdir()
-        payload = self.json_error(capsys, "identify", "--input", str(src), "--out", str(out))
+        payload = json_error(capsys, 1, "identify", "--input", str(src), "--out", str(out))
         assert payload["error"] == "InputError"
         assert f"cannot write {out}" in payload["message"]
         assert not list(tmp_path.glob(".*.tmp*"))
@@ -896,8 +898,8 @@ class TestPhaseExitCodes:
         # a JSON escape for a lone surrogate, which UTF-8 cannot encode
         (tmp_path / "fleet-5-000.meta.json").write_text('{"cell_id": "\\ud800", "q_nom_ah": 1.1}')
         out = tmp_path / "report"
-        payload = self.json_error(capsys, "batch", "--dir", str(tmp_path), "--methods",
-                                  "curvature", "--out", str(out))
+        payload = json_error(capsys, 1, "batch", "--dir", str(tmp_path), "--methods",
+                             "curvature", "--out", str(out))
         assert payload["error"] == "InputError"
         assert f"cannot write {out / 'table.csv'}" in payload["message"]
         assert not list(out.glob(".*.tmp*"))
@@ -910,8 +912,8 @@ class TestPhaseExitCodes:
         (tmp_path / "fleet-5-000.meta.json").write_text(
             '{"cell_id": "a%sb", "q_nom_ah": 1.1}' % escape)
         out = tmp_path / "table.csv"
-        payload = self.json_error(capsys, "batch", "--dir", str(tmp_path), "--methods",
-                                  "curvature", "--out", str(out))
+        payload = json_error(capsys, 1, "batch", "--dir", str(tmp_path), "--methods",
+                             "curvature", "--out", str(out))
         assert payload["error"] == "InputError"
         assert "fleet-5-000.meta.json: cell_id 'a%sb' holds a line break" % escape \
             in payload["message"]
@@ -921,8 +923,8 @@ class TestPhaseExitCodes:
         shutil.copy(synth_dir / "fleet-5-000.cycles.csv", tmp_path / "fleet-5-000.cycles.csv")
         shutil.copy(synth_dir / "fleet-5-001.cycles.csv", tmp_path / "a\nb.cycles.csv")
         out = tmp_path / "f.csv"
-        payload = self.json_error(capsys, "features", "--cycles", str(tmp_path),
-                                  "--out", str(out))
+        payload = json_error(capsys, 1, "features", "--cycles", str(tmp_path),
+                             "--out", str(out))
         assert payload["error"] == "InputError"
         assert "cell_id 'a\\nb' holds a line break" in payload["message"]
         assert not out.exists()
@@ -943,14 +945,6 @@ class TestPhaseExitCodes:
 class TestRejectedValues:
     """Values that once ran to a wrong or empty output now stop with one JSON line."""
 
-    def json_error(self, capsys, code, *argv):
-        assert run_cli("--json-errors", *argv) == code
-        err = capsys.readouterr().err.strip()
-        assert "\n" not in err
-        payload = json.loads(err)
-        assert payload["exit_code"] == code
-        return payload
-
     @pytest.mark.parametrize("methods,repeated", [
         ("curvature,curvature", "curvature_rea"),
         ("curvature,curvature_rea", "curvature_rea"),
@@ -958,8 +952,8 @@ class TestRejectedValues:
     ])
     def test_batch_repeated_method(self, synth_dir, tmp_path, capsys, methods, repeated):
         out = tmp_path / "t.csv"
-        payload = self.json_error(capsys, 1, "batch", "--dir", str(synth_dir),
-                                  "--methods", methods, "--out", str(out))
+        payload = json_error(capsys, 1, "batch", "--dir", str(synth_dir),
+                             "--methods", methods, "--out", str(out))
         assert payload["error"] == "UsageError"
         assert f"method {repeated!r} given more than once" in payload["message"]
         assert not out.exists()
@@ -967,8 +961,8 @@ class TestRejectedValues:
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_sensitivity_repeats_below_one(self, synth_dir, tmp_path, capsys, repeats):
         out = tmp_path / "s.csv"
-        payload = self.json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
-                                  "--budgets", "15", "--repeats", repeats, "--out", str(out))
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
+                             "--budgets", "15", "--repeats", repeats, "--out", str(out))
         assert payload["error"] == "UsageError"
         assert "--repeats: must be >= 1" in payload["message"]
         assert not out.exists()
@@ -976,16 +970,16 @@ class TestRejectedValues:
     @pytest.mark.parametrize("budgets", ["20:15", "16:15:1"])
     def test_sensitivity_empty_budget_range(self, synth_dir, tmp_path, capsys, budgets):
         out = tmp_path / "s.csv"
-        payload = self.json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
-                                  "--budgets", budgets, "--out", str(out))
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
+                             "--budgets", budgets, "--out", str(out))
         assert payload["error"] == "UsageError"
         assert f"--budgets {budgets!r} selects no budget" in payload["message"]
         assert not out.exists()
 
     def test_sensitivity_unparseable_budgets(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        payload = self.json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
-                                  "--budgets", "a:b", "--out", str(out))
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(synth_dir),
+                             "--budgets", "a:b", "--out", str(out))
         assert payload["error"] == "UsageError"
         assert "cannot parse --budgets 'a:b' (expected LO:HI)" in payload["message"]
         assert not out.exists()
@@ -1006,7 +1000,7 @@ class TestRejectedValues:
                                                 message):
         out = tmp_path / "out.csv"
         argv = (command, *flags, "--out", str(out))
-        payload = self.json_error(capsys, 1, *argv)
+        payload = json_error(capsys, 1, *argv)
         assert payload["error"] == "UsageError"
         assert message in payload["message"]
         assert run_cli(*argv) == 1
@@ -1023,9 +1017,9 @@ class TestRejectedValues:
     @pytest.mark.parametrize("value", ["-5", "1"])
     def test_identify_negative_cac_window_flag(self, synth_dir, tmp_path, capsys, value):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 1, "identify", "--input",
-                                  str(synth_dir / "fleet-5-000.csv"),
-                                  "--cac-window", value, "--out", str(out))
+        payload = json_error(capsys, 1, "identify", "--input",
+                             str(synth_dir / "fleet-5-000.csv"),
+                             "--cac-window", value, "--out", str(out))
         assert payload["error"] == "DegenerateWindow"
         assert f"cac_window must be 0 or >= 2, got {value}" in payload["message"]
         assert not out.exists()
@@ -1033,25 +1027,25 @@ class TestRejectedValues:
     def test_identify_negative_cac_window_config_key(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "knee.cfg"
         cfg.write_text("cac_window = -5\n")
-        payload = self.json_error(capsys, 1, "--config", str(cfg), "identify", "--input",
-                                  str(synth_dir / "fleet-5-000.csv"),
-                                  "--out", str(tmp_path / "r.json"))
+        payload = json_error(capsys, 1, "--config", str(cfg), "identify", "--input",
+                             str(synth_dir / "fleet-5-000.csv"),
+                             "--out", str(tmp_path / "r.json"))
         assert payload["error"] == "DegenerateWindow"
 
     def test_identify_negative_exclusion(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 1, "identify", "--input",
-                                  str(synth_dir / "fleet-5-000.csv"),
-                                  "--exclusion", "-1", "--out", str(out))
+        payload = json_error(capsys, 1, "identify", "--input",
+                             str(synth_dir / "fleet-5-000.csv"),
+                             "--exclusion", "-1", "--out", str(out))
         assert payload["error"] == "IndexOutOfRange"
         assert "exclusion_radius must be >= 0" in payload["message"]
         assert not out.exists()
 
     def test_mp_window_flag_is_gone(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 1, "identify", "--input",
-                                  str(synth_dir / "fleet-5-000.csv"),
-                                  "--mp-window", "5", "--out", str(out))
+        payload = json_error(capsys, 1, "identify", "--input",
+                             str(synth_dir / "fleet-5-000.csv"),
+                             "--mp-window", "5", "--out", str(out))
         assert payload["error"] == "UsageError"
         assert "unrecognized arguments: --mp-window 5" in payload["message"]
         assert not out.exists()
@@ -1060,8 +1054,8 @@ class TestRejectedValues:
         cfg = tmp_path / "knee.cfg"
         cfg.write_text("mp_window = 5\n")
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 1, "--config", str(cfg), "identify", "--input",
-                                  str(synth_dir / "fleet-5-000.csv"), "--out", str(out))
+        payload = json_error(capsys, 1, "--config", str(cfg), "identify", "--input",
+                             str(synth_dir / "fleet-5-000.csv"), "--out", str(out))
         assert payload["error"] == "InputError"
         assert payload["message"] == "unknown config keys: mp_window"
         assert not out.exists()
@@ -1074,9 +1068,9 @@ class TestRejectedValues:
     def test_identify_sg_window_savgol_rejects(self, synth_dir, tmp_path, capsys,
                                                flags, error):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 1, "identify", "--input",
-                                  str(synth_dir / "fleet-5-000.csv"), *flags,
-                                  "--out", str(out))
+        payload = json_error(capsys, 1, "identify", "--input",
+                             str(synth_dir / "fleet-5-000.csv"), *flags,
+                             "--out", str(out))
         assert payload["error"] == error
         assert "sg_window must be" in payload["message"]
         assert not out.exists()
@@ -1089,9 +1083,9 @@ class TestRejectedValues:
     def test_identify_curv_window_rejects(self, synth_dir, tmp_path, capsys, window,
                                           error):
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 1, "identify", "--input",
-                                  str(synth_dir / "fleet-5-000.csv"),
-                                  "--curv-window", window, "--out", str(out))
+        payload = json_error(capsys, 1, "identify", "--input",
+                             str(synth_dir / "fleet-5-000.csv"),
+                             "--curv-window", window, "--out", str(out))
         assert payload["error"] == error
         assert "curv_window must be" in payload["message"]
         assert not out.exists()
@@ -1111,8 +1105,8 @@ class TestRejectedValues:
         # ~1e306 Ah over 1e-300 Ah overflows; RuntimeWarnings are errors here
         p = self.scaled_capacity_csv(synth_dir, tmp_path, 1e306)
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 1, command, "--input", str(p),
-                                  "--q-nom", "1e-300", "--out", str(out))
+        payload = json_error(capsys, 1, command, "--input", str(p),
+                             "--q-nom", "1e-300", "--out", str(out))
         assert payload["error"] == "InputError"
         assert "q_nom_ah=1e-300" in payload["message"]
         assert not out.exists()
@@ -1122,13 +1116,13 @@ class TestRejectedValues:
         # residuals of ~1e200 Ah are finite, their sum of squares is not
         p = self.scaled_capacity_csv(synth_dir, tmp_path, 1e200)
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 2, "baconwatts", "--input", str(p),
-                                  "--q-nom", "1.1e200", "--out", str(out))
+        payload = json_error(capsys, 2, "baconwatts", "--input", str(p),
+                             "--q-nom", "1.1e200", "--out", str(out))
         assert payload["error"] == "NonFiniteResidual"
         assert not out.exists()
 
     @pytest.mark.parametrize("labels,flags,message", [
-        (("1e308", "-1e308", "1e308", "-1e308"), ("--min-leaf", "1"),
+        (("8e307", "1", "8e307", "1"), ("--min-leaf", "1"),
          "after 0 of 300 trees (learning_rate 0.05)"),
         (("100", "200", "300", "400"), ("--learning-rate", "3", "--n-trees", "2000"),
          "after 504 of 2000 trees (learning_rate 3.0)"),
@@ -1141,8 +1135,8 @@ class TestRejectedValues:
         labels_csv.write_text("cell_id,onset_cycle\n" + "".join(
             f"{cell},{label}\n" for cell, label in zip("abcd", labels)))
         out = tmp_path / "m.json"
-        payload = self.json_error(capsys, 2, "train", "--features", str(feats),
-                                  "--labels", str(labels_csv), *flags, "--out", str(out))
+        payload = json_error(capsys, 2, "train", "--features", str(feats),
+                             "--labels", str(labels_csv), *flags, "--out", str(out))
         assert payload["error"] == "NonFiniteResidual"
         assert message in payload["message"]
         assert not out.exists()
@@ -1150,8 +1144,8 @@ class TestRejectedValues:
     @pytest.mark.parametrize("n_cycles", ["-5", "0"])
     def test_synth_too_few_cycles(self, tmp_path, capsys, n_cycles):
         out_dir = tmp_path / "fleet"
-        payload = self.json_error(capsys, 1, "synth", "--count", "2", "--n-cycles", n_cycles,
-                                  "--out-dir", str(out_dir))
+        payload = json_error(capsys, 1, "synth", "--count", "2", "--n-cycles", n_cycles,
+                             "--out-dir", str(out_dir))
         assert payload["error"] == "DegenerateSpec"
         assert f"n_cycles={n_cycles} too small" in payload["message"]
         assert not out_dir.exists()
@@ -1163,8 +1157,8 @@ class TestRejectedValues:
         model.write_text('{"init_value": 1.0, "learning_rate": 0.1, "n_features": 6,'
                          ' "trees": []}')
         out = tmp_path / "p.csv"
-        payload = self.json_error(capsys, 2, "predict", "--model", str(model),
-                                  "--features", str(feats), "--out", str(out))
+        payload = json_error(capsys, 2, "predict", "--model", str(model),
+                             "--features", str(feats), "--out", str(out))
         assert payload["error"] == "NonFiniteFeature"
         assert not out.exists()
 
@@ -1182,8 +1176,8 @@ class TestRejectedValues:
         cycles = tmp_path / "big.cycles.csv"
         cycles.write_text("\n".join(rows) + "\n")
         out = tmp_path / "f.csv"
-        payload = self.json_error(capsys, 2, "features", "--cycles", str(cycles),
-                                  "--out", str(out))
+        payload = json_error(capsys, 2, "features", "--cycles", str(cycles),
+                             "--out", str(out))
         assert payload["error"] == "NonFiniteFeature"
         bad = "var_dq=inf, skew_dq=nan, kurt_dq=nan" if scale > 1e300 else "skew_dq=nan, kurt_dq=nan"
         assert payload["message"] == f"cell big: non-finite feature: {bad}"
@@ -1196,8 +1190,8 @@ class TestRejectedValues:
                 lines = [ln for ln in lines if not ln.startswith("10,")]
             (tmp_path / name).write_text("".join(lines))
         out = tmp_path / "f.csv"
-        payload = self.json_error(capsys, 2, "features", "--cycles", str(tmp_path),
-                                  "--out", str(out))
+        payload = json_error(capsys, 2, "features", "--cycles", str(tmp_path),
+                             "--out", str(out))
         assert payload["error"] == "MissingCycle"
         assert payload["message"] == "cell fleet-5-001: cycle 10 not present"
         assert not out.exists()
@@ -1211,7 +1205,7 @@ class TestRejectedValues:
         out = tmp_path / "out"
         where = ("--out-dir", str(out)) if command == "synth" else (
             "--dir", str(synth_dir), "--out", str(out))
-        payload = self.json_error(capsys, 1, command, *flags, *where)
+        payload = json_error(capsys, 1, command, *flags, *where)
         assert payload["error"] == "UsageError"
         assert f"argument --seed: must be >= 0, got {flags[-1]}" in payload["message"]
         assert list(tmp_path.iterdir()) == []
@@ -1222,8 +1216,8 @@ class TestRejectedValues:
         cell.write_text("cycle,discharge_capacity_ah\n" + "".join(
             f"{k},{1.0e308 if k % 2 else 1.7e308!r}\n" for k in range(1, 41)))
         out = tmp_path / "r.json"
-        payload = self.json_error(capsys, 2, command, "--input", str(cell), "--q-nom", "1",
-                                  "--out", str(out))
+        payload = json_error(capsys, 2, command, "--input", str(cell), "--q-nom", "1",
+                             "--out", str(out))
         assert payload["error"] == "SmoothingOverflow"
         assert "the smoothed series overflows" in payload["message"]
         assert not out.exists()
@@ -1267,6 +1261,21 @@ class TestInvalidParamsAtLoad:
         assert (payload["error"], payload["exit_code"]) == (error, 1)
         assert f"{key} " in payload["message"]
         assert [p.name for p in tmp_path.iterdir()] == ([] if source == "flag" else ["knee.cfg"])
+
+    @pytest.mark.parametrize("json_errors", [False, True])
+    def test_overflowing_smoothing_order(self, synth_dir, tmp_path, capsys, json_errors):
+        argv = ["identify", "--input", str(synth_dir / "fleet-5-000.csv"), "--sg-window",
+                "201", "--sg-order", "190", "--out", str(tmp_path / "r.json")]
+        assert run_cli(*["--json-errors"][:json_errors], *argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        message = ("order 190 at window 201: the Savitzky-Golay design matrix overflows"
+                   " float64 (100**190)")
+        if json_errors:
+            assert json.loads(line) == {"error": "OrderTooHigh", "message": message,
+                                        "exit_code": 1}
+        else:
+            assert line == f"error: OrderTooHigh: {message}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_checked_before_the_input_is_read(self, tmp_path, capsys):
         assert run_cli("--json-errors", "baconwatts", "--input", str(tmp_path / "absent.csv"),

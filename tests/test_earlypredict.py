@@ -29,9 +29,11 @@ from kneescout.earlypredict import (
     CycleRecord,
     GBRTModel,
     TreeNode,
+    check_test_split,
     delta_q,
     evaluate,
     extract_features,
+    feature_matrix,
     gbrt_predict,
     gbrt_train,
     load_cycle_detail_csv,
@@ -77,7 +79,10 @@ class TestCycleRecord:
         assert rec.total_capacity_ah == pytest.approx(rec.q_ah[-1])
 
 
+@pytest.mark.floors
 class TestDeltaQ:
+    """Marked floors: the min/max voltage overlap must hold at the oldest NumPy too."""
+
     def test_identical_cycles_zero(self):
         records = {10: make_record(10), 30: make_record(30)}
         dq = delta_q(records)
@@ -131,7 +136,12 @@ class TestDeltaQ:
         assert list(inspect.signature(extract_features).parameters) == ["records", "budget"]
 
 
+@pytest.mark.floors
 class TestMoments:
+    """Marked floors: the product formula must hold at the oldest NumPy too, where an array
+    power's bits could differ.
+    """
+
     def test_linear_ramp_closed_form(self):
         # population variance of an even grid d0 + k*s equals s^2 (G^2-1)/12
         G, d0, d1 = 1000, -0.01, 0.03
@@ -223,6 +233,35 @@ class TestExtractFeatures:
         feats = extract_features(records, budget=30)
         assert feats.var_dq == pytest.approx(0.0, abs=1e-18)
         assert feats.skew_dq == 0.0 and feats.kurt_dq == 0.0
+
+
+class TestFeatureMatrix:
+    def test_one_row_per_cell_in_key_order(self):
+        cells = {"b": simulate_cycle_records(200, seed=1),
+                 "a": simulate_cycle_records(300, seed=2)}
+        X = feature_matrix(cells, 30)
+        assert X.shape == (2, 6)
+        for row, records in zip(X, cells.values()):
+            assert row.tobytes() == extract_features(records, budget=30).as_array().tobytes()
+
+    def test_error_names_the_cell(self):
+        records = simulate_cycle_records(200, seed=1)
+        del records[2]
+        with pytest.raises(MissingCycle, match="^cell b: cycle 2 not present$"):
+            feature_matrix({"a": simulate_cycle_records(300, seed=2), "b": records}, 30)
+
+
+class TestCheckTestSplit:
+    def test_five_cells_of_one_class_keep_a_test_cell(self):
+        check_test_split([100.0] * 5)
+
+    def test_four_cells_of_one_class_keep_none(self):
+        with pytest.raises(EmptyTrainingSet) as info:
+            check_test_split([100.0] * 3 + [400.0])
+        assert str(info.value) == (
+            "4 labelled cells leave no test cell: the onset classes (< 150, 150-270,"
+            " > 270 cycles) hold 3, 0, 1 cells, and a class of k cells keeps"
+            " k - ceil(0.8 k) for testing")
 
 
 class TestStratifiedSplit:
@@ -490,7 +529,12 @@ def boosting_problems(draw):
     return X, y, hyper
 
 
+@pytest.mark.floors
 class TestGbrtMatchesScalarReference:
+    """Marked floors: both sides score splits with products, never powers, so the oldest
+    NumPy checks the same definition.
+    """
+
     @settings(max_examples=200, deadline=None)
     @given(boosting_problems())
     def test_train_and_predict_bitwise(self, problem):
@@ -643,7 +687,8 @@ class TestSensitivitySweep:
     def small_fleet(self, n=30, seed=0):
         rng = np.random.default_rng(seed)
         onsets = rng.uniform(80, 420, n)
-        cells = [simulate_cycle_records(int(o), seed=seed + i) for i, o in enumerate(onsets)]
+        cells = {f"c{i:02d}": simulate_cycle_records(int(o), seed=seed + i)
+                 for i, o in enumerate(onsets)}
         return cells, onsets
 
     def test_budget_trend(self):

@@ -186,7 +186,12 @@ class TestLoadCapacityCsv:
         assert load_capacity_csv(p, cell_id="ab", q_nom_ah=1.1).cell_id == "ab"
 
 
+@pytest.mark.floors
 class TestResampleEven:
+    """Marked floors: the uneven-grid resampling is the package's one SciPy call
+    (``CubicSpline``), so it runs at the oldest SciPy too.
+    """
+
     def test_identity_on_unit_spacing(self):
         series = make_series([3, 4, 5, 6], [1.0, 0.99, 0.97, 0.9])
         out = resample_even(series)
@@ -540,8 +545,12 @@ def csv_text(draw, fmt):
     return bom + eol.join([",".join(header), *rows]) + tail
 
 
+@pytest.mark.floors
 class TestSharedReaderMatchesReference:
-    """The shared reader keeps the old readers' accepted inputs and values."""
+    """The shared reader keeps the old readers' accepted inputs and values.
+
+    Marked floors: the shared reader must keep these values at the oldest NumPy too.
+    """
 
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     @given(data=st.data())
@@ -707,8 +716,13 @@ class TestBlankRows:
         assert (ids, onsets[:, 0].tolist(), lines.tolist()) == (["a", "b"], [1.0, 2.0], [2, 4])
 
 
+@pytest.mark.floors
 class TestFloatParse:
-    """A file of numbers is parsed as float64 when that parse reads as float()."""
+    """A file of numbers is parsed as float64 when that parse reads as float().
+
+    Marked floors: the float64 ``np.loadtxt`` fast path must read as ``float()`` at the
+    oldest NumPy too.
+    """
 
     def body(self, text):
         lines = text.split("\n")
@@ -818,7 +832,12 @@ print(json.dumps({"loaded": loaded, "onset": report.onset_cycle,
 """
 
 
+@pytest.mark.floors
 class TestColdStart:
+    """Marked floors: at the oldest NumPy and SciPy, importing the package and an even-grid
+    ``identify_knees`` must still load no SciPy module.
+    """
+
     def test_import_and_even_grid_identify_load_no_scipy(self):
         src = str(Path(ingest.__file__).parents[1])
         proc = subprocess.run(

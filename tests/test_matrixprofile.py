@@ -272,7 +272,12 @@ class TestStamp:
         assert np.max(np.abs(mp.P - P)) < 1e-9
 
 
+@pytest.mark.floors
 class TestLocalBandMatchesFullMask:
+    """Marked floors: the Gram blocks (``np.matmul`` into one reused buffer) must equal the
+    full-mask reference at the oldest NumPy too.
+    """
+
     @given(block_edge_series())
     @settings(max_examples=300, deadline=None)
     def test_bitwise(self, case):

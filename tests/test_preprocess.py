@@ -89,9 +89,20 @@ class TestSavgolSmooth:
         with pytest.raises(OrderTooHigh):
             savgol_smooth(norm_series(np.ones(30)), window=5, order=5)
 
+    def test_overflowing_design_matrix_is_order_too_high(self):
+        # the largest design-matrix entry 81**162 overflows float64; 81**161 does not
+        assert np.isfinite(preprocess.savgol_coeffs(163, 161)).all()
+        with pytest.raises(OrderTooHigh, match=r"^order 162 at window 163: "):
+            preprocess.savgol_coeffs(163, 162)
 
+
+@pytest.mark.floors
 class TestMatchesScipySavgol:
-    """Smoothing is ``scipy.signal.savgol_filter(mode="mirror")``, bit for bit."""
+    """Smoothing is ``scipy.signal.savgol_filter(mode="mirror")``, bit for bit.
+
+    Marked floors: at the oldest NumPy the weights still come from its LAPACK ``gelsd``
+    and must equal SciPy's.
+    """
 
     def test_every_odd_window_and_order(self):
         # windows 179-201 at order 7 include the cases where scipy's rank
@@ -130,8 +141,13 @@ def paired_weights(rng, h, sign, ulps):
     return np.concatenate([left[::-1], [rng.normal()], right])
 
 
+@pytest.mark.floors
 class TestMirrorConvolution:
-    """The smoothing kernel is ``scipy.ndimage.convolve1d(mode="mirror")``, bit for bit."""
+    """The smoothing kernel is ``scipy.ndimage.convolve1d(mode="mirror")``, bit for bit.
+
+    Marked floors: at the oldest NumPy and SciPy the products must still add in
+    ``scipy.ndimage``'s order.
+    """
 
     @given(
         data=st.data(),

@@ -329,6 +329,9 @@ class TestPipelineParams:
         (dict(gamma=0.0), InputError, "gamma: must be positive and finite, got 0.0"),
         (dict(gamma=float("inf")), InputError, "gamma: must be positive and finite, got inf"),
         (dict(max_iter=0), InputError, "max_iter: must be >= 1, got 0"),
+        (dict(sg_window=163, sg_order=162), OrderTooHigh,
+         "order 162 at window 163: the Savitzky-Golay design matrix overflows float64"
+         " (81**162)"),
     ])
     def test_each_invalid_field_raises_its_class(self, bad, error, message):
         with pytest.raises(InputError) as info:
@@ -339,6 +342,7 @@ class TestPipelineParams:
         dict(sg_window=3, sg_order=0), dict(sg_window=3, sg_order=2), dict(curv_window=3),
         dict(cac_window=0), dict(cac_window=2), dict(exclusion_radius=0),
         dict(eol_threshold=0.999), dict(gamma=1e-300), dict(max_iter=1),
+        dict(sg_window=163, sg_order=161),
     ])
     def test_boundary_values_construct(self, valid):
         params = PipelineParams(**valid)
