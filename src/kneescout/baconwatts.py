@@ -52,7 +52,7 @@ class DBWParams:
 
     @staticmethod
     def from_array(free: np.ndarray, gamma: float) -> "DBWParams":
-        a0, a1, a2, a3, x0, x2 = (float(v) for v in free)
+        a0, a1, a2, a3, x0, x2 = free.tolist()
         return DBWParams(a0, a1, a2, a3, x0, x2, gamma)
 
 
@@ -74,16 +74,32 @@ class LMResult:
 
 
 def dbw_model(x, p: DBWParams):
-    """Evaluate the double Bacon-Watts expression."""
+    """Evaluate the double Bacon-Watts expression.
+
+    With ``d0 = x - x0`` and ``d2 = x - x2`` the sum is grouped
+    ``((a0 + a1*d0) + (a2*d0)*tanh(d0/g)) + (a3*d2)*tanh(d2/g)``. The
+    temporaries are reused in place; a sum or product of two terms rounds
+    the same in either order, so the bits are those of the one expression.
+    """
     if not 0 < p.gamma < math.inf:
         raise FitDiverged(f"gamma must be positive and finite, got {p.gamma}")
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:  # a scalar has no buffer to reuse
+        return dbw_model(x[None], p)[0]
     d0 = x - p.x0
     d2 = x - p.x2
-    return (
-        p.alpha0 + p.alpha1 * d0 + p.alpha2 * d0 * np.tanh(d0 / p.gamma)
-        + p.alpha3 * d2 * np.tanh(d2 / p.gamma)
-    )
+    y = p.alpha1 * d0
+    y += p.alpha0
+    tanh = np.divide(d0, p.gamma)
+    np.tanh(tanh, out=tanh)
+    d0 *= p.alpha2
+    tanh *= d0
+    y += tanh
+    np.tanh(np.divide(d2, p.gamma, out=tanh), out=tanh)
+    d2 *= p.alpha3
+    tanh *= d2
+    y += tanh
+    return y
 
 
 @np.errstate(over="ignore")  # an overflowing cost is handled, not warned about
@@ -143,7 +159,7 @@ def lm_optimize(
                 step = np.linalg.solve(JtJ + lam * D, neg_Jtr)
             except np.linalg.LinAlgError:
                 step = None
-            if step is not None and np.all(np.isfinite(step)):
+            if step is not None and np.isfinite(step).all():
                 trial = p + step
                 r_trial = np.asarray(residuals(trial), dtype=np.float64)
                 cost_trial = float(r_trial @ r_trial)
@@ -156,7 +172,7 @@ def lm_optimize(
                     "no descent step found even at maximal damping"
                 )
 
-        rel_step = np.max(np.abs(step) / np.maximum(np.abs(p), 1.0))
+        rel_step = (np.abs(step) / np.maximum(np.abs(p), 1.0)).max()
         rel_decrease = (cost - cost_trial) / max(cost, 1e-300)
         p, r, cost = trial, r_trial, cost_trial
         history.append(cost)
@@ -174,18 +190,13 @@ def lm_optimize(
     )
 
 
-def _steps(p):
-    """Central-difference steps h_k = 1e-6 * max(|p[k]|, 1)."""
-    return 1e-6 * np.maximum(np.abs(p), 1.0)
-
-
 def _central_jacobian(residuals, p):
     """Central differences, one pair of residual calls per parameter.
 
     Column k is ``(residuals(p + h_k e_k) - residuals(p - h_k e_k)) / (2 h_k)``
-    in a C-ordered ``(n, m)`` J.
+    with ``h_k = 1e-6 * max(|p[k]|, 1)``, in a C-ordered ``(n, m)`` J.
     """
-    h = _steps(p)
+    h = 1e-6 * np.maximum(np.abs(p), 1.0)
     columns = []
     for k, h_k in enumerate(h):
         up, down = p.copy(), p.copy()
@@ -203,73 +214,69 @@ def _dbw_residuals(x, y, gamma):
 
     ``residuals`` goes through ``dbw_model``, which also rejects a
     non-positive or non-finite gamma. ``jacobian`` gives
-    ``_central_jacobian``'s bits without calling it: it computes ``x - x0``,
-    ``x - x2`` and their tanh once at each of their three values (base,
-    moved up, moved down) and each subterm once at the base, then writes
-    the 12 perturbed residuals ``((a0 + T1) + T2) + T3 - y``, the operation
-    order of ``dbw_model``, into one ``(2, 6, n)`` array: up then down, one
-    row per moved parameter.
+    ``_central_jacobian``'s bits without calling it. It forms ``x - x0`` and
+    ``x - x2`` at their three values (base, moved up, moved down) and their
+    tanh as six rows at once, and each model term once at the base. Then it
+    writes the 12 perturbed residuals ``((a0 + T1) + T2) + T3 - y``, the
+    operation order of ``dbw_model``, into one ``(6, 2, n)`` array: one
+    block per moved parameter, up then down.
 
     Its working arrays are allocated once here and filled in place on every
     call, so ``jacobian`` returns the same ``(n, 6)`` array each time,
     overwritten.
     """
     n = len(x)
-    d0, d2 = np.empty((3, n)), np.empty((3, n))  # base, x0 or x2 up, down
-    tanh0, tanh2 = np.empty((3, n)), np.empty((3, n))
-    t1, t2, t3, a0_t1, a0_t12 = np.empty((5, n))
-    r = np.empty((2, 6, n))
+    d = np.empty((6, n))  # x - x0 base, up, down; x - x2 base, up, down
+    tanh = np.empty((6, n))
+    lin = np.empty((3, n))  # a1 * (x - x0) base, up, down
+    r = np.empty((6, 2, n))
     J = np.empty((n, 6))
+    # p[k] moved up and down for k < 4, the six abscissas, 2 h_k, and (a2, a3)
+    par = np.empty(22)
+    moved, abscissas, two_h = par[:8].reshape(4, 2, 1), par[8:14, None], par[14:20, None]
+    slopes = par[20:, None, None]
+    # rows 0-2 are the x0 term's, rows 3-5 the x2 term's; tanh_base[k] is row 3k
+    d_terms, tanh_terms = d.reshape(2, 3, n), tanh.reshape(2, 3, n)
+    tanh_base = tanh_terms[:, :1]
 
     def residuals(free):
-        return dbw_model(x, DBWParams.from_array(free, gamma)) - y
+        res = dbw_model(x, DBWParams.from_array(free, gamma))
+        res -= y
+        return res
 
     def jacobian(free):
-        a0, a1, a2, a3, x0, x2 = free
-        h = _steps(free)
-        up, down = free + h, free - h
-        np.subtract(x, np.array([[x0], [up[4]], [down[4]]]), out=d0)
-        np.subtract(x, np.array([[x2], [up[5]], [down[5]]]), out=d2)
-        np.tanh(np.divide(d0, gamma, out=tanh0), out=tanh0)
-        np.tanh(np.divide(d2, gamma, out=tanh2), out=tanh2)
-        np.multiply(a1, d0[0], out=t1)
-        np.multiply(np.multiply(a2, d0[0], out=t2), tanh0[0], out=t2)
-        np.multiply(np.multiply(a3, d2[0], out=t3), tanh2[0], out=t3)
-        np.add(a0, t1, out=a0_t1)
-        np.add(a0_t1, t2, out=a0_t12)
-        moved = np.stack([up, down])[:, :, None]  # moved[:, k]: p[k] up and down
+        values = free.tolist()
+        a0, a1, a2, a3, x0, x2 = values
+        h = [1e-6 * max(abs(v), 1.0) for v in values]
+        up_down = [w for v, h_k in zip(values, h) for w in (v + h_k, v - h_k)]
+        par[:] = [*up_down[:8], x0, *up_down[8:10], x2, *up_down[10:],
+                  *[2.0 * h_k for h_k in h], a2, a3]
+        np.subtract(x, abscissas, out=d)
+        np.tanh(np.divide(d, gamma, out=tanh), out=tanh)
 
-        # Each row keeps dbw_model's grouping; a sum or product of two terms
-        # rounds the same in either order. Rows 4 and 5 form their moved tanh
-        # terms in place in the moved rows of d0 and d2, which nothing reads
-        # afterwards.
-        r0, r1, r2, r3, r4, r5 = r.transpose(1, 0, 2)
-        np.add(moved[:, 0], t1, out=r0)
-        r0 += t2
-        r0 += t3
-        np.multiply(moved[:, 1], d0[0], out=r1)
-        r1 += a0
-        r1 += t2
-        r1 += t3
-        np.multiply(moved[:, 2], d0[0], out=r2)
-        r2 *= tanh0[0]
-        r2 += a0_t1
-        r2 += t3
-        np.multiply(moved[:, 3], d2[0], out=r3)
-        r3 *= tanh2[0]
-        r3 += a0_t12
-        np.multiply(a1, d0[1:], out=r4)
-        r4 += a0
-        t2_moved, t3_moved = d0[1:], d2[1:]
-        t2_moved *= a2
-        t2_moved *= tanh0[1:]
-        r4 += t2_moved
-        r4 += t3
-        t3_moved *= a3
-        t3_moved *= tanh2[1:]
-        np.add(a0_t12, t3_moved, out=r5)
+        # r[k] holds the residuals with p[k] moved up and down. Each keeps
+        # dbw_model's grouping ((a0 + T1) + T2) + T3, with T1 = a1*d0,
+        # T2 = (a2*d0)*tanh0 and T3 = (a3*d2)*tanh2; a sum or product of two
+        # terms rounds the same in either order.
+        np.multiply(a1, d[:3], out=lin)  # T1 at x0, x0 up, x0 down
+        np.multiply(moved[1:3], d[0], out=r[1:3])  # a1 or a2 moved, times d0
+        np.multiply(moved[3], d[3], out=r[3])  # a3 moved, times d2
+        np.multiply(d_terms, slopes, out=d_terms)  # d now holds T2 (rows 0-2), T3 (3-5)
+        np.multiply(d_terms, tanh_terms, out=d_terms)
+        r[2:4] *= tanh_base  # T2 with a2 moved, T3 with a3 moved
+        np.add(moved[0], lin[0], out=r[0])
+        np.add(lin, a0, out=lin)  # a0 + T1 at x0, x0 up, x0 down
+        r[1] += a0
+        r[:2] += d[0]
+        r[2] += lin[0]
+        np.add(lin[1:], d[1:3], out=r[4])
+        lin[0] += d[0]  # (a0 + T1) + T2
+        r[:3] += d[3]
+        r[4] += d[3]
+        r[3] += lin[0]
+        np.add(lin[0], d[4:], out=r[5])
         np.subtract(r, y, out=r)
-        np.divide(np.subtract(r[0], r[1], out=r[0]), 2.0 * h[:, None], out=J.T)
+        np.divide(np.subtract(r[:, 0], r[:, 1], out=r[:, 0]), two_h, out=J.T)
         return J
 
     return residuals, jacobian

@@ -38,6 +38,37 @@ def make_params(**kw):
     return DBWParams(**defaults)
 
 
+free_vectors = st.tuples(
+    st.floats(0.5, 1.5),
+    *(st.floats(-1e-2, 1e-2) for _ in range(3)),
+    st.floats(-200.0, 3000.0),
+    st.floats(-200.0, 3000.0),
+).map(np.array)
+
+
+@st.composite
+def fleet_free_vectors(draw):
+    """Free vectors for fleet-length curves, with shared abscissas and zero coefficients."""
+    free = draw(free_vectors)
+    if draw(st.booleans()):
+        free[5] = free[4]
+    for k in draw(st.sets(st.integers(0, 3), max_size=2)):
+        free[k] = 0.0
+    return free
+
+
+def reference_dbw_model(x, p):
+    """dbw_model as one expression, as it was before it reused its
+    temporaries, kept as the reference."""
+    x = np.asarray(x, dtype=np.float64)
+    d0 = x - p.x0
+    d2 = x - p.x2
+    return (
+        p.alpha0 + p.alpha1 * d0 + p.alpha2 * d0 * np.tanh(d0 / p.gamma)
+        + p.alpha3 * d2 * np.tanh(d2 / p.gamma)
+    )
+
+
 class TestDbwModel:
     def test_value_at_first_transition(self):
         p = make_params()
@@ -57,6 +88,28 @@ class TestDbwModel:
         x = np.array([650.0, 700.0, 750.0])
         expected = p.alpha0 + p.alpha2 * np.abs(x - p.x0)
         np.testing.assert_allclose(dbw_model(x, p), expected, atol=1e-9)
+
+    @pytest.mark.floors
+    @given(
+        free=fleet_free_vectors(),
+        n=st.integers(10, 2600),
+        start=st.floats(-500.0, 3500.0),
+        gamma=st.floats(0.5, 50.0) | st.floats(5e-324, 1e-310),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bits_equal_one_expression(self, free, n, start, gamma):
+        """Marked floors: the in-place form must round as the one expression at the
+        oldest NumPy too.
+        """
+        # a subnormal gamma sends d / gamma to +-inf, where tanh is +-1
+        x = start + np.arange(n, dtype=np.float64)
+        p = DBWParams.from_array(free, gamma)
+        with np.errstate(over="ignore"):
+            got, expected = dbw_model(x, p), reference_dbw_model(x, p)
+            scalar = dbw_model(x[n // 2], p)
+        assert got.shape == expected.shape == (n,)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert scalar.tobytes() == expected[n // 2].tobytes()
 
     def test_numeric_jacobian_richardson_consistency(self):
         # central differences at h and h/10 must agree to O(h^2)
@@ -231,25 +284,6 @@ def reference_lm(residuals, init, **kw):
     )
 
 
-free_vectors = st.tuples(
-    st.floats(0.5, 1.5),
-    *(st.floats(-1e-2, 1e-2) for _ in range(3)),
-    st.floats(-200.0, 3000.0),
-    st.floats(-200.0, 3000.0),
-).map(np.array)
-
-
-@st.composite
-def fleet_free_vectors(draw):
-    """Free vectors for fleet-length curves, with shared abscissas and zero coefficients."""
-    free = draw(free_vectors)
-    if draw(st.booleans()):
-        free[5] = free[4]
-    for k in draw(st.sets(st.integers(0, 3), max_size=2)):
-        free[k] = 0.0
-    return free
-
-
 @np.errstate(over="ignore")
 def allocating_lm_optimize(residuals, init, tol=1e-10, max_iter=1000, *, jacobian=None):
     """lm_optimize's loop as it was before it reused its working arrays,
@@ -318,7 +352,7 @@ def allocating_lm_optimize(residuals, init, tol=1e-10, max_iter=1000, *, jacobia
     )
 
 
-def recorded_fit(monkeypatch, series):
+def recorded_fit(monkeypatch, series, **fit_kw):
     """fit_dbw on the resampled series, and its one lm_optimize call:
     (fit, (residuals, init, keywords, result))."""
     runs = []
@@ -330,7 +364,7 @@ def recorded_fit(monkeypatch, series):
 
     with monkeypatch.context() as patch:
         patch.setattr(baconwatts, "lm_optimize", recording)
-        fit = fit_dbw(resample_even(series))
+        fit = fit_dbw(resample_even(series), **fit_kw)
     [run] = runs
     return fit, run
 
@@ -431,13 +465,61 @@ class TestStackedJacobian:
             fit_dbw(series, gamma=gamma)
 
 
+@pytest.mark.floors
 class TestLoopMatchesReference:
+    """Marked floors: the trial loop's method forms, the ``tolist()`` reads and the
+    ``out=`` writes into strided views must give the same iterates at the oldest NumPy too.
+    """
+
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_fleet_fits(self, monkeypatch, seed):
         for series, _ in generate_fleet(3, seed=seed, n_cycles=1200):
             _, (residuals, init, kw, result) = recorded_fit(monkeypatch, series)
             assert_same_run(result, allocating_lm_optimize(residuals, init, **kw))
             assert result.iterations > 1
+
+    def test_fit_stopped_at_max_iter(self, monkeypatch):
+        # this 454-point cell converges after 369 iterations; stopped at 60,
+        # its fit is still rejecting about every other trial step, as the
+        # fleet fits that reach max_iter do
+        series, _ = generate_fleet(3, seed=11, n_cycles=1200)[1]
+        fit, (residuals, init, kw, result) = recorded_fit(monkeypatch, series, max_iter=60)
+        assert kw["max_iter"] == 60 and len(init) == 6
+        assert_same_run(result, allocating_lm_optimize(residuals, init, **kw))
+        assert result.iterations == 60
+        assert result.converged is False and fit.converged is False
+
+    def test_one_model_evaluation_per_residual_evaluation(self, monkeypatch):
+        # perfbench's baconwatts.model_evals counts dbw_model calls
+        counts = dict(model=0, residuals=0, jacobian=0, model_in_jacobian=0)
+        real_model, real_lm = baconwatts.dbw_model, baconwatts.lm_optimize
+
+        def counting_model(x, p):
+            counts["model"] += 1
+            return real_model(x, p)
+
+        def counting_lm(residuals, init, *, jacobian, **kw):
+            def counted_residuals(p):
+                counts["residuals"] += 1
+                return residuals(p)
+
+            def counted_jacobian(p):
+                before = counts["model"]
+                J = jacobian(p)
+                counts["jacobian"] += 1
+                counts["model_in_jacobian"] += counts["model"] - before
+                return J
+
+            return real_lm(counted_residuals, init, jacobian=counted_jacobian, **kw)
+
+        series, _ = generate_fleet(3, seed=11, n_cycles=1200)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(baconwatts, "dbw_model", counting_model)
+            patch.setattr(baconwatts, "lm_optimize", counting_lm)
+            fit = fit_dbw(resample_even(series), max_iter=60)
+        assert counts["model_in_jacobian"] == 0
+        assert counts["jacobian"] == fit.iterations == 60
+        assert counts["model"] == counts["residuals"] == 116
 
     def test_trial_with_nan_residual(self):
         # the undamped step from 1 lands at 50.5, where one residual is NaN
