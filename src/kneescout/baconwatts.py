@@ -235,9 +235,8 @@ def _dbw_residuals(x, y, gamma):
     par = np.empty(22)
     moved, abscissas, two_h = par[:8].reshape(4, 2, 1), par[8:14, None], par[14:20, None]
     slopes = par[20:, None, None]
-    # rows 0-2 are the x0 term's, rows 3-5 the x2 term's; tanh_base[k] is row 3k
+    # rows 0-2 are the x0 term's, rows 3-5 the x2 term's
     d_terms, tanh_terms = d.reshape(2, 3, n), tanh.reshape(2, 3, n)
-    tanh_base = tanh_terms[:, :1]
 
     def residuals(free):
         res = dbw_model(x, DBWParams.from_array(free, gamma))
@@ -263,7 +262,7 @@ def _dbw_residuals(x, y, gamma):
         np.multiply(moved[3], d[3], out=r[3])  # a3 moved, times d2
         np.multiply(d_terms, slopes, out=d_terms)  # d now holds T2 (rows 0-2), T3 (3-5)
         np.multiply(d_terms, tanh_terms, out=d_terms)
-        r[2:4] *= tanh_base  # T2 with a2 moved, T3 with a3 moved
+        r[2:4] *= tanh_terms[:, :1]  # T2 with a2 moved, T3 with a3 moved
         np.add(moved[0], lin[0], out=r[0])
         np.add(lin, a0, out=lin)  # a0 + T1 at x0, x0 up, x0 down
         r[1] += a0
