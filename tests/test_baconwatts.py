@@ -484,7 +484,7 @@ class TestLoopMatchesReference:
         # fleet fits that reach max_iter do
         series, _ = generate_fleet(3, seed=11, n_cycles=1200)[1]
         fit, (residuals, init, kw, result) = recorded_fit(monkeypatch, series, max_iter=60)
-        assert kw["max_iter"] == 60 and len(init) == 6
+        assert kw["max_iter"] == 60
         assert_same_run(result, allocating_lm_optimize(residuals, init, **kw))
         assert result.iterations == 60
         assert result.converged is False and fit.converged is False
