@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import (DegenerateWindow, EvenWindow, IndexOutOfRange, InputError,
@@ -15,6 +16,7 @@ class GBRTHyper:
     """Hyperparameters of the boosted-tree knee-onset predictor.
 
     Zero trees is valid and gives a model that predicts the training mean.
+    The counts must be integers, not bools; a NumPy integer is stored as int.
     """
 
     n_trees: int = 300
@@ -23,15 +25,15 @@ class GBRTHyper:
     min_leaf: int = 2
 
     def __post_init__(self):
-        problems = [
-            f"{name} must be >= {low}, got {value}"
-            for name, value, low in (
-                ("n_trees", self.n_trees, 0),
-                ("max_depth", self.max_depth, 0),
-                ("min_leaf", self.min_leaf, 1),
-            )
-            if value < low
-        ]
+        problems = []
+        for name, low in (("n_trees", 0), ("max_depth", 0), ("min_leaf", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                problems.append(f"{name} must be an int, got {value!r}")
+            elif value < low:
+                problems.append(f"{name} must be >= {low}, got {value}")
+            else:
+                object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             problems.append(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"

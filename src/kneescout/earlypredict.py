@@ -233,8 +233,11 @@ def stratified_split(
     """Per-class random split with rounding toward the training set.
 
     Classes are the knee-onset grades (< 150, 150-270, > 270 cycles). A
-    class with a single member goes to training.
+    class with a single member goes to training. ``train_frac`` must lie in
+    (0, 1], else InputError.
     """
+    if not 0 < train_frac <= 1:  # NaN fails both comparisons
+        raise InputError(f"train_frac must be in (0, 1], got {train_frac}")
     labels = np.asarray(onset_labels, dtype=np.float64)
     if len(labels) < 1:
         raise EmptyTrainingSet("no samples to split")
@@ -371,18 +374,44 @@ def _threshold(lower, upper) -> float:
     return mid if lower <= mid < upper else lower
 
 
-def _best_split(v, rs, counts, min_leaf):
-    """Greedy variance-reduction split of a node; (feature, threshold) or None.
+class _Node:
+    """A node that some tree of one fit reached, with all that its rows fix.
 
-    Row ``f`` of ``v`` holds the node's values of feature ``f`` in sorted
-    order, and row ``f`` of ``rs`` the residuals in that order; ``rs`` is
-    squared in place. ``counts`` is ``1, 2, 3, ...``, at least as long as
-    the node, so its prefix is the left-hand count of every cut. Every cut
-    of every feature is scored in one contiguous ``(features x rows)``
-    table; cuts that leave fewer than ``min_leaf`` rows on a side or fall
-    between equal values score +inf. The first minimum in feature-major
-    order wins: ties break toward the lower feature index, then the lower
-    threshold (strict improvement required).
+    Every tree of a fit splits the same rows, so a node is its path: the
+    root, then a cut and a side at each level. What depends on the rows
+    alone is worked out the first time a tree reaches the node, and every
+    later tree reads it back; only the residuals differ.
+
+    - ``rows``: the node's rows, ascending.
+    - ``order``: the stable sort of the rows by each feature, (features x
+      rows); None where the node never splits (by depth, by size, or for
+      want of features), and then the node has nothing more.
+    - ``invalid``: the cuts that leave fewer than ``min_leaf`` rows on a
+      side or fall between equal values. ``nl``, ``nr``: each cut's
+      left- and right-hand row counts; the last cut, which leaves no row
+      on the right, is invalid and takes ``nr`` 1.
+    - ``splits``: for each cut a tree split the node at, keyed by its flat
+      index in the table: (feature, threshold, left, right, inner), with
+      ``inner`` the ``TreeNode`` of each (left, right) position pair.
+    """
+
+    __slots__ = ("rows", "order", "invalid", "nl", "nr", "splits")
+
+    def __init__(self, rows, order=None):
+        self.rows = rows
+        self.order = order
+
+
+def _best_split(rs, node: _Node):
+    """Greedy variance-reduction split of ``node``: the flat index of its
+    best cut in the (features x rows) table, or None.
+
+    Row ``f`` of ``rs`` holds the node's residuals in the sorted order of
+    feature ``f``; ``rs`` is overwritten. Every cut of every feature is
+    scored in one contiguous table, and the cuts in ``node.invalid`` score
+    +inf. The first minimum in feature-major order wins: ties break toward
+    the lower feature index, then the lower threshold (strict improvement
+    required).
 
     With ``c1``, ``c2`` the left-hand sums of the residuals and their
     squares, ``tot1``, ``tot2`` the node's, and ``d = tot1 - c1``, the cut
@@ -390,72 +419,98 @@ def _best_split(v, rs, counts, min_leaf):
     d*d/nr)``. Squares are products, never powers: products are exactly
     rounded, so the table is the definition on any IEEE-754 machine.
     """
-    n = v.shape[1]
     c1 = np.add.accumulate(rs, axis=1)
     rs *= rs
     c2 = np.add.accumulate(rs, axis=1)
-    nl = counts[:n]
-    nr = n - nl
-    nr[-1] = 1.0  # the last cut leaves no row on the right; it is masked below
     d = c1[:, -1:] - c1
-    sse = (c2 - c1 * c1 / nl) + ((c2[:, -1:] - c2) - d * d / nr)
-    sse[:, n - min_leaf:] = np.inf
-    sse[:, :min_leaf - 1] = np.inf
-    # in the flat table, the one pair of values from two features sits on a
-    # feature's last cut, masked already
-    sse = sse.ravel()
-    flat = v.ravel()
-    sse[:-1][flat[:-1] == flat[1:]] = np.inf
-    first = int(sse.argmin())
-    if sse[first] == np.inf:
-        return None
-    f, k = divmod(first, n)
-    return f, _threshold(v[f, k], v[f, k + 1])
+    sse = (c2 - c1 * c1 / node.nl) + ((c2[:, -1:] - c2) - d * d / node.nr)
+    sse[node.invalid] = np.inf
+    cut = int(sse.argmin())
+    return None if sse.item(cut) == np.inf else cut
 
 
-def _fit_tree(
-    Xt, order, v, counts, r, max_depth, min_leaf
-) -> Tuple[List[TreeNode], np.ndarray]:
-    """Grow one tree on residuals ``r``; return it and its value at each row.
+class _NodeCache:
+    """The nodes of one ``gbrt_train`` call, shared by all of its trees.
 
-    ``order`` is the per-feature stable sort of all rows and ``v`` holds
-    the sorted values, ``Xt`` taken along ``order``. A child that may split
-    keeps its parent's ``order`` and ``v`` filtered to its own rows, which
-    equals a stable sort of the child alone, so no node sorts or gathers
-    from ``Xt``; a child that is a leaf by depth or size filters nothing.
-    ``counts`` is ``1, 2, ..., len(r)`` for ``_best_split``.
+    Each feature is sorted once. A child that may split keeps its parent's
+    ``order`` filtered to its own rows, which equals a stable sort of the
+    child alone, so no node sorts; it gathers its sorted values from
+    ``Xt`` only to find its invalid cuts. A child that is a leaf by depth
+    or size filters nothing. The cache lives as long as the fit: the
+    nodes that one tree adds at one depth hold each row at most once, so
+    their orders and masks take at most 9 bytes x features x rows, and
+    the fit's at most n_trees x max_depth times that.
     """
-    nodes: List[TreeNode] = []
-    fitted = np.empty(len(r))
 
-    def build(rows, order, v, side, depth) -> int:
-        # ``order`` and ``v`` are the parent's, and ``side`` marks this
-        # node's rows among all rows; at the root they are its own and
-        # ``side`` is None
+    def __init__(self, Xt, max_depth: int, min_leaf: int):
+        self.Xt = Xt
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.counts = np.arange(1, Xt.shape[1] + 1, dtype=np.float64)
+        self.features = np.arange(len(Xt))[:, None]
+        order = np.argsort(Xt, axis=1, kind="stable")
+        self.root = self._node(np.arange(Xt.shape[1]), order, None, 0)
+
+    def _node(self, rows, order, side, depth) -> _Node:
+        """The node of ``rows`` at ``depth``; ``order`` is its parent's, with
+        ``side`` marking its rows among all rows, or its own where ``side``
+        is None."""
+        if depth >= self.max_depth or len(rows) < 2 * self.min_leaf or len(order) == 0:
+            return _Node(rows)
+        if side is not None:
+            order = order[side[order]].reshape(len(order), -1)
+        node = _Node(rows, order)
+        node.splits = {}
+        n = len(rows)
+        v = self.Xt[self.features, order]
+        node.invalid = np.zeros(v.shape, dtype=bool)
+        np.equal(v[:, :-1], v[:, 1:], out=node.invalid[:, :-1])
+        node.invalid[:, n - self.min_leaf:] = True
+        node.invalid[:, :self.min_leaf - 1] = True
+        node.nl = self.counts[:n]
+        node.nr = n - node.nl
+        node.nr[-1] = 1.0
+        return node
+
+    def _split(self, node: _Node, cut: int, depth: int):
+        f, k = divmod(cut, len(node.rows))
+        x = self.Xt[f]
+        thr = _threshold(x[node.order[f, k]], x[node.order[f, k + 1]])
+        goes_left = x <= thr
+        row_left = goes_left[node.rows]
+        left = self._node(node.rows[row_left], node.order, goes_left, depth + 1)
+        right = self._node(node.rows[~row_left], node.order, ~goes_left, depth + 1)
+        node.splits[cut] = (f, thr, left, right, {})
+        return node.splits[cut]
+
+    def fit_tree(self, r) -> Tuple[List[TreeNode], np.ndarray]:
+        """Grow one tree on residuals ``r``; return it and its value at each row."""
+        nodes: List[TreeNode] = []
+        fitted = np.empty(len(r))
+        self._grow(self.root, 0, r, nodes, fitted)
+        return nodes, fitted
+
+    def _grow(self, node: _Node, depth: int, r, nodes, fitted) -> int:
+        # a method, not a closure: a recursive closure is a reference cycle,
+        # and one that held the cache would keep it alive after the fit
+        # until the cycle collector ran
         pos = len(nodes)
-        split = None
-        if depth < max_depth and len(rows) >= 2 * min_leaf:
-            if side is not None:
-                kept = side[order]
-                order = order[kept].reshape(len(order), -1)
-                v = v[kept].reshape(len(v), -1)
-            split = _best_split(v, r[order], counts, min_leaf)
-        if split is None:
+        cut = None if node.order is None else _best_split(r[node.order], node)
+        if cut is None:
+            rows = node.rows
             value = float(np.add.reduce(r[rows]) / len(rows))  # np.mean's arithmetic
             nodes.append(TreeNode(-1, 0.0, -1, -1, value))
             fitted[rows] = value
             return pos
-        f, thr = split
+        f, thr, left, right, inner = node.splits.get(cut) or self._split(node, cut, depth)
         nodes.append(None)  # filled in once the children have their places
-        goes_left = Xt[f] <= thr
-        row_left = goes_left[rows]
-        left = build(rows[row_left], order, v, goes_left, depth + 1)
-        right = build(rows[~row_left], order, v, ~goes_left, depth + 1)
-        nodes[pos] = TreeNode(f, thr, left, right, 0.0)
+        at = (self._grow(left, depth + 1, r, nodes, fitted),
+              self._grow(right, depth + 1, r, nodes, fitted))
+        tree_node = inner.get(at)
+        if tree_node is None:
+            tree_node = inner[at] = TreeNode(f, thr, *at, 0.0)
+        nodes[pos] = tree_node
         return pos
-
-    build(np.arange(len(r)), order, v, None, 0)
-    return nodes, fitted
 
 
 def _leaf_values(trees: List[List[TreeNode]], X) -> np.ndarray:
@@ -502,26 +557,25 @@ def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
     """Stagewise least-squares boosting; each tree fits current residuals."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or len(X) != len(y):
+    if X.ndim != 2 or y.ndim != 1:
+        raise LengthMismatch(
+            f"X must be a (rows x features) matrix and y a vector, got shapes {X.shape} and {y.shape}"
+        )
+    if len(X) != len(y):
         raise LengthMismatch(f"X has {len(X)} rows but y has {len(y)} entries")
     if len(y) < 2:
         raise EmptyTrainingSet(f"need at least 2 training samples, got {len(y)}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NonFiniteFeature("training data contains non-finite values")
 
-    Xt = np.ascontiguousarray(X.T)
-    order = np.argsort(Xt, axis=1, kind="stable")
-    v = np.take_along_axis(Xt, order, axis=1)
-    counts = np.arange(1, len(y) + 1, dtype=np.float64)
+    cache = _NodeCache(np.ascontiguousarray(X.T), hyper.max_depth, hyper.min_leaf)
     init = float(np.mean(y))
     pred = np.full(len(y), init)
     residual = y - pred
     trees: List[List[TreeNode]] = []
     rmse = [_rmse(residual, 0, hyper)]
     for t in range(1, hyper.n_trees + 1):
-        tree, fitted = _fit_tree(
-            Xt, order, v, counts, residual, hyper.max_depth, hyper.min_leaf
-        )
+        tree, fitted = cache.fit_tree(residual)
         pred = pred + hyper.learning_rate * fitted
         residual = y - pred
         trees.append(tree)

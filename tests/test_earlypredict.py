@@ -1,7 +1,11 @@
+import gc
 import inspect
 import json
 import re
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kneescout import earlypredict
 from kneescout.config import GBRTHyper
 from kneescout.errors import (
     EmptyTrainingSet,
@@ -17,6 +22,7 @@ from kneescout.errors import (
     InvalidDischargeCurve,
     InvalidHyperparameter,
     InvalidModel,
+    LengthMismatch,
     MalformedRow,
     MissingCycle,
     NonFiniteFeature,
@@ -287,6 +293,15 @@ class TestStratifiedSplit:
         with pytest.raises(EmptyTrainingSet):
             stratified_split([], 0.8, seed=0)
 
+    @pytest.mark.parametrize("frac", [float("nan"), 0.0, -0.5, 1.5, float("inf"), -float("inf")])
+    def test_train_frac_outside_zero_one_rejected(self, frac):
+        with pytest.raises(InputError, match=re.escape(f"train_frac must be in (0, 1], got {frac}")):
+            stratified_split([100.0] * 5 + [200.0] * 5, frac, seed=0)
+
+    def test_train_frac_one_keeps_every_cell(self):
+        train, test = stratified_split([100.0] * 5 + [200.0] * 5, 1.0, seed=0)
+        assert list(train) == list(range(10)) and len(test) == 0
+
     @given(
         seed=st.integers(0, 9999),
         counts=st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)),
@@ -320,6 +335,31 @@ class TestGbrt:
     def test_invalid_hyperparameters_rejected(self, bad):
         with pytest.raises(InvalidHyperparameter, match=next(iter(bad))):
             GBRTHyper(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(n_trees=2.5), dict(max_depth=1.5), dict(min_leaf=1.5), dict(min_leaf=True),
+        dict(n_trees=False), dict(max_depth="3"), dict(n_trees=np.float64(3.0)),
+    ])
+    def test_non_integer_counts_rejected(self, bad):
+        (name, value), = bad.items()
+        with pytest.raises(InvalidHyperparameter, match=re.escape(f"{name} must be an int, got {value!r}")):
+            GBRTHyper(**bad)
+
+    def test_numpy_integer_counts_become_ints(self):
+        hyper = GBRTHyper(n_trees=np.int64(4), max_depth=np.int32(2), min_leaf=np.uint8(1))
+        assert [type(v) for v in (hyper.n_trees, hyper.max_depth, hyper.min_leaf)] == [int] * 3
+        assert hyper == GBRTHyper(n_trees=4, max_depth=2, min_leaf=1)
+
+    @pytest.mark.parametrize("X_shape, y_shape", [
+        ((8,), (8,)), ((8, 2, 1), (8,)), ((), (8,)), ((8, 2), (8, 1)),
+    ])
+    def test_non_matrix_training_data_names_the_shapes(self, X_shape, y_shape):
+        with pytest.raises(LengthMismatch, match=re.escape(f"got shapes {X_shape} and {y_shape}")):
+            gbrt_train(np.zeros(X_shape), np.zeros(y_shape))
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(LengthMismatch, match="X has 8 rows but y has 7 entries"):
+            gbrt_train(np.zeros((8, 2)), np.zeros(7))
 
     def test_zero_trees_predicts_mean(self):
         X, y = self.toy_data()
@@ -392,6 +432,25 @@ class TestGbrt:
                     f" (learning_rate {hyper.learning_rate}) overflow")
         with pytest.raises(NonFiniteResidual, match=re.escape(expected)):
             gbrt_train(X, y, hyper)
+
+    def test_node_cache_freed_when_the_fit_returns(self, monkeypatch):
+        # with the cycle collector off only reference counts free memory: a
+        # reference cycle through the cache would keep it after the fit
+        caches = []
+
+        class Recorded(earlypredict._NodeCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(weakref.ref(self))
+
+        monkeypatch.setattr(earlypredict, "_NodeCache", Recorded)
+        X, y = self.toy_data()
+        gc.disable()
+        try:
+            gbrt_train(X, y, GBRTHyper(n_trees=5))
+            assert len(caches) == 1 and caches[0]() is None
+        finally:
+            gc.enable()
 
     def test_large_finite_residuals_train(self):
         # n * sum(r**2) = 16e306 is finite, so every split score is too
@@ -501,10 +560,10 @@ def boosting_problems(draw):
     partitions at the coarse boundaries, another order inside each group,
     so scores that tie up to rounding).
     """
-    n = draw(st.integers(2, 24))
+    n = draw(st.integers(2, 40))
     grid = draw(st.sampled_from([1.0, 0.5, 0.1]))
     cols = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["fresh", "copy", "rescale", "refine"])) if cols else "fresh"
         if kind == "fresh":
             cols.append(grid * np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=float))
@@ -517,11 +576,11 @@ def boosting_problems(draw):
         else:
             jitter = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
             cols.append(10.0 * src + jitter)
-    X = np.column_stack(cols)
+    X = np.column_stack(cols) if cols else np.empty((n, 0))
     finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     y = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
     hyper = GBRTHyper(
-        n_trees=draw(st.integers(0, 6)),
+        n_trees=draw(st.integers(0, 24)),
         learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
         max_depth=draw(st.integers(0, 4)),
         min_leaf=draw(st.integers(1, 4)),
@@ -576,6 +635,68 @@ class TestGbrtMatchesScalarReference:
             np.testing.assert_array_equal(gbrt_predict(model, X), y)
         with np.errstate(over="ignore"):  # the reference sums NumPy scalars
             assert model.to_json() == reference_train(X, y, hyper).to_json()
+
+    def test_no_features_gives_leaves(self):
+        X, y = np.empty((8, 0)), np.arange(8.0)
+        hyper = GBRTHyper(n_trees=3, learning_rate=0.5)
+        model = gbrt_train(X, y, hyper)
+        assert model.to_json() == reference_train(X, y, hyper).to_json()
+        assert [[node.feature for node in tree] for tree in model.trees] == [[-1]] * 3
+        np.testing.assert_array_equal(gbrt_predict(model, np.empty((2, 0))), [3.5, 3.5])
+
+    def test_back_to_back_fits_each_match_the_reference(self):
+        # the second fit has the first one's shape but other values: a node
+        # kept from the first fit would give it the first fit's partitions
+        rng = np.random.default_rng(5)
+        hyper = GBRTHyper(n_trees=30, min_leaf=1)
+        for _ in range(2):
+            X = rng.integers(0, 6, (30, 3)).astype(float)
+            y = rng.uniform(100, 400, 30)
+            assert gbrt_train(X, y, hyper).to_json() == reference_train(X, y, hyper).to_json()
+
+    def test_shared_nodes_round_trip(self):
+        # deep trees: one split of a node sits at other positions in other
+        # trees, with other child positions, so a shared TreeNode must be
+        # one per (left, right) pair
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 8, (40, 3)).astype(float)
+        y = rng.uniform(100, 400, 40)
+        hyper = GBRTHyper(n_trees=60, max_depth=5, min_leaf=1)
+        model = gbrt_train(X, y, hyper)
+        assert model.to_json() == reference_train(X, y, hyper).to_json()
+        inner = [node for tree in model.trees for node in tree if node.feature >= 0]
+        assert len({id(node) for node in inner}) < len(inner)  # some trees share nodes
+        restored = GBRTModel.from_json(model.to_json())
+        assert restored.trees == model.trees
+        assert restored.to_json() == model.to_json()
+        assert np.array_equal(gbrt_predict(restored, X), gbrt_predict(model, X))
+
+    def test_concurrent_fits(self):
+        # more threads than cores, switching often: a node cache shared
+        # between fits would hand one fit another's partitions
+        rng = np.random.default_rng(4)
+        problems = [(rng.standard_normal((50, 4)), rng.uniform(100, 400, 50)) for _ in range(4)]
+        hyper = GBRTHyper(n_trees=100)
+        expected = [gbrt_train(X, y, hyper).to_json() for X, y in problems]
+        start = threading.Barrier(len(problems))
+        got = [None] * len(problems)
+
+        def fit(i):
+            start.wait(timeout=30)
+            got[i] = gbrt_train(*problems[i], hyper).to_json()
+
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(len(problems))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
     def test_fleet_sized_fit(self):
         rng = np.random.default_rng(11)
