@@ -17,6 +17,7 @@ class GBRTHyper:
 
     Zero trees is valid and gives a model that predicts the training mean.
     The counts must be integers, not bools; a NumPy integer is stored as int.
+    ``learning_rate`` must be a real number, not a bool; it is stored as given.
     """
 
     n_trees: int = 300
@@ -34,10 +35,11 @@ class GBRTHyper:
                 problems.append(f"{name} must be >= {low}, got {value}")
             else:
                 object.__setattr__(self, name, int(value))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            problems.append(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            problems.append(f"learning_rate must be a real number, got {rate!r}")
+        elif not (math.isfinite(rate) and rate > 0):
+            problems.append(f"learning_rate must be finite and > 0, got {rate}")
         if problems:
             raise InvalidHyperparameter("; ".join(problems))
 

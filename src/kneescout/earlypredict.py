@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple, get_type_hints
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -267,28 +267,29 @@ def check_test_split(onset_labels: Sequence[float]) -> None:
 
 # --- boosted trees ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Flat tree node; feature == -1 marks a leaf."""
-
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    value: float
+# A tree node; feature -1 marks a leaf, whose children are -1. A child is
+# counted from its tree's first node, as in the model JSON.
+NODE = np.dtype([("feature", np.int64), ("threshold", np.float64),
+                 ("left", np.int64), ("right", np.int64), ("value", np.float64)])
 
 
-# each TreeNode field and the type its JSON value is cast to
-_NODE_CASTS = get_type_hints(TreeNode)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GBRTModel:
+    """Boosted trees: ``nodes`` holds every tree's ``NODE`` records back to
+    back, ``sizes`` the node count of each tree."""
+
     init_value: float
     learning_rate: float
     n_features: int
-    trees: List[List[TreeNode]]
+    nodes: np.ndarray
+    sizes: np.ndarray
     train_rmse: List[float] = field(default_factory=list, repr=False)
+
+    @property
+    def trees(self) -> List[np.ndarray]:
+        """Each tree's nodes, as views of ``nodes``."""
+        # np.split of no nodes gives one empty piece, not zero trees
+        return np.split(self.nodes, np.cumsum(self.sizes)[:-1]) if len(self.sizes) else []
 
     def to_json(self) -> str:
         return json.dumps(
@@ -296,7 +297,8 @@ class GBRTModel:
                 "init_value": self.init_value,
                 "learning_rate": self.learning_rate,
                 "n_features": self.n_features,
-                "trees": [[asdict(n) for n in tree] for tree in self.trees],
+                "trees": [[dict(zip(NODE.names, row)) for row in tree.tolist()]
+                          for tree in self.trees],
             },
             indent=2,
             sort_keys=True,
@@ -307,34 +309,37 @@ class GBRTModel:
         obj = parse_json(text, "model JSON", InvalidModel)
         try:
             trees = [
-                [TreeNode(**{k: cast(n[k]) for k, cast in _NODE_CASTS.items()}) for n in tree]
+                [(int(n["feature"]), float(n["threshold"]), int(n["left"]), int(n["right"]),
+                  float(n["value"])) for n in tree]
                 for tree in obj["trees"]
             ]
-            model = GBRTModel(
-                init_value=float(obj["init_value"]),
-                learning_rate=float(obj["learning_rate"]),
-                n_features=int(obj["n_features"]),
-                trees=trees,
-            )
+            init_value = float(obj["init_value"])
+            learning_rate = float(obj["learning_rate"])
+            n_features = int(obj["n_features"])
+            # json reads the literals NaN and Infinity
+            if not (math.isfinite(init_value) and math.isfinite(learning_rate)):
+                raise InvalidModel(
+                    f"model JSON init_value {init_value} and learning_rate "
+                    f"{learning_rate} must be finite"
+                )
+            if n_features < 0:
+                raise InvalidModel(f"model JSON n_features {n_features} is negative")
+            # checked as Python ints, before packing, so that a feature of 10**30
+            # names its node; packing overflows only past int64 under a larger n_features
+            for t, tree in enumerate(trees):
+                _check_tree(t, tree, n_features)
+            nodes = np.array([row for tree in trees for row in tree], dtype=NODE)
         except KeyError as exc:
             raise InvalidModel(f"model JSON lacks field {exc.args[0]!r}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidModel(f"malformed model JSON: {exc}") from None
-        # json reads the literals NaN and Infinity
-        if not (math.isfinite(model.init_value) and math.isfinite(model.learning_rate)):
-            raise InvalidModel(
-                f"model JSON init_value {model.init_value} and learning_rate "
-                f"{model.learning_rate} must be finite"
-            )
-        if model.n_features < 0:
-            raise InvalidModel(f"model JSON n_features {model.n_features} is negative")
-        for t, tree in enumerate(model.trees):
-            _check_tree(t, tree, model.n_features)
-        return model
+        sizes = np.array([len(tree) for tree in trees], dtype=np.int64)
+        return GBRTModel(init_value, learning_rate, n_features, nodes, sizes)
 
 
-def _check_tree(t: int, tree: List[TreeNode], n_features: int) -> None:
-    """Raise ``InvalidModel`` unless every walk down tree ``t`` ends at a leaf.
+def _check_tree(t: int, tree: List[tuple], n_features: int) -> None:
+    """Raise ``InvalidModel`` unless every walk down tree ``t``, a list of
+    ``NODE`` rows, ends at a leaf.
 
     The tree is not empty; every threshold and value is finite; an inner
     node splits on a feature in ``[0, n_features)`` and both its children
@@ -342,22 +347,22 @@ def _check_tree(t: int, tree: List[TreeNode], n_features: int) -> None:
     """
     if not tree:
         raise InvalidModel(f"model JSON tree {t} is empty")
-    for i, node in enumerate(tree):
+    for i, (feature, threshold, left, right, value) in enumerate(tree):
         where = f"model JSON tree {t} node {i}"
-        if not (math.isfinite(node.threshold) and math.isfinite(node.value)):
+        if not (math.isfinite(threshold) and math.isfinite(value)):
             raise InvalidModel(
-                f"{where}: threshold {node.threshold} and value {node.value} must be finite"
+                f"{where}: threshold {threshold} and value {value} must be finite"
             )
-        if node.feature == -1:
-            if node.left != -1 or node.right != -1:
+        if feature == -1:
+            if left != -1 or right != -1:
                 raise InvalidModel(f"{where}: a leaf's children must be -1")
-        elif not 0 <= node.feature < n_features:
+        elif not 0 <= feature < n_features:
             raise InvalidModel(
-                f"{where}: feature {node.feature} is outside [0, {n_features})"
+                f"{where}: feature {feature} is outside [0, {n_features})"
             )
-        elif not (i < node.left < len(tree) and i < node.right < len(tree)):
+        elif not (i < left < len(tree) and i < right < len(tree)):
             raise InvalidModel(
-                f"{where}: children {node.left}, {node.right} must come after "
+                f"{where}: children {left}, {right} must come after "
                 f"it and inside the tree's {len(tree)} nodes"
             )
 
@@ -391,8 +396,7 @@ class _Node:
       left- and right-hand row counts; the last cut, which leaves no row
       on the right, is invalid and takes ``nr`` 1.
     - ``splits``: for each cut a tree split the node at, keyed by its flat
-      index in the table: (feature, threshold, left, right, inner), with
-      ``inner`` the ``TreeNode`` of each (left, right) position pair.
+      index in the table: (feature, threshold, left, right).
     """
 
     __slots__ = ("rows", "order", "invalid", "nl", "nr", "splits")
@@ -480,12 +484,12 @@ class _NodeCache:
         row_left = goes_left[node.rows]
         left = self._node(node.rows[row_left], node.order, goes_left, depth + 1)
         right = self._node(node.rows[~row_left], node.order, ~goes_left, depth + 1)
-        node.splits[cut] = (f, thr, left, right, {})
+        node.splits[cut] = (f, thr, left, right)
         return node.splits[cut]
 
-    def fit_tree(self, r) -> Tuple[List[TreeNode], np.ndarray]:
-        """Grow one tree on residuals ``r``; return it and its value at each row."""
-        nodes: List[TreeNode] = []
+    def fit_tree(self, r) -> Tuple[List[tuple], np.ndarray]:
+        """Grow one tree on residuals ``r``; return its NODE rows and its value at each row."""
+        nodes: List[tuple] = []
         fitted = np.empty(len(r))
         self._grow(self.root, 0, r, nodes, fitted)
         return nodes, fitted
@@ -499,31 +503,23 @@ class _NodeCache:
         if cut is None:
             rows = node.rows
             value = float(np.add.reduce(r[rows]) / len(rows))  # np.mean's arithmetic
-            nodes.append(TreeNode(-1, 0.0, -1, -1, value))
+            nodes.append((-1, 0.0, -1, -1, value))
             fitted[rows] = value
             return pos
-        f, thr, left, right, inner = node.splits.get(cut) or self._split(node, cut, depth)
+        f, thr, left, right = node.splits.get(cut) or self._split(node, cut, depth)
         nodes.append(None)  # filled in once the children have their places
         at = (self._grow(left, depth + 1, r, nodes, fitted),
               self._grow(right, depth + 1, r, nodes, fitted))
-        tree_node = inner.get(at)
-        if tree_node is None:
-            tree_node = inner[at] = TreeNode(f, thr, *at, 0.0)
-        nodes[pos] = tree_node
+        nodes[pos] = (f, thr, *at, 0.0)
         return pos
 
 
-def _leaf_values(trees: List[List[TreeNode]], X) -> np.ndarray:
+def _leaf_values(model: GBRTModel, X) -> np.ndarray:
     """Leaf value of every tree at every row of ``X``, shape (trees, rows)."""
-    sizes = [len(tree) for tree in trees]
-    starts = np.cumsum([0] + sizes[:-1])
-    base = np.repeat(starts, sizes)
-    flat = [node for tree in trees for node in tree]
-    feature = np.array([node.feature for node in flat])
-    threshold = np.array([node.threshold for node in flat], dtype=np.float64)
-    left = np.array([node.left for node in flat]) + base
-    right = np.array([node.right for node in flat]) + base
-    value = np.array([node.value for node in flat], dtype=np.float64)
+    starts = np.cumsum(model.sizes) - model.sizes
+    base = np.repeat(starts, model.sizes)
+    feature, threshold, value = (model.nodes[name] for name in ("feature", "threshold", "value"))
+    left, right = (model.nodes[name] + base for name in ("left", "right"))
 
     pos = np.repeat(starts[:, None], len(X), axis=1)
     rows = np.arange(len(X))
@@ -572,7 +568,7 @@ def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
     init = float(np.mean(y))
     pred = np.full(len(y), init)
     residual = y - pred
-    trees: List[List[TreeNode]] = []
+    trees: List[List[tuple]] = []
     rmse = [_rmse(residual, 0, hyper)]
     for t in range(1, hyper.n_trees + 1):
         tree, fitted = cache.fit_tree(residual)
@@ -584,7 +580,8 @@ def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
         init_value=init,
         learning_rate=hyper.learning_rate,
         n_features=X.shape[1],
-        trees=trees,
+        nodes=np.array([row for tree in trees for row in tree], dtype=NODE),
+        sizes=np.array([len(tree) for tree in trees], dtype=np.int64),
         train_rmse=rmse,
     )
 
@@ -598,8 +595,8 @@ def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeature("prediction features contain non-finite values")
     out = np.full(len(X), model.init_value)
-    if model.trees:
-        for contribution in model.learning_rate * _leaf_values(model.trees, X):
+    if len(model.sizes):
+        for contribution in model.learning_rate * _leaf_values(model, X):
             out = out + contribution
     return out
 

@@ -34,7 +34,7 @@ from kneescout.earlypredict import (
     FEATURES_HEADER,
     CycleRecord,
     GBRTModel,
-    TreeNode,
+    NODE,
     check_test_split,
     delta_q,
     evaluate,
@@ -330,11 +330,24 @@ class TestGbrt:
     @pytest.mark.parametrize("bad", [
         dict(n_trees=-1), dict(min_leaf=0), dict(max_depth=-1),
         dict(learning_rate=0.0), dict(learning_rate=float("nan")),
-        dict(learning_rate=float("inf")),
+        dict(learning_rate=float("inf")), dict(learning_rate="0.1"), dict(learning_rate=None),
+        dict(learning_rate=1 + 0j), dict(learning_rate=True),
     ])
     def test_invalid_hyperparameters_rejected(self, bad):
         with pytest.raises(InvalidHyperparameter, match=next(iter(bad))):
             GBRTHyper(**bad)
+
+    def test_every_bad_hyperparameter_in_one_message(self):
+        with pytest.raises(InvalidHyperparameter, match=re.escape(
+                "n_trees must be >= 0, got -1; learning_rate must be a real number, got '0.1'")):
+            GBRTHyper(n_trees=-1, learning_rate="0.1")
+
+    @pytest.mark.parametrize("rate, written", [(1, "1"), (np.float64(0.05), "0.05")])
+    def test_learning_rate_stored_as_given(self, rate, written):
+        X, y = self.toy_data()
+        hyper = GBRTHyper(n_trees=2, learning_rate=rate)
+        assert hyper.learning_rate is rate
+        assert f'"learning_rate": {written},' in gbrt_train(X, y, hyper).to_json()
 
     @pytest.mark.parametrize("bad", [
         dict(n_trees=2.5), dict(max_depth=1.5), dict(min_leaf=1.5), dict(min_leaf=True),
@@ -365,6 +378,16 @@ class TestGbrt:
         X, y = self.toy_data()
         model = gbrt_train(X, y, GBRTHyper(n_trees=0))
         np.testing.assert_allclose(gbrt_predict(model, X), np.mean(y))
+        assert model.trees == []
+        assert json.loads(model.to_json())["trees"] == []
+
+    def test_trees_are_node_views(self):
+        X, y = self.toy_data()
+        model = gbrt_train(X, y, GBRTHyper(n_trees=7))
+        assert len(model.trees) == 7
+        assert sum(map(len, model.trees)) == len(model.nodes)
+        assert all(tree.dtype == NODE for tree in model.trees)
+        assert all(np.shares_memory(tree, model.nodes) for tree in model.trees)
 
     def test_training_rmse_nonincreasing(self):
         X, y = self.toy_data()
@@ -382,12 +405,9 @@ class TestGbrt:
         assert model.train_rmse[-1] < 1e-3 * float(np.std(y))
 
     def test_single_stump_manual_walk(self):
-        tree = [
-            TreeNode(feature=0, threshold=0.5, left=1, right=2, value=0.0),
-            TreeNode(feature=-1, threshold=0.0, left=-1, right=-1, value=-2.0),
-            TreeNode(feature=-1, threshold=0.0, left=-1, right=-1, value=4.0),
-        ]
-        model = GBRTModel(init_value=10.0, learning_rate=0.5, n_features=1, trees=[tree])
+        tree = np.array([(0, 0.5, 1, 2, 0.0), (-1, 0.0, -1, -1, -2.0), (-1, 0.0, -1, -1, 4.0)],
+                        dtype=NODE)
+        model = GBRTModel(init_value=10.0, learning_rate=0.5, n_features=1, nodes=tree, sizes=[3])
         X = np.array([[0.2], [0.8]])
         np.testing.assert_allclose(gbrt_predict(model, X), [10.0 - 1.0, 10.0 + 2.0])
 
@@ -502,7 +522,7 @@ def _reference_fit_tree(X, r, idx, max_depth, min_leaf):
 
     def build(sample_idx, depth):
         pos = len(nodes)
-        nodes.append(TreeNode(-1, 0.0, -1, -1, float(np.mean(r[sample_idx]))))
+        nodes.append((-1, 0.0, -1, -1, float(np.mean(r[sample_idx]))))
         if depth >= max_depth or len(sample_idx) < 2 * min_leaf:
             return pos
         split = _reference_best_split(X, r, sample_idx, min_leaf)
@@ -512,21 +532,21 @@ def _reference_fit_tree(X, r, idx, max_depth, min_leaf):
         mask = X[sample_idx, f] <= thr
         left = build(sample_idx[mask], depth + 1)
         right = build(sample_idx[~mask], depth + 1)
-        nodes[pos] = TreeNode(f, thr, left, right, 0.0)
+        nodes[pos] = (f, thr, left, right, 0.0)
         return pos
 
     build(idx, 0)
-    return nodes
+    return np.array(nodes, dtype=NODE)
 
 
 def _reference_tree_predict(nodes, X):
     out = np.empty(len(X))
     for i, row in enumerate(X):
         pos = 0
-        while nodes[pos].feature >= 0:
+        while nodes[pos]["feature"] >= 0:
             node = nodes[pos]
-            pos = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = nodes[pos].value
+            pos = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        out[i] = nodes[pos]["value"]
     return out
 
 
@@ -541,7 +561,8 @@ def reference_train(X, y, hyper):
         pred = pred + hyper.learning_rate * _reference_tree_predict(tree, X)
         trees.append(tree)
         rmse.append(float(np.sqrt(np.mean((y - pred) ** 2))))
-    return GBRTModel(init, hyper.learning_rate, X.shape[1], trees, rmse)
+    nodes = np.concatenate(trees) if trees else np.empty(0, NODE)
+    return GBRTModel(init, hyper.learning_rate, X.shape[1], nodes, [len(t) for t in trees], rmse)
 
 
 def reference_predict(model, X):
@@ -616,7 +637,7 @@ class TestGbrtMatchesScalarReference:
                       1248.7462490105406])
         hyper = GBRTHyper(n_trees=1, max_depth=1, min_leaf=1)
         model = gbrt_train(X, y, hyper)
-        assert model.trees[0][0].feature == 1
+        assert model.trees[0][0]["feature"] == 1
         assert model.to_json() == reference_train(X, y, hyper).to_json()
 
     @pytest.mark.parametrize("a, b", [
@@ -631,7 +652,7 @@ class TestGbrtMatchesScalarReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model = gbrt_train(X, y, hyper)
-            assert model.trees[0][0].threshold == a
+            assert model.trees[0][0]["threshold"] == a
             np.testing.assert_array_equal(gbrt_predict(model, X), y)
         with np.errstate(over="ignore"):  # the reference sums NumPy scalars
             assert model.to_json() == reference_train(X, y, hyper).to_json()
@@ -641,7 +662,7 @@ class TestGbrtMatchesScalarReference:
         hyper = GBRTHyper(n_trees=3, learning_rate=0.5)
         model = gbrt_train(X, y, hyper)
         assert model.to_json() == reference_train(X, y, hyper).to_json()
-        assert [[node.feature for node in tree] for tree in model.trees] == [[-1]] * 3
+        assert [tree["feature"].tolist() for tree in model.trees] == [[-1]] * 3
         np.testing.assert_array_equal(gbrt_predict(model, np.empty((2, 0))), [3.5, 3.5])
 
     def test_back_to_back_fits_each_match_the_reference(self):
@@ -656,18 +677,16 @@ class TestGbrtMatchesScalarReference:
 
     def test_shared_nodes_round_trip(self):
         # deep trees: one split of a node sits at other positions in other
-        # trees, with other child positions, so a shared TreeNode must be
-        # one per (left, right) pair
+        # trees, with other child positions, so a reused split must take
+        # each tree's own child positions
         rng = np.random.default_rng(0)
         X = rng.integers(0, 8, (40, 3)).astype(float)
         y = rng.uniform(100, 400, 40)
         hyper = GBRTHyper(n_trees=60, max_depth=5, min_leaf=1)
         model = gbrt_train(X, y, hyper)
         assert model.to_json() == reference_train(X, y, hyper).to_json()
-        inner = [node for tree in model.trees for node in tree if node.feature >= 0]
-        assert len({id(node) for node in inner}) < len(inner)  # some trees share nodes
         restored = GBRTModel.from_json(model.to_json())
-        assert restored.trees == model.trees
+        assert_same_trees(restored, model)
         assert restored.to_json() == model.to_json()
         assert np.array_equal(gbrt_predict(restored, X), gbrt_predict(model, X))
 
@@ -711,6 +730,11 @@ class TestGbrtMatchesScalarReference:
         assert np.array_equal(gbrt_predict(model, X_test), reference_predict(ref, X_test))
 
 
+def assert_same_trees(a, b):
+    assert len(a.trees) == len(b.trees)
+    assert all(np.array_equal(s, t) for s, t in zip(a.trees, b.trees))
+
+
 class TestModelJson:
     @pytest.mark.parametrize("text", [
         '{"init_value": 1.0, "learning_rate": 0.1, "n_features": 6}',
@@ -720,43 +744,63 @@ class TestModelJson:
         with pytest.raises(InvalidModel):
             GBRTModel.from_json(text)
 
-    STUMP = [TreeNode(0, 0.5, 1, 2, 0.0), TreeNode(-1, 0.0, -1, -1, -2.0),
-             TreeNode(-1, 0.0, -1, -1, 4.0)]
+    STUMP = np.array([(0, 0.5, 1, 2, 0.0), (-1, 0.0, -1, -1, -2.0), (-1, 0.0, -1, -1, 4.0)],
+                     dtype=NODE)
+
+    def stump(self):
+        return GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, nodes=self.STUMP, sizes=[3])
 
     def test_round_trip_restores_every_field(self):
         X = np.random.default_rng(4).uniform(0, 1, (30, 3))
         model = gbrt_train(X, X[:, 0] - X[:, 2], GBRTHyper(n_trees=10))
         text = model.to_json()
         restored = GBRTModel.from_json(text)
-        assert restored.trees == model.trees
+        assert_same_trees(restored, model)
         assert (restored.init_value, restored.learning_rate, restored.n_features) == (
             model.init_value, model.learning_rate, model.n_features)
         assert restored.to_json() == text
 
     def test_node_keys_and_types(self):
-        model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
         node = {"feature": 0, "left": 1, "right": 2, "threshold": 0.5, "value": 0.0}
-        [written, *leaves] = json.loads(model.to_json())["trees"][0]
+        [written, *leaves] = json.loads(self.stump().to_json())["trees"][0]
         assert written == node
         text = json.dumps({"init_value": 1, "learning_rate": 0.5, "n_features": 1,
                            "trees": [[{**node, "threshold": 1, "value": "0.25"}, *leaves]]})
-        restored = GBRTModel.from_json(text).trees[0][0]
-        assert restored == TreeNode(0, 1.0, 1, 2, 0.25)
-        assert [type(v) for v in vars(restored).values()] == [int, float, int, int, float]
+        restored = GBRTModel.from_json(text).trees[0]
+        assert restored.dtype == NODE
+        assert restored[0].tolist() == (0, 1.0, 1, 2, 0.25)
+        assert [type(v) for v in restored[0].tolist()] == [int, float, int, int, float]
 
     @pytest.mark.parametrize("key", ["feature", "threshold", "left", "right", "value"])
     def test_node_without_a_field_names_it(self, key):
-        model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
-        obj = json.loads(model.to_json())
+        obj = json.loads(self.stump().to_json())
         del obj["trees"][0][1][key]
         with pytest.raises(InvalidModel, match=f"lacks field '{key}'"):
             GBRTModel.from_json(json.dumps(obj))
 
     @pytest.mark.parametrize("value", [None, "x", [1], 1e400])
     def test_node_field_of_the_wrong_type(self, value):
-        model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
-        obj = json.loads(model.to_json())
+        obj = json.loads(self.stump().to_json())
         obj["trees"][0][0]["left"] = value
+        with pytest.raises(InvalidModel, match="malformed model JSON"):
+            GBRTModel.from_json(json.dumps(obj))
+
+    # the nodes are checked as Python ints, before int64 could overflow
+    @pytest.mark.parametrize("node, key, value, fragment", [
+        (0, "feature", 10**30, f"node 0: feature {10**30} is outside [0, 1)"),
+        (1, "left", 2**63, "node 1: a leaf's children must be -1"),
+        (2, "value", 10**400, "malformed model JSON"),
+    ])
+    def test_huge_integers_keep_their_messages(self, node, key, value, fragment):
+        obj = json.loads(self.stump().to_json())
+        obj["trees"][0][node][key] = value
+        with pytest.raises(InvalidModel, match=re.escape(fragment)):
+            GBRTModel.from_json(json.dumps(obj))
+
+    def test_feature_past_int64_is_invalid_model(self):
+        obj = json.loads(self.stump().to_json())
+        obj["n_features"] = 2**64
+        obj["trees"][0][0]["feature"] = 2**63
         with pytest.raises(InvalidModel, match="malformed model JSON"):
             GBRTModel.from_json(json.dumps(obj))
 
@@ -773,8 +817,7 @@ class TestModelJson:
     ], ids=["nan-init", "inf-init", "inf-rate", "inf-leaf", "nan-threshold",
             "inf-leaf-threshold", "negative-features"])
     def test_bad_number_is_invalid_model(self, edit, fragment):
-        model = GBRTModel(init_value=1.0, learning_rate=0.5, n_features=1, trees=[self.STUMP])
-        obj = json.loads(model.to_json())
+        obj = json.loads(self.stump().to_json())
         edit(obj)
         with pytest.raises(InvalidModel, match=re.escape(fragment)):
             GBRTModel.from_json(json.dumps(obj))
