@@ -29,6 +29,7 @@ from .earlypredict import (
     PREDICTIONS_HEADER,
     SENSITIVITY_HEADER,
     GBRTModel,
+    check_onset,
     check_test_split,
     feature_matrix,
     gbrt_predict,
@@ -337,14 +338,6 @@ def _write_features(args, inputs, X) -> None:
 _HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
 
 
-def _check_onset(onset, where: str) -> float:
-    """``onset`` as a float if it is a number, not a bool, finite and > 0, else an InputError."""
-    if (isinstance(onset, bool) or not isinstance(onset, (int, float))
-            or not 0 < onset <= sys.float_info.max):
-        raise InputError(f"{where}: onset_cycle {onset!r} is not a finite number > 0")
-    return float(onset)
-
-
 def _load_training(args, config: dict):
     ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
     label_ids, onsets, lines = read_csv(args.labels, LABELS_HEADER, ids=True)
@@ -352,7 +345,7 @@ def _load_training(args, config: dict):
     for cell_id, onset, line in zip(label_ids, onsets[:, 0].tolist(), lines.tolist()):
         if cell_id in labels:
             raise InputError(f"{args.labels}: cell {cell_id!r} is labelled more than once")
-        labels[cell_id] = _check_onset(onset, f"{args.labels}: line {line}")
+        labels[cell_id] = check_onset(onset, f"{args.labels}: line {line}")
     missing = [i for i in ids if i not in labels]
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")
@@ -415,7 +408,7 @@ def _load_sensitivity(args, config: dict):
                 f"{truth_path}: expected {{\"ground_truth\": {{\"onset_cycle\": number}}}}"
             ) from None
         paths.append(path)
-        labels.append(_check_onset(onset, truth_path))
+        labels.append(check_onset(onset, truth_path))
     if not labels:
         raise InputError(f"no labeled cycle data found in {args.dir}")
     check_test_split(labels)  # before any cycle CSV is read

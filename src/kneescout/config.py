@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (DegenerateWindow, EvenWindow, IndexOutOfRange, InputError,
                      InvalidHyperparameter, OrderTooHigh, WindowTooLarge)
@@ -17,7 +17,7 @@ class GBRTHyper:
 
     Zero trees is valid and gives a model that predicts the training mean.
     The counts must be integers, not bools; a NumPy integer is stored as int.
-    ``learning_rate`` must be a real number, not a bool; it is stored as given.
+    ``learning_rate`` must be a real number, not a bool; it is stored as a float.
     """
 
     n_trees: int = 300
@@ -40,6 +40,8 @@ class GBRTHyper:
             problems.append(f"learning_rate must be a real number, got {rate!r}")
         elif not (math.isfinite(rate) and rate > 0):
             problems.append(f"learning_rate must be finite and > 0, got {rate}")
+        else:
+            object.__setattr__(self, "learning_rate", float(rate))
         if problems:
             raise InvalidHyperparameter("; ".join(problems))
 
@@ -59,6 +61,11 @@ class PipelineParams:
       band excluded from boundary selection, >= 0, else IndexOutOfRange.
     - ``eol_threshold`` in (0, 1), ``gamma`` positive and finite, ``max_iter``
       >= 1: else InputError.
+
+    Before any of these, each field must have its type, else an InputError
+    naming it: the ``int`` fields an integer that is not a bool (a NumPy
+    integer is stored as int), the ``float`` fields a real number that is not
+    a bool (stored as given).
     """
 
     sg_window: int = 21
@@ -71,6 +78,15 @@ class PipelineParams:
     max_iter: int = 1000
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = f.type == "int"
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                kind = "an int" if integral else "a real number"
+                raise InputError(f"{f.name} must be {kind}, got {value!r}")
+            if integral:
+                object.__setattr__(self, f.name, int(value))
         for name in ("sg_window", "curv_window"):
             window = getattr(self, name)
             if window < 3:

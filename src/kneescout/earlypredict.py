@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
@@ -227,6 +228,18 @@ def onset_class(label: float) -> int:
     return 2
 
 
+def check_onset(onset, where: str) -> float:
+    """``onset`` as a float if it is a real number, not a bool, finite and > 0,
+    else an InputError."""
+    try:
+        value = float(onset)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float64
+        value = math.nan
+    if isinstance(onset, bool) or not isinstance(onset, numbers.Real) or not 0 < value < math.inf:
+        raise InputError(f"{where}: onset_cycle {onset!r} is not a finite number > 0")
+    return value
+
+
 def stratified_split(
     onset_labels: Sequence[float], train_frac: float = 0.8, seed: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -234,11 +247,14 @@ def stratified_split(
 
     Classes are the knee-onset grades (< 150, 150-270, > 270 cycles). A
     class with a single member goes to training. ``train_frac`` must lie in
-    (0, 1], else InputError.
+    (0, 1], and every label pass ``check_onset``, else InputError.
     """
     if not 0 < train_frac <= 1:  # NaN fails both comparisons
         raise InputError(f"train_frac must be in (0, 1], got {train_frac}")
-    labels = np.asarray(onset_labels, dtype=np.float64)
+    if isinstance(onset_labels, np.ndarray):
+        onset_labels = onset_labels.tolist()  # Python numbers, for the messages
+    labels = np.array([check_onset(v, f"onset label {i}") for i, v in enumerate(onset_labels)],
+                      dtype=np.float64)
     if len(labels) < 1:
         raise EmptyTrainingSet("no samples to split")
     rng = np.random.default_rng(seed)
@@ -254,7 +270,8 @@ def stratified_split(
 
 
 def check_test_split(onset_labels: Sequence[float]) -> None:
-    """``EmptyTrainingSet`` if ``stratified_split`` keeps no test cell, whatever the seed."""
+    """``EmptyTrainingSet`` if ``stratified_split`` keeps no test cell, whatever the
+    seed; its InputError if a label fails ``check_onset``."""
     if len(stratified_split(onset_labels)[1]) == 0:
         sizes = np.bincount([onset_class(v) for v in onset_labels], minlength=len(CLASS_EDGES) + 1)
         raise EmptyTrainingSet(
@@ -628,6 +645,8 @@ def sensitivity_sweep(
     capacity-difference late anchor and the maximum-capacity window both
     follow the budget. Split r of a budget is ``stratified_split``'s default
     80/20 split with seed ``seed + r``, so the whole table is deterministic.
+    Every label must pass ``check_onset`` (through ``check_test_split``) before
+    any feature is computed.
     """
     if len(cells) != len(labels):
         raise LengthMismatch(f"{len(cells)} cells vs {len(labels)} labels")

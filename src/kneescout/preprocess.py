@@ -7,11 +7,16 @@ The curvature proxy at interior index i is
 for an odd window ``ws``. On a unit-spaced grid it is zero for any straight
 line, negative where three points form a knee, and positive for an elbow.
 
-Smoothing equals ``scipy.signal.savgol_filter(values, window, order,
-mode="mirror")`` bit for bit with NumPy alone: the weights are the same
-``gelsd`` least-squares solution, and the convolution adds its products in
-the order of ``scipy.ndimage.convolve1d(mode="mirror")``. Importing the
-package imports no SciPy module.
+Smoothing runs on NumPy alone. Its weights are the ``gelsd`` least-squares
+solution of ``scipy.signal.savgol_coeffs(window, order)``, bit for bit.
+Centred Savitzky-Golay weights are symmetric, so the convolution reads their
+centre and trailing half ``w`` and adds its products in the order of
+``scipy.ndimage.convolve1d``'s symmetric branch: it equals
+``convolve1d(values, np.r_[w[:0:-1], w], mode="mirror")`` bit for bit. That is
+``savgol_filter(values, window, order, mode="mirror")`` whenever ndimage
+finds the full weights symmetric (every pair within ``DBL_EPSILON``), as it
+does at the default (21, 3); about 4% of pairs, (81, 3) among them, differ
+from it in the last bits. Importing the package imports no SciPy module.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def savgol_smooth(
     if not 0 <= order < window:
         raise OrderTooHigh(f"order {order} must satisfy 0 <= order < window {window}")
     with np.errstate(over="ignore", invalid="ignore"):
-        smoothed = _mirror_convolve(series.values, savgol_coeffs(window, order))
+        smoothed = _mirror_convolve(series.values, savgol_coeffs(window, order)[window // 2 :])
     if not np.isfinite(smoothed).all():
         raise SmoothingOverflow("the smoothed series overflows float64")
     return NormalizedSeries(cycles=series.cycles, values=smoothed)
@@ -82,43 +87,26 @@ def savgol_coeffs(window: int, order: int) -> np.ndarray:
     return coeffs
 
 
-def _mirror_convolve(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``scipy.ndimage.convolve1d(values, weights, mode="mirror")``, bit for bit.
+def _mirror_convolve(values: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Convolve with the symmetric weights whose centre and trailing half are
+    ``half``, the series mirrored at each end (reflected about the edge
+    sample, which is not repeated).
 
-    ``weights`` has odd length 2h + 1 <= 2 len(values) - 1. Convolution is
-    correlation with the reversed weights ``fw`` over the series mirrored by
-    h samples at each end (reflected about the edge sample, which is not
-    repeated). Like ndimage's ``NI_Correlate1D``, the weights are symmetric
-    or antisymmetric when every pair differs by at most ``DBL_EPSILON``
-    (absolute), and out[i] adds its products in ndimage's order:
-
-    - symmetric: x[i] fw[h], then (x[i-j] + x[i+j]) fw[h-j] for j = h .. 1;
-    - antisymmetric: the same with x[i-j] - x[i+j];
-    - otherwise: x[i+h] fw[2h], then x[i+k-h] fw[k] for k = 0 .. 2h-1.
+    With h = len(half) - 1 <= len(values) - 1, out[i] adds its products in the
+    order of ``scipy.ndimage.convolve1d``'s symmetric branch: x[i] half[0],
+    then (x[i-j] + x[i+j]) half[j] for j = h .. 1. So it equals
+    ``convolve1d(values, np.r_[half[:0:-1], half], mode="mirror")`` bit for bit.
 
     Each step adds one term to every output at once. A ``(terms, n)`` table
     summed over its rows gives the same bits, but on long series it leaves
     the cache and runs slower than this loop.
     """
-    fw = weights[::-1]
-    h = len(fw) // 2
+    h = len(half) - 1
     padded = np.concatenate([values[h:0:-1], values, values[-2 : -h - 2 : -1]])
     x = sliding_window_view(padded, len(values))  # x[k, i] = values[i + k - h]
-    # rows j = h .. 1: x[i - j], x[i + j] and the weights fw[h - j], fw[h + j]
-    left, right, w_left, w_right = x[:h], x[2 * h : h : -1], fw[:h], fw[2 * h : h : -1]
-    eps = np.finfo(np.float64).eps
-    if not np.any(np.abs(w_right - w_left) > eps):
-        pair = np.add
-    elif not np.any(np.abs(w_right + w_left) > eps):
-        pair = np.subtract
-    else:
-        out = x[2 * h] * fw[2 * h]
-        for k in range(2 * h):
-            out += x[k] * fw[k]
-        return out
-    out = x[h] * fw[h]
-    for k in range(h):
-        out += pair(left[k], right[k]) * w_left[k]
+    out = x[h] * half[0]
+    for j in range(h, 0, -1):
+        out += (x[h - j] + x[h + j]) * half[j]
     return out
 
 

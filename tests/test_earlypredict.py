@@ -6,6 +6,7 @@ import sys
 import threading
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -298,6 +299,20 @@ class TestStratifiedSplit:
         with pytest.raises(InputError, match=re.escape(f"train_frac must be in (0, 1], got {frac}")):
             stratified_split([100.0] * 5 + [200.0] * 5, frac, seed=0)
 
+    @pytest.mark.parametrize("split", [stratified_split, check_test_split])
+    @pytest.mark.parametrize("bad", [-50.0, float("inf"), False, "300", 10**400,
+                                     np.float32("inf")],
+                             ids=["negative", "inf", "bool", "str", "10**400", "float32-inf"])
+    def test_bad_label_is_input_error(self, split, bad):
+        labels = [100.0] * 5 + [bad] + [200.0] * 5
+        with pytest.raises(InputError, match=re.escape(f"onset label 5: onset_cycle {bad!r}")):
+            split(labels)
+
+    def test_numpy_and_fraction_labels_are_numbers(self):
+        labels = np.array([100] * 5 + [200] * 5)
+        assert all(map(np.array_equal, stratified_split(labels, seed=3),
+                       stratified_split([*labels[:9].tolist(), Fraction(200)], seed=3)))
+
     def test_train_frac_one_keeps_every_cell(self):
         train, test = stratified_split([100.0] * 5 + [200.0] * 5, 1.0, seed=0)
         assert list(train) == list(range(10)) and len(test) == 0
@@ -342,12 +357,17 @@ class TestGbrt:
                 "n_trees must be >= 0, got -1; learning_rate must be a real number, got '0.1'")):
             GBRTHyper(n_trees=-1, learning_rate="0.1")
 
-    @pytest.mark.parametrize("rate, written", [(1, "1"), (np.float64(0.05), "0.05")])
-    def test_learning_rate_stored_as_given(self, rate, written):
+    @pytest.mark.parametrize("rate, written", [
+        (1, "1.0"), (np.int64(1), "1.0"), (np.float32(0.5), "0.5"), (Fraction(1, 2), "0.5"),
+        (np.float64(0.05), "0.05"),
+    ])
+    def test_learning_rate_stored_as_float(self, rate, written):
         X, y = self.toy_data()
         hyper = GBRTHyper(n_trees=2, learning_rate=rate)
-        assert hyper.learning_rate is rate
-        assert f'"learning_rate": {written},' in gbrt_train(X, y, hyper).to_json()
+        assert type(hyper.learning_rate) is float
+        text = gbrt_train(X, y, hyper).to_json()
+        assert f'"learning_rate": {written},' in text
+        assert GBRTModel.from_json(text).to_json() == text
 
     @pytest.mark.parametrize("bad", [
         dict(n_trees=2.5), dict(max_depth=1.5), dict(min_leaf=1.5), dict(min_leaf=True),
@@ -878,6 +898,14 @@ class TestSensitivitySweep:
         cells, onsets = self.small_fleet(n=10, seed=1)
         with pytest.raises(MissingCycle):
             sensitivity_sweep(cells, onsets, budgets=(10,), repeats=1, seed=0)
+
+    @pytest.mark.parametrize("bad", [-50, True, float("nan"), 0, "300", None])
+    def test_bad_label_is_input_error_before_any_fit(self, bad):
+        cells, onsets = self.small_fleet(n=10, seed=1)
+        labels = [*onsets[:-1].tolist(), bad]
+        message = f"onset label 9: onset_cycle {bad!r} is not a finite number > 0"
+        with pytest.raises(InputError, match=re.escape(message)):
+            sensitivity_sweep(cells, labels, budgets=(15,), repeats=1)
 
 
 class TestLoadCycleDetailCsv:

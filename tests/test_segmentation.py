@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -265,6 +267,28 @@ class TestIdentifyKnees:
             identify_knees(series, PipelineParams(cac_window=cac_window))
 
 
+SHIFT_FLEET = [series for series, _ in generate_fleet(20, seed=5, n_cycles=1200)]
+
+
+@pytest.fixture(scope="module", params=[PipelineParams(), PipelineParams(sg_window=81, cac_window=12)],
+                ids=["default", "acceptance"])
+def shift_reports(request):
+    return request.param, [identify_knees(series, request.param) for series in SHIFT_FLEET]
+
+
+@pytest.mark.parametrize("k", [1, 100, 1000, 123457])
+def test_shifting_every_cycle_shifts_onset_knee_and_eol(shift_reports, k):
+    # the pipeline works on positions along the even grid, so a renumbered
+    # grid moves every boundary by the same k and changes no diagnostic
+    params, reports = shift_reports
+    for series, base in zip(SHIFT_FLEET, reports):
+        shifted = identify_knees(dataclasses.replace(series, cycles=series.cycles + k), params)
+        eol = None if base.eol_cycle is None else base.eol_cycle + k
+        assert (shifted.onset_cycle, shifted.knee_cycle, shifted.eol_cycle) == (
+            base.onset_cycle + k, base.knee_cycle + k, eol), series.cell_id
+        assert shifted.diagnostics == base.diagnostics, series.cell_id
+
+
 class TestPrepare:
     def cell(self, n, start=1, step=1):
         cycles = np.arange(start, start + step * n, step)
@@ -332,6 +356,15 @@ class TestPipelineParams:
         (dict(sg_window=163, sg_order=162), OrderTooHigh,
          "order 162 at window 163: the Savitzky-Golay design matrix overflows float64"
          " (81**162)"),
+        (dict(sg_window=21.5), InputError, "sg_window must be an int, got 21.5"),
+        (dict(sg_order=3.0), InputError, "sg_order must be an int, got 3.0"),
+        (dict(curv_window=True), InputError, "curv_window must be an int, got True"),
+        (dict(cac_window=12.0), InputError, "cac_window must be an int, got 12.0"),
+        (dict(exclusion_radius=15.5), InputError, "exclusion_radius must be an int, got 15.5"),
+        (dict(max_iter=10.5), InputError, "max_iter must be an int, got 10.5"),
+        (dict(eol_threshold=None), InputError, "eol_threshold must be a real number, got None"),
+        (dict(gamma="10"), InputError, "gamma must be a real number, got '10'"),
+        (dict(gamma=False), InputError, "gamma must be a real number, got False"),
     ])
     def test_each_invalid_field_raises_its_class(self, bad, error, message):
         with pytest.raises(InputError) as info:
@@ -347,6 +380,12 @@ class TestPipelineParams:
     def test_boundary_values_construct(self, valid):
         params = PipelineParams(**valid)
         assert {key: getattr(params, key) for key in valid} == valid
+
+    def test_numpy_integers_become_ints(self):
+        params = PipelineParams(sg_window=np.int64(81), max_iter=np.uint16(10),
+                                gamma=np.float32(2.0))
+        assert (type(params.sg_window), type(params.max_iter)) == (int, int)
+        assert params == PipelineParams(sg_window=81, max_iter=10, gamma=2.0)
 
     @settings(max_examples=200, deadline=None)
     @given(sg_window=WINDOWS, sg_order=st.integers(-1, 12), curv_window=WINDOWS,
