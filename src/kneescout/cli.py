@@ -324,7 +324,13 @@ def _cell_id_of(path: Path) -> str:
 
 
 def _load_cells(paths) -> dict:
-    return {_cell_id_of(path): load_cycle_detail_csv(path) for path in paths}
+    cells = {}
+    for path in paths:
+        cell_id = _cell_id_of(path)
+        cells[cell_id] = load_cycle_detail_csv(path)
+        if not cells[cell_id]:  # else the first feature names a missing cycle, exit 2
+            raise InputError(f"{path}: no cycle rows after the header")
+    return cells
 
 
 def _load_features(args, config: dict):

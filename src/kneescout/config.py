@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 from .errors import (DegenerateWindow, EvenWindow, IndexOutOfRange, InputError,
                      InvalidHyperparameter, OrderTooHigh, WindowTooLarge)
+from .ingest import as_number
 from .preprocess import check_savgol_design
 
 
@@ -29,19 +29,20 @@ class GBRTHyper:
         problems = []
         for name, low in (("n_trees", 0), ("max_depth", 0), ("min_leaf", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            count = as_number(value, integral=True)
+            if count is None:
                 problems.append(f"{name} must be an int, got {value!r}")
-            elif value < low:
+            elif count < low:
                 problems.append(f"{name} must be >= {low}, got {value}")
             else:
-                object.__setattr__(self, name, int(value))
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-            problems.append(f"learning_rate must be a real number, got {rate!r}")
-        elif not (math.isfinite(rate) and rate > 0):
-            problems.append(f"learning_rate must be finite and > 0, got {rate}")
+                object.__setattr__(self, name, count)
+        rate = as_number(self.learning_rate)
+        if rate is None:
+            problems.append(f"learning_rate must be a real number, got {self.learning_rate!r}")
+        elif not 0 < rate < math.inf:
+            problems.append(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         else:
-            object.__setattr__(self, "learning_rate", float(rate))
+            object.__setattr__(self, "learning_rate", rate)
         if problems:
             raise InvalidHyperparameter("; ".join(problems))
 
@@ -62,10 +63,11 @@ class PipelineParams:
     - ``eol_threshold`` in (0, 1), ``gamma`` positive and finite, ``max_iter``
       >= 1: else InputError.
 
-    Before any of these, each field must have its type, else an InputError
-    naming it: the ``int`` fields an integer that is not a bool (a NumPy
-    integer is stored as int), the ``float`` fields a real number that is not
-    a bool (stored as given).
+    Before any of these, each field must have its type under
+    ``ingest.as_number``, else an InputError naming it: the ``int`` fields an
+    integer that is not a bool (a NumPy integer is stored as int), the
+    ``float`` fields a real number that is not a bool (stored as given, and
+    range-checked as a float, so an int past float64 is infinite).
     """
 
     sg_window: int = 21
@@ -78,15 +80,16 @@ class PipelineParams:
     max_iter: int = 1000
 
     def __post_init__(self):
+        number = {}
         for f in fields(self):
             value = getattr(self, f.name)
             integral = f.type == "int"
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if integral else numbers.Real):
+            number[f.name] = as_number(value, integral)
+            if number[f.name] is None:
                 kind = "an int" if integral else "a real number"
                 raise InputError(f"{f.name} must be {kind}, got {value!r}")
             if integral:
-                object.__setattr__(self, f.name, int(value))
+                object.__setattr__(self, f.name, number[f.name])
         for name in ("sg_window", "curv_window"):
             window = getattr(self, name)
             if window < 3:
@@ -101,9 +104,9 @@ class PipelineParams:
             raise DegenerateWindow(f"cac_window must be 0 or >= 2, got {self.cac_window}")
         if self.exclusion_radius < 0:
             raise IndexOutOfRange(f"exclusion_radius must be >= 0, got {self.exclusion_radius}")
-        if not 0 < self.eol_threshold < 1:
+        if not 0 < number["eol_threshold"] < 1:
             raise InputError(f"eol_threshold: must be in (0, 1), got {self.eol_threshold}")
-        if not 0 < self.gamma < math.inf:
+        if not 0 < number["gamma"] < math.inf:
             raise InputError(f"gamma: must be positive and finite, got {self.gamma}")
         if self.max_iter < 1:
             raise InputError(f"max_iter: must be >= 1, got {self.max_iter}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
@@ -38,7 +37,7 @@ from .errors import (
     NoVoltageOverlap,
     ZeroTrueValue,
 )
-from .ingest import cycle_column, parse_json, read_csv
+from .ingest import as_number, cycle_column, parse_json, read_csv
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 LABELS_HEADER = ("cell_id", "onset_cycle")
@@ -116,7 +115,8 @@ FEATURES_HEADER = ("cell_id", *FEATURE_NAMES)
 def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
     """Read a ``cycle,voltage_v,discharge_capacity_ah`` CSV, grouped by cycle.
 
-    The rows of one cycle must be contiguous.
+    The rows of one cycle must be contiguous. A file with no rows gives no
+    cycles; the command line rejects it (``cli._load_cells``).
     """
     _, values, lines = read_csv(path, CYCLE_DETAIL_HEADER)
     cycles = cycle_column(path, values[:, 0], lines)
@@ -229,15 +229,21 @@ def onset_class(label: float) -> int:
 
 
 def check_onset(onset, where: str) -> float:
-    """``onset`` as a float if it is a real number, not a bool, finite and > 0,
+    """``onset`` as a float if ``as_number`` reads it as one, finite and > 0,
     else an InputError."""
-    try:
-        value = float(onset)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float64
-        value = math.nan
-    if isinstance(onset, bool) or not isinstance(onset, numbers.Real) or not 0 < value < math.inf:
+    value = as_number(onset)
+    if value is None or not 0 < value < math.inf:
         raise InputError(f"{where}: onset_cycle {onset!r} is not a finite number > 0")
     return value
+
+
+def _check_count(value, name: str, low: int) -> int:
+    """``value`` as an int >= ``low`` if ``as_number`` reads it as an integer,
+    else an InputError naming ``name``."""
+    count = as_number(value, integral=True)
+    if count is None or count < low:
+        raise InputError(f"{name} must be an int >= {low}, got {value!r}")
+    return count
 
 
 def stratified_split(
@@ -246,11 +252,14 @@ def stratified_split(
     """Per-class random split with rounding toward the training set.
 
     Classes are the knee-onset grades (< 150, 150-270, > 270 cycles). A
-    class with a single member goes to training. ``train_frac`` must lie in
-    (0, 1], and every label pass ``check_onset``, else InputError.
+    class with a single member goes to training. ``train_frac`` must be a
+    real number in (0, 1], ``seed`` an int >= 0, and every label pass
+    ``check_onset``, else InputError.
     """
-    if not 0 < train_frac <= 1:  # NaN fails both comparisons
-        raise InputError(f"train_frac must be in (0, 1], got {train_frac}")
+    frac = as_number(train_frac)
+    if frac is None or not 0 < frac <= 1:  # NaN fails both comparisons
+        raise InputError(f"train_frac must be in (0, 1], got {train_frac!r}")
+    seed = _check_count(seed, "seed", 0)
     if isinstance(onset_labels, np.ndarray):
         onset_labels = onset_labels.tolist()  # Python numbers, for the messages
     labels = np.array([check_onset(v, f"onset label {i}") for i, v in enumerate(onset_labels)],
@@ -326,13 +335,14 @@ class GBRTModel:
         obj = parse_json(text, "model JSON", InvalidModel)
         try:
             trees = [
-                [(int(n["feature"]), float(n["threshold"]), int(n["left"]), int(n["right"]),
-                  float(n["value"])) for n in tree]
+                [(_json_number(n, "feature", True), _json_number(n, "threshold"),
+                  _json_number(n, "left", True), _json_number(n, "right", True),
+                  _json_number(n, "value")) for n in tree]
                 for tree in obj["trees"]
             ]
-            init_value = float(obj["init_value"])
-            learning_rate = float(obj["learning_rate"])
-            n_features = int(obj["n_features"])
+            init_value = _json_number(obj, "init_value")
+            learning_rate = _json_number(obj, "learning_rate")
+            n_features = _json_number(obj, "n_features", True)
             # json reads the literals NaN and Infinity
             if not (math.isfinite(init_value) and math.isfinite(learning_rate)):
                 raise InvalidModel(
@@ -352,6 +362,20 @@ class GBRTModel:
             raise InvalidModel(f"malformed model JSON: {exc}") from None
         sizes = np.array([len(tree) for tree in trees], dtype=np.int64)
         return GBRTModel(init_value, learning_rate, n_features, nodes, sizes)
+
+
+def _json_number(obj: dict, key: str, integral: bool = False):
+    """Field ``key`` of a model JSON object as ``as_number`` reads it: an int
+    where ``integral``, else a float, which may also be written as a numeric
+    string. Anything else is a TypeError, ValueError or OverflowError (an int
+    past float64 in a float field) for ``from_json`` to report as malformed."""
+    value = obj[key]
+    if not integral and type(value) in (int, str):  # not a bool
+        value = float(value)
+    number = as_number(value, integral)
+    if number is None:
+        raise TypeError(f"{key} {value!r} is not {'an integer' if integral else 'a number'}")
+    return number
 
 
 def _check_tree(t: int, tree: List[tuple], n_features: int) -> None:
@@ -645,13 +669,14 @@ def sensitivity_sweep(
     capacity-difference late anchor and the maximum-capacity window both
     follow the budget. Split r of a budget is ``stratified_split``'s default
     80/20 split with seed ``seed + r``, so the whole table is deterministic.
-    Every label must pass ``check_onset`` (through ``check_test_split``) before
-    any feature is computed.
+    ``repeats`` must be an int >= 1 and ``seed`` an int >= 0, and every label
+    must pass ``check_onset`` (through ``check_test_split``), before any
+    feature is computed; else InputError.
     """
     if len(cells) != len(labels):
         raise LengthMismatch(f"{len(cells)} cells vs {len(labels)} labels")
-    if repeats < 1:
-        raise InputError(f"repeats must be >= 1, got {repeats}")
+    repeats = _check_count(repeats, "repeats", 1)
+    seed = _check_count(seed, "seed", 0)
     if len(budgets) == 0:
         raise InputError("no cycle budgets to sweep")
     check_test_split(labels)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,10 +58,11 @@ class CapacityFadeSeries:
             raise NonMonotonicCycles("cycle indices must be strictly increasing")
         if not np.all(np.isfinite(capacity)) or np.any(capacity <= 0):
             raise NonPositiveCapacity("capacities must be finite and > 0")
-        if not np.isfinite(self.q_nom_ah) or self.q_nom_ah <= 0:
+        q_nom = as_number(self.q_nom_ah)
+        if q_nom is None or not 0 < q_nom < math.inf:
             raise NonPositiveNominal(f"q_nom_ah={self.q_nom_ah!r}")
         # Python floats: an overflowing quotient is inf, without a warning
-        if not math.isfinite(float(capacity.max()) / float(self.q_nom_ah)):
+        if not math.isfinite(float(capacity.max()) / q_nom):
             raise InputError(
                 f"q_nom_ah={self.q_nom_ah!r} makes capacity / q_nom_ah overflow"
             )
@@ -85,6 +87,28 @@ class NormalizedSeries:
 
     def __len__(self) -> int:
         return len(self.cycles)
+
+
+def as_number(value, integral: bool = False):
+    """``value`` as an ``int`` if ``integral``, else as a ``float``; None if
+    it is a bool or not a number of that kind (``numbers.Integral``,
+    ``numbers.Real``).
+
+    This is the library's one rule for a number it is given. A NumPy scalar
+    or a ``Fraction`` is a number; a string, None or a NumPy bool is not. A
+    real number past float64 reads as +-inf, so the caller's range check
+    rejects it like any other infinity.
+    """
+    if isinstance(value, bool):
+        return None
+    if integral:
+        return int(value) if isinstance(value, numbers.Integral) else None
+    if not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction past float64
+        return math.inf if value > 0 else -math.inf
 
 
 def read_text(path) -> str:
@@ -259,17 +283,19 @@ def load_capacity_csv(
         raise NonPositiveNominal(
             f"no q_nom_ah for {path.name}: provide a sidecar {path.stem}.meta.json or an override"
         )
-    try:
-        q_nom_ah = float(q_nom_ah)
-    except (TypeError, ValueError, OverflowError):
-        raise NonPositiveNominal(f"{path.name}: q_nom_ah={q_nom_ah!r} is not a number") from None
+    try:  # a numeric string reads as float() reads it
+        number = as_number(float(q_nom_ah) if isinstance(q_nom_ah, str) else q_nom_ah)
+    except ValueError:
+        number = None
+    if number is None:
+        raise NonPositiveNominal(f"{path.name}: q_nom_ah={q_nom_ah!r} is not a number")
 
     _, values, lines = read_csv(path, CAPACITY_HEADER)
     return CapacityFadeSeries(
         cell_id=cell_id,
         cycles=cycle_column(path, values[:, 0], lines),
         capacity_ah=values[:, 1],
-        q_nom_ah=q_nom_ah,
+        q_nom_ah=number,
     )
 
 
@@ -309,9 +335,11 @@ def find_eol(series, threshold: float = 0.8) -> Optional[int]:
 
     Works on any series with ``cycles`` and ``values``; the identification
     pipeline passes the smoothed series so a single noisy sample cannot
-    trigger the crossing.
+    trigger the crossing. ``threshold`` must be a real number in (0, 1),
+    else InputError.
     """
-    if not 0.0 < threshold < 1.0:
+    value = as_number(threshold)
+    if value is None or not 0.0 < value < 1.0:
         raise InputError(f"eol_threshold must be in (0, 1), got {threshold}")
     below = np.nonzero(series.values <= threshold)[0]
     if len(below) == 0:

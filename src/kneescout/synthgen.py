@@ -23,14 +23,15 @@ accelerating term permanently overtakes the decelerating one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .earlypredict import CycleRecord
 from .errors import DegenerateSpec
-from .ingest import CapacityFadeSeries
+from .ingest import CapacityFadeSeries, as_number
 
 TRUNCATE_AT = 0.6
 ONSET_FACTOR = 10.0
@@ -49,6 +50,10 @@ MIN_CYCLES = 10
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """One curve's parameters. Each field must be a number of its type under
+    ``ingest.as_number`` and is stored as that ``int`` or ``float``; ``seed``
+    must be >= 0 and ``noise_sigma`` finite and >= 0. Else DegenerateSpec."""
+
     n_cycles: int
     a: float
     b: float
@@ -59,16 +64,25 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = as_number(value, integral=f.type == "int")
+            if number is None:
+                kind = "an int" if f.type == "int" else "a real number"
+                raise DegenerateSpec(f"{f.name} must be {kind}, got {value!r}")
+            object.__setattr__(self, f.name, number)
         if self.n_cycles < MIN_CYCLES:
             raise DegenerateSpec(f"n_cycles={self.n_cycles} too small")
-        if self.a < 0 or self.b < 0 or self.c < 0:
+        if not (self.a >= 0 and self.b >= 0 and self.c >= 0):  # NaN too
             raise DegenerateSpec("a, b, c must be >= 0")
         if not 0.0 < self.p <= 1.0:
             raise DegenerateSpec(f"p={self.p} outside (0, 1]")
         if not 0 <= self.n_k < self.n_cycles:
             raise DegenerateSpec(f"n_k={self.n_k} outside [0, n_cycles)")
-        if self.noise_sigma < 0:
-            raise DegenerateSpec("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise DegenerateSpec(f"noise_sigma={self.noise_sigma} must be finite and >= 0")
+        if self.seed < 0:
+            raise DegenerateSpec(f"seed={self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)

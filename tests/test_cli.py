@@ -1285,3 +1285,46 @@ class TestInvalidParamsAtLoad:
         assert (payload["error"], payload["message"]) == ("EvenWindow",
                                                           "curv_window must be odd, got 4")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestNumbersAtLoad:
+    """Values that the commands once misread or rejected only while computing."""
+
+    @pytest.mark.parametrize("command", ["identify", "baconwatts", "batch"])
+    def test_sidecar_nominal_capacity_true(self, tmp_path, capsys, command):
+        (tmp_path / "cell.csv").write_text(CAPACITY_CSV)
+        (tmp_path / "cell.meta.json").write_text('{"q_nom_ah": true}')
+        where = ["--dir", str(tmp_path)] if command == "batch" else [
+            "--input", str(tmp_path / "cell.csv")]
+        payload = json_error(capsys, 1, command, *where, "--out", str(tmp_path / "out"))
+        assert payload["error"] == "NonPositiveNominal"
+        assert payload["message"] == "cell.csv: q_nom_ah=True is not a number"
+
+    def test_header_only_cycle_file(self, synth_dir, tmp_path, capsys):
+        shutil.copy(synth_dir / "fleet-5-000.cycles.csv", tmp_path)
+        empty = tmp_path / "a.cycles.csv"
+        empty.write_text("cycle,voltage_v,discharge_capacity_ah\n")
+        out = tmp_path / "f.csv"
+        payload = json_error(capsys, 1, "features", "--cycles", str(tmp_path), "--out", str(out))
+        assert (payload["error"], payload["message"]) == (
+            "InputError", f"{empty}: no cycle rows after the header")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["trees"][0][0].update(feature=1.7),
+        lambda obj: obj["trees"][0][0].update(left=1.9),
+        lambda obj: obj.update(n_features=6.9),
+    ], ids=["feature", "left", "n_features"])
+    def test_predict_model_with_a_fractional_index(self, tmp_path, capsys, edit):
+        feats = tmp_path / "f.csv"
+        feats.write_text(FEATURES_CSV)
+        obj = {"init_value": 1.0, "learning_rate": 0.5, "n_features": 6, "trees": [[
+            {"feature": 1, "threshold": 0.5, "left": 1, "right": 2, "value": 0.0},
+            {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": -2.0},
+            {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 4.0}]]}
+        edit(obj)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(obj))
+        payload = json_error(capsys, 1, "predict", "--model", str(model), "--features", str(feats))
+        assert payload["error"] == "InvalidModel"
+        assert "is not an integer" in payload["message"]

@@ -1,0 +1,286 @@
+"""One number rule at the library boundary: ``ingest.as_number``.
+
+Every parameter, label, nominal capacity and model-JSON field that the
+library is given is read through ``as_number``, and a value it rejects is
+the documented ``KneeScoutError`` subclass of that entry point.
+"""
+
+import json
+import math
+import re
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kneescout.config import GBRTHyper, PipelineParams
+from kneescout.earlypredict import (
+    GBRTModel,
+    check_onset,
+    sensitivity_sweep,
+    stratified_split,
+)
+from kneescout.errors import (
+    DegenerateSpec,
+    InputError,
+    InvalidHyperparameter,
+    InvalidModel,
+    NonPositiveNominal,
+)
+from kneescout.ingest import (
+    CapacityFadeSeries,
+    NormalizedSeries,
+    as_number,
+    find_eol,
+    load_capacity_csv,
+)
+from kneescout.synthgen import SyntheticSpec, generate, simulate_cycle_records
+
+HUGE = 10**400  # an int past float64
+
+
+class TestAsNumber:
+    @pytest.mark.parametrize("value, integral, expected", [
+        (3, False, 3.0), (3, True, 3), (2.5, False, 2.5), (np.int64(7), True, 7),
+        (np.uint8(7), False, 7.0), (np.float32(0.5), False, 0.5), (Fraction(1, 4), False, 0.25),
+        (HUGE, False, math.inf), (-HUGE, False, -math.inf), (Fraction(HUGE, 3), False, math.inf),
+        (HUGE, True, HUGE), (-HUGE, True, -HUGE),
+    ])
+    def test_numbers(self, value, integral, expected):
+        number = as_number(value, integral)
+        assert number == expected and type(number) is (int if integral else float)
+
+    def test_nan_is_a_float(self):
+        assert math.isnan(as_number(np.float64("nan")))
+
+    @pytest.mark.parametrize("integral", [False, True])
+    @pytest.mark.parametrize("value", [
+        True, False, np.True_, None, "1", b"1", Decimal("1"), 1 + 0j, [1], np.array([1]),
+    ], ids=repr)
+    def test_not_numbers(self, value, integral):
+        assert as_number(value, integral) is None
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, np.float64(2.0), Fraction(2, 1), float("nan")])
+    def test_a_real_is_not_an_integer(self, value):
+        assert as_number(value, integral=True) is None
+
+
+STUMP = {"init_value": 1.0, "learning_rate": 0.5, "n_features": 1, "trees": [[
+    {"feature": 0, "threshold": 0.5, "left": 1, "right": 2, "value": 0.0},
+    {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": -2.0},
+    {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 4.0},
+]]}
+LABELS = [100.0] * 5 + [200.0] * 5
+SPEC = dict(n_cycles=600, a=8e-4, b=3e-3, c=0.06, n_k=300, p=1.0, noise_sigma=0.001, seed=0)
+
+
+def model_json(key, value, node=None):
+    obj = json.loads(json.dumps(STUMP))
+    (obj if node is None else obj["trees"][0][node])[key] = value
+    return json.dumps(obj)
+
+
+def capacity_file(directory, sidecar=None):
+    path = directory / "cell.csv"
+    path.write_text("cycle,discharge_capacity_ah\n1,1.0\n2,0.9\n3,0.8\n")
+    meta = directory / "cell.meta.json"
+    if sidecar is None:
+        meta.unlink(missing_ok=True)
+    else:
+        meta.write_text(sidecar)
+    return path
+
+
+class TestDefectsAtTheBoundary:
+    """Inputs that, before the one rule, raised a raw error or were misread."""
+
+    def test_gamma_past_float64(self):
+        with pytest.raises(InputError, match="gamma: must be positive and finite"):
+            PipelineParams(gamma=HUGE)
+
+    @pytest.mark.parametrize("threshold", ["0.5", None])
+    def test_eol_threshold(self, threshold):
+        message = f"eol_threshold must be in (0, 1), got {threshold}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            find_eol(NormalizedSeries([1, 2, 3], [1.0, 0.9, 0.7]), threshold)
+
+    def test_learning_rate_past_float64(self):
+        with pytest.raises(InvalidHyperparameter, match="learning_rate must be finite and > 0"):
+            GBRTHyper(learning_rate=HUGE)
+
+    @pytest.mark.parametrize("q_nom", [None, "1.1", HUGE, -HUGE, True, np.True_],
+                             ids=["None", "str", "10**400", "-10**400", "True", "np.True_"])
+    def test_nominal_capacity(self, q_nom):
+        with pytest.raises(NonPositiveNominal, match=f"q_nom_ah={q_nom!r}"):
+            CapacityFadeSeries("a", [1, 2, 3], [1.0, 0.9, 0.8], q_nom)
+
+    def test_nominal_capacity_is_stored_as_given(self):
+        series = CapacityFadeSeries("a", [1, 2, 3], [1.0, 0.9, 0.8], np.float32(1.5))
+        assert type(series.q_nom_ah) is np.float32
+
+    @pytest.mark.parametrize("key, node, value", [
+        ("feature", 0, 1.7), ("feature", 0, True), ("left", 0, 1.9), ("right", 0, 2.0),
+        ("n_features", None, 3.9), ("n_features", None, "1"), ("threshold", 0, True),
+        ("value", 1, False), ("init_value", None, True), ("learning_rate", None, True),
+    ])
+    def test_model_json_field(self, key, node, value):
+        with pytest.raises(InvalidModel, match=f"malformed model JSON: {key} {value!r} is not"):
+            GBRTModel.from_json(model_json(key, value, node))
+
+    def test_model_json_reads_integers_and_numeric_strings(self):
+        model = GBRTModel.from_json(model_json("n_features", 2))
+        assert model.n_features == 2 and type(model.n_features) is int
+        model = GBRTModel.from_json(model_json("init_value", "2.5"))
+        assert model.init_value == 2.5
+
+    @pytest.mark.parametrize("frac", ["0.5", None, True])
+    def test_train_frac(self, frac):
+        message = f"train_frac must be in (0, 1], got {frac!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            stratified_split(LABELS, frac)
+
+    @pytest.mark.parametrize("seed", ["a", 1.5, -1, None])
+    def test_split_seed(self, seed):
+        with pytest.raises(InputError, match=f"seed must be an int >= 0, got {seed!r}"):
+            stratified_split(LABELS, seed=seed)
+
+    def test_split_numpy_seed_is_the_int_seed(self):
+        assert all(map(np.array_equal, stratified_split(LABELS, seed=np.int64(4)),
+                       stratified_split(LABELS, seed=4)))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(repeats=True), "repeats must be an int >= 1, got True"),
+        (dict(repeats=2.5), "repeats must be an int >= 1, got 2.5"),
+        (dict(seed="a"), "seed must be an int >= 0, got 'a'"),
+        (dict(seed=-1), "seed must be an int >= 0, got -1"),
+    ])
+    def test_sweep_counts_before_any_feature(self, kw, message):
+        cells = {f"c{i}": {} for i in range(len(LABELS))}  # any feature would fail
+        with pytest.raises(InputError, match=message):
+            sensitivity_sweep(cells, LABELS, budgets=[15], **kw)
+
+    def test_sweep_numpy_counts_are_ints(self):
+        cells = {f"c{i}": simulate_cycle_records(int(o), seed=i) for i, o in enumerate(LABELS)}
+        kw = dict(budgets=[15], hyper=GBRTHyper(n_trees=2))
+        assert (sensitivity_sweep(cells, LABELS, repeats=np.int64(2), seed=np.uint8(3), **kw)
+                == sensitivity_sweep(cells, LABELS, repeats=2, seed=3, **kw))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("noise_sigma", "x", "noise_sigma must be a real number, got 'x'"),
+        ("noise_sigma", math.inf, "noise_sigma=inf must be finite and >= 0"),
+        ("seed", 1.5, "seed must be an int, got 1.5"),
+        ("seed", -1, "seed=-1 must be >= 0"),
+        ("a", math.nan, "a, b, c must be >= 0"),
+        ("n_k", True, "n_k must be an int, got True"),
+    ])
+    def test_synthetic_spec(self, field, value, message):
+        with pytest.raises(DegenerateSpec, match=message):
+            SyntheticSpec(**{**SPEC, field: value})
+
+    def test_synthetic_spec_stores_ints_and_floats(self):
+        spec = SyntheticSpec(**{**SPEC, "a": Fraction(1, 1250), "n_k": np.int64(300),
+                                "seed": np.uint8(0)})
+        assert spec == SyntheticSpec(**SPEC)
+        assert [type(getattr(spec, k)) for k in ("a", "n_k", "seed")] == [float, int, int]
+        assert generate(spec)[0].cell_id == "synth-0000"
+
+    def test_sidecar_true_is_not_a_nominal_capacity(self, tmp_path):
+        with pytest.raises(NonPositiveNominal, match="q_nom_ah=True is not a number"):
+            load_capacity_csv(capacity_file(tmp_path, '{"q_nom_ah": true}'))
+
+    @pytest.mark.parametrize("sidecar, q_nom", [('{"q_nom_ah": "1.1"}', 1.1),
+                                                 ('{"q_nom_ah": 2}', 2.0)])
+    def test_sidecar_numbers_and_numeric_strings(self, tmp_path, sidecar, q_nom):
+        q = load_capacity_csv(capacity_file(tmp_path, sidecar)).q_nom_ah
+        assert q == q_nom and type(q) is float
+
+
+# Values from outside the program: bools, strings, None, ints past float64,
+# NaN, infinities, NumPy scalars and Fractions, next to ordinary numbers.
+JSON_ODD = st.one_of(
+    st.booleans(), st.text(max_size=4), st.none(), st.integers(), st.floats(),
+    st.sampled_from([HUGE, -HUGE, math.nan, math.inf, -math.inf, "1.5", "nan", "1e400"]),
+)
+ODD = st.one_of(
+    JSON_ODD,
+    st.fractions(), st.sampled_from([Fraction(HUGE), Fraction(-HUGE, 7)]),
+    st.booleans().map(np.bool_),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+)
+
+PIPELINE_FIELDS = ["sg_window", "sg_order", "curv_window", "cac_window", "exclusion_radius",
+                   "eol_threshold", "gamma", "max_iter"]
+HYPER_FIELDS = ["n_trees", "learning_rate", "max_depth", "min_leaf"]
+NODE_FIELDS = ["feature", "threshold", "left", "right", "value"]
+MODEL_FIELDS = ["init_value", "learning_rate", "n_features"]
+EMPTY_CELLS = {f"c{i}": {} for i in range(len(LABELS))}
+
+
+def entry_points(directory):
+    """(name, call of one value, the error class it documents) for every parameter."""
+    points = [
+        *((f"PipelineParams.{f}", lambda v, f=f: PipelineParams(**{f: v}), InputError)
+          for f in PIPELINE_FIELDS),
+        *((f"GBRTHyper.{f}", lambda v, f=f: GBRTHyper(**{f: v}), InvalidHyperparameter)
+          for f in HYPER_FIELDS),
+        ("check_onset", lambda v: check_onset(v, "label"), InputError),
+        ("find_eol", lambda v: find_eol(NormalizedSeries([1, 2, 3], [1.0, 0.9, 0.7]), v),
+         InputError),
+        ("CapacityFadeSeries.q_nom_ah",
+         lambda v: CapacityFadeSeries("a", [1, 2, 3], [1.0, 0.9, 0.8], v), InputError),
+        ("load_capacity_csv q_nom_ah",
+         lambda v: load_capacity_csv(capacity_file(directory), q_nom_ah=v), InputError),
+        ("stratified_split train_frac", lambda v: stratified_split(LABELS, v), InputError),
+        ("stratified_split seed", lambda v: stratified_split(LABELS, seed=v), InputError),
+        *((f"sensitivity_sweep {k}",
+           lambda v, k=k: sensitivity_sweep(EMPTY_CELLS, LABELS, budgets=[15], **{k: v}),
+           InputError) for k in ("repeats", "seed")),
+        *((f"SyntheticSpec.{f}", lambda v, f=f: SyntheticSpec(**{**SPEC, f: v}), DegenerateSpec)
+          for f in SPEC),
+    ]
+    return points
+
+
+def json_entry_points(directory):
+    """The same for the values a JSON file carries."""
+    return [
+        ("sidecar q_nom_ah", lambda v: load_capacity_csv(
+            capacity_file(directory, json.dumps({"q_nom_ah": v}))), InputError),
+        *((f"model JSON {k}", lambda v, k=k: GBRTModel.from_json(model_json(k, v)), InvalidModel)
+          for k in MODEL_FIELDS),
+        *((f"model JSON node {k}", lambda v, k=k, n=n: GBRTModel.from_json(model_json(k, v, n)),
+           InvalidModel) for k in NODE_FIELDS for n in (0, 1)),
+    ]
+
+
+@pytest.mark.floors
+class TestEveryEntryPoint:
+    """Each value is accepted or raises the entry point's documented error.
+
+    Marked floors: NumPy 1.26 registers its scalar types with ``numbers`` as
+    NumPy 2 does (a NumPy bool as neither), so the rule must read them alike.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_value(self, data, tmp_path_factory):
+        self.check(data, entry_points(tmp_path_factory.mktemp("any")), ODD)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_value(self, data, tmp_path_factory):
+        self.check(data, json_entry_points(tmp_path_factory.mktemp("json")), JSON_ODD)
+
+    @staticmethod
+    def check(data, points, values):
+        _, call, error = data.draw(st.sampled_from(points), label="entry point")
+        value = data.draw(values, label="value")
+        try:
+            call(value)
+        except error:  # an accepted sweep count reaches the empty cells: MissingCycle
+            pass
