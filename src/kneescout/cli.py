@@ -40,6 +40,9 @@ from .earlypredict import (
 from .errors import InputError, KneeScoutError
 from .ingest import (
     CAPACITY_HEADER,
+    CELL_FILES,
+    cell_id_of,
+    cell_path,
     check_cell_id,
     csv_text,
     load_capacity_csv,
@@ -236,15 +239,16 @@ def _write_report(args, inputs, report: KneeReport) -> None:
     write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _capacity_files(directory) -> list:
-    directory = Path(directory)
+def _cell_files(directory, kind: str) -> list:
+    """The ``kind`` files in ``directory``, sorted; a longer suffix (``.cycles.csv``) wins."""
+    directory, suffix = Path(directory), CELL_FILES[kind]
     if not directory.is_dir():
         raise InputError(f"{directory} is not a directory")
-    files = sorted(
-        p for p in directory.glob("*.csv") if not p.name.endswith(".cycles.csv")
-    )
+    longer = tuple(s for s in CELL_FILES.values() if len(s) > len(suffix))
+    files = sorted(p for p in directory.glob(f"*{suffix}") if not p.name.endswith(longer))
     if not files:
-        raise InputError(f"no capacity CSVs found in {directory}")
+        none = {"capacity": "no capacity CSVs found", "cycles": "no *.cycles.csv files"}
+        raise InputError(f"{none[kind]} in {directory}")
     return files
 
 
@@ -255,7 +259,7 @@ def _load_batch(args, config: dict):
         check_methods(methods)
     except InputError as exc:
         raise UsageError(str(exc)) from None
-    series_list = [load_capacity_csv(p) for p in _capacity_files(args.dir)]
+    series_list = [load_capacity_csv(p) for p in _cell_files(args.dir, "capacity")]
     return series_list, methods, params, args.jobs
 
 
@@ -289,52 +293,30 @@ def _with_cycle_records(curves, with_cycle_data: bool) -> list:
 
 
 def _write_synth(args, inputs, cells) -> None:
-    out_dir = Path(args.out_dir)
     for series, truth, records in cells:
         name = series.cell_id
-        write_text(out_dir / f"{name}.csv",
+        write_text(cell_path(args.out_dir, name, "capacity"),
                    csv_text(CAPACITY_HEADER, zip(series.cycles, series.capacity_ah)))
         meta = {"cell_id": name, "q_nom_ah": series.q_nom_ah}
-        write_text(out_dir / f"{name}.meta.json", json.dumps(meta, sort_keys=True) + "\n")
+        write_text(cell_path(args.out_dir, name, "meta"), json.dumps(meta, sort_keys=True) + "\n")
         truth_obj = {"cell_id": name, "ground_truth": None if truth is None else asdict(truth)}
-        write_text(out_dir / f"{name}.truth.json",
+        write_text(cell_path(args.out_dir, name, "truth"),
                    json.dumps(truth_obj, indent=2, sort_keys=True) + "\n")
         if records is not None:
-            write_text(out_dir / f"{name}.cycles.csv", csv_text(
+            write_text(cell_path(args.out_dir, name, "cycles"), csv_text(
                 CYCLE_DETAIL_HEADER,
                 ((cyc, v, q) for cyc in sorted(records)
                  for v, q in zip(records[cyc].voltage_v, records[cyc].q_ah)),
             ))
 
 
-def _cycle_files(path) -> list:
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("*.cycles.csv"))
-        if not files:
-            raise InputError(f"no *.cycles.csv files in {path}")
-        return files
-    return [path]
-
-
-def _cell_id_of(path: Path) -> str:
-    name = path.name
-    stem = name[: -len(".cycles.csv")] if name.endswith(".cycles.csv") else path.stem
-    return check_cell_id(stem, path)
-
-
 def _load_cells(paths) -> dict:
-    cells = {}
-    for path in paths:
-        cell_id = _cell_id_of(path)
-        cells[cell_id] = load_cycle_detail_csv(path)
-        if not cells[cell_id]:  # else the first feature names a missing cycle, exit 2
-            raise InputError(f"{path}: no cycle rows after the header")
-    return cells
+    return {check_cell_id(cell_id_of(p, "cycles"), p): load_cycle_detail_csv(p) for p in paths}
 
 
 def _load_features(args, config: dict):
-    return _load_cells(_cycle_files(args.cycles)), args.budget
+    path = Path(args.cycles)
+    return _load_cells(_cell_files(path, "cycles") if path.is_dir() else [path]), args.budget
 
 
 def _write_features(args, inputs, X) -> None:
@@ -399,8 +381,8 @@ def _parse_budgets(spec: str) -> range:
 def _load_sensitivity(args, config: dict):
     budgets = _parse_budgets(args.budgets)  # before any file is read
     paths, labels = [], []
-    for path in _cycle_files(args.dir):
-        truth_path = path.with_name(path.name.replace(".cycles.csv", ".truth.json"))
+    for path in _cell_files(args.dir, "cycles"):
+        truth_path = cell_path(path.parent, cell_id_of(path, "cycles"), "truth")
         if not truth_path.exists():
             raise InputError(f"missing {truth_path.name} next to {path.name}")
         truth = parse_json(read_text(truth_path), truth_path)

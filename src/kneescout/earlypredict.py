@@ -37,7 +37,7 @@ from .errors import (
     NoVoltageOverlap,
     ZeroTrueValue,
 )
-from .ingest import as_number, cycle_column, parse_json, read_csv
+from .ingest import as_number, check_count, cycle_column, parse_json, read_csv
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 LABELS_HEADER = ("cell_id", "onset_cycle")
@@ -115,10 +115,11 @@ FEATURES_HEADER = ("cell_id", *FEATURE_NAMES)
 def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
     """Read a ``cycle,voltage_v,discharge_capacity_ah`` CSV, grouped by cycle.
 
-    The rows of one cycle must be contiguous. A file with no rows gives no
-    cycles; the command line rejects it (``cli._load_cells``).
+    The rows of one cycle must be contiguous; a file with no rows is an InputError.
     """
     _, values, lines = read_csv(path, CYCLE_DETAIL_HEADER)
+    if not len(values):  # else the first feature names a missing cycle
+        raise InputError(f"{path}: no cycle rows after the header")
     cycles = cycle_column(path, values[:, 0], lines)
     starts = np.flatnonzero(np.diff(cycles, prepend=cycles[:1] - 1))
     _, first = np.unique(cycles[starts], return_index=True)
@@ -187,7 +188,10 @@ def _moments(x: np.ndarray) -> Tuple[float, float, float]:
 
 
 def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> FeatureVector:
-    """Six-number feature vector from the first ``budget`` cycles."""
+    """Six-number feature vector from the first ``budget`` cycles; ``budget``
+    must be an int under ``as_number``, else InputError."""
+    if as_number(budget, integral=True) is None:
+        raise InputError(f"budget must be an int, got {budget!r}")
     if budget < MIN_BUDGET:
         raise MissingCycle(
             f"budget {budget} < {MIN_BUDGET}: capacity-difference anchor needs cycle 10"
@@ -237,15 +241,6 @@ def check_onset(onset, where: str) -> float:
     return value
 
 
-def _check_count(value, name: str, low: int) -> int:
-    """``value`` as an int >= ``low`` if ``as_number`` reads it as an integer,
-    else an InputError naming ``name``."""
-    count = as_number(value, integral=True)
-    if count is None or count < low:
-        raise InputError(f"{name} must be an int >= {low}, got {value!r}")
-    return count
-
-
 def stratified_split(
     onset_labels: Sequence[float], train_frac: float = 0.8, seed: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -259,7 +254,7 @@ def stratified_split(
     frac = as_number(train_frac)
     if frac is None or not 0 < frac <= 1:  # NaN fails both comparisons
         raise InputError(f"train_frac must be in (0, 1], got {train_frac!r}")
-    seed = _check_count(seed, "seed", 0)
+    seed = check_count(seed, "seed", 0)
     if isinstance(onset_labels, np.ndarray):
         onset_labels = onset_labels.tolist()  # Python numbers, for the messages
     labels = np.array([check_onset(v, f"onset label {i}") for i, v in enumerate(onset_labels)],
@@ -675,8 +670,8 @@ def sensitivity_sweep(
     """
     if len(cells) != len(labels):
         raise LengthMismatch(f"{len(cells)} cells vs {len(labels)} labels")
-    repeats = _check_count(repeats, "repeats", 1)
-    seed = _check_count(seed, "seed", 0)
+    repeats = check_count(repeats, "repeats", 1)
+    seed = check_count(seed, "seed", 0)
     if len(budgets) == 0:
         raise InputError("no cycle budgets to sweep")
     check_test_split(labels)

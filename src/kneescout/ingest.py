@@ -31,6 +31,10 @@ from .errors import (
 
 CAPACITY_HEADER = ("cycle", "discharge_capacity_ah")
 
+# the suffixes of cell <id>'s files in an experiment directory (README)
+CELL_FILES = {"capacity": ".csv", "meta": ".meta.json", "truth": ".truth.json",
+              "cycles": ".cycles.csv"}
+
 
 @dataclass(frozen=True)
 class CapacityFadeSeries:
@@ -42,6 +46,7 @@ class CapacityFadeSeries:
     q_nom_ah: float
 
     def __post_init__(self):
+        check_cell_id(self.cell_id, "CapacityFadeSeries")
         cycles = np.asarray(self.cycles, dtype=np.int64)
         capacity = np.asarray(self.capacity_ah, dtype=np.float64)
         object.__setattr__(self, "cycles", cycles)
@@ -109,6 +114,15 @@ def as_number(value, integral: bool = False):
         return float(value)
     except OverflowError:  # an int or a Fraction past float64
         return math.inf if value > 0 else -math.inf
+
+
+def check_count(value, name: str, low: int, error=InputError) -> int:
+    """``value`` as an int >= ``low`` if ``as_number`` reads it as an integer,
+    else ``error`` naming ``name``."""
+    count = as_number(value, integral=True)
+    if count is None or count < low:
+        raise error(f"{name} must be an int >= {low}, got {value!r}")
+    return count
 
 
 def read_text(path) -> str:
@@ -257,6 +271,17 @@ def check_cell_id(cell_id, source) -> str:
     return cell_id
 
 
+def cell_path(directory, cell_id: str, kind: str) -> Path:
+    """Cell ``cell_id``'s file of ``kind`` (a ``CELL_FILES`` key) in ``directory``."""
+    return Path(directory, f"{cell_id}{CELL_FILES[kind]}")
+
+
+def cell_id_of(path, kind: str) -> str:
+    """The name of ``path`` less the suffix of ``kind``, or else less its last suffix."""
+    name, suffix = os.path.basename(path), CELL_FILES[kind]
+    return name[: -len(suffix)] if name.endswith(suffix) else Path(name).stem
+
+
 def load_capacity_csv(
     path,
     cell_id: Optional[str] = None,
@@ -270,18 +295,19 @@ def load_capacity_csv(
     needs the cell's rating, not a value inferred from the data.
     """
     path = Path(path)
-    sidecar = path.with_suffix(".meta.json")
+    name = cell_id_of(path, "capacity")
+    sidecar = cell_path(path.parent, name, "meta")
     meta = parse_json(read_text(sidecar), sidecar) if sidecar.exists() else {}
     if not isinstance(meta, dict):
         raise InputError(f"{sidecar}: expected a JSON object")
     if cell_id is None:
         source = sidecar if "cell_id" in meta else path
-        cell_id = check_cell_id(meta.get("cell_id", path.stem), source)
+        cell_id = check_cell_id(meta.get("cell_id", name), source)
     if q_nom_ah is None:
         q_nom_ah = meta.get("q_nom_ah")
     if q_nom_ah is None:
         raise NonPositiveNominal(
-            f"no q_nom_ah for {path.name}: provide a sidecar {path.stem}.meta.json or an override"
+            f"no q_nom_ah for {path.name}: provide a sidecar {sidecar.name} or an override"
         )
     try:  # a numeric string reads as float() reads it
         number = as_number(float(q_nom_ah) if isinstance(q_nom_ah, str) else q_nom_ah)

@@ -11,7 +11,7 @@ import numpy as np
 from .baconwatts import dbw_knee_report
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import ConstantInput, InputError, LengthMismatch
-from .ingest import CapacityFadeSeries, csv_text, write_text
+from .ingest import CapacityFadeSeries, as_number, csv_text, write_text
 from .segmentation import KneeReport, identify_knees
 
 # each method's report function; the first is curvature, the second its baseline
@@ -87,10 +87,13 @@ def batch_report(
     Cells without a defined EoL are excluded from the correlations (but
     their rows are still emitted); a constant input degenerates the
     correlation to None with a note rather than failing the batch. An
-    unknown or repeated method is an InputError.
+    unknown or repeated method is an InputError, and so is a ``jobs`` that
+    is not an int under ``as_number``; below 2 the cells run serially.
     """
     methods = tuple(methods)
     check_methods(methods)
+    if as_number(jobs, integral=True) is None:
+        raise InputError(f"jobs must be an int, got {jobs!r}")
     series_list = sorted(inputs, key=lambda s: s.cell_id)
     tasks = [(series, method) for series in series_list for method in methods]
     # a forking pool starts all its workers up front: start no more than there are tasks

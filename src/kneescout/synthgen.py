@@ -31,7 +31,7 @@ import numpy as np
 
 from .earlypredict import CycleRecord
 from .errors import DegenerateSpec
-from .ingest import CapacityFadeSeries, as_number
+from .ingest import CapacityFadeSeries, as_number, check_count
 
 TRUNCATE_AT = 0.6
 ONSET_FACTOR = 10.0
@@ -168,9 +168,10 @@ def ground_truth(spec: SyntheticSpec) -> Optional[GroundTruth]:
 
 
 def convex_family_specs(count: int, seed: int) -> List[SyntheticSpec]:
-    """Seeded parameter draws for the convex-first-phase family (p < 1)."""
-    if count < 1:
-        raise DegenerateSpec(f"count must be >= 1, got {count}")
+    """Seeded parameter draws for the convex-first-phase family (p < 1).
+    ``count`` must be an int >= 1 and ``seed`` an int >= 0, else DegenerateSpec."""
+    count = check_count(count, "count", 1, DegenerateSpec)
+    seed = check_count(seed, "seed", 0, DegenerateSpec)
     rng = np.random.default_rng(seed)
     specs = []
     for i in range(count):
@@ -218,16 +219,21 @@ def simulate_cycle_records(
     amplitude grows linearly with cycle number at a rate inversely
     proportional to the onset cycle. Smooth per-cycle measurement
     disturbances are added and monotonicity of Q(V) is enforced.
+    ``onset_cycle`` must be a finite real number > 0, ``n_early_cycles`` an
+    int >= 1 and ``seed`` an int >= 0, else DegenerateSpec.
     """
-    if onset_cycle <= 0:
-        raise DegenerateSpec(f"onset_cycle must be positive, got {onset_cycle}")
+    onset = as_number(onset_cycle)
+    if onset is None or not 0 < onset < math.inf:
+        raise DegenerateSpec(f"onset_cycle must be a finite number > 0, got {onset_cycle!r}")
+    n_early_cycles = check_count(n_early_cycles, "n_early_cycles", 1, DegenerateSpec)
+    seed = check_count(seed, "seed", 0, DegenerateSpec)
     rng = np.random.default_rng(seed)
     v = np.linspace(3.5, 2.0, GRID_POINTS)
     z = (3.5 - v) / 1.5
     base_frac = z**0.8
     bump = np.exp(-(((v - 2.35) / 0.18) ** 2))
     q2_base = DEFAULT_Q_NOM * 0.985 * (1.0 + rng.normal(0.0, 0.004))
-    rate = 0.09 / onset_cycle  # Ah per cycle of low-voltage capacity shift
+    rate = 0.09 / onset  # Ah per cycle of low-voltage capacity shift
     fade = 2e-5
 
     records = {}
@@ -249,12 +255,17 @@ def generate_fleet(
 
     Knee amplitude and rate are drawn so the plunge both clears the
     smoothed-curvature noise floor of sigma = 1e-3 capacity noise and
-    completes within a small fraction of the cycle window.
+    completes within a small fraction of the cycle window. ``count`` must be
+    an int >= 1, ``n_cycles`` an int >= ``MIN_CYCLES`` and ``seed`` an int
+    >= 0, else DegenerateSpec.
     """
-    if count < 1:
-        raise DegenerateSpec(f"count must be >= 1, got {count}")
+    count = check_count(count, "count", 1, DegenerateSpec)
+    if as_number(n_cycles, integral=True) is None:
+        raise DegenerateSpec(f"n_cycles must be an int, got {n_cycles!r}")
+    n_cycles = int(n_cycles)
     if n_cycles < MIN_CYCLES:  # before the knee draw, whose range it would empty
         raise DegenerateSpec(f"n_cycles={n_cycles} too small")
+    seed = check_count(seed, "seed", 0, DegenerateSpec)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):

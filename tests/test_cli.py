@@ -1328,3 +1328,41 @@ class TestNumbersAtLoad:
         payload = json_error(capsys, 1, "predict", "--model", str(model), "--features", str(feats))
         assert payload["error"] == "InvalidModel"
         assert "is not an integer" in payload["message"]
+
+
+class TestExperimentDirectory:
+    """A cell <id> is the files <id>.csv, .meta.json, .truth.json and .cycles.csv."""
+
+    def test_sensitivity_dir_that_does_not_exist(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(missing),
+                             "--out", str(tmp_path / "s.csv"))
+        assert (payload["error"], payload["message"]) == (
+            "InputError", f"{missing} is not a directory")
+
+    def test_sensitivity_dir_that_is_a_file(self, synth_dir, tmp_path, capsys):
+        # one labelled cell can never leave a test cell: a file is no sweep
+        cycles = synth_dir / "fleet-5-000.cycles.csv"
+        payload = json_error(capsys, 1, "sensitivity", "--dir", str(cycles),
+                             "--out", str(tmp_path / "s.csv"))
+        assert (payload["error"], payload["message"]) == (
+            "InputError", f"{cycles} is not a directory")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_an_id_that_holds_a_suffix(self, synth_dir, tmp_path):
+        # the cell "x.cycles.csv-0" pairs with x.cycles.csv-0.truth.json
+        sweeps = {}
+        for renamed in ("x.cycles.csv-0", "x-0"):
+            d = tmp_path / renamed
+            d.mkdir()
+            for path in synth_dir.iterdir():
+                name = path.name.replace("fleet-5-000.", f"{renamed}.")
+                shutil.copy(path, d / name)
+            out = tmp_path / f"{renamed}.csv"
+            assert run_cli("sensitivity", "--dir", str(d), "--budgets", "20",
+                           "--repeats", "1", "--out", str(out)) == 0
+            sweeps[renamed] = out.read_bytes()
+            feats = tmp_path / f"{renamed}-features.csv"
+            assert run_cli("features", "--cycles", str(d), "--out", str(feats)) == 0
+            assert feats.read_text().splitlines()[-1].startswith(f"{renamed},")
+        assert sweeps["x.cycles.csv-0"] == sweeps["x-0"]

@@ -928,3 +928,11 @@ class TestLoadCycleDetailCsv:
         p.write_text("cycle,voltage_v,discharge_capacity_ah\n2,3.5,0.0\n" + row + "\n")
         with pytest.raises(MalformedRow, match="bad.cycles.csv: line 3"):
             load_cycle_detail_csv(p)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", " , ,\n\t\n"],
+                             ids=["header-only", "blank", "spaces"])
+    def test_no_rows_after_the_header(self, tmp_path, body):
+        p = tmp_path / "empty.cycles.csv"
+        p.write_text("cycle,voltage_v,discharge_capacity_ah\n" + body)
+        with pytest.raises(InputError, match=re.escape(f"{p}: no cycle rows after the header")):
+            load_cycle_detail_csv(p)

@@ -187,6 +187,21 @@ class TestLoadCapacityCsv:
 
 
 @pytest.mark.floors
+class TestCellFiles:
+    """``cell_path`` names a cell's files and ``cell_id_of`` reads the id back."""
+
+    @pytest.mark.parametrize("cell_id", ["fleet-42-000", "x.cycles.csv-0", "a.b", "x.csv", ""])
+    @pytest.mark.parametrize("kind", sorted(ingest.CELL_FILES))
+    def test_round_trip(self, tmp_path, cell_id, kind):
+        path = ingest.cell_path(tmp_path, cell_id, kind)
+        assert path.parent == tmp_path
+        assert ingest.cell_id_of(path, kind) == cell_id
+
+    def test_a_name_without_the_suffix_reads_as_its_stem(self):
+        assert ingest.cell_id_of("cell.txt", "cycles") == "cell"
+        assert ingest.cell_id_of("x.cycles.csv", "capacity") == "x.cycles"
+
+
 class TestResampleEven:
     """Marked floors: the uneven-grid resampling is the package's one SciPy call
     (``CubicSpline``), so it runs at the oldest SciPy too.
@@ -342,6 +357,8 @@ def reference_cycle_detail(path):
                 raise MissingColumn(f"{path.name}: rows for cycle {cyc} are not contiguous")
             groups.setdefault(cyc, []).append(point)
             last_cycle = cyc
+    if not groups:  # a file with no cycle rows is no cell
+        raise InputError(f"{path.name}: no cycle rows after the header")
     records = {}
     for cyc, rows in groups.items():
         v, q = zip(*rows)

@@ -20,6 +20,7 @@ from kneescout.config import GBRTHyper, PipelineParams
 from kneescout.earlypredict import (
     GBRTModel,
     check_onset,
+    extract_features,
     sensitivity_sweep,
     stratified_split,
 )
@@ -37,7 +38,15 @@ from kneescout.ingest import (
     find_eol,
     load_capacity_csv,
 )
-from kneescout.synthgen import SyntheticSpec, generate, simulate_cycle_records
+from kneescout.report import batch_report
+from kneescout.synthgen import (
+    MIN_CYCLES,
+    SyntheticSpec,
+    convex_family_specs,
+    generate,
+    generate_fleet,
+    simulate_cycle_records,
+)
 
 HUGE = 10**400  # an int past float64
 
@@ -187,6 +196,70 @@ class TestDefectsAtTheBoundary:
         assert [type(getattr(spec, k)) for k in ("a", "n_k", "seed")] == [float, int, int]
         assert generate(spec)[0].cell_id == "synth-0000"
 
+    @pytest.mark.parametrize("call, args, kwargs, message", [
+        (generate_fleet, (1,), dict(seed="a"), "seed must be an int >= 0, got 'a'"),
+        (generate_fleet, (1.5,), dict(seed=1), "count must be an int >= 1, got 1.5"),
+        (generate_fleet, (True,), dict(seed=1), "count must be an int >= 1, got True"),
+        (generate_fleet, (1,), dict(seed=1, n_cycles=600.0), "n_cycles must be an int, got 600.0"),
+        (convex_family_specs, (True, 1), {}, "count must be an int >= 1, got True"),
+        (simulate_cycle_records, (100,), dict(seed=-1), "seed must be an int >= 0, got -1"),
+        (simulate_cycle_records, ("5",), {}, "onset_cycle must be a finite number > 0, got '5'"),
+        (simulate_cycle_records, (True,), {}, "onset_cycle must be a finite number > 0, got True"),
+        (simulate_cycle_records, (100,), dict(n_early_cycles=2.5),
+         "n_early_cycles must be an int >= 1, got 2.5"),
+    ], ids=["fleet-seed-str", "fleet-count-float", "fleet-count-bool", "fleet-n_cycles-float",
+            "convex-count-bool", "records-seed-negative", "records-onset-str",
+            "records-onset-bool", "records-n_early-float"])
+    def test_synthgen_arguments(self, call, args, kwargs, message):
+        with pytest.raises(DegenerateSpec, match=re.escape(message)):
+            call(*args, **kwargs)
+
+    def test_synthgen_numpy_counts_are_ints(self):
+        [(a, truth_a)] = generate_fleet(np.int64(1), seed=np.uint8(3), n_cycles=np.int64(600))
+        [(b, truth_b)] = generate_fleet(1, seed=3, n_cycles=600)
+        assert (a.cell_id, truth_a) == (b.cell_id, truth_b) == ("fleet-3-000", truth_b)
+        assert a.capacity_ah.tobytes() == b.capacity_ah.tobytes()
+        assert convex_family_specs(np.int64(2), np.uint8(1)) == convex_family_specs(2, 1)
+        records = simulate_cycle_records(np.int64(250), n_early_cycles=np.uint8(3), seed=7)
+        again = simulate_cycle_records(250, n_early_cycles=3, seed=7)
+        assert [r.q_ah.tobytes() for r in records.values()] == [
+            r.q_ah.tobytes() for r in again.values()]
+
+    @pytest.mark.parametrize("budget", ["30", 30.0, True, None])
+    def test_feature_budget(self, budget):
+        records = simulate_cycle_records(250, seed=1)
+        with pytest.raises(InputError, match=re.escape(f"budget must be an int, got {budget!r}")):
+            extract_features(records, budget=budget)
+
+    def test_feature_numpy_budget_is_the_int_budget(self):
+        records = simulate_cycle_records(250, seed=1)
+        assert (extract_features(records, budget=np.int64(30)).as_array().tobytes()
+                == extract_features(records, budget=30).as_array().tobytes())
+
+    @pytest.mark.parametrize("jobs", ["2", 2.0, True, None])
+    def test_batch_jobs(self, jobs):
+        with pytest.raises(InputError, match=re.escape(f"jobs must be an int, got {jobs!r}")):
+            batch_report([], jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [0, -3, np.int64(1)])
+    def test_batch_jobs_below_two_run_serially(self, jobs):
+        fade = np.linspace(1.0, 0.7, 300)
+        series = [CapacityFadeSeries(f"c{i}", np.arange(1, 301), fade - 0.01 * i, 1.0)
+                  for i in range(2)]
+        methods = ("double_bacon_watts",)
+        assert batch_report(series, methods, jobs=jobs) == batch_report(series, methods, jobs=1)
+
+    @pytest.mark.parametrize("cell_id, message", [
+        ("a\nb", "cell_id 'a\\nb' holds a line break"),
+        ("a\rb", "cell_id 'a\\rb' holds a line break"),
+        (5, "cell_id must be a string, got 5"),
+    ])
+    def test_series_cell_id(self, cell_id, message, tmp_path):
+        with pytest.raises(InputError, match=re.escape(f"CapacityFadeSeries: {message}")):
+            CapacityFadeSeries(cell_id, [1, 2, 3], [1.0, 0.9, 0.8], 1.0)
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_capacity_csv(capacity_file(tmp_path), cell_id=cell_id, q_nom_ah=1.0)
+
     def test_sidecar_true_is_not_a_nominal_capacity(self, tmp_path):
         with pytest.raises(NonPositiveNominal, match="q_nom_ah=True is not a number"):
             load_capacity_csv(capacity_file(tmp_path, '{"q_nom_ah": true}'))
@@ -242,6 +315,23 @@ def entry_points(directory):
            InputError) for k in ("repeats", "seed")),
         *((f"SyntheticSpec.{f}", lambda v, f=f: SyntheticSpec(**{**SPEC, f: v}), DegenerateSpec)
           for f in SPEC),
+        # an accepted count or length meets the bad seed after it, so that no
+        # call draws a fleet or a record set of that size
+        ("generate_fleet count", lambda v: generate_fleet(v, seed=-1), DegenerateSpec),
+        ("generate_fleet n_cycles", lambda v: generate_fleet(1, seed=-1, n_cycles=v),
+         DegenerateSpec),
+        ("generate_fleet seed", lambda v: generate_fleet(1, seed=v, n_cycles=MIN_CYCLES),
+         DegenerateSpec),
+        ("convex_family_specs count", lambda v: convex_family_specs(v, -1), DegenerateSpec),
+        ("convex_family_specs seed", lambda v: convex_family_specs(1, v), DegenerateSpec),
+        ("simulate_cycle_records onset_cycle",
+         lambda v: simulate_cycle_records(v, n_early_cycles=1), DegenerateSpec),
+        ("simulate_cycle_records n_early_cycles",
+         lambda v: simulate_cycle_records(100, n_early_cycles=v, seed=-1), DegenerateSpec),
+        ("simulate_cycle_records seed",
+         lambda v: simulate_cycle_records(100, n_early_cycles=1, seed=v), DegenerateSpec),
+        ("extract_features budget", lambda v: extract_features({}, budget=v), InputError),
+        ("batch_report jobs", lambda v: batch_report([], jobs=v), InputError),
     ]
     return points
 
@@ -282,5 +372,5 @@ class TestEveryEntryPoint:
         value = data.draw(values, label="value")
         try:
             call(value)
-        except error:  # an accepted sweep count reaches the empty cells: MissingCycle
+        except error:  # an accepted sweep count or budget reaches empty cells: MissingCycle
             pass
