@@ -24,12 +24,14 @@ import numpy as np
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import (
     FitDiverged,
+    InputError,
     NonFiniteResidual,
     SingularNormalEquations,
     TooShort,
 )
+from .ingest import CapacityFadeSeries, check_gamma, check_max_iter, check_number
 # find_eol, normalize, resample_even, savgol_smooth: unused, kept for perfbench's tracer
-from .ingest import CapacityFadeSeries, find_eol, normalize, resample_even  # noqa: F401
+from .ingest import find_eol, normalize, resample_even  # noqa: F401
 from .preprocess import savgol_smooth  # noqa: F401
 from .segmentation import KneeReport, prepare
 
@@ -80,9 +82,9 @@ def dbw_model(x, p: DBWParams):
     ``((a0 + a1*d0) + (a2*d0)*tanh(d0/g)) + (a3*d2)*tanh(d2/g)``. The
     temporaries are reused in place; a sum or product of two terms rounds
     the same in either order, so the bits are those of the one expression.
+    ``p.gamma`` must be positive and finite; ``fit_dbw`` checks it once per
+    fit (``ingest.check_gamma``), so this runs no check of its own.
     """
-    if not 0 < p.gamma < math.inf:
-        raise FitDiverged(f"gamma must be positive and finite, got {p.gamma}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:  # a scalar has no buffer to reuse
         return dbw_model(x[None], p)[0]
@@ -121,7 +123,9 @@ def lm_optimize(
     converged=False rather than raising, so callers can inspect the partial
     result. A cost ``r @ r`` that overflows at the initial point is
     NonFiniteResidual; a trial step whose cost is not finite is rejected.
-    Overflow raises no RuntimeWarning inside the fit.
+    Overflow raises no RuntimeWarning inside the fit. ``tol`` must be a real
+    number >= 0 and ``max_iter`` follow ``ingest.check_max_iter``, else
+    InputError.
 
     ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
     ``residuals`` at ``p``; the LM iterates depend on its bits. It may
@@ -129,6 +133,10 @@ def lm_optimize(
     only before the next call. By default it is ``_central_jacobian``'s
     column-by-column central difference.
     """
+    tol = check_number(tol, "tol")
+    if not tol >= 0.0:  # NaN too
+        raise InputError(f"tol: must be >= 0, got {tol}")
+    max_iter = check_max_iter(max_iter)
     if jacobian is None:
         jacobian = partial(_central_jacobian, residuals)
 
@@ -212,8 +220,8 @@ def _central_jacobian(residuals, p):
 def _dbw_residuals(x, y, gamma):
     """Residuals of the model against ``y`` and their central-difference Jacobian.
 
-    ``residuals`` goes through ``dbw_model``, which also rejects a
-    non-positive or non-finite gamma. ``jacobian`` gives
+    ``residuals`` goes through ``dbw_model``; ``gamma`` is the float that
+    ``fit_dbw`` has checked. ``jacobian`` gives
     ``_central_jacobian``'s bits without calling it. It forms ``x - x0`` and
     ``x - x2`` at their three values (base, moved up, moved down) and their
     tanh as six rows at once, and each model term once at the base. Then it
@@ -292,8 +300,11 @@ def fit_dbw(
     Ah/cycle, x0 at 70% and x2 at 90% of the observed cycle range. The
     reported onset/knee are order-normalized, so swapping the two
     transition initializations changes nothing downstream. The fit runs
-    ``lm_optimize`` at its default tolerance.
+    ``lm_optimize`` at its default tolerance. ``gamma`` and ``max_iter``
+    follow ``ingest.check_gamma`` and ``ingest.check_max_iter``.
     """
+    gamma = check_gamma(gamma)
+    max_iter = check_max_iter(max_iter)
     if len(series) < 10:
         raise TooShort(f"double Bacon-Watts fit needs >= 10 points, got {len(series)}")
     x = series.cycles.astype(np.float64)

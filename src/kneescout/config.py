@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import (DegenerateWindow, EvenWindow, IndexOutOfRange, InputError,
-                     InvalidHyperparameter, OrderTooHigh, WindowTooLarge)
-from .ingest import as_number
-from .preprocess import check_savgol_design
+from .errors import InvalidHyperparameter
+from .ingest import (as_number, check_fraction, check_gamma, check_max_iter,
+                     check_nonnegative)
+from .matrixprofile import check_length
+from .preprocess import check_order, check_window
 
 
 @dataclass(frozen=True)
@@ -51,23 +52,13 @@ class GBRTHyper:
 class PipelineParams:
     """Knobs of the identification pipeline, each checked on construction.
 
-    - ``sg_window``, ``curv_window``: odd (else EvenWindow) and >= 3 (else
-      WindowTooLarge). ``prepare`` clips ``sg_window`` to the curve length.
-    - ``sg_order``: 0 <= ``sg_order`` < ``sg_window``, with a smoothing design
-      matrix finite in float64 (``check_savgol_design``), else OrderTooHigh.
-    - ``cac_window``: the window of the one matrix profile that segmentation
-      runs on, >= 2; 0 selects one fifth of the curvature length. A negative
-      value or 1 is DegenerateWindow.
-    - ``exclusion_radius``: the REA masking half-width in cycles and the edge
-      band excluded from boundary selection, >= 0, else IndexOutOfRange.
-    - ``eol_threshold`` in (0, 1), ``gamma`` positive and finite, ``max_iter``
-      >= 1: else InputError.
-
-    Before any of these, each field must have its type under
-    ``ingest.as_number``, else an InputError naming it: the ``int`` fields an
-    integer that is not a bool (a NumPy integer is stored as int), the
-    ``float`` fields a real number that is not a bool (stored as given, and
-    range-checked as a float, so an int past float64 is infinite).
+    Each field is checked, in field order, by the owner of its rule, the
+    function that its stage calls too (README "Parameters"), and stored as
+    the ``int`` or ``float`` that it returns. ``prepare`` clips ``sg_window``
+    to the curve length. ``cac_window`` is the window of the one matrix
+    profile that segmentation runs on; 0 selects one fifth of the curvature
+    length. ``exclusion_radius`` is the REA masking half-width in cycles and
+    the edge band excluded from boundary selection.
     """
 
     sg_window: int = 21
@@ -80,36 +71,19 @@ class PipelineParams:
     max_iter: int = 1000
 
     def __post_init__(self):
-        number = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            integral = f.type == "int"
-            number[f.name] = as_number(value, integral)
-            if number[f.name] is None:
-                kind = "an int" if integral else "a real number"
-                raise InputError(f"{f.name} must be {kind}, got {value!r}")
-            if integral:
-                object.__setattr__(self, f.name, number[f.name])
-        for name in ("sg_window", "curv_window"):
-            window = getattr(self, name)
-            if window < 3:
-                raise WindowTooLarge(f"{name} must be >= 3, got {window}")
-            if window % 2 == 0:
-                raise EvenWindow(f"{name} must be odd, got {window}")
-        if not 0 <= self.sg_order < self.sg_window:
-            raise OrderTooHigh(f"sg_order {self.sg_order} must satisfy"
-                               f" 0 <= sg_order < sg_window {self.sg_window}")
-        check_savgol_design(self.sg_window, self.sg_order)
-        if self.cac_window < 0 or self.cac_window == 1:
-            raise DegenerateWindow(f"cac_window must be 0 or >= 2, got {self.cac_window}")
-        if self.exclusion_radius < 0:
-            raise IndexOutOfRange(f"exclusion_radius must be >= 0, got {self.exclusion_radius}")
-        if not 0 < number["eol_threshold"] < 1:
-            raise InputError(f"eol_threshold: must be in (0, 1), got {self.eol_threshold}")
-        if not 0 < number["gamma"] < math.inf:
-            raise InputError(f"gamma: must be positive and finite, got {self.gamma}")
-        if self.max_iter < 1:
-            raise InputError(f"max_iter: must be >= 1, got {self.max_iter}")
+        sg_window = check_window(self.sg_window, "sg_window")
+        checked = {
+            "sg_window": sg_window,
+            "sg_order": check_order(self.sg_order, sg_window, "sg_order", "sg_window"),
+            "curv_window": check_window(self.curv_window, "curv_window"),
+            "cac_window": check_length(self.cac_window, "cac_window", allow_zero=True),
+            "exclusion_radius": check_nonnegative(self.exclusion_radius, "exclusion_radius"),
+            "eol_threshold": check_fraction(self.eol_threshold, "eol_threshold"),
+            "gamma": check_gamma(self.gamma),
+            "max_iter": check_max_iter(self.max_iter),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 DEFAULT_PARAMS = PipelineParams()

@@ -37,7 +37,8 @@ from .errors import (
     NoVoltageOverlap,
     ZeroTrueValue,
 )
-from .ingest import as_number, check_count, cycle_column, parse_json, read_csv
+from .ingest import (as_number, check_count, check_finite, check_number, cycle_column,
+                     parse_json, read_csv)
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 LABELS_HEADER = ("cell_id", "onset_cycle")
@@ -190,8 +191,7 @@ def _moments(x: np.ndarray) -> Tuple[float, float, float]:
 def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> FeatureVector:
     """Six-number feature vector from the first ``budget`` cycles; ``budget``
     must be an int under ``as_number``, else InputError."""
-    if as_number(budget, integral=True) is None:
-        raise InputError(f"budget must be an int, got {budget!r}")
+    budget = check_number(budget, "budget", integral=True)
     if budget < MIN_BUDGET:
         raise MissingCycle(
             f"budget {budget} < {MIN_BUDGET}: capacity-difference anchor needs cycle 10"
@@ -638,11 +638,14 @@ def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
 
 
 def evaluate(y, y_hat) -> Dict[str, float]:
-    """RMSE in cycles and MAPE in percent."""
+    """RMSE in cycles and MAPE in percent. A ``y`` or ``y_hat`` holding NaN or
+    an infinity is NonFiniteInput naming it."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape or len(y) < 1:
         raise LengthMismatch(f"{y.shape} vs {y_hat.shape}")
+    check_finite(y, "y")
+    check_finite(y_hat, "y_hat")
     if np.any(y == 0.0):
         raise ZeroTrueValue("MAPE undefined: a true value is zero")
     rmse = float(np.sqrt(np.mean((y - y_hat) ** 2)))

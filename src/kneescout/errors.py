@@ -149,3 +149,7 @@ class InvalidHyperparameter(InputError):
 
 class ConstantInput(InputError):
     pass
+
+
+class NonFiniteInput(InputError):
+    """A sample given to ``pearson`` or ``evaluate`` that holds NaN or an infinity."""

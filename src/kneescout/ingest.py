@@ -19,10 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    IndexOutOfRange,
     InputError,
     LengthMismatch,
     MalformedRow,
     MissingColumn,
+    NonFiniteInput,
     NonMonotonicCycles,
     NonPositiveCapacity,
     NonPositiveNominal,
@@ -123,6 +125,57 @@ def check_count(value, name: str, low: int, error=InputError) -> int:
     if count is None or count < low:
         raise error(f"{name} must be an int >= {low}, got {value!r}")
     return count
+
+
+def check_number(value, name: str, integral: bool = False, error=InputError):
+    """``value`` as ``as_number`` reads it, else ``error`` naming ``name``."""
+    number = as_number(value, integral)
+    if number is None:
+        kind = "an int" if integral else "a real number"
+        raise error(f"{name} must be {kind}, got {value!r}")
+    return number
+
+
+def check_fraction(value, name: str) -> float:
+    """``value`` as a float in (0, 1), else InputError naming ``name``."""
+    number = check_number(value, name)
+    if not 0.0 < number < 1.0:
+        raise InputError(f"{name}: must be in (0, 1), got {value}")
+    return number
+
+
+def check_finite(values: np.ndarray, name: str) -> None:
+    """NonFiniteInput naming ``name`` if ``values`` hold NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise NonFiniteInput(f"{name} holds a non-finite value")
+
+
+# The rules below belong to the segmentation and Bacon-Watts stages, which
+# import config; they live here so that config can call them too.
+
+def check_nonnegative(value, name: str) -> int:
+    """``value`` as an int >= 0 (a boundary count or an exclusion radius),
+    else IndexOutOfRange naming ``name``."""
+    number = check_number(value, name, integral=True)
+    if number < 0:
+        raise IndexOutOfRange(f"{name} must be >= 0, got {number}")
+    return number
+
+
+def check_gamma(gamma) -> float:
+    """The Bacon-Watts transition width as a float, positive and finite, else InputError."""
+    number = check_number(gamma, "gamma")
+    if not 0.0 < number < math.inf:
+        raise InputError(f"gamma: must be positive and finite, got {gamma}")
+    return number
+
+
+def check_max_iter(max_iter) -> int:
+    """The Levenberg-Marquardt iteration cap as an int >= 1, else InputError."""
+    number = check_number(max_iter, "max_iter", integral=True)
+    if number < 1:
+        raise InputError(f"max_iter: must be >= 1, got {number}")
+    return number
 
 
 def read_text(path) -> str:
@@ -361,12 +414,10 @@ def find_eol(series, threshold: float = 0.8) -> Optional[int]:
 
     Works on any series with ``cycles`` and ``values``; the identification
     pipeline passes the smoothed series so a single noisy sample cannot
-    trigger the crossing. ``threshold`` must be a real number in (0, 1),
-    else InputError.
+    trigger the crossing. ``threshold`` must be a real number in (0, 1)
+    (``check_fraction``), else InputError.
     """
-    value = as_number(threshold)
-    if value is None or not 0.0 < value < 1.0:
-        raise InputError(f"eol_threshold must be in (0, 1), got {threshold}")
+    threshold = check_fraction(threshold, "threshold")
     below = np.nonzero(series.values <= threshold)[0]
     if len(below) == 0:
         return None

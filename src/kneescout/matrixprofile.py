@@ -36,6 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateWindow, SeriesTooShort
+from .ingest import check_number
 
 FLAT_STD = 1e-12
 
@@ -78,14 +79,27 @@ def _distance(za, zb, flat_a, flat_b, L: int) -> np.ndarray:
     return np.where(flat_a ^ flat_b, math.sqrt(L), dist)
 
 
+def check_length(L, name: str = "L", allow_zero: bool = False) -> int:
+    """``L`` as an int >= 2, the shortest window with a z-normalized shape,
+    else DegenerateWindow; InputError naming ``name`` if it is not an
+    integer. ``allow_zero`` also takes 0, for a caller that reads 0 as
+    "choose the length for me"."""
+    length = check_number(L, name, integral=True)
+    if length < 2 and not (allow_zero and length == 0):
+        zero = "0 or " if allow_zero else ""
+        raise DegenerateWindow(f"{name} must be {zero}>= 2, got {length}")
+    return length
+
+
 def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     """All-pairs nearest-neighbor search over every length-L window.
 
     I[j] is the window outside the band of radius ceil(L/2) around j with the
     largest Gram entry, the smallest index on ties; P[j] is the distance to
-    it, capped at 2 sqrt(L). A series shorter than L + 2 ceil(L/2) + 1 is
-    SeriesTooShort: some window would have no candidate. A non-finite value
-    is DegenerateWindow, since its windows have no z-normalized distance.
+    it, capped at 2 sqrt(L). ``L`` follows ``check_length``. A series
+    shorter than L + 2 ceil(L/2) + 1 is SeriesTooShort: some window would
+    have no candidate. A non-finite value is DegenerateWindow, since its
+    windows have no z-normalized distance.
 
     Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows in one
     ``(_BLOCK_ROWS, n)`` buffer allocated once per call, and the band is set
@@ -97,11 +111,10 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     bit contract too: under OpenBLAS the Gram bits depend on the row count
     of the product, so another block size changes them (see DECISIONS.md).
     """
+    L = check_length(L)
     series = np.asarray(series, dtype=np.float64)
     M = len(series)
-    if L < 2:
-        raise DegenerateWindow("z-normalization needs window length >= 2")
-    radius = math.ceil(L / 2)
+    radius = (L + 1) // 2  # ceil(L/2) in ints: an L past float64 is SeriesTooShort
     needed = L + 2 * radius + 1
     if M < needed:
         raise SeriesTooShort(

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, SmoothingOverflow, WindowTooLarge
-from .ingest import NormalizedSeries
+from .ingest import NormalizedSeries, check_number
 
 
 def savgol_smooth(
@@ -41,21 +41,42 @@ def savgol_smooth(
     sample, which is not repeated), keeping the output length equal to the
     input length. Polynomials up to the filter order are reproduced exactly
     on the interior; the mirrored extension is not polynomial, so the first
-    and last half-windows deviate. A smoothed value that overflows float64
-    is SmoothingOverflow.
+    and last half-windows deviate. ``window`` and ``order`` follow
+    ``check_window`` and ``check_order``; a window longer than the series is
+    WindowTooLarge. A smoothed value that overflows float64 is
+    SmoothingOverflow.
     """
-    n = len(series)
-    if window % 2 == 0:
-        raise EvenWindow(f"window must be odd, got {window}")
-    if window < 3 or window > n:
-        raise WindowTooLarge(f"window {window} outside [3, {n}]")
-    if not 0 <= order < window:
-        raise OrderTooHigh(f"order {order} must satisfy 0 <= order < window {window}")
+    window = check_window(window)
+    if window > len(series):
+        raise WindowTooLarge(f"window {window} exceeds the series length {len(series)}")
+    order = check_order(order, window)
     with np.errstate(over="ignore", invalid="ignore"):
         smoothed = _mirror_convolve(series.values, savgol_coeffs(window, order)[window // 2 :])
     if not np.isfinite(smoothed).all():
         raise SmoothingOverflow("the smoothed series overflows float64")
     return NormalizedSeries(cycles=series.cycles, values=smoothed)
+
+
+def check_window(window, name: str = "window") -> int:
+    """``window`` as an int, >= 3 (else WindowTooLarge) and odd (else
+    EvenWindow); InputError naming ``name`` if it is not an integer."""
+    window = check_number(window, name, integral=True)
+    if window < 3:
+        raise WindowTooLarge(f"{name} must be >= 3, got {window}")
+    if window % 2 == 0:
+        raise EvenWindow(f"{name} must be odd, got {window}")
+    return window
+
+
+def check_order(order, window: int, name: str = "order", window_name: str = "window") -> int:
+    """``order`` as an int with 0 <= order < ``window`` and a design matrix
+    finite in float64 (``check_savgol_design``), else OrderTooHigh;
+    InputError naming ``name`` if it is not an integer."""
+    order = check_number(order, name, integral=True)
+    if not 0 <= order < window:
+        raise OrderTooHigh(f"{name} {order} must satisfy 0 <= {name} < {window_name} {window}")
+    check_savgol_design(window, order)
+    return order
 
 
 def check_savgol_design(window: int, order: int) -> None:
@@ -120,12 +141,9 @@ def clip_window(window: int, n: int) -> int:
 
 
 def approximate_curvature(series: NormalizedSeries, ws: int = 3) -> NormalizedSeries:
-    """Second-difference curvature over a sliding window of ``ws`` cycles,
-    at the input's cycles less (ws-1)/2 at each end."""
-    if ws % 2 == 0:
-        raise EvenWindow(f"ws must be odd, got {ws}")
-    if ws < 3:
-        raise WindowTooLarge(f"ws must be >= 3, got {ws}")
+    """Second-difference curvature over a sliding window of ``ws`` cycles
+    (``check_window``), at the input's cycles less (ws-1)/2 at each end."""
+    ws = check_window(ws, "ws")
     n = len(series)
     if n < ws:
         raise SeriesTooShort(f"need at least ws={ws} points, got {n}")

@@ -11,7 +11,7 @@ import numpy as np
 from .baconwatts import dbw_knee_report
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import ConstantInput, InputError, LengthMismatch
-from .ingest import CapacityFadeSeries, as_number, csv_text, write_text
+from .ingest import CapacityFadeSeries, check_finite, check_number, csv_text, write_text
 from .segmentation import KneeReport, identify_knees
 
 # each method's report function; the first is curvature, the second its baseline
@@ -47,6 +47,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
     Rounding can put the quotient just outside the interval (1 + 2**-52 for
     some perfectly correlated inputs); ``scipy.stats.pearsonr`` clips too.
+    A sample holding NaN or an infinity is NonFiniteInput naming it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -54,6 +55,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatch(f"{x.shape} vs {y.shape}")
     if len(x) < 2:
         raise ConstantInput(f"need at least 2 samples, got {len(x)}")
+    check_finite(x, "x")
+    check_finite(y, "y")
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))
@@ -92,8 +95,7 @@ def batch_report(
     """
     methods = tuple(methods)
     check_methods(methods)
-    if as_number(jobs, integral=True) is None:
-        raise InputError(f"jobs must be an int, got {jobs!r}")
+    jobs = check_number(jobs, "jobs", integral=True)
     series_list = sorted(inputs, key=lambda s: s.cell_id)
     tasks = [(series, method) for series in series_list for method in methods]
     # a forking pool starts all its workers up front: start no more than there are tasks

@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import IndexOutOfRange, InsufficientUnmaskedRegion, TooShort
-from .ingest import CapacityFadeSeries, NormalizedSeries, find_eol, normalize, resample_even
+from .ingest import (CapacityFadeSeries, NormalizedSeries, check_nonnegative, find_eol,
+                     normalize, resample_even)
 from .matrixprofile import stamp
 from .preprocess import approximate_curvature, clip_window, savgol_smooth
 
@@ -79,11 +80,12 @@ def rea(cac_values: np.ndarray, n_boundaries: int, exclusion_radius: int) -> Lis
 
     Ties at equal CAC go to the smaller index. Returns the boundaries in
     ascending order, pairwise separated by more than the exclusion radius.
+    Both counts follow ``ingest.check_nonnegative``.
     """
+    n_boundaries = check_nonnegative(n_boundaries, "n_boundaries")
+    exclusion_radius = check_nonnegative(exclusion_radius, "exclusion_radius")
     values = np.asarray(cac_values, dtype=np.float64).copy()
     n = len(values)
-    if n_boundaries < 0 or exclusion_radius < 0:
-        raise IndexOutOfRange("n_boundaries and exclusion_radius must be >= 0")
     picked = []
     for _ in range(n_boundaries):
         finite = np.isfinite(values)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .earlypredict import CycleRecord
 from .errors import DegenerateSpec
-from .ingest import CapacityFadeSeries, as_number, check_count
+from .ingest import CapacityFadeSeries, as_number, check_count, check_number
 
 TRUNCATE_AT = 0.6
 ONSET_FACTOR = 10.0
@@ -65,11 +65,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            number = as_number(value, integral=f.type == "int")
-            if number is None:
-                kind = "an int" if f.type == "int" else "a real number"
-                raise DegenerateSpec(f"{f.name} must be {kind}, got {value!r}")
+            number = check_number(getattr(self, f.name), f.name, f.type == "int", DegenerateSpec)
             object.__setattr__(self, f.name, number)
         if self.n_cycles < MIN_CYCLES:
             raise DegenerateSpec(f"n_cycles={self.n_cycles} too small")
@@ -260,9 +256,7 @@ def generate_fleet(
     >= 0, else DegenerateSpec.
     """
     count = check_count(count, "count", 1, DegenerateSpec)
-    if as_number(n_cycles, integral=True) is None:
-        raise DegenerateSpec(f"n_cycles must be an int, got {n_cycles!r}")
-    n_cycles = int(n_cycles)
+    n_cycles = check_number(n_cycles, "n_cycles", True, DegenerateSpec)
     if n_cycles < MIN_CYCLES:  # before the knee draw, whose range it would empty
         raise DegenerateSpec(f"n_cycles={n_cycles} too small")
     seed = check_count(seed, "seed", 0, DegenerateSpec)

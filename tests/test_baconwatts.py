@@ -20,7 +20,7 @@ from kneescout.baconwatts import (
     transition_cycles,
 )
 from kneescout.errors import (
-    FitDiverged,
+    InputError,
     NonFiniteResidual,
     SingularNormalEquations,
     TooShort,
@@ -455,13 +455,13 @@ class TestStackedJacobian:
     @pytest.mark.parametrize("gamma", [0.0, -1.0])
     def test_non_positive_gamma_diverges(self, gamma):
         series = synth_dbw_series(make_params(), n=200)
-        with pytest.raises(FitDiverged, match="gamma must be positive"):
+        with pytest.raises(InputError, match=rf"^gamma: must be positive and finite, got {gamma}$"):
             fit_dbw(series, gamma=gamma)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma_diverges(self, gamma):
         series = synth_dbw_series(make_params(), n=200)
-        with pytest.raises(FitDiverged, match="gamma must be positive and finite"):
+        with pytest.raises(InputError, match=rf"^gamma: must be positive and finite, got {gamma}$"):
             fit_dbw(series, gamma=gamma)
 
 

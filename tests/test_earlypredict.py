@@ -27,6 +27,7 @@ from kneescout.errors import (
     MalformedRow,
     MissingCycle,
     NonFiniteFeature,
+    NonFiniteInput,
     NonFiniteResidual,
     NoVoltageOverlap,
     ZeroTrueValue,
@@ -865,6 +866,16 @@ class TestEvaluate:
     def test_zero_true_value(self):
         with pytest.raises(ZeroTrueValue):
             evaluate([0.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.floors
+    @pytest.mark.parametrize("y, y_hat, name", [
+        ([100.0, 200.0], [np.nan, 1.0], "y_hat"),
+        ([np.inf, 200.0], [100.0, 200.0], "y"),
+        ([0.0, np.nan], [1.0, 1.0], "y"),
+    ])
+    def test_non_finite_value_is_named(self, y, y_hat, name):
+        with pytest.raises(NonFiniteInput, match=f"^{name} holds a non-finite value$"):
+            evaluate(y, y_hat)
 
 
 class TestSensitivitySweep:

@@ -295,7 +295,7 @@ class TestFindEol:
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.2, float("nan")])
     def test_threshold_outside_unit_interval_is_input_error(self, threshold):
         series = NormalizedSeries(np.arange(5), np.full(5, 0.95))
-        with pytest.raises(InputError, match="eol_threshold must be in"):
+        with pytest.raises(InputError, match=rf"^threshold: must be in \(0, 1\), got {threshold}$"):
             find_eol(series, threshold)
 
 

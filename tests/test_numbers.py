@@ -5,6 +5,7 @@ library is given is read through ``as_number``, and a value it rejects is
 the documented ``KneeScoutError`` subclass of that entry point.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kneescout import preprocess
+from kneescout.baconwatts import dbw_knee_report, fit_dbw, lm_optimize
 from kneescout.config import GBRTHyper, PipelineParams
 from kneescout.earlypredict import (
     GBRTModel,
@@ -26,10 +29,16 @@ from kneescout.earlypredict import (
 )
 from kneescout.errors import (
     DegenerateSpec,
+    DegenerateWindow,
+    IndexOutOfRange,
     InputError,
+    InsufficientUnmaskedRegion,
     InvalidHyperparameter,
     InvalidModel,
+    KneeScoutError,
+    NonFiniteResidual,
     NonPositiveNominal,
+    WindowTooLarge,
 )
 from kneescout.ingest import (
     CapacityFadeSeries,
@@ -38,7 +47,10 @@ from kneescout.ingest import (
     find_eol,
     load_capacity_csv,
 )
+from kneescout.matrixprofile import stamp
+from kneescout.preprocess import approximate_curvature, savgol_smooth
 from kneescout.report import batch_report
+from kneescout.segmentation import identify_knees, rea
 from kneescout.synthgen import (
     MIN_CYCLES,
     SyntheticSpec,
@@ -112,7 +124,7 @@ class TestDefectsAtTheBoundary:
 
     @pytest.mark.parametrize("threshold", ["0.5", None])
     def test_eol_threshold(self, threshold):
-        message = f"eol_threshold must be in (0, 1), got {threshold}"
+        message = f"threshold must be a real number, got {threshold!r}"
         with pytest.raises(InputError, match=re.escape(message)):
             find_eol(NormalizedSeries([1, 2, 3], [1.0, 0.9, 0.7]), threshold)
 
@@ -292,6 +304,14 @@ HYPER_FIELDS = ["n_trees", "learning_rate", "max_depth", "min_leaf"]
 NODE_FIELDS = ["feature", "threshold", "left", "right", "value"]
 MODEL_FIELDS = ["init_value", "learning_rate", "n_features"]
 EMPTY_CELLS = {f"c{i}": {} for i in range(len(LABELS))}
+SHORT = np.sin(np.arange(12) / 2.0)  # room for a matrix-profile window of 2 or 3
+CAC = np.linspace(1.0, 0.0, 20)
+SMOOTH = NormalizedSeries(np.arange(1, 31), 1.0 - 1e-4 * np.arange(30) ** 2)
+FIVE_CYCLES = CapacityFadeSeries("five", [1, 2, 3, 4, 5], [1.0, 0.99, 0.97, 0.94, 0.9], 1.0)
+
+
+def infinite_residuals(p):
+    return np.full(3, np.inf)
 
 
 def entry_points(directory):
@@ -332,6 +352,18 @@ def entry_points(directory):
          lambda v: simulate_cycle_records(100, n_early_cycles=1, seed=v), DegenerateSpec),
         ("extract_features budget", lambda v: extract_features({}, budget=v), InputError),
         ("batch_report jobs", lambda v: batch_report([], jobs=v), InputError),
+        # each stage's own parameters: an accepted value meets data too short
+        # for it, or a fit that fails at its start, so no call runs long
+        ("stamp L", lambda v: stamp(SHORT, v), InputError),
+        *((f"rea {k}", lambda v, k=k: rea(CAC, **{"n_boundaries": 2, "exclusion_radius": 5, k: v}),
+           (InputError, InsufficientUnmaskedRegion)) for k in ("n_boundaries", "exclusion_radius")),
+        ("approximate_curvature ws", lambda v: approximate_curvature(SMOOTH, ws=v), InputError),
+        ("savgol_smooth window", lambda v: savgol_smooth(SMOOTH, window=v, order=1), InputError),
+        ("savgol_smooth order", lambda v: savgol_smooth(SMOOTH, window=9, order=v), InputError),
+        *((f"fit_dbw {k}", lambda v, k=k: fit_dbw(FIVE_CYCLES, **{k: v}), InputError)
+          for k in ("gamma", "max_iter")),
+        *((f"lm_optimize {k}", lambda v, k=k: lm_optimize(infinite_residuals, np.zeros(1), **{k: v}),
+           (InputError, NonFiniteResidual)) for k in ("tol", "max_iter")),
     ]
     return points
 
@@ -374,3 +406,85 @@ class TestEveryEntryPoint:
             call(value)
         except error:  # an accepted sweep count or budget reaches empty cells: MissingCycle
             pass
+
+
+FIT_CELL = generate_fleet(1, seed=3, n_cycles=100)[0][0]
+
+
+@pytest.mark.floors
+class TestStageParameters:
+    """Each stage function checks its own parameters with the function that
+    ``PipelineParams`` calls for the same field, so one value fails alike in both."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: stamp(SHORT, 12.0), InputError, "L must be an int, got 12.0"),
+        (lambda: stamp(SHORT, Fraction(12)), InputError, "L must be an int, got Fraction(12, 1)"),
+        (lambda: stamp(SHORT, 1), DegenerateWindow, "L must be >= 2, got 1"),
+        (lambda: rea(CAC, 2.0, 15), InputError, "n_boundaries must be an int, got 2.0"),
+        (lambda: rea(CAC, 2, 15.5), InputError, "exclusion_radius must be an int, got 15.5"),
+        (lambda: rea(CAC, True, 15), InputError, "n_boundaries must be an int, got True"),
+        (lambda: rea(CAC, -1, 15), IndexOutOfRange, "n_boundaries must be >= 0, got -1"),
+        (lambda: approximate_curvature(SMOOTH, ws=3.0), InputError, "ws must be an int, got 3.0"),
+        (lambda: savgol_smooth(SMOOTH, window=21.0), InputError,
+         "window must be an int, got 21.0"),
+        (lambda: savgol_smooth(SMOOTH, window=None), InputError,
+         "window must be an int, got None"),
+        (lambda: savgol_smooth(SMOOTH, window=1), WindowTooLarge, "window must be >= 3, got 1"),
+        (lambda: savgol_smooth(SMOOTH, window=31), WindowTooLarge,
+         "window 31 exceeds the series length 30"),
+        (lambda: savgol_smooth(SMOOTH, 21, 2.5), InputError, "order must be an int, got 2.5"),
+        (lambda: fit_dbw(FIT_CELL, max_iter=10.5), InputError,
+         "max_iter must be an int, got 10.5"),
+        (lambda: fit_dbw(FIT_CELL, max_iter=0), InputError, "max_iter: must be >= 1, got 0"),
+        (lambda: fit_dbw(FIT_CELL, gamma="10"), InputError,
+         "gamma must be a real number, got '10'"),
+        (lambda: fit_dbw(FIT_CELL, gamma=0), InputError,
+         "gamma: must be positive and finite, got 0"),
+        (lambda: lm_optimize(infinite_residuals, np.zeros(1), tol="x"), InputError,
+         "tol must be a real number, got 'x'"),
+        (lambda: lm_optimize(infinite_residuals, np.zeros(1), tol=math.nan), InputError,
+         "tol: must be >= 0, got nan"),
+        (lambda: lm_optimize(infinite_residuals, np.zeros(1), max_iter=0), InputError,
+         "max_iter: must be >= 1, got 0"),
+    ], ids=["stamp-float", "stamp-fraction", "stamp-1", "rea-n-float", "rea-radius-float",
+            "rea-n-bool", "rea-n-negative", "curvature-float", "smooth-float", "smooth-none",
+            "smooth-1", "smooth-long", "smooth-order-float", "dbw-max_iter-float", "dbw-max_iter-0", "dbw-gamma-str",
+            "dbw-gamma-0", "lm-tol-str", "lm-tol-nan", "lm-max_iter-0"])
+    def test_each_stage_checks_its_parameters(self, call, error, message):
+        with pytest.raises(InputError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_order_is_checked_before_the_weights_cache(self):
+        # a cached (21, 3) entry equals (21, 3.0), so the check must come first
+        preprocess.savgol_coeffs.cache_clear()
+        with pytest.raises(InputError, match=r"^order must be an int, got 3\.0$"):
+            savgol_smooth(SMOOTH, 21, 3.0)
+
+    def test_a_fraction_gamma_fits_as_its_float(self):
+        assert fit_dbw(FIT_CELL, gamma=Fraction(10)) == fit_dbw(FIT_CELL, gamma=10.0)
+        assert (dbw_knee_report(FIT_CELL, PipelineParams(gamma=Fraction(10)))
+                == dbw_knee_report(FIT_CELL))
+
+    def test_real_fields_are_stored_as_floats(self):
+        params = PipelineParams(eol_threshold=Fraction(4, 5), gamma=np.float32(10))
+        assert (type(params.eol_threshold), type(params.gamma)) == (float, float)
+        assert params == PipelineParams()
+        assert json.dumps(dataclasses.asdict(params)) == json.dumps(
+            dataclasses.asdict(PipelineParams()))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_params_run_or_raise_a_knee_scout_error(self, data):
+        # one field at a time, as the entry points above: a valid max_iter
+        # cannot meet a gamma that stops the fit from converging
+        name = data.draw(st.sampled_from(PIPELINE_FIELDS), label="field")
+        try:
+            params = PipelineParams(**{name: data.draw(ODD, label="value")})
+        except KneeScoutError:
+            return
+        for pipeline in (identify_knees, dbw_knee_report):
+            try:
+                pipeline(FIT_CELL, params)
+            except KneeScoutError:
+                pass

@@ -258,8 +258,9 @@ class TestApproximateCurvature:
             approximate_curvature(smooth_series(np.ones(10)), ws=4)
 
     @pytest.mark.parametrize("ws", [2, 0])
-    def test_even_window_below_3_is_even(self, ws):
-        with pytest.raises(EvenWindow, match="ws must be odd"):
+    def test_even_window_below_3_is_too_small(self, ws):
+        # the window rule checks >= 3 before oddness, as PipelineParams does
+        with pytest.raises(WindowTooLarge, match=f"^ws must be >= 3, got {ws}$"):
             approximate_curvature(smooth_series(np.ones(10)), ws=ws)
 
     @pytest.mark.parametrize("ws", [1, -1, -7])

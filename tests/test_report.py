@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kneescout.config import PipelineParams
-from kneescout.errors import ConstantInput, InputError, LengthMismatch
+from kneescout.errors import ConstantInput, InputError, LengthMismatch, NonFiniteInput
 from kneescout.report import (
     BATCH_HEADER,
     batch_report,
@@ -42,6 +42,16 @@ class TestPearson:
     def test_too_few_samples(self):
         with pytest.raises(ConstantInput):
             pearson([1.0], [2.0])
+
+    @pytest.mark.floors
+    @pytest.mark.parametrize("x, y, name", [
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 4.0], "x"),
+        ([1.0, 2.0, 3.0], [1.0, np.inf, 4.0], "y"),
+        ([1.0, 2.0, 3.0], [-np.inf, 2.0, np.nan], "y"),
+    ])
+    def test_non_finite_sample_is_named(self, x, y, name):
+        with pytest.raises(NonFiniteInput, match=f"^{name} holds a non-finite value$"):
+            pearson(x, y)
 
     @given(
         seed=st.integers(0, 9999),
