@@ -29,10 +29,11 @@ from .errors import (
     SingularNormalEquations,
     TooShort,
 )
-from .ingest import CapacityFadeSeries, check_gamma, check_max_iter, check_number
+from .ingest import CapacityFadeSeries
 # find_eol, normalize, resample_even, savgol_smooth: unused, kept for perfbench's tracer
 from .ingest import find_eol, normalize, resample_even  # noqa: F401
 from .preprocess import savgol_smooth  # noqa: F401
+from .rules import as_array, check_gamma, check_max_iter, check_number
 from .segmentation import KneeReport, prepare
 
 # Initial slopes for the transition terms, in Ah/cycle.
@@ -83,7 +84,7 @@ def dbw_model(x, p: DBWParams):
     temporaries are reused in place; a sum or product of two terms rounds
     the same in either order, so the bits are those of the one expression.
     ``p.gamma`` must be positive and finite; ``fit_dbw`` checks it once per
-    fit (``ingest.check_gamma``), so this runs no check of its own.
+    fit (``rules.check_gamma``), so this runs no check of its own.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:  # a scalar has no buffer to reuse
@@ -124,7 +125,7 @@ def lm_optimize(
     result. A cost ``r @ r`` that overflows at the initial point is
     NonFiniteResidual; a trial step whose cost is not finite is rejected.
     Overflow raises no RuntimeWarning inside the fit. ``tol`` must be a real
-    number >= 0 and ``max_iter`` follow ``ingest.check_max_iter``, else
+    number >= 0 and ``max_iter`` follow ``rules.check_max_iter``, else
     InputError.
 
     ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
@@ -140,7 +141,7 @@ def lm_optimize(
     if jacobian is None:
         jacobian = partial(_central_jacobian, residuals)
 
-    p = np.asarray(init, dtype=np.float64).copy()
+    p = as_array(init, "init", vector=True).copy()
     r = np.asarray(residuals(p), dtype=np.float64)
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residuals are not finite at the initial point")
@@ -301,7 +302,7 @@ def fit_dbw(
     reported onset/knee are order-normalized, so swapping the two
     transition initializations changes nothing downstream. The fit runs
     ``lm_optimize`` at its default tolerance. ``gamma`` and ``max_iter``
-    follow ``ingest.check_gamma`` and ``ingest.check_max_iter``.
+    follow ``rules.check_gamma`` and ``rules.check_max_iter``.
     """
     gamma = check_gamma(gamma)
     max_iter = check_max_iter(max_iter)

@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidHyperparameter
-from .ingest import (as_number, check_fraction, check_gamma, check_max_iter,
-                     check_nonnegative)
+from .errors import InputError, InvalidHyperparameter
 from .matrixprofile import check_length
 from .preprocess import check_order, check_window
+from .rules import check_fraction, check_gamma, check_max_iter, check_nonnegative, check_number
 
 
 @dataclass(frozen=True)
@@ -28,22 +27,20 @@ class GBRTHyper:
 
     def __post_init__(self):
         problems = []
-        for name, low in (("n_trees", 0), ("max_depth", 0), ("min_leaf", 1)):
+        for name, low in (("n_trees", 0), ("max_depth", 0), ("min_leaf", 1),
+                          ("learning_rate", None)):  # None: a real, finite and > 0
             value = getattr(self, name)
-            count = as_number(value, integral=True)
-            if count is None:
-                problems.append(f"{name} must be an int, got {value!r}")
-            elif count < low:
+            try:
+                number = check_number(value, name, integral=low is not None)
+            except InputError as exc:
+                problems.append(str(exc))
+                continue
+            if low is None and not 0 < number < math.inf:
+                problems.append(f"{name} must be finite and > 0, got {value}")
+            elif low is not None and number < low:
                 problems.append(f"{name} must be >= {low}, got {value}")
             else:
-                object.__setattr__(self, name, count)
-        rate = as_number(self.learning_rate)
-        if rate is None:
-            problems.append(f"learning_rate must be a real number, got {self.learning_rate!r}")
-        elif not 0 < rate < math.inf:
-            problems.append(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        else:
-            object.__setattr__(self, "learning_rate", rate)
+                object.__setattr__(self, name, number)
         if problems:
             raise InvalidHyperparameter("; ".join(problems))
 

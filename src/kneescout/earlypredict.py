@@ -37,8 +37,8 @@ from .errors import (
     NoVoltageOverlap,
     ZeroTrueValue,
 )
-from .ingest import (as_number, check_count, check_finite, check_number, cycle_column,
-                     parse_json, read_csv)
+from .ingest import cycle_column, parse_json, read_csv
+from .rules import as_array, as_number, check_count, check_finite, check_number
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 LABELS_HEADER = ("cell_id", "onset_cycle")
@@ -60,8 +60,8 @@ class CycleRecord:
     q_ah: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.voltage_v, dtype=np.float64)
-        q = np.asarray(self.q_ah, dtype=np.float64)
+        v = as_array(self.voltage_v, "voltage_v")
+        q = as_array(self.q_ah, "q_ah")
         object.__setattr__(self, "voltage_v", v)
         object.__setattr__(self, "q_ah", q)
         if v.shape != q.shape:
@@ -190,7 +190,7 @@ def _moments(x: np.ndarray) -> Tuple[float, float, float]:
 
 def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> FeatureVector:
     """Six-number feature vector from the first ``budget`` cycles; ``budget``
-    must be an int under ``as_number``, else InputError."""
+    must be an int under ``rules.as_number``, else InputError."""
     budget = check_number(budget, "budget", integral=True)
     if budget < MIN_BUDGET:
         raise MissingCycle(
@@ -233,7 +233,7 @@ def onset_class(label: float) -> int:
 
 
 def check_onset(onset, where: str) -> float:
-    """``onset`` as a float if ``as_number`` reads it as one, finite and > 0,
+    """``onset`` as a float if ``rules.as_number`` reads it as one, finite and > 0,
     else an InputError."""
     value = as_number(onset)
     if value is None or not 0 < value < math.inf:
@@ -360,7 +360,7 @@ class GBRTModel:
 
 
 def _json_number(obj: dict, key: str, integral: bool = False):
-    """Field ``key`` of a model JSON object as ``as_number`` reads it: an int
+    """Field ``key`` of a model JSON object as ``rules.as_number`` reads it: an int
     where ``integral``, else a float, which may also be written as a numeric
     string. Anything else is a TypeError, ValueError or OverflowError (an int
     past float64 in a float field) for ``from_json`` to report as malformed."""
@@ -587,8 +587,8 @@ def _rmse(residual: np.ndarray, trees: int, hyper: GBRTHyper) -> float:
 @np.errstate(over="ignore")  # an overflowing fit is raised, not warned about
 def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
     """Stagewise least-squares boosting; each tree fits current residuals."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X = as_array(X, "X")
+    y = as_array(y, "y")
     if X.ndim != 2 or y.ndim != 1:
         raise LengthMismatch(
             f"X must be a (rows x features) matrix and y a vector, got shapes {X.shape} and {y.shape}"
@@ -623,7 +623,7 @@ def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
 
 
 def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = as_array(X, "X")
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise FeatureCountMismatch(
             f"model expects {model.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
@@ -640,8 +640,8 @@ def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
 def evaluate(y, y_hat) -> Dict[str, float]:
     """RMSE in cycles and MAPE in percent. A ``y`` or ``y_hat`` holding NaN or
     an infinity is NonFiniteInput naming it."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
+    y = as_array(y, "y")
+    y_hat = as_array(y_hat, "y_hat")
     if y.shape != y_hat.shape or len(y) < 1:
         raise LengthMismatch(f"{y.shape} vs {y_hat.shape}")
     check_finite(y, "y")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,17 +18,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     InputError,
     LengthMismatch,
     MalformedRow,
     MissingColumn,
-    NonFiniteInput,
     NonMonotonicCycles,
     NonPositiveCapacity,
     NonPositiveNominal,
     TooShort,
 )
+from .rules import as_array, as_number, check_fraction
 
 CAPACITY_HEADER = ("cycle", "discharge_capacity_ah")
 
@@ -49,8 +47,8 @@ class CapacityFadeSeries:
 
     def __post_init__(self):
         check_cell_id(self.cell_id, "CapacityFadeSeries")
-        cycles = np.asarray(self.cycles, dtype=np.int64)
-        capacity = np.asarray(self.capacity_ah, dtype=np.float64)
+        cycles = as_array(self.cycles, "cycles", np.int64)
+        capacity = as_array(self.capacity_ah, "capacity_ah")
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "capacity_ah", capacity)
         if cycles.shape != capacity.shape:
@@ -87,95 +85,13 @@ class NormalizedSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cycles", np.asarray(self.cycles, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "cycles", as_array(self.cycles, "cycles", np.int64))
+        object.__setattr__(self, "values", as_array(self.values, "values"))
         if self.cycles.shape != self.values.shape:
             raise LengthMismatch("cycles and values differ in length")
 
     def __len__(self) -> int:
         return len(self.cycles)
-
-
-def as_number(value, integral: bool = False):
-    """``value`` as an ``int`` if ``integral``, else as a ``float``; None if
-    it is a bool or not a number of that kind (``numbers.Integral``,
-    ``numbers.Real``).
-
-    This is the library's one rule for a number it is given. A NumPy scalar
-    or a ``Fraction`` is a number; a string, None or a NumPy bool is not. A
-    real number past float64 reads as +-inf, so the caller's range check
-    rejects it like any other infinity.
-    """
-    if isinstance(value, bool):
-        return None
-    if integral:
-        return int(value) if isinstance(value, numbers.Integral) else None
-    if not isinstance(value, numbers.Real):
-        return None
-    try:
-        return float(value)
-    except OverflowError:  # an int or a Fraction past float64
-        return math.inf if value > 0 else -math.inf
-
-
-def check_count(value, name: str, low: int, error=InputError) -> int:
-    """``value`` as an int >= ``low`` if ``as_number`` reads it as an integer,
-    else ``error`` naming ``name``."""
-    count = as_number(value, integral=True)
-    if count is None or count < low:
-        raise error(f"{name} must be an int >= {low}, got {value!r}")
-    return count
-
-
-def check_number(value, name: str, integral: bool = False, error=InputError):
-    """``value`` as ``as_number`` reads it, else ``error`` naming ``name``."""
-    number = as_number(value, integral)
-    if number is None:
-        kind = "an int" if integral else "a real number"
-        raise error(f"{name} must be {kind}, got {value!r}")
-    return number
-
-
-def check_fraction(value, name: str) -> float:
-    """``value`` as a float in (0, 1), else InputError naming ``name``."""
-    number = check_number(value, name)
-    if not 0.0 < number < 1.0:
-        raise InputError(f"{name}: must be in (0, 1), got {value}")
-    return number
-
-
-def check_finite(values: np.ndarray, name: str) -> None:
-    """NonFiniteInput naming ``name`` if ``values`` hold NaN or an infinity."""
-    if not np.isfinite(values).all():
-        raise NonFiniteInput(f"{name} holds a non-finite value")
-
-
-# The rules below belong to the segmentation and Bacon-Watts stages, which
-# import config; they live here so that config can call them too.
-
-def check_nonnegative(value, name: str) -> int:
-    """``value`` as an int >= 0 (a boundary count or an exclusion radius),
-    else IndexOutOfRange naming ``name``."""
-    number = check_number(value, name, integral=True)
-    if number < 0:
-        raise IndexOutOfRange(f"{name} must be >= 0, got {number}")
-    return number
-
-
-def check_gamma(gamma) -> float:
-    """The Bacon-Watts transition width as a float, positive and finite, else InputError."""
-    number = check_number(gamma, "gamma")
-    if not 0.0 < number < math.inf:
-        raise InputError(f"gamma: must be positive and finite, got {gamma}")
-    return number
-
-
-def check_max_iter(max_iter) -> int:
-    """The Levenberg-Marquardt iteration cap as an int >= 1, else InputError."""
-    number = check_number(max_iter, "max_iter", integral=True)
-    if number < 1:
-        raise InputError(f"max_iter: must be >= 1, got {number}")
-    return number
 
 
 def read_text(path) -> str:

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateWindow, SeriesTooShort
-from .ingest import check_number
+from .rules import as_array, check_number
 
 FLAT_STD = 1e-12
 
@@ -112,7 +112,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     of the product, so another block size changes them (see DECISIONS.md).
     """
     L = check_length(L)
-    series = np.asarray(series, dtype=np.float64)
+    series = as_array(series, "series", vector=True)
     M = len(series)
     radius = (L + 1) // 2  # ceil(L/2) in ints: an L past float64 is SeriesTooShort
     needed = L + 2 * radius + 1

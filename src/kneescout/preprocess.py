@@ -28,7 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, SmoothingOverflow, WindowTooLarge
-from .ingest import NormalizedSeries, check_number
+from .ingest import NormalizedSeries
+from .rules import check_number
 
 
 def savgol_smooth(
@@ -51,7 +52,7 @@ def savgol_smooth(
         raise WindowTooLarge(f"window {window} exceeds the series length {len(series)}")
     order = check_order(order, window)
     with np.errstate(over="ignore", invalid="ignore"):
-        smoothed = _mirror_convolve(series.values, savgol_coeffs(window, order)[window // 2 :])
+        smoothed = _mirror_convolve(series.values, _savgol_coeffs(window, order)[window // 2 :])
     if not np.isfinite(smoothed).all():
         raise SmoothingOverflow("the smoothed series overflows float64")
     return NormalizedSeries(cycles=series.cycles, values=smoothed)
@@ -89,15 +90,20 @@ def check_savgol_design(window: int, order: int) -> None:
                            f" matrix overflows float64 ({window // 2}**{order})") from None
 
 
-@lru_cache
 def savgol_coeffs(window: int, order: int) -> np.ndarray:
     """Read-only convolution weights of the centred Savitzky-Golay smoother.
 
     The minimum-norm least-squares solution (LAPACK ``gelsd``) on the design
     matrix, with the rank cutoff, that ``scipy.signal.savgol_coeffs(window,
-    order)`` uses. A design matrix that overflows is ``OrderTooHigh``.
+    order)`` uses, computed once per pair and then returned as the same
+    array. ``window`` and ``order`` follow ``check_window`` and ``check_order``.
     """
-    check_savgol_design(window, order)
+    window = check_window(window)
+    return _savgol_coeffs(window, check_order(order, window))
+
+
+@lru_cache
+def _savgol_coeffs(window: int, order: int) -> np.ndarray:
     half = window // 2
     x = np.arange(-half, window - half, dtype=np.float64)[::-1]
     A = x ** np.arange(order + 1, dtype=np.float64).reshape(-1, 1)

@@ -11,7 +11,8 @@ import numpy as np
 from .baconwatts import dbw_knee_report
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import ConstantInput, InputError, LengthMismatch
-from .ingest import CapacityFadeSeries, check_finite, check_number, csv_text, write_text
+from .ingest import CapacityFadeSeries, csv_text, write_text
+from .rules import as_array, check_finite, check_number
 from .segmentation import KneeReport, identify_knees
 
 # each method's report function; the first is curvature, the second its baseline
@@ -49,8 +50,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     some perfectly correlated inputs); ``scipy.stats.pearsonr`` clips too.
     A sample holding NaN or an infinity is NonFiniteInput naming it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = as_array(x, "x")
+    y = as_array(y, "y")
     if x.shape != y.shape:
         raise LengthMismatch(f"{x.shape} vs {y.shape}")
     if len(x) < 2:
@@ -91,7 +92,7 @@ def batch_report(
     their rows are still emitted); a constant input degenerates the
     correlation to None with a note rather than failing the batch. An
     unknown or repeated method is an InputError, and so is a ``jobs`` that
-    is not an int under ``as_number``; below 2 the cells run serially.
+    is not an int under ``rules.as_number``; below 2 the cells run serially.
     """
     methods = tuple(methods)
     check_methods(methods)

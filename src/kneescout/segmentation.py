@@ -17,10 +17,10 @@ import numpy as np
 
 from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import IndexOutOfRange, InsufficientUnmaskedRegion, TooShort
-from .ingest import (CapacityFadeSeries, NormalizedSeries, check_nonnegative, find_eol,
-                     normalize, resample_even)
+from .ingest import CapacityFadeSeries, NormalizedSeries, find_eol, normalize, resample_even
 from .matrixprofile import stamp
 from .preprocess import approximate_curvature, clip_window, savgol_smooth
+from .rules import as_array, check_nonnegative
 
 # CAC dynamic range below which the three-state assumption looks violated
 # (an essentially featureless arc curve has no credible boundaries).
@@ -44,7 +44,7 @@ def arc_curve(index: np.ndarray) -> np.ndarray:
     An arc (j, I[j]) crosses i when min < i < max. Counted in O(n) by
     marking arc interiors and cumulatively summing.
     """
-    index = np.asarray(index, dtype=np.int64)
+    index = as_array(index, "index", np.int64, vector=True)
     n = len(index)
     if n < 2:
         raise IndexOutOfRange(f"index of length {n} has no interior")
@@ -80,11 +80,11 @@ def rea(cac_values: np.ndarray, n_boundaries: int, exclusion_radius: int) -> Lis
 
     Ties at equal CAC go to the smaller index. Returns the boundaries in
     ascending order, pairwise separated by more than the exclusion radius.
-    Both counts follow ``ingest.check_nonnegative``.
+    Both counts follow ``rules.check_nonnegative``.
     """
     n_boundaries = check_nonnegative(n_boundaries, "n_boundaries")
     exclusion_radius = check_nonnegative(exclusion_radius, "exclusion_radius")
-    values = np.asarray(cac_values, dtype=np.float64).copy()
+    values = as_array(cac_values, "cac_values").copy()
     n = len(values)
     picked = []
     for _ in range(n_boundaries):

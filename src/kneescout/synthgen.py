@@ -31,7 +31,8 @@ import numpy as np
 
 from .earlypredict import CycleRecord
 from .errors import DegenerateSpec
-from .ingest import CapacityFadeSeries, as_number, check_count, check_number
+from .ingest import CapacityFadeSeries
+from .rules import as_number, check_count, check_number
 
 TRUNCATE_AT = 0.6
 ONSET_FACTOR = 10.0
@@ -51,7 +52,7 @@ MIN_CYCLES = 10
 @dataclass(frozen=True)
 class SyntheticSpec:
     """One curve's parameters. Each field must be a number of its type under
-    ``ingest.as_number`` and is stored as that ``int`` or ``float``; ``seed``
+    ``rules.as_number`` and is stored as that ``int`` or ``float``; ``seed``
     must be >= 0 and ``noise_sigma`` finite and >= 0. Else DegenerateSpec."""
 
     n_cycles: int

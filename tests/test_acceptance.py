@@ -19,7 +19,7 @@ from kneescout.baconwatts import DBWParams, dbw_model, fit_dbw, transition_cycle
 from kneescout.config import PipelineParams
 from kneescout.earlypredict import (
     evaluate,
-    extract_features,
+    feature_matrix,
     gbrt_predict,
     gbrt_train,
     stratified_split,
@@ -214,7 +214,7 @@ def test_criterion_6_correlation_machinery():
 def test_criterion_7_early_prediction_trend():
     """Budget 30 beats budget 15 in mean test RMSE; training loss monotone."""
     rng = np.random.default_rng(42)
-    cells, labels = [], []
+    cells, labels = {}, []
     for i in range(100):
         spec = SyntheticSpec(
             n_cycles=600, a=3e-4, b=3e-3, c=0.08,
@@ -223,13 +223,13 @@ def test_criterion_7_early_prediction_trend():
         _, truth = generate(spec)
         assert truth is not None
         labels.append(float(truth.onset_cycle))
-        cells.append(simulate_cycle_records(truth.onset_cycle, seed=10_000 + i))
+        cells[f"cell-{i:03d}"] = simulate_cycle_records(truth.onset_cycle, seed=10_000 + i)
     labels = np.asarray(labels)
 
     mean_rmse = {}
     monotone = True
     for budget in (15, 30):
-        X = np.vstack([extract_features(rec, budget=budget).as_array() for rec in cells])
+        X = feature_matrix(cells, budget)
         rmses = []
         for r in range(5):
             train_idx, test_idx = stratified_split(labels, 0.8, seed=42 + r)

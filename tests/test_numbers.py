@@ -1,10 +1,12 @@
-"""One number rule at the library boundary: ``ingest.as_number``.
+"""The input rules at the library boundary, all in ``rules``.
 
 Every parameter, label, nominal capacity and model-JSON field that the
-library is given is read through ``as_number``, and a value it rejects is
-the documented ``KneeScoutError`` subclass of that entry point.
+library is given is read through ``rules.as_number``, every array through
+``rules.as_array``, and a value they reject is the documented
+``KneeScoutError`` subclass of that entry point.
 """
 
+import ast
 import dataclasses
 import json
 import math
@@ -17,19 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneescout import preprocess
+from kneescout import rules
 from kneescout.baconwatts import dbw_knee_report, fit_dbw, lm_optimize
 from kneescout.config import GBRTHyper, PipelineParams
 from kneescout.earlypredict import (
+    CycleRecord,
     GBRTModel,
     check_onset,
+    evaluate,
     extract_features,
+    gbrt_predict,
+    gbrt_train,
     sensitivity_sweep,
     stratified_split,
 )
 from kneescout.errors import (
     DegenerateSpec,
     DegenerateWindow,
+    EvenWindow,
     IndexOutOfRange,
     InputError,
     InsufficientUnmaskedRegion,
@@ -38,19 +45,15 @@ from kneescout.errors import (
     KneeScoutError,
     NonFiniteResidual,
     NonPositiveNominal,
+    OrderTooHigh,
     WindowTooLarge,
 )
-from kneescout.ingest import (
-    CapacityFadeSeries,
-    NormalizedSeries,
-    as_number,
-    find_eol,
-    load_capacity_csv,
-)
+from kneescout.ingest import CapacityFadeSeries, NormalizedSeries, find_eol, load_capacity_csv
 from kneescout.matrixprofile import stamp
-from kneescout.preprocess import approximate_curvature, savgol_smooth
-from kneescout.report import batch_report
-from kneescout.segmentation import identify_knees, rea
+from kneescout.preprocess import approximate_curvature, savgol_coeffs, savgol_smooth
+from kneescout.report import batch_report, pearson
+from kneescout.rules import as_number
+from kneescout.segmentation import arc_curve, compute_arc_curves, identify_knees, rea
 from kneescout.synthgen import (
     MIN_CYCLES,
     SyntheticSpec,
@@ -310,8 +313,15 @@ SMOOTH = NormalizedSeries(np.arange(1, 31), 1.0 - 1e-4 * np.arange(30) ** 2)
 FIVE_CYCLES = CapacityFadeSeries("five", [1, 2, 3, 4, 5], [1.0, 0.99, 0.97, 0.94, 0.9], 1.0)
 
 
+STUMP_MODEL = GBRTModel.from_json(json.dumps(STUMP))
+
+
 def infinite_residuals(p):
     return np.full(3, np.inf)
+
+
+def identity(p):
+    return p
 
 
 def entry_points(directory):
@@ -455,11 +465,55 @@ class TestStageParameters:
             call()
         assert (type(info.value), str(info.value)) == (error, message)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: stamp(np.ones((50, 2)), 4), "series must be one-dimensional, got shape (50, 2)"),
+        (lambda: stamp(3.0, 4), "series must be one-dimensional, got shape ()"),
+        (lambda: stamp(["a"] * 50, 4), "series: cannot read as float64 values"),
+        (lambda: arc_curve(np.zeros((5, 2), int)),
+         "index must be one-dimensional, got shape (5, 2)"),
+        (lambda: compute_arc_curves("abc"), "index: cannot read as int64 values"),
+        (lambda: rea(["a"] * 5, 1, 0), "cac_values: cannot read as float64 values"),
+        (lambda: pearson(["a", "b"], [1, 2]), "x: cannot read as float64 values"),
+        (lambda: evaluate(["a"], [1.0]), "y: cannot read as float64 values"),
+        (lambda: gbrt_train([["a", "b"]] * 3, [1, 2, 3]), "X: cannot read as float64 values"),
+        (lambda: gbrt_predict(STUMP_MODEL, [["a", "b"]]), "X: cannot read as float64 values"),
+        (lambda: CycleRecord(1, ["a", "b"], [1, 2]), "voltage_v: cannot read as float64 values"),
+        (lambda: CapacityFadeSeries("a", [1, 2, 3], ["x", "y", "z"], 1.0),
+         "capacity_ah: cannot read as float64 values"),
+        (lambda: NormalizedSeries(["a"], [1.0]), "cycles: cannot read as int64 values"),
+        (lambda: lm_optimize(identity, np.zeros((2, 2))),
+         "init must be one-dimensional, got shape (2, 2)"),
+        (lambda: lm_optimize(identity, ["a"]), "init: cannot read as float64 values"),
+    ], ids=["stamp-2d", "stamp-scalar", "stamp-str", "arc-2d", "arc-str", "rea-str", "pearson-str",
+            "evaluate-str", "train-str", "predict-str", "record-str", "series-str",
+            "normalized-str", "lm-init-2d", "lm-init-str"])
+    def test_each_array_is_read_by_the_array_rule(self, call, message):
+        with pytest.raises(InputError) as info:
+            call()
+        assert type(info.value) is InputError and str(info.value).startswith(message)
+
+    def test_rules_is_a_leaf_module(self):
+        # the rules sit in a module of their own so that any module can import them
+        tree = ast.parse(open(rules.__file__, encoding="utf-8").read())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {"." * node.level + node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert imported == {"math", "numbers", "numpy", ".errors"}
+
     def test_order_is_checked_before_the_weights_cache(self):
         # a cached (21, 3) entry equals (21, 3.0), so the check must come first
-        preprocess.savgol_coeffs.cache_clear()
-        with pytest.raises(InputError, match=r"^order must be an int, got 3\.0$"):
-            savgol_smooth(SMOOTH, 21, 3.0)
+        savgol_coeffs(21, 3)
+        for call in (lambda: savgol_smooth(SMOOTH, 21, 3.0), lambda: savgol_coeffs(21, 3.0)):
+            with pytest.raises(InputError, match=r"^order must be an int, got 3\.0$") as info:
+                call()
+            assert type(info.value) is InputError
+        with pytest.raises(EvenWindow, match="^window must be odd, got 20$"):
+            savgol_coeffs(20, 3)
+        with pytest.raises(OrderTooHigh, match="^order -1 must satisfy 0 <= order < window 21$"):
+            savgol_coeffs(21, -1)
+        with pytest.raises(InputError, match="^order must be an int, got '3'$"):
+            savgol_coeffs(21, "3")
 
     def test_a_fraction_gamma_fits_as_its_float(self):
         assert fit_dbw(FIT_CELL, gamma=Fraction(10)) == fit_dbw(FIT_CELL, gamma=10.0)
