@@ -21,20 +21,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .config import PipelineParams, DEFAULT_PARAMS
-from .errors import (
-    FitDiverged,
-    InputError,
-    NonFiniteResidual,
-    SingularNormalEquations,
-    TooShort,
-)
+from .errors import InputError, NonFiniteResidual, SingularNormalEquations, TooShort
 from .ingest import CapacityFadeSeries
 # find_eol, normalize, resample_even, savgol_smooth: unused, kept for perfbench's tracer
 from .ingest import find_eol, normalize, resample_even  # noqa: F401
 from .preprocess import savgol_smooth  # noqa: F401
 from .rules import as_array, check_gamma, check_max_iter, check_number
-from .segmentation import KneeReport, prepare
+from .segmentation import DEFAULT_PARAMS, KneeReport, PipelineParams, prepare
 
 # Initial slopes for the transition terms, in Ah/cycle.
 INIT_SLOPE = -1e-4
@@ -84,9 +77,10 @@ def dbw_model(x, p: DBWParams):
     temporaries are reused in place; a sum or product of two terms rounds
     the same in either order, so the bits are those of the one expression.
     ``p.gamma`` must be positive and finite; ``fit_dbw`` checks it once per
-    fit (``rules.check_gamma``), so this runs no check of its own.
+    fit (``rules.check_gamma``), so this runs no check of its own. An
+    ``x`` that NumPy cannot read as floats is InputError (``rules.as_array``).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_array(x, "x")
     if x.ndim == 0:  # a scalar has no buffer to reuse
         return dbw_model(x[None], p)[0]
     d0 = x - p.x0
@@ -122,7 +116,8 @@ def lm_optimize(
     Convergence requires both the relative step size and the relative cost
     decrease to fall below ``tol``. Hitting ``max_iter`` returns
     converged=False rather than raising, so callers can inspect the partial
-    result. A cost ``r @ r`` that overflows at the initial point is
+    result. Residuals at the initial point that NumPy cannot read as a
+    vector of floats are InputError, and a cost ``r @ r`` that overflows there is
     NonFiniteResidual; a trial step whose cost is not finite is rejected.
     Overflow raises no RuntimeWarning inside the fit. ``tol`` must be a real
     number >= 0 and ``max_iter`` follow ``rules.check_max_iter``, else
@@ -142,7 +137,7 @@ def lm_optimize(
         jacobian = partial(_central_jacobian, residuals)
 
     p = as_array(init, "init", vector=True).copy()
-    r = np.asarray(residuals(p), dtype=np.float64)
+    r = as_array(residuals(p), "residuals", vector=True)
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residuals are not finite at the initial point")
     cost = float(r @ r)
@@ -318,11 +313,8 @@ def fit_dbw(
 
     residuals, jacobian = _dbw_residuals(x, y, gamma)
     result = lm_optimize(residuals, init, max_iter=max_iter, jacobian=jacobian)
-    params = DBWParams.from_array(result.params, gamma)
-    if not np.all(np.isfinite(result.params)):
-        raise FitDiverged("fit produced non-finite parameters")
     return BaconWattsFit(
-        params=params,
+        params=DBWParams.from_array(result.params, gamma),
         residual_norm=result.residual_norm,
         iterations=result.iterations,
         converged=result.converged,

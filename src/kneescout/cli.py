@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .baconwatts import dbw_knee_report
-from .config import GBRTHyper, PipelineParams
 from .earlypredict import (
     CYCLE_DETAIL_HEADER,
     FEATURES_HEADER,
@@ -28,6 +27,7 @@ from .earlypredict import (
     MIN_BUDGET,
     PREDICTIONS_HEADER,
     SENSITIVITY_HEADER,
+    GBRTHyper,
     GBRTModel,
     check_onset,
     check_test_split,
@@ -52,7 +52,7 @@ from .ingest import (
     write_text,
 )
 from .report import batch_report, check_methods, format_batch_csv, write_report_dir
-from .segmentation import KneeReport, identify_knees
+from .segmentation import KneeReport, PipelineParams, identify_knees
 from .synthgen import generate_convex_family, generate_fleet, simulate_cycle_records
 
 # short names for --methods; the canonical names are report.METHODS

@@ -21,12 +21,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .config import GBRTHyper
 from .errors import (
     EmptyTrainingSet,
     FeatureCountMismatch,
     InputError,
     InvalidDischargeCurve,
+    InvalidHyperparameter,
     InvalidModel,
     KneeScoutError,
     LengthMismatch,
@@ -52,6 +52,40 @@ CLASS_EDGES = (150.0, 270.0)
 
 
 @dataclass(frozen=True)
+class GBRTHyper:
+    """Hyperparameters of the boosted-tree knee-onset predictor.
+
+    Zero trees is valid and gives a model that predicts the training mean.
+    The counts must be integers, not bools; a NumPy integer is stored as int.
+    ``learning_rate`` must be a real number, not a bool; it is stored as a float.
+    """
+
+    n_trees: int = 300
+    learning_rate: float = 0.05
+    max_depth: int = 3
+    min_leaf: int = 2
+
+    def __post_init__(self):
+        problems = []
+        for name, low in (("n_trees", 0), ("max_depth", 0), ("min_leaf", 1),
+                          ("learning_rate", None)):  # None: a real, finite and > 0
+            value = getattr(self, name)
+            try:
+                number = check_number(value, name, integral=low is not None)
+            except InputError as exc:
+                problems.append(str(exc))
+                continue
+            if low is None and not 0 < number < math.inf:
+                problems.append(f"{name} must be finite and > 0, got {value}")
+            elif low is not None and number < low:
+                problems.append(f"{name} must be >= {low}, got {value}")
+            else:
+                object.__setattr__(self, name, number)
+        if problems:
+            raise InvalidHyperparameter("; ".join(problems))
+
+
+@dataclass(frozen=True)
 class CycleRecord:
     """One cycle's discharge curve: finite capacity vs strictly decreasing voltage."""
 
@@ -60,8 +94,8 @@ class CycleRecord:
     q_ah: np.ndarray
 
     def __post_init__(self):
-        v = as_array(self.voltage_v, "voltage_v")
-        q = as_array(self.q_ah, "q_ah")
+        v = as_array(self.voltage_v, "voltage_v", vector=True)
+        q = as_array(self.q_ah, "q_ah", vector=True)
         object.__setattr__(self, "voltage_v", v)
         object.__setattr__(self, "q_ah", q)
         if v.shape != q.shape:
@@ -640,8 +674,8 @@ def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
 def evaluate(y, y_hat) -> Dict[str, float]:
     """RMSE in cycles and MAPE in percent. A ``y`` or ``y_hat`` holding NaN or
     an infinity is NonFiniteInput naming it."""
-    y = as_array(y, "y")
-    y_hat = as_array(y_hat, "y_hat")
+    y = as_array(y, "y", vector=True)
+    y_hat = as_array(y_hat, "y_hat", vector=True)
     if y.shape != y_hat.shape or len(y) < 1:
         raise LengthMismatch(f"{y.shape} vs {y_hat.shape}")
     check_finite(y, "y")

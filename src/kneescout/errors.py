@@ -97,10 +97,6 @@ class SingularNormalEquations(NumericalError):
     pass
 
 
-class FitDiverged(NumericalError):
-    pass
-
-
 # --- synthgen -------------------------------------------------------------
 
 class DegenerateSpec(InputError):

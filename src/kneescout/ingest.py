@@ -47,8 +47,8 @@ class CapacityFadeSeries:
 
     def __post_init__(self):
         check_cell_id(self.cell_id, "CapacityFadeSeries")
-        cycles = as_array(self.cycles, "cycles", np.int64)
-        capacity = as_array(self.capacity_ah, "capacity_ah")
+        cycles = as_array(self.cycles, "cycles", np.int64, vector=True)
+        capacity = as_array(self.capacity_ah, "capacity_ah", vector=True)
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "capacity_ah", capacity)
         if cycles.shape != capacity.shape:
@@ -85,8 +85,8 @@ class NormalizedSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cycles", as_array(self.cycles, "cycles", np.int64))
-        object.__setattr__(self, "values", as_array(self.values, "values"))
+        object.__setattr__(self, "cycles", as_array(self.cycles, "cycles", np.int64, vector=True))
+        object.__setattr__(self, "values", as_array(self.values, "values", vector=True))
         if self.cycles.shape != self.values.shape:
             raise LengthMismatch("cycles and values differ in length")
 

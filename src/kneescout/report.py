@@ -9,11 +9,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .baconwatts import dbw_knee_report
-from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import ConstantInput, InputError, LengthMismatch
 from .ingest import CapacityFadeSeries, csv_text, write_text
 from .rules import as_array, check_finite, check_number
-from .segmentation import KneeReport, identify_knees
+from .segmentation import DEFAULT_PARAMS, KneeReport, PipelineParams, identify_knees
 
 # each method's report function; the first is curvature, the second its baseline
 METHODS = {"curvature_rea": identify_knees, "double_bacon_watts": dbw_knee_report}
@@ -50,8 +49,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     some perfectly correlated inputs); ``scipy.stats.pearsonr`` clips too.
     A sample holding NaN or an infinity is NonFiniteInput naming it.
     """
-    x = as_array(x, "x")
-    y = as_array(y, "y")
+    x = as_array(x, "x", vector=True)
+    y = as_array(y, "y", vector=True)
     if x.shape != y.shape:
         raise LengthMismatch(f"{x.shape} vs {y.shape}")
     if len(x) < 2:
@@ -178,7 +177,7 @@ def _fmt(value: Optional[float]) -> str:
 def format_scatter_csv(rows: List[BatchRow], method: str, kind: str) -> str:
     """Plot-ready ``onset_or_knee_cycle,eol_cycle`` pairs for one method."""
     if kind not in ("onset", "knee"):
-        raise ValueError(f"kind must be onset or knee, got {kind!r}")
+        raise InputError(f"kind must be onset or knee, got {kind!r}")
     return csv_text(SCATTER_HEADER, [
         (r.onset_cycle if kind == "onset" else r.knee_cycle, r.eol_cycle)
         for r in rows if r.method == method and r.eol_cycle is not None
@@ -189,16 +188,11 @@ def write_report_dir(
     rows: List[BatchRow],
     correlations: Dict[str, CorrelationReport],
     out_dir,
-) -> List[Path]:
+) -> None:
     """Write table.csv plus per-method scatter files, each atomically."""
     out_dir = Path(out_dir)
-    written = []
-    table = out_dir / "table.csv"
-    write_text(table, format_batch_csv(rows, correlations))
-    written.append(table)
+    write_text(out_dir / "table.csv", format_batch_csv(rows, correlations))
     for method in correlations:
         for kind in ("onset", "knee"):
-            p = out_dir / f"scatter_{method}_{kind}.csv"
-            write_text(p, format_scatter_csv(rows, method, kind))
-            written.append(p)
-    return written
+            write_text(out_dir / f"scatter_{method}_{kind}.csv",
+                       format_scatter_csv(rows, method, kind))

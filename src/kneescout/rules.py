@@ -2,7 +2,7 @@
 
 Every module that checks a value it is given calls these functions, so each
 rule and its message live in one place. This module imports nothing of the
-package but ``errors``, so any module, ``config`` included, can import it.
+package but ``errors``, so any module can import it.
 """
 
 import math

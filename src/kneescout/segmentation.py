@@ -15,17 +15,57 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .config import PipelineParams, DEFAULT_PARAMS
 from .errors import IndexOutOfRange, InsufficientUnmaskedRegion, TooShort
 from .ingest import CapacityFadeSeries, NormalizedSeries, find_eol, normalize, resample_even
-from .matrixprofile import stamp
-from .preprocess import approximate_curvature, clip_window, savgol_smooth
-from .rules import as_array, check_nonnegative
+from .matrixprofile import check_length, stamp
+from .preprocess import approximate_curvature, check_order, check_window, clip_window, savgol_smooth
+from .rules import as_array, check_fraction, check_gamma, check_max_iter, check_nonnegative
 
 # CAC dynamic range below which the three-state assumption looks violated
 # (an essentially featureless arc curve has no credible boundaries).
 FLAT_CAC_RANGE = 0.05
 FLAT_CURVATURE = 1e-9
+
+
+@dataclass(frozen=True)
+class PipelineParams:
+    """Knobs of the identification pipeline, each checked on construction.
+
+    Each field is checked, in field order, by the owner of its rule, the
+    function that its stage calls too (README "Parameters"), and stored as
+    the ``int`` or ``float`` that it returns. ``prepare`` clips ``sg_window``
+    to the curve length. ``cac_window`` is the window of the one matrix
+    profile that segmentation runs on; 0 selects one fifth of the curvature
+    length. ``exclusion_radius`` is the REA masking half-width in cycles and
+    the edge band excluded from boundary selection.
+    """
+
+    sg_window: int = 21
+    sg_order: int = 3
+    curv_window: int = 3
+    cac_window: int = 3
+    exclusion_radius: int = 15
+    eol_threshold: float = 0.8
+    gamma: float = 10.0
+    max_iter: int = 1000
+
+    def __post_init__(self):
+        sg_window = check_window(self.sg_window, "sg_window")
+        checked = {
+            "sg_window": sg_window,
+            "sg_order": check_order(self.sg_order, sg_window, "sg_order", "sg_window"),
+            "curv_window": check_window(self.curv_window, "curv_window"),
+            "cac_window": check_length(self.cac_window, "cac_window", allow_zero=True),
+            "exclusion_radius": check_nonnegative(self.exclusion_radius, "exclusion_radius"),
+            "eol_threshold": check_fraction(self.eol_threshold, "eol_threshold"),
+            "gamma": check_gamma(self.gamma),
+            "max_iter": check_max_iter(self.max_iter),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+
+
+DEFAULT_PARAMS = PipelineParams()
 
 
 @dataclass(frozen=True)

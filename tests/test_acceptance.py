@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from kneescout.baconwatts import DBWParams, dbw_model, fit_dbw, transition_cycles
-from kneescout.config import PipelineParams
+from kneescout import PipelineParams
 from kneescout.earlypredict import (
     evaluate,
     feature_matrix,

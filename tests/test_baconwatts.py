@@ -171,6 +171,17 @@ class TestLmOptimize:
         assert all(math.isfinite(c) for c in result.cost_history)
         np.testing.assert_allclose(result.params, [10.0], atol=1e-8)
 
+    def test_no_descent_step_is_singular(self):
+        # finite only at the start point: every trial step is rejected until
+        # the damping passes its cap
+        def residuals(p):
+            return np.array([1.0 if p[0] == 0.0 else np.nan])
+
+        with pytest.raises(SingularNormalEquations) as info:
+            lm_optimize(residuals, np.zeros(1), jacobian=lambda p: np.ones((1, 1)))
+        assert (type(info.value), str(info.value)) == (
+            SingularNormalEquations, "no descent step found even at maximal damping")
+
     def test_accepted_costs_never_increase(self):
         def residuals(p):
             a, b = p

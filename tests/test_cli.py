@@ -11,7 +11,7 @@ import pytest
 
 from kneescout import cli
 from kneescout.cli import main
-from kneescout.config import PipelineParams
+from kneescout import PipelineParams
 from kneescout.ingest import load_capacity_csv
 from kneescout.synthgen import generate_convex_family
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kneescout import earlypredict
-from kneescout.config import GBRTHyper
+from kneescout import GBRTHyper
 from kneescout.errors import (
     EmptyTrainingSet,
     InputError,
@@ -35,6 +35,7 @@ from kneescout.errors import (
 from kneescout.earlypredict import (
     FEATURES_HEADER,
     CycleRecord,
+    FeatureVector,
     GBRTModel,
     NODE,
     check_test_split,
@@ -81,6 +82,12 @@ class TestCycleRecord:
             warnings.simplefilter("error")
             with pytest.raises(InvalidDischargeCurve, match="cycle 7: .* must be finite"):
                 CycleRecord(7, np.array(v), np.array(q))
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch) as info:
+            CycleRecord(3, [3.5, 3.0], [0.0, 0.5, 1.0])
+        assert (type(info.value), str(info.value)) == (
+            LengthMismatch, "cycle 3: 2 voltages vs 3 capacities")
 
     def test_total_capacity(self):
         rec = make_record(1)
@@ -213,6 +220,11 @@ class TestExtractFeatures:
         dq = delta_q(records, early=10, late=30)
         assert feats.min_dq == float(np.min(dq))
         assert (feats.var_dq, feats.skew_dq, feats.kurt_dq) == _moments(dq)
+
+    def test_negative_variance(self):
+        with pytest.raises(NonFiniteFeature) as info:
+            FeatureVector(0.0, -1.0, 0.0, 0.0, 1.0, 0.0)
+        assert (type(info.value), str(info.value)) == (NonFiniteFeature, "negative variance -1.0")
 
     def test_q2_and_qmax_features(self):
         records = self.fleet_records()
@@ -867,6 +879,11 @@ class TestEvaluate:
         with pytest.raises(ZeroTrueValue):
             evaluate([0.0, 1.0], [1.0, 1.0])
 
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch) as info:
+            evaluate([100.0, 200.0], [100.0])
+        assert (type(info.value), str(info.value)) == (LengthMismatch, "(2,) vs (1,)")
+
     @pytest.mark.floors
     @pytest.mark.parametrize("y, y_hat, name", [
         ([100.0, 200.0], [np.nan, 1.0], "y_hat"),
@@ -905,6 +922,12 @@ class TestSensitivitySweep:
         with pytest.raises(InputError):
             sensitivity_sweep(cells, onsets, **{"budgets": (15,), "repeats": 1, **kw})
 
+    def test_one_label_per_cell(self):
+        cells, onsets = self.small_fleet(n=10, seed=1)
+        with pytest.raises(LengthMismatch) as info:
+            sensitivity_sweep(cells, onsets[:-1], budgets=(15,), repeats=1)
+        assert (type(info.value), str(info.value)) == (LengthMismatch, "10 cells vs 9 labels")
+
     def test_budget_below_11_propagates(self):
         cells, onsets = self.small_fleet(n=10, seed=1)
         with pytest.raises(MissingCycle):
@@ -939,6 +962,15 @@ class TestLoadCycleDetailCsv:
         p.write_text("cycle,voltage_v,discharge_capacity_ah\n2,3.5,0.0\n" + row + "\n")
         with pytest.raises(MalformedRow, match="bad.cycles.csv: line 3"):
             load_cycle_detail_csv(p)
+
+    def test_cycle_rows_must_be_contiguous(self, tmp_path):
+        p = tmp_path / "split.cycles.csv"
+        p.write_text("cycle,voltage_v,discharge_capacity_ah\n1,3.5,0.0\n1,3.0,0.5\n"
+                     "2,3.5,0.0\n2,3.0,0.5\n1,2.5,0.7\n")
+        with pytest.raises(MalformedRow) as info:
+            load_cycle_detail_csv(p)
+        assert (type(info.value), str(info.value)) == (
+            MalformedRow, f"{p}: line 6: rows for cycle 1 are not contiguous")
 
     @pytest.mark.parametrize("body", ["", "\n\n", " , ,\n\t\n"],
                              ids=["header-only", "blank", "spaces"])

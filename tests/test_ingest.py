@@ -25,6 +25,7 @@ from kneescout.earlypredict import (
 from kneescout.errors import (
     InputError,
     KneeScoutError,
+    LengthMismatch,
     MalformedRow,
     MissingColumn,
     NonMonotonicCycles,
@@ -91,6 +92,18 @@ class TestCapacityFadeSeries:
     def test_non_monotonic(self):
         with pytest.raises(NonMonotonicCycles):
             make_series([5, 4, 6], [1.0, 1.0, 1.0])
+
+    def test_negative_cycle(self):
+        with pytest.raises(NonMonotonicCycles) as info:
+            make_series([-1, 0, 1], [1.0, 1.0, 1.0])
+        assert (type(info.value), str(info.value)) == (
+            NonMonotonicCycles, "cycle indices must be nonnegative")
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch) as info:
+            make_series([1, 2, 3], [1.0, 0.9])
+        assert (type(info.value), str(info.value)) == (
+            LengthMismatch, "3 cycle indices vs 2 capacity values")
 
     def test_non_positive_capacity(self):
         with pytest.raises(NonPositiveCapacity):
@@ -240,6 +253,14 @@ class TestResampleEven:
         series = make_series(cycles, values)
         out = resample_even(series)
         assert np.array_equal(out.capacity_ah, series.capacity_ah)
+
+
+class TestNormalizedSeries:
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch) as info:
+            NormalizedSeries([1, 2, 3], [1.0, 0.9])
+        assert (type(info.value), str(info.value)) == (
+            LengthMismatch, "cycles and values differ in length")
 
 
 class TestNormalize:

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneescout import rules
-from kneescout.baconwatts import dbw_knee_report, fit_dbw, lm_optimize
-from kneescout.config import GBRTHyper, PipelineParams
+from kneescout.baconwatts import DBWParams, dbw_knee_report, dbw_model, fit_dbw, lm_optimize
+from kneescout import GBRTHyper, PipelineParams
 from kneescout.earlypredict import (
     CycleRecord,
     GBRTModel,
@@ -484,9 +484,37 @@ class TestStageParameters:
         (lambda: lm_optimize(identity, np.zeros((2, 2))),
          "init must be one-dimensional, got shape (2, 2)"),
         (lambda: lm_optimize(identity, ["a"]), "init: cannot read as float64 values"),
+        (lambda: lm_optimize(lambda q: ["a"], np.zeros(1)),
+         "residuals: cannot read as float64 values"),
+        (lambda: lm_optimize(lambda q: np.ones((2, 2)) + q[0], np.zeros(1)),
+         "residuals must be one-dimensional, got shape (2, 2)"),
+        (lambda: dbw_model(["a"], DBWParams(1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 10.0)),
+         "x: cannot read as float64 values"),
+        (lambda: CapacityFadeSeries("a", [[1, 2, 3]] * 3, [[1.0, 0.9, 0.8]] * 3, 1.0),
+         "cycles must be one-dimensional, got shape (3, 3)"),
+        (lambda: CapacityFadeSeries("a", [1, 2, 3], [[1.0, 0.9, 0.8]], 1.0),
+         "capacity_ah must be one-dimensional, got shape (1, 3)"),
+        (lambda: NormalizedSeries([[1, 2]], [[1.0, 0.9]]),
+         "cycles must be one-dimensional, got shape (1, 2)"),
+        (lambda: NormalizedSeries([1, 2], [[1.0, 0.9]]),
+         "values must be one-dimensional, got shape (1, 2)"),
+        (lambda: CycleRecord(1, [[3.0, 2.0], [1.0, 0.5]], [[0.0, 1.0], [2.0, 3.0]]),
+         "voltage_v must be one-dimensional, got shape (2, 2)"),
+        (lambda: CycleRecord(1, [3.0, 2.0], [[0.0, 1.0]]),
+         "q_ah must be one-dimensional, got shape (1, 2)"),
+        (lambda: pearson([[1, 2], [3, 5]], [[1, 2], [3, 4]]),
+         "x must be one-dimensional, got shape (2, 2)"),
+        (lambda: pearson([1, 2], [[1, 2]]), "y must be one-dimensional, got shape (1, 2)"),
+        (lambda: evaluate([[1.0, 2.0]], [[1.0, 2.5]]),
+         "y must be one-dimensional, got shape (1, 2)"),
+        (lambda: evaluate([1.0, 2.0], [[1.0, 2.5]]),
+         "y_hat must be one-dimensional, got shape (1, 2)"),
     ], ids=["stamp-2d", "stamp-scalar", "stamp-str", "arc-2d", "arc-str", "rea-str", "pearson-str",
             "evaluate-str", "train-str", "predict-str", "record-str", "series-str",
-            "normalized-str", "lm-init-2d", "lm-init-str"])
+            "normalized-str", "lm-init-2d", "lm-init-str", "lm-residuals-str", "lm-residuals-2d",
+            "dbw-model-str", "series-cycles-2d", "series-capacity-2d", "normalized-cycles-2d",
+            "normalized-values-2d", "record-voltage-2d", "record-q-2d", "pearson-x-2d",
+            "pearson-y-2d", "evaluate-y-2d", "evaluate-y_hat-2d"])
     def test_each_array_is_read_by_the_array_rule(self, call, message):
         with pytest.raises(InputError) as info:
             call()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kneescout.config import PipelineParams
+from kneescout import PipelineParams
 from kneescout.errors import ConstantInput, InputError, LengthMismatch, NonFiniteInput
 from kneescout.report import (
     BATCH_HEADER,
@@ -157,6 +157,13 @@ class TestCsvFormats:
         assert len(lines) == 1 + sum(
             r.eol_cycle is not None and r.method == "curvature_rea" for r in rows
         )
+
+
+    def test_scatter_kind_is_onset_or_knee(self):
+        with pytest.raises(InputError) as info:
+            format_scatter_csv([], "curvature_rea", "eol")
+        assert (type(info.value), str(info.value)) == (
+            InputError, "kind must be onset or knee, got 'eol'")
 
 
 def test_batch_header():

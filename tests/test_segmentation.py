@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kneescout.config import PipelineParams
+from kneescout import PipelineParams
 from kneescout.baconwatts import dbw_knee_report
 from kneescout.errors import (
     DegenerateWindow,

@@ -36,6 +36,11 @@ class TestSpecValidation:
         with pytest.raises(DegenerateSpec):
             spec_with(n_k=1500)
 
+    def test_too_few_cycles(self):
+        with pytest.raises(DegenerateSpec) as info:
+            spec_with(n_cycles=9)
+        assert (type(info.value), str(info.value)) == (DegenerateSpec, "n_cycles=9 too small")
+
     def test_negative_noise(self):
         with pytest.raises(DegenerateSpec):
             spec_with(noise_sigma=-0.1)
