@@ -119,6 +119,8 @@ def lm_optimize(
     result. Residuals at the initial point that NumPy cannot read as a
     vector of floats are InputError, and a cost ``r @ r`` that overflows there is
     NonFiniteResidual; a trial step whose cost is not finite is rejected.
+    Residuals at a later point that are not numbers, or not as many as at
+    the start, and a Jacobian of any shape but ``(n, m)`` are InputError.
     Overflow raises no RuntimeWarning inside the fit. ``tol`` must be a real
     number >= 0 and ``max_iter`` follow ``rules.check_max_iter``, else
     InputError.
@@ -151,6 +153,11 @@ def lm_optimize(
 
     for n_iter in range(1, max_iter + 1):
         J = jacobian(p)
+        if J.shape != (len(r), len(p)):
+            raise InputError(
+                f"residuals and jacobian disagree: {len(r)} residuals and {len(p)}"
+                f" parameters need a ({len(r)}, {len(p)}) Jacobian, got {J.shape}"
+            )
         JtJ = J.T @ J
         neg_Jtr = -(J.T @ r)
         diag = JtJ.diagonal().copy()
@@ -165,7 +172,7 @@ def lm_optimize(
                 step = None
             if step is not None and np.isfinite(step).all():
                 trial = p + step
-                r_trial = np.asarray(residuals(trial), dtype=np.float64)
+                r_trial = _read_residuals(residuals(trial), len(r))
                 cost_trial = float(r_trial @ r_trial)
                 # cost is finite, so a non-finite residual (cost inf or NaN) fails
                 if cost_trial <= cost:
@@ -202,15 +209,29 @@ def _central_jacobian(residuals, p):
     """
     h = 1e-6 * np.maximum(np.abs(p), 1.0)
     columns = []
+    n = None
     for k, h_k in enumerate(h):
         up, down = p.copy(), p.copy()
         up[k] += h_k
         down[k] -= h_k
-        columns.append(
-            (np.asarray(residuals(up), dtype=np.float64)
-             - np.asarray(residuals(down), dtype=np.float64)) / (2.0 * h_k)
-        )
+        r_up = _read_residuals(residuals(up), n)
+        n = len(r_up)
+        columns.append((r_up - _read_residuals(residuals(down), n)) / (2.0 * h_k))
     return np.column_stack(columns)
+
+
+def _read_residuals(values, n) -> np.ndarray:
+    """``values`` as a float64 vector of length ``n`` (any length if None), else
+    InputError naming the residuals. The per-iteration read of ``lm_optimize``:
+    one ``np.asarray`` and a shape check."""
+    try:
+        r = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"residuals: cannot read as float64 values: {exc}") from None
+    if r.ndim != 1 or (n is not None and len(r) != n):
+        expected = "one-dimensional" if n is None else f"of length {n}"
+        raise InputError(f"residuals must stay {expected}, got shape {r.shape}")
+    return r
 
 
 def _dbw_residuals(x, y, gamma):

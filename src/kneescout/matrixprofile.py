@@ -30,6 +30,8 @@ Conventions that the rest of the pipeline relies on:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +42,24 @@ from .rules import as_array, check_number
 
 FLAT_STD = 1e-12
 
-# Rows of the Gram matrix formed at a time; the working set is
-# _BLOCK_ROWS x (number of windows) floats, and the band mask
-# _BLOCK_ROWS x (_BLOCK_ROWS + 2 ceil(L/2)) booleans. Changing it can
-# change Gram bits, so it is part of stamp's bit contract.
+# Rows of the Gram matrix formed at a time; the working set is one
+# _BLOCK_ROWS x (number of windows) float buffer per thread (two when the
+# helper runs), and the band mask _BLOCK_ROWS x (_BLOCK_ROWS + 2 ceil(L/2))
+# booleans, shared. Changing it can change Gram bits, so it is part of
+# stamp's bit contract.
 _BLOCK_ROWS = 64
+# Block count from which stamp runs the second half of its blocks on a
+# helper thread, when the process may run on more than one CPU. Below it
+# the thread's start and the hand-offs of the GIL cost more than the
+# second core gains (see DECISIONS.md).
+_HELPER_MIN_BLOCKS = 16
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     have no candidate. A non-finite value is DegenerateWindow, since its
     windows have no z-normalized distance.
 
-    Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows in one
+    Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows in a
     ``(_BLOCK_ROWS, n)`` buffer allocated once per call, and the band is set
     to -inf only in the columns ``start - r .. stop + r`` around the block,
     through a slice of one ``(_BLOCK_ROWS, _BLOCK_ROWS + 2r)`` mask
@@ -110,6 +125,14 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     changed bit can move an argmax tie. ``_BLOCK_ROWS`` is part of that
     bit contract too: under OpenBLAS the Gram bits depend on the row count
     of the product, so another block size changes them (see DECISIONS.md).
+
+    From ``_HELPER_MIN_BLOCKS`` blocks on, when the process's CPU affinity
+    holds more than one CPU, the caller forms the first half of the blocks
+    and a helper thread started for this call the second half, each in its
+    own buffer of one ``(2, _BLOCK_ROWS, n)`` array and into its own slice
+    of I. Every block is the same product, mask and ``argmax`` either way,
+    so P and I have the same bits. The caller joins the helper before it
+    returns or raises, and raises an exception of the helper's again.
     """
     L = check_length(L)
     series = as_array(series, "series", vector=True)
@@ -131,16 +154,40 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     band = (shift >= 0) & (shift <= 2 * radius)
     any_flat = bool(flat.any())
     I = np.empty(n, dtype=np.int64)
-    buf = np.empty((min(_BLOCK_ROWS, n), n))
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        gram = np.matmul(Z[start:stop], Z.T, out=buf[: stop - start])
-        if any_flat:
-            gram[:, flat] = np.where(flat[start:stop, None], float(L), L / 2.0)
-        lo, hi = max(start - radius, 0), min(stop + radius, n)
-        skip = lo - (start - radius)
-        gram[:, lo:hi][band[: stop - start, skip : skip + hi - lo]] = -np.inf
-        I[start:stop] = np.argmax(gram, axis=1)
+
+    def nearest(buf, starts):
+        for start in starts:
+            stop = min(start + _BLOCK_ROWS, n)
+            gram = np.matmul(Z[start:stop], Z.T, out=buf[: stop - start])
+            if any_flat:
+                gram[:, flat] = np.where(flat[start:stop, None], float(L), L / 2.0)
+            lo, hi = max(start - radius, 0), min(stop + radius, n)
+            skip = lo - (start - radius)
+            gram[:, lo:hi][band[: stop - start, skip : skip + hi - lo]] = -np.inf
+            I[start:stop] = np.argmax(gram, axis=1)
+
+    starts = range(0, n, _BLOCK_ROWS)
+    if len(starts) < _HELPER_MIN_BLOCKS or _cpu_count() < 2:
+        nearest(np.empty((min(_BLOCK_ROWS, n), n)), starts)
+    else:
+        half = len(starts) // 2
+        bufs = np.empty((2, _BLOCK_ROWS, n))
+        errors = []
+
+        def second_half():
+            try:
+                nearest(bufs[1], starts[half:])
+            except BaseException as exc:  # raised again in the caller
+                errors.append(exc)
+
+        helper = threading.Thread(target=second_half, daemon=True)
+        helper.start()
+        try:
+            nearest(bufs[0], starts[:half])
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
 
     P = np.minimum(_distance(Z, Z[I], flat, flat[I], L), 2.0 * math.sqrt(L))
     return MatrixProfile(P=P, I=I)

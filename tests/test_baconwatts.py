@@ -182,6 +182,38 @@ class TestLmOptimize:
         assert (type(info.value), str(info.value)) == (
             SingularNormalEquations, "no descent step found even at maximal damping")
 
+    @pytest.mark.parametrize("jacobian", [None, lambda p: np.ones((1, 1))])
+    def test_non_numbers_after_the_start_are_input_error(self, jacobian):
+        # numbers only at the start point: the default Jacobian reads the
+        # residuals first, a given one leaves that to the trial step
+        def residuals(q):
+            return [1.0] if q[0] == 0 else ["a"]
+
+        with pytest.raises(InputError, match="^residuals: cannot read as float64 values"):
+            lm_optimize(residuals, np.zeros(1), jacobian=jacobian)
+
+    @pytest.mark.parametrize("jacobian, message", [
+        (None, r"^residuals and jacobian disagree: .* need a \(1, 1\) Jacobian, got \(2, 1\)$"),
+        (lambda p: np.ones((1, 1)), r"^residuals must stay of length 1, got shape \(2,\)$"),
+    ])
+    def test_residuals_that_change_length_are_input_error(self, jacobian, message):
+        def residuals(q):
+            return [1.0] if q[0] == 0 else [1.0, 2.0]
+
+        with pytest.raises(InputError, match=message):
+            lm_optimize(residuals, np.zeros(1), jacobian=jacobian)
+
+    def test_central_columns_that_differ_in_length_are_input_error(self):
+        def residuals(q):
+            return [1.0] if q[0] <= 0 else [1.0, 2.0]
+
+        with pytest.raises(InputError, match=r"^residuals must stay of length 2, got shape \(1,\)$"):
+            lm_optimize(residuals, np.zeros(1))
+
+    def test_jacobian_of_another_shape_is_input_error(self):
+        with pytest.raises(InputError, match=r"need a \(2, 1\) Jacobian, got \(1, 2\)$"):
+            lm_optimize(lambda q: q[0] + np.ones(2), np.zeros(1), jacobian=lambda p: np.ones((1, 2)))
+
     def test_accepted_costs_never_increase(self):
         def residuals(p):
             a, b = p

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from kneescout import matrixprofile
 from kneescout.errors import DegenerateWindow, SeriesTooShort
 from kneescout.matrixprofile import FLAT_STD, _distance, _znormalize, stamp
 
@@ -297,6 +299,115 @@ class TestLocalBandMatchesFullMask:
         P, I = _reference_stamp(series, L)
         assert mp.P.tobytes() == P.tobytes()
         np.testing.assert_array_equal(mp.I, I)
+
+
+def helper_gate(patch, blocks):
+    """Make ``stamp`` use its helper thread from ``blocks`` blocks on, as on two CPUs."""
+    patch.setattr(matrixprofile, "_HELPER_MIN_BLOCKS", blocks)
+    patch.setattr(matrixprofile, "_cpu_count", lambda: 2)
+
+
+def matmul_threads(patch, fail_in=None):
+    """Record the thread of each Gram block's ``np.matmul``; raise in ``fail_in``
+    ("caller" or "helper") instead of forming that block."""
+    caller = threading.get_ident()
+    seen = []
+    real = np.matmul
+
+    def matmul(a, b, **kw):
+        side = "caller" if threading.get_ident() == caller else "helper"
+        seen.append(side)
+        if side == fail_in:
+            raise RuntimeError(f"block failed in the {side}")
+        return real(a, b, **kw)
+
+    patch.setattr(matrixprofile.np, "matmul", matmul)
+    return seen
+
+
+def half_boundary_series(blocks, kind, L=12, seed=0):
+    """A series of ``blocks`` Gram blocks whose flat run or tiled stretch
+    (equal windows, so argmax ties) crosses the row where the helper's half
+    begins."""
+    n = 64 * blocks - 7
+    m = n + L - 1
+    rng = np.random.default_rng(seed)
+    series = np.cumsum(rng.normal(0, 1, m))
+    edge = 64 * (blocks // 2)
+    lo, hi = max(edge - 3 * L, 0), min(edge + 4 * L, m)
+    if kind == "flat":
+        series[lo:hi] = series[lo]
+    else:
+        series[lo:hi] = np.tile(rng.integers(-2, 3, 5), hi - lo)[: hi - lo]
+        series[: 2 * L] = series[lo : lo + 2 * L]  # ties with the caller's first rows too
+    return series, L
+
+
+@pytest.mark.floors
+class TestHelperThreadMatchesSerial:
+    """Marked floors: both halves' Gram blocks (``np.matmul`` on two threads, into
+    two slices of one buffer) must equal the serial reference at the oldest NumPy too.
+    """
+
+    @pytest.mark.parametrize("kind", ["flat", "tiled"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bitwise_around_the_gate(self, monkeypatch, kind, offset):
+        gate = matrixprofile._HELPER_MIN_BLOCKS
+        helper_gate(monkeypatch, gate)
+        seen = matmul_threads(monkeypatch)
+        series, L = half_boundary_series(gate + offset, kind)
+        mp = stamp(series, L)
+        assert ("helper" in seen) == (offset >= 0)
+        P, I = _reference_stamp(series, L)
+        assert mp.P.tobytes() == P.tobytes()
+        np.testing.assert_array_equal(mp.I, I)
+
+    @pytest.mark.parametrize("kind", ["flat", "tiled"])
+    def test_bitwise_at_full_length(self, monkeypatch, kind):
+        helper_gate(monkeypatch, matrixprofile._HELPER_MIN_BLOCKS)
+        seen = matmul_threads(monkeypatch)
+        series, L = half_boundary_series(39, kind, seed=2500)  # n = 2489, the longest rung
+        mp = stamp(series, L)
+        assert seen.count("helper") == 20
+        P, I = _reference_stamp(series, L)
+        assert mp.P.tobytes() == P.tobytes()
+        np.testing.assert_array_equal(mp.I, I)
+
+    @given(block_edge_series())
+    @settings(max_examples=100, deadline=None)
+    def test_threaded_equals_forced_serial(self, case):
+        series, L = case
+        with pytest.MonkeyPatch.context() as patch:
+            helper_gate(patch, 1)
+            threaded = stamp(series, L)
+            helper_gate(patch, 10**9)
+            serial = stamp(series, L)
+        assert threaded.P.tobytes() == serial.P.tobytes()
+        np.testing.assert_array_equal(threaded.I, serial.I)
+
+
+class TestHelperThread:
+    def test_serial_on_one_cpu(self, monkeypatch):
+        helper_gate(monkeypatch, 1)
+        monkeypatch.setattr(matrixprofile, "_cpu_count", lambda: 1)
+        seen = matmul_threads(monkeypatch)
+        stamp(half_boundary_series(20, "flat")[0], 12)
+        assert set(seen) == {"caller"}
+
+    def test_threads_end_with_the_call(self, monkeypatch):
+        helper_gate(monkeypatch, 1)
+        before = threading.active_count()
+        stamp(half_boundary_series(20, "flat")[0], 12)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_in", ["helper", "caller"])
+    def test_error_in_either_half_surfaces(self, monkeypatch, fail_in):
+        helper_gate(monkeypatch, 1)
+        matmul_threads(monkeypatch, fail_in=fail_in)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block failed in the {fail_in}"):
+            stamp(half_boundary_series(20, "tiled")[0], 12)
+        assert threading.active_count() == before
 
 
 class TestOracleScale:
