@@ -146,6 +146,7 @@ def lm_optimize(
     if not math.isfinite(cost):
         raise NonFiniteResidual("residual sum of squares overflows at the initial point")
 
+    shape = (len(r), len(p))  # of every Jacobian
     lam = 1e-3
     history = [cost]
     n_iter = 0
@@ -153,10 +154,10 @@ def lm_optimize(
 
     for n_iter in range(1, max_iter + 1):
         J = jacobian(p)
-        if J.shape != (len(r), len(p)):
+        if J.shape != shape:
             raise InputError(
-                f"residuals and jacobian disagree: {len(r)} residuals and {len(p)}"
-                f" parameters need a ({len(r)}, {len(p)}) Jacobian, got {J.shape}"
+                f"residuals and jacobian disagree: {shape[0]} residuals and {shape[1]}"
+                f" parameters need a {shape} Jacobian, got {J.shape}"
             )
         JtJ = J.T @ J
         neg_Jtr = -(J.T @ r)

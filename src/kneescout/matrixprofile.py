@@ -52,7 +52,7 @@ _BLOCK_ROWS = 64
 # helper thread, when the process may run on more than one CPU. Below it
 # the thread's start and the hand-offs of the GIL cost more than the
 # second core gains (see DECISIONS.md).
-_HELPER_MIN_BLOCKS = 16
+_HELPER_MIN_BLOCKS = 20
 
 
 def _cpu_count() -> int:
@@ -180,7 +180,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
             except BaseException as exc:  # raised again in the caller
                 errors.append(exc)
 
-        helper = threading.Thread(target=second_half, daemon=True)
+        helper = threading.Thread(target=second_half)
         helper.start()
         try:
             nearest(bufs[0], starts[:half])

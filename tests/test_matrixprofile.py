@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -387,6 +388,30 @@ class TestHelperThreadMatchesSerial:
 
 
 class TestHelperThread:
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # four callers, each with a helper, on a 10 us switch interval: every
+        # result keeps the serial bits, and every thread has ended
+        series, L = half_boundary_series(20, "tiled")
+        helper_gate(monkeypatch, 10**9)
+        serial = stamp(series, L)
+        helper_gate(monkeypatch, 1)
+        results = []
+        callers = [threading.Thread(target=lambda: results.append(stamp(series, L))) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(results) == 4
+        for mp in results:
+            assert mp.P.tobytes() == serial.P.tobytes()
+            np.testing.assert_array_equal(mp.I, serial.I)
+
     def test_serial_on_one_cpu(self, monkeypatch):
         helper_gate(monkeypatch, 1)
         monkeypatch.setattr(matrixprofile, "_cpu_count", lambda: 1)
