@@ -20,6 +20,8 @@ from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1  # the gufunc behind np.linalg.solve
 
 from .errors import InputError, NonFiniteResidual, SingularNormalEquations, TooShort
 from .ingest import CapacityFadeSeries
@@ -113,8 +115,11 @@ def lm_optimize(
     The damping factor starts at 1e-3, multiplies diag(J^T J) (Marquardt
     scaling, which keeps badly scaled parameters workable) and adapts
     multiplicatively: x10 on a rejected step, /10 on an accepted one.
+    LAPACK ``gesv`` solves each damped system through the NumPy gufunc
+    that ``np.linalg.solve`` calls; a singular system, or a step that is
+    not finite, counts as a rejected step and raises the damping.
     Convergence requires both the relative step size and the relative cost
-    decrease to fall below ``tol``. Hitting ``max_iter`` returns
+    decrease to fall below ``tol`` in the same iteration. Hitting ``max_iter`` returns
     converged=False rather than raising, so callers can inspect the partial
     result. Residuals at the initial point that NumPy cannot read as a
     vector of floats are InputError, and a cost ``r @ r`` that overflows there is
@@ -161,15 +166,17 @@ def lm_optimize(
             )
         JtJ = J.T @ J
         neg_Jtr = -(J.T @ r)
-        diag = JtJ.diagonal().copy()
-        diag[diag <= 0.0] = 1e-12
-        D = np.diag(diag)
+        diag = JtJ.diagonal()
+        D = np.diag(np.where(diag <= 0.0, 1e-12, diag))
 
         step = None
         while True:
             try:
-                step = np.linalg.solve(JtJ + lam * D, neg_Jtr)
-            except np.linalg.LinAlgError:
+                # np.linalg.solve's own call, without its wrapper's checks
+                with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                                 divide="ignore", under="ignore"):
+                    step = solve1(JtJ + lam * D, neg_Jtr, signature="dd->d")
+            except LinAlgError:
                 step = None
             if step is not None and np.isfinite(step).all():
                 trial = p + step
@@ -184,13 +191,14 @@ def lm_optimize(
                     "no descent step found even at maximal damping"
                 )
 
-        rel_step = (np.abs(step) / np.maximum(np.abs(p), 1.0)).max()
         rel_decrease = (cost - cost_trial) / max(cost, 1e-300)
+        # the relative step is formed only once the cost test has passed
+        converged = rel_decrease < tol and bool(
+            (np.abs(step) / np.maximum(np.abs(p), 1.0)).max() < tol)
         p, r, cost = trial, r_trial, cost_trial
         history.append(cost)
         lam = max(lam / 10.0, 1e-12)
-        if rel_step < tol and rel_decrease < tol:
-            converged = True
+        if converged:
             break
 
     return LMResult(
@@ -200,6 +208,12 @@ def lm_optimize(
         converged=converged,
         cost_history=history,
     )
+
+
+def _raise_singular(err, flag):
+    """``np.errstate`` callback for the damped solve: a singular or non-finite
+    system sets the invalid flag, and the solve raises as ``np.linalg.solve`` does."""
+    raise LinAlgError("Singular matrix")
 
 
 def _central_jacobian(residuals, p):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -179,6 +180,28 @@ class TestLmOptimize:
 
         with pytest.raises(SingularNormalEquations) as info:
             lm_optimize(residuals, np.zeros(1), jacobian=lambda p: np.ones((1, 1)))
+        assert (type(info.value), str(info.value)) == (
+            SingularNormalEquations, "no descent step found even at maximal damping")
+
+    def test_convergence_needs_both_tests_in_one_iteration(self):
+        # the cost never falls, so the cost test passes from iteration 1, while
+        # the step there is about as large as p; only iteration 5 passes both
+        result = lm_optimize(lambda p: np.array([1.0, 1e-12 * p[0]]), np.array([1e3]))
+        assert (result.iterations, result.converged) == (5, True)
+        assert result.cost_history == [1.0] * 6
+        assert abs(result.params[0]) < 1e-20
+
+    @pytest.mark.floors
+    def test_non_finite_damped_solve_is_rejected_without_warning(self):
+        """Marked floors: the damped system goes straight to the gufunc under its own
+        ``np.errstate``, where NumPy 1.26's ``np.linalg.solve`` passed ``extobj``; a
+        non-finite solve must still count as a rejected step and warn of nothing.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularNormalEquations) as info:
+                lm_optimize(lambda p: np.array([1.0 + p[0]]), np.zeros(1),
+                            jacobian=lambda p: np.array([[np.inf]]))
         assert (type(info.value), str(info.value)) == (
             SingularNormalEquations, "no descent step found even at maximal damping")
 
