@@ -119,9 +119,9 @@ def lm_optimize(
     that ``np.linalg.solve`` calls; a singular system, or a step that is
     not finite, counts as a rejected step and raises the damping.
     Convergence requires both the relative step size and the relative cost
-    decrease to fall below ``tol`` in the same iteration. Hitting ``max_iter`` returns
-    converged=False rather than raising, so callers can inspect the partial
-    result. Residuals at the initial point that NumPy cannot read as a
+    decrease to fall below ``tol`` in the same iteration. Hitting
+    ``max_iter`` returns converged=False rather than raising, so callers can
+    inspect the partial result. Residuals at the initial point that NumPy cannot read as a
     vector of floats are InputError, and a cost ``r @ r`` that overflows there is
     NonFiniteResidual; a trial step whose cost is not finite is rejected.
     Residuals at a later point that are not numbers, or not as many as at
@@ -166,8 +166,9 @@ def lm_optimize(
             )
         JtJ = J.T @ J
         neg_Jtr = -(J.T @ r)
-        diag = JtJ.diagonal()
-        D = np.diag(np.where(diag <= 0.0, 1e-12, diag))
+        diag = JtJ.diagonal().copy()
+        diag[diag <= 0.0] = 1e-12
+        D = np.diag(diag)
 
         step = None
         while True:
@@ -211,8 +212,9 @@ def lm_optimize(
 
 
 def _raise_singular(err, flag):
-    """``np.errstate`` callback for the damped solve: a singular or non-finite
-    system sets the invalid flag, and the solve raises as ``np.linalg.solve`` does."""
+    """``np.errstate`` callback for the damped solve: the gufunc sets the
+    invalid flag for a singular system, and this raises as ``np.linalg.solve``
+    does."""
     raise LinAlgError("Singular matrix")
 
 
