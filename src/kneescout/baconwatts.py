@@ -193,7 +193,7 @@ def lm_optimize(
                 )
 
         rel_decrease = (cost - cost_trial) / max(cost, 1e-300)
-        # the relative step is formed only once the cost test has passed
+        # the scalar cost test first: the step test costs five NumPy calls
         converged = rel_decrease < tol and bool(
             (np.abs(step) / np.maximum(np.abs(p), 1.0)).max() < tol)
         p, r, cost = trial, r_trial, cost_trial
