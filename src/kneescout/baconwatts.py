@@ -20,7 +20,6 @@ from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
-from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve1  # the gufunc behind np.linalg.solve
 
 from .errors import InputError, NonFiniteResidual, SingularNormalEquations, TooShort
@@ -101,7 +100,7 @@ def dbw_model(x, p: DBWParams):
     return y
 
 
-@np.errstate(over="ignore")  # an overflowing cost is handled, not warned about
+@np.errstate(all="ignore")  # a non-finite cost or step is rejected, not warned about
 def lm_optimize(
     residuals: Callable[[np.ndarray], np.ndarray],
     init: np.ndarray,
@@ -116,8 +115,9 @@ def lm_optimize(
     scaling, which keeps badly scaled parameters workable) and adapts
     multiplicatively: x10 on a rejected step, /10 on an accepted one.
     LAPACK ``gesv`` solves each damped system through the NumPy gufunc
-    that ``np.linalg.solve`` calls; a singular system, or a step that is
-    not finite, counts as a rejected step and raises the damping.
+    that ``np.linalg.solve`` calls; its NaN solution of a singular system,
+    like any step that is not finite, counts as a rejected step and raises
+    the damping.
     Convergence requires both the relative step size and the relative cost
     decrease to fall below ``tol`` in the same iteration. Hitting
     ``max_iter`` returns converged=False rather than raising, so callers can
@@ -125,16 +125,19 @@ def lm_optimize(
     vector of floats are InputError, and a cost ``r @ r`` that overflows there is
     NonFiniteResidual; a trial step whose cost is not finite is rejected.
     Residuals at a later point that are not numbers, or not as many as at
-    the start, and a Jacobian of any shape but ``(n, m)`` are InputError.
-    Overflow raises no RuntimeWarning inside the fit. ``tol`` must be a real
-    number >= 0 and ``max_iter`` follow ``rules.check_max_iter``, else
-    InputError.
+    the start, are InputError, and so is a Jacobian that ``rules.as_array``
+    cannot read as float64 (complex values included) or of any shape but
+    ``(n, m)``. The whole fit runs under ``np.errstate(all="ignore")``, so
+    neither it nor its ``residuals`` and ``jacobian`` callables raise a
+    floating-point RuntimeWarning. ``tol`` must be a real number >= 0 and
+    ``max_iter`` follow ``rules.check_max_iter``, else InputError.
 
     ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
-    ``residuals`` at ``p``; the LM iterates depend on its bits. It may
-    return the same array on every call, overwritten: each Jacobian is read
-    only before the next call. By default it is ``_central_jacobian``'s
-    column-by-column central difference.
+    ``residuals`` at ``p``; the LM iterates depend on its bits, and one of
+    another real dtype (float16, longdouble) is converted to float64 before
+    ``J.T @ J``. It may return the same array on every call, overwritten:
+    each Jacobian is read only before the next call. By default it is
+    ``_central_jacobian``'s column-by-column central difference.
     """
     tol = check_number(tol, "tol")
     if not tol >= 0.0:  # NaN too
@@ -158,7 +161,7 @@ def lm_optimize(
     converged = False
 
     for n_iter in range(1, max_iter + 1):
-        J = jacobian(p)
+        J = as_array(jacobian(p), "jacobian")
         if J.shape != shape:
             raise InputError(
                 f"residuals and jacobian disagree: {shape[0]} residuals and {shape[1]}"
@@ -170,16 +173,11 @@ def lm_optimize(
         diag[diag <= 0.0] = 1e-12
         D = np.diag(diag)
 
-        step = None
         while True:
-            try:
-                # np.linalg.solve's own call, without its wrapper's checks
-                with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                                 divide="ignore", under="ignore"):
-                    step = solve1(JtJ + lam * D, neg_Jtr, signature="dd->d")
-            except LinAlgError:
-                step = None
-            if step is not None and np.isfinite(step).all():
+            # np.linalg.solve's own call, without its wrapper's checks; the
+            # solution of a singular system is all NaN
+            step = solve1(JtJ + lam * D, neg_Jtr, signature="dd->d")
+            if np.isfinite(step).all():
                 trial = p + step
                 r_trial = _read_residuals(residuals(trial), len(r))
                 cost_trial = float(r_trial @ r_trial)
@@ -211,13 +209,6 @@ def lm_optimize(
     )
 
 
-def _raise_singular(err, flag):
-    """``np.errstate`` callback for the damped solve: the gufunc sets the
-    invalid flag for a singular system, and this raises as ``np.linalg.solve``
-    does."""
-    raise LinAlgError("Singular matrix")
-
-
 def _central_jacobian(residuals, p):
     """Central differences, one pair of residual calls per parameter.
 
@@ -240,11 +231,8 @@ def _central_jacobian(residuals, p):
 def _read_residuals(values, n) -> np.ndarray:
     """``values`` as a float64 vector of length ``n`` (any length if None), else
     InputError naming the residuals. The per-iteration read of ``lm_optimize``:
-    one ``np.asarray`` and a shape check."""
-    try:
-        r = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"residuals: cannot read as float64 values: {exc}") from None
+    ``rules.as_array`` and a shape check."""
+    r = as_array(values, "residuals")
     if r.ndim != 1 or (n is not None and len(r) != n):
         expected = "one-dimensional" if n is None else f"of length {n}"
         raise InputError(f"residuals must stay {expected}, got shape {r.shape}")
@@ -334,7 +322,8 @@ def fit_dbw(
     Ah/cycle, x0 at 70% and x2 at 90% of the observed cycle range. The
     reported onset/knee are order-normalized, so swapping the two
     transition initializations changes nothing downstream. The fit runs
-    ``lm_optimize`` at its default tolerance. ``gamma`` and ``max_iter``
+    ``lm_optimize`` at its default tolerance and, like it, raises no
+    floating-point RuntimeWarning. ``gamma`` and ``max_iter``
     follow ``rules.check_gamma`` and ``rules.check_max_iter``.
     """
     gamma = check_gamma(gamma)

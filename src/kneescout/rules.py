@@ -95,8 +95,14 @@ def check_max_iter(max_iter) -> int:
 def as_array(values, name: str, dtype=np.float64, vector: bool = False) -> np.ndarray:
     """``np.asarray(values, dtype)``; InputError naming ``name`` if NumPy
     cannot read ``values`` as that dtype or, with ``vector``, if the array
-    is not one-dimensional."""
+    is not one-dimensional.
+
+    Complex values, in an array, a scalar or a list, are InputError too:
+    they are never read as their real part, which NumPy would do with a
+    ``ComplexWarning``."""
     try:
+        if np.asarray(values).dtype.kind == "c":  # half the cost of np.iscomplexobj
+            raise InputError(f"{name}: cannot read complex values as {np.dtype(dtype)}")
         array = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name}: cannot read as {np.dtype(dtype)} values: {exc}") from None

@@ -205,6 +205,65 @@ class TestLmOptimize:
         assert (type(info.value), str(info.value)) == (
             SingularNormalEquations, "no descent step found even at maximal damping")
 
+    @pytest.mark.floors
+    def test_nan_trial_is_a_rejected_step_without_warning(self):
+        """Marked floors: the fit runs under one ``np.errstate(all="ignore")``, so
+        ``inf - inf`` in the residuals warns of nothing at the oldest NumPy too.
+        """
+        nan_trials = []
+
+        def residuals(p):
+            big = np.float64(1e308) * (10.0 * p[0])  # inf past p[0] ~ 0.18
+            r = np.array([p[0] - 0.1, big - big])
+            if np.isnan(r[1]):
+                nan_trials.append(p[0])
+            return r
+
+        def jacobian(p):
+            return np.array([[0.1], [0.0]])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = lm_optimize(residuals, np.zeros(1), jacobian=jacobian)
+        assert nan_trials
+        assert (result.iterations, result.converged) == (17, True)
+        assert result.params.tobytes() == np.array([0.1]).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert_same_run(result, allocating_lm_optimize(residuals, np.zeros(1),
+                                                           jacobian=jacobian))
+
+    @pytest.mark.floors
+    def test_singular_damped_solve_is_a_rejected_step_without_warning(self):
+        """Marked floors: the gufunc must fill the solution of a singular system
+        with NaN at the oldest NumPy too, where ``np.linalg.solve`` raises.
+        """
+        # (JᵀJ + λD)[1, 1] is the smallest subnormal, and elimination cancels it
+        J = np.array([[1.0, 1.58e-162]])
+        damped = J.T @ J + 1e-3 * np.diag((J.T @ J).diagonal())
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(damped, np.ones(2))
+
+        def residuals(p):
+            return np.array([1.0 + p[0] + J[0, 1] * p[1]])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = lm_optimize(residuals, np.zeros(2), jacobian=lambda p: J)
+        assert result.converged
+        assert_same_run(result, allocating_lm_optimize(residuals, np.zeros(2),
+                                                       jacobian=lambda p: J))
+
+    @pytest.mark.parametrize("values, message", [
+        (np.array([[1.0 + 0j], [0.0]]), "jacobian: cannot read complex values as float64"),
+        (np.array([["a"], ["b"]], dtype=object), "jacobian: cannot read as float64 values"),
+    ], ids=["complex", "object-strings"])
+    def test_jacobian_that_is_not_real_numbers_is_input_error(self, values, message):
+        with pytest.raises(InputError) as info:
+            lm_optimize(lambda p: np.array([1.0 + p[0], 2.0 - p[0]]), np.zeros(1),
+                        jacobian=lambda p: values)
+        assert type(info.value) is InputError and str(info.value).startswith(message)
+
     @pytest.mark.parametrize("jacobian", [None, lambda p: np.ones((1, 1))])
     def test_non_numbers_after_the_start_are_input_error(self, jacobian):
         # numbers only at the start point: the default Jacobian reads the

@@ -509,12 +509,28 @@ class TestStageParameters:
          "y must be one-dimensional, got shape (1, 2)"),
         (lambda: evaluate([1.0, 2.0], [[1.0, 2.5]]),
          "y_hat must be one-dimensional, got shape (1, 2)"),
+        # complex values: NumPy would read the real part with a ComplexWarning
+        (lambda: stamp(SHORT + 1j, 4), "series: cannot read complex values as float64"),
+        (lambda: CapacityFadeSeries("a", np.arange(5), np.ones(5) + 1j, 1.0),
+         "capacity_ah: cannot read complex values as float64"),
+        (lambda: NormalizedSeries([1, np.complex128(2)], [1.0, 0.9]),
+         "cycles: cannot read complex values as int64"),
+        (lambda: pearson([1.0, np.complex64(2)], [1, 2]),
+         "x: cannot read complex values as float64"),
+        (lambda: dbw_model(np.complex128(1), DBWParams(1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 10.0)),
+         "x: cannot read complex values as float64"),
+        (lambda: lm_optimize(lambda q: q + 1j, np.zeros(1)),
+         "residuals: cannot read complex values as float64"),
+        (lambda: gbrt_predict(STUMP_MODEL, [[1j]]), "X: cannot read complex values as float64"),
     ], ids=["stamp-2d", "stamp-scalar", "stamp-str", "arc-2d", "arc-str", "rea-str", "pearson-str",
             "evaluate-str", "train-str", "predict-str", "record-str", "series-str",
             "normalized-str", "lm-init-2d", "lm-init-str", "lm-residuals-str", "lm-residuals-2d",
             "dbw-model-str", "series-cycles-2d", "series-capacity-2d", "normalized-cycles-2d",
             "normalized-values-2d", "record-voltage-2d", "record-q-2d", "pearson-x-2d",
-            "pearson-y-2d", "evaluate-y-2d", "evaluate-y_hat-2d"])
+            "pearson-y-2d", "evaluate-y-2d", "evaluate-y_hat-2d", "stamp-complex-array",
+            "series-complex-array", "normalized-complex-scalar-in-list",
+            "pearson-complex-scalar-in-list", "dbw-model-complex-scalar",
+            "lm-residuals-complex", "predict-python-complex"])
     def test_each_array_is_read_by_the_array_rule(self, call, message):
         with pytest.raises(InputError) as info:
             call()
