@@ -78,8 +78,8 @@ def dbw_model(x, p: DBWParams):
     temporaries are reused in place; a sum or product of two terms rounds
     the same in either order, so the bits are those of the one expression.
     ``p.gamma`` must be positive and finite; ``fit_dbw`` checks it once per
-    fit (``rules.check_gamma``), so this runs no check of its own. An
-    ``x`` that NumPy cannot read as floats is InputError (``rules.as_array``).
+    fit (``rules.check_gamma``), so this runs no check of its own. ``x`` is
+    read by ``rules.as_array``, so one it refuses is InputError.
     """
     x = as_array(x, "x")
     if x.ndim == 0:  # a scalar has no buffer to reuse
@@ -121,16 +121,15 @@ def lm_optimize(
     Convergence requires both the relative step size and the relative cost
     decrease to fall below ``tol`` in the same iteration. Hitting
     ``max_iter`` returns converged=False rather than raising, so callers can
-    inspect the partial result. Residuals at the initial point that NumPy cannot read as a
-    vector of floats are InputError, and a cost ``r @ r`` that overflows there is
-    NonFiniteResidual; a trial step whose cost is not finite is rejected.
-    Residuals at a later point that are not numbers, or not as many as at
-    the start, are InputError, and so is a Jacobian that ``rules.as_array``
-    cannot read as float64 (complex values included) or of any shape but
-    ``(n, m)``. The whole fit runs under ``np.errstate(all="ignore")``, so
-    neither it nor its ``residuals`` and ``jacobian`` callables raise a
-    floating-point RuntimeWarning. ``tol`` must be a real number >= 0 and
-    ``max_iter`` follow ``rules.check_max_iter``, else InputError.
+    inspect the partial result. ``init``, every residual vector and every
+    Jacobian are read by ``rules.as_array``, so complex, string or object
+    values are InputError, as are later residuals not as many as the first
+    and a Jacobian of any shape but ``(n, m)``. Residuals or a cost ``r @ r``
+    not finite at the initial point are NonFiniteResidual; a trial step whose
+    cost is not finite is rejected. The whole fit runs under
+    ``np.errstate(all="ignore")``, so neither it nor its callables raise a
+    floating-point RuntimeWarning. A ``tol`` that is not a real number >= 0,
+    or a ``max_iter`` that ``rules.check_max_iter`` refuses, is InputError.
 
     ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
     ``residuals`` at ``p``; the LM iterates depend on its bits, and one of

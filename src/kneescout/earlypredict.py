@@ -671,6 +671,7 @@ def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")  # an RMSE or MAPE past float64 is inf, not a warning
 def evaluate(y, y_hat) -> Dict[str, float]:
     """RMSE in cycles and MAPE in percent. A ``y`` or ``y_hat`` holding NaN or
     an infinity is NonFiniteInput naming it."""

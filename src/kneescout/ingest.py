@@ -328,13 +328,13 @@ def normalize(series: CapacityFadeSeries) -> NormalizedSeries:
 def find_eol(series, threshold: float = 0.8) -> Optional[int]:
     """First cycle at which the normalized value is <= threshold, or None.
 
-    Works on any series with ``cycles`` and ``values``; the identification
-    pipeline passes the smoothed series so a single noisy sample cannot
-    trigger the crossing. ``threshold`` must be a real number in (0, 1)
-    (``check_fraction``), else InputError.
+    Works on any series with ``cycles`` and ``values`` (read by ``as_array``);
+    the identification pipeline passes the smoothed series so a single noisy
+    sample cannot trigger the crossing. ``threshold`` must be a real number
+    in (0, 1) (``check_fraction``), else InputError.
     """
     threshold = check_fraction(threshold, "threshold")
-    below = np.nonzero(series.values <= threshold)[0]
+    below = np.nonzero(as_array(series.values, "values", vector=True) <= threshold)[0]
     if len(below) == 0:
         return None
     return int(series.cycles[below[0]])

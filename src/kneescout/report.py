@@ -47,8 +47,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
     Rounding can put the quotient just outside the interval (1 + 2**-52 for
     some perfectly correlated inputs); ``scipy.stats.pearsonr`` clips too.
-    A sample holding NaN or an infinity is NonFiniteInput naming it.
-    """
+    Each sample is first scaled exactly by a power of two, to a largest
+    magnitude in [0.5, 1), so no sum of squares underflows or overflows. A
+    sample holding NaN or an infinity is NonFiniteInput naming it."""
     x = as_array(x, "x", vector=True)
     y = as_array(y, "y", vector=True)
     if x.shape != y.shape:
@@ -57,6 +58,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ConstantInput(f"need at least 2 samples, got {len(x)}")
     check_finite(x, "x")
     check_finite(y, "y")
+    x, y = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (x, y))
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))

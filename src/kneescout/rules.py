@@ -93,17 +93,14 @@ def check_max_iter(max_iter) -> int:
 
 
 def as_array(values, name: str, dtype=np.float64, vector: bool = False) -> np.ndarray:
-    """``np.asarray(values, dtype)``; InputError naming ``name`` if NumPy
-    cannot read ``values`` as that dtype or, with ``vector``, if the array
-    is not one-dimensional.
-
-    Complex values, in an array, a scalar or a list, are InputError too:
-    they are never read as their real part, which NumPy would do with a
-    ``ComplexWarning``."""
+    """``values`` by NumPy's ``same_kind`` cast to ``dtype``, else InputError
+    naming ``name``; with ``vector``, InputError too if not one-dimensional.
+    An array of ``dtype`` comes back as it is. Complex, string, object and
+    datetime values are refused, and floats for ``int64``: none is parsed,
+    truncated or read as its real part. A list holding None, a ``Fraction``
+    or an int past uint64 reads as an object array."""
     try:
-        if np.asarray(values).dtype.kind == "c":  # half the cost of np.iscomplexobj
-            raise InputError(f"{name}: cannot read complex values as {np.dtype(dtype)}")
-        array = np.asarray(values, dtype=dtype)
+        array = np.asarray(values).astype(dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name}: cannot read as {np.dtype(dtype)} values: {exc}") from None
     if vector and array.ndim != 1:

@@ -6,8 +6,14 @@ calibrated profile below (heavier smoothing plus the larger segmentation
 window exposed as the CAC-window option); the Table-2 defaults remain the
 package defaults and are exercised by the unit suite. Criterion 4's knee
 half is expected to fail: see the decisions ledger for the analysis.
+
+Criteria 3 and 4 score each cell through ``scoring.score_cell``. Two strict
+xfails pin what the ROADMAP's accuracy items should mend: the fleet's gaps
+pinned to the exclusion band, and a baseline that does not follow a shift of
+every cycle number.
 """
 
+import functools
 import os
 import statistics
 import time
@@ -15,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from kneescout.baconwatts import DBWParams, dbw_model, fit_dbw, transition_cycles
+from kneescout.baconwatts import DBWParams, dbw_knee_report, dbw_model, fit_dbw, transition_cycles
 from kneescout import PipelineParams
 from kneescout.earlypredict import (
     evaluate,
@@ -37,6 +43,7 @@ from kneescout.synthgen import (
     simulate_cycle_records,
 )
 
+from scoring import score_cell
 from test_matrixprofile import allpairs_distance_matrix, naive_matrix_profile
 
 # Calibrated identification profile for the sigma = 1e-3 synthetic fleets:
@@ -98,26 +105,37 @@ def test_criterion_2_curvature_correctness():
     assert knee_ok and elbow_ok
 
 
+@functools.cache
+def _fleet_scores():
+    """The curvature method's score on each of criterion 3's 50 fleet curves."""
+    fleet = generate_fleet(50, seed=123, n_cycles=2000)
+    assert all(truth is not None for _, truth in fleet)
+    return tuple(score_cell(identify_knees, series, truth, ACCEPT) for series, truth in fleet)
+
+
 def test_criterion_3_synthetic_identification_accuracy():
     """50 noisy knee curves: both anchors within 5% of n_cycles for >= 45."""
-    fleet = generate_fleet(50, seed=123, n_cycles=2000)
     tol = 0.05 * 2000
-    hits = 0
-    slowest = 0.0
-    for series, truth in fleet:
-        assert truth is not None
-        t0 = time.perf_counter()
-        report = identify_knees(series, ACCEPT)
-        slowest = max(slowest, time.perf_counter() - t0)
-        if (
-            abs(report.onset_cycle - truth.onset_cycle) <= tol
-            and abs(report.knee_cycle - truth.knee_cycle) <= tol
-        ):
-            hits += 1
+    scores = _fleet_scores()
+    hits = sum(s.onset_error <= tol and s.knee_error <= tol for s in scores)
+    slowest = max(s.seconds for s in scores)
     ok = hits >= 45 and slowest < 1.0
     _line(3, ok, f"{hits}/50 within +-{tol:.0f} cycles, slowest curve {slowest:.3f}s")
     assert hits >= 45
     assert slowest < 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "47 of the 50 fleet curves put the knee at the first cycle past the onset's "
+        "exclusion band: one valley split by the band, not two valleys (ROADMAP item 5)"
+    ),
+)
+def test_fleet_gaps_are_not_pinned_to_the_exclusion_band():
+    """At most half of the fleet curves have a gap of exclusion_radius + 1."""
+    pinned = sum(s.gap == ACCEPT.exclusion_radius + 1 for s in _fleet_scores())
+    assert pinned <= 25, f"{pinned}/50 gaps equal exclusion_radius + 1"
 
 
 def _convex_family_errors():
@@ -125,13 +143,12 @@ def _convex_family_errors():
     for i, spec in enumerate(convex_family_specs(20, seed=9)):
         series, truth = generate(spec, cell_id=f"convex-{i:03d}")
         assert truth is not None
-        rep = identify_knees(series, ACCEPT)
-        fit = fit_dbw(series, gamma=ACCEPT.gamma, max_iter=ACCEPT.max_iter)
-        onset, knee = transition_cycles(fit)
-        curv_on.append(abs(rep.onset_cycle - truth.onset_cycle))
-        curv_kn.append(abs(rep.knee_cycle - truth.knee_cycle))
-        bw_on.append(abs(onset - truth.onset_cycle))
-        bw_kn.append(abs(knee - truth.knee_cycle))
+        curvature = score_cell(identify_knees, series, truth, ACCEPT)
+        baseline = score_cell(dbw_knee_report, series, truth, ACCEPT)
+        curv_on.append(curvature.onset_error)
+        curv_kn.append(curvature.knee_error)
+        bw_on.append(baseline.onset_error)
+        bw_kn.append(baseline.knee_error)
     return (
         statistics.median(curv_on),
         statistics.median(curv_kn),
@@ -166,6 +183,29 @@ def test_criterion_4_bacon_watts_failure_knee():
     ok = bw_kn >= 3.0 * curv_kn
     _line(4, ok, f"knee medians: curvature {curv_kn}, baseline {bw_kn} (ratio {ratio:.1f})")
     assert ok
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the Bacon-Watts fit starts from fixed fractions of the cycle range, so on 2 of "
+        "the 20 cells a shift ends it in another local minimum: fleet-5-002's onset "
+        "moves 171 cycles too far and fleet-5-016's 27 (ROADMAP item 3)"
+    ),
+)
+def test_baseline_moves_with_a_shift_of_every_cycle():
+    """Shifting every cycle by 1 moves each baseline onset and knee by 1 +- 1."""
+    off = {}
+    for series, _ in generate_fleet(20, seed=5, n_cycles=1200):
+        base = dbw_knee_report(series, ACCEPT)
+        shifted = CapacityFadeSeries(
+            series.cell_id, series.cycles + 1, series.capacity_ah, series.q_nom_ah)
+        moved = dbw_knee_report(shifted, ACCEPT)
+        worst = max(abs(moved.onset_cycle - base.onset_cycle - 1),
+                    abs(moved.knee_cycle - base.knee_cycle - 1))
+        if worst > 1:
+            off[series.cell_id] = worst
+    assert not off, f"off by more than 1 cycle: {off}"
 
 
 def test_criterion_5_bacon_watts_self_consistency():

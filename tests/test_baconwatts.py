@@ -255,7 +255,7 @@ class TestLmOptimize:
                                                        jacobian=lambda p: J))
 
     @pytest.mark.parametrize("values, message", [
-        (np.array([[1.0 + 0j], [0.0]]), "jacobian: cannot read complex values as float64"),
+        (np.array([[1.0 + 0j], [0.0]]), "jacobian: cannot read as float64 values"),
         (np.array([["a"], ["b"]], dtype=object), "jacobian: cannot read as float64 values"),
     ], ids=["complex", "object-strings"])
     def test_jacobian_that_is_not_real_numbers_is_input_error(self, values, message):

@@ -894,6 +894,14 @@ class TestEvaluate:
         with pytest.raises(NonFiniteInput, match=f"^{name} holds a non-finite value$"):
             evaluate(y, y_hat)
 
+    @pytest.mark.floors
+    def test_an_overflowing_score_is_inf_without_a_warning(self):
+        """Marked floors: ``np.errstate`` as a decorator must hold at the oldest NumPy too."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate([1e200], [-1e200]) == {"rmse": np.inf, "mape": 200.0}
+            assert evaluate([1e-300, 1.0], [1e300, 1.0])["mape"] == np.inf
+
 
 class TestSensitivitySweep:
     def small_fleet(self, n=30, seed=0):

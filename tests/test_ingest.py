@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -312,6 +313,12 @@ class TestFindEol:
         hi = find_eol(series, threshold_hi)
         if lo is not None:
             assert hi is not None and hi <= lo
+
+    def test_any_series_with_cycles_and_values(self):
+        # the values are read by the array rule, as a NormalizedSeries reads them
+        assert find_eol(types.SimpleNamespace(cycles=[1, 2, 3], values=[0.9, 0.8, 0.7])) == 2
+        with pytest.raises(InputError, match="^values: cannot read as float64 values"):
+            find_eol(types.SimpleNamespace(cycles=[1, 2, 3], values=["0.9", "0.8", "0.7"]))
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.2, float("nan")])
     def test_threshold_outside_unit_interval_is_input_error(self, threshold):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -72,6 +74,21 @@ class TestPearson:
         x = rng.normal(0, 1, 25)
         y = rng.normal(0, 1, 25)
         assert pearson(-2.0 * x, y) == pytest.approx(-pearson(x, y), abs=1e-12)
+
+    @pytest.mark.floors
+    @pytest.mark.parametrize("k", [-1000, -700, -600, 600, 700, 1000])
+    def test_power_of_two_scaling_keeps_the_bits(self, k):
+        """Tiny samples are not a constant input and huge ones do not warn,
+        though their sums of squares would underflow or overflow. Marked
+        floors: ``frexp`` and ``ldexp`` must scale exactly at the oldest NumPy too."""
+        rng = np.random.default_rng(7)
+        x = rng.normal(0, 1, 30)
+        y = rng.normal(0, 1, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson(np.ldexp(x, k), y) == pearson(x, y)
+            assert pearson(x, np.ldexp(y, k)) == pearson(x, y)
+            assert pearson(np.ldexp(x, k), np.ldexp(y, -k)) == pearson(x, y)
 
     def test_clipped_to_unit_interval(self):
         # the unclipped quotient is 1 + 2**-52 for this vector
