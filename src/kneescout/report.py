@@ -144,8 +144,9 @@ def batch_report(
 
 
 def improvement_pct(r_new: float, r_old: float) -> float:
-    """Percentage improvement with the benchmark in the denominator."""
-    return (r_new - r_old) / r_old * 100.0
+    """Percentage improvement with the benchmark's magnitude in the denominator,
+    so that a rise from a negative benchmark r reads as a gain."""
+    return (r_new - r_old) / abs(r_old) * 100.0
 
 
 def format_batch_csv(

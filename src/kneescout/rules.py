@@ -97,12 +97,20 @@ def as_array(values, name: str, dtype=np.float64, vector: bool = False) -> np.nd
     naming ``name``; with ``vector``, InputError too if not one-dimensional.
     An array of ``dtype`` comes back as it is. Complex, string, object and
     datetime values are refused, and floats for ``int64``: none is parsed,
-    truncated or read as its real part. A list holding None, a ``Fraction``
-    or an int past uint64 reads as an object array."""
+    truncated or read as its real part. An unsigned array holding a value
+    past the largest ``int64`` is refused too, as the cast would wrap it to a
+    negative number. A list holding None, a ``Fraction`` or an int past
+    uint64 reads as an object array."""
+    given = np.asarray(values)
     try:
-        array = np.asarray(values).astype(dtype, casting="same_kind", copy=False)
+        array = given.astype(dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name}: cannot read as {np.dtype(dtype)} values: {exc}") from None
+    # int() so that the comparison is exact at every NumPy version
+    if given.dtype.kind == "u" and array.dtype.kind == "i" and given.size and (
+            int(given.max()) > np.iinfo(array.dtype).max):
+        raise InputError(f"{name}: cannot read as {array.dtype} values: "
+                         f"{given.max()} is past the largest {array.dtype}")
     if vector and array.ndim != 1:
         raise InputError(f"{name} must be one-dimensional, got shape {array.shape}")
     return array

@@ -863,7 +863,11 @@ class TestFloatParse:
 
 COLD_START = """
 import json, sys
+ours = lambda: sorted(m for m in sys.modules if m.startswith("kneescout."))
 import kneescout
+after_import = ours()
+kneescout.identify_knees
+after_identify = ours()
 from kneescout.ingest import CapacityFadeSeries, resample_even
 from kneescout.synthgen import generate_fleet
 (cell, _), = generate_fleet(1, seed=3, n_cycles=600)
@@ -871,7 +875,8 @@ report = kneescout.identify_knees(cell)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 series = CapacityFadeSeries("cell", [0, 1, 3, 4, 7], [1.0, 2.0, 10.0, 17.0, 20.0], 1.1)
 out = resample_even(series)
-print(json.dumps({"loaded": loaded, "onset": report.onset_cycle,
+print(json.dumps({"after_import": after_import, "after_identify": after_identify,
+                  "loaded": loaded, "onset": report.onset_cycle,
                   "interpolate": "scipy.interpolate" in sys.modules,
                   "cycles": out.cycles.tolist(), "capacity": out.capacity_ah.tolist()}))
 """
@@ -880,7 +885,8 @@ print(json.dumps({"loaded": loaded, "onset": report.onset_cycle,
 @pytest.mark.floors
 class TestColdStart:
     """Marked floors: at the oldest NumPy and SciPy, importing the package and an even-grid
-    ``identify_knees`` must still load no SciPy module.
+    ``identify_knees`` must still load no SciPy module. Importing the package loads none of
+    its modules, and its first name loads only the modules that name needs.
     """
 
     def test_import_and_even_grid_identify_load_no_scipy(self):
@@ -891,6 +897,11 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
+        assert got["after_import"] == []
+        assert got["after_identify"] == [
+            f"kneescout.{m}"
+            for m in ("errors", "ingest", "matrixprofile", "preprocess", "rules", "segmentation")
+        ]
         assert got["loaded"] == []
         assert got["onset"] > 0
         assert got["interpolate"]  # the first uneven grid imports it

@@ -311,6 +311,7 @@ SHORT = np.sin(np.arange(12) / 2.0)  # room for a matrix-profile window of 2 or 
 CAC = np.linspace(1.0, 0.0, 20)
 SMOOTH = NormalizedSeries(np.arange(1, 31), 1.0 - 1e-4 * np.arange(30) ** 2)
 FIVE_CYCLES = CapacityFadeSeries("five", [1, 2, 3, 4, 5], [1.0, 0.99, 0.97, 0.94, 0.9], 1.0)
+PAST_INT64 = [2**63, 2**63 + 1]  # NumPy reads this list as uint64
 
 
 STUMP_MODEL = GBRTModel.from_json(json.dumps(STUMP))
@@ -546,6 +547,16 @@ class TestStageParameters:
         (lambda: dbw_model("1.0", DBWParams(1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 10.0)),
          "x: cannot read as float64 values"),
         (lambda: gbrt_train([["1", "2"]] * 3, [1, 2, 3]), "X: cannot read as float64 values"),
+        # unsigned values past int64 would wrap to negative cycles or indices
+        (lambda: NormalizedSeries(PAST_INT64, [1.0, 0.9]), "cycles: cannot read as int64 values"),
+        (lambda: NormalizedSeries(np.array(PAST_INT64, np.uint64), [1.0, 0.9]),
+         "cycles: cannot read as int64 values"),
+        (lambda: CapacityFadeSeries("a", PAST_INT64, [1.0, 0.9], 1.0),
+         "cycles: cannot read as int64 values"),
+        (lambda: CapacityFadeSeries("a", np.array(PAST_INT64, np.uint64), [1.0, 0.9], 1.0),
+         "cycles: cannot read as int64 values"),
+        (lambda: arc_curve(PAST_INT64), "index: cannot read as int64 values"),
+        (lambda: arc_curve(np.array(PAST_INT64, np.uint64)), "index: cannot read as int64 values"),
     ], ids=["stamp-2d", "stamp-scalar", "stamp-str", "arc-2d", "arc-str", "rea-str", "pearson-str",
             "evaluate-str", "train-str", "predict-str", "record-str", "series-str",
             "normalized-str", "lm-init-2d", "lm-init-str", "lm-residuals-str", "lm-residuals-2d",
@@ -558,12 +569,18 @@ class TestStageParameters:
             "lm-init-int-past-int64", "pearson-fractions", "predict-decimal", "evaluate-none",
             "arc-huge-float", "arc-float", "normalized-float-cycles", "series-float-cycles",
             "series-numeric-strings", "stamp-numeric-strings", "record-numeric-strings",
-            "dbw-model-numeric-string", "train-numeric-strings"])
+            "dbw-model-numeric-string", "train-numeric-strings", "normalized-uint-list",
+            "normalized-uint-array", "series-uint-list", "series-uint-array", "arc-uint-list",
+            "arc-uint-array"])
     def test_each_array_is_read_by_the_array_rule(self, call, message):
         # only the package's prefix: NumPy words the refused cast differently by version
         with pytest.raises(InputError) as info:
             call()
         assert type(info.value) is InputError and str(info.value).startswith(message)
+
+    def test_unsigned_values_within_int64_keep_their_values(self):
+        cycles = NormalizedSeries(np.arange(5, dtype=np.uint64), np.ones(5)).cycles
+        assert cycles.dtype == np.int64 and cycles.tolist() == [0, 1, 2, 3, 4]
 
     def test_rules_is_a_leaf_module(self):
         # the rules sit in a module of their own so that any module can import them

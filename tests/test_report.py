@@ -9,6 +9,7 @@ from kneescout import PipelineParams
 from kneescout.errors import ConstantInput, InputError, LengthMismatch, NonFiniteInput
 from kneescout.report import (
     BATCH_HEADER,
+    CorrelationReport,
     batch_report,
     format_batch_csv,
     format_scatter_csv,
@@ -115,6 +116,14 @@ class TestImprovementPct:
 
     def test_nmc_style_onset_improvement(self):
         assert improvement_pct(0.712, 0.180) == pytest.approx(295.6, abs=0.5)
+
+    def test_negative_benchmark_is_a_gain(self):
+        # a slow-knee baseline r(knee, EoL); dividing by r_old itself gave -614.4
+        assert improvement_pct(0.998, -0.194) == pytest.approx(614.4, abs=0.05)
+        correls = {"curvature_rea": CorrelationReport(0.712, 0.998, 40, 0, 30.0),
+                   "double_bacon_watts": CorrelationReport(0.180, -0.194, 40, 0, 30.0)}
+        footer = format_batch_csv([], correls).splitlines()[-2:]
+        assert footer == ["# improvement_onset_pct=295.6", "# improvement_knee_pct=614.4"]
 
 
 class TestBatchReport:
