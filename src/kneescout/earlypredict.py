@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +85,32 @@ class GBRTHyper:
             raise InvalidHyperparameter("; ".join(problems))
 
 
+def _curve_fault(voltage: np.ndarray, q: np.ndarray, starts) -> Optional[str]:
+    """The first rule that a record breaks, or None if every record keeps them all.
+
+    The records are ``voltage[a:b]``, ``q[a:b]`` for each start ``a`` in
+    ``starts`` and the next start, or the end, as ``b``. The rules, in order:
+    at least 2 samples, finite values, voltage strictly falling, and capacity
+    never falling by more than 1e-12. Both arrays are float64 and equally long.
+    """
+    starts = np.asarray(starts)
+    if starts[-1] > len(voltage) - 2 or (starts[1:] - starts[:-1] < 2).any():
+        return "need >= 2 samples"
+    if not (np.isfinite(voltage).all() and np.isfinite(q).all()):
+        return "voltages and capacities must be finite"
+    joins = starts[1:] - 1  # the steps from one record to the next are not checked
+    rising = voltage[1:] >= voltage[:-1]
+    rising[joins] = False
+    if rising.any():
+        return "voltage must be strictly decreasing"
+    with np.errstate(over="ignore"):  # a step past float64 is +-inf, not a warning
+        falling = q[1:] - q[:-1] < -1e-12
+    falling[joins] = False
+    if falling.any():
+        return "discharge capacity must be nondecreasing"
+    return None
+
+
 @dataclass(frozen=True)
 class CycleRecord:
     """One cycle's discharge curve: finite capacity vs strictly decreasing voltage."""
@@ -102,20 +128,18 @@ class CycleRecord:
             raise LengthMismatch(
                 f"cycle {self.cycle}: {len(v)} voltages vs {len(q)} capacities"
             )
-        if len(v) < 2:
-            raise InvalidDischargeCurve(f"cycle {self.cycle}: need >= 2 samples")
-        if not (np.isfinite(v).all() and np.isfinite(q).all()):
-            raise InvalidDischargeCurve(
-                f"cycle {self.cycle}: voltages and capacities must be finite"
-            )
-        if (v[1:] >= v[:-1]).any():
-            raise InvalidDischargeCurve(
-                f"cycle {self.cycle}: voltage must be strictly decreasing"
-            )
-        if (q[1:] - q[:-1] < -1e-12).any():
-            raise InvalidDischargeCurve(
-                f"cycle {self.cycle}: discharge capacity must be nondecreasing"
-            )
+        fault = _curve_fault(v, q, [0])
+        if fault is not None:
+            raise InvalidDischargeCurve(f"cycle {self.cycle}: {fault}")
+
+    @classmethod
+    def _checked(cls, cycle: int, voltage_v: np.ndarray, q_ah: np.ndarray) -> "CycleRecord":
+        """A record of float64 vectors that ``_curve_fault`` has passed, unchecked."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "cycle", cycle)
+        object.__setattr__(record, "voltage_v", voltage_v)
+        object.__setattr__(record, "q_ah", q_ah)
+        return record
 
     @property
     def total_capacity_ah(self) -> float:
@@ -151,6 +175,9 @@ def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
     """Read a ``cycle,voltage_v,discharge_capacity_ah`` CSV, grouped by cycle.
 
     The rows of one cycle must be contiguous; a file with no rows is an InputError.
+    Every record is checked in one pass over the file. If a record breaks a
+    ``CycleRecord`` rule, the first such cycle raises the error that
+    ``CycleRecord`` gives for it.
     """
     _, values, lines = read_csv(path, CYCLE_DETAIL_HEADER)
     if not len(values):  # else the first feature names a missing cycle
@@ -164,9 +191,11 @@ def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
             f"{path}: line {lines[k]}: rows for cycle {cycles[k]} are not contiguous"
         )
     voltage, q = np.ascontiguousarray(values[:, 1:].T)
+    # a bad file is read record by record, so the first bad cycle raises as it would alone
+    build = CycleRecord._checked if _curve_fault(voltage, q, starts) is None else CycleRecord
     return {
-        int(cycles[a]): CycleRecord(cycle=int(cycles[a]), voltage_v=voltage[a:b], q_ah=q[a:b])
-        for a, b in zip(starts, [*starts[1:], len(cycles)])
+        cycle: build(cycle, voltage[a:b], q[a:b])
+        for cycle, a, b in zip(cycles[starts].tolist(), starts, [*starts[1:], len(cycles)])
     }
 
 

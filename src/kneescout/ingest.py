@@ -153,18 +153,25 @@ _LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def _parse_numbers(text: str, body, width: int):
-    """The body's numbers from one float64 ``np.loadtxt`` parse, or None
-    unless that parse gives one row per line and reads as ``float`` does."""
+    """The body's numbers from a float64 ``np.loadtxt`` parse, or None
+    unless that parse gives one row per line and reads as ``float`` does.
+
+    The parse runs first without ``usecols``, which is faster and reads a
+    body whose rows all hold ``width`` fields; any other body is parsed
+    again with ``usecols``."""
     if not body or "" in body or any(c in text for c in _LOADTXT_SPACE):
         return None  # loadtxt skips empty lines and warns on no data
-    try:
-        values = np.loadtxt(
-            body, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
-            usecols=range(width), ndmin=2,
-        )
-    except ValueError:
-        return None
-    return values if len(values) == len(body) else None  # a quote joins lines
+    for usecols in (None, range(width)):
+        try:
+            values = np.loadtxt(
+                body, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+                usecols=usecols, ndmin=2,
+            )
+        except ValueError:
+            continue
+        if values.shape[1] == width:
+            return values if len(values) == len(body) else None  # a quote joins lines
+    return None
 
 
 def read_csv(path, header, *, ids: bool = False):

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import json
+import math
 import re
 import sys
 import threading
@@ -987,3 +988,104 @@ class TestLoadCycleDetailCsv:
         p.write_text("cycle,voltage_v,discharge_capacity_ah\n" + body)
         with pytest.raises(InputError, match=re.escape(f"{p}: no cycle rows after the header")):
             load_cycle_detail_csv(p)
+
+    def test_huge_capacity_step_is_not_a_warning(self, tmp_path):
+        # q[1:] - q[:-1] overflows; the record is judged as the infinite step it is
+        rec = CycleRecord(1, [3.5, 3.0], [-1.7e308, 1.7e308])
+        assert rec.q_ah.tolist() == [-1.7e308, 1.7e308]
+        with pytest.raises(InvalidDischargeCurve, match="cycle 1: discharge capacity"):
+            CycleRecord(1, [3.5, 3.0], [1.7e308, -1.7e308])
+        # across a join of two good records, the step is not one the rules check
+        p = tmp_path / "huge.cycles.csv"
+        p.write_text("cycle,voltage_v,discharge_capacity_ah\n1,3.5,1.7e308\n1,3.0,1.7e308\n"
+                     "2,3.5,-1.7e308\n2,3.0,-1.7e308\n")
+        assert sorted(load_cycle_detail_csv(p)) == [1, 2]
+
+
+def reference_curve_fault(v, q):
+    """The CycleRecord rules for one record, in Python floats."""
+    if len(v) < 2:
+        return "need >= 2 samples"
+    if not all(math.isfinite(x) for x in [*v, *q]):
+        return "voltages and capacities must be finite"
+    if any(b >= a for a, b in zip(v, v[1:])):
+        return "voltage must be strictly decreasing"
+    if any(b - a < -1e-12 for a, b in zip(q, q[1:])):
+        return "discharge capacity must be nondecreasing"
+    return None
+
+
+@st.composite
+def cycle_detail_files(draw):
+    """Records of 1 to 6 cycles, as (cycle, voltages, capacities), and the file
+    text that holds them. Some records break a rule: one sample only, a NaN or
+    an infinity, a voltage that does not fall, or a capacity that falls by
+    more than 1e-12. Some rows carry a column past the header."""
+    records = []
+    cycle = draw(st.integers(0, 50))
+    # stacked: each record starts below and after the one before, so that no
+    # step across a join breaks a rule; else each starts afresh, as in a real file
+    stacked, top, base = draw(st.booleans()), 4.0, 0.0
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 8))
+        v = top - np.cumsum(draw(st.lists(st.sampled_from([0.01, 0.125, 0.3]), min_size=n, max_size=n)))
+        q = base + np.cumsum(draw(st.lists(st.sampled_from([0.0, 1e-3, 0.05]), min_size=n, max_size=n)))
+        v, q = v.tolist(), q.tolist()
+        if stacked:
+            top, base = v[-1], q[-1]
+        fault = draw(st.sampled_from([None, None, None, "short", "nan", "rise", "fall"]))
+        j = draw(st.integers(1, n - 1))
+        if fault == "short":
+            v, q = v[:1], q[:1]
+        elif fault == "nan":
+            (q if draw(st.booleans()) else v)[j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif fault == "rise":
+            v[j] = v[j - 1] + draw(st.sampled_from([0.0, 0.5]))
+        elif fault == "fall":  # a fall of 1e-13 is within the rule's tolerance
+            q[j] = q[j - 1] - draw(st.sampled_from([1e-13, 1e-11, 0.1]))
+        records.append((cycle, v, q))
+        cycle += draw(st.integers(1, 3))
+    rows = []
+    for cycle, v, q in records:
+        for x, y in zip(v, q):
+            rows.append(f"{cycle},{x!r},{y!r}" + draw(st.sampled_from(["", "", ",7"])))
+    return records, "cycle,voltage_v,discharge_capacity_ah\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.floors
+class TestLoadMatchesRecordByRecord:
+    """One checked pass over a cycle-detail file gives what building every record
+    through ``CycleRecord`` gives: the same records, byte for byte, or the first
+    bad cycle's error class and message.
+
+    Marked floors: the float64 parse, with and without ``usecols``, must hold at
+    the oldest NumPy too.
+    """
+
+    @given(drawn=cycle_detail_files())
+    @settings(max_examples=150, deadline=None)
+    def test_same_records_or_same_error(self, drawn, tmp_path_factory):
+        records, text = drawn
+        path = tmp_path_factory.mktemp("detail") / "cell.cycles.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected = {c: CycleRecord(c, np.array(v), np.array(q)) for c, v, q in records}
+        except InvalidDischargeCurve as exc:
+            expected = exc
+        faults = [(c, reference_curve_fault(v, q)) for c, v, q in records]
+        first = next((f"cycle {c}: {f}" for c, f in faults if f is not None), None)
+        if isinstance(expected, Exception):
+            assert str(expected) == first
+            with pytest.raises(InvalidDischargeCurve) as info:
+                load_cycle_detail_csv(path)
+            assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+            return
+        assert first is None
+        loaded = load_cycle_detail_csv(path)
+        assert list(loaded) == list(expected)
+        for cycle, rec in loaded.items():
+            ref = expected[cycle]
+            assert type(rec) is CycleRecord and type(rec.cycle) is int and rec.cycle == cycle
+            assert vars(rec).keys() == vars(ref).keys()
+            for got, want in ((rec.voltage_v, ref.voltage_v), (rec.q_ah, ref.q_ah)):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

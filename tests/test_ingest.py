@@ -861,6 +861,37 @@ class TestFloatParse:
         assert values.shape == (0, 2) and len(lines) == 0
 
 
+@pytest.mark.floors
+class TestParseWithoutUsecols:
+    """A body whose rows all hold the header's fields is parsed once, without
+    ``usecols``; any other body is parsed again with ``usecols``, as before.
+
+    Marked floors: both parses must hold at the oldest NumPy too.
+    """
+
+    @pytest.mark.parametrize("rows, calls", [
+        (["1,1.0", "2,0.5"], [None]),
+        (["1,1.0,9", "2,0.5,9"], [None, range(2)]),  # wider than the header
+        (["1,1.0,9", "2,0.5"], [None, range(2)]),  # ragged
+        (["1,1.0,", "2,0.5,"], [None, range(2)]),  # an empty field past the header
+    ], ids=["well-formed", "wider", "ragged", "trailing-comma"])
+    def test_usecols_only_when_the_rows_are_not_the_header_width(self, monkeypatch, rows, calls):
+        seen, loadtxt = [], np.loadtxt
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["usecols"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        values = ingest._parse_numbers("\n".join(["cycle,discharge_capacity_ah", *rows]), rows, 2)
+        assert (values.tolist(), seen) == ([[1.0, 1.0], [2.0, 0.5]], calls)
+
+    @pytest.mark.parametrize("rows", [["1", "2"], ["1,1.0", "2"], ["1,x", "2,0.5"]])
+    def test_body_that_neither_parse_reads_takes_the_text_parse(self, rows):
+        text = "\n".join(["cycle,discharge_capacity_ah", *rows])
+        assert ingest._parse_numbers(text, rows, 2) is None
+
+
 COLD_START = """
 import json, sys
 ours = lambda: sorted(m for m in sys.modules if m.startswith("kneescout."))
