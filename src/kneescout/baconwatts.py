@@ -27,7 +27,7 @@ from .ingest import CapacityFadeSeries
 # find_eol, normalize, resample_even, savgol_smooth: unused, kept for perfbench's tracer
 from .ingest import find_eol, normalize, resample_even  # noqa: F401
 from .preprocess import savgol_smooth  # noqa: F401
-from .rules import as_array, check_gamma, check_max_iter, check_number
+from .rules import as_array, check_count, check_number, check_positive
 from .segmentation import DEFAULT_PARAMS, KneeReport, PipelineParams, prepare
 
 # Initial slopes for the transition terms, in Ah/cycle.
@@ -78,7 +78,7 @@ def dbw_model(x, p: DBWParams):
     temporaries are reused in place; a sum or product of two terms rounds
     the same in either order, so the bits are those of the one expression.
     ``p.gamma`` must be positive and finite; ``fit_dbw`` checks it once per
-    fit (``rules.check_gamma``), so this runs no check of its own. ``x`` is
+    fit (``rules.check_positive``), so this runs no check of its own. ``x`` is
     read by ``rules.as_array``, so one it refuses is InputError.
     """
     x = as_array(x, "x")
@@ -129,7 +129,7 @@ def lm_optimize(
     cost is not finite is rejected. The whole fit runs under
     ``np.errstate(all="ignore")``, so neither it nor its callables raise a
     floating-point RuntimeWarning. A ``tol`` that is not a real number >= 0,
-    or a ``max_iter`` that ``rules.check_max_iter`` refuses, is InputError.
+    or a ``max_iter`` that is not an int >= 1 (``rules.check_count``), is InputError.
 
     ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
     ``residuals`` at ``p``; the LM iterates depend on its bits, and one of
@@ -141,7 +141,7 @@ def lm_optimize(
     tol = check_number(tol, "tol")
     if not tol >= 0.0:  # NaN too
         raise InputError(f"tol: must be >= 0, got {tol}")
-    max_iter = check_max_iter(max_iter)
+    max_iter = check_count(max_iter, "max_iter", 1)
     if jacobian is None:
         jacobian = partial(_central_jacobian, residuals)
 
@@ -322,11 +322,12 @@ def fit_dbw(
     reported onset/knee are order-normalized, so swapping the two
     transition initializations changes nothing downstream. The fit runs
     ``lm_optimize`` at its default tolerance and, like it, raises no
-    floating-point RuntimeWarning. ``gamma`` and ``max_iter``
-    follow ``rules.check_gamma`` and ``rules.check_max_iter``.
+    floating-point RuntimeWarning. ``gamma`` must be a finite real > 0
+    (``rules.check_positive``) and ``max_iter`` an int >= 1
+    (``rules.check_count``), else InputError.
     """
-    gamma = check_gamma(gamma)
-    max_iter = check_max_iter(max_iter)
+    gamma = check_positive(gamma, "gamma")
+    max_iter = check_count(max_iter, "max_iter", 1)
     if len(series) < 10:
         raise TooShort(f"double Bacon-Watts fit needs >= 10 points, got {len(series)}")
     x = series.cycles.astype(np.float64)

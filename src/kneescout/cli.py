@@ -29,7 +29,6 @@ from .earlypredict import (
     SENSITIVITY_HEADER,
     GBRTHyper,
     GBRTModel,
-    check_onset,
     check_test_split,
     feature_matrix,
     gbrt_predict,
@@ -52,6 +51,7 @@ from .ingest import (
     write_text,
 )
 from .report import batch_report, check_methods, format_batch_csv, write_report_dir
+from .rules import check_positive
 from .segmentation import KneeReport, PipelineParams, identify_knees
 from .synthgen import generate_convex_family, generate_fleet, simulate_cycle_records
 
@@ -207,6 +207,7 @@ def main(argv=None) -> int:
         if args.config is not None and args.command not in CONFIG_COMMANDS:
             raise UsageError(f"--config applies to {', '.join(CONFIG_COMMANDS)} only,"
                              f" not {args.command}")
+        json_errors = args.json_errors  # an abbreviated --json-errors too
         load, compute, write = COMMANDS[args.command]
         inputs = load(args, _read_config(args.config) if args.config is not None else {})
         code = 2
@@ -333,7 +334,7 @@ def _load_training(args, config: dict):
     for cell_id, onset, line in zip(label_ids, onsets[:, 0].tolist(), lines.tolist()):
         if cell_id in labels:
             raise InputError(f"{args.labels}: cell {cell_id!r} is labelled more than once")
-        labels[cell_id] = check_onset(onset, f"{args.labels}: line {line}")
+        labels[cell_id] = check_positive(onset, f"{args.labels}: line {line}: onset_cycle")
     missing = [i for i in ids if i not in labels]
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")
@@ -396,7 +397,7 @@ def _load_sensitivity(args, config: dict):
                 f"{truth_path}: expected {{\"ground_truth\": {{\"onset_cycle\": number}}}}"
             ) from None
         paths.append(path)
-        labels.append(check_onset(onset, truth_path))
+        labels.append(check_positive(onset, f"{truth_path}: onset_cycle"))
     if not labels:
         raise InputError(f"no labeled cycle data found in {args.dir}")
     check_test_split(labels)  # before any cycle CSV is read

@@ -38,7 +38,7 @@ from .errors import (
     ZeroTrueValue,
 )
 from .ingest import cycle_column, parse_json, read_csv
-from .rules import as_array, as_number, check_count, check_finite, check_number
+from .rules import as_array, as_number, check_count, check_finite, check_number, check_positive
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 LABELS_HEADER = ("cell_id", "onset_cycle")
@@ -68,17 +68,13 @@ class GBRTHyper:
     def __post_init__(self):
         problems = []
         for name, low in (("n_trees", 0), ("max_depth", 0), ("min_leaf", 1),
-                          ("learning_rate", None)):  # None: a real, finite and > 0
+                          ("learning_rate", None)):  # None: a finite real > 0
             value = getattr(self, name)
             try:
-                number = check_number(value, name, integral=low is not None)
+                number = (check_positive(value, name) if low is None
+                          else check_count(value, name, low))
             except InputError as exc:
                 problems.append(str(exc))
-                continue
-            if low is None and not 0 < number < math.inf:
-                problems.append(f"{name} must be finite and > 0, got {value}")
-            elif low is not None and number < low:
-                problems.append(f"{name} must be >= {low}, got {value}")
             else:
                 object.__setattr__(self, name, number)
         if problems:
@@ -295,15 +291,6 @@ def onset_class(label: float) -> int:
     return 2
 
 
-def check_onset(onset, where: str) -> float:
-    """``onset`` as a float if ``rules.as_number`` reads it as one, finite and > 0,
-    else an InputError."""
-    value = as_number(onset)
-    if value is None or not 0 < value < math.inf:
-        raise InputError(f"{where}: onset_cycle {onset!r} is not a finite number > 0")
-    return value
-
-
 def stratified_split(
     onset_labels: Sequence[float], train_frac: float = 0.8, seed: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -311,8 +298,8 @@ def stratified_split(
 
     Classes are the knee-onset grades (< 150, 150-270, > 270 cycles). A
     class with a single member goes to training. ``train_frac`` must be a
-    real number in (0, 1], ``seed`` an int >= 0, and every label pass
-    ``check_onset``, else InputError.
+    real number in (0, 1], ``seed`` an int >= 0, and every label a finite
+    real > 0 (``rules.check_positive``), else InputError.
     """
     frac = as_number(train_frac)
     if frac is None or not 0 < frac <= 1:  # NaN fails both comparisons
@@ -320,8 +307,8 @@ def stratified_split(
     seed = check_count(seed, "seed", 0)
     if isinstance(onset_labels, np.ndarray):
         onset_labels = onset_labels.tolist()  # Python numbers, for the messages
-    labels = np.array([check_onset(v, f"onset label {i}") for i, v in enumerate(onset_labels)],
-                      dtype=np.float64)
+    labels = np.array(
+        [check_positive(v, f"onset label {i}") for i, v in enumerate(onset_labels)], np.float64)
     if len(labels) < 1:
         raise EmptyTrainingSet("no samples to split")
     rng = np.random.default_rng(seed)
@@ -338,7 +325,7 @@ def stratified_split(
 
 def check_test_split(onset_labels: Sequence[float]) -> None:
     """``EmptyTrainingSet`` if ``stratified_split`` keeps no test cell, whatever the
-    seed; its InputError if a label fails ``check_onset``."""
+    seed; ``stratified_split``'s InputError if a label is not a finite real > 0."""
     if len(stratified_split(onset_labels)[1]) == 0:
         sizes = np.bincount([onset_class(v) for v in onset_labels], minlength=len(CLASS_EDGES) + 1)
         raise EmptyTrainingSet(
@@ -732,8 +719,8 @@ def sensitivity_sweep(
     follow the budget. Split r of a budget is ``stratified_split``'s default
     80/20 split with seed ``seed + r``, so the whole table is deterministic.
     ``repeats`` must be an int >= 1 and ``seed`` an int >= 0, and every label
-    must pass ``check_onset`` (through ``check_test_split``), before any
-    feature is computed; else InputError.
+    a finite real > 0 (through ``check_test_split``), before any feature is
+    computed; else InputError.
     """
     if len(cells) != len(labels):
         raise LengthMismatch(f"{len(cells)} cells vs {len(labels)} labels")

@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveNominal,
     TooShort,
 )
-from .rules import as_array, as_number, check_fraction
+from .rules import as_array, as_number, check_fraction, check_positive
 
 CAPACITY_HEADER = ("cycle", "discharge_capacity_ah")
 
@@ -38,7 +38,9 @@ CELL_FILES = {"capacity": ".csv", "meta": ".meta.json", "truth": ".truth.json",
 
 @dataclass(frozen=True)
 class CapacityFadeSeries:
-    """Per-cell discharge capacity (Ah) indexed by cycle number."""
+    """Per-cell discharge capacity (Ah) indexed by cycle number. The nominal
+    capacity ``q_nom_ah`` must be a finite real > 0 (``rules.check_positive``,
+    else NonPositiveNominal) and is stored as a float."""
 
     cell_id: str
     cycles: np.ndarray
@@ -63,14 +65,11 @@ class CapacityFadeSeries:
             raise NonMonotonicCycles("cycle indices must be strictly increasing")
         if not np.all(np.isfinite(capacity)) or np.any(capacity <= 0):
             raise NonPositiveCapacity("capacities must be finite and > 0")
-        q_nom = as_number(self.q_nom_ah)
-        if q_nom is None or not 0 < q_nom < math.inf:
-            raise NonPositiveNominal(f"q_nom_ah={self.q_nom_ah!r}")
+        q_nom = check_positive(self.q_nom_ah, "q_nom_ah", NonPositiveNominal)
         # Python floats: an overflowing quotient is inf, without a warning
         if not math.isfinite(float(capacity.max()) / q_nom):
-            raise InputError(
-                f"q_nom_ah={self.q_nom_ah!r} makes capacity / q_nom_ah overflow"
-            )
+            raise InputError(f"q_nom_ah={self.q_nom_ah!r} makes capacity / q_nom_ah overflow")
+        object.__setattr__(self, "q_nom_ah", q_nom)
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -268,9 +267,12 @@ def load_capacity_csv(
     Metadata comes from an optional sidecar ``<basename>.meta.json`` with
     fields ``cell_id`` and ``q_nom_ah``; explicit arguments override the
     sidecar. A missing nominal capacity is an error because normalization
-    needs the cell's rating, not a value inferred from the data.
+    needs the cell's rating, not a value inferred from the data. The CSV is
+    read first, so a file that cannot be read is "cannot read <path>" with
+    or without ``q_nom_ah``.
     """
     path = Path(path)
+    _, values, lines = read_csv(path, CAPACITY_HEADER)
     name = cell_id_of(path, "capacity")
     sidecar = cell_path(path.parent, name, "meta")
     meta = parse_json(read_text(sidecar), sidecar) if sidecar.exists() else {}
@@ -291,8 +293,6 @@ def load_capacity_csv(
         number = None
     if number is None:
         raise NonPositiveNominal(f"{path.name}: q_nom_ah={q_nom_ah!r} is not a number")
-
-    _, values, lines = read_csv(path, CAPACITY_HEADER)
     return CapacityFadeSeries(
         cell_id=cell_id,
         cycles=cycle_column(path, values[:, 0], lines),

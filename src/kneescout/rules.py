@@ -10,7 +10,7 @@ import numbers
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InputError, NonFiniteInput
+from .errors import InputError, NonFiniteInput
 
 
 def as_number(value, integral: bool = False):
@@ -37,11 +37,22 @@ def as_number(value, integral: bool = False):
 
 def check_count(value, name: str, low: int, error=InputError) -> int:
     """``value`` as an int >= ``low`` if ``as_number`` reads it as an integer,
-    else ``error`` naming ``name``."""
+    else ``error`` naming ``name``: the library's one rule for a count, an
+    iteration cap or a seed."""
     count = as_number(value, integral=True)
     if count is None or count < low:
         raise error(f"{name} must be an int >= {low}, got {value!r}")
     return count
+
+
+def check_positive(value, name: str, error=InputError) -> float:
+    """``value`` as a float if ``as_number`` reads it as a finite real > 0,
+    else ``error`` naming ``name``: the library's one rule for a width, a
+    rate, an onset cycle or a nominal capacity."""
+    number = as_number(value)
+    if number is None or not 0 < number < math.inf:  # NaN fails too
+        raise error(f"{name} must be a finite real number > 0, got {value!r}")
+    return number
 
 
 def check_number(value, name: str, integral: bool = False, error=InputError):
@@ -65,31 +76,6 @@ def check_finite(values: np.ndarray, name: str) -> None:
     """NonFiniteInput naming ``name`` if ``values`` hold NaN or an infinity."""
     if not np.isfinite(values).all():
         raise NonFiniteInput(f"{name} holds a non-finite value")
-
-
-def check_nonnegative(value, name: str) -> int:
-    """``value`` as an int >= 0 (a boundary count or an exclusion radius),
-    else IndexOutOfRange naming ``name``."""
-    number = check_number(value, name, integral=True)
-    if number < 0:
-        raise IndexOutOfRange(f"{name} must be >= 0, got {number}")
-    return number
-
-
-def check_gamma(gamma) -> float:
-    """The Bacon-Watts transition width as a float, positive and finite, else InputError."""
-    number = check_number(gamma, "gamma")
-    if not 0.0 < number < math.inf:
-        raise InputError(f"gamma: must be positive and finite, got {gamma}")
-    return number
-
-
-def check_max_iter(max_iter) -> int:
-    """The Levenberg-Marquardt iteration cap as an int >= 1, else InputError."""
-    number = check_number(max_iter, "max_iter", integral=True)
-    if number < 1:
-        raise InputError(f"max_iter: must be >= 1, got {number}")
-    return number
 
 
 def as_array(values, name: str, dtype=np.float64, vector: bool = False) -> np.ndarray:

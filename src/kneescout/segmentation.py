@@ -19,7 +19,7 @@ from .errors import IndexOutOfRange, InsufficientUnmaskedRegion, TooShort
 from .ingest import CapacityFadeSeries, NormalizedSeries, find_eol, normalize, resample_even
 from .matrixprofile import check_length, stamp
 from .preprocess import approximate_curvature, check_order, check_window, clip_window, savgol_smooth
-from .rules import as_array, check_fraction, check_gamma, check_max_iter, check_nonnegative
+from .rules import as_array, check_count, check_fraction, check_positive
 
 # CAC dynamic range below which the three-state assumption looks violated
 # (an essentially featureless arc curve has no credible boundaries).
@@ -56,10 +56,11 @@ class PipelineParams:
             "sg_order": check_order(self.sg_order, sg_window, "sg_order", "sg_window"),
             "curv_window": check_window(self.curv_window, "curv_window"),
             "cac_window": check_length(self.cac_window, "cac_window", allow_zero=True),
-            "exclusion_radius": check_nonnegative(self.exclusion_radius, "exclusion_radius"),
+            "exclusion_radius": check_count(self.exclusion_radius, "exclusion_radius", 0,
+                                            IndexOutOfRange),
             "eol_threshold": check_fraction(self.eol_threshold, "eol_threshold"),
-            "gamma": check_gamma(self.gamma),
-            "max_iter": check_max_iter(self.max_iter),
+            "gamma": check_positive(self.gamma, "gamma"),
+            "max_iter": check_count(self.max_iter, "max_iter", 1),
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -120,10 +121,10 @@ def rea(cac_values: np.ndarray, n_boundaries: int, exclusion_radius: int) -> Lis
 
     Ties at equal CAC go to the smaller index. Returns the boundaries in
     ascending order, pairwise separated by more than the exclusion radius.
-    Both counts follow ``rules.check_nonnegative``.
+    Both counts must be ints >= 0 (``rules.check_count``), else IndexOutOfRange.
     """
-    n_boundaries = check_nonnegative(n_boundaries, "n_boundaries")
-    exclusion_radius = check_nonnegative(exclusion_radius, "exclusion_radius")
+    n_boundaries = check_count(n_boundaries, "n_boundaries", 0, IndexOutOfRange)
+    exclusion_radius = check_count(exclusion_radius, "exclusion_radius", 0, IndexOutOfRange)
     values = as_array(cac_values, "cac_values").copy()
     n = len(values)
     picked = []

@@ -32,7 +32,7 @@ import numpy as np
 from .earlypredict import CycleRecord
 from .errors import DegenerateSpec
 from .ingest import CapacityFadeSeries
-from .rules import as_number, check_count, check_number
+from .rules import check_count, check_number, check_positive
 
 TRUNCATE_AT = 0.6
 ONSET_FACTOR = 10.0
@@ -52,8 +52,9 @@ MIN_CYCLES = 10
 @dataclass(frozen=True)
 class SyntheticSpec:
     """One curve's parameters. Each field must be a number of its type under
-    ``rules.as_number`` and is stored as that ``int`` or ``float``; ``seed``
-    must be >= 0 and ``noise_sigma`` finite and >= 0. Else DegenerateSpec."""
+    ``rules.as_number`` and is stored as that ``int`` or ``float``;
+    ``n_cycles`` must be >= ``MIN_CYCLES``, ``seed`` >= 0 (``rules.check_count``)
+    and ``noise_sigma`` finite and >= 0. Else DegenerateSpec."""
 
     n_cycles: int
     a: float
@@ -65,11 +66,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        lows = {"n_cycles": MIN_CYCLES, "seed": 0}
         for f in fields(self):
-            number = check_number(getattr(self, f.name), f.name, f.type == "int", DegenerateSpec)
+            value = getattr(self, f.name)
+            number = (check_count(value, f.name, lows[f.name], DegenerateSpec) if f.name in lows
+                      else check_number(value, f.name, f.type == "int", DegenerateSpec))
             object.__setattr__(self, f.name, number)
-        if self.n_cycles < MIN_CYCLES:
-            raise DegenerateSpec(f"n_cycles={self.n_cycles} too small")
         if not (self.a >= 0 and self.b >= 0 and self.c >= 0):  # NaN too
             raise DegenerateSpec("a, b, c must be >= 0")
         if not 0.0 < self.p <= 1.0:
@@ -78,8 +80,6 @@ class SyntheticSpec:
             raise DegenerateSpec(f"n_k={self.n_k} outside [0, n_cycles)")
         if not 0 <= self.noise_sigma < math.inf:
             raise DegenerateSpec(f"noise_sigma={self.noise_sigma} must be finite and >= 0")
-        if self.seed < 0:
-            raise DegenerateSpec(f"seed={self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -219,9 +219,7 @@ def simulate_cycle_records(
     ``onset_cycle`` must be a finite real number > 0, ``n_early_cycles`` an
     int >= 1 and ``seed`` an int >= 0, else DegenerateSpec.
     """
-    onset = as_number(onset_cycle)
-    if onset is None or not 0 < onset < math.inf:
-        raise DegenerateSpec(f"onset_cycle must be a finite number > 0, got {onset_cycle!r}")
+    onset = check_positive(onset_cycle, "onset_cycle", DegenerateSpec)
     n_early_cycles = check_count(n_early_cycles, "n_early_cycles", 1, DegenerateSpec)
     seed = check_count(seed, "seed", 0, DegenerateSpec)
     rng = np.random.default_rng(seed)
@@ -257,9 +255,8 @@ def generate_fleet(
     >= 0, else DegenerateSpec.
     """
     count = check_count(count, "count", 1, DegenerateSpec)
-    n_cycles = check_number(n_cycles, "n_cycles", True, DegenerateSpec)
-    if n_cycles < MIN_CYCLES:  # before the knee draw, whose range it would empty
-        raise DegenerateSpec(f"n_cycles={n_cycles} too small")
+    # before the knee draw, whose range a short curve would empty
+    n_cycles = check_count(n_cycles, "n_cycles", MIN_CYCLES, DegenerateSpec)
     seed = check_count(seed, "seed", 0, DegenerateSpec)
     rng = np.random.default_rng(seed)
     out = []

@@ -6,9 +6,10 @@ A method is ``identify_knees`` or ``dbw_knee_report``: it maps a
 against the generator's ground truth, so every criterion that measures
 accuracy reads its errors from the same place.
 
-Run as a script (``python tests/scoring.py``), it prints one row per family
-and method under the acceptance profile; ``DECISIONS.md`` "One accuracy
-table" keeps the table it printed and what each column means.
+Run as a script (``python tests/scoring.py``), it prints the accuracy
+ledger: one row per family and method under the acceptance profile and
+under the defaults. ``ACCURACY.md`` holds what it printed, and
+``DECISIONS.md`` "One accuracy table" says what each column means.
 """
 
 import statistics
@@ -55,16 +56,17 @@ def families():
     return out
 
 
-def table(params) -> str:
-    """One row per (family, method): medians and means of the onset and knee
-    errors, the hits within +-HIT_CYCLES, the gaps of exclusion_radius + 1 and
-    the reports with a cycle outside the data."""
+def table(params, cells_by_family) -> str:
+    """One row per (family, method) of ``cells_by_family`` (as ``families``
+    returns it): medians and means of the onset and knee errors, the hits
+    within +-HIT_CYCLES, the gaps of exclusion_radius + 1 and the reports with
+    a cycle outside the data."""
     from kneescout import dbw_knee_report, identify_knees
 
     head = ("family", "method", "n", "onset med", "onset mean", "knee med", "knee mean",
             "onset hits", "both hits", "gap = excl+1", "outside")
     rows = []
-    for name, cells in families().items():
+    for name, cells in cells_by_family.items():
         assert all(truth is not None for _, truth in cells)
         for method in (identify_knees, dbw_knee_report):
             scores = [score_cell(method, series, truth, params) for series, truth in cells]
@@ -83,8 +85,26 @@ def table(params) -> str:
     return "\n".join("| " + " | ".join(map(str, line)) + " |" for line in lines)
 
 
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# (heading, the profile's PipelineParams keywords) of each table in the ledger
+PROFILES = (("Acceptance profile", dict(sg_window=81, cac_window=12)), ("Defaults", {}))
+
+
+def ledger() -> str:
+    """The text of ``ACCURACY.md``: the table of each profile in ``PROFILES``."""
     from kneescout import PipelineParams
 
-    print(table(PipelineParams(sg_window=81, cac_window=12)))  # the acceptance profile
+    cells_by_family = families()
+    parts = ["# Accuracy ledger\n\n"
+             "Written by `python tests/scoring.py > ACCURACY.md`; run that command again\n"
+             "after any change that moves a number here. `tests/test_accuracy.py`\n"
+             "rebuilds the tables and fails until this file matches them.\n"]
+    for heading, kwargs in PROFILES:
+        args = ", ".join(f"{k}={v}" for k, v in kwargs.items())
+        parts.append(f"## {heading}: `PipelineParams({args})`\n\n"
+                     f"{table(PipelineParams(**kwargs), cells_by_family)}\n")
+    return "\n".join(parts)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    print(ledger(), end="")

@@ -200,7 +200,7 @@ class TestBaconWatts:
                        "--max-iter", max_iter, "--out", str(out)) == 1
         payload = json.loads(capsys.readouterr().err)
         assert (payload["error"], payload["exit_code"]) == ("InputError", 1)
-        assert payload["message"] == f"max_iter: must be >= 1, got {max_iter}"
+        assert payload["message"] == f"max_iter must be an int >= 1, got {max_iter}"
         assert not out.exists()
 
 
@@ -227,6 +227,32 @@ class TestUsageErrors:
         assert payload["error"] == "TooShort"
         assert payload["exit_code"] == 2
 
+    @pytest.mark.parametrize("flag", ["--json-err", "--j"])
+    def test_abbreviated_json_errors_on_a_load_error(self, tmp_path, capsys, flag):
+        # argparse takes a unique prefix of a long flag
+        assert run_cli(flag, "identify", "--input", str(tmp_path / "absent.csv"),
+                       "--out", str(tmp_path / "r.json")) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["error"], payload["exit_code"]) == ("InputError", 1)
+        assert payload["message"].startswith(f"cannot read {tmp_path / 'absent.csv'}: ")
+
+    def test_abbreviated_json_errors_on_a_compute_error(self, tmp_path, capsys):
+        p = tmp_path / "short.csv"
+        p.write_text("cycle,discharge_capacity_ah\n1,1.0\n2,0.9\n3,0.8\n")
+        assert run_cli("--json-err", "baconwatts", "--input", str(p), "--q-nom", "1.0",
+                       "--out", str(tmp_path / "r.json")) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["error"], payload["exit_code"]) == ("TooShort", 2)
+
+    @pytest.mark.parametrize("q_nom", [[], ["--q-nom", "1.1"]], ids=["sidecar", "q-nom"])
+    def test_a_missing_input_cannot_be_read(self, tmp_path, capsys, q_nom):
+        # with or without --q-nom: not "no q_nom_ah for absent.csv"
+        absent = tmp_path / "absent.csv"
+        payload = json_error(capsys, 1, "identify", "--input", str(absent), *q_nom,
+                             "--out", str(tmp_path / "r.json"))
+        assert payload["error"] == "InputError"
+        assert payload["message"].startswith(f"cannot read {absent}: ")
+
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
@@ -250,7 +276,7 @@ class TestUsageErrors:
         cfg.write_text("max_iter = 0\n")
         payload = json_error(capsys, 1, "--config", str(cfg), "batch", "--dir",
                              str(synth_dir), "--out", str(tmp_path / "t.csv"))
-        assert "max_iter: must be >= 1" in payload["message"]
+        assert "max_iter must be an int >= 1" in payload["message"]
 
     @pytest.mark.parametrize("command", [
         ("synth", "--count", "1", "--out-dir", "d"),
@@ -364,7 +390,7 @@ class TestBatch:
         out = tmp_path / "table.csv"
         assert run_cli("--config", str(cfg), "batch", "--dir", str(synth_dir),
                        "--methods", "baconwatts", "--out", str(out)) == 1
-        assert "max_iter: must be >= 1" in capsys.readouterr().err
+        assert "max_iter must be an int >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_jobs_start_no_more_workers_than_tasks(self, synth_dir, tmp_path, monkeypatch):
@@ -552,7 +578,7 @@ class TestPredictionInputErrors:
         payload = self.train(capsys, tmp_path, labels)
         assert payload["error"] == "InputError"
         assert payload["message"] == (f"{tmp_path / 'labels.csv'}: line 3: onset_cycle"
-                                      f" {float(value)} is not a finite number > 0")
+                                      f" must be a finite real number > 0, got {float(value)}")
 
     def test_train_labels_lack_a_cell(self, tmp_path, capsys):
         payload = self.train(capsys, tmp_path, "cell_id,onset_cycle\na,100\nb,200\n")
@@ -603,7 +629,7 @@ class TestPredictionInputErrors:
                              "--repeats", "1", "--out", str(out))
         assert payload["error"] == "InputError"
         assert payload["message"] == (
-            f"{truth}: onset_cycle {json.loads(value)!r} is not a finite number > 0")
+            f"{truth}: onset_cycle must be a finite real number > 0, got {json.loads(value)!r}")
         assert not out.exists()
 
     def test_sensitivity_names_the_failing_cell(self, synth_dir, tmp_path, capsys):
@@ -857,7 +883,7 @@ class TestPhaseExitCodes:
         payload = json_error(capsys, 1, "baconwatts", "--input", str(src),
                              "--gamma", value, "--out", str(out))
         assert payload["error"] == "InputError"
-        assert payload["message"] == f"gamma: must be positive and finite, got {float(value)}"
+        assert payload["message"] == f"gamma must be a finite real number > 0, got {float(value)}"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
@@ -870,7 +896,7 @@ class TestPhaseExitCodes:
         payload = json_error(capsys, 1, "--config", str(cfg), "baconwatts", "--input",
                              str(src), "--out", str(out))
         assert payload["error"] == "InputError"
-        assert payload["message"] == f"gamma: must be positive and finite, got {float(value)}"
+        assert payload["message"] == f"gamma must be a finite real number > 0, got {float(value)}"
         assert not out.exists()
 
     def test_batch_with_a_non_string_sidecar_cell_id(self, tmp_path, capsys):
@@ -1038,7 +1064,7 @@ class TestRejectedValues:
                              str(synth_dir / "fleet-5-000.csv"),
                              "--exclusion", "-1", "--out", str(out))
         assert payload["error"] == "IndexOutOfRange"
-        assert "exclusion_radius must be >= 0" in payload["message"]
+        assert "exclusion_radius must be an int >= 0" in payload["message"]
         assert not out.exists()
 
     def test_mp_window_flag_is_gone(self, synth_dir, tmp_path, capsys):
@@ -1147,7 +1173,7 @@ class TestRejectedValues:
         payload = json_error(capsys, 1, "synth", "--count", "2", "--n-cycles", n_cycles,
                              "--out-dir", str(out_dir))
         assert payload["error"] == "DegenerateSpec"
-        assert f"n_cycles={n_cycles} too small" in payload["message"]
+        assert f"n_cycles must be an int >= 10, got {n_cycles}" in payload["message"]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

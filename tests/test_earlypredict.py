@@ -319,7 +319,8 @@ class TestStratifiedSplit:
                              ids=["negative", "inf", "bool", "str", "10**400", "float32-inf"])
     def test_bad_label_is_input_error(self, split, bad):
         labels = [100.0] * 5 + [bad] + [200.0] * 5
-        with pytest.raises(InputError, match=re.escape(f"onset label 5: onset_cycle {bad!r}")):
+        message = f"onset label 5 must be a finite real number > 0, got {bad!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
             split(labels)
 
     def test_numpy_and_fraction_labels_are_numbers(self):
@@ -368,7 +369,8 @@ class TestGbrt:
 
     def test_every_bad_hyperparameter_in_one_message(self):
         with pytest.raises(InvalidHyperparameter, match=re.escape(
-                "n_trees must be >= 0, got -1; learning_rate must be a real number, got '0.1'")):
+                "n_trees must be an int >= 0, got -1;"
+                " learning_rate must be a finite real number > 0, got '0.1'")):
             GBRTHyper(n_trees=-1, learning_rate="0.1")
 
     @pytest.mark.parametrize("rate, written", [
@@ -389,7 +391,9 @@ class TestGbrt:
     ])
     def test_non_integer_counts_rejected(self, bad):
         (name, value), = bad.items()
-        with pytest.raises(InvalidHyperparameter, match=re.escape(f"{name} must be an int, got {value!r}")):
+        low = 1 if name == "min_leaf" else 0
+        message = f"{name} must be an int >= {low}, got {value!r}"
+        with pytest.raises(InvalidHyperparameter, match=re.escape(message)):
             GBRTHyper(**bad)
 
     def test_numpy_integer_counts_become_ints(self):
@@ -946,7 +950,7 @@ class TestSensitivitySweep:
     def test_bad_label_is_input_error_before_any_fit(self, bad):
         cells, onsets = self.small_fleet(n=10, seed=1)
         labels = [*onsets[:-1].tolist(), bad]
-        message = f"onset label 9: onset_cycle {bad!r} is not a finite number > 0"
+        message = f"onset label 9 must be a finite real number > 0, got {bad!r}"
         with pytest.raises(InputError, match=re.escape(message)):
             sensitivity_sweep(cells, labels, budgets=(15,), repeats=1)
 

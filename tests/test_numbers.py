@@ -7,7 +7,9 @@ library is given is read through ``rules.as_number``, every array through
 """
 
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -19,13 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneescout import rules
+from kneescout import cli, errors, rules
 from kneescout.baconwatts import DBWParams, dbw_knee_report, dbw_model, fit_dbw, lm_optimize
 from kneescout import GBRTHyper, PipelineParams
 from kneescout.earlypredict import (
     CycleRecord,
     GBRTModel,
-    check_onset,
+    check_test_split,
     evaluate,
     extract_features,
     gbrt_predict,
@@ -122,7 +124,7 @@ class TestDefectsAtTheBoundary:
     """Inputs that, before the one rule, raised a raw error or were misread."""
 
     def test_gamma_past_float64(self):
-        with pytest.raises(InputError, match="gamma: must be positive and finite"):
+        with pytest.raises(InputError, match="gamma must be a finite real number > 0"):
             PipelineParams(gamma=HUGE)
 
     @pytest.mark.parametrize("threshold", ["0.5", None])
@@ -132,18 +134,29 @@ class TestDefectsAtTheBoundary:
             find_eol(NormalizedSeries([1, 2, 3], [1.0, 0.9, 0.7]), threshold)
 
     def test_learning_rate_past_float64(self):
-        with pytest.raises(InvalidHyperparameter, match="learning_rate must be finite and > 0"):
+        with pytest.raises(InvalidHyperparameter,
+                           match="learning_rate must be a finite real number > 0"):
             GBRTHyper(learning_rate=HUGE)
 
     @pytest.mark.parametrize("q_nom", [None, "1.1", HUGE, -HUGE, True, np.True_],
                              ids=["None", "str", "10**400", "-10**400", "True", "np.True_"])
     def test_nominal_capacity(self, q_nom):
-        with pytest.raises(NonPositiveNominal, match=f"q_nom_ah={q_nom!r}"):
+        message = f"q_nom_ah must be a finite real number > 0, got {q_nom!r}"
+        with pytest.raises(NonPositiveNominal, match=re.escape(message)):
             CapacityFadeSeries("a", [1, 2, 3], [1.0, 0.9, 0.8], q_nom)
 
-    def test_nominal_capacity_is_stored_as_given(self):
-        series = CapacityFadeSeries("a", [1, 2, 3], [1.0, 0.9, 0.8], np.float32(1.5))
-        assert type(series.q_nom_ah) is np.float32
+    def test_nominal_capacity_is_stored_as_a_float(self):
+        # a float, an int or a NumPy float keeps its bits
+        for q_nom in (1.1, 3, np.float32(0.1), np.float64(1.5), np.int64(2), Fraction(11, 10)):
+            stored = CapacityFadeSeries("a", [1, 2, 3], [1.0, 0.9, 0.8], q_nom).q_nom_ah
+            assert type(stored) is float and stored == float(q_nom)
+            assert np.float64(stored).tobytes() == np.float64(q_nom).tobytes()
+
+    def test_a_fraction_nominal_capacity_identifies_as_its_float(self):
+        series = generate_fleet(1, seed=3, n_cycles=300)[0][0]
+        as_fraction = CapacityFadeSeries(series.cell_id, series.cycles, series.capacity_ah,
+                                         Fraction(11, 10))
+        assert identify_knees(as_fraction) == identify_knees(series)
 
     @pytest.mark.parametrize("key, node, value", [
         ("feature", 0, 1.7), ("feature", 0, True), ("left", 0, 1.9), ("right", 0, 2.0),
@@ -195,8 +208,8 @@ class TestDefectsAtTheBoundary:
     @pytest.mark.parametrize("field, value, message", [
         ("noise_sigma", "x", "noise_sigma must be a real number, got 'x'"),
         ("noise_sigma", math.inf, "noise_sigma=inf must be finite and >= 0"),
-        ("seed", 1.5, "seed must be an int, got 1.5"),
-        ("seed", -1, "seed=-1 must be >= 0"),
+        ("seed", 1.5, "seed must be an int >= 0, got 1.5"),
+        ("seed", -1, "seed must be an int >= 0, got -1"),
         ("a", math.nan, "a, b, c must be >= 0"),
         ("n_k", True, "n_k must be an int, got True"),
     ])
@@ -215,11 +228,14 @@ class TestDefectsAtTheBoundary:
         (generate_fleet, (1,), dict(seed="a"), "seed must be an int >= 0, got 'a'"),
         (generate_fleet, (1.5,), dict(seed=1), "count must be an int >= 1, got 1.5"),
         (generate_fleet, (True,), dict(seed=1), "count must be an int >= 1, got True"),
-        (generate_fleet, (1,), dict(seed=1, n_cycles=600.0), "n_cycles must be an int, got 600.0"),
+        (generate_fleet, (1,), dict(seed=1, n_cycles=600.0),
+         "n_cycles must be an int >= 10, got 600.0"),
         (convex_family_specs, (True, 1), {}, "count must be an int >= 1, got True"),
         (simulate_cycle_records, (100,), dict(seed=-1), "seed must be an int >= 0, got -1"),
-        (simulate_cycle_records, ("5",), {}, "onset_cycle must be a finite number > 0, got '5'"),
-        (simulate_cycle_records, (True,), {}, "onset_cycle must be a finite number > 0, got True"),
+        (simulate_cycle_records, ("5",), {},
+         "onset_cycle must be a finite real number > 0, got '5'"),
+        (simulate_cycle_records, (True,), {},
+         "onset_cycle must be a finite real number > 0, got True"),
         (simulate_cycle_records, (100,), dict(n_early_cycles=2.5),
          "n_early_cycles must be an int >= 1, got 2.5"),
     ], ids=["fleet-seed-str", "fleet-count-float", "fleet-count-bool", "fleet-n_cycles-float",
@@ -332,7 +348,7 @@ def entry_points(directory):
           for f in PIPELINE_FIELDS),
         *((f"GBRTHyper.{f}", lambda v, f=f: GBRTHyper(**{f: v}), InvalidHyperparameter)
           for f in HYPER_FIELDS),
-        ("check_onset", lambda v: check_onset(v, "label"), InputError),
+        ("stratified_split label", lambda v: stratified_split([*LABELS, v]), InputError),
         ("find_eol", lambda v: find_eol(NormalizedSeries([1, 2, 3], [1.0, 0.9, 0.7]), v),
          InputError),
         ("CapacityFadeSeries.q_nom_ah",
@@ -431,10 +447,12 @@ class TestStageParameters:
         (lambda: stamp(SHORT, 12.0), InputError, "L must be an int, got 12.0"),
         (lambda: stamp(SHORT, Fraction(12)), InputError, "L must be an int, got Fraction(12, 1)"),
         (lambda: stamp(SHORT, 1), DegenerateWindow, "L must be >= 2, got 1"),
-        (lambda: rea(CAC, 2.0, 15), InputError, "n_boundaries must be an int, got 2.0"),
-        (lambda: rea(CAC, 2, 15.5), InputError, "exclusion_radius must be an int, got 15.5"),
-        (lambda: rea(CAC, True, 15), InputError, "n_boundaries must be an int, got True"),
-        (lambda: rea(CAC, -1, 15), IndexOutOfRange, "n_boundaries must be >= 0, got -1"),
+        (lambda: rea(CAC, 2.0, 15), IndexOutOfRange, "n_boundaries must be an int >= 0, got 2.0"),
+        (lambda: rea(CAC, 2, 15.5), IndexOutOfRange,
+         "exclusion_radius must be an int >= 0, got 15.5"),
+        (lambda: rea(CAC, True, 15), IndexOutOfRange,
+         "n_boundaries must be an int >= 0, got True"),
+        (lambda: rea(CAC, -1, 15), IndexOutOfRange, "n_boundaries must be an int >= 0, got -1"),
         (lambda: approximate_curvature(SMOOTH, ws=3.0), InputError, "ws must be an int, got 3.0"),
         (lambda: savgol_smooth(SMOOTH, window=21.0), InputError,
          "window must be an int, got 21.0"),
@@ -445,18 +463,18 @@ class TestStageParameters:
          "window 31 exceeds the series length 30"),
         (lambda: savgol_smooth(SMOOTH, 21, 2.5), InputError, "order must be an int, got 2.5"),
         (lambda: fit_dbw(FIT_CELL, max_iter=10.5), InputError,
-         "max_iter must be an int, got 10.5"),
-        (lambda: fit_dbw(FIT_CELL, max_iter=0), InputError, "max_iter: must be >= 1, got 0"),
+         "max_iter must be an int >= 1, got 10.5"),
+        (lambda: fit_dbw(FIT_CELL, max_iter=0), InputError, "max_iter must be an int >= 1, got 0"),
         (lambda: fit_dbw(FIT_CELL, gamma="10"), InputError,
-         "gamma must be a real number, got '10'"),
+         "gamma must be a finite real number > 0, got '10'"),
         (lambda: fit_dbw(FIT_CELL, gamma=0), InputError,
-         "gamma: must be positive and finite, got 0"),
+         "gamma must be a finite real number > 0, got 0"),
         (lambda: lm_optimize(infinite_residuals, np.zeros(1), tol="x"), InputError,
          "tol must be a real number, got 'x'"),
         (lambda: lm_optimize(infinite_residuals, np.zeros(1), tol=math.nan), InputError,
          "tol: must be >= 0, got nan"),
         (lambda: lm_optimize(infinite_residuals, np.zeros(1), max_iter=0), InputError,
-         "max_iter: must be >= 1, got 0"),
+         "max_iter must be an int >= 1, got 0"),
     ], ids=["stamp-float", "stamp-fraction", "stamp-1", "rea-n-float", "rea-radius-float",
             "rea-n-bool", "rea-n-negative", "curvature-float", "smooth-float", "smooth-none",
             "smooth-1", "smooth-long", "smooth-order-float", "dbw-max_iter-float", "dbw-max_iter-0", "dbw-gamma-str",
@@ -632,3 +650,112 @@ class TestStageParameters:
                 pipeline(FIT_CELL, params)
             except KneeScoutError:
                 pass
+
+
+def sensitivity_label(v, directory):
+    """``knee-scout --json-errors sensitivity`` on one cell whose truth file
+    holds onset ``v``; the error that it reports, raised as its class."""
+    (directory / "c.cycles.csv").write_text("")  # labels are read before any cycle file
+    (directory / "c.truth.json").write_text(json.dumps({"ground_truth": {"onset_cycle": v}}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["--json-errors", "sensitivity", "--dir", str(directory),
+                         "--out", str(directory / "s.csv")])
+    payload = json.loads(err.getvalue())
+    assert code == payload["exit_code"] == 1
+    raise getattr(errors, payload["error"])(payload["message"])
+
+
+# (caller, the name that its message gives the value, call of one value, error)
+POSITIVE_CALLERS = [
+    ("PipelineParams.gamma", "gamma", lambda v, d: PipelineParams(gamma=v), InputError),
+    ("fit_dbw gamma", "gamma", lambda v, d: fit_dbw(FIT_CELL, gamma=v), InputError),
+    ("GBRTHyper.learning_rate", "learning_rate", lambda v, d: GBRTHyper(learning_rate=v),
+     InvalidHyperparameter),
+    ("stratified_split label", "onset label 10", lambda v, d: stratified_split([*LABELS, v]),
+     InputError),
+    ("check_test_split label", "onset label 10", lambda v, d: check_test_split([*LABELS, v]),
+     InputError),
+    ("sensitivity_sweep label", "onset label 9",
+     lambda v, d: sensitivity_sweep(EMPTY_CELLS, [*LABELS[1:], v], budgets=[15]), InputError),
+    ("simulate_cycle_records onset_cycle", "onset_cycle",
+     lambda v, d: simulate_cycle_records(v), DegenerateSpec),
+    ("CapacityFadeSeries.q_nom_ah", "q_nom_ah",
+     lambda v, d: CapacityFadeSeries("a", [1, 2, 3], [1.0, 0.9, 0.8], v), NonPositiveNominal),
+    ("knee-scout sensitivity", "{directory}/c.truth.json: onset_cycle", sensitivity_label,
+     InputError),
+]
+POSITIVE_BAD = [True, 0, -1, math.nan, math.inf, HUGE, "1", None]
+
+# (caller, the name that its message gives the value, the least count, call, error);
+# a call meets a bad value before any other
+COUNT_CALLERS = [
+    ("PipelineParams.max_iter", "max_iter", 1, lambda v: PipelineParams(max_iter=v), InputError),
+    ("PipelineParams.exclusion_radius", "exclusion_radius", 0,
+     lambda v: PipelineParams(exclusion_radius=v), IndexOutOfRange),
+    ("fit_dbw max_iter", "max_iter", 1, lambda v: fit_dbw(FIT_CELL, max_iter=v), InputError),
+    ("lm_optimize max_iter", "max_iter", 1,
+     lambda v: lm_optimize(infinite_residuals, np.zeros(1), max_iter=v), InputError),
+    ("rea n_boundaries", "n_boundaries", 0, lambda v: rea(CAC, v, 5), IndexOutOfRange),
+    ("rea exclusion_radius", "exclusion_radius", 0, lambda v: rea(CAC, 2, v), IndexOutOfRange),
+    *((f"GBRTHyper.{f}", f, low, lambda v, f=f: GBRTHyper(**{f: v}), InvalidHyperparameter)
+      for f, low in (("n_trees", 0), ("max_depth", 0), ("min_leaf", 1))),
+    *((f"SyntheticSpec.{f}", f, low, lambda v, f=f: SyntheticSpec(**{**SPEC, f: v}),
+       DegenerateSpec) for f, low in (("n_cycles", MIN_CYCLES), ("seed", 0))),
+    ("generate_fleet count", "count", 1, lambda v: generate_fleet(v, seed=0), DegenerateSpec),
+    ("generate_fleet n_cycles", "n_cycles", MIN_CYCLES,
+     lambda v: generate_fleet(1, seed=0, n_cycles=v), DegenerateSpec),
+    ("generate_fleet seed", "seed", 0, lambda v: generate_fleet(1, seed=v), DegenerateSpec),
+    ("convex_family_specs count", "count", 1, lambda v: convex_family_specs(v, 0),
+     DegenerateSpec),
+    ("convex_family_specs seed", "seed", 0, lambda v: convex_family_specs(1, v), DegenerateSpec),
+    ("simulate_cycle_records n_early_cycles", "n_early_cycles", 1,
+     lambda v: simulate_cycle_records(100, n_early_cycles=v), DegenerateSpec),
+    ("simulate_cycle_records seed", "seed", 0, lambda v: simulate_cycle_records(100, seed=v),
+     DegenerateSpec),
+    ("stratified_split seed", "seed", 0, lambda v: stratified_split(LABELS, seed=v), InputError),
+    *((f"sensitivity_sweep {k}", k, low,
+       lambda v, k=k: sensitivity_sweep(EMPTY_CELLS, LABELS, budgets=[15], **{k: v}), InputError)
+      for k, low in (("repeats", 1), ("seed", 0))),
+]
+# an int past float64 is a count, so its negative stands in for it
+COUNT_BAD = [True, 0, -1, math.nan, math.inf, -HUGE, "1", None, 1.5]
+
+
+def value_id(value):
+    return "10**400" if value == HUGE else "-10**400" if value == -HUGE else repr(value)
+
+
+class TestOneRulePerKind:
+    """Every caller of a rule refuses the same bad values with the rule's one
+    message, named as the caller names the value, and with its own class.
+
+    The ``train`` command reads its labels from a CSV, which holds only
+    numbers; ``TestPredictionInputErrors`` in ``test_cli.py`` covers it."""
+
+    @pytest.mark.parametrize("caller, name, call, error", POSITIVE_CALLERS,
+                             ids=[c[0] for c in POSITIVE_CALLERS])
+    @pytest.mark.parametrize("value", POSITIVE_BAD, ids=value_id)
+    def test_the_positive_rule(self, caller, name, call, error, value, tmp_path):
+        with pytest.raises(KneeScoutError) as info:
+            call(value, tmp_path)
+        name = name.format(directory=tmp_path)
+        message = f"{name} must be a finite real number > 0, got {value!r}"
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize("caller, name, low, call, error, value", [
+        pytest.param(*caller, value, id=f"{caller[0]}-{value_id(value)}")
+        for caller in COUNT_CALLERS for value in COUNT_BAD
+        if not (value == 0 and caller[2] == 0)  # 0 is a count where the least count is 0
+    ])
+    def test_the_count_rule(self, caller, name, low, call, error, value):
+        with pytest.raises(KneeScoutError) as info:
+            call(value)
+        message = f"{name} must be an int >= {low}, got {value!r}"
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_the_rules_accept_their_bounds(self):
+        assert rules.check_count(0, "n", 0) == 0 and rules.check_count(np.int64(1), "n", 1) == 1
+        assert rules.check_count(HUGE, "n", 0) == HUGE
+        assert rules.check_positive(5e-324, "x") == 5e-324
+        assert type(rules.check_positive(np.float32(2), "x")) is float

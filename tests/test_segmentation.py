@@ -346,13 +346,14 @@ class TestPipelineParams:
          "sg_order 5 must satisfy 0 <= sg_order < sg_window 5"),
         (dict(cac_window=-5), DegenerateWindow, "cac_window must be 0 or >= 2, got -5"),
         (dict(cac_window=1), DegenerateWindow, "cac_window must be 0 or >= 2, got 1"),
-        (dict(exclusion_radius=-1), IndexOutOfRange, "exclusion_radius must be >= 0, got -1"),
+        (dict(exclusion_radius=-1), IndexOutOfRange,
+         "exclusion_radius must be an int >= 0, got -1"),
         (dict(eol_threshold=1.0), InputError, "eol_threshold: must be in (0, 1), got 1.0"),
         (dict(eol_threshold=float("nan")), InputError,
          "eol_threshold: must be in (0, 1), got nan"),
-        (dict(gamma=0.0), InputError, "gamma: must be positive and finite, got 0.0"),
-        (dict(gamma=float("inf")), InputError, "gamma: must be positive and finite, got inf"),
-        (dict(max_iter=0), InputError, "max_iter: must be >= 1, got 0"),
+        (dict(gamma=0.0), InputError, "gamma must be a finite real number > 0, got 0.0"),
+        (dict(gamma=float("inf")), InputError, "gamma must be a finite real number > 0, got inf"),
+        (dict(max_iter=0), InputError, "max_iter must be an int >= 1, got 0"),
         (dict(sg_window=163, sg_order=162), OrderTooHigh,
          "order 162 at window 163: the Savitzky-Golay design matrix overflows float64"
          " (81**162)"),
@@ -360,11 +361,12 @@ class TestPipelineParams:
         (dict(sg_order=3.0), InputError, "sg_order must be an int, got 3.0"),
         (dict(curv_window=True), InputError, "curv_window must be an int, got True"),
         (dict(cac_window=12.0), InputError, "cac_window must be an int, got 12.0"),
-        (dict(exclusion_radius=15.5), InputError, "exclusion_radius must be an int, got 15.5"),
-        (dict(max_iter=10.5), InputError, "max_iter must be an int, got 10.5"),
+        (dict(exclusion_radius=15.5), IndexOutOfRange,
+         "exclusion_radius must be an int >= 0, got 15.5"),
+        (dict(max_iter=10.5), InputError, "max_iter must be an int >= 1, got 10.5"),
         (dict(eol_threshold=None), InputError, "eol_threshold must be a real number, got None"),
-        (dict(gamma="10"), InputError, "gamma must be a real number, got '10'"),
-        (dict(gamma=False), InputError, "gamma must be a real number, got False"),
+        (dict(gamma="10"), InputError, "gamma must be a finite real number > 0, got '10'"),
+        (dict(gamma=False), InputError, "gamma must be a finite real number > 0, got False"),
     ])
     def test_each_invalid_field_raises_its_class(self, bad, error, message):
         with pytest.raises(InputError) as info:

@@ -39,7 +39,8 @@ class TestSpecValidation:
     def test_too_few_cycles(self):
         with pytest.raises(DegenerateSpec) as info:
             spec_with(n_cycles=9)
-        assert (type(info.value), str(info.value)) == (DegenerateSpec, "n_cycles=9 too small")
+        assert (type(info.value), str(info.value)) == (
+            DegenerateSpec, "n_cycles must be an int >= 10, got 9")
 
     def test_negative_noise(self):
         with pytest.raises(DegenerateSpec):
@@ -145,7 +146,7 @@ class TestFleet:
     @pytest.mark.parametrize("n_cycles", [-5, -1, 0, 9])
     def test_too_few_cycles_rejected_before_drawing(self, n_cycles):
         # a negative length empties the knee-cycle draw's range
-        with pytest.raises(DegenerateSpec, match=f"n_cycles={n_cycles} too small"):
+        with pytest.raises(DegenerateSpec, match=f"n_cycles must be an int >= 10, got {n_cycles}"):
             generate_fleet(2, seed=1, n_cycles=n_cycles)
 
 
