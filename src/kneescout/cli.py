@@ -13,29 +13,13 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
+from importlib import import_module
 from pathlib import Path
-from typing import get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .baconwatts import dbw_knee_report
-from .earlypredict import (
-    CYCLE_DETAIL_HEADER,
-    FEATURES_HEADER,
-    LABELS_HEADER,
-    MIN_BUDGET,
-    PREDICTIONS_HEADER,
-    SENSITIVITY_HEADER,
-    GBRTHyper,
-    GBRTModel,
-    check_test_split,
-    feature_matrix,
-    gbrt_predict,
-    gbrt_train,
-    load_cycle_detail_csv,
-    sensitivity_sweep,
-)
 from .errors import InputError, KneeScoutError
 from .ingest import (
     CAPACITY_HEADER,
@@ -50,10 +34,11 @@ from .ingest import (
     read_text,
     write_text,
 )
-from .report import batch_report, check_methods, format_batch_csv, write_report_dir
 from .rules import check_positive
-from .segmentation import KneeReport, PipelineParams, identify_knees
-from .synthgen import generate_convex_family, generate_fleet, simulate_cycle_records
+
+if TYPE_CHECKING:
+    from .earlypredict import GBRTModel
+    from .segmentation import KneeReport, PipelineParams
 
 # short names for --methods; the canonical names are report.METHODS
 METHOD_ALIASES = {"curvature": "curvature_rea", "baconwatts": "double_bacon_watts"}
@@ -70,14 +55,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _int_at_least(low: int):
+def _int_at_least(low):
+    """argparse type: an int >= ``low``, or >= ``low()`` read when a value is parsed."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        bound = low() if callable(low) else low
+        if value < bound:
+            raise argparse.ArgumentTypeError(f"must be >= {bound}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _min_budget() -> int:
+    from .earlypredict import MIN_BUDGET
+
+    return MIN_BUDGET
 
 
 def _read_config(path) -> dict:
@@ -93,16 +86,15 @@ def _read_config(path) -> dict:
     return values
 
 
-# every PipelineParams field is a config key, read as its type: int or float
-_CONFIG_CASTS = get_type_hints(PipelineParams)
-
-
 def _resolve_params(args, config: dict) -> PipelineParams:
-    unknown = set(config) - set(_CONFIG_CASTS)
+    from .segmentation import PipelineParams
+
+    casts = get_type_hints(PipelineParams)  # every field is a config key, read as its type
+    unknown = set(config) - set(casts)
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {}
-    for key, cast in _CONFIG_CASTS.items():
+    for key, cast in casts.items():
         flag = getattr(args, key, None)
         if flag is not None:
             kwargs[key] = flag
@@ -167,7 +159,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("features", help="extract early-prediction features")
     p.add_argument("--cycles", required=True, help="cycle-detail CSV or directory")
-    p.add_argument("--budget", type=_int_at_least(MIN_BUDGET), default=30)
+    p.add_argument("--budget", type=_int_at_least(_min_budget), default=30)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the knee-onset predictor")
@@ -196,8 +188,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # known before parsing, so that argparse errors honour it too
-    json_errors = "--json-errors" in argv
+    json_errors = _wants_json_errors(argv)
     code = 1  # the phase decides: computing is 2, parsing, loading and writing 1
     try:
         parser = _build_parser()
@@ -207,8 +198,10 @@ def main(argv=None) -> int:
         if args.config is not None and args.command not in CONFIG_COMMANDS:
             raise UsageError(f"--config applies to {', '.join(CONFIG_COMMANDS)} only,"
                              f" not {args.command}")
-        json_errors = args.json_errors  # an abbreviated --json-errors too
         load, compute, write = COMMANDS[args.command]
+        if isinstance(compute, str):  # a stage function, imported now
+            module, name = compute.split(".")
+            compute = getattr(import_module(f".{module}", __package__), name)
         inputs = load(args, _read_config(args.config) if args.config is not None else {})
         code = 2
         result = compute(*inputs)
@@ -218,6 +211,21 @@ def main(argv=None) -> int:
     except (UsageError, KneeScoutError) as exc:
         _emit_error(exc, code, json_errors)
         return code
+
+
+def _wants_json_errors(argv) -> bool:
+    """Whether the options before the command hold ``--json-errors`` or a unique
+    prefix of it (``--j`` on), as argparse reads them. It is known before
+    parsing, so that a usage error honours it too."""
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--" or not arg.startswith("-"):
+            return False  # the end of the options, or the command
+        if len(arg) > 2 and "--json-errors".startswith(arg):
+            return True
+        if len(arg) > 2 and "--config".startswith(arg):
+            next(rest, None)  # its value
+    return False
 
 
 def _emit_error(exc: Exception, code: int, as_json: bool) -> None:
@@ -254,6 +262,8 @@ def _cell_files(directory, kind: str) -> list:
 
 
 def _load_batch(args, config: dict):
+    from .report import check_methods
+
     params = _resolve_params(args, config)
     methods = tuple(METHOD_ALIASES.get(m.strip(), m.strip()) for m in args.methods.split(","))
     try:
@@ -265,6 +275,8 @@ def _load_batch(args, config: dict):
 
 
 def _write_batch(args, inputs, result) -> None:
+    from .report import format_batch_csv, write_report_dir
+
     if Path(args.out).suffix == ".csv":
         write_text(args.out, format_batch_csv(*result))
     else:
@@ -272,6 +284,8 @@ def _write_batch(args, inputs, result) -> None:
 
 
 def _load_synth(args, config: dict):
+    from .synthgen import generate_convex_family, generate_fleet
+
     if args.convex:
         curves = generate_convex_family(args.count, seed=args.seed)
     else:
@@ -285,6 +299,8 @@ def _records_seed(cell_id: str) -> int:
 
 def _with_cycle_records(curves, with_cycle_data: bool) -> list:
     """Each (series, truth) with its simulated cycle records, or None."""
+    from .synthgen import simulate_cycle_records
+
     return [
         (series, truth, simulate_cycle_records(
             truth.onset_cycle, seed=_records_seed(series.cell_id)
@@ -294,6 +310,8 @@ def _with_cycle_records(curves, with_cycle_data: bool) -> list:
 
 
 def _write_synth(args, inputs, cells) -> None:
+    from .earlypredict import CYCLE_DETAIL_HEADER
+
     for series, truth, records in cells:
         name = series.cell_id
         write_text(cell_path(args.out_dir, name, "capacity"),
@@ -312,6 +330,8 @@ def _write_synth(args, inputs, cells) -> None:
 
 
 def _load_cells(paths) -> dict:
+    from .earlypredict import load_cycle_detail_csv
+
     return {check_cell_id(cell_id_of(p, "cycles"), p): load_cycle_detail_csv(p) for p in paths}
 
 
@@ -321,6 +341,8 @@ def _load_features(args, config: dict):
 
 
 def _write_features(args, inputs, X) -> None:
+    from .earlypredict import FEATURES_HEADER
+
     write_text(args.out, csv_text(FEATURES_HEADER, ((i, *row) for i, row in zip(inputs[0], X))))
 
 
@@ -328,6 +350,8 @@ _HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
 
 
 def _load_training(args, config: dict):
+    from .earlypredict import FEATURES_HEADER, LABELS_HEADER, GBRTHyper
+
     ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
     label_ids, onsets, lines = read_csv(args.labels, LABELS_HEADER, ids=True)
     labels = {}
@@ -348,15 +372,21 @@ def _write_model(args, inputs, model: GBRTModel) -> None:
 
 
 def _load_prediction(args, config: dict):
+    from .earlypredict import FEATURES_HEADER, GBRTModel
+
     ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
     return ids, GBRTModel.from_json(read_text(args.model)), X
 
 
 def _prediction_rows(ids, model: GBRTModel, X) -> list:
+    from .earlypredict import gbrt_predict
+
     return list(zip(ids, gbrt_predict(model, X)))
 
 
 def _write_predictions(args, inputs, rows) -> None:
+    from .earlypredict import PREDICTIONS_HEADER
+
     text = csv_text(PREDICTIONS_HEADER, rows)
     if args.out:
         write_text(args.out, text)
@@ -373,13 +403,16 @@ def _parse_budgets(spec: str) -> range:
         raise UsageError(f"cannot parse --budgets {spec!r} (expected LO:HI)") from None
     if not budgets:
         raise UsageError(f"--budgets {spec!r} selects no budget")
-    if min(budgets) < MIN_BUDGET:
+    low = _min_budget()
+    if min(budgets) < low:
         raise UsageError(f"--budgets {spec!r} selects budget {min(budgets)}:"
-                         f" every budget must be >= {MIN_BUDGET}")
+                         f" every budget must be >= {low}")
     return budgets
 
 
 def _load_sensitivity(args, config: dict):
+    from .earlypredict import check_test_split
+
     budgets = _parse_budgets(args.budgets)  # before any file is read
     paths, labels = [], []
     for path in _cell_files(args.dir, "cycles"):
@@ -405,6 +438,8 @@ def _load_sensitivity(args, config: dict):
 
 
 def _write_sensitivity(args, inputs, table) -> None:
+    from .earlypredict import SENSITIVITY_HEADER
+
     write_text(args.out, csv_text(SENSITIVITY_HEADER, [
         (int(row["budget"]), row["mean_rmse"], row["mean_mape"]) for row in table
     ]))
@@ -412,15 +447,17 @@ def _write_sensitivity(args, inputs, table) -> None:
 
 # Each command is (load, compute, write): load(args, config) returns the
 # arguments of compute, and write(args, inputs, result) writes its outputs.
+# A compute named "module.function" is a stage function, imported when the
+# command runs, as are the stage names that load and write use.
 COMMANDS = {
-    "identify": (_load_cell, identify_knees, _write_report),
-    "baconwatts": (_load_cell, dbw_knee_report, _write_report),
-    "batch": (_load_batch, batch_report, _write_batch),
+    "identify": (_load_cell, "segmentation.identify_knees", _write_report),
+    "baconwatts": (_load_cell, "baconwatts.dbw_knee_report", _write_report),
+    "batch": (_load_batch, "report.batch_report", _write_batch),
     "synth": (_load_synth, _with_cycle_records, _write_synth),
-    "features": (_load_features, feature_matrix, _write_features),
-    "train": (_load_training, gbrt_train, _write_model),
+    "features": (_load_features, "earlypredict.feature_matrix", _write_features),
+    "train": (_load_training, "earlypredict.gbrt_train", _write_model),
     "predict": (_load_prediction, _prediction_rows, _write_predictions),
-    "sensitivity": (_load_sensitivity, sensitivity_sweep, _write_sensitivity),
+    "sensitivity": (_load_sensitivity, "earlypredict.sensitivity_sweep", _write_sensitivity),
 }
 # the commands whose load reads the --config file
 CONFIG_COMMANDS = ("identify", "baconwatts", "batch")

@@ -394,6 +394,8 @@ class GBRTModel:
                     f"model JSON init_value {init_value} and learning_rate "
                     f"{learning_rate} must be finite"
                 )
+            # > 0, by the rule GBRTHyper reads it with
+            check_positive(learning_rate, "model JSON learning_rate", InvalidModel)
             if n_features < 0:
                 raise InvalidModel(f"model JSON n_features {n_features} is negative")
             # checked as Python ints, before packing, so that a feature of 10**30

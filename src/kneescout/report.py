@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
+from importlib import import_module
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baconwatts import dbw_knee_report
+from . import _OWNER
 from .errors import ConstantInput, InputError, LengthMismatch
 from .ingest import CapacityFadeSeries, csv_text, write_text
 from .rules import as_array, check_finite, check_number
-from .segmentation import DEFAULT_PARAMS, KneeReport, PipelineParams, identify_knees
+from .segmentation import DEFAULT_PARAMS, KneeReport, PipelineParams
 
-# each method's report function; the first is curvature, the second its baseline
-METHODS = {"curvature_rea": identify_knees, "double_bacon_watts": dbw_knee_report}
+# the name of each method's report function; the first is curvature, the second its
+# baseline. A method's first call imports the module that owns its function.
+METHODS = {"curvature_rea": "identify_knees", "double_bacon_watts": "dbw_knee_report"}
 SCATTER_HEADER = ("onset_or_knee_cycle", "eol_cycle")
 
 
@@ -69,7 +71,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _report_for(series: CapacityFadeSeries, method: str, params: PipelineParams) -> KneeReport:
-    return METHODS[method](series, params)
+    name = METHODS[method]
+    return getattr(import_module(f".{_OWNER[name]}", __package__), name)(series, params)
 
 
 def check_methods(methods: Sequence[str]) -> None:

@@ -244,6 +244,37 @@ class TestUsageErrors:
         payload = json.loads(capsys.readouterr().err)
         assert (payload["error"], payload["exit_code"]) == ("TooShort", 2)
 
+    @pytest.mark.parametrize("before", [["--json-err"], ["--j"], ["--config", "k.cfg", "--j"],
+                                        ["--conf", "k.cfg", "--json-errors"]])
+    def test_abbreviated_json_errors_on_a_usage_error(self, capsys, before):
+        # argparse refuses the line (no --input), so main must know the mode beforehand
+        assert run_cli(*before, "identify", "--out", "r.json") == 1
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert (payload["error"], payload["exit_code"]) == ("UsageError", 1)
+        assert "the following arguments are required: --input" in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["identify", "--out", "r.json", "--j"],
+        ["identify", "--out", "r.json", "--json-errors"],
+        ["--config", "--j", "identify", "--out", "r.json"],
+        ["--config=--j", "identify", "--out", "r.json"],
+    ])
+    def test_a_flag_after_the_command_or_as_a_value_is_not_the_mode(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("knee-scout") and "usage: knee-scout" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--json-errors", "identify"], ["--j", "identify"], ["--json-e", "batch"],
+        ["--config", "k.cfg", "--js", "identify"], ["--config=k.cfg", "--json", "identify"],
+        ["--co", "k.cfg", "identify"], ["--config", "identify", "identify"], ["identify"],
+    ])
+    def test_the_mode_is_what_argparse_reads(self, argv):
+        tail = ["--dir", "d"] if "batch" in argv else ["--input", "x.csv"]
+        argv = [*argv, *tail, "--out", "r.json"]
+        assert cli._wants_json_errors(argv) is cli._build_parser().parse_args(argv).json_errors
+
     @pytest.mark.parametrize("q_nom", [[], ["--q-nom", "1.1"]], ids=["sidecar", "q-nom"])
     def test_a_missing_input_cannot_be_read(self, tmp_path, capsys, q_nom):
         # with or without --q-nom: not "no q_nom_ah for absent.csv"
@@ -773,6 +804,72 @@ class TestEntryPoint:
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+COMMAND_MODULES = """
+import json, sys
+from kneescout.cli import main
+code = main(sys.argv[1:])
+ours = sorted(m[len("kneescout."):] for m in sys.modules if m.startswith("kneescout."))
+print(json.dumps({"code": code, "loaded": ours}))
+"""
+
+CURVATURE = ["errors", "ingest", "matrixprofile", "preprocess", "rules", "segmentation"]
+PREDICTOR = ["earlypredict", "errors", "ingest", "rules"]
+# each command line, and the kneescout modules that a fresh process has loaded after it
+COMMAND_STAGES = [
+    (("identify", "--input", "{cell}", "--out", "{out}/r.json"), ["cli", *CURVATURE]),
+    (("baconwatts", "--input", "{cell}", "--out", "{out}/r.json"),
+     sorted(["baconwatts", "cli", *CURVATURE])),
+    (("batch", "--dir", "{fleet}", "--methods", "curvature", "--out", "{out}/t.csv"),
+     sorted(["cli", "report", *CURVATURE])),
+    (("synth", "--count", "2", "--with-cycle-data", "--out-dir", "{out}"),
+     sorted(["cli", *PREDICTOR, "synthgen"])),
+    (("features", "--cycles", "{fleet}", "--out", "{out}/f.csv"), ["cli", *PREDICTOR]),
+    (("train", "--features", "{files}/features.csv", "--labels", "{files}/labels.csv",
+      "--n-trees", "5", "--out", "{out}/m.json"), ["cli", *PREDICTOR]),
+    (("predict", "--model", "{files}/model.json", "--features", "{files}/features.csv",
+      "--out", "{out}/p.csv"), ["cli", *PREDICTOR]),
+    (("sensitivity", "--dir", "{fleet}", "--budgets", "15", "--repeats", "1",
+      "--out", "{out}/s.csv"), ["cli", *PREDICTOR]),
+]
+
+
+@pytest.fixture(scope="module")
+def predictor_files(synth_dir, tmp_path_factory):
+    """features.csv, labels.csv and model.json for the labelled cells of ``synth_dir``."""
+    d = tmp_path_factory.mktemp("predictor")
+    assert run_cli("features", "--cycles", str(synth_dir), "--out", str(d / "features.csv")) == 0
+    rows = ["cell_id,onset_cycle"]
+    for t in sorted(synth_dir.glob("*.truth.json")):
+        obj = json.loads(t.read_text())
+        rows.append(f"{obj['cell_id']},{obj['ground_truth']['onset_cycle']}")
+    (d / "labels.csv").write_text("\n".join(rows) + "\n")
+    assert run_cli("train", "--features", str(d / "features.csv"), "--labels",
+                   str(d / "labels.csv"), "--n-trees", "5", "--out", str(d / "model.json")) == 0
+    return d
+
+
+@pytest.mark.floors
+class TestCommandImports:
+    """Marked floors: at the oldest NumPy and SciPy too, a command imports only the
+    stage modules it runs. A one-cell ``identify`` is mostly start-up, and most of
+    that is compiling modules.
+    """
+
+    @pytest.mark.parametrize("argv, stages", COMMAND_STAGES, ids=[a[0] for a, _ in COMMAND_STAGES])
+    def test_a_command_loads_only_its_stages(self, synth_dir, predictor_files, tmp_path,
+                                             argv, stages):
+        cell = sorted(p for p in synth_dir.glob("*.csv") if not p.name.endswith(".cycles.csv"))[0]
+        argv = [a.format(cell=cell, fleet=synth_dir, files=predictor_files, out=tmp_path)
+                for a in argv]
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", COMMAND_MODULES, *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert (got["code"], got["loaded"]) == (0, stages)
 
 
 @pytest.mark.floors

@@ -860,6 +860,17 @@ class TestModelJson:
         with pytest.raises(InvalidModel, match=re.escape(fragment)):
             GBRTModel.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("rate", [-0.5, 0.0, -0.0])
+    def test_a_rate_that_is_not_positive_is_refused_as_gbrt_hyper_refuses_it(self, rate):
+        obj = json.loads(self.stump().to_json())
+        obj["learning_rate"] = rate
+        with pytest.raises(InvalidModel) as loaded:
+            GBRTModel.from_json(json.dumps(obj))
+        with pytest.raises(InvalidHyperparameter) as hyper:
+            GBRTHyper(learning_rate=rate)
+        assert str(loaded.value) == f"model JSON {hyper.value}"
+        assert str(hyper.value) == f"learning_rate must be a finite real number > 0, got {rate!r}"
+
     def test_zero_features_and_no_trees_load(self):
         model = GBRTModel.from_json(
             '{"init_value": 2.5, "learning_rate": 0.1, "n_features": 0, "trees": []}')

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from kneescout import cli, ingest
 from kneescout.earlypredict import (
     CYCLE_DETAIL_HEADER,
     FEATURE_NAMES,
+    FEATURES_HEADER,
     LABELS_HEADER,
     CycleRecord,
     load_cycle_detail_csv,
@@ -44,6 +46,7 @@ from kneescout.ingest import (
     read_csv,
     resample_even,
 )
+from kneescout.segmentation import PipelineParams
 
 
 def natural_spline_eval(x, y, t):
@@ -466,12 +469,12 @@ def same_bits(a, b):
 
 
 def new_features(path):
-    ids, X, _ = read_csv(path, cli.FEATURES_HEADER, ids=True)
+    ids, X, _ = read_csv(path, FEATURES_HEADER, ids=True)
     return ids, X
 
 
 def new_labels(path):
-    ids, onsets, _ = read_csv(path, cli.LABELS_HEADER, ids=True)
+    ids, onsets, _ = read_csv(path, LABELS_HEADER, ids=True)
     return dict(zip(ids, onsets[:, 0].tolist()))
 
 
@@ -651,7 +654,7 @@ SIDECAR_BYTES = st.one_of(
     st.builds(lambda c, q: json.dumps({"cell_id": c, "q_nom_ah": q}).encode(),
               JSON_VALUES, JSON_VALUES),
 )
-CONFIG_KEYS = sorted(cli._CONFIG_CASTS) + ["seed", "gbrt", ""]
+CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(PipelineParams)) + ["seed", "gbrt", ""]
 CONFIG_BYTES = st.one_of(
     fuzz_bytes(),
     st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.text(alphabet=FUZZ_ALPHABET, max_size=8)),
@@ -672,8 +675,8 @@ def load_config(path):
 FUZZ_TARGETS = {
     "capacity": (fuzz_bytes(CAPACITY_HEADER), "cell.csv", lambda p: load_capacity_csv(p, q_nom_ah=1.0)),
     "cycle_detail": (fuzz_bytes(CYCLE_DETAIL_HEADER), "cell.cycles.csv", load_cycle_detail_csv),
-    "features": (fuzz_bytes(cli.FEATURES_HEADER), "features.csv", new_features),
-    "labels": (fuzz_bytes(cli.LABELS_HEADER), "labels.csv", new_labels),
+    "features": (fuzz_bytes(FEATURES_HEADER), "features.csv", new_features),
+    "labels": (fuzz_bytes(LABELS_HEADER), "labels.csv", new_labels),
     "sidecar": (SIDECAR_BYTES, "cell.meta.json", lambda p: load_with_sidecar(p.with_name("cell.csv"))),
     "config": (CONFIG_BYTES, "knee.cfg", load_config),
 }
@@ -751,13 +754,13 @@ class TestBlankRows:
         path = tmp_path / "labels.csv"
         path.write_text(f"cell_id,onset_cycle\na,1\n{row}\n")
         with pytest.raises(MalformedRow, match="line 3"):
-            read_csv(path, cli.LABELS_HEADER, ids=True)
+            read_csv(path, LABELS_HEADER, ids=True)
 
     @pytest.mark.parametrize("row", ["", " ", ",", '"",""', '" ",""'])
     def test_blank_row_is_skipped(self, tmp_path, row):
         path = tmp_path / "labels.csv"
         path.write_text(f"cell_id,onset_cycle\na,1\n{row}\nb,2\n")
-        ids, onsets, lines = read_csv(path, cli.LABELS_HEADER, ids=True)
+        ids, onsets, lines = read_csv(path, LABELS_HEADER, ids=True)
         assert (ids, onsets[:, 0].tolist(), lines.tolist()) == (["a", "b"], [1.0, 2.0], [2, 4])
 
 

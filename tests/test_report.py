@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kneescout
 from kneescout import PipelineParams
 from kneescout.errors import ConstantInput, InputError, LengthMismatch, NonFiniteInput
 from kneescout.report import (
@@ -158,6 +160,20 @@ class TestBatchReport:
         seq = batch_report(fleet, methods=("curvature_rea",), params=ACC_PARAMS, jobs=1)
         par = batch_report(fleet, methods=("curvature_rea",), params=ACC_PARAMS, jobs=2)
         assert seq[0] == par[0]
+
+    def test_a_method_calls_its_owners_function(self, monkeypatch):
+        # perfbench's tracer replaces package names; a batch must not call them
+        fleet = [series for series, _ in generate_fleet(2, seed=13, n_cycles=600)]
+        calls = []
+        for module, name in (("segmentation", "identify_knees"),
+                             ("baconwatts", "dbw_knee_report")):
+            owner = importlib.import_module(f"kneescout.{module}")
+            monkeypatch.setattr(kneescout, name, None)
+            monkeypatch.setattr(owner, name, lambda series, params, run=getattr(owner, name):
+                                calls.append(series.cell_id) or run(series, params))
+        rows, _ = batch_report(fleet, params=ACC_PARAMS)
+        assert calls == [s.cell_id for s in fleet for _ in range(2)]
+        assert [r.method for r in rows] == ["curvature_rea", "double_bacon_watts"] * 2
 
 
 class TestCsvFormats:
