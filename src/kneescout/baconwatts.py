@@ -123,10 +123,11 @@ def lm_optimize(
     ``max_iter`` returns converged=False rather than raising, so callers can
     inspect the partial result. ``init``, every residual vector and every
     Jacobian are read by ``rules.as_array``, so complex, string or object
-    values are InputError, as are later residuals not as many as the first
-    and a Jacobian of any shape but ``(n, m)``. Residuals or a cost ``r @ r``
-    not finite at the initial point are NonFiniteResidual; a trial step whose
-    cost is not finite is rejected. The whole fit runs under
+    values are InputError, as are an empty ``init``, later residuals not as
+    many as the first and a Jacobian of any shape but ``(n, m)``. Residuals
+    or a cost ``r @ r`` not finite at the initial point are
+    NonFiniteResidual; a trial step whose cost is not finite is rejected.
+    The whole fit runs under
     ``np.errstate(all="ignore")``, so neither it nor its callables raise a
     floating-point RuntimeWarning. A ``tol`` that is not a real number >= 0,
     or a ``max_iter`` that is not an int >= 1 (``rules.check_count``), is InputError.
@@ -146,6 +147,8 @@ def lm_optimize(
         jacobian = partial(_central_jacobian, residuals)
 
     p = as_array(init, "init", vector=True).copy()
+    if not len(p):
+        raise InputError("init must hold at least one parameter, got shape (0,)")
     r = as_array(residuals(p), "residuals", vector=True)
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residuals are not finite at the initial point")

@@ -125,7 +125,7 @@ def rea(cac_values: np.ndarray, n_boundaries: int, exclusion_radius: int) -> Lis
     """
     n_boundaries = check_count(n_boundaries, "n_boundaries", 0, IndexOutOfRange)
     exclusion_radius = check_count(exclusion_radius, "exclusion_radius", 0, IndexOutOfRange)
-    values = as_array(cac_values, "cac_values").copy()
+    values = as_array(cac_values, "cac_values", vector=True).copy()
     n = len(values)
     picked = []
     for _ in range(n_boundaries):

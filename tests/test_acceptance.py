@@ -2,18 +2,19 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Criterion 3, 4, and 6 run the identification pipeline with the
-calibrated profile below (heavier smoothing plus the larger segmentation
-window exposed as the CAC-window option); the Table-2 defaults remain the
-package defaults and are exercised by the unit suite. Criterion 4's knee
-half is expected to fail: see the decisions ledger for the analysis.
+calibrated profile ``scoring.ACCEPT`` (heavier smoothing plus the larger
+segmentation window exposed as the CAC-window option); the Table-2 defaults
+remain the package defaults and are exercised by the unit suite. Criterion
+4's knee half is expected to fail: see the decisions ledger for the analysis.
 
-Criteria 3 and 4 score each cell through ``scoring.score_cell``. Three strict
-xfails pin what the ROADMAP's accuracy items should mend: the fleet's gaps
-pinned to the exclusion band, a baseline that does not follow a shift of
-every cycle number, and a baseline that misses the onset on a short fleet.
+Criteria 3 and 4 and the pins read their per-cell errors from
+``scoring.scores``, the cached table that the accuracy ledger reads too, and
+their cells from ``scoring.family``. Three strict xfails pin what the
+ROADMAP's accuracy items should mend: the fleet's gaps pinned to the
+exclusion band, a baseline that does not follow a shift of every cycle
+number, and a baseline that misses the onset on a short fleet.
 """
 
-import functools
 import os
 import statistics
 import time
@@ -22,7 +23,6 @@ import numpy as np
 import pytest
 
 from kneescout.baconwatts import DBWParams, dbw_knee_report, dbw_model, fit_dbw, transition_cycles
-from kneescout import PipelineParams
 from kneescout.earlypredict import (
     evaluate,
     feature_matrix,
@@ -35,23 +35,10 @@ from kneescout.matrixprofile import stamp
 from kneescout.preprocess import approximate_curvature
 from kneescout.report import batch_report, pearson
 from kneescout.segmentation import identify_knees
-from kneescout.synthgen import (
-    SyntheticSpec,
-    convex_family_specs,
-    generate,
-    generate_fleet,
-    simulate_cycle_records,
-)
+from kneescout.synthgen import SyntheticSpec, generate, generate_fleet, simulate_cycle_records
 
-from scoring import score_cell
+from scoring import ACCEPT, family, scores
 from test_matrixprofile import allpairs_distance_matrix, naive_matrix_profile
-
-# Calibrated identification profile for the sigma = 1e-3 synthetic fleets:
-# the default smoothing window leaves a curvature noise floor that swamps
-# realistic knee amplitudes, and the 3-point segmentation window makes
-# z-normalized shapes one-dimensional (every smooth window finds a noise
-# match). Both knobs are part of the documented CLI surface.
-ACCEPT = PipelineParams(sg_window=81, cac_window=12)
 
 
 def _line(n, ok, detail):
@@ -105,20 +92,12 @@ def test_criterion_2_curvature_correctness():
     assert knee_ok and elbow_ok
 
 
-@functools.cache
-def _fleet_scores():
-    """The curvature method's score on each of criterion 3's 50 fleet curves."""
-    fleet = generate_fleet(50, seed=123, n_cycles=2000)
-    assert all(truth is not None for _, truth in fleet)
-    return tuple(score_cell(identify_knees, series, truth, ACCEPT) for series, truth in fleet)
-
-
 def test_criterion_3_synthetic_identification_accuracy():
     """50 noisy knee curves: both anchors within 5% of n_cycles for >= 45."""
     tol = 0.05 * 2000
-    scores = _fleet_scores()
-    hits = sum(s.onset_error <= tol and s.knee_error <= tol for s in scores)
-    slowest = max(s.seconds for s in scores)
+    fleet = scores("fleet", identify_knees, ACCEPT)
+    hits = sum(s.onset_error <= tol and s.knee_error <= tol for s in fleet)
+    slowest = max(s.seconds for s in fleet)
     ok = hits >= 45 and slowest < 1.0
     _line(3, ok, f"{hits}/50 within +-{tol:.0f} cycles, slowest curve {slowest:.3f}s")
     assert hits >= 45
@@ -134,32 +113,20 @@ def test_criterion_3_synthetic_identification_accuracy():
 )
 def test_fleet_gaps_are_not_pinned_to_the_exclusion_band():
     """At most half of the fleet curves have a gap of exclusion_radius + 1."""
-    pinned = sum(s.gap == ACCEPT.exclusion_radius + 1 for s in _fleet_scores())
+    pinned = sum(s.gap == ACCEPT.exclusion_radius + 1
+                 for s in scores("fleet", identify_knees, ACCEPT))
     assert pinned <= 25, f"{pinned}/50 gaps equal exclusion_radius + 1"
 
 
-def _convex_family_errors():
-    curv_on, curv_kn, bw_on, bw_kn = [], [], [], []
-    for i, spec in enumerate(convex_family_specs(20, seed=9)):
-        series, truth = generate(spec, cell_id=f"convex-{i:03d}")
-        assert truth is not None
-        curvature = score_cell(identify_knees, series, truth, ACCEPT)
-        baseline = score_cell(dbw_knee_report, series, truth, ACCEPT)
-        curv_on.append(curvature.onset_error)
-        curv_kn.append(curvature.knee_error)
-        bw_on.append(baseline.onset_error)
-        bw_kn.append(baseline.knee_error)
-    return (
-        statistics.median(curv_on),
-        statistics.median(curv_kn),
-        statistics.median(bw_on),
-        statistics.median(bw_kn),
-    )
+def _convex_median(method, error):
+    """The median of one error field of ``method``'s scores on criterion 4's convex curves."""
+    return statistics.median(getattr(s, error) for s in scores("convex", method, ACCEPT))
 
 
 def test_criterion_4_bacon_watts_failure_onset():
     """Onset half: curvature median error at least 3x smaller than the baseline."""
-    curv_on, _, bw_on, _ = _convex_family_errors()
+    curv_on = _convex_median(identify_knees, "onset_error")
+    bw_on = _convex_median(dbw_knee_report, "onset_error")
     ratio = bw_on / max(curv_on, 1e-9)
     ok = bw_on >= 3.0 * curv_on
     _line(4, ok, f"onset medians: curvature {curv_on}, baseline {bw_on} (ratio {ratio:.1f})")
@@ -178,7 +145,8 @@ def test_criterion_4_bacon_watts_failure_onset():
 )
 def test_criterion_4_bacon_watts_failure_knee():
     """Knee half, as specified: expected to fail; kept exact, not weakened."""
-    _, curv_kn, _, bw_kn = _convex_family_errors()
+    curv_kn = _convex_median(identify_knees, "knee_error")
+    bw_kn = _convex_median(dbw_knee_report, "knee_error")
     ratio = bw_kn / max(curv_kn, 1e-9)
     ok = bw_kn >= 3.0 * curv_kn
     _line(4, ok, f"knee medians: curvature {curv_kn}, baseline {bw_kn} (ratio {ratio:.1f})")
@@ -196,7 +164,7 @@ def test_criterion_4_bacon_watts_failure_knee():
 def test_baseline_moves_with_a_shift_of_every_cycle():
     """Shifting every cycle by 1 moves each baseline onset and knee by 1 +- 1."""
     off = {}
-    for series, _ in generate_fleet(20, seed=5, n_cycles=1200):
+    for series, _ in family("shift"):
         base = dbw_knee_report(series, ACCEPT)
         shifted = CapacityFadeSeries(
             series.cell_id, series.cycles + 1, series.capacity_ah, series.q_nom_ah)
@@ -213,14 +181,12 @@ def test_baseline_moves_with_a_shift_of_every_cycle():
     reason=(
         "the Bacon-Watts fit starts from fixed fractions of the cycle range, so on the "
         "400-cycle short fleet it puts the onset within +-100 cycles on only 12 of 30 "
-        "cells (ROADMAP items 1 and 3)"
+        "cells (ROADMAP item 3)"
     ),
 )
 def test_baseline_finds_the_onset_on_the_short_fleet():
     """The baseline puts the onset within +-100 cycles on at least 27 of 30 cells."""
-    fleet = generate_fleet(30, seed=4, n_cycles=400)
-    hits = sum(score_cell(dbw_knee_report, series, truth, ACCEPT).onset_error <= 100
-               for series, truth in fleet)
+    hits = sum(s.onset_error <= 100 for s in scores("short-400", dbw_knee_report, ACCEPT))
     assert hits >= 27, f"{hits}/30 onsets within +-100 cycles"
 
 

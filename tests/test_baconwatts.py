@@ -292,6 +292,13 @@ class TestLmOptimize:
         with pytest.raises(InputError, match=r"^residuals must stay of length 2, got shape \(1,\)$"):
             lm_optimize(residuals, np.zeros(1))
 
+    def test_empty_init_is_input_error(self):
+        # before the check, the central Jacobian stacked no columns: a raw ValueError
+        with pytest.raises(InputError) as info:
+            lm_optimize(lambda p: np.ones(3), np.array([]))
+        assert (type(info.value), str(info.value)) == (
+            InputError, "init must hold at least one parameter, got shape (0,)")
+
     def test_jacobian_of_another_shape_is_input_error(self):
         with pytest.raises(InputError, match=r"need a \(2, 1\) Jacobian, got \(1, 2\)$"):
             lm_optimize(lambda q: q[0] + np.ones(2), np.zeros(1), jacobian=lambda p: np.ones((1, 2)))

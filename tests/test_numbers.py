@@ -575,6 +575,9 @@ class TestStageParameters:
          "cycles: cannot read as int64 values"),
         (lambda: arc_curve(PAST_INT64), "index: cannot read as int64 values"),
         (lambda: arc_curve(np.array(PAST_INT64, np.uint64)), "index: cannot read as int64 values"),
+        # a scalar has no length; a matrix's argmin would be a flat index
+        (lambda: rea(np.float64(0.5), 2, 0), "cac_values must be one-dimensional, got shape ()"),
+        (lambda: rea(np.zeros((4, 4)), 2, 0), "cac_values must be one-dimensional, got shape (4, 4)"),
     ], ids=["stamp-2d", "stamp-scalar", "stamp-str", "arc-2d", "arc-str", "rea-str", "pearson-str",
             "evaluate-str", "train-str", "predict-str", "record-str", "series-str",
             "normalized-str", "lm-init-2d", "lm-init-str", "lm-residuals-str", "lm-residuals-2d",
@@ -589,7 +592,7 @@ class TestStageParameters:
             "series-numeric-strings", "stamp-numeric-strings", "record-numeric-strings",
             "dbw-model-numeric-string", "train-numeric-strings", "normalized-uint-list",
             "normalized-uint-array", "series-uint-list", "series-uint-array", "arc-uint-list",
-            "arc-uint-array"])
+            "arc-uint-array", "rea-scalar", "rea-2d"])
     def test_each_array_is_read_by_the_array_rule(self, call, message):
         # only the package's prefix: NumPy words the refused cast differently by version
         with pytest.raises(InputError) as info:

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kneescout
-from kneescout import PipelineParams
 from kneescout.errors import ConstantInput, InputError, LengthMismatch, NonFiniteInput
 from kneescout.report import (
     BATCH_HEADER,
@@ -20,8 +19,7 @@ from kneescout.report import (
 )
 from kneescout.synthgen import generate_fleet
 
-
-ACC_PARAMS = PipelineParams(sg_window=81, cac_window=12)
+from scoring import ACCEPT
 
 
 class TestPearson:
@@ -131,7 +129,7 @@ class TestImprovementPct:
 class TestBatchReport:
     def test_rows_and_correlations(self):
         fleet = [series for series, _ in generate_fleet(10, seed=21)]
-        rows, correls = batch_report(fleet, methods=("curvature_rea",), params=ACC_PARAMS)
+        rows, correls = batch_report(fleet, methods=("curvature_rea",), params=ACCEPT)
         assert len(rows) == 10
         rep = correls["curvature_rea"]
         assert rep.n_cells == sum(r.eol_cycle is not None for r in rows)
@@ -144,7 +142,7 @@ class TestBatchReport:
             cell_id="twin", cycles=series.cycles,
             capacity_ah=series.capacity_ah, q_nom_ah=series.q_nom_ah,
         )
-        rows, correls = batch_report([series, twin], methods=("curvature_rea",), params=ACC_PARAMS)
+        rows, correls = batch_report([series, twin], methods=("curvature_rea",), params=ACCEPT)
         assert len(rows) == 2
         rep = correls["curvature_rea"]
         assert rep.r_knee_eol is None
@@ -152,13 +150,13 @@ class TestBatchReport:
 
     def test_single_method_section(self):
         fleet = [series for series, _ in generate_fleet(3, seed=8)]
-        _, correls = batch_report(fleet, methods=("curvature_rea",), params=ACC_PARAMS)
+        _, correls = batch_report(fleet, methods=("curvature_rea",), params=ACCEPT)
         assert set(correls) == {"curvature_rea"}
 
     def test_jobs_parallel_matches_sequential(self):
         fleet = [series for series, _ in generate_fleet(4, seed=13)]
-        seq = batch_report(fleet, methods=("curvature_rea",), params=ACC_PARAMS, jobs=1)
-        par = batch_report(fleet, methods=("curvature_rea",), params=ACC_PARAMS, jobs=2)
+        seq = batch_report(fleet, methods=("curvature_rea",), params=ACCEPT, jobs=1)
+        par = batch_report(fleet, methods=("curvature_rea",), params=ACCEPT, jobs=2)
         assert seq[0] == par[0]
 
     def test_a_method_calls_its_owners_function(self, monkeypatch):
@@ -171,7 +169,7 @@ class TestBatchReport:
             monkeypatch.setattr(kneescout, name, None)
             monkeypatch.setattr(owner, name, lambda series, params, run=getattr(owner, name):
                                 calls.append(series.cell_id) or run(series, params))
-        rows, _ = batch_report(fleet, params=ACC_PARAMS)
+        rows, _ = batch_report(fleet, params=ACCEPT)
         assert calls == [s.cell_id for s in fleet for _ in range(2)]
         assert [r.method for r in rows] == ["curvature_rea", "double_bacon_watts"] * 2
 
@@ -179,7 +177,7 @@ class TestBatchReport:
 class TestCsvFormats:
     def build(self):
         fleet = [series for series, _ in generate_fleet(3, seed=2)]
-        return batch_report(fleet, methods=("curvature_rea",), params=ACC_PARAMS)
+        return batch_report(fleet, methods=("curvature_rea",), params=ACCEPT)
 
     def test_batch_csv_shape(self):
         rows, correls = self.build()

@@ -23,6 +23,8 @@ from kneescout.preprocess import savgol_smooth
 from kneescout.segmentation import arc_curve, compute_arc_curves, identify_knees, prepare, rea
 from kneescout.synthgen import SyntheticSpec, generate, generate_fleet
 
+from scoring import ACCEPT, family
+
 
 def crossing_count_oracle(index):
     """O(n^2) direct count of arcs strictly crossing each position."""
@@ -208,15 +210,14 @@ class TestIdentifyKnees:
             noise_sigma=0.001, seed=3,
         )
         series, _ = generate(spec)
-        params = PipelineParams(sg_window=81, cac_window=12)
         scaled = CapacityFadeSeries(
             cell_id=series.cell_id,
             cycles=series.cycles,
             capacity_ah=series.capacity_ah * scale,
             q_nom_ah=series.q_nom_ah * scale,
         )
-        base = identify_knees(series, params)
-        other = identify_knees(scaled, params)
+        base = identify_knees(series, ACCEPT)
+        other = identify_knees(scaled, ACCEPT)
         assert (base.onset_cycle, base.knee_cycle) == (other.onset_cycle, other.knee_cycle)
 
     def test_affine_fade_flags_assumption(self):
@@ -241,7 +242,7 @@ class TestIdentifyKnees:
             noise_sigma=0.001, seed=3,
         )
         series, _ = generate(spec)
-        report = identify_knees(series, PipelineParams(sg_window=81, cac_window=12))
+        report = identify_knees(series, ACCEPT)
         assert report.eol_cycle is not None
         assert series.cycles[0] <= report.eol_cycle <= series.cycles[-1]
 
@@ -267,11 +268,10 @@ class TestIdentifyKnees:
             identify_knees(series, PipelineParams(cac_window=cac_window))
 
 
-SHIFT_FLEET = [series for series, _ in generate_fleet(20, seed=5, n_cycles=1200)]
+SHIFT_FLEET = [series for series, _ in family("shift")]
 
 
-@pytest.fixture(scope="module", params=[PipelineParams(), PipelineParams(sg_window=81, cac_window=12)],
-                ids=["default", "acceptance"])
+@pytest.fixture(scope="module", params=[PipelineParams(), ACCEPT], ids=["default", "acceptance"])
 def shift_reports(request):
     return request.param, [identify_knees(series, request.param) for series in SHIFT_FLEET]
 
