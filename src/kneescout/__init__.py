@@ -18,8 +18,8 @@ _EXPORTS = {
     ),
     "earlypredict": (
         "CycleRecord", "FeatureVector", "GBRTHyper", "GBRTModel", "delta_q", "evaluate",
-        "extract_features", "gbrt_predict", "gbrt_train", "load_cycle_detail_csv",
-        "sensitivity_sweep", "stratified_split",
+        "extract_features", "feature_matrix", "gbrt_predict", "gbrt_train",
+        "load_cycle_detail_csv", "sensitivity_sweep", "stratified_split",
     ),
     "errors": (),
     "ingest": (
@@ -44,13 +44,17 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)
 
 
+def _resolve(name):
+    """``name`` from its owning module, never from the package, where a caller may replace it."""
+    return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+
+
 def __getattr__(name):
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
-    globals()[name] = value
+    value = globals()[name] = _resolve(name)
     return value
 
 

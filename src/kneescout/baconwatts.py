@@ -27,7 +27,7 @@ from .ingest import CapacityFadeSeries
 # find_eol, normalize, resample_even, savgol_smooth: unused, kept for perfbench's tracer
 from .ingest import find_eol, normalize, resample_even  # noqa: F401
 from .preprocess import savgol_smooth  # noqa: F401
-from .rules import as_array, check_count, check_number, check_positive
+from .rules import as_array, check_count, check_positive
 from .segmentation import DEFAULT_PARAMS, KneeReport, PipelineParams, prepare
 
 # Initial slopes for the transition terms, in Ah/cycle.
@@ -35,6 +35,8 @@ INIT_SLOPE = -1e-4
 # Initial x0 and x2 as fractions of the observed cycle range.
 INIT_X0_FRAC = 0.7
 INIT_X2_FRAC = 0.9
+# lm_optimize's convergence bound on the relative step and cost decrease
+LM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,6 @@ def dbw_model(x, p: DBWParams):
 def lm_optimize(
     residuals: Callable[[np.ndarray], np.ndarray],
     init: np.ndarray,
-    tol: float = 1e-10,
     max_iter: int = 1000,
     *,
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -119,18 +120,17 @@ def lm_optimize(
     like any step that is not finite, counts as a rejected step and raises
     the damping.
     Convergence requires both the relative step size and the relative cost
-    decrease to fall below ``tol`` in the same iteration. Hitting
+    decrease to fall below ``LM_TOL`` in the same iteration. Hitting
     ``max_iter`` returns converged=False rather than raising, so callers can
     inspect the partial result. ``init``, every residual vector and every
     Jacobian are read by ``rules.as_array``, so complex, string or object
-    values are InputError, as are an empty ``init``, later residuals not as
-    many as the first and a Jacobian of any shape but ``(n, m)``. Residuals
-    or a cost ``r @ r`` not finite at the initial point are
-    NonFiniteResidual; a trial step whose cost is not finite is rejected.
-    The whole fit runs under
-    ``np.errstate(all="ignore")``, so neither it nor its callables raise a
-    floating-point RuntimeWarning. A ``tol`` that is not a real number >= 0,
-    or a ``max_iter`` that is not an int >= 1 (``rules.check_count``), is InputError.
+    values are InputError, as are an empty ``init`` or first residual vector,
+    later residuals not as many as the first and a Jacobian of any shape but
+    ``(n, m)``. Residuals or a cost ``r @ r`` not finite at the initial point
+    are NonFiniteResidual; a trial step whose cost is not finite is rejected.
+    The whole fit runs under ``np.errstate(all="ignore")``, so neither it nor
+    its callables raise a floating-point RuntimeWarning. A ``max_iter`` that
+    is not an int >= 1 (``rules.check_count``) is InputError.
 
     ``jacobian(p)`` returns the C-ordered ``(n, m)`` Jacobian of
     ``residuals`` at ``p``; the LM iterates depend on its bits, and one of
@@ -139,9 +139,6 @@ def lm_optimize(
     each Jacobian is read only before the next call. By default it is
     ``_central_jacobian``'s column-by-column central difference.
     """
-    tol = check_number(tol, "tol")
-    if not tol >= 0.0:  # NaN too
-        raise InputError(f"tol: must be >= 0, got {tol}")
     max_iter = check_count(max_iter, "max_iter", 1)
     if jacobian is None:
         jacobian = partial(_central_jacobian, residuals)
@@ -150,6 +147,8 @@ def lm_optimize(
     if not len(p):
         raise InputError("init must hold at least one parameter, got shape (0,)")
     r = as_array(residuals(p), "residuals", vector=True)
+    if not len(r):
+        raise InputError("residuals must hold at least one value, got shape (0,)")
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residuals are not finite at the initial point")
     cost = float(r @ r)
@@ -194,8 +193,8 @@ def lm_optimize(
 
         rel_decrease = (cost - cost_trial) / max(cost, 1e-300)
         # the scalar cost test first: the step test costs five NumPy calls
-        converged = rel_decrease < tol and bool(
-            (np.abs(step) / np.maximum(np.abs(p), 1.0)).max() < tol)
+        converged = rel_decrease < LM_TOL and bool(
+            (np.abs(step) / np.maximum(np.abs(p), 1.0)).max() < LM_TOL)
         p, r, cost = trial, r_trial, cost_trial
         history.append(cost)
         lam = max(lam / 10.0, 1e-12)
@@ -323,11 +322,10 @@ def fit_dbw(
     Initial values: alpha0 = 1 Ah, alpha1 = alpha2 = alpha3 = -1e-4
     Ah/cycle, x0 at 70% and x2 at 90% of the observed cycle range. The
     reported onset/knee are order-normalized, so swapping the two
-    transition initializations changes nothing downstream. The fit runs
-    ``lm_optimize`` at its default tolerance and, like it, raises no
-    floating-point RuntimeWarning. ``gamma`` must be a finite real > 0
-    (``rules.check_positive``) and ``max_iter`` an int >= 1
-    (``rules.check_count``), else InputError.
+    transition initializations changes nothing downstream. Like
+    ``lm_optimize``, the fit raises no floating-point RuntimeWarning.
+    ``gamma`` must be a finite real > 0 (``rules.check_positive``) and
+    ``max_iter`` an int >= 1 (``rules.check_count``), else InputError.
     """
     gamma = check_positive(gamma, "gamma")
     max_iter = check_count(max_iter, "max_iter", 1)

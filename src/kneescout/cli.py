@@ -13,13 +13,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _resolve
 from .errors import InputError, KneeScoutError
 from .ingest import (
     CAPACITY_HEADER,
@@ -200,8 +199,7 @@ def main(argv=None) -> int:
                              f" not {args.command}")
         load, compute, write = COMMANDS[args.command]
         if isinstance(compute, str):  # a stage function, imported now
-            module, name = compute.split(".")
-            compute = getattr(import_module(f".{module}", __package__), name)
+            compute = _resolve(compute)
         inputs = load(args, _read_config(args.config) if args.config is not None else {})
         code = 2
         result = compute(*inputs)
@@ -447,17 +445,17 @@ def _write_sensitivity(args, inputs, table) -> None:
 
 # Each command is (load, compute, write): load(args, config) returns the
 # arguments of compute, and write(args, inputs, result) writes its outputs.
-# A compute named "module.function" is a stage function, imported when the
+# A compute given by its package name is a stage function, imported when the
 # command runs, as are the stage names that load and write use.
 COMMANDS = {
-    "identify": (_load_cell, "segmentation.identify_knees", _write_report),
-    "baconwatts": (_load_cell, "baconwatts.dbw_knee_report", _write_report),
-    "batch": (_load_batch, "report.batch_report", _write_batch),
+    "identify": (_load_cell, "identify_knees", _write_report),
+    "baconwatts": (_load_cell, "dbw_knee_report", _write_report),
+    "batch": (_load_batch, "batch_report", _write_batch),
     "synth": (_load_synth, _with_cycle_records, _write_synth),
-    "features": (_load_features, "earlypredict.feature_matrix", _write_features),
-    "train": (_load_training, "earlypredict.gbrt_train", _write_model),
+    "features": (_load_features, "feature_matrix", _write_features),
+    "train": (_load_training, "gbrt_train", _write_model),
     "predict": (_load_prediction, _prediction_rows, _write_predictions),
-    "sensitivity": (_load_sensitivity, "earlypredict.sensitivity_sweep", _write_sensitivity),
+    "sensitivity": (_load_sensitivity, "sensitivity_sweep", _write_sensitivity),
 }
 # the commands whose load reads the --config file
 CONFIG_COMMANDS = ("identify", "baconwatts", "batch")

@@ -44,8 +44,9 @@ CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 LABELS_HEADER = ("cell_id", "onset_cycle")
 PREDICTIONS_HEADER = ("cell_id", "predicted_onset_cycle")
 SENSITIVITY_HEADER = ("budget", "mean_rmse", "mean_mape")
-# the smallest cycle budget: the capacity difference is taken against cycle 10
-MIN_BUDGET = 11
+# the cycle that the capacity difference is taken against; a budget must pass it
+ANCHOR_CYCLE = 10
+MIN_BUDGET = ANCHOR_CYCLE + 1
 
 # Knee-onset grading thresholds in cycles: early < 150, late > 270.
 CLASS_EDGES = (150.0, 270.0)
@@ -195,12 +196,10 @@ def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
     }
 
 
-def delta_q(
-    records: Dict[int, CycleRecord],
-    early: int = 10,
-    late: int = 30,
-) -> np.ndarray:
-    """Q(V) difference (late - early) on a uniform 1000-point grid over the overlap."""
+def delta_q(records: Dict[int, CycleRecord], late: int = 30) -> np.ndarray:
+    """Q(V) difference (cycle ``late`` - ``ANCHOR_CYCLE``) on a uniform
+    1000-point grid over the overlap."""
+    early = ANCHOR_CYCLE
     for cyc in (early, late):
         if cyc not in records:
             raise MissingCycle(f"cycle {cyc} not present")
@@ -253,11 +252,11 @@ def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> Featu
     budget = check_number(budget, "budget", integral=True)
     if budget < MIN_BUDGET:
         raise MissingCycle(
-            f"budget {budget} < {MIN_BUDGET}: capacity-difference anchor needs cycle 10"
+            f"budget {budget} < {MIN_BUDGET}: capacity-difference anchor needs cycle {ANCHOR_CYCLE}"
         )
     if 2 not in records:
         raise MissingCycle("cycle 2 not present")
-    dq = delta_q(records, early=10, late=budget)
+    dq = delta_q(records, late=budget)
     var, skew, kurt = _moments(dq)
     q2 = records[2].total_capacity_ah
     q_max = float(max(rec.q_ah[-1] for cyc, rec in records.items() if cyc <= budget))

@@ -30,6 +30,8 @@ from .errors import (
 from .rules import as_array, as_number, check_fraction, check_positive
 
 CAPACITY_HEADER = ("cycle", "discharge_capacity_ah")
+# the most cycles a unit grid may hold: resample_even's and a synthetic curve's
+MAX_GRID_CYCLES = 10**6
 
 # the suffixes of cell <id>'s files in an experiment directory (README)
 CELL_FILES = {"capacity": ".csv", "meta": ".meta.json", "truth": ".truth.json",
@@ -304,23 +306,29 @@ def load_capacity_csv(
 def resample_even(series: CapacityFadeSeries) -> CapacityFadeSeries:
     """Resample onto a unit-spaced cycle grid with a natural cubic spline.
 
-    Input that is already unit-spaced is returned unchanged, bitwise.
+    Input that is already unit-spaced is returned unchanged, bitwise. A grid
+    of more than ``MAX_GRID_CYCLES`` cycles is an InputError, raised before
+    anything is allocated. The spline runs on cycles counted from the first,
+    which float64 holds exactly, so its values do not depend on the offset.
     """
     cycles = series.cycles
     if np.all(np.diff(cycles) == 1):
         return series
     if len(cycles) < 4:
         raise TooShort("cubic resampling of uneven cycles needs at least 4 points")
+    first, last = int(cycles[0]), int(cycles[-1])  # Python ints: no int64 wrap
+    if last - first >= MAX_GRID_CYCLES:
+        raise InputError(f"cycles {first} to {last} span more than {MAX_GRID_CYCLES} cycles,"
+                         " the most a unit grid may hold")
     from scipy.interpolate import CubicSpline  # only uneven grids need it; slow to import
 
-    spline = CubicSpline(
-        cycles.astype(np.float64), series.capacity_ah, bc_type="natural"
-    )
-    grid = np.arange(cycles[0], cycles[-1] + 1, dtype=np.int64)
+    spline = CubicSpline((cycles - first).astype(np.float64), series.capacity_ah,
+                         bc_type="natural")
+    steps = np.arange(last - first + 1, dtype=np.int64)
     return CapacityFadeSeries(
         cell_id=series.cell_id,
-        cycles=grid,
-        capacity_ah=spline(grid.astype(np.float64)),
+        cycles=steps + first,
+        capacity_ah=spline(steps.astype(np.float64)),
         q_nom_ah=series.q_nom_ah,
     )
 

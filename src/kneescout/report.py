@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
-from importlib import import_module
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _OWNER
+from . import _resolve
 from .errors import ConstantInput, InputError, LengthMismatch
 from .ingest import CapacityFadeSeries, csv_text, write_text
 from .rules import as_array, check_finite, check_number
@@ -71,8 +70,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _report_for(series: CapacityFadeSeries, method: str, params: PipelineParams) -> KneeReport:
-    name = METHODS[method]
-    return getattr(import_module(f".{_OWNER[name]}", __package__), name)(series, params)
+    return _resolve(METHODS[method])(series, params)
 
 
 def check_methods(methods: Sequence[str]) -> None:

@@ -31,13 +31,14 @@ import numpy as np
 
 from .earlypredict import CycleRecord
 from .errors import DegenerateSpec
-from .ingest import CapacityFadeSeries
+from .ingest import MAX_GRID_CYCLES, CapacityFadeSeries
 from .rules import check_count, check_number, check_positive
 
 TRUNCATE_AT = 0.6
 ONSET_FACTOR = 10.0
 DEFAULT_Q_NOM = 1.1  # nominal capacity of every synthetic cell, in Ah
 GRID_POINTS = 120  # voltage samples per simulated discharge curve
+EARLY_CYCLES = 35  # cycles 1..35 of discharge curves per simulated cell
 
 GROUND_TRUTH_RULE = (
     "onset: first cycle >= n_k with |second difference| > 10x state-1 median; "
@@ -53,8 +54,9 @@ MIN_CYCLES = 10
 class SyntheticSpec:
     """One curve's parameters. Each field must be a number of its type under
     ``rules.as_number`` and is stored as that ``int`` or ``float``;
-    ``n_cycles`` must be >= ``MIN_CYCLES``, ``seed`` >= 0 (``rules.check_count``)
-    and ``noise_sigma`` finite and >= 0. Else DegenerateSpec."""
+    ``n_cycles`` must be >= ``MIN_CYCLES`` and at most ``MAX_GRID_CYCLES``,
+    ``seed`` >= 0 (``rules.check_count``) and ``noise_sigma`` finite and >= 0.
+    Else DegenerateSpec."""
 
     n_cycles: int
     a: float
@@ -72,6 +74,8 @@ class SyntheticSpec:
             number = (check_count(value, f.name, lows[f.name], DegenerateSpec) if f.name in lows
                       else check_number(value, f.name, f.type == "int", DegenerateSpec))
             object.__setattr__(self, f.name, number)
+        if self.n_cycles > MAX_GRID_CYCLES:
+            raise DegenerateSpec(f"n_cycles must be at most {MAX_GRID_CYCLES}, got {self.n_cycles}")
         if not (self.a >= 0 and self.b >= 0 and self.c >= 0):  # NaN too
             raise DegenerateSpec("a, b, c must be >= 0")
         if not 0.0 < self.p <= 1.0:
@@ -204,11 +208,7 @@ def generate_convex_family(
     ]
 
 
-def simulate_cycle_records(
-    onset_cycle: int,
-    n_early_cycles: int = 35,
-    seed: int = 0,
-):
+def simulate_cycle_records(onset_cycle: int, seed: int = 0):
     """Early-cycle discharge curves whose drift encodes the knee onset.
 
     Cells heading for an early onset lose low-voltage capacity faster in
@@ -216,11 +216,10 @@ def simulate_cycle_records(
     amplitude grows linearly with cycle number at a rate inversely
     proportional to the onset cycle. Smooth per-cycle measurement
     disturbances are added and monotonicity of Q(V) is enforced.
-    ``onset_cycle`` must be a finite real number > 0, ``n_early_cycles`` an
-    int >= 1 and ``seed`` an int >= 0, else DegenerateSpec.
+    The records cover cycles 1 to ``EARLY_CYCLES``. ``onset_cycle`` must be
+    a finite real number > 0 and ``seed`` an int >= 0, else DegenerateSpec.
     """
     onset = check_positive(onset_cycle, "onset_cycle", DegenerateSpec)
-    n_early_cycles = check_count(n_early_cycles, "n_early_cycles", 1, DegenerateSpec)
     seed = check_count(seed, "seed", 0, DegenerateSpec)
     rng = np.random.default_rng(seed)
     v = np.linspace(3.5, 2.0, GRID_POINTS)
@@ -232,7 +231,7 @@ def simulate_cycle_records(
     fade = 2e-5
 
     records = {}
-    for cycle in range(1, n_early_cycles + 1):
+    for cycle in range(1, EARLY_CYCLES + 1):
         q_tot = q2_base * (1.0 - fade * (cycle - 2))
         offset = rng.normal(0.0, 2e-4)
         phase = rng.uniform(0.0, 2.0 * np.pi)

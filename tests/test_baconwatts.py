@@ -129,9 +129,9 @@ class TestDbwModel:
 
 class TestLmOptimize:
     def test_parameters(self):
-        # the damping starts at 1e-3; the Jacobian is the one hook
+        # the damping starts at 1e-3 and the tolerance is LM_TOL; the Jacobian is the one hook
         assert list(inspect.signature(lm_optimize).parameters) == [
-            "residuals", "init", "tol", "max_iter", "jacobian"
+            "residuals", "init", "max_iter", "jacobian"
         ]
 
     def test_linear_matches_normal_equations(self):
@@ -150,6 +150,11 @@ class TestLmOptimize:
         result = lm_optimize(residuals, np.array([-1.2, 1.0]))
         assert result.converged
         np.testing.assert_allclose(result.params, [1.0, 1.0], atol=1e-8)
+
+    def test_empty_residuals_rejected(self):
+        # no residual gives a cost of 0, which would pass for a converged fit
+        with pytest.raises(InputError, match=r"^residuals must hold at least one value"):
+            lm_optimize(lambda p: np.array([]), np.zeros(1))
 
     def test_nan_at_init_rejected(self):
         with pytest.raises(NonFiniteResidual):

@@ -941,6 +941,22 @@ class TestInputBoundary:
         assert (payload["error"], payload["exit_code"]) == ("InputError", 1)
         assert truth_path.name in payload["message"]
 
+    def test_uneven_cycles_spanning_past_the_grid_cap(self, tmp_path, capsys):
+        # a unit grid of 10**15 cycles would need 8 PB
+        p = tmp_path / "cell.csv"
+        p.write_text("cycle,discharge_capacity_ah\n1,1.0\n2,0.99\n3,0.98\n1000000000000000,0.5\n")
+        payload = json_error(capsys, 2, "identify", "--input", str(p), "--q-nom", "1.0",
+                             "--out", str(tmp_path / "r.json"))
+        assert payload["error"] == "InputError"
+        assert "span more than 1000000 cycles" in payload["message"]
+
+    def test_synth_past_the_grid_cap(self, tmp_path, capsys):
+        payload = json_error(capsys, 1, "synth", "--count", "1", "--n-cycles", str(10**15),
+                             "--out-dir", str(tmp_path / "out"))
+        assert payload == {"error": "DegenerateSpec", "exit_code": 1,
+                           "message": "n_cycles must be at most 1000000, got 1000000000000000"}
+        assert not (tmp_path / "out").exists()
+
     def test_batch_with_a_four_point_cell(self, synth_dir, tmp_path, capsys):
         for p in sorted(synth_dir.glob("fleet-*"))[:8]:
             shutil.copy(p, tmp_path / p.name)

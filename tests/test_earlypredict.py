@@ -148,7 +148,7 @@ class TestDeltaQ:
         # the grid size is no parameter; features are defined on 1000 points
         records = {10: make_record(10), 30: make_record(30)}
         assert len(delta_q(records)) == 1000
-        assert list(inspect.signature(delta_q).parameters) == ["records", "early", "late"]
+        assert list(inspect.signature(delta_q).parameters) == ["records", "late"]
         assert list(inspect.signature(extract_features).parameters) == ["records", "budget"]
 
 
@@ -218,7 +218,7 @@ class TestExtractFeatures:
     def test_budget_30_uses_cycle_30_and_10(self):
         records = self.fleet_records()
         feats = extract_features(records, budget=30)
-        dq = delta_q(records, early=10, late=30)
+        dq = delta_q(records, late=30)
         assert feats.min_dq == float(np.min(dq))
         assert (feats.var_dq, feats.skew_dq, feats.kurt_dq) == _moments(dq)
 
@@ -968,7 +968,7 @@ class TestSensitivitySweep:
 
 class TestLoadCycleDetailCsv:
     def test_round_trip(self, tmp_path):
-        records = simulate_cycle_records(150, n_early_cycles=5, seed=2)
+        records = simulate_cycle_records(150, seed=2)
         rows = ["cycle,voltage_v,discharge_capacity_ah"]
         for cyc in sorted(records):
             rec = records[cyc]

@@ -38,6 +38,7 @@ from kneescout.errors import (
 )
 from kneescout.ingest import (
     CAPACITY_HEADER,
+    MAX_GRID_CYCLES,
     CapacityFadeSeries,
     NormalizedSeries,
     find_eol,
@@ -246,6 +247,59 @@ class TestResampleEven:
         series = make_series([0, 2, 5], [1.0, 0.9, 0.8])
         with pytest.raises(TooShort):
             resample_even(series)
+
+    def test_span_past_the_cap_is_refused_before_any_allocation(self):
+        # a unit grid from 1 to 10**15 would need 8 PB
+        series = make_series([1, 2, 3, 10**15], [1.0, 0.99, 0.98, 0.5])
+        with pytest.raises(InputError, match=r"^cycles 1 to 1000000000000000 span more than"
+                                             r" 1000000 cycles, the most a unit grid may hold$"):
+            resample_even(series)
+
+    def test_a_grid_of_the_cap_is_resampled(self):
+        for last, fits in ((MAX_GRID_CYCLES - 1, True), (MAX_GRID_CYCLES, False)):
+            cycles = np.array([0, 1, 3, last])
+            series = make_series(cycles, 1.0 - 0.5 * cycles / MAX_GRID_CYCLES)  # a line
+            if fits:
+                assert len(resample_even(series)) == MAX_GRID_CYCLES
+            else:
+                with pytest.raises(InputError, match="span more than"):
+                    resample_even(series)
+
+    def test_cycles_past_float64_precision(self):
+        # float64 holds no two of these cycles apart, and cycles[-1] + 1 wraps int64
+        top = 2**63 - 1
+        values = [1.0, 0.9, 0.8, 0.7]
+        out = resample_even(make_series([top - 9, top - 7, top - 4, top], values))
+        assert out.cycles.tolist() == list(range(top - 9, top + 1))
+        near_zero = resample_even(make_series([0, 2, 5, 9], values))
+        assert out.capacity_ah.tobytes() == near_zero.capacity_ah.tobytes()
+
+    @given(
+        offset=st.integers(0, 2**62 - 1),
+        gaps=st.lists(st.integers(1, 150), min_size=3, max_size=30),
+        wide=st.none() | st.tuples(st.integers(0, 29),
+                                   st.integers(MAX_GRID_CYCLES, 2**62 // 31)),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_cycle_span_is_a_unit_grid_or_refused(self, offset, gaps, wide, data):
+        # spans are at most 30 * 150 cycles or past the cap, so nothing large is allocated
+        if wide is not None:
+            gaps[wide[0] % len(gaps)] = wide[1]
+        cycles = offset + np.concatenate([[0], np.cumsum(gaps)])
+        first, last = int(cycles[0]), int(cycles[-1])
+        values = data.draw(st.lists(st.floats(0.5, 1.5), min_size=len(cycles),
+                                    max_size=len(cycles)))
+        series = make_series(cycles, values)
+        try:
+            out = resample_even(series)
+        except KneeScoutError as exc:
+            # past the cap, or a spline that dips to a capacity <= 0
+            assert isinstance(exc, NonPositiveCapacity) or last - first >= MAX_GRID_CYCLES
+            return
+        assert last - first < MAX_GRID_CYCLES
+        assert out.cycles.tolist() == list(range(first, last + 1))
+        np.testing.assert_allclose(out.capacity_ah[cycles - first], values, rtol=1e-9)
 
     @given(
         start=st.integers(0, 50),

@@ -236,11 +236,9 @@ class TestDefectsAtTheBoundary:
          "onset_cycle must be a finite real number > 0, got '5'"),
         (simulate_cycle_records, (True,), {},
          "onset_cycle must be a finite real number > 0, got True"),
-        (simulate_cycle_records, (100,), dict(n_early_cycles=2.5),
-         "n_early_cycles must be an int >= 1, got 2.5"),
     ], ids=["fleet-seed-str", "fleet-count-float", "fleet-count-bool", "fleet-n_cycles-float",
             "convex-count-bool", "records-seed-negative", "records-onset-str",
-            "records-onset-bool", "records-n_early-float"])
+            "records-onset-bool"])
     def test_synthgen_arguments(self, call, args, kwargs, message):
         with pytest.raises(DegenerateSpec, match=re.escape(message)):
             call(*args, **kwargs)
@@ -251,8 +249,8 @@ class TestDefectsAtTheBoundary:
         assert (a.cell_id, truth_a) == (b.cell_id, truth_b) == ("fleet-3-000", truth_b)
         assert a.capacity_ah.tobytes() == b.capacity_ah.tobytes()
         assert convex_family_specs(np.int64(2), np.uint8(1)) == convex_family_specs(2, 1)
-        records = simulate_cycle_records(np.int64(250), n_early_cycles=np.uint8(3), seed=7)
-        again = simulate_cycle_records(250, n_early_cycles=3, seed=7)
+        records = simulate_cycle_records(np.int64(250), seed=np.uint8(7))
+        again = simulate_cycle_records(250, seed=7)
         assert [r.q_ah.tobytes() for r in records.values()] == [
             r.q_ah.tobytes() for r in again.values()]
 
@@ -371,12 +369,9 @@ def entry_points(directory):
          DegenerateSpec),
         ("convex_family_specs count", lambda v: convex_family_specs(v, -1), DegenerateSpec),
         ("convex_family_specs seed", lambda v: convex_family_specs(1, v), DegenerateSpec),
-        ("simulate_cycle_records onset_cycle",
-         lambda v: simulate_cycle_records(v, n_early_cycles=1), DegenerateSpec),
-        ("simulate_cycle_records n_early_cycles",
-         lambda v: simulate_cycle_records(100, n_early_cycles=v, seed=-1), DegenerateSpec),
+        ("simulate_cycle_records onset_cycle", lambda v: simulate_cycle_records(v), DegenerateSpec),
         ("simulate_cycle_records seed",
-         lambda v: simulate_cycle_records(100, n_early_cycles=1, seed=v), DegenerateSpec),
+         lambda v: simulate_cycle_records(100, seed=v), DegenerateSpec),
         ("extract_features budget", lambda v: extract_features({}, budget=v), InputError),
         ("batch_report jobs", lambda v: batch_report([], jobs=v), InputError),
         # each stage's own parameters: an accepted value meets data too short
@@ -389,8 +384,9 @@ def entry_points(directory):
         ("savgol_smooth order", lambda v: savgol_smooth(SMOOTH, window=9, order=v), InputError),
         *((f"fit_dbw {k}", lambda v, k=k: fit_dbw(FIVE_CYCLES, **{k: v}), InputError)
           for k in ("gamma", "max_iter")),
-        *((f"lm_optimize {k}", lambda v, k=k: lm_optimize(infinite_residuals, np.zeros(1), **{k: v}),
-           (InputError, NonFiniteResidual)) for k in ("tol", "max_iter")),
+        ("lm_optimize max_iter",
+         lambda v: lm_optimize(infinite_residuals, np.zeros(1), max_iter=v),
+         (InputError, NonFiniteResidual)),
     ]
     return points
 
@@ -469,16 +465,12 @@ class TestStageParameters:
          "gamma must be a finite real number > 0, got '10'"),
         (lambda: fit_dbw(FIT_CELL, gamma=0), InputError,
          "gamma must be a finite real number > 0, got 0"),
-        (lambda: lm_optimize(infinite_residuals, np.zeros(1), tol="x"), InputError,
-         "tol must be a real number, got 'x'"),
-        (lambda: lm_optimize(infinite_residuals, np.zeros(1), tol=math.nan), InputError,
-         "tol: must be >= 0, got nan"),
         (lambda: lm_optimize(infinite_residuals, np.zeros(1), max_iter=0), InputError,
          "max_iter must be an int >= 1, got 0"),
     ], ids=["stamp-float", "stamp-fraction", "stamp-1", "rea-n-float", "rea-radius-float",
             "rea-n-bool", "rea-n-negative", "curvature-float", "smooth-float", "smooth-none",
             "smooth-1", "smooth-long", "smooth-order-float", "dbw-max_iter-float", "dbw-max_iter-0", "dbw-gamma-str",
-            "dbw-gamma-0", "lm-tol-str", "lm-tol-nan", "lm-max_iter-0"])
+            "dbw-gamma-0", "lm-max_iter-0"])
     def test_each_stage_checks_its_parameters(self, call, error, message):
         with pytest.raises(InputError) as info:
             call()
@@ -712,8 +704,6 @@ COUNT_CALLERS = [
     ("convex_family_specs count", "count", 1, lambda v: convex_family_specs(v, 0),
      DegenerateSpec),
     ("convex_family_specs seed", "seed", 0, lambda v: convex_family_specs(1, v), DegenerateSpec),
-    ("simulate_cycle_records n_early_cycles", "n_early_cycles", 1,
-     lambda v: simulate_cycle_records(100, n_early_cycles=v), DegenerateSpec),
     ("simulate_cycle_records seed", "seed", 0, lambda v: simulate_cycle_records(100, seed=v),
      DegenerateSpec),
     ("stratified_split seed", "seed", 0, lambda v: stratified_split(LABELS, seed=v), InputError),

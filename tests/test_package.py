@@ -20,7 +20,7 @@ def test_star_import_binds_exactly_all():
     exec("from kneescout import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == kneescout.__all__
-    assert len(kneescout.__all__) == 47
+    assert len(kneescout.__all__) == 48
 
 
 def test_each_name_is_its_owners_object():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kneescout.errors import DegenerateSpec
+from kneescout.ingest import MAX_GRID_CYCLES
 from kneescout.synthgen import (
     SyntheticSpec,
     convex_family_specs,
@@ -41,6 +42,16 @@ class TestSpecValidation:
             spec_with(n_cycles=9)
         assert (type(info.value), str(info.value)) == (
             DegenerateSpec, "n_cycles must be an int >= 10, got 9")
+
+    def test_more_cycles_than_a_unit_grid_may_hold(self):
+        # generate would allocate 8 PB for each of its arrays
+        assert spec_with(n_cycles=MAX_GRID_CYCLES, n_k=900).n_cycles == MAX_GRID_CYCLES
+        for n_cycles in (MAX_GRID_CYCLES + 1, 10**15):
+            with pytest.raises(DegenerateSpec) as info:
+                spec_with(n_cycles=n_cycles)
+            assert str(info.value) == f"n_cycles must be at most 1000000, got {n_cycles}"
+        with pytest.raises(DegenerateSpec, match="n_cycles must be at most 1000000"):
+            generate_fleet(1, seed=0, n_cycles=10**15)
 
     def test_negative_noise(self):
         with pytest.raises(DegenerateSpec):
@@ -159,7 +170,7 @@ class TestSimulateCycleRecords:
             assert np.array_equal(a[cyc].q_ah, b[cyc].q_ah)
 
     def test_contains_requested_cycles(self):
-        records = simulate_cycle_records(250, n_early_cycles=35, seed=1)
+        records = simulate_cycle_records(250, seed=1)
         assert set(records) == set(range(1, 36))
 
     def test_monotone_discharge_curves(self):
