@@ -61,11 +61,11 @@ class CapacityFadeSeries:
             )
         if len(cycles) < 3:
             raise TooShort(f"need at least 3 points, got {len(cycles)}")
-        if np.any(cycles < 0):
+        if (cycles < 0).any():
             raise NonMonotonicCycles("cycle indices must be nonnegative")
-        if np.any(np.diff(cycles) <= 0):
+        if (cycles[1:] <= cycles[:-1]).any():
             raise NonMonotonicCycles("cycle indices must be strictly increasing")
-        if not np.all(np.isfinite(capacity)) or np.any(capacity <= 0):
+        if not np.isfinite(capacity).all() or (capacity <= 0).any():
             raise NonPositiveCapacity("capacities must be finite and > 0")
         q_nom = check_positive(self.q_nom_ah, "q_nom_ah", NonPositiveNominal)
         # Python floats: an overflowing quotient is inf, without a warning
@@ -306,17 +306,21 @@ def load_capacity_csv(
 def resample_even(series: CapacityFadeSeries) -> CapacityFadeSeries:
     """Resample onto a unit-spaced cycle grid with a natural cubic spline.
 
-    Input that is already unit-spaced is returned unchanged, bitwise. A grid
-    of more than ``MAX_GRID_CYCLES`` cycles is an InputError, raised before
-    anything is allocated. The spline runs on cycles counted from the first,
-    which float64 holds exactly, so its values do not depend on the offset.
+    Input that is already unit-spaced is returned unchanged, bitwise: the
+    cycles are strictly increasing ints, so they are a unit grid exactly
+    when the last is the first plus the count less one. A grid of more than
+    ``MAX_GRID_CYCLES`` cycles is an InputError, raised before anything is
+    allocated. The spline runs on cycles counted from the first, which
+    float64 holds exactly, so its values do not depend on the offset. A
+    spline that leaves the finite positive range between knots is
+    NonPositiveCapacity naming the first cycle where it does.
     """
     cycles = series.cycles
-    if np.all(np.diff(cycles) == 1):
+    first, last = int(cycles[0]), int(cycles[-1])  # Python ints: no int64 wrap
+    if last - first == len(cycles) - 1:
         return series
     if len(cycles) < 4:
         raise TooShort("cubic resampling of uneven cycles needs at least 4 points")
-    first, last = int(cycles[0]), int(cycles[-1])  # Python ints: no int64 wrap
     if last - first >= MAX_GRID_CYCLES:
         raise InputError(f"cycles {first} to {last} span more than {MAX_GRID_CYCLES} cycles,"
                          " the most a unit grid may hold")
@@ -325,10 +329,18 @@ def resample_even(series: CapacityFadeSeries) -> CapacityFadeSeries:
     spline = CubicSpline((cycles - first).astype(np.float64), series.capacity_ah,
                          bc_type="natural")
     steps = np.arange(last - first + 1, dtype=np.int64)
+    capacity = spline(steps.astype(np.float64))
+    outside = ~((capacity > 0) & (capacity < np.inf))  # NaN fails both
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise NonPositiveCapacity(
+            f"cubic resampling left the finite positive range at cycle {first + k}"
+            f" (capacity {float(capacity[k])!r}), though every given capacity is positive"
+        )
     return CapacityFadeSeries(
         cell_id=series.cell_id,
         cycles=steps + first,
-        capacity_ah=spline(steps.astype(np.float64)),
+        capacity_ah=capacity,
         q_nom_ah=series.q_nom_ah,
     )
 

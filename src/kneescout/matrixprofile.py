@@ -8,8 +8,9 @@ full rows of the Gram matrix ``Z @ Z.T``: for z-normalized windows
 product. The exclusion band of a block only reaches the columns within
 ceil(L/2) of its rows, so it is written through one local mask built once
 per call. ``argmax`` takes the first maximum, so ties go to the smallest
-index and the result does not depend on evaluation order. P is then
-measured directly from the chosen pair.
+index and the result does not depend on evaluation order. P is measured
+directly from the chosen pair when it is first read: the arc curve and
+the knee read only I.
 
 A series of length M has n = M - L + 1 windows, and every window has a
 candidate outside its band exactly when n >= 2 ceil(L/2) + 2, that is
@@ -32,7 +33,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,24 +66,42 @@ def _cpu_count() -> int:
 
 @dataclass(frozen=True)
 class MatrixProfile:
-    """Nearest-neighbor distance P and neighbor start index I of each window."""
+    """Neighbor start index I of each window and, on first read, its distance P.
 
-    P: np.ndarray
+    P is formed from a private copy of the series and the window length,
+    with the same arithmetic on the same windows as the search, so it has
+    the same bits whenever it is read. No window matrix is kept, and the
+    profile pickles before and after P is read.
+    """
+
     I: np.ndarray
+    _series: np.ndarray = field(repr=False)
+    _L: int = field(repr=False)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Distance to the neighbor I names, capped at 2 sqrt(L)."""
+        L, I = self._L, self.I
+        Z, flat = _znormalize(sliding_window_view(self._series, L))
+        return np.minimum(_distance(Z, Z[I], flat, flat[I], L), 2.0 * math.sqrt(L))
 
 
 def _znormalize(windows: np.ndarray):
     """z-normalized windows (last axis) and their flat mask; flat rows are 0.
 
     The deviations are computed once; sigma is ``np.std``'s own arithmetic
-    on them, so z has the bits of ``(windows - mean) / std``.
+    on them, so z has the bits of ``(windows - mean) / std``. Without a flat
+    window the division is by sigma itself, which is what the masked divisor
+    would hold.
     """
     dev = windows - windows.mean(axis=-1, keepdims=True)
     sigma = np.sqrt(np.square(dev).sum(axis=-1, keepdims=True) / windows.shape[-1])
-    flat = sigma < FLAT_STD
-    dev /= np.where(flat, 1.0, sigma)
-    flat = flat[..., 0]
-    dev[flat] = 0.0
+    flat = sigma[..., 0] < FLAT_STD
+    if flat.any():
+        dev /= np.where(flat[..., None], 1.0, sigma)
+        dev[flat] = 0.0
+    else:
+        dev /= sigma
     return dev, flat
 
 
@@ -111,10 +131,10 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
 
     I[j] is the window outside the band of radius ceil(L/2) around j with the
     largest Gram entry, the smallest index on ties; P[j] is the distance to
-    it, capped at 2 sqrt(L). ``L`` follows ``check_length``. A series
-    shorter than L + 2 ceil(L/2) + 1 is SeriesTooShort: some window would
-    have no candidate. A non-finite value is DegenerateWindow, since its
-    windows have no z-normalized distance.
+    it, capped at 2 sqrt(L), formed when P is first read. ``L`` follows
+    ``check_length``. A series shorter than L + 2 ceil(L/2) + 1 is
+    SeriesTooShort: some window would have no candidate. A non-finite value
+    is DegenerateWindow, since its windows have no z-normalized distance.
 
     Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows in a
     ``(_BLOCK_ROWS, n)`` buffer allocated once per call, and the band is set
@@ -147,6 +167,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     if not np.isfinite(series).all():
         raise DegenerateWindow("series holds non-finite values")
 
+    series = series.copy()  # P reads it later; the caller may overwrite theirs
     Z, flat = _znormalize(sliding_window_view(series, L))
     n = len(Z)
     # band[i, c]: column start - radius + c lies within radius of row start + i
@@ -164,7 +185,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
             lo, hi = max(start - radius, 0), min(stop + radius, n)
             skip = lo - (start - radius)
             gram[:, lo:hi][band[: stop - start, skip : skip + hi - lo]] = -np.inf
-            I[start:stop] = np.argmax(gram, axis=1)
+            gram.argmax(axis=1, out=I[start:stop])
 
     starts = range(0, n, _BLOCK_ROWS)
     if len(starts) < _HELPER_MIN_BLOCKS or _cpu_count() < 2:
@@ -189,5 +210,4 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
         if errors:
             raise errors[0]
 
-    P = np.minimum(_distance(Z, Z[I], flat, flat[I], L), 2.0 * math.sqrt(L))
-    return MatrixProfile(P=P, I=I)
+    return MatrixProfile(I, series, L)

@@ -83,21 +83,19 @@ def arc_curve(index: np.ndarray) -> np.ndarray:
     """Number of nearest-neighbor arcs strictly crossing each position.
 
     An arc (j, I[j]) crosses i when min < i < max. Counted in O(n) by
-    marking arc interiors and cumulatively summing.
+    counting where arc interiors open and close and cumulatively summing.
     """
     index = as_array(index, "index", np.int64, vector=True)
     n = len(index)
     if n < 2:
         raise IndexOutOfRange(f"index of length {n} has no interior")
-    if np.any(index < 0) or np.any(index >= n):
+    if (index < 0).any() or (index >= n).any():
         raise IndexOutOfRange("matrix profile index entries outside [0, n)")
     j = np.arange(n)
     lo = np.minimum(j, index)
     hi = np.maximum(j, index)
     span = hi > lo  # a self-arc has no interior
-    mark = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(mark, lo[span] + 1, 1)
-    np.add.at(mark, hi[span], -1)
+    mark = np.bincount(lo[span] + 1, minlength=n + 1) - np.bincount(hi[span], minlength=n + 1)
     return np.cumsum(mark[:-1])
 
 

@@ -950,6 +950,16 @@ class TestInputBoundary:
         assert payload["error"] == "InputError"
         assert "span more than 1000000 cycles" in payload["message"]
 
+    def test_spline_that_dips_below_zero(self, tmp_path, capsys):
+        # every given capacity is positive; the resampled curve is not
+        p = tmp_path / "cell.csv"
+        p.write_text("cycle,discharge_capacity_ah\n0,1.0\n10,0.02\n11,1.0\n12,1.0\n40,1.0\n")
+        payload = json_error(capsys, 2, "identify", "--input", str(p), "--q-nom", "1.0",
+                             "--out", str(tmp_path / "r.json"))
+        assert payload["error"] == "NonPositiveCapacity"
+        assert payload["message"].startswith(
+            "cubic resampling left the finite positive range at cycle 2 ")
+
     def test_synth_past_the_grid_cap(self, tmp_path, capsys):
         payload = json_error(capsys, 1, "synth", "--count", "1", "--n-cycles", str(10**15),
                              "--out-dir", str(tmp_path / "out"))

@@ -118,6 +118,34 @@ class TestCapacityFadeSeries:
         with pytest.raises(NonPositiveNominal):
             make_series([1, 2, 3], [1.0, 1.0, 1.0], q_nom=0.0)
 
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("defect", ["negative", "repeated", "falling", "nan", "inf",
+                                        "-inf", "zero", "negative capacity"])
+    def test_seeded_bad_input_keeps_class_and_message(self, seed, defect):
+        # a valid series of 3-60 points with one defect at a seeded position
+        rng = np.random.default_rng([seed, len(defect)])
+        n = int(rng.integers(3, 61))
+        cycles = int(rng.integers(0, 2**40)) + np.cumsum(rng.integers(1, 50, n))
+        capacity = rng.uniform(0.5, 1.5, n)
+        k = int(rng.integers(1, n))
+        if defect == "negative":
+            cycles[int(rng.integers(0, n))] = -int(rng.integers(1, 2**62))
+        elif defect == "repeated":
+            cycles[k] = cycles[k - 1]
+        elif defect == "falling":
+            cycles[k] = cycles[k - 1] - int(rng.integers(1, 1000))
+        else:
+            capacity[k] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "zero": 0.0,
+                           "negative capacity": -rng.uniform(0, 2)}[defect]
+        expected = {
+            "negative": (NonMonotonicCycles, "cycle indices must be nonnegative"),
+            "repeated": (NonMonotonicCycles, "cycle indices must be strictly increasing"),
+            "falling": (NonMonotonicCycles, "cycle indices must be strictly increasing"),
+        }.get(defect, (NonPositiveCapacity, "capacities must be finite and > 0"))
+        with pytest.raises(InputError) as info:
+            make_series(cycles, capacity)
+        assert (type(info.value), str(info.value)) == expected
+
     def test_nominal_whose_quotient_overflows(self):
         # rejected without the overflow RuntimeWarning, an error in this suite
         with pytest.raises(InputError, match="q_nom_ah=1e-300"):
@@ -300,6 +328,47 @@ class TestResampleEven:
         assert last - first < MAX_GRID_CYCLES
         assert out.cycles.tolist() == list(range(first, last + 1))
         np.testing.assert_allclose(out.capacity_ah[cycles - first], values, rtol=1e-9)
+
+    def test_spline_that_dips_below_zero_names_the_resampling(self):
+        from scipy.interpolate import CubicSpline
+
+        cycles, values = [0, 10, 11, 12, 40], [1.0, 0.02, 1.0, 1.0, 1.0]
+        spline = CubicSpline(cycles, values, bc_type="natural")(np.arange(41.0))
+        assert spline[:2].min() > 0 and spline[2] <= 0  # every given capacity is positive
+        with pytest.raises(NonPositiveCapacity, match=(
+                r"^cubic resampling left the finite positive range at cycle 2 \(capacity"
+                r" -0\.36\d*\), though every given capacity is positive$")):
+            resample_even(make_series(cycles, values))
+        # the spline runs on cycles counted from the first: this dip is 298 cycles in
+        with pytest.raises(NonPositiveCapacity,
+                           match=r"^cubic resampling left the finite positive range at cycle 398 "):
+            resample_even(make_series([100, 101, 103, 1_000_099], [1.0, 0.99, 0.98, 0.5]))
+
+    @given(
+        offset=st.integers(0, 2**62),
+        length=st.integers(3, 50),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["unit", "one step of 2", "one step of 2**40", "drawn"]),
+        at=st.integers(0, 48),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unit_grid_is_returned_as_given(self, offset, length, seed, mode, at):
+        # strictly increasing int64 cycles of 3-50 points: the input object
+        # comes back exactly when every step is 1
+        gaps = [1] * (length - 1)
+        if mode == "drawn":
+            gaps = np.random.default_rng(seed).integers(1, 4, length - 1).tolist()
+        elif mode != "unit":
+            gaps[at % len(gaps)] = 2 if mode == "one step of 2" else 2**40
+        cycles = offset + np.concatenate([[0], np.cumsum(gaps)])
+        series = make_series(cycles, np.linspace(1.0, 0.8, len(cycles)))
+        unit = all(g == 1 for g in gaps)
+        try:
+            out = resample_even(series)
+        except KneeScoutError:  # too few points, past the cap, or a dip
+            assert not unit
+            return
+        assert (out is series) == unit
 
     @given(
         start=st.integers(0, 50),

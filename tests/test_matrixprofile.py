@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import threading
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from kneescout import matrixprofile
+from kneescout import PipelineParams, matrixprofile, segmentation
 from kneescout.errors import DegenerateWindow, SeriesTooShort
 from kneescout.matrixprofile import FLAT_STD, _distance, _znormalize, stamp
+from kneescout.synthgen import generate_fleet
 
 
 def znorm_distance_oracle(u, w):
@@ -70,12 +72,26 @@ def naive_matrix_profile(series, L):
     return P, I
 
 
+def _reference_znormalize(windows):
+    """The z-normalization ``stamp`` used before it skipped the flat-window
+    mask on series without a flat window: the masked divisor and the masked
+    write run on every call."""
+    dev = windows - windows.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(np.square(dev).sum(axis=-1, keepdims=True) / windows.shape[-1])
+    flat = sigma < FLAT_STD
+    dev /= np.where(flat, 1.0, sigma)
+    flat = flat[..., 0]
+    dev[flat] = 0.0
+    return dev, flat
+
+
 def _reference_stamp(series, L):
     """The block loop ``stamp`` used before its local band: a full (64, n)
-    band mask built for every block of 64 rows. Returns (P, I)."""
+    band mask built for every block of 64 rows, on windows z-normalized by
+    ``_reference_znormalize``. Returns (P, I)."""
     series = np.asarray(series, dtype=np.float64)
     radius = math.ceil(L / 2)
-    Z, flat = _znormalize(np.lib.stride_tricks.sliding_window_view(series, L))
+    Z, flat = _reference_znormalize(np.lib.stride_tricks.sliding_window_view(series, L))
     n = len(Z)
     cols = np.arange(n)
     I = np.full(n, -1, dtype=np.int64)
@@ -452,3 +468,75 @@ class TestOracleScale:
                 two = np.partition(D, 1, axis=1)[:, 1]
                 unique = two - oracle_P > 1e-6
                 np.testing.assert_array_equal(mp.I[unique], oracle_I[unique])
+
+
+def lazy_cases():
+    """(series, L) pairs for every L from 2 to 30 whose window count sits at
+    a 64-row block edge (63, 64, 65, 127, 128, 129) or is the fewest that
+    ``stamp`` takes, each on a flat, a partly flat and a random-walk series."""
+    rng = np.random.default_rng(43)
+    for L in range(2, 31):
+        shortest = 2 * math.ceil(L / 2) + 2
+        for n in sorted({shortest, *(c for c in (63, 64, 65, 127, 128, 129) if c >= shortest)}):
+            m = n + L - 1
+            walk = np.cumsum(rng.normal(0, 1, m))
+            partly = walk.copy()
+            partly[m // 3 : m // 3 + L + 5] = partly[m // 3]
+            for series in (np.full(m, 0.7), partly, walk):
+                yield series, L
+
+
+class TestLazyProfile:
+    """P is formed on its first read, from the profile's own copy of the series."""
+
+    def test_bitwise_against_reference(self):
+        for series, L in lazy_cases():
+            mp = stamp(series, L)
+            P, I = _reference_stamp(series, L)
+            assert mp.I.tobytes() == I.tobytes()
+            assert mp.P.tobytes() == P.tobytes()
+
+    def test_P_ignores_writes_to_the_input(self):
+        for series, L in list(lazy_cases())[::40]:
+            given = series.copy()
+            mp = stamp(given, L)
+            given[:] = np.nan
+            P, _ = _reference_stamp(series, L)
+            assert mp.P.tobytes() == P.tobytes()
+
+    def test_P_is_formed_once(self, monkeypatch):
+        series = np.cumsum(np.random.default_rng(3).normal(0, 1, 200))
+        mp = stamp(series, 12)
+        assert "P" not in vars(mp)
+        first = mp.P
+        monkeypatch.setattr(matrixprofile, "_distance", None)  # a second forming would fail
+        assert mp.P is first
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip(self, read_first):
+        series = np.cumsum(np.random.default_rng(5).normal(0, 1, 300))
+        series[100:140] = series[100]
+        mp = stamp(series, 12)
+        if read_first:
+            assert len(mp.P) == len(mp.I)
+        back = pickle.loads(pickle.dumps(mp))
+        assert ("P" in vars(back)) == read_first
+        P, I = _reference_stamp(series, 12)
+        assert back.I.tobytes() == I.tobytes()
+        assert back.P.tobytes() == P.tobytes()
+
+    def test_identify_knees_forms_no_P(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("identify_knees measured a distance")
+
+        made = []
+
+        def recording_stamp(series, L):
+            made.append(stamp(series, L))
+            return made[-1]
+
+        monkeypatch.setattr(matrixprofile, "_distance", refuse)
+        monkeypatch.setattr(segmentation, "stamp", recording_stamp)
+        curve = generate_fleet(1, seed=7, n_cycles=900)[0][0]
+        segmentation.identify_knees(curve, PipelineParams(sg_window=81, cac_window=12))
+        assert len(made) == 1 and "P" not in vars(made[0])

@@ -56,6 +56,18 @@ class TestArcCurve:
         with pytest.raises(IndexOutOfRange):
             arc_curve(np.array([1, 5, 0]))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_out_of_range_keeps_class_and_message(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        index = rng.integers(0, n, n)
+        bad = n + int(rng.integers(0, 2**62)) if seed % 2 else -int(rng.integers(1, 2**62))
+        index[rng.integers(0, n)] = bad
+        with pytest.raises(IndexOutOfRange) as info:
+            arc_curve(index)
+        assert (type(info.value), str(info.value)) == (
+            IndexOutOfRange, "matrix profile index entries outside [0, n)")
+
     @given(
         seed=st.integers(0, 99999),
         n=st.integers(2, 500),
@@ -64,7 +76,9 @@ class TestArcCurve:
     def test_matches_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
         index = rng.integers(0, n, size=n)
-        np.testing.assert_array_equal(arc_curve(index), crossing_count_oracle(index))
+        counts = arc_curve(index)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, crossing_count_oracle(index))
 
 
 def single_arc_index(n):
