@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, get_type_hints
 
@@ -33,7 +33,7 @@ from .ingest import (
     read_text,
     write_text,
 )
-from .rules import check_positive
+from .rules import check_count, check_positive
 
 if TYPE_CHECKING:
     from .earlypredict import GBRTModel
@@ -52,24 +52,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
-
-
-def _int_at_least(low):
-    """argparse type: an int >= ``low``, or >= ``low()`` read when a value is parsed."""
-    def parse(text: str) -> int:
-        value = int(text)
-        bound = low() if callable(low) else low
-        if value < bound:
-            raise argparse.ArgumentTypeError(f"must be >= {bound}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
-
-
-def _min_budget() -> int:
-    from .earlypredict import MIN_BUDGET
-
-    return MIN_BUDGET
 
 
 def _read_config(path) -> dict:
@@ -143,13 +125,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("batch", help="identify a directory of capacity CSVs")
     p.add_argument("--dir", required=True)
     p.add_argument("--methods", default="curvature,baconwatts")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=int, default=1)
     _add_pipeline_flags(p)
     p.add_argument("--out", required=True, help="table .csv path or report directory")
 
     p = sub.add_parser("synth", help="generate synthetic capacity curves")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=42)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n-cycles", type=int, default=2000,
                    help="fleet curve length (ignored with --convex)")
     p.add_argument("--convex", action="store_true")
@@ -158,13 +140,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("features", help="extract early-prediction features")
     p.add_argument("--cycles", required=True, help="cycle-detail CSV or directory")
-    p.add_argument("--budget", type=_int_at_least(_min_budget), default=30)
+    p.add_argument("--budget", type=int, default=30)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the knee-onset predictor")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--n-trees", type=_int_at_least(1), default=None)
+    p.add_argument("--n-trees", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--min-leaf", type=int, default=None)
@@ -178,8 +160,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sensitivity", help="cycle-budget sensitivity sweep")
     p.add_argument("--dir", required=True)
     p.add_argument("--budgets", default="15:35")
-    p.add_argument("--repeats", type=_int_at_least(1), default=5)
-    p.add_argument("--seed", type=_int_at_least(0), default=42)
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
 
     return parser
@@ -268,8 +250,9 @@ def _load_batch(args, config: dict):
         check_methods(methods)
     except InputError as exc:
         raise UsageError(str(exc)) from None
+    jobs = check_count(args.jobs, "jobs", 1)
     series_list = [load_capacity_csv(p) for p in _cell_files(args.dir, "capacity")]
-    return series_list, methods, params, args.jobs
+    return series_list, methods, params, jobs
 
 
 def _write_batch(args, inputs, result) -> None:
@@ -334,8 +317,11 @@ def _load_cells(paths) -> dict:
 
 
 def _load_features(args, config: dict):
+    from .earlypredict import check_budget
+
+    budget = check_budget(args.budget)
     path = Path(args.cycles)
-    return _load_cells(_cell_files(path, "cycles") if path.is_dir() else [path]), args.budget
+    return _load_cells(_cell_files(path, "cycles") if path.is_dir() else [path]), budget
 
 
 def _write_features(args, inputs, X) -> None:
@@ -347,22 +333,29 @@ def _write_features(args, inputs, X) -> None:
 _HYPER_FLAGS = ("n_trees", "learning_rate", "max_depth", "min_leaf")
 
 
+def _read_cells(path, header: tuple):
+    """``read_csv`` of a file of one row per cell; InputError if a cell comes twice."""
+    ids, values, lines = read_csv(path, header, ids=True)
+    first = {}
+    for cell_id, line in zip(ids, lines.tolist()):
+        if first.setdefault(cell_id, line) != line:
+            raise InputError(f"{path}: line {line}: cell {cell_id!r} is given more than once")
+    return ids, values, lines
+
+
 def _load_training(args, config: dict):
     from .earlypredict import FEATURES_HEADER, LABELS_HEADER, GBRTHyper
 
-    ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
-    label_ids, onsets, lines = read_csv(args.labels, LABELS_HEADER, ids=True)
-    labels = {}
-    for cell_id, onset, line in zip(label_ids, onsets[:, 0].tolist(), lines.tolist()):
-        if cell_id in labels:
-            raise InputError(f"{args.labels}: cell {cell_id!r} is labelled more than once")
-        labels[cell_id] = check_positive(onset, f"{args.labels}: line {line}: onset_cycle")
+    hyper = GBRTHyper(**{k: v for k in _HYPER_FLAGS if (v := getattr(args, k)) is not None})
+    ids, X, _ = _read_cells(args.features, FEATURES_HEADER)
+    label_ids, onsets, lines = _read_cells(args.labels, LABELS_HEADER)
+    labels = {cell_id: check_positive(onset, f"{args.labels}: line {line}: onset_cycle")
+              for cell_id, onset, line in zip(label_ids, onsets[:, 0].tolist(), lines.tolist())}
     missing = [i for i in ids if i not in labels]
     if missing:
         raise InputError(f"labels file lacks cells: {', '.join(missing[:5])}")
     y = np.array([labels[i] for i in ids])
-    flags = {k: getattr(args, k) for k in _HYPER_FLAGS if getattr(args, k) is not None}
-    return X, y, replace(GBRTHyper(), **flags)
+    return X, y, hyper
 
 
 def _write_model(args, inputs, model: GBRTModel) -> None:
@@ -372,7 +365,7 @@ def _write_model(args, inputs, model: GBRTModel) -> None:
 def _load_prediction(args, config: dict):
     from .earlypredict import FEATURES_HEADER, GBRTModel
 
-    ids, X, _ = read_csv(args.features, FEATURES_HEADER, ids=True)
+    ids, X, _ = _read_cells(args.features, FEATURES_HEADER)
     return ids, GBRTModel.from_json(read_text(args.model)), X
 
 
@@ -393,6 +386,8 @@ def _write_predictions(args, inputs, rows) -> None:
 
 
 def _parse_budgets(spec: str) -> range:
+    from .earlypredict import check_budget
+
     try:
         bounds = [int(part) for part in spec.split(":")]
         lo, hi, *step = bounds * 2 if len(bounds) == 1 else bounds  # LO is LO:LO
@@ -401,17 +396,17 @@ def _parse_budgets(spec: str) -> range:
         raise UsageError(f"cannot parse --budgets {spec!r} (expected LO:HI)") from None
     if not budgets:
         raise UsageError(f"--budgets {spec!r} selects no budget")
-    low = _min_budget()
-    if min(budgets) < low:
-        raise UsageError(f"--budgets {spec!r} selects budget {min(budgets)}:"
-                         f" every budget must be >= {low}")
+    check_budget(min(budgets[0], budgets[-1]))  # a range's least budget, without a walk
     return budgets
 
 
 def _load_sensitivity(args, config: dict):
     from .earlypredict import check_test_split
 
-    budgets = _parse_budgets(args.budgets)  # before any file is read
+    # before any file is read, by the rules and names that sensitivity_sweep uses
+    budgets = _parse_budgets(args.budgets)
+    repeats = check_count(args.repeats, "repeats", 1)
+    seed = check_count(args.seed, "seed", 0)
     paths, labels = [], []
     for path in _cell_files(args.dir, "cycles"):
         truth_path = cell_path(path.parent, cell_id_of(path, "cycles"), "truth")
@@ -432,7 +427,7 @@ def _load_sensitivity(args, config: dict):
     if not labels:
         raise InputError(f"no labeled cycle data found in {args.dir}")
     check_test_split(labels)  # before any cycle CSV is read
-    return _load_cells(paths), labels, budgets, args.repeats, args.seed
+    return _load_cells(paths), labels, budgets, repeats, seed
 
 
 def _write_sensitivity(args, inputs, table) -> None:

@@ -38,7 +38,7 @@ from .errors import (
     ZeroTrueValue,
 )
 from .ingest import cycle_column, parse_json, read_csv
-from .rules import as_array, as_number, check_count, check_finite, check_number, check_positive
+from .rules import as_array, as_number, check_count, check_finite, check_positive
 
 CYCLE_DETAIL_HEADER = ("cycle", "voltage_v", "discharge_capacity_ah")
 LABELS_HEADER = ("cell_id", "onset_cycle")
@@ -246,14 +246,15 @@ def _moments(x: np.ndarray) -> Tuple[float, float, float]:
         return m2, math.nan, math.nan
 
 
+def check_budget(budget) -> int:
+    """``budget`` as an int >= ``MIN_BUDGET``, past the anchor cycle, else InputError."""
+    return check_count(budget, "budget", MIN_BUDGET)
+
+
 def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> FeatureVector:
     """Six-number feature vector from the first ``budget`` cycles; ``budget``
-    must be an int under ``rules.as_number``, else InputError."""
-    budget = check_number(budget, "budget", integral=True)
-    if budget < MIN_BUDGET:
-        raise MissingCycle(
-            f"budget {budget} < {MIN_BUDGET}: capacity-difference anchor needs cycle {ANCHOR_CYCLE}"
-        )
+    must pass ``check_budget``."""
+    budget = check_budget(budget)
     if 2 not in records:
         raise MissingCycle("cycle 2 not present")
     dq = delta_q(records, late=budget)
@@ -273,6 +274,7 @@ def extract_features(records: Dict[int, CycleRecord], budget: int = 30) -> Featu
 def feature_matrix(cells: Dict[str, Dict[int, CycleRecord]], budget: int) -> np.ndarray:
     """``extract_features`` of each cell by id, one row per cell in key order; a
     cell's ``KneeScoutError`` is raised again as its class, prefixed ``cell <id>: ``."""
+    budget = check_budget(budget)  # a fault of the call, not of a cell
     X = np.empty((len(cells), len(FEATURE_NAMES)))
     for row, (cell_id, records) in zip(X, cells.items()):
         try:
@@ -316,7 +318,7 @@ def stratified_split(
     for cls in sorted(set(classes)):
         idx = np.nonzero(classes == cls)[0]
         perm = rng.permutation(len(idx))
-        n_train = math.ceil(train_frac * len(idx))
+        n_train = math.ceil(frac * len(idx))
         train.extend(idx[perm[:n_train]])
         test.extend(idx[perm[n_train:]])
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(test), dtype=np.int64)
@@ -480,8 +482,8 @@ class _Node:
       want of features), and then the node has nothing more.
     - ``invalid``: the cuts that leave fewer than ``min_leaf`` rows on a
       side or fall between equal values. ``nl``, ``nr``: each cut's
-      left- and right-hand row counts; the last cut, which leaves no row
-      on the right, is invalid and takes ``nr`` 1.
+      left- and right-hand row counts (read-only views the fit shares); the
+      last cut, which leaves no row on the right, is invalid and takes ``nr`` 1.
     - ``splits``: for each cut a tree split the node at, keyed by its flat
       index in the table: (feature, threshold, left, right).
     """
@@ -538,6 +540,8 @@ class _NodeCache:
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.counts = np.arange(1, Xt.shape[1] + 1, dtype=np.float64)
+        # right_counts[N - n:] is n - counts[:n] with its last entry, 0, read as 1
+        self.right_counts = np.maximum(self.counts[::-1] - 1, 1)
         self.features = np.arange(len(Xt))[:, None]
         order = np.argsort(Xt, axis=1, kind="stable")
         self.root = self._node(np.arange(Xt.shape[1]), order, None, 0)
@@ -559,8 +563,7 @@ class _NodeCache:
         node.invalid[:, n - self.min_leaf:] = True
         node.invalid[:, :self.min_leaf - 1] = True
         node.nl = self.counts[:n]
-        node.nr = n - node.nl
-        node.nr[-1] = 1.0
+        node.nr = self.right_counts[len(self.counts) - n:]
         return node
 
     def _split(self, node: _Node, cut: int, depth: int):
@@ -719,24 +722,25 @@ def sensitivity_sweep(
     capacity-difference late anchor and the maximum-capacity window both
     follow the budget. Split r of a budget is ``stratified_split``'s default
     80/20 split with seed ``seed + r``, so the whole table is deterministic.
-    ``repeats`` must be an int >= 1 and ``seed`` an int >= 0, and every label
-    a finite real > 0 (through ``check_test_split``), before any feature is
-    computed; else InputError.
+    ``repeats`` must be an int >= 1, ``seed`` an int >= 0, every budget pass
+    ``check_budget`` and every label be a finite real > 0 (through
+    ``check_test_split``), before any feature is computed; else InputError.
     """
     if len(cells) != len(labels):
         raise LengthMismatch(f"{len(cells)} cells vs {len(labels)} labels")
     repeats = check_count(repeats, "repeats", 1)
     seed = check_count(seed, "seed", 0)
-    if len(budgets) == 0:
+    budgets = [check_budget(budget) for budget in budgets]
+    if not budgets:
         raise InputError("no cycle budgets to sweep")
     check_test_split(labels)
     y = np.asarray(labels, dtype=np.float64)
+    splits = [stratified_split(y, seed=seed + r) for r in range(repeats)]
     table = []
     for budget in budgets:
         X = feature_matrix(cells, budget)
         rmses, mapes = [], []
-        for r in range(repeats):
-            train_idx, test_idx = stratified_split(y, seed=seed + r)
+        for train_idx, test_idx in splits:
             model = gbrt_train(X[train_idx], y[train_idx], hyper)
             scores = evaluate(y[test_idx], gbrt_predict(model, X[test_idx]))
             rmses.append(scores["rmse"])

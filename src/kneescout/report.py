@@ -11,7 +11,7 @@ import numpy as np
 from . import _resolve
 from .errors import ConstantInput, InputError, LengthMismatch
 from .ingest import CapacityFadeSeries, csv_text, write_text
-from .rules import as_array, check_finite, check_number
+from .rules import as_array, check_count, check_finite
 from .segmentation import DEFAULT_PARAMS, KneeReport, PipelineParams
 
 # the name of each method's report function; the first is curvature, the second its
@@ -94,11 +94,11 @@ def batch_report(
     their rows are still emitted); a constant input degenerates the
     correlation to None with a note rather than failing the batch. An
     unknown or repeated method is an InputError, and so is a ``jobs`` that
-    is not an int under ``rules.as_number``; below 2 the cells run serially.
+    is not an int >= 1 (``rules.check_count``); at 1 the cells run serially.
     """
     methods = tuple(methods)
     check_methods(methods)
-    jobs = check_number(jobs, "jobs", integral=True)
+    jobs = check_count(jobs, "jobs", 1)
     series_list = sorted(inputs, key=lambda s: s.cell_id)
     tasks = [(series, method) for series in series_list for method in methods]
     # a forking pool starts all its workers up front: start no more than there are tasks

@@ -236,8 +236,11 @@ class TestExtractFeatures:
         assert feats.q_max_minus_2 == pytest.approx(q_max - q2)
 
     def test_budget_below_11_rejected(self):
-        with pytest.raises(MissingCycle):
+        # a parameter fault, not a missing cycle: cycle 10 is present
+        with pytest.raises(InputError) as info:
             extract_features(self.fleet_records(), budget=10)
+        assert (type(info.value), str(info.value)) == (
+            InputError, "budget must be an int >= 11, got 10")
 
     def test_missing_cycle_2(self):
         records = self.fleet_records()
@@ -952,10 +955,22 @@ class TestSensitivitySweep:
             sensitivity_sweep(cells, onsets[:-1], budgets=(15,), repeats=1)
         assert (type(info.value), str(info.value)) == (LengthMismatch, "10 cells vs 9 labels")
 
-    def test_budget_below_11_propagates(self):
+    def test_budget_below_11_is_refused_before_any_fit(self, monkeypatch):
         cells, onsets = self.small_fleet(n=10, seed=1)
-        with pytest.raises(MissingCycle):
-            sensitivity_sweep(cells, onsets, budgets=(10,), repeats=1, seed=0)
+        monkeypatch.setattr(earlypredict, "gbrt_train", None)  # a fit would be a TypeError
+        with pytest.raises(InputError) as info:
+            sensitivity_sweep(cells, onsets, budgets=(15, 10), repeats=1, seed=0)
+        assert (type(info.value), str(info.value)) == (
+            InputError, "budget must be an int >= 11, got 10")
+
+    def test_each_split_is_drawn_once(self, monkeypatch):
+        cells, onsets = self.small_fleet(n=10, seed=1)
+        seeds, draw = [], earlypredict.stratified_split
+        monkeypatch.setattr(earlypredict, "stratified_split",
+                            lambda y, seed=0: seeds.append(seed) or draw(y, seed=seed))
+        sensitivity_sweep(cells, onsets, budgets=(15, 16, 17), repeats=2, seed=3,
+                          hyper=GBRTHyper(n_trees=2))
+        assert seeds == [0, 3, 4]  # check_test_split's, then one for each repeat
 
     @pytest.mark.parametrize("bad", [-50, True, float("nan"), 0, "300", None])
     def test_bad_label_is_input_error_before_any_fit(self, bad):
