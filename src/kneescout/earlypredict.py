@@ -14,6 +14,7 @@ lower threshold.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -196,6 +197,29 @@ def load_cycle_detail_csv(path) -> Dict[int, CycleRecord]:
     }
 
 
+# the ramp of the 1000-point grid; read-only, as every call shares it
+_RAMP = np.arange(1000.0)
+_RAMP.flags.writeable = False
+
+
+def _grid(lo, hi) -> np.ndarray:
+    """``np.linspace(lo, hi, 1000)`` by its own arithmetic, without its wrappers.
+
+    The ramp times the step, or, where the step underflows to 0, the ramp
+    over 999 times the span; then plus ``lo``, with ``hi`` as the last point.
+    """
+    span = hi - lo
+    step = span / 999
+    if step == 0:
+        grid = _RAMP / 999
+        grid *= span
+    else:
+        grid = _RAMP * step
+    grid += lo
+    grid[-1] = hi
+    return grid
+
+
 def delta_q(records: Dict[int, CycleRecord], late: int = 30) -> np.ndarray:
     """Q(V) difference (cycle ``late`` - ``ANCHOR_CYCLE``) on a uniform
     1000-point grid over the overlap."""
@@ -211,10 +235,13 @@ def delta_q(records: Dict[int, CycleRecord], late: int = 30) -> np.ndarray:
         raise NoVoltageOverlap(
             f"cycles {early} and {late} share no voltage range ({lo:.3f} >= {hi:.3f})"
         )
-    grid = np.linspace(lo, hi, 1000)
-    q_e = np.interp(grid, r_e.voltage_v[::-1], r_e.q_ah[::-1])
-    q_l = np.interp(grid, r_l.voltage_v[::-1], r_l.q_ah[::-1])
-    return q_l - q_e
+    # a span past float64 or only a few subnormals wide gives non-finite
+    # values without a warning, which extract_features raises as NonFiniteFeature
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _grid(lo, hi)
+        q_e = np.interp(grid, r_e.voltage_v[::-1], r_e.q_ah[::-1])
+        q_l = np.interp(grid, r_l.voltage_v[::-1], r_l.q_ah[::-1])
+        return q_l - q_e
 
 
 def _moments(x: np.ndarray) -> Tuple[float, float, float]:
@@ -527,9 +554,10 @@ class _NodeCache:
 
     Each feature is sorted once. A child that may split keeps its parent's
     ``order`` filtered to its own rows, which equals a stable sort of the
-    child alone, so no node sorts; it gathers its sorted values from
-    ``Xt`` only to find its invalid cuts. A child that is a leaf by depth
-    or size filters nothing. The cache lives as long as the fit: the
+    child alone, so no node sorts; one gather of the split's sides through
+    the parent's ``order`` serves both children, and a child gathers its
+    sorted values from ``Xt`` only to find its invalid cuts. A child that
+    is a leaf by depth or size filters nothing. The cache lives as long as the fit: the
     nodes that one tree adds at one depth hold each row at most once, so
     their orders and masks take at most 9 bytes x features x rows, and
     the fit's at most n_trees x max_depth times that.
@@ -544,16 +572,16 @@ class _NodeCache:
         self.right_counts = np.maximum(self.counts[::-1] - 1, 1)
         self.features = np.arange(len(Xt))[:, None]
         order = np.argsort(Xt, axis=1, kind="stable")
-        self.root = self._node(np.arange(Xt.shape[1]), order, None, 0)
+        self.root = self._node(np.arange(Xt.shape[1]), order, 0)
 
-    def _node(self, rows, order, side, depth) -> _Node:
+    def _node(self, rows, order, depth, keep=None) -> _Node:
         """The node of ``rows`` at ``depth``; ``order`` is its parent's, with
-        ``side`` marking its rows among all rows, or its own where ``side``
+        ``keep`` marking its rows in that order, or its own where ``keep``
         is None."""
         if depth >= self.max_depth or len(rows) < 2 * self.min_leaf or len(order) == 0:
             return _Node(rows)
-        if side is not None:
-            order = order[side[order]].reshape(len(order), -1)
+        if keep is not None:
+            order = order[keep].reshape(len(order), -1)
         node = _Node(rows, order)
         node.splits = {}
         n = len(rows)
@@ -572,8 +600,14 @@ class _NodeCache:
         thr = _threshold(x[node.order[f, k]], x[node.order[f, k + 1]])
         goes_left = x <= thr
         row_left = goes_left[node.rows]
-        left = self._node(node.rows[row_left], node.order, goes_left, depth + 1)
-        right = self._node(node.rows[~row_left], node.order, ~goes_left, depth + 1)
+        left_rows, right_rows = node.rows[row_left], node.rows[~row_left]
+        depth += 1
+        if depth >= self.max_depth:
+            left, right = _Node(left_rows), _Node(right_rows)
+        else:
+            in_left = goes_left[node.order]  # one gather serves both children
+            left = self._node(left_rows, node.order, depth, in_left)
+            right = self._node(right_rows, node.order, depth, ~in_left)
         node.splits[cut] = (f, thr, left, right)
         return node.splits[cut]
 
@@ -592,7 +626,7 @@ class _NodeCache:
         cut = None if node.order is None else _best_split(r[node.order], node)
         if cut is None:
             rows = node.rows
-            value = float(np.add.reduce(r[rows]) / len(rows))  # np.mean's arithmetic
+            value = float(np.add.reduce(r[rows])) / len(rows)  # np.mean's arithmetic
             nodes.append((-1, 0.0, -1, -1, value))
             fitted[rows] = value
             return pos
@@ -628,14 +662,14 @@ def _rmse(residual: np.ndarray, trees: int, hyper: GBRTHyper) -> float:
     Every term that ``_best_split`` forms is at most n * sum(r**2), so a
     fit whose n * sum(r**2) overflows is NonFiniteResidual.
     """
-    mean_square = np.mean(residual ** 2)
     n = len(residual)
-    if not math.isfinite(n * n * float(mean_square)):
+    mean_square = float(np.add.reduce(residual * residual)) / n  # np.mean's arithmetic
+    if not math.isfinite(n * n * mean_square):
         raise NonFiniteResidual(
             f"the residuals after {trees} of {hyper.n_trees} trees (learning_rate"
             f" {hyper.learning_rate}) overflow: n * sum(r**2) is not finite"
         )
-    return float(np.sqrt(mean_square))
+    return math.sqrt(mean_square)
 
 
 @np.errstate(over="ignore")  # an overflowing fit is raised, not warned about
@@ -666,12 +700,13 @@ def gbrt_train(X, y, hyper: GBRTHyper = GBRTHyper()) -> GBRTModel:
         residual = y - pred
         trees.append(tree)
         rmse.append(_rmse(residual, t, hyper))
+    sizes = [len(tree) for tree in trees]
     return GBRTModel(
         init_value=init,
         learning_rate=hyper.learning_rate,
         n_features=X.shape[1],
-        nodes=np.array([row for tree in trees for row in tree], dtype=NODE),
-        sizes=np.array([len(tree) for tree in trees], dtype=np.int64),
+        nodes=np.fromiter(itertools.chain.from_iterable(trees), NODE, sum(sizes)),
+        sizes=np.array(sizes, dtype=np.int64),
         train_rmse=rmse,
     )
 
@@ -684,11 +719,13 @@ def gbrt_predict(model: GBRTModel, X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeature("prediction features contain non-finite values")
-    out = np.full(len(X), model.init_value)
+    # the init, then each tree's contribution, summed in tree order down the table
+    table = np.empty((len(model.sizes) + 1, len(X)))
+    table[0] = model.init_value
     if len(model.sizes):
-        for contribution in model.learning_rate * _leaf_values(model, X):
-            out = out + contribution
-    return out
+        np.multiply(model.learning_rate, _leaf_values(model, X), out=table[1:])
+    np.add.accumulate(table, axis=0, out=table)
+    return table[-1].copy()  # a view would keep the whole table
 
 
 @np.errstate(over="ignore")  # an RMSE or MAPE past float64 is inf, not a warning

@@ -8,11 +8,12 @@ import threading
 import warnings
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kneescout import earlypredict
@@ -144,6 +145,28 @@ class TestDeltaQ:
                     - np.interp(grid, r_e.voltage_v[::-1], r_e.q_ah[::-1]))
         assert delta_q(records).tobytes() == expected.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.one_of(st.just(0.0), st.floats(-1e-300, 1e-300),
+                        st.floats(-1.7e308, 1.7e308)),
+           span=st.one_of(st.integers(1, 5000).map(lambda k: k * 5e-324),
+                          st.floats(5e-324, 1.7e308)))
+    @example(lo=0.0, span=4e-323)  # the step underflows to 0
+    @example(lo=2.0, span=1.5)
+    @example(lo=-8.5e307, span=1.7e308)
+    def test_grid_is_linspace_bitwise(self, lo, span):
+        # _grid is linspace's arithmetic without its wrappers, both branches:
+        # spans from a few subnormals, where the step is 0, up to near overflow
+        hi = lo + span
+        assume(lo < hi and math.isfinite(hi))
+        grid = earlypredict._grid(np.float64(lo), np.float64(hi))
+        assert grid.tobytes() == np.linspace(lo, hi, 1000).tobytes()
+
+    def test_grid_ramp_is_shared_read_only(self):
+        assert not earlypredict._RAMP.flags.writeable
+        grid = earlypredict._grid(np.float64(2.0), np.float64(3.5))
+        assert grid.flags.writeable and not np.shares_memory(grid, earlypredict._RAMP)
+        assert earlypredict._RAMP.tobytes() == np.arange(1000.0).tobytes()
+
     def test_fixed_grid(self):
         # the grid size is no parameter; features are defined on 1000 points
         records = {10: make_record(10), 30: make_record(30)}
@@ -241,6 +264,20 @@ class TestExtractFeatures:
             extract_features(self.fleet_records(), budget=10)
         assert (type(info.value), str(info.value)) == (
             InputError, "budget must be an int >= 11, got 10")
+
+    @pytest.mark.parametrize("volts", [(4e-323, 0.0), (1.7e308, -1.7e308)],
+                             ids=["few-subnormals", "past-float64"])
+    def test_degenerate_voltage_span_raises_alone(self, volts):
+        # the interpolated capacities are not finite; their difference must not
+        # warn, so the feature error comes alone
+        records = {c: CycleRecord(c, np.array(volts), np.array([0.0, 1.0])) for c in (2, 10, 30)}
+        assert ((volts[0] - volts[1]) / 999 == 0) == (volts[0] < 1)  # the grid's step == 0 branch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFeature) as info:
+                extract_features(records, budget=30)
+        assert str(info.value) == (
+            "non-finite feature: min_dq=nan, var_dq=nan, skew_dq=nan, kurt_dq=nan")
 
     def test_missing_cycle_2(self):
         records = self.fleet_records()
@@ -769,6 +806,121 @@ class TestGbrtMatchesScalarReference:
         assert model.train_rmse == ref.train_rmse
         X_test = rng.standard_normal((20, 6))
         assert np.array_equal(gbrt_predict(model, X_test), reference_predict(ref, X_test))
+
+
+def loop_predict(model, X):
+    """The per-tree sum that ``gbrt_predict`` sums with one accumulate."""
+    out = np.full(len(X), model.init_value)
+    if len(model.sizes):
+        for contribution in model.learning_rate * earlypredict._leaf_values(model, X):
+            out = out + contribution
+    return out
+
+
+def leaf_model(init, leaf, trees):
+    """``trees`` one-leaf trees of value ``leaf`` over two features."""
+    nodes = np.array([(-1, 0.0, -1, -1, leaf)] * trees, dtype=NODE)
+    return GBRTModel(init, 0.05, 2, nodes, np.ones(trees, dtype=np.int64))
+
+
+@pytest.mark.floors
+class TestNumpyWrappersKeepTheirBits:
+    """The fit and prediction compute NumPy's arithmetic without its Python
+    wrappers; each pin compares with the wrapper, bit for bit.
+
+    Marked floors: each wrapper's arithmetic must be the same at the oldest NumPy too.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=300))
+    def test_rmse_is_numpy_root_mean_square(self, values):
+        r = np.array(values)
+        expected = float(np.sqrt(np.mean(r ** 2)))
+        assert earlypredict._rmse(r, 0, GBRTHyper()).hex() == expected.hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(boosting_problems())
+    def test_predict_is_the_per_tree_loop(self, problem):
+        X, y, hyper = problem
+        model = gbrt_train(X, y, hyper)
+        probe = np.vstack([X, X[::-1] + 0.05])
+        assert gbrt_predict(model, probe).tobytes() == loop_predict(model, probe).tobytes()
+
+    @pytest.mark.parametrize("trees", [0, 1, 3])
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    @pytest.mark.parametrize("init, leaf", [(-0.0, 0.0), (-0.0, -0.0), (7.25, 1e-320)])
+    def test_predict_edges(self, trees, rows, init, leaf):
+        # -0.0 + 0.0 is 0.0: the sum must start from the init, tree by tree
+        model = leaf_model(init, leaf, trees)
+        X = np.zeros((rows, 2))
+        got = gbrt_predict(model, X)
+        assert got.shape == (rows,) and got.tobytes() == loop_predict(model, X).tobytes()
+
+    def test_predict_returns_no_view(self):
+        got = gbrt_predict(leaf_model(1.0, 2.0, 5), np.zeros((3, 2)))
+        assert got.base is None
+
+    node_rows = st.lists(st.tuples(
+        st.integers(-2**63, 2**63 - 1), st.floats(), st.integers(-2**63, 2**63 - 1),
+        st.integers(-2**63, 2**63 - 1), st.floats()), max_size=20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(node_rows)
+    def test_fromiter_packs_like_array(self, rows):
+        packed = np.fromiter(iter(rows), NODE, len(rows))
+        assert packed.dtype == NODE
+        assert packed.tobytes() == np.array(rows, dtype=NODE).tobytes()
+
+
+class TestNodeCacheInvariant:
+    """What the ``_NodeCache`` docstring states, checked node by node after a fit."""
+
+    @staticmethod
+    def fitted_cache(X, y, hyper):
+        caches = []
+
+        class Kept(earlypredict._NodeCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        with mock.patch.object(earlypredict, "_NodeCache", Kept):
+            gbrt_train(X, y, hyper)
+        cache, = caches
+        return cache
+
+    @settings(max_examples=200, deadline=None)
+    @given(boosting_problems())
+    def test_every_cached_node_holds_what_its_rows_fix(self, problem):
+        X, y, hyper = problem
+        cache = self.fitted_cache(X, y, hyper)
+        assert np.array_equal(cache.Xt, X.T)
+        stack = [(cache.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            rows, n = node.rows, len(node.rows)
+            assert rows.tolist() == sorted(rows.tolist())
+            if depth >= hyper.max_depth or n < 2 * hyper.min_leaf or X.shape[1] == 0:
+                assert node.order is None  # a leaf by depth, by size or for want of features
+                continue
+            expected = [rows[np.argsort(X[rows, f], kind="stable")] for f in range(X.shape[1])]
+            assert np.array_equal(node.order, np.array(expected))
+            values = X[node.order, np.arange(X.shape[1])[:, None]]
+            k = np.arange(n)
+            ties = np.zeros(values.shape, dtype=bool)
+            ties[:, :-1] = values[:, :-1] == values[:, 1:]
+            short = (k < hyper.min_leaf - 1) | (k >= n - hyper.min_leaf)
+            assert np.array_equal(node.invalid, ties | short)
+            assert np.array_equal(node.nl, k + 1.0)
+            assert np.array_equal(node.nr, np.maximum(n - k - 1.0, 1.0))
+            for cut, (f, thr, left, right) in node.splits.items():
+                assert f == cut // n and not node.invalid.flat[cut]
+                goes_left = X[rows, f] <= thr
+                assert np.array_equal(left.rows, rows[goes_left])
+                assert np.array_equal(right.rows, rows[~goes_left])
+                if depth + 1 == hyper.max_depth:
+                    assert left.order is None and right.order is None
+                stack += [(left, depth + 1), (right, depth + 1)]
 
 
 def assert_same_trees(a, b):
