@@ -772,10 +772,12 @@ def sensitivity_sweep(
         raise InputError("no cycle budgets to sweep")
     check_test_split(labels)
     y = np.asarray(labels, dtype=np.float64)
+    # every feature before the first split, so a missing cycle fails before a large
+    # ``repeats`` is drawn
+    matrices = [feature_matrix(cells, budget) for budget in budgets]
     splits = [stratified_split(y, seed=seed + r) for r in range(repeats)]
     table = []
-    for budget in budgets:
-        X = feature_matrix(cells, budget)
+    for budget, X in zip(budgets, matrices):
         rmses, mapes = [], []
         for train_idx, test_idx in splits:
             model = gbrt_train(X[train_idx], y[train_idx], hyper)

@@ -176,19 +176,19 @@ def _parse_numbers(text: str, body, width: int):
 
 
 def read_csv(path, header, *, ids: bool = False):
-    """Read a headed CSV file (UTF-8, optional BOM) in one ``csv.reader`` pass.
+    """Read a headed CSV file (UTF-8, optional BOM).
 
-    The first line, read on its own, must hold ``header``, fields stripped.
-    Rows whose fields are all empty or whitespace are skipped. A file of
-    per-cell rows (``ids``) has a cell id first and exactly the header's
-    columns; other files hold only numbers and ignore columns past the
-    header. Returns ``(ids, values, lines)``: the ids (or None), the numbers
-    as float64 (rows, columns) parsed as ``float`` does, and each row's line
-    number. A short, long or non-numeric row, a quoted field that runs
-    across lines and a row that ``csv`` cannot read (a field over its size
-    limit) are MalformedRow naming file and line. A file of numbers first
-    tries a float64 parse; any other file, and any that this parse may read
-    otherwise than ``float``, is parsed as text.
+    A file of numbers is parsed by ``np.loadtxt`` first (``_parse_numbers``);
+    a file of per-cell rows, and any that this parse may read otherwise than
+    ``float``, in one ``csv.reader`` pass. The first line, read on its own,
+    must hold ``header``, fields stripped. Rows whose fields are all empty or
+    whitespace are skipped. A file of per-cell rows (``ids``) has a cell id
+    first and exactly the header's columns; other files hold only numbers
+    and ignore columns past the header. Returns ``(ids, values, lines)``: the
+    ids (or None), the numbers as float64 (rows, columns) parsed as ``float``
+    does, and each row's line number. A short, long or non-numeric row, a
+    quoted field that runs across lines and a row that ``csv`` cannot read (a
+    field over its size limit) are MalformedRow naming file and line.
     """
     text = read_text(path)
     lines = text.split("\n")

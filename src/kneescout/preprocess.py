@@ -7,16 +7,14 @@ The curvature proxy at interior index i is
 for an odd window ``ws``. On a unit-spaced grid it is zero for any straight
 line, negative where three points form a knee, and positive for an elbow.
 
-Smoothing runs on NumPy alone. Its weights are the ``gelsd`` least-squares
-solution of ``scipy.signal.savgol_coeffs(window, order)``, bit for bit.
-Centred Savitzky-Golay weights are symmetric, so the convolution reads their
-centre and trailing half ``w`` and adds its products in the order of
+Smoothing runs on NumPy alone. Its weights are the exact least-squares
+weights, rationals rounded once to float64 (Savitzky & Golay, *Anal. Chem.*
+36(8), 1964; Gorry, *Anal. Chem.* 62(6), 1990), so they are exactly symmetric
+and the same on every CPU and BLAS. The convolution reads their centre and
+trailing half ``w`` and adds its products in the order of
 ``scipy.ndimage.convolve1d``'s symmetric branch: it equals
-``convolve1d(values, np.r_[w[:0:-1], w], mode="mirror")`` bit for bit. That is
-``savgol_filter(values, window, order, mode="mirror")`` whenever ndimage
-finds the full weights symmetric (every pair within ``DBL_EPSILON``), as it
-does at the default (21, 3); about 4% of pairs, (81, 3) among them, differ
-from it in the last bits. Importing the package imports no SciPy module.
+``convolve1d(values, savgol_coeffs(window, order), mode="mirror")`` bit for
+bit. Importing the package imports no SciPy module.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EvenWindow, OrderTooHigh, SeriesTooShort, SmoothingOverflow, WindowTooLarge
-from .ingest import NormalizedSeries
+from .ingest import MAX_GRID_CYCLES, NormalizedSeries
 from .rules import check_number
 
 
@@ -81,8 +79,10 @@ def check_order(order, window: int, name: str = "order", window_name: str = "win
 
 
 def check_savgol_design(window: int, order: int) -> None:
-    """``OrderTooHigh`` if the design matrix, whose largest entry is ``(window // 2)
-    ** order``, overflows: ``lstsq`` then fails, first at window 163, order 162."""
+    """``OrderTooHigh`` if the largest power on the window, ``(window // 2) **
+    order``, overflows float64, first at window 163, order 162. The rule bounds
+    the size of the exact rationals and so the weights' cost: the highest order
+    it accepts at the window cap, (999 999, 53), takes about 4 s."""
     try:
         math.pow(window // 2, order)
     except OverflowError:
@@ -93,23 +93,41 @@ def check_savgol_design(window: int, order: int) -> None:
 def savgol_coeffs(window: int, order: int) -> np.ndarray:
     """Read-only convolution weights of the centred Savitzky-Golay smoother.
 
-    The minimum-norm least-squares solution (LAPACK ``gelsd``) on the design
-    matrix, with the rank cutoff, that ``scipy.signal.savgol_coeffs(window,
-    order)`` uses, computed once per pair and then returned as the same
-    array. ``window`` and ``order`` follow ``check_window`` and ``check_order``.
+    Each weight is the exact least-squares weight, a rational, rounded once to
+    float64; computed once per pair and then returned as the same array.
+    ``window`` and ``order`` follow ``check_window`` and ``check_order``, and a
+    window past ``ingest.MAX_GRID_CYCLES`` is WindowTooLarge.
     """
     window = check_window(window)
+    if window > MAX_GRID_CYCLES:
+        raise WindowTooLarge(f"window {window} exceeds the largest grid, {MAX_GRID_CYCLES} cycles")
     return _savgol_coeffs(window, check_order(order, window))
 
 
 @lru_cache
 def _savgol_coeffs(window: int, order: int) -> np.ndarray:
-    half = window // 2
-    x = np.arange(-half, window - half, dtype=np.float64)[::-1]
-    A = x ** np.arange(order + 1, dtype=np.float64).reshape(-1, 1)
-    e0 = np.zeros(order + 1)
-    e0[0] = 1.0
-    coeffs = np.linalg.lstsq(A, e0, rcond=np.finfo(np.float64).eps * max(A.shape))[0]
+    from fractions import Fraction  # on first use, so importing the package does not pay for it
+
+    # Monic Gram polynomials on -h..h as coefficient lists, lowest power first:
+    # P[i] = x P[i-1] - beta[i-1] P[i-2] and |P[i]|^2 = beta[i] |P[i-1]|^2. The
+    # weight at x is the sum of P[i](0) P[i](x) / |P[i]|^2 over i <= order, where
+    # odd P[i](0) are 0: an even polynomial, evaluated at x*x with integers.
+    n2 = window * window
+    beta = [Fraction(i * i * (n2 - i * i), 4 * (4 * i * i - 1)) for i in range(order + 1)]
+    prev, p, norm = [], [Fraction(1)], Fraction(window)
+    w = [1 / norm]
+    for i in range(1, order + 1):
+        prev, p = p, [a - beta[i - 1] * b for a, b in zip([0, *p], [*prev, 0, 0])]
+        norm *= beta[i]
+        if i % 2 == 0:
+            w = [a + p[0] / norm * b for a, b in zip([*w, 0, 0], p)]
+    d = math.lcm(*(c.denominator for c in w))
+    xx = np.arange(window // 2 + 1, dtype=object) ** 2
+    numerators = 0
+    for c in w[::-2]:  # Horner in x*x over the integer numerators
+        numerators = numerators * xx + int(c * d)
+    half = (numerators / d).astype(np.float64)  # int / int rounds correctly
+    coeffs = np.concatenate([half[:0:-1], half])
     coeffs.flags.writeable = False
     return coeffs
 

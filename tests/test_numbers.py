@@ -48,6 +48,7 @@ from kneescout.errors import (
     InvalidHyperparameter,
     InvalidModel,
     KneeScoutError,
+    MissingCycle,
     NonFiniteResidual,
     NonPositiveNominal,
     OrderTooHigh,
@@ -196,6 +197,12 @@ class TestDefectsAtTheBoundary:
         cells = {f"c{i}": {} for i in range(len(LABELS))}  # any feature would fail
         with pytest.raises(InputError, match=message):
             sensitivity_sweep(cells, LABELS, budgets=[15], **kw)
+
+    def test_sweep_features_fail_before_any_split(self):
+        # a large accepted repeats used to draw all its splits before the first feature
+        cells = {f"c{i}": {} for i in range(len(LABELS))}
+        with pytest.raises(MissingCycle):
+            sensitivity_sweep(cells, LABELS, budgets=[15], repeats=10**12)
 
     def test_sweep_numpy_counts_are_ints(self):
         cells = {f"c{i}": simulate_cycle_records(int(o), seed=i) for i, o in enumerate(LABELS)}

@@ -1,13 +1,15 @@
+from fractions import Fraction
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import convolve1d
-from scipy.signal import savgol_coeffs, savgol_filter
 
 from kneescout import preprocess
 from kneescout.errors import EvenWindow, OrderTooHigh, SeriesTooShort, WindowTooLarge
-from kneescout.ingest import NormalizedSeries
+from kneescout.ingest import MAX_GRID_CYCLES, NormalizedSeries
 from kneescout.preprocess import approximate_curvature, clip_window, savgol_smooth
 
 
@@ -39,9 +41,9 @@ def norm_series(values, start=0):
 
 class TestSavgolSmooth:
     def test_window5_order2_center_weights(self):
-        # classic quadratic smoothing weights
-        expected = np.array([-3, 12, 17, 12, -3]) / 35.0
-        np.testing.assert_allclose(savgol_coeffs(5, 2), expected, atol=1e-12)
+        # classic quadratic smoothing weights, each its rational rounded once
+        expected = [v / 35 for v in (-3, 12, 17, 12, -3)]
+        assert preprocess.savgol_coeffs(5, 2).tolist() == expected
         rng = np.random.default_rng(1)
         values = rng.normal(1.0, 0.05, 41)
         out = savgol_smooth(norm_series(values), window=5, order=2)
@@ -108,40 +110,82 @@ def ndimage_symmetric(weights):
     return not np.any(np.abs(weights[: h : -1] - weights[:h]) > np.finfo(np.float64).eps)
 
 
-@pytest.mark.floors
-class TestMatchesScipySavgol:
-    """Smoothing is ``convolve1d`` of the mirrored trailing half of
-    ``scipy.signal.savgol_coeffs``, bit for bit, and so
-    ``scipy.signal.savgol_filter(mode="mirror")`` wherever ndimage finds those
-    coefficients symmetric.
+@cache
+def exact_weights(window, order):
+    """Reference: the centred least-squares weights at x = -h..h as Fractions.
 
-    Marked floors: at the oldest NumPy the weights still come from its LAPACK ``gelsd``
-    and must equal SciPy's.
+    Gauss-Jordan elimination on the normal equations (A^T A) z = e0, whose
+    matrix holds the power sums over the window; the weight at x is
+    sum_i z_i x**i.
+    """
+    h = window // 2
+    xs = range(-h, h + 1)
+    k = order + 1
+    rows = [[Fraction(sum(x ** (a + b) for x in xs)) for b in range(k)] + [Fraction(a == 0)]
+            for a in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(k):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    z = [rows[i][k] / rows[i][i] for i in range(k)]
+    return [sum(zi * x**i for i, zi in enumerate(z)) for x in xs]
+
+
+# windows 3-201 at orders 0-7: 791 pairs, then a few orders up to window - 1
+GRID = [(window, order) for window in range(3, 202, 2) for order in range(min(window - 1, 7) + 1)]
+HIGH_ORDERS = [(21, 20), (31, 17), (41, 40), (41, 39), (45, 26)]
+
+
+@pytest.mark.floors
+class TestExactWeights:
+    """Each weight is its exact rational rounded once, and smoothing is
+    ``convolve1d`` of the weights, bit for bit.
+
+    Marked floors: at the oldest NumPy and SciPy the object-array arithmetic
+    must still give these bits, and ndimage must still add in this order.
     """
 
-    def test_every_odd_window_and_order(self):
-        # windows 179-201 at order 7 include the cases where scipy's rank
-        # cutoff drops the top power, so the cutoff must match too
+    @pytest.mark.parametrize("pairs", [GRID, HIGH_ORDERS], ids=["grid", "high-orders"])
+    def test_each_weight_is_its_rational_rounded_once(self, pairs):
+        for window, order in pairs:
+            want = np.array([float(w) for w in exact_weights(window, order)])
+            assert preprocess.savgol_coeffs(window, order).tobytes() == want.tobytes(), (
+                window, order)
+
+    @pytest.mark.parametrize("pairs", [GRID, HIGH_ORDERS], ids=["grid", "high-orders"])
+    def test_weights_are_symmetric_and_reproduce_polynomials(self, pairs):
+        # the reference is a polynomial of degree <= order in x by construction;
+        # with exact moments that makes it the least-squares weights
+        for window, order in pairs:
+            coeffs = preprocess.savgol_coeffs(window, order)
+            assert coeffs.tobytes() == coeffs[::-1].tobytes(), (window, order)
+            weights = exact_weights(window, order)
+            assert weights == weights[::-1], (window, order)
+            h = window // 2
+            for k in range(order + 1):
+                moment = sum(w * x**k for x, w in zip(range(-h, h + 1), weights))
+                assert moment == (k == 0), (window, order, k)
+
+    def test_reference_gives_the_classic_weights(self):
+        assert exact_weights(5, 2) == [Fraction(v, 35) for v in (-3, 12, 17, 12, -3)]
+
+    def test_smoothing_is_convolve1d_of_the_weights(self):
+        # every pair, (81, 3) among them: SciPy's own savgol_filter matches 1 329 of these
+        # 2 373 cases, as its lstsq weights leave some pairs more than DBL_EPSILON apart
         rng = np.random.default_rng(11)
-        cases = symmetric = mismatched = 0
-        for window in range(3, 202, 2):
-            for order in range(min(window - 1, 7) + 1):
-                coeffs = savgol_coeffs(window, order)
-                assert preprocess.savgol_coeffs(window, order).tobytes() == coeffs.tobytes(), (
-                    window, order)
-                for n in (window, window + 7, 900):
-                    values = 1.0 - np.cumsum(rng.uniform(0, 1e-3, n)) + rng.normal(0, 1e-3, n)
-                    got = savgol_smooth(norm_series(values), window, order).values.tobytes()
-                    want = convolve1d(values, mirrored(coeffs[window // 2 :]), mode="mirror")
-                    cases += 1
-                    mismatched += got != want.tobytes()
-                    if ndimage_symmetric(coeffs):
-                        symmetric += 1
-                        want = savgol_filter(values, window, order, mode="mirror")
-                        mismatched += got != want.tobytes()
-        # 443 of the 791 pairs, (21, 3) among them: the rest, (81, 3) among them,
-        # have some pair of coefficients more than DBL_EPSILON apart
-        assert (cases, symmetric, mismatched) == (2373, 1329, 0)
+        cases = 0
+        for window, order in GRID:
+            coeffs = preprocess.savgol_coeffs(window, order)
+            for n in (window, window + 7, 900):
+                values = 1.0 - np.cumsum(rng.uniform(0, 1e-3, n)) + rng.normal(0, 1e-3, n)
+                got = savgol_smooth(norm_series(values), window, order).values
+                want = convolve1d(values, coeffs, mode="mirror")
+                assert got.tobytes() == want.tobytes(), (window, order, n)
+                cases += 1
+        assert cases == 2373
 
     def test_cached_coefficients_are_read_only(self):
         coeffs = preprocess.savgol_coeffs(21, 3)
@@ -149,6 +193,12 @@ class TestMatchesScipySavgol:
         assert not coeffs.flags.writeable
         with pytest.raises(ValueError):
             coeffs[0] = 0.0
+
+    @pytest.mark.parametrize("window", [MAX_GRID_CYCLES + 1, 10**12 + 1])
+    def test_window_past_the_grid_cap(self, window):
+        # no series bounds this entry's window, so the grid cap does, before any work
+        with pytest.raises(WindowTooLarge, match=f"^window {window} exceeds the largest grid"):
+            preprocess.savgol_coeffs(window, 3)
 
 
 def paired_weights(rng, h, sign, ulps):

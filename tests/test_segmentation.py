@@ -1,10 +1,16 @@
 import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kneescout
 from kneescout import PipelineParams
 from kneescout.baconwatts import dbw_knee_report
 from kneescout.errors import (
@@ -301,6 +307,48 @@ def test_shifting_every_cycle_shifts_onset_knee_and_eol(shift_reports, k):
         assert (shifted.onset_cycle, shifted.knee_cycle, shifted.eol_cycle) == (
             base.onset_cycle + k, base.knee_cycle + k, eol), series.cell_id
         assert shifted.diagnostics == base.diagnostics, series.cell_id
+
+
+def rounded(series):
+    """``series`` with its capacities rounded to 1e-3 Ah, as many cyclers export them."""
+    return dataclasses.replace(series, capacity_ah=np.round(series.capacity_ah, 3))
+
+
+# the rounded bench fleet under the defaults: rounding leaves near-ties in the
+# curvature's matrix profile, so a last bit of the smoothing can move a boundary
+ROUNDED_BENCH = """
+from test_segmentation import family, identify_knees, rounded
+for series, _ in family("bench"):
+    print(repr(identify_knees(rounded(series))))
+"""
+
+
+def haswell_unavailable():
+    """Why ``OPENBLAS_CORETYPE=Haswell`` cannot be forced here, or ''."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"] or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "NumPy's BLAS is not an OpenBLAS that picks its kernel at run time"
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return "no /proc/cpuinfo to find AVX2 in"
+    if not re.search(r"^flags\s*:.*\bavx2\b", cpuinfo, re.M):
+        return "the CPU lacks AVX2, which the Haswell kernel needs"
+    return ""
+
+
+def test_reports_are_the_same_on_the_haswell_kernel():
+    # OpenBLAS picks Haswell by itself on AVX2-only CPUs; every report, its
+    # diagnostics' bits included, must not depend on the kernel
+    if reason := haswell_unavailable():
+        pytest.skip(reason)
+    here = [repr(identify_knees(rounded(series))) for series, _ in family("bench")]
+    paths = [Path(kneescout.__file__).parents[1], Path(__file__).parent, Path(__file__).parents[1]]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    run = subprocess.run([sys.executable, "-c", ROUNDED_BENCH], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == here
 
 
 class TestPrepare:
