@@ -3,19 +3,23 @@
 Every length-L window is z-normalized once (``sliding_window_view``), and
 every distance is the Euclidean norm of the difference of two z-normalized
 windows. ``stamp`` finds each window's nearest neighbour from blocks of
-full rows of the Gram matrix ``Z @ Z.T``: for z-normalized windows
+full rows of the Gram matrix ``Z @ Z.T``, each block one product against a
+C-contiguous copy of ``Z.T`` made once per call: for z-normalized windows
 ``d^2 = 2L - 2 * dot``, so the nearest neighbour is the largest dot
 product. The exclusion band of a block only reaches the columns within
 ceil(L/2) of its rows, so it is written through one local mask built once
-per call. ``argmax`` takes the first maximum, so ties go to the smallest
-index and the result does not depend on evaluation order. P is measured
+per call. ``argmax`` takes the first maximum, so ties of computed Gram
+entries go to the smallest index and the result does not depend on
+evaluation order. P is measured
 directly from the chosen pair when it is first read: the arc curve and
 the knee read only I.
 
 A series of length M has n = M - L + 1 windows, and every window has a
 candidate outside its band exactly when n >= 2 ceil(L/2) + 2, that is
 M >= L + 2 ceil(L/2) + 1. ``stamp`` rejects anything shorter, so every
-window has a nearest neighbour.
+window has a nearest neighbour. A window matrix of more than
+``MAX_WINDOW_VALUES`` values (n L > 2**27, 1 GiB of float64) is refused
+before it is allocated.
 
 Conventions that the rest of the pipeline relies on:
 
@@ -39,22 +43,29 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateWindow, SeriesTooShort
+from .errors import DegenerateWindow, SeriesTooShort, WindowTooLarge
 from .rules import as_array, check_number
 
 FLAT_STD = 1e-12
 
-# Rows of the Gram matrix formed at a time; the working set is one
-# _BLOCK_ROWS x (number of windows) float buffer per thread (two when the
-# helper runs), and the band mask _BLOCK_ROWS x (_BLOCK_ROWS + 2 ceil(L/2))
-# booleans, shared. Changing it can change Gram bits, so it is part of
-# stamp's bit contract.
-_BLOCK_ROWS = 64
-# Block count from which stamp runs the second half of its blocks on a
+# Rows of the Gram matrix formed at a time, each block as one product of
+# _BLOCK_ROWS windows against a C-contiguous copy of Z.T made once per call.
+# The working set is one _BLOCK_ROWS x (number of windows) float buffer per
+# thread (two when the helper runs), and the band mask
+# _BLOCK_ROWS x (_BLOCK_ROWS + 2 ceil(L/2)) booleans, shared. Changing the
+# block size or the operand's layout can change Gram bits, so both are part
+# of stamp's bit contract.
+_BLOCK_ROWS = 32
+# Most values the window matrix (windows x L float64s) may hold: 2**27 values
+# are 1 GiB. A longer series or window is WindowTooLarge before any array
+# of that size is allocated. stamp's memory peaks at about twice the window
+# matrix (Z with a temporary, then Z and ZT), and P's first read at three times.
+MAX_WINDOW_VALUES = 2**27
+# Window count from which stamp runs the second half of its blocks on a
 # helper thread, when the process may run on more than one CPU. Below it
 # the thread's start and the hand-offs of the GIL cost more than the
 # second core gains (see DECISIONS.md).
-_HELPER_MIN_BLOCKS = 20
+_HELPER_MIN_WINDOWS = 1217
 
 
 def _cpu_count() -> int:
@@ -130,23 +141,29 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     """All-pairs nearest-neighbor search over every length-L window.
 
     I[j] is the window outside the band of radius ceil(L/2) around j with the
-    largest Gram entry, the smallest index on ties; P[j] is the distance to
+    largest computed Gram entry, the smallest index on ties (two windows
+    tied in exact arithmetic can round apart); P[j] is the distance to
     it, capped at 2 sqrt(L), formed when P is first read. ``L`` follows
     ``check_length``. A series shorter than L + 2 ceil(L/2) + 1 is
     SeriesTooShort: some window would have no candidate. A non-finite value
     is DegenerateWindow, since its windows have no z-normalized distance.
+    n windows of length L with n L > ``MAX_WINDOW_VALUES`` are
+    WindowTooLarge, raised before any array of that size is allocated.
 
-    Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows in a
-    ``(_BLOCK_ROWS, n)`` buffer allocated once per call, and the band is set
-    to -inf only in the columns ``start - r .. stop + r`` around the block,
-    through a slice of one ``(_BLOCK_ROWS, _BLOCK_ROWS + 2r)`` mask
-    (r = ceil(L/2)). The rows stay full because a column-sliced or
-    symmetric product can round differently under some BLAS builds, and a
-    changed bit can move an argmax tie. ``_BLOCK_ROWS`` is part of that
-    bit contract too: under OpenBLAS the Gram bits depend on the row count
-    of the product, so another block size changes them (see DECISIONS.md).
+    Each block of ``_BLOCK_ROWS`` rows forms its full Gram rows as
+    ``np.matmul(Z[start:stop], ZT)`` into a ``(_BLOCK_ROWS, n)`` buffer,
+    where ``ZT`` is a C-contiguous copy of ``Z.T``; both are made once per
+    call. The band is set to -inf only in the columns
+    ``start - r .. stop + r`` around the block, through a slice of one
+    ``(_BLOCK_ROWS, _BLOCK_ROWS + 2r)`` mask (r = ceil(L/2)). The rows stay
+    full because a column-sliced or symmetric product can round differently
+    under some BLAS builds, and a changed bit can move an argmax tie. ``_BLOCK_ROWS`` and the layout of
+    ``ZT`` are part of that bit contract too: under OpenBLAS the Gram bits
+    depend on the row count of the product and on the kernel path its shape
+    and strides select, so another block size or a strided ``Z.T`` changes
+    them (see DECISIONS.md).
 
-    From ``_HELPER_MIN_BLOCKS`` blocks on, when the process's CPU affinity
+    From ``_HELPER_MIN_WINDOWS`` windows on, when the process's CPU affinity
     holds more than one CPU, the caller forms the first half of the blocks
     and a helper thread started for this call the second half, each in its
     own buffer of one ``(2, _BLOCK_ROWS, n)`` array and into its own slice
@@ -164,12 +181,18 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
             f"series length {M} < L + 2*ceil(L/2) + 1 = {needed}"
             f" for matrix-profile window L = {L}"
         )
+    n = M - L + 1
+    if n * L > MAX_WINDOW_VALUES:
+        raise WindowTooLarge(
+            f"{n} windows of matrix-profile window L = {L} hold {n * L} values,"
+            f" more than {MAX_WINDOW_VALUES}"
+        )
     if not np.isfinite(series).all():
         raise DegenerateWindow("series holds non-finite values")
 
     series = series.copy()  # P reads it later; the caller may overwrite theirs
     Z, flat = _znormalize(sliding_window_view(series, L))
-    n = len(Z)
+    ZT = np.ascontiguousarray(Z.T)
     # band[i, c]: column start - radius + c lies within radius of row start + i
     shift = np.arange(_BLOCK_ROWS + 2 * radius) - np.arange(_BLOCK_ROWS)[:, None]
     band = (shift >= 0) & (shift <= 2 * radius)
@@ -179,7 +202,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
     def nearest(buf, starts):
         for start in starts:
             stop = min(start + _BLOCK_ROWS, n)
-            gram = np.matmul(Z[start:stop], Z.T, out=buf[: stop - start])
+            gram = np.matmul(Z[start:stop], ZT, out=buf[: stop - start])
             if any_flat:
                 gram[:, flat] = np.where(flat[start:stop, None], float(L), L / 2.0)
             lo, hi = max(start - radius, 0), min(stop + radius, n)
@@ -188,7 +211,7 @@ def stamp(series: np.ndarray, L: int) -> MatrixProfile:
             gram.argmax(axis=1, out=I[start:stop])
 
     starts = range(0, n, _BLOCK_ROWS)
-    if len(starts) < _HELPER_MIN_BLOCKS or _cpu_count() < 2:
+    if n < _HELPER_MIN_WINDOWS or _cpu_count() < 2:
         nearest(np.empty((min(_BLOCK_ROWS, n), n)), starts)
     else:
         half = len(starts) // 2

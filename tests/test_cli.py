@@ -140,6 +140,27 @@ class TestIdentify:
                        "--out", str(out)) == 0
         assert json.loads(out.read_text())["params"]["cac_window"] == 0
 
+    @pytest.mark.parametrize("json_errors", [False, True])
+    def test_cac_window_sentinel_on_a_long_curve_is_window_too_large(
+            self, tmp_path, capsys, json_errors):
+        # window 0 picks L = len(curvature) // 5: 80 000 windows of 19 999
+        # values, 11.9 GiB, are refused before the window matrix is made
+        p = tmp_path / "long.csv"
+        n = 100_000
+        p.write_text("cycle,discharge_capacity_ah\n" + "".join(
+            f"{i},{1.1 - 2e-6 * i - 1e-12 * max(0, i - n // 2) ** 2}\n" for i in range(1, n + 1)
+        ))
+        out = tmp_path / "r.json"
+        flags = ["--json-errors"] if json_errors else []
+        assert run_cli(*flags, "identify", "--input", str(p), "--q-nom", "1.1",
+                       "--cac-window", "0", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        if json_errors:
+            payload = json.loads(err)
+            assert (payload["error"], payload["exit_code"]) == ("WindowTooLarge", 2)
+        assert "80000 windows of matrix-profile window L = 19999" in err
+
     def test_missing_input_is_input_error(self, tmp_path):
         out = tmp_path / "r.json"
         bad = tmp_path / "nope.csv"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from kneescout import PipelineParams, matrixprofile, segmentation
-from kneescout.errors import DegenerateWindow, SeriesTooShort
+from kneescout.errors import DegenerateWindow, SeriesTooShort, WindowTooLarge
 from kneescout.matrixprofile import FLAT_STD, _distance, _znormalize, stamp
 from kneescout.synthgen import generate_fleet
 
@@ -86,18 +86,23 @@ def _reference_znormalize(windows):
 
 
 def _reference_stamp(series, L):
-    """The block loop ``stamp`` used before its local band: a full (64, n)
-    band mask built for every block of 64 rows, on windows z-normalized by
-    ``_reference_znormalize``. Returns (P, I)."""
+    """The block loop ``stamp`` used before its local band: a full
+    ``(_BLOCK_ROWS, n)`` band mask built for every block of ``_BLOCK_ROWS``
+    rows, on windows z-normalized by ``_reference_znormalize``. Each block
+    is a product against a C-contiguous ``Z.T``, as in ``stamp``, since the
+    Gram bits depend on the block size and the operand's layout. Returns
+    (P, I)."""
     series = np.asarray(series, dtype=np.float64)
     radius = math.ceil(L / 2)
     Z, flat = _reference_znormalize(np.lib.stride_tricks.sliding_window_view(series, L))
+    ZT = np.ascontiguousarray(Z.T)
     n = len(Z)
+    B = matrixprofile._BLOCK_ROWS
     cols = np.arange(n)
     I = np.full(n, -1, dtype=np.int64)
-    for start in range(0, n, 64):
-        rows = cols[start : start + 64]
-        gram = Z[start : start + 64] @ Z.T
+    for start in range(0, n, B):
+        rows = cols[start : start + B]
+        gram = Z[start : start + B] @ ZT
         gram[:, flat] = np.where(flat[rows, None], float(L), L / 2.0)
         band = (cols >= rows[:, None] - radius) & (cols <= rows[:, None] + radius)
         gram[band] = -np.inf
@@ -113,21 +118,22 @@ def _reference_stamp(series, L):
 
 @st.composite
 def block_edge_series(draw):
-    """Series whose window count n sits near a 64-row block edge.
+    """Series whose window count n sits near an edge of the Gram's blocks.
 
-    n lies within 2 ceil(L/2) of 64 k (k = 1..3) or below 64 + ceil(L/2),
-    and is at least 2 ceil(L/2) + 2, the fewest windows that all have a
-    neighbour outside their band.
+    With B = ``_BLOCK_ROWS``, n lies within 2 ceil(L/2) of B k (k = 1..3)
+    or below B + ceil(L/2), and is at least 2 ceil(L/2) + 2, the fewest
+    windows that all have a neighbour outside their band.
     Values may be rounded to a coarse grid or tiled from a short integer
     pattern (equal windows, so argmax ties), and a flat run may cross a
     block edge.
     """
+    B = matrixprofile._BLOCK_ROWS
     L = draw(st.integers(2, 40))
     r = math.ceil(L / 2)
     if draw(st.booleans()):
-        n = max(64 * draw(st.integers(1, 3)) + draw(st.integers(-2 * r, 2 * r)), 2 * r + 2)
+        n = max(B * draw(st.integers(1, 3)) + draw(st.integers(-2 * r, 2 * r)), 2 * r + 2)
     else:
-        n = draw(st.integers(2 * r + 2, 64 + r - 1))
+        n = draw(st.integers(2 * r + 2, B + r - 1))
     m = n + L - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["walk", "rounded", "tiled"]))
@@ -138,7 +144,7 @@ def block_edge_series(draw):
     else:
         series = np.tile(rng.integers(-2, 3, draw(st.integers(1, 9))), m)[:m].astype(float)
     if draw(st.booleans()):
-        edge = 64 * draw(st.integers(0, max(n // 64, 1)))
+        edge = B * draw(st.integers(0, max(n // B, 1)))
         lo = min(max(edge - draw(st.integers(0, L + r)), 0), m - 1)
         hi = min(edge + draw(st.integers(1, 2 * L + r)), m)
         series[lo:hi] = series[lo]
@@ -270,6 +276,18 @@ class TestStamp:
         P, _ = naive_matrix_profile(series, L)
         assert np.max(np.abs(mp.P - P)) < 1e-9
 
+    def test_window_matrix_past_the_bound_is_refused_before_it_is_made(self, monkeypatch):
+        # 80 001 windows of 20 000 values would be 11.9 GiB
+        with pytest.raises(WindowTooLarge, match=r"^80001 windows of matrix-profile window L = 20000 "):
+            stamp(np.zeros(100_000), 20_000)
+        series = np.cumsum(np.random.default_rng(11).normal(0, 1, 111))  # 100 windows at L = 12
+        monkeypatch.setattr(matrixprofile, "MAX_WINDOW_VALUES", 100 * 12)
+        assert len(stamp(series, 12).I) == 100
+        monkeypatch.setattr(matrixprofile, "MAX_WINDOW_VALUES", 100 * 12 - 1)
+        monkeypatch.setattr(matrixprofile, "_znormalize", None)  # a window matrix would fail
+        with pytest.raises(WindowTooLarge, match=r"^100 windows .* L = 12 hold 1200 values, more than 1199$"):
+            stamp(series, 12)
+
     def test_distances_bounded(self):
         rng = np.random.default_rng(10)
         series = rng.normal(0, 1, 200)
@@ -318,22 +336,22 @@ class TestLocalBandMatchesFullMask:
         np.testing.assert_array_equal(mp.I, I)
 
 
-def helper_gate(patch, blocks):
-    """Make ``stamp`` use its helper thread from ``blocks`` blocks on, as on two CPUs."""
-    patch.setattr(matrixprofile, "_HELPER_MIN_BLOCKS", blocks)
+def helper_gate(patch, windows):
+    """Make ``stamp`` use its helper thread from ``windows`` windows on, as on two CPUs."""
+    patch.setattr(matrixprofile, "_HELPER_MIN_WINDOWS", windows)
     patch.setattr(matrixprofile, "_cpu_count", lambda: 2)
 
 
-def matmul_threads(patch, fail_in=None):
-    """Record the thread of each Gram block's ``np.matmul``; raise in ``fail_in``
-    ("caller" or "helper") instead of forming that block."""
+def matmul_calls(patch, fail_in=None):
+    """Record the thread ("caller" or "helper") and both operands of each Gram
+    block's ``np.matmul``; raise in ``fail_in`` instead of forming that block."""
     caller = threading.get_ident()
     seen = []
     real = np.matmul
 
     def matmul(a, b, **kw):
         side = "caller" if threading.get_ident() == caller else "helper"
-        seen.append(side)
+        seen.append((side, a, b))
         if side == fail_in:
             raise RuntimeError(f"block failed in the {side}")
         return real(a, b, **kw)
@@ -342,15 +360,19 @@ def matmul_threads(patch, fail_in=None):
     return seen
 
 
-def half_boundary_series(blocks, kind, L=12, seed=0):
-    """A series of ``blocks`` Gram blocks whose flat run or tiled stretch
-    (equal windows, so argmax ties) crosses the row where the helper's half
+def sides(seen):
+    return [side for side, _, _ in seen]
+
+
+def half_boundary_series(n, kind, L=12, seed=0):
+    """A series of ``n`` windows whose flat run or tiled stretch (equal
+    windows, so argmax ties) crosses the row where the helper's half
     begins."""
-    n = 64 * blocks - 7
+    B = matrixprofile._BLOCK_ROWS
     m = n + L - 1
     rng = np.random.default_rng(seed)
     series = np.cumsum(rng.normal(0, 1, m))
-    edge = 64 * (blocks // 2)
+    edge = B * (-(-n // B) // 2)
     lo, hi = max(edge - 3 * L, 0), min(edge + 4 * L, m)
     if kind == "flat":
         series[lo:hi] = series[lo]
@@ -369,23 +391,24 @@ class TestHelperThreadMatchesSerial:
     @pytest.mark.parametrize("kind", ["flat", "tiled"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_bitwise_around_the_gate(self, monkeypatch, kind, offset):
-        gate = matrixprofile._HELPER_MIN_BLOCKS
+        gate = matrixprofile._HELPER_MIN_WINDOWS
         helper_gate(monkeypatch, gate)
-        seen = matmul_threads(monkeypatch)
+        seen = matmul_calls(monkeypatch)
         series, L = half_boundary_series(gate + offset, kind)
         mp = stamp(series, L)
-        assert ("helper" in seen) == (offset >= 0)
+        assert ("helper" in sides(seen)) == (offset >= 0)
         P, I = _reference_stamp(series, L)
         assert mp.P.tobytes() == P.tobytes()
         np.testing.assert_array_equal(mp.I, I)
 
     @pytest.mark.parametrize("kind", ["flat", "tiled"])
     def test_bitwise_at_full_length(self, monkeypatch, kind):
-        helper_gate(monkeypatch, matrixprofile._HELPER_MIN_BLOCKS)
-        seen = matmul_threads(monkeypatch)
-        series, L = half_boundary_series(39, kind, seed=2500)  # n = 2489, the longest rung
+        helper_gate(monkeypatch, matrixprofile._HELPER_MIN_WINDOWS)
+        seen = matmul_calls(monkeypatch)
+        series, L = half_boundary_series(2489, kind, seed=2500)  # the longest rung
         mp = stamp(series, L)
-        assert seen.count("helper") == 20
+        blocks = -(-2489 // matrixprofile._BLOCK_ROWS)
+        assert sides(seen).count("helper") == blocks - blocks // 2
         P, I = _reference_stamp(series, L)
         assert mp.P.tobytes() == P.tobytes()
         np.testing.assert_array_equal(mp.I, I)
@@ -403,11 +426,30 @@ class TestHelperThreadMatchesSerial:
         np.testing.assert_array_equal(threaded.I, serial.I)
 
 
+class TestGramOperands:
+    """The Gram bits depend on the block size and on the layout of the right
+    operand (see DECISIONS.md), so both are held here."""
+
+    @pytest.mark.parametrize("windows", [200, 1273])
+    @pytest.mark.parametrize("gate", [1, 10**9])
+    def test_blocks_against_one_contiguous_transpose(self, monkeypatch, windows, gate):
+        helper_gate(monkeypatch, gate)
+        seen = matmul_calls(monkeypatch)
+        series, L = half_boundary_series(windows, "flat")
+        stamp(series, L)
+        B = matrixprofile._BLOCK_ROWS
+        assert len(seen) == -(-windows // B)
+        assert all(a.shape[0] <= B and a.shape[1] == L for _, a, _ in seen)
+        operand = seen[0][2]
+        assert all(b is operand for _, _, b in seen)
+        assert operand.shape == (L, windows) and operand.flags.c_contiguous
+
+
 class TestHelperThread:
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
         # four callers, each with a helper, on a 10 us switch interval: every
         # result keeps the serial bits, and every thread has ended
-        series, L = half_boundary_series(20, "tiled")
+        series, L = half_boundary_series(1273, "tiled")
         helper_gate(monkeypatch, 10**9)
         serial = stamp(series, L)
         helper_gate(monkeypatch, 1)
@@ -431,23 +473,23 @@ class TestHelperThread:
     def test_serial_on_one_cpu(self, monkeypatch):
         helper_gate(monkeypatch, 1)
         monkeypatch.setattr(matrixprofile, "_cpu_count", lambda: 1)
-        seen = matmul_threads(monkeypatch)
-        stamp(half_boundary_series(20, "flat")[0], 12)
-        assert set(seen) == {"caller"}
+        seen = matmul_calls(monkeypatch)
+        stamp(half_boundary_series(1273, "flat")[0], 12)
+        assert set(sides(seen)) == {"caller"}
 
     def test_threads_end_with_the_call(self, monkeypatch):
         helper_gate(monkeypatch, 1)
         before = threading.active_count()
-        stamp(half_boundary_series(20, "flat")[0], 12)
+        stamp(half_boundary_series(1273, "flat")[0], 12)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("fail_in", ["helper", "caller"])
     def test_error_in_either_half_surfaces(self, monkeypatch, fail_in):
         helper_gate(monkeypatch, 1)
-        matmul_threads(monkeypatch, fail_in=fail_in)
+        matmul_calls(monkeypatch, fail_in=fail_in)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"block failed in the {fail_in}"):
-            stamp(half_boundary_series(20, "tiled")[0], 12)
+            stamp(half_boundary_series(1273, "tiled")[0], 12)
         assert threading.active_count() == before
 
 
@@ -472,12 +514,15 @@ class TestOracleScale:
 
 def lazy_cases():
     """(series, L) pairs for every L from 2 to 30 whose window count sits at
-    a 64-row block edge (63, 64, 65, 127, 128, 129) or is the fewest that
-    ``stamp`` takes, each on a flat, a partly flat and a random-walk series."""
+    an edge of 1, 2 or 4 Gram blocks (one window short of it, on it or one
+    past it) or is the fewest that ``stamp`` takes, each on a flat, a partly
+    flat and a random-walk series."""
+    B = matrixprofile._BLOCK_ROWS
+    edges = [k * B + d for k in (1, 2, 4) for d in (-1, 0, 1)]
     rng = np.random.default_rng(43)
     for L in range(2, 31):
         shortest = 2 * math.ceil(L / 2) + 2
-        for n in sorted({shortest, *(c for c in (63, 64, 65, 127, 128, 129) if c >= shortest)}):
+        for n in sorted({shortest, *(c for c in edges if c >= shortest)}):
             m = n + L - 1
             walk = np.cumsum(rng.normal(0, 1, m))
             partly = walk.copy()
